@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt race bench bench-rpc bench-cache bench-write bench-reshard bench-wal bench-statefun wal-fuzz cover verify chaos chaos-short doclint alloc-guard
+.PHONY: build test vet fmt race bench bench-rpc bench-cache bench-write bench-reshard bench-wal bench-statefun wal-fuzz cover verify chaos chaos-short flake-check doclint alloc-guard
 
 build:
 	$(GO) build ./...
@@ -130,20 +130,36 @@ chaos:
 chaos-short:
 	$(GO) test -race -count=1 -short -run 'TestNemesisPartition|TestNemesisCrashRestart|TestNemesisCachePartition|TestNemesisWriteBatchPartition|TestNemesisMigrationPartition|TestNemesisKillEverything|TestNemesisStatefunKillEverything' ./internal/chaos/
 
+# flake-check reruns the tests that used to fail under CPU contention —
+# the two whose clocks are now under the test's control, the cache-on
+# crash/restart nemesis that caught the fork-check bug (DESIGN.md §5c) and
+# the migration race that lost an rf=1 write across the hand-off (§5g) —
+# 30 times each at one and two CPUs (about half a minute on an idle box).
+# Not part of verify. To reproduce the contention itself, run any CPU hog
+# beside it (e.g. four copies of a `go test -c ./internal/chaos` binary).
+flake-check:
+	$(GO) test -count=30 -cpu 1,2 -run 'TestCheckFailuresConcurrentWithMembershipChurn' ./internal/membership/
+	$(GO) test -count=30 -cpu 1,2 -run 'TestBillingUsesModeledTime|TestBillingAccumulates' ./internal/faas/
+	$(GO) test -count=30 -cpu 1,2 -run 'TestNemesisCacheCrashRestart' ./internal/chaos/
+	$(GO) test -count=30 -cpu 1,2 -run 'TestInvokeDuringMigrationLosesNothing' ./internal/cluster/
+
 # doclint fails when an exported identifier in the public API (the root
 # package) has no doc comment.
 doclint:
 	$(GO) run ./cmd/doclint .
 
 # alloc-guard enforces the hot-path allocation budgets: the invocation
-# round trip must hold PR 3's 8 allocs/op, and the per-object tracker's
+# round trip must hold PR 3's 8 allocs/op, the per-object tracker's
 # warm-path Observe must stay allocation-free (the telemetry-overhead
-# guard for the always-on accounting plane). These tests self-skip under
-# -race, so they need this dedicated non-race invocation to actually
-# bite; the measured numbers live in BENCH_rpc.json.
+# guard for the always-on accounting plane), and one sequential RF-2
+# write on the zero WritePolicy — a round of one — must not allocate more
+# than it did before the write paths were merged. These tests self-skip
+# under -race, so they need this dedicated non-race invocation to
+# actually bite; the measured numbers live in BENCH_rpc.json and in
+# internal/cluster/alloc_budget_test.go.
 alloc-guard:
 	$(GO) test -count=1 -run 'AllocBudget|TrackerObserveAllocs' \
-		./internal/core/ ./internal/telemetry/
+		./internal/core/ ./internal/telemetry/ ./internal/cluster/
 
 # verify is the tier-1 gate (see ROADMAP.md): everything must be gofmt
 # clean, compile, vet clean, doc-complete on the public API, hold the

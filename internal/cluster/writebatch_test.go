@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -61,36 +62,61 @@ func hammerCounter(t *testing.T, c *Cluster, workers, perWorker, nclients int) i
 	return out[0].(int64)
 }
 
-// TestWriteBatchingExactlyOnce floods one counter through group commit and
-// checks the final value: a batcher that dropped a queued write, applied
-// one twice (e.g. a retry landing in a second batch after its first round
-// already delivered), or mixed up per-sub-operation results would be off.
+// TestWriteBatchingExactlyOnce floods one counter through the write path
+// under each way of slicing the stream into rounds — the zero policy and
+// MaxBatch 1 (rounds of one, inline), group commit with and without a
+// linger — and checks the final value: a round that dropped a queued write,
+// applied one twice (a retry landing in a second round after its first
+// already delivered), or mixed up per-invocation results would be off.
+// However the rounds were cut, every replica must have counted the same
+// applies and replayed the same number of retries, and group commit must
+// have taken fewer rounds than ops.
 func TestWriteBatchingExactlyOnce(t *testing.T) {
-	tel := telemetry.New()
-	c, err := StartLocal(Options{
-		Nodes:     3,
-		RF:        2,
-		Telemetry: tel,
-		Write:     core.WritePolicy{MaxBatch: 8, MaxDelay: 200 * time.Microsecond, Pipeline: 2},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
 	const workers, perWorker = 24, 25
-	if got := hammerCounter(t, c, workers, perWorker, 4); got != workers*perWorker {
-		t.Fatalf("counter = %d after %d increments", got, workers*perWorker)
+	type outcome struct {
+		value    int64
+		versions []uint64 // per node, in node-ID order; 0 where no copy lives
+		replays  uint64
 	}
+	var first outcome
+	for i, pol := range []core.WritePolicy{{}, {MaxBatch: 1}, core.DefaultWritePolicy(),
+		{MaxBatch: 8, MaxDelay: 200 * time.Microsecond, Pipeline: 2}} {
+		tel := telemetry.New()
+		c, err := StartLocal(Options{Nodes: 3, RF: 2, Telemetry: tel, Write: pol})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := outcome{value: hammerCounter(t, c, workers, perWorker, 4)}
+		ref := core.Ref{Type: objects.TypeAtomicLong, Key: "wb/counter"}
+		for _, id := range c.Dir.View().Members {
+			v, _ := c.nodes[id].DebugVersion(ref)
+			got.versions = append(got.versions, v)
+		}
+		m := tel.Metrics()
+		got.replays = m.Counter(telemetry.MetServerDedupHits).Value()
+		batches := m.Counter(telemetry.MetServerBatches).Value()
+		rounds := m.Counter(telemetry.MetServerSMRRounds).Value()
+		_ = c.Close()
 
-	m := tel.Metrics()
-	batches := m.Counter(telemetry.MetServerBatches).Value()
-	rounds := m.Counter(telemetry.MetServerSMRRounds).Value()
-	if batches == 0 {
-		t.Error("no batch round was cut despite batching enabled")
-	}
-	if rounds > workers*perWorker {
-		t.Errorf("%d ordering rounds for %d ops: batching amortized nothing", rounds, workers*perWorker)
+		if got.value != workers*perWorker {
+			t.Fatalf("%+v: counter = %d after %d increments", pol, got.value, workers*perWorker)
+		}
+		if pol.Batching() != (batches > 0) {
+			t.Errorf("%+v: %d group-commit rounds", pol, batches)
+		}
+		// The hammer orders workers*perWorker+2 ops: the increments, the
+		// Set and the lease-less final Get. Rounds of one take exactly
+		// that many; group commit must save at least those two.
+		if ops := uint64(workers*perWorker + 2); !pol.Batching() && rounds != ops {
+			t.Errorf("%+v: %d ordering rounds for %d ops, want one each", pol, rounds, ops)
+		} else if pol.Batching() && rounds > workers*perWorker {
+			t.Errorf("%+v: %d ordering rounds for %d ops: batching amortized nothing", pol, rounds, workers*perWorker)
+		}
+		if i == 0 {
+			first = got
+		} else if !reflect.DeepEqual(got, first) {
+			t.Errorf("%+v: outcome %+v differs from the zero policy's %+v", pol, got, first)
+		}
 	}
 }
 

@@ -10,22 +10,26 @@ import "time"
 // the dso-server -write-batch/-write-delay/-write-pipeline flags, so a
 // policy chosen in one place round-trips unchanged to every layer.
 //
-// The policy governs group commit on the SMR write path (DESIGN.md §5e):
-// concurrent mutations of one object are coalesced into a single
-// total-order round whose payload carries up to MaxBatch stamped
-// invocations, and up to Pipeline such rounds per object may be in flight
-// at once, so a round's FINAL acks overlap the next round's proposes.
+// The policy decides how many invocations one replicated round carries
+// (DESIGN.md §5e). There is a single round — one total-order multicast,
+// one lease fence, one apply at every replica, one fork check — and it
+// takes 1..N invocations on one object. With batching on, concurrent
+// mutations of one object queue per object and are flushed as rounds of
+// up to MaxBatch stamped invocations, up to Pipeline such rounds per
+// object in flight at once, so a round's FINAL acks overlap the next
+// round's proposes.
 //
-// The zero value disables batching entirely: every write takes one
-// ordering round of its own, the behavior of all prior releases. A
-// negative MaxBatch additionally turns off frame-level write coalescing
-// on rpc connections the policy is applied to (the pre-coalescing
+// The zero value means rounds of one: every write runs its own round
+// inline on the goroutine that received it — no queue, no hand-off, no
+// timer — which is also how every read-only ordering round runs under any
+// policy. A negative MaxBatch additionally turns off frame-level write
+// coalescing on rpc connections the policy is applied to (the
 // one-syscall-per-frame debug path that Client.SetWriteCoalescing(false)
 // used to select).
 type WritePolicy struct {
 	// MaxBatch caps how many stamped invocations one ordering round may
-	// carry. Values <= 1 disable batching (every write is its own
-	// round); negative values also disable rpc frame coalescing.
+	// carry. Values <= 1 disable batching (every write is a round of
+	// one); negative values also disable rpc frame coalescing.
 	MaxBatch int
 	// MaxDelay is how long a forming batch may wait for more writes
 	// before it is flushed. Zero flushes as soon as an ordering slot is

@@ -132,6 +132,9 @@ type Directory struct {
 	listeners  map[int]Listener
 	nextSub    int
 	timeout    time.Duration
+	// now is the heartbeat clock (time.Now; the in-package tests drive the
+	// failure detector with one they advance themselves).
+	now func() time.Time
 	// installMu serializes view installation + listener notification so
 	// listeners observe views strictly in order.
 	installMu sync.Mutex
@@ -146,6 +149,7 @@ func NewDirectory(timeout time.Duration) *Directory {
 		heartbeats: make(map[ring.NodeID]time.Time),
 		listeners:  make(map[int]Listener),
 		timeout:    timeout,
+		now:        time.Now,
 	}
 }
 
@@ -227,7 +231,7 @@ func (d *Directory) change(mutate func(map[ring.NodeID]string)) View {
 	for n := range members {
 		next.Members = append(next.Members, n)
 		if _, ok := d.heartbeats[n]; !ok {
-			d.heartbeats[n] = time.Now()
+			d.heartbeats[n] = d.now()
 		}
 	}
 	for n := range d.heartbeats {
@@ -356,7 +360,7 @@ func (d *Directory) Heartbeat(node ring.NodeID) error {
 	if _, ok := d.view.Addrs[node]; !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownNode, node)
 	}
-	d.heartbeats[node] = time.Now()
+	d.heartbeats[node] = d.now()
 	return nil
 }
 
@@ -369,7 +373,7 @@ func (d *Directory) Heartbeat(node ring.NodeID) error {
 func (d *Directory) CheckFailures() []ring.NodeID {
 	d.mu.Lock()
 	var stale []ring.NodeID
-	now := time.Now()
+	now := d.now()
 	for n, last := range d.heartbeats {
 		if now.Sub(last) > d.timeout {
 			stale = append(stale, n)
@@ -385,7 +389,7 @@ func (d *Directory) CheckFailures() []ring.NodeID {
 			// d.mu is held here (see change): re-read the heartbeat and
 			// only remove a node that is both present and still stale.
 			last, tracked := d.heartbeats[n]
-			if !tracked || time.Since(last) <= d.timeout {
+			if !tracked || d.now().Sub(last) <= d.timeout {
 				return
 			}
 			if _, ok := members[n]; !ok {

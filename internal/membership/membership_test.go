@@ -3,7 +3,9 @@ package membership
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -274,25 +276,22 @@ func TestRunFailureDetectorRemovesSilentNode(t *testing.T) {
 // heartbeating must never be evicted — staleness is re-validated under
 // the directory lock at removal time — and the directory must stay
 // internally consistent throughout (run with -race).
+//
+// Time is a fake clock that only the heartbeating goroutine advances, one
+// millisecond before each heartbeat, so "keeps heartbeating" holds by
+// construction (steady is never more than 1ms stale against a 5ms timeout)
+// however the scheduler treats the goroutines; the churned nodes never
+// heartbeat, and every other one is left only after it has expired, so
+// the detector's evictions race the leaves for two seconds of fake time.
 func TestCheckFailuresConcurrentWithMembershipChurn(t *testing.T) {
 	d := NewDirectory(5 * time.Millisecond)
+	var clock atomic.Int64
+	d.now = func() time.Time { return time.Unix(0, clock.Load()) }
 	d.Join("steady", "s")
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	wg.Add(3)
-	go func() { // steady heartbeats
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				_ = d.Heartbeat("steady")
-				time.Sleep(time.Millisecond)
-			}
-		}
-	}()
+	wg.Add(2)
 	go func() { // churn: join/leave a rotating cast
 		defer wg.Done()
 		for i := 0; ; i++ {
@@ -300,13 +299,24 @@ func TestCheckFailuresConcurrentWithMembershipChurn(t *testing.T) {
 			case <-stop:
 				return
 			default:
+				// Every other node stays past the timeout, so its Leave
+				// races the detector's eviction of it.
 				id := ring.NodeID(rune('a' + i%5))
 				d.Join(id, "x")
-				time.Sleep(time.Millisecond)
+				for until := clock.Load() + int64(i%2)*int64(6*time.Millisecond); clock.Load() < until; {
+					select {
+					case <-stop:
+						return
+					default:
+						runtime.Gosched()
+					}
+				}
 				d.Leave(id)
 			}
 		}
 	}()
+	evictions := 0
+	var scans atomic.Int64
 	go func() { // aggressive detector
 		defer wg.Done()
 		for {
@@ -315,21 +325,33 @@ func TestCheckFailuresConcurrentWithMembershipChurn(t *testing.T) {
 				return
 			default:
 				for _, n := range d.CheckFailures() {
+					evictions++
 					if n == "steady" {
 						t.Error("heartbeating node evicted by the failure detector")
 					}
 				}
-				time.Sleep(time.Millisecond)
+				scans.Add(1)
+				runtime.Gosched()
 			}
 		}
 	}()
 
-	time.Sleep(150 * time.Millisecond)
+	for i := 0; i < 2000; i++ { // steady heartbeats
+		clock.Add(int64(time.Millisecond))
+		if err := d.Heartbeat("steady"); err != nil {
+			t.Errorf("steady is no longer a member: %v", err)
+			break
+		}
+		for s := scans.Load(); scans.Load() == s; { // at least one scan per tick
+			runtime.Gosched()
+		}
+	}
 	close(stop)
 	wg.Wait()
 	if !d.View().Contains("steady") {
 		t.Fatal("steady node missing from the final view")
 	}
+	t.Logf("detector evicted %d churned nodes", evictions)
 }
 
 // Fence must be a pure function of the member set — equal for any two

@@ -2,15 +2,13 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
 
 	"crucial/internal/core"
-	"crucial/internal/durability"
-	"crucial/internal/ring"
 	"crucial/internal/telemetry"
-	"crucial/internal/totalorder"
 )
 
 // Group commit on the SMR write path (DESIGN.md §5e): instead of one
@@ -27,32 +25,12 @@ import (
 
 // batchedWrite is one caller's mutation queued for group commit. done is
 // buffered so a flush never blocks on a caller that gave up (context
-// expiry abandons the channel; the outcome is simply dropped, exactly as
-// the classic path drops a result its waiter stopped listening for — the
+// expiry abandons the channel and the outcome is simply dropped — the
 // client's retry is answered from the at-most-once window).
 type batchedWrite struct {
 	ctx  context.Context
 	inv  core.Invocation
-	done chan smrResult
-}
-
-// subResult is one sub-operation's outcome inside a delivered batch.
-type subResult struct {
-	results []any
-	err     error
-}
-
-// batchOutcome is what the coordinator's in-order delivery of a batch
-// reports back to flushBatch: per-sub-operation outcomes plus the
-// post-batch apply version for the fork check. err is a batch-level
-// failure (decode, missing base copy, fence) that voids the whole round.
-type batchOutcome struct {
-	res     []subResult
-	version uint64
-	err     error
-	// commit is the round's WAL durability ticket (nil with the tier
-	// off); the coordinator waits on it before distributing acks.
-	commit *durability.Commit
+	done chan opResult
 }
 
 // refQueue is the per-object batch state: queued writes, whether a
@@ -82,9 +60,16 @@ func newWriteBatcher(n *Node, pol core.WritePolicy) *writeBatcher {
 	return &writeBatcher{n: n, pol: pol, queues: make(map[core.Ref]*refQueue)}
 }
 
-// submit queues one write for group commit and waits for its outcome.
+// submit queues one write for group commit and waits for its outcome,
+// attributing the caller's wait on its shared round to the per-invocation
+// span the same way an inline round attributes its own.
 func (b *writeBatcher) submit(ctx context.Context, inv core.Invocation) ([]any, error) {
-	w := &batchedWrite{ctx: ctx, inv: inv, done: make(chan smrResult, 1)}
+	if b.n.instrumented {
+		defer func(start time.Time) {
+			telemetry.SpanFromContext(ctx).AddTiming(telemetry.TimingSMR, time.Since(start))
+		}(time.Now())
+	}
+	w := &batchedWrite{ctx: ctx, inv: inv, done: make(chan opResult, 1)}
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
@@ -105,6 +90,10 @@ func (b *writeBatcher) submit(ctx context.Context, inv core.Invocation) ([]any, 
 	case out := <-w.done:
 		return out.results, out.err
 	case <-ctx.Done():
+		if b.n.closed.Load() {
+			// The handler context died with the node (see runRound).
+			return nil, core.ErrStopped
+		}
 		return nil, ctx.Err()
 	}
 }
@@ -139,10 +128,7 @@ func (b *writeBatcher) dispatch(ref core.Ref, rq *refQueue) {
 		rq.slots <- struct{}{} // pipeline gate
 
 		b.mu.Lock()
-		take := len(rq.pending)
-		if take > b.pol.MaxBatch {
-			take = b.pol.MaxBatch
-		}
+		take := min(len(rq.pending), b.pol.MaxBatch)
 		batch := rq.pending[:take:take]
 		rq.pending = rq.pending[take:]
 		b.mu.Unlock()
@@ -151,10 +137,7 @@ func (b *writeBatcher) dispatch(ref core.Ref, rq *refQueue) {
 			// Group-commit linger: trade this batch's latency for size.
 			time.Sleep(b.pol.MaxDelay)
 			b.mu.Lock()
-			extra := b.pol.MaxBatch - len(batch)
-			if extra > len(rq.pending) {
-				extra = len(rq.pending)
-			}
+			extra := min(b.pol.MaxBatch-len(batch), len(rq.pending))
 			batch = append(batch, rq.pending[:extra]...)
 			rq.pending = rq.pending[extra:]
 			b.mu.Unlock()
@@ -170,7 +153,7 @@ func (b *writeBatcher) dispatch(ref core.Ref, rq *refQueue) {
 		rq.inflight++
 		b.mu.Unlock()
 		go func(batch []*batchedWrite) {
-			b.n.flushBatch(ref, batch)
+			b.flush(ref, batch)
 			<-rq.slots
 			b.mu.Lock()
 			rq.inflight--
@@ -183,7 +166,7 @@ func (b *writeBatcher) dispatch(ref core.Ref, rq *refQueue) {
 }
 
 // close fails every queued write; dispatchers notice closed on their next
-// pass and in-flight rounds run to completion (bounded by flushBatch's
+// pass and in-flight rounds run to completion (bounded by flush's
 // deadline) against the shutting-down transport.
 func (b *writeBatcher) close() {
 	b.mu.Lock()
@@ -204,42 +187,22 @@ func (b *writeBatcher) close() {
 // failBatch reports one error to every write of a batch.
 func failBatch(batch []*batchedWrite, err error) {
 	for _, w := range batch {
-		w.done <- smrResult{err: err}
+		w.done <- opResult{err: err}
 	}
 }
 
-// submitBatched is invokeReplicated's entry into the group-commit path,
-// attributing each caller's wait on its shared round to the per-invocation
-// span the same way the classic path attributes its private round.
-func (n *Node) submitBatched(ctx context.Context, inv core.Invocation) ([]any, error) {
-	if !n.instrumented {
-		return n.batcher.submit(ctx, inv)
-	}
-	start := time.Now()
-	results, err := n.batcher.submit(ctx, inv)
-	telemetry.SpanFromContext(ctx).AddTiming(telemetry.TimingSMR, time.Since(start))
-	return results, err
-}
-
-// flushBatch runs one group-commit ordering round: the shared pre-work of
-// the classic write path exactly once (primacy check, lease
-// revoke-before-commit, residency pull, genesis determination), then a
-// single multicast whose payload carries the whole batch, the wait for the
-// coordinator's own in-order delivery, and one fork check before
-// distributing per-sub-operation outcomes.
-func (n *Node) flushBatch(ref core.Ref, batch []*batchedWrite) {
+// flush runs one group-commit round: the queued writes become the
+// invocations of a single runRound, and its per-invocation outcomes are
+// distributed back to the callers.
+func (b *writeBatcher) flush(ref core.Ref, batch []*batchedWrite) {
+	n := b.n
 	// The round runs under its own deadline, not any caller's context: one
 	// canceled caller must not fail the other writes sharing the round.
 	// The bound covers the FINAL wait (10x peer timeout, like handleFinal)
 	// and the lease fence's worst case (revocation plus holder expiry).
-	bound := 10 * n.peerTimeout
-	if bound <= 0 {
-		bound = 20 * time.Second
-	}
+	bound := 10 * n.waitTimeout()
 	if n.leases != nil {
-		if lb := 4 * n.leases.ttl; lb > bound {
-			bound = lb
-		}
+		bound = max(bound, 4*n.leases.ttl)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), bound)
 	defer cancel()
@@ -253,113 +216,32 @@ func (n *Node) flushBatch(ref core.Ref, batch []*batchedWrite) {
 		span.SetAttr(telemetry.AttrBatchSize, fmt.Sprint(len(batch)))
 		defer span.End()
 	}
-
-	group, r := n.replicaGroup(ref, true)
-	if r == nil || len(group) == 0 {
-		failBatch(batch, core.ErrRebalancing)
-		return
+	invs := make([]core.Invocation, len(batch))
+	for i, w := range batch {
+		invs[i] = w.inv
 	}
-	if group[0] != n.cfg.ID {
-		failBatch(batch, fmt.Errorf("%w: %s belongs to %s", core.ErrWrongNode, ref, group[0]))
-		return
+	// The group is computed now, not when the writes were routed: a queued
+	// write may be flushed under a later view.
+	group, view := n.replicaGroup(ref, true)
+	res, ordered, err := n.runRound(ctx, group, view, invs)
+	if ordered {
+		// Counted like smr_rounds, from the multicast on: a round that then
+		// fails its fork check or WAL wait was a group-commit round all the
+		// same.
+		n.cBatches.Inc()
+		n.hBatchSize.ObserveValue(int64(len(batch)))
 	}
-	if n.leases != nil {
-		// One revoke-before-commit fence covers every write of the round.
-		done, lerr := n.prepareWrite(ctx, ref)
-		if lerr != nil {
-			failBatch(batch, lerr)
-			return
-		}
-		defer done()
-	}
-	genesis, err := n.ensureCoordinatorCopy(ctx, ref, group)
 	if err != nil {
+		if ctx.Err() != nil && !errors.Is(err, core.ErrStopped) {
+			// The batcher's own bound ran out, not any caller's patience:
+			// the writes may still deliver, so their callers must retry.
+			err = fmt.Errorf("%w: batch round for %s outlived its bound: %v",
+				core.ErrRebalancing, ref, err)
+		}
 		failBatch(batch, err)
 		return
 	}
-	flag := smrOpBatch
-	if genesis {
-		flag = smrOpBatchGenesis
-	}
-
-	parts := make([][]byte, 0, len(batch))
-	live := batch[:0:0]
-	for _, w := range batch {
-		enc, encErr := core.EncodeInvocation(w.inv)
-		if encErr != nil {
-			w.done <- smrResult{err: encErr}
-			continue
-		}
-		parts = append(parts, enc)
-		live = append(live, w)
-	}
-	if len(live) == 0 {
-		return
-	}
-
-	payload := totalorder.AppendBatch([]byte{flag}, parts)
-	id := totalorder.MsgID{Origin: string(n.cfg.ID), Seq: n.seq.Add(1)}
-	ch := make(chan batchOutcome, 1)
-	n.batchWaitMu.Lock()
-	if n.batchWaiters == nil {
-		n.batchWaiters = make(map[totalorder.MsgID]chan batchOutcome)
-	}
-	n.batchWaiters[id] = ch
-	n.batchWaitMu.Unlock()
-	n.finalVerMu.Lock()
-	if n.finalVers == nil {
-		n.finalVers = make(map[totalorder.MsgID]map[ring.NodeID]uint64)
-	}
-	n.finalVers[id] = make(map[ring.NodeID]uint64, len(group)-1)
-	n.finalVerMu.Unlock()
-	defer func() {
-		n.batchWaitMu.Lock()
-		delete(n.batchWaiters, id)
-		n.batchWaitMu.Unlock()
-		n.finalVerMu.Lock()
-		delete(n.finalVers, id)
-		n.finalVerMu.Unlock()
-	}()
-
-	members := make([]string, len(group))
-	for i, g := range group {
-		members[i] = string(g)
-	}
-	if err := totalorder.Multicast(ctx, (*toTransport)(n), members, id, payload); err != nil {
-		// Same contract as the classic path: a failed multicast means the
-		// group is unreachable or the view is shifting; every caller gets
-		// the retryable sentinel and the at-most-once window makes the
-		// retries safe wherever the round did deliver.
-		failBatch(live, fmt.Errorf("%w: %v", core.ErrRebalancing, err))
-		return
-	}
-	n.smrOps.Add(uint64(len(live)))
-	n.cSMRRounds.Inc()
-	n.cBatches.Inc()
-	n.hBatchSize.ObserveValue(int64(len(live)))
-	select {
-	case out := <-ch:
-		if out.err != nil {
-			failBatch(live, out.err)
-			return
-		}
-		if err := n.checkRoundVersions(ref, id, out.version); err != nil {
-			failBatch(live, err)
-			return
-		}
-		if err := waitDurable(ctx, out.commit); err != nil {
-			// The batch applied in memory but never reached cold storage; no
-			// write of the round may be acked (the retries are dedup-safe).
-			failBatch(live, err)
-			return
-		}
-		n.log.Debug("smr batch round complete", "ref", ref.String(),
-			"id", id.String(), "ops", len(live), "group", members, "genesis", genesis)
-		for i, w := range live {
-			w.done <- smrResult{results: out.res[i].results, err: out.res[i].err}
-		}
-	case <-ctx.Done():
-		failBatch(live, fmt.Errorf("%w: batch %s finalized but not delivered within bound",
-			core.ErrRebalancing, id))
+	for i, w := range batch {
+		w.done <- res[i]
 	}
 }

@@ -130,7 +130,11 @@ func (n *Node) recoverFromCold(d *durabilityState) (maxSeg uint64, err error) {
 	}
 	replayed := 0
 	for _, rec := range recs {
-		if n.replayRecord(rec) {
+		applied, perr := n.replayRecord(rec)
+		if perr != nil {
+			return maxSeg, perr
+		}
+		if applied {
 			replayed++
 		}
 	}
@@ -171,66 +175,42 @@ func (n *Node) restoreObject(msg transferMsg) error {
 	return nil
 }
 
-// replayRecord re-applies one logged delivery, gated by the record's
+// replayRecord re-applies one logged round, gated by the record's
 // post-apply version: a record whose Version is not beyond the copy's
 // current version is already covered — by the checkpoint, or by an
 // earlier record of the same op (a client retry that re-delivered through
 // a later round) — and is skipped. Inside an applied record, each
-// sub-operation still runs through the at-most-once window, so a batch
-// that originally mixed fresh ops with dedup replays reproduces the same
+// invocation still runs through the at-most-once window, so a round that
+// originally mixed fresh ops with dedup replays reproduces the same
 // executions and the same version arithmetic it had live.
-func (n *Node) replayRecord(rec durability.Record) bool {
-	var invs []core.Invocation
-	if isBatchPayload(rec.Payload) {
-		_, batch, err := splitSMRBatchPayload(rec.Payload)
-		if err != nil {
-			n.log.Warn("skipping undecodable wal batch record", "err", err)
-			return false
-		}
-		invs = batch
-	} else {
-		_, body, err := splitSMRPayload(rec.Payload)
-		if err != nil {
-			n.log.Warn("skipping undecodable wal record", "err", err)
-			return false
-		}
-		inv, err := core.DecodeInvocation(body)
-		if err != nil {
-			n.log.Warn("skipping undecodable wal invocation", "err", err)
-			return false
-		}
-		invs = []core.Invocation{inv}
-	}
-	if len(invs) == 0 {
-		return false
+//
+// A record that passed the log's checksum yet is not a round payload was
+// written in another format (a log from before rounds had one) or by a bug,
+// and it may hold an acknowledged write: that is an error, which fails the
+// recovery and with it the node's start, rather than a skip that would come
+// up serving state with the write missing.
+func (n *Node) replayRecord(rec durability.Record) (applied bool, err error) {
+	_, invs, err := decodeRoundPayload(rec.Payload)
+	if err != nil {
+		return false, fmt.Errorf("wal record %s/%d is not a round payload: %w", rec.Origin, rec.Seq, err)
 	}
 	e, err := n.lookupOrCreate(invs[0])
 	if err != nil {
 		n.log.Warn("cannot materialize object for wal replay",
 			"ref", invs[0].Ref.String(), "err", err)
-		return false
+		return false, nil
 	}
-	ctx := context.Background()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if rec.Version <= e.version {
-		return false
+		return false, nil
 	}
-	for _, inv := range invs {
-		if _, _, hit := n.dedupLookupLocked(ctx, e, inv); hit {
-			continue
-		}
-		results, cerr := e.obj.Call(nodeCtl{n: n, e: e, ctx: ctx}, inv.Method, inv.Args)
-		if !inv.ReadOnly {
-			e.version++
-		}
-		n.dedupRecordLocked(e, inv, results, cerr)
-	}
+	n.applyLocked(context.Background(), e, invs, nil)
 	// The record's version is authoritative: the live execution produced
 	// it, and forcing it here keeps the copy comparable with replicas that
 	// recovered through a different snapshot/replay split.
 	e.version = rec.Version
-	return true
+	return true, nil
 }
 
 // appendWAL logs one applied delivery and returns its durability ticket
@@ -297,14 +277,7 @@ func (n *Node) checkpoint(d *durabilityState) error {
 			return err
 		}
 	}
-	n.objMu.Lock()
-	refs := make([]core.Ref, 0, len(n.objects))
-	entries := make([]*entry, 0, len(n.objects))
-	for ref, e := range n.objects {
-		refs = append(refs, ref)
-		entries = append(entries, e)
-	}
-	n.objMu.Unlock()
+	refs, entries := n.residents()
 	var blobs [][]byte
 	for i, ref := range refs {
 		e := entries[i]

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"crucial/internal/core"
+	"crucial/internal/membership"
 	"crucial/internal/ring"
 	"crucial/internal/telemetry"
 )
@@ -17,14 +18,18 @@ import (
 // condition variable implements server-side blocking for synchronization
 // objects, mirroring Java monitors (paper Section 5).
 type entry struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	obj     core.Object
+	mu   sync.Mutex
+	cond *sync.Cond
+	obj  core.Object
+	// persist and sync are fixed at creation and read without mu: every
+	// copy of one lineage is created from the same invocation or from a
+	// snapshot of a copy that was, so a transfer never changes them.
 	persist bool
 	sync    bool
 	init    []any
-	// transferring marks the object as mid-rebalance; invocations bounce
-	// with ErrRebalancing so clients back off and retry.
+	// transferring marks a copy this node has handed off and dropped
+	// (removeObject); an invocation that looked the entry up before bounces
+	// with ErrRebalancing so its client re-routes to the new owner.
 	transferring bool
 	// dedup is the at-most-once window (see dedup.go), guarded by mu like
 	// the object itself.
@@ -118,19 +123,21 @@ func (c nodeCtl) Context() context.Context { return c.ctx }
 var _ core.Ctl = nodeCtl{}
 
 // replicaGroup computes the nodes responsible for a reference in the
-// current view: the view's directive table first (per-key placement
+// installed view: the view's directive table first (per-key placement
 // overrides installed by the rebalancer), the consistent-hashing ring for
-// everything else. rf is clamped by membership size inside the ring.
-func (n *Node) replicaGroup(ref core.Ref, persist bool) ([]ring.NodeID, *ring.Ring) {
+// everything else. rf is clamped by membership size inside the ring. The
+// view is returned too, so that a round fences its messages on the view
+// its group came from; before the first view installs the group is empty.
+func (n *Node) replicaGroup(ref core.Ref, persist bool) ([]ring.NodeID, membership.View) {
 	v, r := n.currentView()
 	if r == nil {
-		return nil, nil
+		return nil, v
 	}
 	rf := 1
 	if persist {
 		rf = n.cfg.RF
 	}
-	return v.Directives.Place(r, ref.String(), rf), r
+	return v.Directives.Place(r, ref.String(), rf), v
 }
 
 // lookupOrCreate returns the entry for ref, materializing the object from
@@ -159,12 +166,9 @@ func (n *Node) lookupOrCreate(inv core.Invocation) (*entry, error) {
 // path). Ownership is validated against the current ring so stale clients
 // are redirected.
 func (n *Node) invokeLocal(ctx context.Context, inv core.Invocation) ([]any, error) {
-	group, r := n.replicaGroup(inv.Ref, false)
-	if r == nil || len(group) == 0 {
-		return nil, core.ErrRebalancing
-	}
-	if group[0] != n.cfg.ID {
-		return nil, fmt.Errorf("%w: %s belongs to %s", core.ErrWrongNode, inv.Ref, group[0])
+	group, _ := n.replicaGroup(inv.Ref, false)
+	if err := n.primacy(inv.Ref, group); err != nil {
+		return nil, err
 	}
 	if n.isStale(inv.Ref) {
 		// The copy is marked behind the committed history (see markStale).
@@ -173,7 +177,7 @@ func (n *Node) invokeLocal(ctx context.Context, inv core.Invocation) ([]any, err
 		// node is the whole set and the poll is trivially definitive: no
 		// better copy can exist anywhere, so the mark clears and whatever
 		// this node holds is the lineage's best surviving state.
-		if pollGroup, pr := n.replicaGroup(inv.Ref, true); pr != nil {
+		if pollGroup, _ := n.replicaGroup(inv.Ref, true); len(pollGroup) > 0 {
 			n.pullObject(ctx, inv.Ref, pollGroup)
 		}
 		if n.isStale(inv.Ref) {
@@ -182,6 +186,13 @@ func (n *Node) invokeLocal(ctx context.Context, inv core.Invocation) ([]any, err
 	}
 	e, err := n.lookupOrCreate(inv)
 	if err != nil {
+		return nil, err
+	}
+	// Ownership again, now that the entry is in hand: a placement flip since
+	// the check above hands the copy off and removes it here, and the lookup
+	// then created the object fresh — a write acked on it would be lost.
+	group, _ = n.replicaGroup(inv.Ref, false)
+	if err := n.primacy(inv.Ref, group); err != nil {
 		return nil, err
 	}
 	if n.leases != nil && !inv.ReadOnly && !e.sync {
@@ -193,16 +204,15 @@ func (n *Node) invokeLocal(ctx context.Context, inv core.Invocation) ([]any, err
 		}
 		defer done()
 	}
-	results, version, err := n.execOn(ctx, e, inv)
+	results, version, err := n.applyOne(ctx, e, inv)
 	if e.persist && !inv.ReadOnly && !errors.Is(err, core.ErrRebalancing) &&
 		n.dur != nil && n.dur.log != nil {
 		// The rf=1 write path has no ordering round, so the WAL record is
-		// synthesized here: a genesis-flagged single-op payload (replay may
-		// have to re-create the object — with rf=1 no replica held another
+		// synthesized here: a genesis-flagged round of one (replay may have
+		// to re-create the object — with rf=1 no replica held another
 		// copy) under a locally sequenced id. The ack waits on the flush
 		// exactly like the replicated path's.
-		if encInv, encErr := core.EncodeInvocation(inv); encErr == nil {
-			payload := append([]byte{smrOpGenesis}, encInv...)
+		if payload, encErr := encodeRoundPayload(true, []core.Invocation{inv}); encErr == nil {
 			c := n.appendWAL(string(n.cfg.ID), n.seq.Add(1), version, payload)
 			if werr := waitDurable(ctx, c); werr != nil {
 				return nil, werr
@@ -212,72 +222,40 @@ func (n *Node) invokeLocal(ctx context.Context, inv core.Invocation) ([]any, err
 	return results, err
 }
 
-// execOn runs one method under the object monitor. Instrumented nodes
-// attribute monitor acquisition time to the active span and record the
-// method's wall time (which includes any Ctl.Wait blocking — subtract the
-// span's monitor_wait timing for pure compute) in server.exec.
-//
-// The returned version is the copy's apply version right after this call,
-// read inside the same critical section as the execution — the SMR layer
-// compares it across replicas to detect a forked copy (see
-// invokeReplicated), and a version read after the monitor is released
-// could already include a later delivery. A dedup replay reports the
-// current version without a bump: replaying is not applying.
-func (n *Node) execOn(ctx context.Context, e *entry, inv core.Invocation) ([]any, uint64, error) {
-	if !n.instrumented {
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		if e.transferring {
-			return nil, e.version, core.ErrRebalancing
-		}
-		if results, err, ok := n.dedupLookupLocked(ctx, e, inv); ok {
-			return results, e.version, err
-		}
-		results, err := e.obj.Call(nodeCtl{n: n, e: e, ctx: ctx}, inv.Method, inv.Args)
-		if !inv.ReadOnly {
-			e.version++
-		}
-		n.dedupRecordLocked(e, inv, results, err)
-		return results, e.version, err
+// applyOne is apply for a single invocation outside any round (the rf=1
+// path and lease-covered reads); a copy mid-transfer is its error.
+func (n *Node) applyOne(ctx context.Context, e *entry, inv core.Invocation) ([]any, uint64, error) {
+	invs := [1]core.Invocation{inv}
+	var res [1]opResult
+	version, _, err := n.apply(ctx, e, invs[:], res[:], true)
+	if err != nil {
+		return nil, version, err
 	}
-	acquire := time.Now()
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	telemetry.SpanFromContext(ctx).AddTiming(telemetry.TimingAcquire, time.Since(acquire))
-	if e.transferring {
-		return nil, e.version, core.ErrRebalancing
-	}
-	if results, err, ok := n.dedupLookupLocked(ctx, e, inv); ok {
-		return results, e.version, err
-	}
-	execStart := time.Now()
-	results, err := e.obj.Call(nodeCtl{n: n, e: e, ctx: ctx}, inv.Method, inv.Args)
-	if !inv.ReadOnly {
-		// Reads leave the apply version alone: the version counts state
-		// changes, and — since primary-local and follower reads bypass the
-		// SMR round — bumping it per read would make replica versions
-		// diverge and break the "equal versions, equal state" invariant
-		// that state transfer relies on.
-		e.version++
-	}
-	n.hExec.Observe(time.Since(execStart))
-	n.dedupRecordLocked(e, inv, results, err)
-	return results, e.version, err
+	return res[0].results, version, res[0].err
 }
 
-// execBatchOn applies a delivered group-commit batch under one monitor
-// acquisition: the transferring check runs once, then every
-// sub-invocation is individually dedup-checked, executed, version-bumped
-// and dedup-recorded — the same per-operation sequence as execOn, minus
-// N-1 lock round trips. Per-sub version bumps (rather than one per batch)
-// keep this copy's apply version comparable across replicas regardless of
-// how each coordinator happened to slice the same operation stream into
-// batches, and a dedup replay inside a batch skips its bump exactly like
-// a replayed single. The returned version is the copy's apply version
-// after the last sub-operation, read in the same critical section. The
-// batch-level error is only ErrRebalancing (copy mid-transfer): nothing
-// has executed at that point, so skipping the whole round is sound.
-func (n *Node) execBatchOn(ctx context.Context, e *entry, invs []core.Invocation) ([]subResult, uint64, error) {
+// apply runs invs, in order, under one acquisition of the object monitor:
+// the single place methods execute, whether they arrive through an
+// ordering round, the rf=1 path or a lease-covered read. Instrumented
+// nodes attribute monitor acquisition time to the active span and record
+// each method's wall time (which includes any Ctl.Wait blocking — subtract
+// the span's monitor_wait timing for pure compute) in server.exec.
+//
+// The returned version is the copy's apply version right after the last
+// invocation and replays counts the invocations answered from the
+// at-most-once window, both read inside the same critical section as the
+// executions — the SMR layer compares them across replicas to detect a
+// forked copy (see checkRound), and a version read after the monitor is
+// released could already include a later delivery. The only error is
+// ErrRebalancing (copy handed off): nothing has executed at that point,
+// so skipping a whole round is sound; method outcomes land in res (when
+// the caller wants them: nil discards), index-aligned with invs.
+//
+// unordered marks a call outside any round (applyOne). It also bounces
+// while the ref is migration-fenced here — checked under the monitor, so
+// that a call admitted before the fence cannot land behind the migration's
+// final snapshot; in-flight rounds are waited out by pushObject instead.
+func (n *Node) apply(ctx context.Context, e *entry, invs []core.Invocation, res []opResult, unordered bool) (version uint64, replays int, err error) {
 	var acquire time.Time
 	if n.instrumented {
 		acquire = time.Now()
@@ -287,40 +265,73 @@ func (n *Node) execBatchOn(ctx context.Context, e *entry, invs []core.Invocation
 	if n.instrumented {
 		telemetry.SpanFromContext(ctx).AddTiming(telemetry.TimingAcquire, time.Since(acquire))
 	}
-	if e.transferring {
-		return nil, e.version, core.ErrRebalancing
+	if e.transferring || (unordered && n.migrationFenced(invs[0].Ref)) {
+		return e.version, 0, core.ErrRebalancing
 	}
-	res := make([]subResult, len(invs))
+	replays = n.applyLocked(ctx, e, invs, res)
+	return e.version, replays, nil
+}
+
+// applyLocked is apply's loop, for callers that already hold e.mu (WAL
+// replay gates on the version under the same lock). Every invocation is
+// individually dedup-checked, executed, version-bumped and dedup-recorded.
+// Per-invocation bumps (rather than one per round) keep this copy's apply
+// version comparable across replicas regardless of how each coordinator
+// happened to slice the same operation stream into rounds; a dedup replay
+// skips its bump: replaying is not applying.
+func (n *Node) applyLocked(ctx context.Context, e *entry, invs []core.Invocation, res []opResult) (replays int) {
 	for i, inv := range invs {
-		if results, err, ok := n.dedupLookupLocked(ctx, e, inv); ok {
-			res[i] = subResult{results: results, err: err}
-			continue
+		results, err, replayed := n.dedupLookupLocked(ctx, e, inv)
+		if replayed {
+			replays++
+		} else {
+			var execStart time.Time
+			if n.instrumented {
+				execStart = time.Now()
+			}
+			results, err = e.obj.Call(nodeCtl{n: n, e: e, ctx: ctx}, inv.Method, inv.Args)
+			if !inv.ReadOnly {
+				// Reads leave the apply version alone: the version counts
+				// state changes, and — since primary-local and follower reads
+				// bypass the SMR round — bumping it per read would make
+				// replica versions diverge and break the "equal versions,
+				// equal state" invariant that state transfer relies on.
+				e.version++
+			}
+			if n.instrumented {
+				n.hExec.Observe(time.Since(execStart))
+			}
+			n.dedupRecordLocked(e, inv, results, err)
 		}
-		var execStart time.Time
-		if n.instrumented {
-			execStart = time.Now()
+		if res != nil {
+			res[i] = opResult{results: results, err: err}
 		}
-		results, err := e.obj.Call(nodeCtl{n: n, e: e, ctx: ctx}, inv.Method, inv.Args)
-		if !inv.ReadOnly {
-			e.version++
-		}
-		if n.instrumented {
-			n.hExec.Observe(time.Since(execStart))
-		}
-		n.dedupRecordLocked(e, inv, results, err)
-		res[i] = subResult{results: results, err: err}
 	}
-	return res, e.version, nil
+	return replays
 }
 
 // lookupExisting returns the resident entry for ref without materializing
 // one. SMR delivery uses it to distinguish "apply to my copy" from "I have
-// no base copy for this object" (see deliverSMR).
+// no base copy for this object" (see applyOrdered).
 func (n *Node) lookupExisting(ref core.Ref) (*entry, bool) {
 	n.objMu.Lock()
 	defer n.objMu.Unlock()
 	e, ok := n.objects[ref]
 	return e, ok
+}
+
+// residents snapshots the object table, for walks that take entry monitors
+// or call peers and so must not hold objMu.
+func (n *Node) residents() ([]core.Ref, []*entry) {
+	n.objMu.Lock()
+	defer n.objMu.Unlock()
+	refs := make([]core.Ref, 0, len(n.objects))
+	entries := make([]*entry, 0, len(n.objects))
+	for ref, e := range n.objects {
+		refs = append(refs, ref)
+		entries = append(entries, e)
+	}
+	return refs, entries
 }
 
 // dedupLookupLocked answers a stamped retry whose original was already
@@ -347,7 +358,7 @@ func (n *Node) dedupLookupLocked(ctx context.Context, e *entry, inv core.Invocat
 // dedupRecordLocked remembers an applied stamped invocation's outcome.
 // Every outcome the method itself produced is recorded — including its
 // errors, which a replayed retry must reproduce; routing-layer bounces
-// (ErrRebalancing, ErrWrongNode) never reach this point because execOn
+// (ErrRebalancing, ErrWrongNode) never reach this point because apply
 // returns before calling the object.
 func (n *Node) dedupRecordLocked(e *entry, inv core.Invocation, results []any, err error) {
 	if !inv.Stamped() || e.sync || inv.ReadOnly {
@@ -367,8 +378,17 @@ func (n *Node) DebugObjectCount() int {
 
 // DebugHasObject reports residency of a reference (tests).
 func (n *Node) DebugHasObject(ref core.Ref) bool {
-	n.objMu.Lock()
-	defer n.objMu.Unlock()
-	_, ok := n.objects[ref]
+	_, ok := n.lookupExisting(ref)
 	return ok
+}
+
+// DebugVersion reports the apply version of ref's local copy (tests).
+func (n *Node) DebugVersion(ref core.Ref) (uint64, bool) {
+	e, ok := n.lookupExisting(ref)
+	if !ok {
+		return 0, false
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.version, true
 }

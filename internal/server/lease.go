@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -35,7 +36,7 @@ import (
 // Revocation is two-sided. The coordinator revokes its own grants before
 // multicasting (prepareWrite); every *other* group member revokes its
 // grants when the op is delivered to it, before answering the FINAL that
-// gates the coordinator's ack (memberWriteFence, called from deliverSMR).
+// gates the coordinator's ack (memberWriteFence, called from applyOrdered).
 // The member side exists because coordinator and grantor can be different
 // nodes around a view change: a deposed primary, its fence unarmed, may
 // coordinate a write under its old installed view while the new primary —
@@ -195,7 +196,7 @@ func (lt *leaseTable) grant(req LeaseRequest) LeaseResponse {
 		// outlive this node's ownership without the new owner knowing.
 		return lt.refusal("migrating")
 	}
-	if req.Replica && !contains(group, ring.NodeID(req.HolderAddr)) {
+	if req.Replica && !slices.Contains(group, ring.NodeID(req.HolderAddr)) {
 		return lt.refusal("holder not in replica group")
 	}
 	info, err := n.cfg.Registry.Lookup(req.Ref.Type)
@@ -566,39 +567,37 @@ func (n *Node) prepareWrite(ctx context.Context, ref core.Ref) (func(), error) {
 }
 
 // memberWriteFence is the member-side half of revoke-before-commit, run by
-// deliverSMR before applying a mutating op that another node coordinated.
-// The coordinator's prepareWrite only revokes leases in *its* table; around
-// a view change this node may hold grants of its own (it is the primary in
-// the directory's latest view while a deposed coordinator still writes
-// under its old one), and those must die before the FINAL reply that lets
-// the coordinator ack. Returns the func that re-enables grants (to call
-// after the op has applied, so no grant can snapshot the pre-op state) and
-// an error when the revocation round could not complete — the caller must
-// then skip the apply so the op is never acked on the strength of a lease
-// that may still be alive. In the steady state (no holders, or this node
-// coordinated the op itself) it is two map lookups.
-func (n *Node) memberWriteFence(origin string, inv core.Invocation) (func(), error) {
+// applyOrdered before applying a mutating round that another node
+// coordinated. The coordinator's prepareWrite only revokes leases in *its*
+// table; around a view change this node may hold grants of its own (it is
+// the primary in the directory's latest view while a deposed coordinator
+// still writes under its old one), and those must die before the FINAL
+// reply that lets the coordinator ack. Returns the func that re-enables
+// grants (to call after the round has applied, so no grant can snapshot
+// the pre-round state) and an error when the revocation round could not
+// complete — the caller must then skip the apply so the round is never
+// acked on the strength of a lease that may still be alive. In the steady
+// state (no holders, or this node coordinated the round itself) it is two
+// map lookups.
+func (n *Node) memberWriteFence(origin string, ref core.Ref) (func(), error) {
 	if n.leases == nil || origin == string(n.cfg.ID) {
 		// The coordinator's own delivery is covered by prepareWrite, whose
 		// grant block stays up until the round completes.
 		return func() {}, nil
 	}
-	if inv.ReadOnly && core.IsReadOnlyMethod(inv.Ref.Type, inv.Method) {
-		return func() {}, nil
-	}
 	lt := n.leases
-	lt.beginWrite(inv.Ref)
+	lt.beginWrite(ref)
 	// The bound only guards against pathological scheduling: revokeAll's
 	// longest path is one TTL-bounded invalidation attempt plus waiting out
 	// a holder's expiry, itself at most one TTL away.
 	ctx, cancel := context.WithTimeout(context.Background(), 3*lt.ttl)
 	defer cancel()
-	if err := lt.revokeAll(ctx, inv.Ref, true); err != nil {
-		lt.endWrite(inv.Ref)
+	if err := lt.revokeAll(ctx, ref, true); err != nil {
+		lt.endWrite(ref)
 		return func() {}, fmt.Errorf("%w: lease revocation for %s outlived its bound: %v",
-			core.ErrRebalancing, inv.Ref, err)
+			core.ErrRebalancing, ref, err)
 	}
-	return func() { lt.endWrite(inv.Ref) }, nil
+	return func() { lt.endWrite(ref) }, nil
 }
 
 // tryLocalRead serves a read-only invocation from the primary's own copy
@@ -624,7 +623,7 @@ func (n *Node) tryLocalRead(ctx context.Context, inv core.Invocation) ([]any, er
 	if len(group) == 0 || group[0] != n.cfg.ID {
 		return nil, nil, false
 	}
-	results, _, err := n.execOn(ctx, e, inv)
+	results, _, err := n.applyOne(ctx, e, inv)
 	n.cLocalReads.Inc()
 	return results, err, true
 }
@@ -668,7 +667,7 @@ func (n *Node) followerRead(ctx context.Context, inv core.Invocation, primary ri
 		return nil, fmt.Errorf("%w: follower copy of %s behind lease floor",
 			core.ErrRebalancing, inv.Ref)
 	}
-	results, _, err := n.execOn(ctx, e, inv)
+	results, _, err := n.applyOne(ctx, e, inv)
 	if err == nil {
 		n.cFollowerReads.Inc()
 	}

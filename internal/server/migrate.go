@@ -234,7 +234,7 @@ func (n *Node) MigrateObject(ctx context.Context, ref core.Ref, targets []ring.N
 			if target == n.cfg.ID {
 				continue
 			}
-			if err := n.pushObject(ref, e, target); err != nil {
+			if err := n.pushObject(ref, e, target, false); err != nil {
 				if target == newSet[0] {
 					return fail(fmt.Errorf("server: migrate %s: push to new primary: %w", ref, err))
 				}
@@ -277,15 +277,11 @@ func (n *Node) broadcastDirectives(v membership.View) {
 	if err != nil {
 		return
 	}
-	pt := n.peerTimeout
-	if pt <= 0 {
-		pt = 2 * time.Second // the Config.PeerCallTimeout default
-	}
 	for _, m := range v.Members {
 		if m == n.cfg.ID {
 			continue
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), pt)
+		ctx, cancel := context.WithTimeout(context.Background(), n.waitTimeout())
 		_, err := n.peerCall(ctx, m, KindDirectivesSync, body)
 		cancel()
 		if err != nil {

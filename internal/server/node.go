@@ -138,7 +138,7 @@ type Config struct {
 	// §5e): with WritePolicy.Batching() true, concurrent mutations of one
 	// object coalesce into shared ordering rounds of up to MaxBatch
 	// stamped invocations, with up to Pipeline rounds in flight per
-	// object. The zero value keeps the classic one-round-per-write path.
+	// object. The zero value runs every write as a round of one, inline.
 	// The same struct configures every layer (crucial.Options.Write,
 	// cluster.Options.Write, client.Config.Write, dso-server flags).
 	Write core.WritePolicy
@@ -244,24 +244,20 @@ type Node struct {
 	inflight    *inflightTracker
 	peerTimeout time.Duration
 	seq         atomic.Uint64
-	waitMu      sync.Mutex
-	waiters     map[totalorder.MsgID]chan smrResult
 
-	// post-apply version bookkeeping for the SMR fork check (finalResp):
-	// applyVers holds this node's member-side versions awaiting their FINAL
-	// reply; finalVers collects the members' versions per coordinated round.
-	applyVerMu sync.Mutex
-	applyVers  map[totalorder.MsgID]uint64
-	finalVerMu sync.Mutex
-	finalVers  map[totalorder.MsgID]map[ring.NodeID]uint64
+	// rounds holds every ordering round this node is coordinating, from
+	// before its multicast until its runRound returns (see round).
+	roundMu sync.Mutex
+	rounds  map[totalorder.MsgID]*round
 
-	// batcher is the group-commit submit queue (nil when Config.Write
-	// disables batching: the classic write path runs untouched), and
-	// batchWaiters completes coordinated batch rounds on in-order
-	// delivery, the batch analogue of waiters.
-	batcher      *writeBatcher
-	batchWaitMu  sync.Mutex
-	batchWaiters map[totalorder.MsgID]chan batchOutcome
+	// applied holds this node's member-side round outcomes awaiting their
+	// FINAL reply, the other half of the fork check (see finalResp).
+	applyMu sync.Mutex
+	applied map[totalorder.MsgID]finalResp
+
+	// batcher is the group-commit submit queue, nil when Config.Write
+	// disables batching: every round is then a round of one, run inline.
+	batcher *writeBatcher
 
 	// leases is the lease table (nil when Config.LeaseTTL is zero: the
 	// read path and the write hooks are disabled at zero cost).
@@ -341,7 +337,8 @@ func Start(cfg Config) (*Node, error) {
 		profile: cfg.Profile,
 		objects: make(map[core.Ref]*entry),
 		peers:   make(map[ring.NodeID]*rpc.Client),
-		waiters: make(map[totalorder.MsgID]chan smrResult),
+		rounds:  make(map[totalorder.MsgID]*round),
+		applied: make(map[totalorder.MsgID]finalResp),
 		log:     telemetry.Logger(telemetry.CompServer).With("node", string(cfg.ID)),
 	}
 	if cfg.ServiceTime > 0 && cfg.ServiceConcurrency > 0 {
@@ -392,7 +389,7 @@ func Start(cfg Config) (*Node, error) {
 	if cfg.Write.Batching() {
 		n.batcher = newWriteBatcher(n, cfg.Write)
 	}
-	n.to = totalorder.NewNode(string(cfg.ID), n.deliverSMR)
+	n.to = totalorder.NewNode(string(cfg.ID), n.deliver)
 	switch {
 	case cfg.PeerCallTimeout > 0:
 		n.peerTimeout = cfg.PeerCallTimeout
@@ -541,12 +538,7 @@ func (n *Node) shutdown() error {
 		n.unsubscribe()
 	}
 	// Wake every blocked synchronization call with ErrStopped.
-	n.objMu.Lock()
-	entries := make([]*entry, 0, len(n.objects))
-	for _, e := range n.objects {
-		entries = append(entries, e)
-	}
-	n.objMu.Unlock()
+	_, entries := n.residents()
 	for _, e := range entries {
 		e.mu.Lock()
 		e.cond.Broadcast()

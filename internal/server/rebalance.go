@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"crucial/internal/core"
@@ -45,6 +46,13 @@ type transferMsg struct {
 	// finds a clean copy — or the primary's fully-definitive poll
 	// concludes none exists (see pullObject).
 	Stale bool
+
+	// Repair marks the push the coordinator's fork check starts at a
+	// member whose copy diverged (see checkRound); only that pusher sets
+	// it. A repair replaces a copy of the *same* version too: diverged
+	// copies can count their way to equal versions, and the tie is then
+	// exactly the case the push exists to fix.
+	Repair bool
 }
 
 // fetchResp answers a KindFetch pull: the requested object's snapshot,
@@ -74,10 +82,6 @@ func (n *Node) onView(v membership.View) {
 	if oldRing == nil || n.closed.Load() {
 		return
 	}
-	// A migration fence held for an object this node no longer owns can
-	// lift: the directive flip it was guarding has landed (or membership
-	// moved the key anyway), and the new primary serves from here on.
-	n.liftMigrationFences(v)
 	if n.leases != nil {
 		// Fence first, rebalance second: ownership just moved under every
 		// lease this node granted, and the new owners cannot revoke them
@@ -96,15 +100,12 @@ func (n *Node) onView(v membership.View) {
 	n.to.PurgeOrigins(alive)
 	n.inflight.purge(alive)
 	n.rebalance(oldView, oldRing, newRing, v)
-}
-
-func contains(set []ring.NodeID, id ring.NodeID) bool {
-	for _, s := range set {
-		if s == id {
-			return true
-		}
-	}
-	return false
+	// A migration fence held for an object this node no longer owns can
+	// lift: the directive flip it was guarding has landed (or membership
+	// moved the key anyway), and the new primary serves from here on. Not
+	// before the rebalance: until the copy is dropped there, the fence is
+	// what keeps a late rf=1 call off it (see apply).
+	n.liftMigrationFences(v)
 }
 
 // rebalance moves objects after a placement change — a membership change,
@@ -112,14 +113,7 @@ func contains(set []ring.NodeID, id ring.NodeID) bool {
 // view's own directive table, so a directive install moves exactly the
 // directed key and a directive removal sends it back to its hash home.
 func (n *Node) rebalance(oldView membership.View, oldRing, newRing *ring.Ring, v membership.View) {
-	n.objMu.Lock()
-	refs := make([]core.Ref, 0, len(n.objects))
-	entries := make([]*entry, 0, len(n.objects))
-	for ref, e := range n.objects {
-		refs = append(refs, ref)
-		entries = append(entries, e)
-	}
-	n.objMu.Unlock()
+	refs, entries := n.residents()
 
 	for i, ref := range refs {
 		e := entries[i]
@@ -133,12 +127,12 @@ func (n *Node) rebalance(oldView membership.View, oldRing, newRing *ring.Ring, v
 		key := ref.String()
 		oldSet := oldView.Directives.Place(oldRing, key, rf)
 		newSet := v.Directives.Place(newRing, key, rf)
-		if !contains(oldSet, n.cfg.ID) {
+		if !slices.Contains(oldSet, n.cfg.ID) {
 			// We hold a copy we were not responsible for (leftover of an
 			// earlier view); drop it if we are not responsible now either —
 			// unless it is stale-marked, in which case it may be the best
 			// surviving state of its lineage and is kept for a future poll.
-			if !contains(newSet, n.cfg.ID) {
+			if !slices.Contains(newSet, n.cfg.ID) {
 				if !n.isStale(ref) {
 					n.removeObject(ref)
 				}
@@ -180,14 +174,14 @@ func (n *Node) rebalance(oldView membership.View, oldRing, newRing *ring.Ring, v
 			// Push to every other member of the new set, not only the
 			// joiners: a surviving member may have missed operations (its
 			// base copy never arrived, so it skipped committed deliveries —
-			// see deliverSMR), and the version check on the receiving side
+			// see applyOrdered), and the version check on the receiving side
 			// makes refreshing an up-to-date copy a no-op. Each view change
 			// thereby doubles as an anti-entropy round.
 			for _, target := range newSet {
 				if target == n.cfg.ID {
 					continue
 				}
-				if err := n.pushObject(ref, e, target); err != nil {
+				if err := n.pushObject(ref, e, target, false); err != nil {
 					// Best effort: the target may be mid-join; clients
 					// retry on ErrWrongNode and repair on next access.
 					n.log.Debug("transfer failed", "ref", ref.String(),
@@ -196,7 +190,7 @@ func (n *Node) rebalance(oldView membership.View, oldRing, newRing *ring.Ring, v
 				}
 			}
 		}
-		if !contains(newSet, n.cfg.ID) && !n.isStale(ref) {
+		if !slices.Contains(newSet, n.cfg.ID) && !n.isStale(ref) {
 			n.removeObject(ref)
 		}
 	}
@@ -212,9 +206,7 @@ func (n *Node) snapshotEntry(ref core.Ref, e *entry) (transferMsg, error) {
 		e.mu.Unlock()
 		return transferMsg{}, fmt.Errorf("server: %s (%T) is not snapshotable", ref, e.obj)
 	}
-	e.transferring = true
 	data, err := snap.Snapshot()
-	e.transferring = false
 	msg := transferMsg{
 		Ref:      ref,
 		Init:     e.init,
@@ -242,8 +234,8 @@ const maxPushRounds = 3
 // missing from it, and — if the target skipped that op's delivery for want
 // of a base copy — only a newer snapshot can deliver it. The loop exits as
 // soon as a shipped snapshot's version still matches the entry, i.e. the
-// target has everything this copy has.
-func (n *Node) pushObject(ref core.Ref, e *entry, target ring.NodeID) error {
+// target has everything this copy has. repair is transferMsg.Repair.
+func (n *Node) pushObject(ref core.Ref, e *entry, target ring.NodeID, repair bool) error {
 	for round := 0; round < maxPushRounds; round++ {
 		// Quiesce before snapshotting: an accepted-but-undelivered proposal
 		// is invisible to the snapshot, and the target — not a member of
@@ -267,6 +259,7 @@ func (n *Node) pushObject(ref core.Ref, e *entry, target ring.NodeID) error {
 		// surviving state — but the taint travels with it (see
 		// transferMsg.Stale).
 		msg.Stale = n.isStale(ref)
+		msg.Repair = repair
 		body, err := core.EncodeValue(msg)
 		if err != nil {
 			return err
@@ -289,7 +282,8 @@ func (n *Node) pushObject(ref core.Ref, e *entry, target ring.NodeID) error {
 	return nil
 }
 
-// removeObject drops a local copy, waking any (stale) waiters first.
+// removeObject drops a local copy, waking any (stale) waiters first and
+// bouncing whoever still holds the entry (see entry.transferring).
 func (n *Node) removeObject(ref core.Ref) {
 	n.objMu.Lock()
 	e, ok := n.objects[ref]
@@ -299,6 +293,7 @@ func (n *Node) removeObject(ref core.Ref) {
 	n.objMu.Unlock()
 	if ok {
 		e.mu.Lock()
+		e.transferring = true
 		e.cond.Broadcast()
 		e.mu.Unlock()
 	}
@@ -319,7 +314,8 @@ func (n *Node) handleTransfer(payload []byte) ([]byte, error) {
 // installTransfer materializes a received snapshot, refusing to go
 // backwards: if a local copy exists and has applied at least as many
 // operations as the snapshot, the snapshot is stale (it was taken before
-// ops that have since been applied and acknowledged) and is dropped.
+// ops that have since been applied and acknowledged) and is dropped —
+// except that a fork-check repair also wins a tie (see transferMsg.Repair).
 // Updates happen in place — goroutines mid-delivery hold the entry
 // pointer, and swapping the map entry under them would divert their apply
 // to an orphan.
@@ -363,7 +359,7 @@ func (n *Node) installTransfer(msg transferMsg) error {
 	e.mu.Lock()
 	n.objMu.Unlock()
 	defer e.mu.Unlock()
-	if e.version >= msg.Version {
+	if e.version > msg.Version || (e.version == msg.Version && !msg.Repair) {
 		n.cTransfersStale.Inc()
 		n.log.Debug("stale transfer ignored", "ref", msg.Ref.String(),
 			"local_version", e.version, "snapshot_version", msg.Version)
@@ -375,7 +371,6 @@ func (n *Node) installTransfer(msg transferMsg) error {
 		n.markStale(msg.Ref)
 	}
 	e.obj = obj
-	e.persist = msg.Persist
 	e.init = msg.Init
 	e.dedup = msg.Dedup
 	e.version = msg.Version
@@ -544,7 +539,7 @@ func (n *Node) pullObject(ctx context.Context, ref core.Ref, group []ring.NodeID
 
 // markStale records that ref's local copy — present or future — is behind
 // the committed history: a committed delivery was skipped because no base
-// copy was resident (deliverSMR). The danger is not the skip itself but
+// copy was resident (applyOrdered). The danger is not the skip itself but
 // what can follow it: a rebalance push may later install a snapshot taken
 // *before* the skipped op, leaving this node resident-but-behind. Such a
 // copy looks authoritative — it passes the resident checks on the write,
@@ -621,8 +616,8 @@ func (n *Node) selfHeal(ref core.Ref) {
 		n.pullMu.Unlock()
 	}()
 
-	group, r := n.replicaGroup(ref, true)
-	if r == nil {
+	group, _ := n.replicaGroup(ref, true)
+	if len(group) == 0 {
 		return
 	}
 	timeout := 2 * n.peerTimeout

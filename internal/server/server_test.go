@@ -3,6 +3,8 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -367,25 +369,22 @@ func TestDeliverWithoutBaseCopySkips(t *testing.T) {
 	n := startNode(t, validConfig(net, dir))
 
 	ref := core.Ref{Type: objects.TypeAtomicLong, Key: "nobase"}
-	encInv, err := core.EncodeInvocation(core.Invocation{
-		Ref: ref, Method: "IncrementAndGet", Persist: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	invs := []core.Invocation{{Ref: ref, Method: "IncrementAndGet", Persist: true}}
 
-	// Non-genesis op, no local copy: must skip and report a retryable error
-	// to the (local) waiter.
+	// Non-genesis round this node coordinates, no local copy: must skip and
+	// report a retryable error to the (local) waiter.
 	id := totalorder.MsgID{Origin: "n1", Seq: 1}
-	ch := make(chan smrResult, 1)
-	n.waitMu.Lock()
-	n.waiters[id] = ch
-	n.waitMu.Unlock()
-	n.deliverSMR(id, append([]byte{smrOpExisting}, encInv...))
+	rd := &round{n: n, ref: ref, invs: invs, done: make(chan roundOutcome, 1)}
+	n.roundMu.Lock()
+	n.rounds[id] = rd
+	n.roundMu.Unlock()
+	if n.deliver(id, roundPayload(t, false, invs...)) {
+		t.Fatal("skipped delivery reported as applied")
+	}
 	select {
-	case res := <-ch:
-		if !errors.Is(res.err, core.ErrRebalancing) {
-			t.Fatalf("skipped delivery returned %v, want ErrRebalancing", res.err)
+	case out := <-rd.done:
+		if !errors.Is(out.err, core.ErrRebalancing) {
+			t.Fatalf("skipped delivery returned %v, want ErrRebalancing", out.err)
 		}
 	case <-time.After(time.Second):
 		t.Fatal("waiter never completed")
@@ -393,12 +392,37 @@ func TestDeliverWithoutBaseCopySkips(t *testing.T) {
 	if n.DebugHasObject(ref) {
 		t.Fatal("non-genesis delivery created a fresh object")
 	}
+	if !n.isStale(ref) {
+		t.Fatal("skipped delivery did not mark the ref stale")
+	}
 
-	// Genesis op: creates and applies.
-	n.deliverSMR(totalorder.MsgID{Origin: "n1", Seq: 2}, append([]byte{smrOpGenesis}, encInv...))
+	// The same skip on the member side (a peer's round, decoded off the
+	// payload): not applied, nothing created.
+	if n.deliver(totalorder.MsgID{Origin: "n9", Seq: 1}, roundPayload(t, false, invs...)) {
+		t.Fatal("member-side skipped delivery reported as applied")
+	}
+	if n.DebugHasObject(ref) {
+		t.Fatal("member-side non-genesis delivery created a fresh object")
+	}
+
+	// Genesis round: creates and applies.
+	if !n.deliver(totalorder.MsgID{Origin: "n9", Seq: 2}, roundPayload(t, true, invs...)) {
+		t.Fatal("genesis delivery not applied")
+	}
 	if !n.DebugHasObject(ref) {
 		t.Fatal("genesis delivery did not create the object")
 	}
+}
+
+// roundPayload is the single round-payload constructor, failing the test
+// on an encode error.
+func roundPayload(t *testing.T, genesis bool, invs ...core.Invocation) []byte {
+	t.Helper()
+	payload, err := encodeRoundPayload(genesis, invs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return payload
 }
 
 // Regression: a propose from a coordinator whose membership view differs
@@ -413,16 +437,13 @@ func TestProposeFencedOnViewMismatch(t *testing.T) {
 	c := dial(t, net, "n1")
 	ctx := context.Background()
 
-	encInv, err := core.EncodeInvocation(core.Invocation{
+	payload := roundPayload(t, true, core.Invocation{
 		Ref: core.Ref{Type: objects.TypeAtomicLong, Key: "fenced"},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	mk := func(fence uint64, seq uint64) []byte {
 		body, err := core.EncodeValue(proposeMsg{
 			ID:      totalorder.MsgID{Origin: "n9", Seq: seq},
-			Payload: append([]byte{smrOpGenesis}, encInv...),
+			Payload: payload,
 			Fence:   fence,
 		})
 		if err != nil {
@@ -567,14 +588,11 @@ func TestDeliverRevokesMemberLeases(t *testing.T) {
 
 	// Deliver a write coordinated elsewhere (origin n9, as a deposed primary
 	// still on its old view would): the lease must be dead by the time
-	// deliverSMR returns.
-	encInv, err := core.EncodeInvocation(core.Invocation{
+	// deliver returns.
+	payload := roundPayload(t, false, core.Invocation{
 		Ref: ref, Method: "Set", Args: []any{int64(2)}, Persist: true,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !n.deliverSMR(totalorder.MsgID{Origin: "n9", Seq: 1}, append([]byte{smrOpExisting}, encInv...)) {
+	if !n.deliver(totalorder.MsgID{Origin: "n9", Seq: 1}, payload) {
 		t.Fatal("delivery not applied")
 	}
 	select {
@@ -623,5 +641,76 @@ func TestFetchBusyWhileOpsInFlight(t *testing.T) {
 	installed, busy = n2.pullObject(ctx, ref, []ring.NodeID{"n1", "n2"})
 	if !installed || busy {
 		t.Fatalf("pull after settle: installed=%v busy=%v, want true/false", installed, busy)
+	}
+}
+
+// An rf=1 invocation whose ownership check predates a placement flip must
+// not be acked by the old owner: once the copy is handed off and removed,
+// neither a fresh object created in its place nor the dropped entry itself
+// may take the write (it would be lost — the new owner never sees it).
+func TestInvokeLocalBouncesAcrossHandOff(t *testing.T) {
+	net := rpc.NewMemNetwork()
+	dir := membership.NewDirectory(time.Hour)
+	var n1 *Node
+	ref := core.Ref{Type: objects.TypeAtomicLong}
+	// The constructor runs inside lookupOrCreate, i.e. after invokeLocal's
+	// first ownership check: flip the placement right there and return only
+	// once n1 has installed the new view.
+	flipped := false
+	reg := core.NewRegistry()
+	reg.MustRegister(core.TypeInfo{Name: objects.TypeAtomicLong, New: func(init []any) (core.Object, error) {
+		if !flipped {
+			flipped = true
+			before, _ := n1.currentView()
+			go dir.SetDirective(ref.String(), []ring.NodeID{"n2"})
+			for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); runtime.Gosched() {
+				if v, _ := n1.currentView(); v.ID != before.ID {
+					break
+				}
+			}
+		}
+		return objects.NewAtomicInt64(init)
+	}})
+	cfg := validConfig(net, dir)
+	cfg.Registry = reg
+	n1 = startNode(t, cfg)
+	cfg.ID, cfg.Addr, cfg.Registry = "n2", "n2", objects.BuiltinRegistry()
+	startNode(t, cfg)
+	for i := 0; ; i++ {
+		ref.Key = fmt.Sprint("k", i)
+		if group, _ := n1.replicaGroup(ref, false); group[0] == n1.cfg.ID {
+			break
+		}
+	}
+	ctx := context.Background()
+	inc := core.Invocation{Ref: ref, Method: "IncrementAndGet"}
+	if res, err := n1.invokeLocal(ctx, inc); !errors.Is(err, core.ErrWrongNode) {
+		t.Fatalf("old owner answered %v, %v across the flip; want ErrWrongNode", res, err)
+	}
+
+	// Same for an invocation that already holds the entry: it must not land
+	// behind a migration's final snapshot while the ref is fenced, nor on
+	// the entry once the copy was dropped.
+	ref.Key += "/held"
+	inc.Ref = ref
+	dir.SetDirective(ref.String(), []ring.NodeID{"n1"})
+	if _, err := n1.invokeLocal(ctx, inc); err != nil {
+		t.Fatal(err)
+	}
+	e, _ := n1.lookupExisting(ref)
+	n1.fenceMigration(ref)
+	if res, _, err := n1.applyOne(ctx, e, inc); !errors.Is(err, core.ErrRebalancing) {
+		t.Fatalf("fenced copy answered %v, %v; want ErrRebalancing", res, err)
+	}
+	n1.liftMigrationFence(ref)
+	if _, _, err := n1.applyOne(ctx, e, inc); err != nil {
+		t.Fatalf("after a failed migration lifts its fence: %v", err)
+	}
+	dir.SetDirective(ref.String(), []ring.NodeID{"n2"})
+	if n1.DebugHasObject(ref) {
+		t.Fatal("copy still resident at the old owner after the flip")
+	}
+	if res, _, err := n1.applyOne(ctx, e, inc); !errors.Is(err, core.ErrRebalancing) {
+		t.Fatalf("dropped entry answered %v, %v; want ErrRebalancing", res, err)
 	}
 }

@@ -236,7 +236,13 @@ func TestStatefunMailboxOverflow(t *testing.T) {
 		}
 	}
 	waitFor(t, "resent messages", func() bool { return processed.Load() == 8 })
-	status, err := fn.Status(bg(), "s1")
+	// The handler's own counter leads the commit that bumps Processed by
+	// one round: wait for the last commit, not just the last handler run.
+	var status FnStatus
+	waitFor(t, "last commit", func() bool {
+		status, err = fn.Status(bg(), "s1")
+		return err != nil || status.Processed >= 8
+	})
 	if err != nil || status.Processed != 8 || status.Dups != 0 {
 		t.Fatalf("status: %+v err=%v", status, err)
 	}
