@@ -151,12 +151,14 @@ doclint:
 # alloc-guard enforces the hot-path allocation budgets: the invocation
 # round trip must hold PR 3's 8 allocs/op, the per-object tracker's
 # warm-path Observe must stay allocation-free (the telemetry-overhead
-# guard for the always-on accounting plane), and one sequential RF-2
-# write on the zero WritePolicy — a round of one — must not allocate more
-# than it did before the write paths were merged. These tests self-skip
-# under -race, so they need this dedicated non-race invocation to
-# actually bite; the measured numbers live in BENCH_rpc.json and in
-# internal/cluster/alloc_budget_test.go.
+# guard for the always-on accounting plane), one sequential RF-2 write
+# on the zero WritePolicy — a round of one — must not allocate more than
+# it did before the write paths were merged, and the lease read path must
+# keep a 95/5 read/write sequence cached (hit ratio, one grant per
+# invalidation) without building a hash ring per hit or per grant. These
+# tests self-skip under -race, so they need this dedicated non-race
+# invocation to actually bite; the measured numbers live in BENCH_rpc.json
+# and in internal/cluster/alloc_budget_test.go.
 alloc-guard:
 	$(GO) test -count=1 -run 'AllocBudget|TrackerObserveAllocs' \
 		./internal/core/ ./internal/telemetry/ ./internal/cluster/

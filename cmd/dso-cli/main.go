@@ -32,7 +32,11 @@
 //
 // The cache subcommand prints the read-path slice of the same counters:
 // lease grants/refusals/revocations, expiry waits on the write path, and
-// reads served without an SMR round (primary-local and follower reads).
+// reads served without an SMR round (primary-local and follower reads) —
+// plus, from a node whose process also hosts caching clients (the
+// in-process runtime), their cache.* counters: hits, misses,
+// invalidations, lease expiries and cache.stale_grants, the grants a
+// client paid a round trip for and had to discard. stats shows them too.
 // Meaningful when nodes run with -lease-ttl and -telemetry.
 //
 // The trace subcommand drains the span ring of every reachable node

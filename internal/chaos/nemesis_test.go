@@ -53,7 +53,9 @@ type nemesisOpts struct {
 	// cache turns the lease-based client cache on (short TTL, so leases
 	// expire and re-grant inside the schedule) — reads are then served
 	// from client-local copies and follower replicas, and the histories
-	// must STILL be linearizable under every fault in the plan.
+	// must STILL be linearizable under every fault in the plan. A probe
+	// client (cacheProbe) joins the workload and the run fails unless it
+	// was served from its cache again after a write had invalidated it.
 	cache bool
 	// write turns group commit on: concurrent mutations share ordering
 	// rounds (batched payloads, pipelined FINAL acks) and the per-sub-op
@@ -170,6 +172,17 @@ func runNemesis(t *testing.T, o nemesisOpts) (*chaos.Engine, *telemetry.Telemetr
 	}
 
 	var wg sync.WaitGroup
+	var probe *nemObject
+	var rehits int
+	if o.cache {
+		probe = &nemObject{kind: "counter", persist: true, model: linearizability.CounterModel(),
+			ref: core.Ref{Type: objects.TypeAtomicLong, Key: "nem-cache-probe"}}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rehits = cacheProbe(t, ctx, cl, probe, o.workers)
+		}()
+	}
 	for w := 0; w < o.workers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -196,6 +209,12 @@ func runNemesis(t *testing.T, o nemesisOpts) (*chaos.Engine, *telemetry.Telemetr
 	}
 	if t.Failed() {
 		t.FailNow() // worker errors: histories are incomplete
+	}
+	if probe != nil {
+		objs = append(objs, probe) // checked like the rest, worked on by the probe alone
+		if rehits == 0 {
+			t.Error("no read was served from the probe's cache after a write had invalidated it — the schedule checked a cache that dies on first write")
+		}
 	}
 
 	for _, obj := range objs {
@@ -254,6 +273,46 @@ func nemesisOp(t *testing.T, ctx context.Context, conn *client.Client, obj *nemO
 		}
 	}
 
+	nemesisCall(t, ctx, conn, obj, w, method, args, input)
+}
+
+// cacheProbeRounds × 3 operations is the probe's history, kept under the
+// checker's 20-operation limit.
+const cacheProbeRounds = 6
+
+// cacheProbe is the cache-on schedules' witness that the client cache is
+// alive *after* writes, not only before the first one. It owns one client
+// and one persistent counter nobody else touches, so every invalidation
+// that client counts and every hit it counts is for that ref; round after
+// round it writes the counter (revoking its own lease) and reads it twice
+// (re-lease, then hit). It returns how many reads were cache hits after
+// the client had been invalidated at least once. The history — cached
+// reads included — is checked like every other object's.
+func cacheProbe(t *testing.T, ctx context.Context, cl *cluster.Cluster, obj *nemObject, id int) (rehits int) {
+	conn, err := cl.NewClient()
+	if err != nil {
+		t.Error(err)
+		return 0
+	}
+	defer conn.Close()
+	for round := 0; round < cacheProbeRounds; round++ {
+		nemesisCall(t, ctx, conn, obj, id, "AddAndGet", []any{int64(1)}, linearizability.CounterOp{Kind: "add", Delta: 1})
+		for i := 0; i < 2; i++ {
+			before := conn.DebugCacheStats()
+			nemesisCall(t, ctx, conn, obj, id, "Get", nil, linearizability.CounterOp{Kind: "get"})
+			if before.Invalidations > 0 && conn.DebugCacheStats().Hits > before.Hits {
+				rehits++
+			}
+		}
+		// Well inside the 50 ms TTL, so the next round's write finds the
+		// lease alive and has to revoke it.
+		time.Sleep(15 * time.Millisecond)
+	}
+	return rehits
+}
+
+// nemesisCall invokes method on obj and records the call in its history.
+func nemesisCall(t *testing.T, ctx context.Context, conn *client.Client, obj *nemObject, w int, method string, args []any, input any) {
 	call := time.Now()
 	res, err := conn.InvokeObject(ctx, core.Invocation{
 		Ref: obj.ref, Method: method, Args: args, Persist: obj.persist,

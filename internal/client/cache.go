@@ -70,19 +70,25 @@ type leaseCache struct {
 
 	mu      sync.Mutex
 	entries map[core.Ref]*cacheEntry
-	// floor records, per ref, the epoch of the last invalidation received,
-	// so a grant response that was in flight when the invalidation landed
-	// (an older epoch) is discarded instead of resurrecting a lease the
+	// floor fences a grant response that was in flight when an invalidation
+	// landed, so it is discarded instead of resurrecting a lease the
 	// primary already considers dead.
-	floor map[core.Ref]uint64
+	floor core.LeaseFloors
+	// ttl is the longest lease duration any grant has carried — the
+	// deployment's LeaseTTL, which every node shares — and the age past
+	// which a floor binds nothing and is swept.
+	ttl time.Duration
 	// backoff suppresses grant attempts for a ref after a refusal, so a
 	// write-hot object does not drown its primary in doomed lease traffic.
-	backoff map[core.Ref]time.Time
+	// Lapsed entries are swept as the map grows (core.SweepDoubled).
+	backoff      map[core.Ref]time.Time
+	backoffSweep int
 
 	cHits          *telemetry.Counter
 	cMisses        *telemetry.Counter
 	cInvalidations *telemetry.Counter
 	cExpiries      *telemetry.Counter
+	cStaleGrants   *telemetry.Counter
 }
 
 // grantBackoff is how long a refused grant silences further attempts for
@@ -118,12 +124,12 @@ func newLeaseCache(c *Client, cfg CacheConfig) (*leaseCache, error) {
 		c:              c,
 		cfg:            cfg,
 		entries:        make(map[core.Ref]*cacheEntry),
-		floor:          make(map[core.Ref]uint64),
 		backoff:        make(map[core.Ref]time.Time),
 		cHits:          reg.Counter(telemetry.MetCacheHits),
 		cMisses:        reg.Counter(telemetry.MetCacheMisses),
 		cInvalidations: reg.Counter(telemetry.MetCacheInvalidations),
 		cExpiries:      reg.Counter(telemetry.MetCacheLeaseExpiries),
+		cStaleGrants:   reg.Counter(telemetry.MetCacheStaleGrants),
 	}
 	l, err := c.cfg.Transport.Listen(cfg.ListenAddr)
 	if err != nil {
@@ -152,17 +158,24 @@ func (lc *leaseCache) handle(_ context.Context, kind uint8, payload []byte) ([]b
 }
 
 // invalidate drops the leased copy (a write is about to commit, or the
-// view changed) and raises the epoch floor against in-flight grants.
+// view changed) and raises the floor against grants requested before now.
 func (lc *leaseCache) invalidate(ref core.Ref, epoch uint64) {
 	lc.mu.Lock()
 	if e, ok := lc.entries[ref]; ok && epoch >= e.epoch {
 		delete(lc.entries, ref)
 	}
-	if epoch > lc.floor[ref] {
-		lc.floor[ref] = epoch
-	}
+	lc.floor.Raise(ref, epoch, time.Now(), lc.ttl)
 	lc.mu.Unlock()
 	lc.cInvalidations.Inc()
+}
+
+// refused starts ref's grant backoff.
+func (lc *leaseCache) refused(ref core.Ref) {
+	now := time.Now()
+	lc.mu.Lock()
+	lc.backoff[ref] = now.Add(grantBackoff)
+	core.SweepDoubled(lc.backoff, &lc.backoffSweep, func(until time.Time) bool { return now.After(until) })
+	lc.mu.Unlock()
 }
 
 // close stops the invalidation listener.
@@ -277,9 +290,7 @@ func (lc *leaseCache) acquire(ctx context.Context, inv core.Invocation) *cacheEn
 		return nil
 	}
 	if !resp.Granted {
-		lc.mu.Lock()
-		lc.backoff[inv.Ref] = time.Now().Add(grantBackoff)
-		lc.mu.Unlock()
+		lc.refused(inv.Ref)
 		return nil
 	}
 	obj, err := info.New(resp.Init)
@@ -290,33 +301,36 @@ func (lc *leaseCache) acquire(ctx context.Context, inv core.Invocation) *cacheEn
 	if !okSnap || snap.Restore(resp.Snapshot) != nil {
 		return nil
 	}
-	e := &cacheEntry{
-		obj:    obj,
-		epoch:  resp.Epoch,
-		expiry: start.Add(time.Duration(resp.TTLMillis) * time.Millisecond),
-	}
+	ttl := time.Duration(resp.TTLMillis) * time.Millisecond
+	return lc.install(inv.Ref, &cacheEntry{obj: obj, epoch: resp.Epoch, expiry: start.Add(ttl)}, start)
+}
+
+// install publishes a granted copy that was requested at requested and
+// returns the entry to read from: e, a newer one that beat it in, or nil
+// when an invalidation that may have been aimed at e got home first.
+func (lc *leaseCache) install(ref core.Ref, e *cacheEntry, requested time.Time) *cacheEntry {
 	lc.mu.Lock()
 	defer lc.mu.Unlock()
-	if e.epoch < lc.floor[inv.Ref] {
-		// An invalidation for a newer epoch beat this grant home: the
-		// primary already revoked it (and may have committed the write
-		// that did), so installing it would serve pre-write state.
+	lc.ttl = max(lc.ttl, e.expiry.Sub(requested))
+	if lc.floor.Binds(ref, e.epoch, requested) {
+		// The primary already revoked this grant (and may have committed
+		// the write that did), so installing it would serve pre-write state.
+		lc.cStaleGrants.Inc()
 		return nil
 	}
-	delete(lc.floor, inv.Ref)
-	delete(lc.backoff, inv.Ref)
-	if cur, okCur := lc.entries[inv.Ref]; okCur && cur.epoch > e.epoch {
+	delete(lc.backoff, ref)
+	if cur, okCur := lc.entries[ref]; okCur && cur.epoch > e.epoch {
 		return cur
 	}
 	if len(lc.entries) >= lc.cfg.MaxObjects {
-		for ref := range lc.entries {
-			if ref != inv.Ref {
-				delete(lc.entries, ref)
+		for other := range lc.entries {
+			if other != ref {
+				delete(lc.entries, other)
 				break
 			}
 		}
 	}
-	lc.entries[inv.Ref] = e
+	lc.entries[ref] = e
 	return e
 }
 
@@ -328,6 +342,9 @@ type CacheStats struct {
 	Misses        uint64
 	Invalidations uint64
 	LeaseExpiries uint64
+	// StaleGrants counts grants discarded at install because an
+	// invalidation that may have revoked them arrived first.
+	StaleGrants uint64
 }
 
 // DebugCacheStats snapshots the cache counters; zero when no cache is
@@ -345,6 +362,7 @@ func (c *Client) DebugCacheStats() CacheStats {
 		Misses:        c.cache.cMisses.Value(),
 		Invalidations: c.cache.cInvalidations.Value(),
 		LeaseExpiries: c.cache.cExpiries.Value(),
+		StaleGrants:   c.cache.cStaleGrants.Value(),
 	}
 }
 

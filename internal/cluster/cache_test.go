@@ -360,3 +360,131 @@ func TestReadOnlyFlagRevalidated(t *testing.T) {
 		t.Fatalf("smuggled write lost: Get = %v, want 9", res[0])
 	}
 }
+
+// TestCacheWrittenKeyCachedAgain: a write costs the cached copy one miss,
+// not its cacheability — the grant that follows the invalidation is
+// installed and the reads after it hit again, write after write.
+func TestCacheWrittenKeyCachedAgain(t *testing.T) {
+	c := startCluster(t, cacheOpts(5*time.Second))
+	cl := newClient(t, c)
+	ctx := ctxT(t)
+	ref := core.Ref{Type: objects.TypeAtomicLong, Key: "rewritten"}
+
+	const rounds, reads = 3, 10
+	for w := int64(1); w <= rounds; w++ {
+		if _, err := cl.Call(ctx, ref, "Set", w); err != nil {
+			t.Fatal(err)
+		}
+		before := cl.DebugCacheStats()
+		for i := 0; i < reads; i++ {
+			res, err := cl.Call(ctx, ref, "Get")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res[0].(int64) != w {
+				t.Fatalf("write %d read %d: Get = %v", w, i, res[0])
+			}
+		}
+		after := cl.DebugCacheStats()
+		// The first read re-leases (at most one more may meet the grant
+		// backoff); every other one must be a hit.
+		if got := after.Hits - before.Hits; got < reads-2 {
+			t.Fatalf("after write %d: %d of %d reads hit (stats %+v)", w, got, reads, after)
+		}
+		if w > 1 && after.Invalidations < uint64(w-1) {
+			t.Fatalf("after write %d: %d invalidations, want >= %d", w, after.Invalidations, w-1)
+		}
+	}
+}
+
+// TestFollowerLeaseStoredAgainAfterWrite: a write revokes the follower's
+// replica lease once; the lease it re-acquires is stored, so the follower
+// reads that come after do not each pay a peer KindLease round trip.
+func TestFollowerLeaseStoredAgainAfterWrite(t *testing.T) {
+	tel := telemetry.New()
+	c := startCluster(t, Options{Nodes: 3, RF: 2, LeaseTTL: 5 * time.Second, Telemetry: tel})
+	cl := newClient(t, c)
+	ctx := ctxT(t)
+	ref := core.Ref{Type: objects.TypeAtomicLong, Key: "follower-rewritten"}
+	inv := func(method string, args ...any) int64 {
+		t.Helper()
+		res, err := cl.InvokeObject(ctx, core.Invocation{Ref: ref, Method: method, Args: args, Persist: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, _ := res[0].(int64)
+		return v
+	}
+	grants := tel.Metrics().Counter(telemetry.MetServerLeaseGrants)
+	followerReads := tel.Metrics().Counter(telemetry.MetServerFollowerReads)
+
+	inv("AddAndGet", int64(1))
+	for i := 0; i < 4; i++ { // the follower acquires its first lease
+		inv("Get")
+	}
+	inv("AddAndGet", int64(1)) // revokes it
+	g0, f0 := grants.Value(), followerReads.Value()
+	const reads = 40
+	for i := 0; i < reads; i++ {
+		if v := inv("Get"); v != 2 {
+			t.Fatalf("read %d after the write = %d, want 2", i, v)
+		}
+	}
+	served := followerReads.Value() - f0
+	if served < reads/4 {
+		t.Fatalf("follower served %d of %d reads", served, reads)
+	}
+	if got := grants.Value() - g0; got > 3 {
+		t.Fatalf("%d replica-lease grants for %d follower reads after one write: the lease is not kept", got, served)
+	}
+}
+
+// TestCacheNewPrimaryLowerEpochInstalled: the floor a primary's
+// revocations left at a client must not outlive that primary. The object
+// migrates to a node whose epoch counter has never moved; its first grant
+// carries an epoch far under the client's floor and must be installed
+// because it was requested after the last invalidation landed.
+func TestCacheNewPrimaryLowerEpochInstalled(t *testing.T) {
+	c := startCluster(t, Options{Nodes: 2, LeaseTTL: 200 * time.Millisecond, ClientCache: true})
+	cl := newClient(t, c)
+	ctx := ctxT(t)
+	ref := core.Ref{Type: objects.TypeAtomicLong, Key: "moves-to-a-fresh-table"}
+
+	// Ten revocation rounds: the old primary's counter, and with it the
+	// client's floor for ref, reach 10.
+	for w := int64(1); w <= 10; w++ {
+		if _, err := cl.Call(ctx, ref, "Set", w); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cl.Call(ctx, ref, "Get"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := cl.DebugCacheStats(); st.Invalidations < 9 {
+		t.Fatalf("set-up: %d invalidations, want >= 9", st.Invalidations)
+	}
+	if err := primaryNode(t, c, ref).MigrateObject(ctx, ref, otherNodes(c, ref)[:1], false); err != nil {
+		t.Fatal(err)
+	}
+	// The first read learns the new placement the hard way: its grant
+	// request reaches the deposed primary, is refused, and backs off.
+	if _, err := cl.Call(ctx, ref, "Get"); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(10 * time.Millisecond)
+	before := cl.DebugCacheStats()
+	const reads = 20
+	for i := 0; i < reads; i++ {
+		res, err := cl.Call(ctx, ref, "Get")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res[0].(int64) != 10 {
+			t.Fatalf("read %d after migration = %v, want 10", i, res[0])
+		}
+	}
+	after := cl.DebugCacheStats()
+	if got := after.Hits - before.Hits; got < reads/2 {
+		t.Fatalf("%d of %d reads hit after the move to a primary with a lower epoch counter (stats %+v)", got, reads, after)
+	}
+}

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"crucial/internal/ring"
@@ -50,10 +51,27 @@ func (v View) Ring() *ring.Ring {
 }
 
 // Place computes the replica set for key in this view: directive table
-// first, ring otherwise (ring.Directives.Place). Convenience for cold
-// paths; hot paths keep a cached Ring and call Directives.Place on it.
+// first, ring otherwise (ring.Directives.Place). It builds the ring on
+// every call, so it is for cold paths only; per-operation callers take
+// Directory.Placement or keep a Ring and call Directives.Place on it.
 func (v View) Place(key string, rf int) []ring.NodeID {
 	return v.Directives.Place(v.Ring(), key, rf)
+}
+
+// Placement is the placement function of one installed view: its directive
+// table and its ring, built once at install. It is immutable, so any number
+// of goroutines may route from one without locks or copies.
+type Placement struct {
+	// ViewID is the ID of the view this placement routes for.
+	ViewID     uint64
+	directives ring.Directives
+	ring       *ring.Ring
+}
+
+// Place computes the replica set for key, primary first; equal to
+// View.Place on the view it was published for.
+func (p *Placement) Place(key string, rf int) []ring.NodeID {
+	return p.directives.Place(p.ring, key, rf)
 }
 
 // Fence is a digest of the view's placement function (FNV-1a over the
@@ -126,8 +144,12 @@ var ErrUnknownNode = errors.New("membership: unknown node")
 
 // Directory is the membership service. Safe for concurrent use.
 type Directory struct {
-	mu         sync.Mutex
-	view       View
+	mu   sync.Mutex
+	view View
+	// placement is the latest view's placement function, stored in the same
+	// d.mu section that sets view — so before any listener hears of the
+	// view — and read without the lock (Placement).
+	placement  atomic.Pointer[Placement]
 	heartbeats map[ring.NodeID]time.Time
 	listeners  map[int]Listener
 	nextSub    int
@@ -144,20 +166,46 @@ type Directory struct {
 // threshold used by CheckFailures (and the background detector, if
 // started).
 func NewDirectory(timeout time.Duration) *Directory {
-	return &Directory{
+	d := &Directory{
 		view:       View{ID: 0, Addrs: map[ring.NodeID]string{}},
 		heartbeats: make(map[ring.NodeID]time.Time),
 		listeners:  make(map[int]Listener),
 		timeout:    timeout,
 		now:        time.Now,
 	}
+	d.placement.Store(&Placement{ring: ring.New(nil, 0)})
+	return d
 }
 
-// View returns the current view.
+// View returns a deep copy of the current view. Per-operation callers that
+// only need to place a key use Placement, which copies nothing.
 func (d *Directory) View() View {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.view.clone()
+}
+
+// Placement returns the placement function of the directory's latest view:
+// one atomic load, no copy, no ring construction. By the time a listener
+// is told of a view, Placement already answers for it, so a check made
+// against Placement is never older than any node's installed view.
+func (d *Directory) Placement() *Placement {
+	return d.placement.Load()
+}
+
+// installLocked makes next the current view and publishes its placement
+// over r, returning the listeners to notify and the copy to hand them.
+// Caller holds d.installMu and d.mu.
+func (d *Directory) installLocked(next View, r *ring.Ring) ([]Listener, View) {
+	d.view = next
+	// The table is shared with d.view, not copied: neither is ever mutated
+	// in place, and callers only ever see clones of the view.
+	d.placement.Store(&Placement{ViewID: next.ID, directives: next.Directives, ring: r})
+	ls := make([]Listener, 0, len(d.listeners))
+	for _, l := range d.listeners {
+		ls = append(ls, l)
+	}
+	return ls, next.clone()
 }
 
 // Subscribe registers a listener for future views and returns a cancel
@@ -230,6 +278,15 @@ func (d *Directory) change(mutate func(map[ring.NodeID]string)) View {
 	next.Members = make([]ring.NodeID, 0, len(members))
 	for n := range members {
 		next.Members = append(next.Members, n)
+	}
+	sort.Slice(next.Members, func(i, j int) bool { return next.Members[i] < next.Members[j] })
+	// The ring is the costly part of an install (hundreds of hashed and
+	// sorted vnodes); build it with d.mu released so heartbeats and View
+	// readers are not held up. installMu keeps the view from moving.
+	d.mu.Unlock()
+	r := next.Ring()
+	d.mu.Lock()
+	for _, n := range next.Members {
 		if _, ok := d.heartbeats[n]; !ok {
 			d.heartbeats[n] = d.now()
 		}
@@ -239,14 +296,7 @@ func (d *Directory) change(mutate func(map[ring.NodeID]string)) View {
 			delete(d.heartbeats, n)
 		}
 	}
-	sort.Slice(next.Members, func(i, j int) bool { return next.Members[i] < next.Members[j] })
-	d.view = next
-
-	ls := make([]Listener, 0, len(d.listeners))
-	for _, l := range d.listeners {
-		ls = append(ls, l)
-	}
-	installed := next.clone()
+	ls, installed := d.installLocked(next, r)
 	d.mu.Unlock()
 
 	for _, l := range ls {
@@ -300,13 +350,8 @@ func (d *Directory) UpdateDirectives(mutate func(ring.Directives) ring.Directive
 	nv := d.view.clone()
 	nv.ID = d.view.ID + 1
 	nv.Directives = next
-	d.view = nv
-
-	ls := make([]Listener, 0, len(d.listeners))
-	for _, l := range d.listeners {
-		ls = append(ls, l)
-	}
-	installed := nv.clone()
+	// Same members, same ring: a directive flip reuses the published one.
+	ls, installed := d.installLocked(nv, d.placement.Load().ring)
 	d.mu.Unlock()
 
 	for _, l := range ls {

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"log/slog"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -61,11 +62,10 @@ type leaseHolder struct {
 	expiry  time.Time
 }
 
-// refLeases is the per-object grant state.
+// refLeases is the per-object grant state. Entries exist only while a
+// write is in progress or a holder is outstanding (endWrite drops idle
+// ones), which is why the epoch lives on the table and not here.
 type refLeases struct {
-	// epoch increments on every revocation round; grants and invalidations
-	// carry it so a delayed invalidation can never kill a newer lease.
-	epoch uint64
 	// writing counts mutating invocations between beginWrite and endWrite;
 	// grants are refused while any are in progress, closing the window
 	// between revocation and commit.
@@ -91,15 +91,20 @@ type leaseTable struct {
 
 	mu   sync.Mutex
 	refs map[core.Ref]*refLeases
+	// epoch is the table's one revocation counter: every revocation round
+	// of any ref increments it and stamps its invalidations with the new
+	// value, every grant carries the value current when it was issued. For
+	// any one ref a grant issued before a revocation therefore carries a
+	// smaller epoch than that revocation and one issued after it at least
+	// its epoch, however often the ref's entry was dropped in between.
+	epoch uint64
 
 	heldMu sync.Mutex
 	held   map[core.Ref]replicaLease
-	// heldFloor records, per ref, the epoch of the last revocation this
-	// node received as a holder. A grant response that was in flight when
-	// the revocation landed carries an older epoch and must not be
-	// installed — the primary already considers that lease dead and may
-	// have committed a write on the strength of the revocation ack.
-	heldFloor map[core.Ref]uint64
+	// heldFloor fences a replica-lease grant that was in flight when its
+	// revocation landed here: the primary already considers that lease dead
+	// and may have committed a write on the strength of the revocation ack.
+	heldFloor core.LeaseFloors
 
 	// fence is the unix-nano instant until which writes must wait after a
 	// view change (see fenceWait).
@@ -112,12 +117,11 @@ type leaseTable struct {
 
 func newLeaseTable(n *Node, ttl time.Duration) *leaseTable {
 	return &leaseTable{
-		n:         n,
-		ttl:       ttl,
-		refs:      make(map[core.Ref]*refLeases),
-		held:      make(map[core.Ref]replicaLease),
-		heldFloor: make(map[core.Ref]uint64),
-		conns:     make(map[string]*rpc.Client),
+		n:     n,
+		ttl:   ttl,
+		refs:  make(map[core.Ref]*refLeases),
+		held:  make(map[core.Ref]replicaLease),
+		conns: make(map[string]*rpc.Client),
 	}
 }
 
@@ -153,15 +157,10 @@ type LeaseResponse struct {
 	Snapshot []byte
 }
 
-// InvalidateMsg revokes a client lease (KindCacheInvalidate, sent by the
-// primary to the client's invalidation listener).
+// InvalidateMsg revokes a lease: the primary sends it to a client cache's
+// invalidation listener as KindCacheInvalidate and to a follower holding a
+// replica lease as KindLeaseRevoke.
 type InvalidateMsg struct {
-	Ref   core.Ref
-	Epoch uint64
-}
-
-// leaseRevokeMsg revokes a follower's replica lease (KindLeaseRevoke).
-type leaseRevokeMsg struct {
 	Ref   core.Ref
 	Epoch uint64
 }
@@ -184,9 +183,10 @@ func (lt *leaseTable) grant(req LeaseRequest) LeaseResponse {
 	}
 	// Validate primacy against the directory's *latest* view, not the
 	// locally installed one: a deposed primary may not have installed the
-	// new view yet, and granting from it would outlive the view fence.
-	dv := n.cfg.Directory.View()
-	group := dv.Place(req.Ref.String(), rf)
+	// new view yet, and granting from it would outlive the view fence. The
+	// directory publishes a view's placement before it tells any node of
+	// the view, so this is never older than a fence armed anywhere.
+	group := n.cfg.Directory.Placement().Place(req.Ref.String(), rf)
 	if len(group) == 0 || group[0] != n.cfg.ID {
 		return lt.refusal("not primary")
 	}
@@ -233,17 +233,13 @@ func (lt *leaseTable) grant(req LeaseRequest) LeaseResponse {
 	lt.mu.Lock()
 	defer lt.mu.Unlock()
 	rl := lt.refs[req.Ref]
-	if rl == nil {
-		rl = &refLeases{holders: make(map[string]*leaseHolder)}
-		lt.refs[req.Ref] = rl
-	}
-	if rl.writing > 0 {
+	if rl != nil && rl.writing > 0 {
 		return lt.refusal("write in flight")
 	}
 	resp := LeaseResponse{
 		Granted:   true,
 		TTLMillis: lt.ttl.Milliseconds(),
-		Epoch:     rl.epoch,
+		Epoch:     lt.epoch,
 	}
 	// Lock order lt.mu → e.mu (matched by every lease-path caller).
 	e.mu.Lock()
@@ -268,15 +264,21 @@ func (lt *leaseTable) grant(req LeaseRequest) LeaseResponse {
 	}
 	e.mu.Unlock()
 
+	if rl == nil {
+		rl = &refLeases{holders: make(map[string]*leaseHolder)}
+		lt.refs[req.Ref] = rl
+	}
 	rl.holders[req.HolderAddr] = &leaseHolder{
 		addr:    req.HolderAddr,
 		replica: req.Replica,
 		expiry:  time.Now().Add(lt.ttl),
 	}
 	n.cLeaseGrants.Inc()
-	n.log.Debug("lease granted", "ref", req.Ref.String(),
-		"holder", req.HolderAddr, "replica", req.Replica,
-		"version", resp.Version, "epoch", resp.Epoch)
+	if n.log.Enabled(context.Background(), slog.LevelDebug) {
+		n.log.Debug("lease granted", "ref", req.Ref.String(),
+			"holder", req.HolderAddr, "replica", req.Replica,
+			"version", resp.Version, "epoch", resp.Epoch)
+	}
 	return resp
 }
 
@@ -318,10 +320,14 @@ func (lt *leaseTable) revokeAll(ctx context.Context, ref core.Ref, wait bool) er
 		lt.mu.Unlock()
 		return nil
 	}
-	rl.epoch++
-	epoch := rl.epoch
+	lt.epoch++
+	epoch := lt.epoch
 	holders := rl.holders
-	rl.holders = make(map[string]*leaseHolder)
+	if rl.writing > 0 {
+		rl.holders = make(map[string]*leaseHolder)
+	} else {
+		delete(lt.refs, ref) // a view-change revocation: no endWrite will follow
+	}
 	lt.mu.Unlock()
 
 	lt.n.cLeaseRevokes.Add(uint64(len(holders)))
@@ -336,18 +342,7 @@ func (lt *leaseTable) revokeAll(ctx context.Context, ref core.Ref, wait bool) er
 			// anyway and the expiry wait below takes over.
 			rctx, cancel := context.WithTimeout(ctx, lt.ttl)
 			defer cancel()
-			var err error
-			if h.replica {
-				body, encErr := core.EncodeValue(leaseRevokeMsg{Ref: ref, Epoch: epoch})
-				if encErr == nil {
-					_, err = lt.n.peerCall(rctx, ring.NodeID(h.addr), KindLeaseRevoke, body)
-				} else {
-					err = encErr
-				}
-			} else {
-				err = lt.invalidateClient(rctx, h.addr, ref, epoch)
-			}
-			if err != nil {
+			if err := lt.invalidate(rctx, h, InvalidateMsg{Ref: ref, Epoch: epoch}); err != nil {
 				failMu.Lock()
 				if h.expiry.After(waitUntil) {
 					waitUntil = h.expiry
@@ -362,8 +357,10 @@ func (lt *leaseTable) revokeAll(ctx context.Context, ref core.Ref, wait bool) er
 	}
 	if d := time.Until(waitUntil); d > 0 {
 		lt.n.cLeaseExpiryWaits.Inc()
-		lt.n.log.Debug("write waiting out unreachable lease holder",
-			"ref", ref.String(), "wait", d.String())
+		if lt.n.log.Enabled(ctx, slog.LevelDebug) {
+			lt.n.log.Debug("write waiting out unreachable lease holder",
+				"ref", ref.String(), "wait", d.String())
+		}
 		select {
 		case <-time.After(d):
 		case <-ctx.Done():
@@ -373,19 +370,24 @@ func (lt *leaseTable) revokeAll(ctx context.Context, ref core.Ref, wait bool) er
 	return nil
 }
 
-// invalidateClient pushes one InvalidateMsg to a client cache listener,
-// pooling the connection for the next revocation.
-func (lt *leaseTable) invalidateClient(ctx context.Context, addr string, ref core.Ref, epoch uint64) error {
-	body, err := core.EncodeValue(InvalidateMsg{Ref: ref, Epoch: epoch})
+// invalidate pushes msg to one holder: a follower over the peer mesh, a
+// client cache over a connection to its listener that is pooled for the
+// next revocation.
+func (lt *leaseTable) invalidate(ctx context.Context, h *leaseHolder, msg InvalidateMsg) error {
+	body, err := core.EncodeValue(msg)
 	if err != nil {
 		return err
 	}
-	c, err := lt.clientConn(addr)
+	if h.replica {
+		_, err = lt.n.peerCall(ctx, ring.NodeID(h.addr), KindLeaseRevoke, body)
+		return err
+	}
+	c, err := lt.clientConn(h.addr)
 	if err != nil {
 		return err
 	}
 	if _, err := c.Call(ctx, KindCacheInvalidate, body); err != nil {
-		lt.dropClientConn(addr)
+		lt.dropClientConn(h.addr)
 		return err
 	}
 	return nil
@@ -443,12 +445,13 @@ func (lt *leaseTable) fenceWait(ctx context.Context) error {
 // onViewChange arms the write fence, drops every held replica lease, and
 // asynchronously invalidates every grant this node handed out (it may no
 // longer own the objects; the fence, not the invalidation, carries the
-// safety argument).
+// safety argument). The held-lease floors stay: they bind by request time,
+// so a new primary's lower epochs pass them and a grant still in flight
+// from the old one does not.
 func (lt *leaseTable) onViewChange() {
 	lt.fence.Store(time.Now().Add(lt.ttl).UnixNano())
 	lt.heldMu.Lock()
 	lt.held = make(map[core.Ref]replicaLease)
-	lt.heldFloor = make(map[core.Ref]uint64)
 	lt.heldMu.Unlock()
 
 	lt.mu.Lock()
@@ -481,31 +484,28 @@ func (lt *leaseTable) heldLease(ref core.Ref) (replicaLease, bool) {
 	return rl, true
 }
 
-// storeHeld records a replica lease acquired from the primary, keeping the
-// newest epoch if two acquisitions race. A lease older than the last
-// revocation's epoch (see heldFloor) is already dead and is discarded: its
-// grant response merely lost the race against the invalidation.
-func (lt *leaseTable) storeHeld(ref core.Ref, rl replicaLease) {
+// storeHeld records a replica lease this node requested at requested,
+// keeping the newest epoch if two acquisitions race. A lease the floor
+// binds (see heldFloor) is already dead and is discarded: its grant
+// response merely lost the race against the invalidation.
+func (lt *leaseTable) storeHeld(ref core.Ref, rl replicaLease, requested time.Time) {
 	lt.heldMu.Lock()
 	defer lt.heldMu.Unlock()
-	if rl.epoch < lt.heldFloor[ref] {
+	if lt.heldFloor.Binds(ref, rl.epoch, requested) {
 		return
 	}
-	delete(lt.heldFloor, ref)
 	if cur, ok := lt.held[ref]; !ok || rl.epoch >= cur.epoch {
 		lt.held[ref] = rl
 	}
 }
 
 // dropHeld forgets a replica lease (the primary revoked it) and raises the
-// epoch floor so an in-flight grant older than the revocation cannot
-// resurrect it.
+// floor so a grant requested before now and older than the revocation
+// cannot resurrect it.
 func (lt *leaseTable) dropHeld(ref core.Ref, epoch uint64) {
 	lt.heldMu.Lock()
 	delete(lt.held, ref)
-	if epoch > lt.heldFloor[ref] {
-		lt.heldFloor[ref] = epoch
-	}
+	lt.heldFloor.Raise(ref, epoch, time.Now(), lt.ttl)
 	lt.heldMu.Unlock()
 }
 
@@ -537,7 +537,7 @@ func (n *Node) handleLease(payload []byte) ([]byte, error) {
 
 // handleLeaseRevoke services a primary's revocation of our replica lease.
 func (n *Node) handleLeaseRevoke(payload []byte) ([]byte, error) {
-	var msg leaseRevokeMsg
+	var msg InvalidateMsg
 	if err := core.DecodeValue(payload, &msg); err != nil {
 		return nil, err
 	}
@@ -618,8 +618,7 @@ func (n *Node) tryLocalRead(ctx context.Context, inv core.Invocation) ([]any, er
 	if n.inflight.busy(inv.Ref) {
 		return nil, nil, false
 	}
-	dv := n.cfg.Directory.View()
-	group := dv.Place(inv.Ref.String(), n.cfg.RF)
+	group := n.cfg.Directory.Placement().Place(inv.Ref.String(), n.cfg.RF)
 	if len(group) == 0 || group[0] != n.cfg.ID {
 		return nil, nil, false
 	}
@@ -705,6 +704,6 @@ func (n *Node) acquireReplicaLease(ctx context.Context, inv core.Invocation, pri
 		minVersion: resp.Version,
 		epoch:      resp.Epoch,
 	}
-	n.leases.storeHeld(inv.Ref, rl)
+	n.leases.storeHeld(inv.Ref, rl, start)
 	return rl, nil
 }

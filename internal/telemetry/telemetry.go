@@ -105,16 +105,20 @@ const (
 	MetFaaSTimeoutPrefix = "faas.timeouts.by_fn."
 
 	// Client lease cache (read path). Exported on /metrics as
-	// crucial_cache_{hits,misses,invalidations,lease_expiries}_total.
+	// crucial_cache_{hits,misses,invalidations,lease_expiries,stale_grants}_total.
 	// A hit is a read-only call answered from a locally leased copy; a
 	// miss fell through to a remote invoke (no lease, refused grant, or
 	// uncacheable method); an invalidation is a server-pushed revoke
 	// (a write committed, or the view changed); an expiry is a read that
-	// found its lease past due and had to re-acquire.
+	// found its lease past due and had to re-acquire; a stale grant is one
+	// the cache was given and discarded, because an invalidation that may
+	// have revoked it got home first — a round trip paid for nothing, so a
+	// rate near the grant rate means the cache is not caching.
 	MetCacheHits          = "cache.hits"
 	MetCacheMisses        = "cache.misses"
 	MetCacheInvalidations = "cache.invalidations"
 	MetCacheLeaseExpiries = "cache.lease_expiries"
+	MetCacheStaleGrants   = "cache.stale_grants"
 
 	// Server-side lease table: grants handed out (client + replica),
 	// grants refused, synchronous revocations on the write path, writes
