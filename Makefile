@@ -1,12 +1,15 @@
 GO ?= go
 
-.PHONY: build test vet fmt race bench bench-rpc bench-cache bench-write bench-reshard bench-wal bench-statefun wal-fuzz cover verify chaos chaos-short flake-check doclint alloc-guard
+.PHONY: build test vet fmt race bench wal-fuzz cover verify chaos chaos-short flake-check doclint alloc-guard
 
 build:
 	$(GO) build ./...
 
+# vet covers the benchmark driver too: it is its own module, so nothing
+# else in verify compiles it against the API it uses.
 vet:
 	$(GO) vet ./...
+	$(GO) vet -C benchmark ./...
 
 # fmt fails (listing the offenders) when any file is not gofmt-clean.
 fmt:
@@ -19,85 +22,11 @@ test:
 race:
 	$(GO) test -race ./...
 
-# bench runs the telemetry-overhead spot check plus the RPC hot-path
-# microbenchmark suite (which refreshes BENCH_rpc.json).
-bench: bench-rpc bench-cache bench-write bench-reshard
-	$(GO) test -run '^$$' -bench 'BenchmarkInvokeTelemetry' -benchtime 2000x .
-
-# bench-rpc runs the wire-codec and RPC hot-path microbenchmarks and
-# commits their aggregate (min ns/op over 5 runs, allocs/op) to
-# BENCH_rpc.json via cmd/benchfmt. The *Gob benchmarks are the retained
-# pre-codec encoder, kept as the before/after baseline.
-bench-rpc:
-	$(GO) test -run '^$$' -bench 'BenchmarkEncodeInvocation|BenchmarkDecodeInvocation|BenchmarkInvocationRoundTrip|BenchmarkResponseRoundTrip' \
-		-benchmem -count=5 ./internal/core/ > /tmp/bench_rpc_raw.txt
-	$(GO) test -run '^$$' -bench 'BenchmarkRPCEcho' -benchmem -count=5 \
-		./internal/rpc/ >> /tmp/bench_rpc_raw.txt
-	$(GO) test -run '^$$' -bench 'BenchmarkInvokeObject' -benchmem -count=5 \
-		./internal/client/ >> /tmp/bench_rpc_raw.txt
-	$(GO) test -run '^$$' -bench 'BenchmarkTrackerObserve' -benchmem -count=5 \
-		./internal/telemetry/ >> /tmp/bench_rpc_raw.txt
-	$(GO) run ./cmd/benchfmt < /tmp/bench_rpc_raw.txt > BENCH_rpc.json
-	@echo "wrote BENCH_rpc.json"
-
-# bench-cache runs the read-path microbenchmarks (the same hot-object Get
-# with the lease cache off and on) and commits their aggregate to
-# BENCH_cache.json via cmd/benchfmt. The throughput-level view of the same
-# story is `crucial-bench -exp cache` (EXPERIMENTS.md).
-bench-cache:
-	$(GO) test -run '^$$' -bench 'BenchmarkReadUncached|BenchmarkReadCached' \
-		-benchmem -count=5 ./internal/cluster/ > /tmp/bench_cache_raw.txt
-	$(GO) run ./cmd/benchfmt < /tmp/bench_cache_raw.txt > BENCH_cache.json
-	@echo "wrote BENCH_cache.json"
-
-# bench-write runs the write-path group-commit benchmarks (parallel
-# hot-counter increments with batching off and on, plus a batch-size and
-# linger ablation) and commits their aggregate to BENCH_write.json via
-# cmd/benchfmt. DESIGN.md §5e explains the protocol being measured.
-bench-write:
-	$(GO) test -run '^$$' -bench 'BenchmarkWrite' \
-		-benchmem -count=5 ./internal/cluster/ > /tmp/bench_write_raw.txt
-	$(GO) run ./cmd/benchfmt < /tmp/bench_write_raw.txt > BENCH_write.json
-	@echo "wrote BENCH_write.json"
-
-# bench-reshard runs the elastic-resharding benchmarks (a zipfian
-# hot-spot workload under the ServiceTime capacity gate: static
-# placement vs sharded counters vs sharded + rebalancer) and commits
-# their aggregate to BENCH_reshard.json via cmd/benchfmt. Fixed
-# iteration counts keep go test from re-probing b.N — each probe would
-# pay a full cluster start plus, for Elastic, the rebalancer
-# convergence warmup. Acceptance: Elastic ≥ 3x the ops/s of Static
-# (DESIGN.md §5g, EXPERIMENTS.md).
-bench-reshard:
-	$(GO) test -run '^$$' -bench 'BenchmarkReshard' -benchtime 1500x \
-		-benchmem -count=5 ./internal/cluster/ > /tmp/bench_reshard_raw.txt
-	$(GO) run ./cmd/benchfmt < /tmp/bench_reshard_raw.txt > BENCH_reshard.json
-	@echo "wrote BENCH_reshard.json"
-
-# bench-wal runs the durability-overhead benchmarks (the bench-write
-# contended hot-counter workload with the durability tier off,
-# snapshot-only, group-fsynced every 64 records, and fsynced per op) and
-# commits their aggregate to BENCH_wal.json via cmd/benchfmt. Acceptance:
-# GroupFsync within ~2x of Off (DESIGN.md §5h, EXPERIMENTS.md).
-bench-wal:
-	$(GO) test -run '^$$' -bench 'BenchmarkWAL' \
-		-benchmem -count=5 ./internal/cluster/ > /tmp/bench_wal_raw.txt
-	$(GO) run ./cmd/benchfmt < /tmp/bench_wal_raw.txt > BENCH_wal.json
-	@echo "wrote BENCH_wal.json"
-
-# bench-statefun runs the stateful-functions sustained-throughput
-# benchmarks (one op = one message pushed, dispatched, handled, and
-# atomically committed; per-instance drain probes close each run) across
-# 100 and 1000 instances with the durability tier off and on, and
-# commits their aggregate to BENCH_statefun.json via cmd/benchfmt. Fixed
-# iteration counts keep go test from re-probing b.N — each probe pays a
-# full runtime boot. The table-level view is `crucial-bench -exp
-# statefun` (DESIGN.md §5i, EXPERIMENTS.md).
-bench-statefun:
-	$(GO) test -run '^$$' -bench 'BenchmarkStatefun' -benchtime 3000x \
-		-benchmem -count=3 . > /tmp/bench_statefun_raw.txt
-	$(GO) run ./cmd/benchfmt < /tmp/bench_statefun_raw.txt > BENCH_statefun.json
-	@echo "wrote BENCH_statefun.json"
+# bench runs the composed benchmark (benchmark/, what BENCHMARK.json
+# declares). The per-package microbenchmarks run with plain go test, e.g.
+# `go test -run '^$' -bench . -benchmem ./internal/core/`.
+bench:
+	bash benchmark/run.sh
 
 # wal-fuzz fuzzes the WAL segment decoder — the one parser fed raw bytes
 # off cold storage, where torn flushes and bit rot are the expected input.
@@ -157,14 +86,15 @@ doclint:
 # keep a 95/5 read/write sequence cached (hit ratio, one grant per
 # invalidation) without building a hash ring per hit or per grant. These
 # tests self-skip under -race, so they need this dedicated non-race
-# invocation to actually bite; the measured numbers live in BENCH_rpc.json
-# and in internal/cluster/alloc_budget_test.go.
+# invocation to actually bite; the measured numbers live next to each
+# budget in its test.
 alloc-guard:
 	$(GO) test -count=1 -run 'AllocBudget|TrackerObserveAllocs' \
 		./internal/core/ ./internal/telemetry/ ./internal/cluster/
 
 # verify is the tier-1 gate (see ROADMAP.md): everything must be gofmt
-# clean, compile, vet clean, doc-complete on the public API, hold the
+# clean, compile, vet clean (benchmark module included), doc-complete on
+# the public API, hold the
 # hot-path allocation budgets, pass under the race detector, and survive
 # the short nemesis slice (which includes one cache-on schedule).
 verify: fmt vet build doclint alloc-guard race chaos-short

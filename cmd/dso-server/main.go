@@ -53,8 +53,6 @@ func run() int {
 		httpAddr = flag.String("http", "", "serve /metrics (Prometheus), /traces (trace-event JSON) and /debug/pprof on this address, e.g. :8080")
 		leaseTTL = flag.Duration("lease-ttl", 0, "enable the lease-based read path with this lease duration (e.g. 500ms); 0 disables leases")
 		wrBatch  = flag.Int("write-batch", 0, "group-commit batch size: coalesce up to this many concurrent writes per object into one ordering round; 0 disables batching")
-		wrDelay  = flag.Duration("write-delay", 0, "group-commit linger: hold a non-full batch this long for stragglers (requires -write-batch)")
-		wrPipe   = flag.Int("write-pipeline", 0, "group-commit pipeline depth: outstanding ordering rounds per object (default 2 when -write-batch is set)")
 		rebal    = flag.Bool("rebalance", false, "enable the elastic resharding loop: the coordinator live-migrates sustained heavy hitters (requires -telemetry for a load signal)")
 		rebalHot = flag.Float64("rebalance-hot-rate", 0, "rebalancer hot threshold in ops/s (default 200)")
 		rebalInt = flag.Duration("rebalance-interval", 0, "rebalancer scan period (default 2s)")
@@ -113,13 +111,6 @@ func run() int {
 		logger.Info("observability endpoint up", "addr", *httpAddr,
 			"paths", "/metrics /traces /debug/pprof")
 	}
-	// The three -write-* flags round-trip the same core.WritePolicy struct
-	// the embedded runtime takes via Options.Write. -write-batch alone
-	// enables batching with the library's default pipeline depth.
-	write := core.WritePolicy{MaxBatch: *wrBatch, MaxDelay: *wrDelay, Pipeline: *wrPipe}
-	if write.Batching() && write.Pipeline <= 0 {
-		write.Pipeline = core.DefaultWritePolicy().Pipeline
-	}
 	// TCP nodes serve stateful-function mailboxes too (DESIGN.md §5i).
 	registry := objects.BuiltinRegistry()
 	statefun.RegisterTypes(registry)
@@ -131,11 +122,13 @@ func run() int {
 		Directory: dir,
 		RF:        *rf,
 		LeaseTTL:  *leaseTTL,
-		Write:     write,
+		// -write-batch round-trips the core.WritePolicy the embedded
+		// runtime takes via Options.Write.
+		Write:     core.WritePolicy{MaxBatch: *wrBatch},
 		Telemetry: tel,
 	}
 	if *rebal {
-		// Same pattern as -write-*: the flags round-trip core.RebalancePolicy,
+		// Same pattern as -write-batch: the flags round-trip core.RebalancePolicy,
 		// unset knobs fall back to the library defaults via Normalized.
 		cfg.Rebalance = core.RebalancePolicy{
 			Enabled:  true,

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"crucial/internal/core"
+	"crucial/internal/telemetry"
 )
 
 // testRuntime builds a small local runtime for tests.
@@ -183,7 +184,7 @@ func TestRetriesRecoverInjectedFailures(t *testing.T) {
 	if v != threads {
 		t.Fatalf("done = %d, want %d", v, threads)
 	}
-	if rt.Platform().Stats().Failures == 0 {
+	if rt.Platform().Metrics().Counter(telemetry.MetFaaSFailures).Value() == 0 {
 		t.Fatal("no failures injected; the retry path was not exercised")
 	}
 }

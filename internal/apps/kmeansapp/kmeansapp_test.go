@@ -11,6 +11,7 @@ import (
 	"crucial/internal/netsim"
 	"crucial/internal/sparksim"
 	"crucial/internal/storage/redissim"
+	"crucial/internal/telemetry"
 	"crucial/internal/vmsim"
 )
 
@@ -292,7 +293,7 @@ func TestTrainingSurvivesInjectedFunctionFailures(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertCentroidsEqual(t, res.Centroids, referenceRun(cfg), "faulty")
-	if rt.Platform().Stats().Failures == 0 {
+	if rt.Platform().Metrics().Counter(telemetry.MetFaaSFailures).Value() == 0 {
 		t.Fatal("no failures injected; the retry path was not exercised")
 	}
 }

@@ -29,8 +29,8 @@ import (
 // which live-migrates the hot shards until no member carries more than
 // its share — DESIGN.md §5g). The reproduction target: elastic recovers
 // ≥3x static throughput, approaching the uniform-load ceiling of
-// nodes × per-node capacity. The microbenchmark twin is `make
-// bench-reshard` (BENCH_reshard.json).
+// nodes × per-node capacity. The microbenchmark twin is
+// BenchmarkReshard in internal/cluster.
 const ExpReshard = "reshard"
 
 // reshardRow is one configuration's measurement.

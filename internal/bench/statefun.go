@@ -18,7 +18,7 @@ import (
 // push, dispatch, handler, atomic effect commit — and the run only
 // counts messages whose effects are confirmed applied (a FIFO drain
 // probe per instance closes the measurement). The microbenchmark twin
-// is `make bench-statefun` (BENCH_statefun.json).
+// is BenchmarkStatefun in the root package.
 const ExpStatefun = "statefun"
 
 // statefunRow is one configuration's measurement.

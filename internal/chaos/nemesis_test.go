@@ -113,9 +113,9 @@ func runNemesis(t *testing.T, o nemesisOpts) (*chaos.Engine, *telemetry.Telemetr
 		copts.ClientCache = true
 	}
 	if o.write {
-		// Small batches and a short linger so rounds actually coalesce the
-		// 3-worker load while still cutting many distinct rounds per window.
-		copts.Write = core.WritePolicy{MaxBatch: 8, MaxDelay: time.Millisecond, Pipeline: 2}
+		// Small batches, so rounds coalesce the 3-worker load while still
+		// cutting many distinct rounds per window.
+		copts.Write = core.WritePolicy{MaxBatch: 8}
 	}
 	cl, err := cluster.StartLocal(copts)
 	if err != nil {

@@ -55,9 +55,7 @@ type Config struct {
 	Profile *netsim.Profile
 	// Retry governs re-routing after topology changes: exponential
 	// backoff with jitter so a fleet of cloud threads does not retry in
-	// lockstep. The zero value means core.DefaultClientRetry (unless the
-	// deprecated fields below are set, which are honored for
-	// compatibility).
+	// lockstep. The zero value means core.DefaultClientRetry.
 	Retry core.RetryPolicy
 	// AttemptTimeout, when set, bounds each individual attempt. Without
 	// it a blackholed response (the request was applied but the reply was
@@ -87,43 +85,6 @@ type Config struct {
 	// (server.Config.LeaseTTL > 0) for grants to succeed; against a
 	// lease-less cluster every read simply falls back to the remote path.
 	Cache *CacheConfig
-	// Write is the write-path policy applied to this client's
-	// connections, the mutation-side sibling of Cache/ReadReplicas. At
-	// the client the only transport-level knob is
-	// WritePolicy.DirectWrites (frame coalescing off for debugging);
-	// the batching knobs act server side, where the cluster applies the
-	// same struct to every node (server.Config.Write) — pass one policy
-	// through cluster.Options.Write or crucial.Options.Write and both
-	// halves stay in sync.
-	Write core.WritePolicy
-
-	// MaxRetries bounds total attempts per invocation.
-	//
-	// Deprecated: set Retry.MaxRetries (attempts = retries + 1) instead.
-	MaxRetries int
-	// RetryBackoff is the fixed pause between attempts.
-	//
-	// Deprecated: set Retry.Backoff (plus Multiplier/Jitter) instead.
-	RetryBackoff time.Duration
-}
-
-// retryPolicy resolves the configured policy, honoring the deprecated
-// fixed-pause knobs when the new one is unset.
-func (cfg Config) retryPolicy() core.RetryPolicy {
-	if cfg.Retry != (core.RetryPolicy{}) {
-		return cfg.Retry
-	}
-	if cfg.MaxRetries > 0 || cfg.RetryBackoff > 0 {
-		p := core.RetryPolicy{MaxRetries: cfg.MaxRetries - 1, Backoff: cfg.RetryBackoff}
-		if cfg.MaxRetries <= 0 {
-			p.MaxRetries = core.DefaultClientRetry().MaxRetries
-		}
-		if p.Backoff <= 0 {
-			p.Backoff = 2 * time.Millisecond
-		}
-		return p
-	}
-	return core.DefaultClientRetry()
 }
 
 // routes is an immutable routing snapshot: the installed view, its ring,
@@ -193,10 +154,13 @@ func New(cfg Config) (*Client, error) {
 	if cfg.Profile == nil {
 		cfg.Profile = netsim.Zero()
 	}
+	if cfg.Retry == (core.RetryPolicy{}) {
+		cfg.Retry = core.DefaultClientRetry()
+	}
 	c := &Client{
 		cfg:     cfg,
 		profile: cfg.Profile,
-		retry:   cfg.retryPolicy(),
+		retry:   cfg.Retry,
 		log:     telemetry.Logger(telemetry.CompClient),
 		id:      newClientID(),
 	}
@@ -228,7 +192,7 @@ func New(cfg Config) (*Client, error) {
 // second would be answered from the first's dedup window instead of
 // executing (a process-local counter fails exactly that way — every
 // fresh process would start at 1). Zero is the reserved "unstamped"
-// value old clients send, so it is never returned.
+// value unstamped callers send, so it is never returned.
 func newClientID() uint64 {
 	var b [8]byte
 	if _, err := crand.Read(b[:]); err == nil {
@@ -337,7 +301,6 @@ func (c *Client) dial(addr string) (*rpc.Client, error) {
 		return nil, fmt.Errorf("client: dial %s: %w", addr, err)
 	}
 	rc := rpc.NewClient(netConn)
-	rc.SetWritePolicy(c.cfg.Write)
 	if c.instrumented {
 		// The transport layer feeds the round-trip histogram directly, so
 		// it also covers server-side blocking time (barrier waits etc.).

@@ -80,10 +80,9 @@ func TestRetryableClassification(t *testing.T) {
 func TestInvokeNoNodes(t *testing.T) {
 	dir := membership.NewDirectory(time.Hour)
 	c, err := New(Config{
-		Transport:    rpc.NewMemNetwork(),
-		Views:        dir,
-		MaxRetries:   2,
-		RetryBackoff: time.Millisecond,
+		Transport: rpc.NewMemNetwork(),
+		Views:     dir,
+		Retry:     core.RetryPolicy{MaxRetries: 1, Backoff: time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -101,10 +100,9 @@ func TestClientDiscoversLateNode(t *testing.T) {
 	net := rpc.NewMemNetwork()
 	dir := membership.NewDirectory(time.Hour)
 	c, err := New(Config{
-		Transport:    net,
-		Views:        dir,
-		MaxRetries:   8,
-		RetryBackoff: time.Millisecond,
+		Transport: net,
+		Views:     dir,
+		Retry:     core.RetryPolicy{MaxRetries: 7, Backoff: time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -171,7 +169,8 @@ func TestNonRetryableErrorReturnedImmediately(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = node.Crash() }()
-	c, err := New(Config{Transport: net, Views: dir, MaxRetries: 5, RetryBackoff: 50 * time.Millisecond})
+	c, err := New(Config{Transport: net, Views: dir,
+		Retry: core.RetryPolicy{MaxRetries: 4, Backoff: 50 * time.Millisecond}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,10 +256,9 @@ func TestUninstrumentedRetryNilSpan(t *testing.T) {
 	// attempt fails at dial time and the client walks all retries.
 	dir.Join("ghost", "ghost-addr")
 	c, err := New(Config{
-		Transport:    rpc.NewMemNetwork(),
-		Views:        dir,
-		MaxRetries:   4,
-		RetryBackoff: time.Millisecond,
+		Transport: rpc.NewMemNetwork(),
+		Views:     dir,
+		Retry:     core.RetryPolicy{MaxRetries: 3, Backoff: time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)

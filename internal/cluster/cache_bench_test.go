@@ -10,11 +10,11 @@ import (
 	"crucial/internal/objects"
 )
 
-// The read-path microbenchmarks behind BENCH_cache.json (`make
-// bench-cache`): the same Get on the same hot object, with the lease
-// cache off (every read is an RPC round to the owner) and on (reads after
-// the first are answered from the client-local copy). The gap between the
-// two is the per-read cost the cache removes.
+// The read-path microbenchmarks (`go test -run '^$' -bench BenchmarkRead
+// -benchmem ./internal/cluster/`): the same Get on the same hot object,
+// with the lease cache off (every read is an RPC round to the owner) and
+// on (reads after the first are answered from the client-local copy). The
+// gap between the two is the per-read cost the cache removes.
 
 func benchCluster(b *testing.B, opts Options) (*Cluster, *client.Client) {
 	b.Helper()

@@ -80,8 +80,7 @@ type Options struct {
 	// (default 1024).
 	ClientCacheObjects int
 	// Write is the group-commit policy for the SMR write path, applied to
-	// every node (server.Config.Write) and every client from NewClient
-	// (client.Config.Write). The zero value keeps the classic
+	// every node (server.Config.Write). The zero value keeps the classic
 	// one-round-per-mutation path; see core.WritePolicy.
 	Write core.WritePolicy
 	// Rebalance is the elastic resharding policy applied to every node
@@ -309,7 +308,6 @@ func (c *Cluster) NewClient() (*client.Client, error) {
 		Profile:        c.profile,
 		Retry:          c.opts.ClientRetry,
 		AttemptTimeout: c.opts.ClientAttemptTimeout,
-		Write:          c.opts.Write,
 		Telemetry:      c.opts.Telemetry,
 	}
 	if c.opts.LeaseTTL > 0 {

@@ -15,13 +15,13 @@ import (
 	"crucial/internal/telemetry"
 )
 
-// The elastic-resharding benchmarks behind BENCH_reshard.json (`make
-// bench-reshard`): a zipfian-style hot-spot workload — most operations
-// hammer one viral counter, the rest spread over a cold tail — on a
-// 5-node cluster whose per-node capacity is modelled with the
-// ServiceTime/ServiceConcurrency gate (5ms × 4 in-service ops, the same
-// M/M/c model crucial-bench uses). Three placements of the same offered
-// load:
+// The elastic-resharding benchmarks (`go test -run '^$' -bench
+// BenchmarkReshard -benchtime 1500x ./internal/cluster/`): a zipfian-style
+// hot-spot workload — most operations hammer one viral counter, the rest
+// spread over a cold tail — on a 5-node cluster whose per-node capacity is
+// modelled with the ServiceTime/ServiceConcurrency gate (5ms × 4
+// in-service ops, the same M/M/c model crucial-bench uses). Three
+// placements of the same offered load:
 //
 //   - Static: the viral counter is one object on its hash primary. The
 //     whole hot fraction funnels through one node's gate; aggregate

@@ -13,14 +13,15 @@ import (
 	"crucial/internal/storage/s3sim"
 )
 
-// The durability-overhead microbenchmarks behind BENCH_wal.json (`make
-// bench-wal`): the same contended hot-counter workload as bench-write
-// (3 nodes, RF=2, group commit on, 8 client connections, parallel
-// writers) with the durability tier off, snapshot-only, group-fsynced,
-// and fsynced per operation. Group commit already coalesces concurrent
-// increments into shared ordering rounds, so one WAL flush covers many
-// acks — the group-fsync column is the tier's advertised operating point
-// and should stay within ~2x of durability-off.
+// The durability-overhead microbenchmarks (`go test -run '^$' -bench
+// BenchmarkWAL -benchmem ./internal/cluster/`): the same contended
+// hot-counter workload as BenchmarkWriteBatched (3 nodes, RF=2, group
+// commit on, 8 client connections, parallel writers) with the durability
+// tier off, snapshot-only, group-fsynced, and fsynced per operation. Group
+// commit already coalesces concurrent increments into shared ordering
+// rounds, so one WAL flush covers many acks — the group-fsync column is
+// the tier's advertised operating point and should stay within ~2x of
+// durability-off.
 
 func benchWAL(b *testing.B, dur core.DurabilityPolicy) {
 	b.Helper()

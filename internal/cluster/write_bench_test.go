@@ -11,14 +11,14 @@ import (
 	"crucial/internal/objects"
 )
 
-// The write-path microbenchmarks behind BENCH_write.json (`make
-// bench-write`): parallel increments of one hot counter on a 3-node RF=2
-// cluster, with group commit off (one Skeen ordering round per increment)
-// and on (concurrent increments coalesce into shared rounds, DESIGN.md
-// §5e). The batch-size and linger ablations show where the amortization
-// saturates. Parallelism is the point — group commit only has something
-// to coalesce when writes are concurrent — so every benchmark drives the
-// counter from many goroutines via RunParallel.
+// The write-path microbenchmarks (`go test -run '^$' -bench BenchmarkWrite
+// -benchmem ./internal/cluster/`): parallel increments of one hot counter
+// on a 3-node RF=2 cluster, with group commit off (one Skeen ordering
+// round per increment) and on (concurrent increments coalesce into shared
+// rounds, DESIGN.md §5e). The batch-size ablation shows where the
+// amortization saturates. Parallelism is the point — group commit only has
+// something to coalesce when writes are concurrent — so every benchmark
+// drives the counter from many goroutines via RunParallel.
 
 func benchWrite(b *testing.B, write core.WritePolicy) {
 	b.Helper()
@@ -67,30 +67,16 @@ func BenchmarkWriteBatched(b *testing.B) {
 	benchWrite(b, core.DefaultWritePolicy())
 }
 
-// The batch-size ablation holds pipeline depth at the default and varies
-// MaxBatch: the gain should grow with the cap until the offered
-// concurrency (not the cap) limits batch sizes.
+// The batch-size ablation varies MaxBatch: the gain should grow with the
+// cap until the offered concurrency (not the cap) limits batch sizes.
 func BenchmarkWriteBatch8(b *testing.B) {
-	benchWrite(b, core.WritePolicy{MaxBatch: 8, Pipeline: 2})
+	benchWrite(b, core.WritePolicy{MaxBatch: 8})
 }
 
 func BenchmarkWriteBatch64(b *testing.B) {
-	benchWrite(b, core.WritePolicy{MaxBatch: 64, Pipeline: 2})
+	benchWrite(b, core.WritePolicy{MaxBatch: 64})
 }
 
 func BenchmarkWriteBatch256(b *testing.B) {
-	benchWrite(b, core.WritePolicy{MaxBatch: 256, Pipeline: 2})
-}
-
-// The linger ablation trades latency for batch size: a short MaxDelay
-// lets a round wait for stragglers instead of flushing the moment the
-// dispatcher runs.
-func BenchmarkWriteBatchLinger(b *testing.B) {
-	benchWrite(b, core.WritePolicy{MaxBatch: 64, MaxDelay: 200 * time.Microsecond, Pipeline: 2})
-}
-
-// Pipelining off isolates the contribution of overlapping rounds: depth 1
-// means the next batch's propose waits for the previous round's FINAL.
-func BenchmarkWriteBatchNoPipeline(b *testing.B) {
-	benchWrite(b, core.WritePolicy{MaxBatch: 64, Pipeline: 1})
+	benchWrite(b, core.WritePolicy{MaxBatch: 256})
 }

@@ -79,8 +79,7 @@ func TestWriteBatchingExactlyOnce(t *testing.T) {
 		replays  uint64
 	}
 	var first outcome
-	for i, pol := range []core.WritePolicy{{}, {MaxBatch: 1}, core.DefaultWritePolicy(),
-		{MaxBatch: 8, MaxDelay: 200 * time.Microsecond, Pipeline: 2}} {
+	for i, pol := range []core.WritePolicy{{}, {MaxBatch: 1}, core.DefaultWritePolicy(), {MaxBatch: 8}} {
 		tel := telemetry.New()
 		c, err := StartLocal(Options{Nodes: 3, RF: 2, Telemetry: tel, Write: pol})
 		if err != nil {
@@ -148,7 +147,7 @@ func TestWriteBatchingMetrics(t *testing.T) {
 		Nodes:     3,
 		RF:        2,
 		Telemetry: tel,
-		Write:     core.WritePolicy{MaxBatch: 16, Pipeline: 2},
+		Write:     core.WritePolicy{MaxBatch: 16},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -7,8 +7,7 @@ import "testing"
 // allocs/op; these tests turn that benchmark number into a regression
 // gate so later instrumentation (like the per-object tracker) cannot
 // quietly pay for itself with hot-path garbage. If a test fails, either
-// remove the new allocations or consciously raise the budget here and in
-// BENCH_rpc.json.
+// remove the new allocations or consciously raise the budget here.
 const (
 	invocationRoundTripAllocBudget = 8
 	responseRoundTripAllocBudget   = 6

@@ -8,8 +8,7 @@ import (
 )
 
 // The invocation wire format is the fast tag codec of wire.go, with
-// encoding/gob as the per-value fallback for user-registered types and as
-// the whole-message fallback when decoding pre-codec frames. Because
+// encoding/gob as the per-value fallback for user-registered types. Because
 // Invocation.Args is []any, every concrete argument type outside the
 // built-in tag set must be registered with gob before it crosses the
 // wire. RegisterValueTypes installs the common set; user-defined shared
@@ -59,21 +58,13 @@ func EncodeInvocation(inv Invocation) ([]byte, error) {
 	return AppendInvocation(nil, inv)
 }
 
-// DecodeInvocation parses an invocation produced by EncodeInvocation. For
-// wire compatibility it also accepts the pre-codec format: frames without
-// the codec magic byte decode as whole-message gob (old peers).
+// DecodeInvocation parses an invocation produced by EncodeInvocation. data
+// must be exactly one frame: one without the magic, with an unknown
+// version or with bytes after the last field is an error.
 func DecodeInvocation(data []byte) (Invocation, error) {
 	RegisterValueTypes()
-	var inv Invocation
-	var err error
-	if isWire(data) {
-		inv, err = decodeWireInvocation(data)
-	} else {
-		inv, err = decodeInvocationGob(data)
-	}
+	inv, err := decodeWireInvocation(data)
 	if err == nil {
-		// Both codecs land here so the stamped/unstamped split covers the
-		// legacy gob path too (old peers always decode as unstamped).
 		if inv.Stamped() {
 			codecStats.stampedDecodes.Add(1)
 		} else {
@@ -83,61 +74,17 @@ func DecodeInvocation(data []byte) (Invocation, error) {
 	return inv, err
 }
 
-// decodeInvocationGob is the legacy whole-message decoder.
-func decodeInvocationGob(data []byte) (Invocation, error) {
-	var inv Invocation
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&inv); err != nil {
-		return Invocation{}, fmt.Errorf("core: decode invocation: %w", err)
-	}
-	codecStats.legacyGobDecodes.Add(1)
-	return inv, nil
-}
-
-// encodeInvocationGob produces the legacy gob framing; retained for
-// wire-compatibility tests and as the baseline in codec benchmarks.
-func encodeInvocationGob(inv Invocation) ([]byte, error) {
-	RegisterValueTypes()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(inv); err != nil {
-		return nil, fmt.Errorf("core: encode invocation %s.%s: %w", inv.Ref, inv.Method, err)
-	}
-	return buf.Bytes(), nil
-}
-
 // EncodeResponse serializes a response in the fast tag format.
 func EncodeResponse(resp Response) ([]byte, error) {
 	RegisterValueTypes()
 	return AppendResponse(nil, resp)
 }
 
-// DecodeResponse parses a response produced by EncodeResponse, falling
-// back to whole-message gob for pre-codec frames.
+// DecodeResponse parses a response produced by EncodeResponse, under the
+// same exact-frame rule as DecodeInvocation.
 func DecodeResponse(data []byte) (Response, error) {
 	RegisterValueTypes()
-	if isWire(data) {
-		return decodeWireResponse(data)
-	}
-	return decodeResponseGob(data)
-}
-
-// decodeResponseGob is the legacy whole-message decoder.
-func decodeResponseGob(data []byte) (Response, error) {
-	var resp Response
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&resp); err != nil {
-		return Response{}, fmt.Errorf("core: decode response: %w", err)
-	}
-	codecStats.legacyGobDecodes.Add(1)
-	return resp, nil
-}
-
-// encodeResponseGob produces the legacy gob framing (tests, benchmarks).
-func encodeResponseGob(resp Response) ([]byte, error) {
-	RegisterValueTypes()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(resp); err != nil {
-		return nil, fmt.Errorf("core: encode response: %w", err)
-	}
-	return buf.Bytes(), nil
+	return decodeWireResponse(data)
 }
 
 // EncodeValue gob-encodes a single value; used by Snapshotter

@@ -1,9 +1,16 @@
 package core
 
 import (
-	"reflect"
+	"fmt"
 	"testing"
 )
+
+// sameDecode compares two decodes by their %#v image: fmt prints maps in
+// key order and NaN as NaN, so a NaN value (never DeepEqual to itself)
+// still compares equal to its re-decode.
+func sameDecode(a, b any) bool {
+	return fmt.Sprintf("%#v", a) == fmt.Sprintf("%#v", b)
+}
 
 // FuzzInvocationRoundTrip builds invocations from fuzzer-chosen scalars
 // plus structured args derived from the raw byte input, and asserts
@@ -38,7 +45,7 @@ func FuzzInvocationRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decode of freshly encoded frame: %v", err)
 		}
-		if !reflect.DeepEqual(in, out) {
+		if !sameDecode(in, out) {
 			t.Fatalf("round trip mismatch:\n in: %#v\nout: %#v", in, out)
 		}
 	})
@@ -56,6 +63,11 @@ func FuzzDecodeInvocation(f *testing.F) {
 	f.Add([]byte{wireMagic, wireVersion, wireInvocation})
 	f.Add([]byte{wireMagic, wireVersion + 9, wireInvocation, 0, 0})
 	f.Add([]byte{0x00, 0x01, 0x02})
+	f.Add(gobFrame(f, Invocation{Ref: Ref{Type: "T", Key: "k"}, Method: "m"}))
+	f.Add(append(append([]byte(nil), seed...), 0))
+	// Stamp flag set with a zero client id: Stamped() would be false, so a
+	// re-encode would drop the Seq — the decoder must refuse it.
+	f.Add([]byte("\xc7\x01I\x00\x00\x00\x00\x00200\x00\x800"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		inv, err := DecodeInvocation(data)
 		if err != nil {
@@ -63,15 +75,15 @@ func FuzzDecodeInvocation(f *testing.F) {
 		}
 		re, err := EncodeInvocation(inv)
 		if err != nil {
-			// A decoded frame can hold values only the legacy gob path
-			// produces for user-registered types; skip those.
+			// A gob-fallback value can decode to a type the encoder
+			// rejects; skip those.
 			t.Skip()
 		}
 		again, err := DecodeInvocation(re)
 		if err != nil {
 			t.Fatalf("re-decode of re-encoded frame: %v", err)
 		}
-		if !reflect.DeepEqual(inv, again) {
+		if !sameDecode(inv, again) {
 			t.Fatalf("re-encode not stable:\n 1: %#v\n 2: %#v", inv, again)
 		}
 	})
@@ -83,6 +95,9 @@ func FuzzDecodeResponse(f *testing.F) {
 	f.Add(seed)
 	f.Add([]byte{wireMagic, wireVersion, wireResponse})
 	f.Add([]byte{wireMagic, wireVersion, wireResponse, 0, 0})
+	f.Add(gobFrame(f, Response{Results: []any{int64(7)}, Err: "e"}))
+	f.Add(append(append([]byte(nil), seed...), 0))
+	f.Add([]byte("\xc7\x01R\x02\b\xff\xff000000\x030\b00000000")) // a NaN result
 	f.Fuzz(func(t *testing.T, data []byte) {
 		resp, err := DecodeResponse(data)
 		if err != nil {
@@ -96,7 +111,7 @@ func FuzzDecodeResponse(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-decode of re-encoded frame: %v", err)
 		}
-		if !reflect.DeepEqual(resp, again) {
+		if !sameDecode(resp, again) {
 			t.Fatalf("re-encode not stable:\n 1: %#v\n 2: %#v", resp, again)
 		}
 	})

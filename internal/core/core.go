@@ -44,16 +44,14 @@ type Invocation struct {
 	Persist bool
 	// Trace carries the caller's span identity so the serving node can
 	// attach its server-side spans to the client's trace. The zero value
-	// (no telemetry) is ignored; old payloads without the field decode to
-	// the zero value, keeping the wire format backward compatible.
+	// (no telemetry) is ignored.
 	Trace TraceContext
 	// ClientID and Seq stamp the invocation for at-most-once execution
 	// under client retries: servers keep a bounded per-client window of
 	// (Seq -> response) per object and replay the cached response when a
 	// retry re-delivers an already-applied invocation. ClientID zero marks
-	// an unstamped invocation (old clients, control-plane tools); those
-	// execute without dedup, preserving the original at-least-once retry
-	// semantics.
+	// an unstamped invocation (control-plane tools); those execute
+	// without dedup, with at-least-once retry semantics.
 	ClientID uint64
 	Seq      uint64
 	// ReadOnly marks the method as declared read-only (see

@@ -53,8 +53,12 @@ func TestDecodeErrorEmpty(t *testing.T) {
 	}
 }
 
+// errCustom is declared once, as the sentinel contract requires: a fresh
+// errors.New per test run would lose to the first registration under
+// -count=2.
+var errCustom = errors.New("layer: custom failure")
+
 func TestRegisterErrorSentinel(t *testing.T) {
-	errCustom := errors.New("layer: custom failure")
 	RegisterErrorSentinel(errCustom)
 	RegisterErrorSentinel(errCustom) // idempotent
 	if got := DecodeError(EncodeError(errCustom)); !errors.Is(got, errCustom) {

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"bytes"
-	"encoding/gob"
-	"testing"
-)
+import "testing"
 
 func TestReadOnlyMethodRegistry(t *testing.T) {
 	RegisterReadOnlyMethods("ROTestType", "Get", "Size")
@@ -65,26 +61,5 @@ func TestReadOnlyFlagRoundTrip(t *testing.T) {
 		if !got.Persist || got.ClientID != inv.ClientID || got.Seq != inv.Seq {
 			t.Fatalf("stamped=%v: neighbor fields corrupted: %+v", stamped, got)
 		}
-	}
-}
-
-func TestReadOnlyLegacyGobFrameDecodes(t *testing.T) {
-	// A legacy whole-gob frame has no flags byte at all; it must decode
-	// with ReadOnly unset (conservatively a write).
-	RegisterValueTypes()
-	var buf bytes.Buffer
-	inv := Invocation{Ref: Ref{Type: "AtomicLong", Key: "k"}, Method: "Get"}
-	if err := gob.NewEncoder(&buf).Encode(inv); err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeInvocation(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.ReadOnly {
-		t.Fatal("legacy frame must decode with ReadOnly unset")
-	}
-	if got.Method != "Get" || got.Ref.Type != "AtomicLong" {
-		t.Fatalf("legacy decode corrupted: %+v", got)
 	}
 }

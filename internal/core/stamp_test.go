@@ -26,9 +26,9 @@ func TestStampRoundTrip(t *testing.T) {
 	}
 }
 
-// TestUnstampedFrameDecodesZeroStamp pins backward compatibility: frames
-// from pre-stamp encoders (flags bit1 clear, no trailing stamp bytes) must
-// decode with a zero stamp, not an error.
+// TestUnstampedFrameDecodesZeroStamp pins the optional stamp: a frame
+// with flags bit1 clear carries no stamp bytes and decodes with a zero
+// stamp, not an error.
 func TestUnstampedFrameDecodesZeroStamp(t *testing.T) {
 	in := sampleInvocation() // sampleInvocation carries no stamp
 	data, err := EncodeInvocation(in)
@@ -44,56 +44,39 @@ func TestUnstampedFrameDecodesZeroStamp(t *testing.T) {
 	}
 }
 
-// TestStampedFrameToleratesTrailingBytes pins the forward-compatibility
-// property the stamp itself relies on: decoders ignore bytes after the
-// last field they know, so yet-to-be-added trailing fields cannot break
-// this decoder either.
-func TestStampedFrameToleratesTrailingBytes(t *testing.T) {
-	in := Invocation{Ref: Ref{Type: "T", Key: "k"}, Method: "m", ClientID: 7, Seq: 3}
-	data, err := EncodeInvocation(in)
+// TestStampedFrameRejectsTrailingBytes pins the exact-frame rule: there
+// is no other decoder to stay compatible with, so input after the last
+// field (the stamp, when present) is corruption and must fail the decode.
+func TestStampedFrameRejectsTrailingBytes(t *testing.T) {
+	for _, in := range []Invocation{
+		{Ref: Ref{Type: "T", Key: "k"}, Method: "m", ClientID: 7, Seq: 3},
+		{Ref: Ref{Type: "T", Key: "k"}, Method: "m"},
+	} {
+		data, err := EncodeInvocation(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeInvocation(append(data, 0xAA)); err == nil {
+			t.Fatalf("stamped=%v: frame with a trailing byte accepted", in.Stamped())
+		}
+	}
+	data, err := EncodeResponse(Response{Results: []any{int64(1)}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	data = append(data, 0xAA, 0xBB, 0xCC) // a future field this decoder predates
-	out, err := DecodeInvocation(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.ClientID != 7 || out.Seq != 3 {
-		t.Fatalf("stamp corrupted by trailing bytes: (%d, %d)", out.ClientID, out.Seq)
+	if _, err := DecodeResponse(append(data, 0xAA)); err == nil {
+		t.Fatal("response with a trailing byte accepted")
 	}
 }
 
-// TestLegacyGobCarriesStamp checks the whole-message gob fallback: the
-// stamp fields ride along like any struct field, and pre-stamp gob frames
-// decode with a zero stamp.
-func TestLegacyGobCarriesStamp(t *testing.T) {
-	in := Invocation{Ref: Ref{Type: "T", Key: "k"}, Method: "m", ClientID: 11, Seq: 5}
-	data, err := encodeInvocationGob(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if isWire(data) {
-		t.Fatal("gob frame unexpectedly carries the codec magic")
-	}
-	out, err := DecodeInvocation(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.ClientID != 11 || out.Seq != 5 {
-		t.Fatalf("gob stamp mismatch: (%d, %d)", out.ClientID, out.Seq)
-	}
-}
-
-// TestStampDecodeCounters checks that DecodeInvocation splits the
-// stamped/unstamped counters across both codec paths.
+// TestStampDecodeCounters checks that DecodeInvocation splits decoded
+// invocations into the stamped and unstamped counters.
 func TestStampDecodeCounters(t *testing.T) {
 	stamped, _ := EncodeInvocation(Invocation{Ref: Ref{Type: "T", Key: "k"}, Method: "m", ClientID: 1, Seq: 1})
 	plain, _ := EncodeInvocation(Invocation{Ref: Ref{Type: "T", Key: "k"}, Method: "m"})
-	legacy, _ := encodeInvocationGob(Invocation{Ref: Ref{Type: "T", Key: "k"}, Method: "m"})
 
 	before := ReadCodecStats()
-	for _, frame := range [][]byte{stamped, plain, legacy} {
+	for _, frame := range [][]byte{stamped, plain} {
 		if _, err := DecodeInvocation(frame); err != nil {
 			t.Fatal(err)
 		}
@@ -102,7 +85,7 @@ func TestStampDecodeCounters(t *testing.T) {
 	if got := after.StampedDecodes - before.StampedDecodes; got != 1 {
 		t.Fatalf("stamped decodes moved by %d, want 1", got)
 	}
-	if got := after.UnstampedDecodes - before.UnstampedDecodes; got != 2 {
-		t.Fatalf("unstamped decodes moved by %d, want 2", got)
+	if got := after.UnstampedDecodes - before.UnstampedDecodes; got != 1 {
+		t.Fatalf("unstamped decodes moved by %d, want 1", got)
 	}
 }

@@ -12,13 +12,10 @@ import (
 // Fast wire codec for the invocation hot path.
 //
 // Every DSO method call serializes one Invocation and one Response. The
-// original format was per-message encoding/gob, which re-transmits full
-// type metadata on every message because the encoder stream never
-// persists across frames. This file replaces it with a compact,
-// self-describing tag format for the argument types the built-in object
-// library uses (the RegisterValueTypes set); anything else falls back to
-// gob transparently, value by value, so the RegisterValue contract is
-// unchanged.
+// format is a compact, self-describing tag format for the argument types
+// the built-in object library uses (the RegisterValueTypes set); anything
+// else falls back to gob value by value, so the RegisterValue contract
+// holds.
 //
 // Layout (all integers varint unless stated):
 //
@@ -30,12 +27,7 @@ import (
 //	            flags byte (bit0 = Persist, bit1 = stamped, bit2 =
 //	            read-only), TraceID, SpanID (uvarint), then — only when
 //	            bit1 is set — ClientID, Seq (uvarint): the at-most-once
-//	            stamp. The stamp is appended after every field an old
-//	            decoder reads, and old decoders ignore trailing bytes, so
-//	            stamped frames remain decodable by pre-stamp peers (which
-//	            simply execute without dedup). Pre-lease decoders likewise
-//	            ignore flag bit2 and treat every call as a write, which is
-//	            always safe.
+//	            stamp.
 //	response:   Results values, Err (string)
 //
 // A value list is a uvarint count followed by tagged values; strings and
@@ -43,13 +35,9 @@ import (
 // big endian. The gob fallback tag carries a uvarint length + a complete
 // single-value gob stream.
 //
-// Wire compatibility: a gob stream's first byte is either a small length
-// (<= 0x7F) or a negative byte-count marker (>= 0xF8), so wireMagic 0xC7
-// can never begin a legacy gob message. Decoders accept both formats:
-// frames without the magic take the legacy gob path (counted in
-// CodecStats.LegacyGobDecodes). A future layout change must bump
-// wireVersion; decoders reject unknown versions loudly rather than
-// misparse.
+// There is one format. Decoders reject a frame without wireMagic, with an
+// unknown wireVersion or with bytes after its last field, so a layout
+// change must bump wireVersion.
 const (
 	wireMagic   = 0xC7
 	wireVersion = 1
@@ -96,17 +84,12 @@ type CodecStats struct {
 	// codec.
 	FastEncodes uint64
 	FastDecodes uint64
-	// LegacyGobDecodes counts whole messages that arrived in the
-	// pre-codec gob format (old peers).
-	LegacyGobDecodes uint64
 	// FallbackValues counts individual values inside fast messages that
 	// needed the gob escape hatch (user-registered types).
 	FallbackValues uint64
 	// StampedDecodes and UnstampedDecodes split decoded invocations by
-	// whether they carried an at-most-once (ClientID, Seq) stamp. A
-	// persistently non-zero unstamped count means pre-stamp clients (or
-	// control-plane tools) are still talking to this process; their
-	// retries keep the legacy at-least-once semantics.
+	// whether they carried an at-most-once (ClientID, Seq) stamp.
+	// Unstamped callers (control-plane tools) get at-least-once retries.
 	StampedDecodes   uint64
 	UnstampedDecodes uint64
 }
@@ -114,7 +97,6 @@ type CodecStats struct {
 var codecStats struct {
 	fastEncodes      atomic.Uint64
 	fastDecodes      atomic.Uint64
-	legacyGobDecodes atomic.Uint64
 	fallbackValues   atomic.Uint64
 	stampedDecodes   atomic.Uint64
 	unstampedDecodes atomic.Uint64
@@ -125,16 +107,10 @@ func ReadCodecStats() CodecStats {
 	return CodecStats{
 		FastEncodes:      codecStats.fastEncodes.Load(),
 		FastDecodes:      codecStats.fastDecodes.Load(),
-		LegacyGobDecodes: codecStats.legacyGobDecodes.Load(),
 		FallbackValues:   codecStats.fallbackValues.Load(),
 		StampedDecodes:   codecStats.stampedDecodes.Load(),
 		UnstampedDecodes: codecStats.unstampedDecodes.Load(),
 	}
-}
-
-// isWire reports whether data starts with the fast-codec preamble.
-func isWire(data []byte) bool {
-	return len(data) >= 3 && data[0] == wireMagic
 }
 
 // AppendInvocation appends the wire encoding of inv to dst and returns
@@ -168,8 +144,6 @@ func AppendInvocation(dst []byte, inv Invocation) ([]byte, error) {
 	dst = binary.AppendUvarint(dst, inv.Trace.TraceID)
 	dst = binary.AppendUvarint(dst, inv.Trace.SpanID)
 	if inv.Stamped() {
-		// The stamp trails every pre-stamp field so old decoders (which
-		// stop after SpanID and ignore trailing bytes) stay compatible.
 		dst = binary.AppendUvarint(dst, inv.ClientID)
 		dst = binary.AppendUvarint(dst, inv.Seq)
 	}
@@ -190,7 +164,7 @@ func AppendResponse(dst []byte, resp Response) ([]byte, error) {
 	return dst, nil
 }
 
-// decodeWireInvocation parses a fast-codec invocation (after isWire).
+// decodeWireInvocation parses exactly one fast-codec invocation.
 func decodeWireInvocation(data []byte) (Invocation, error) {
 	r := wireReader{b: data}
 	if err := r.preamble(wireInvocation); err != nil {
@@ -228,15 +202,21 @@ func decodeWireInvocation(data []byte) (Invocation, error) {
 		if inv.ClientID, err = r.uvarint(); err != nil {
 			return Invocation{}, fmt.Errorf("core: decode invocation stamp: %w", err)
 		}
+		if inv.ClientID == 0 {
+			return Invocation{}, fmt.Errorf("core: decode invocation stamp: zero client id")
+		}
 		if inv.Seq, err = r.uvarint(); err != nil {
 			return Invocation{}, fmt.Errorf("core: decode invocation stamp: %w", err)
 		}
+	}
+	if err := r.end(); err != nil {
+		return Invocation{}, fmt.Errorf("core: decode invocation: %w", err)
 	}
 	codecStats.fastDecodes.Add(1)
 	return inv, nil
 }
 
-// decodeWireResponse parses a fast-codec response (after isWire).
+// decodeWireResponse parses exactly one fast-codec response.
 func decodeWireResponse(data []byte) (Response, error) {
 	r := wireReader{b: data}
 	if err := r.preamble(wireResponse); err != nil {
@@ -248,6 +228,9 @@ func decodeWireResponse(data []byte) (Response, error) {
 		return Response{}, fmt.Errorf("core: decode response results: %w", err)
 	}
 	if resp.Err, err = r.str(); err != nil {
+		return Response{}, fmt.Errorf("core: decode response: %w", err)
+	}
+	if err := r.end(); err != nil {
 		return Response{}, fmt.Errorf("core: decode response: %w", err)
 	}
 	codecStats.fastDecodes.Add(1)
@@ -419,6 +402,14 @@ func (r *wireReader) preamble(kind byte) error {
 	}
 	if k != kind {
 		return fmt.Errorf("message kind %q, want %q", k, kind)
+	}
+	return nil
+}
+
+// end fails when input is left after the last field.
+func (r *wireReader) end() error {
+	if n := r.remaining(); n > 0 {
+		return fmt.Errorf("%d trailing bytes at offset %d", n, r.off)
 	}
 	return nil
 }

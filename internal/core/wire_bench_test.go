@@ -1,8 +1,6 @@
 package core
 
-import (
-	"testing"
-)
+import "testing"
 
 // benchInvocation is a representative hot-path message: a KVMap write
 // with a short string key and a float payload, as issued by the paper's
@@ -20,9 +18,9 @@ func benchResponse() Response {
 	return Response{Results: []any{[]float64{0.25, -1.5, 3.125, 0.0625, 42, -7.5, 1e-3, 2.25}}}
 }
 
-// BenchmarkEncodeInvocationFast / ...Gob quantify the tentpole win: the
-// tag-based codec vs the previous whole-message gob encoder. Run with
-// -benchmem; the allocs/op column is the contract (see ISSUE/BENCH_rpc).
+// BenchmarkEncodeInvocationFast and its siblings are the codec
+// microbenchmarks (`go test -run '^$' -bench . -benchmem ./internal/core/`);
+// alloc_budget_test.go turns their allocs/op column into a gate.
 func BenchmarkEncodeInvocationFast(b *testing.B) {
 	inv := benchInvocation()
 	buf := make([]byte, 0, 512)
@@ -34,17 +32,6 @@ func BenchmarkEncodeInvocationFast(b *testing.B) {
 			b.Fatal(err)
 		}
 		_ = out
-	}
-}
-
-func BenchmarkEncodeInvocationGob(b *testing.B) {
-	inv := benchInvocation()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := encodeInvocationGob(inv); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 
@@ -62,22 +49,8 @@ func BenchmarkDecodeInvocationFast(b *testing.B) {
 	}
 }
 
-func BenchmarkDecodeInvocationGob(b *testing.B) {
-	data, err := encodeInvocationGob(benchInvocation())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := DecodeInvocation(data); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkInvocationRoundTripFast / ...Gob measure the full encode+decode
-// cycle a single RPC pays on each side of the wire.
+// BenchmarkInvocationRoundTripFast measures the full encode+decode cycle a
+// single RPC pays on each side of the wire.
 func BenchmarkInvocationRoundTripFast(b *testing.B) {
 	inv := benchInvocation()
 	buf := make([]byte, 0, 512)
@@ -94,21 +67,6 @@ func BenchmarkInvocationRoundTripFast(b *testing.B) {
 	}
 }
 
-func BenchmarkInvocationRoundTripGob(b *testing.B) {
-	inv := benchInvocation()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		data, err := encodeInvocationGob(inv)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := DecodeInvocation(data); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkResponseRoundTripFast(b *testing.B) {
 	resp := benchResponse()
 	buf := make([]byte, 0, 512)
@@ -116,21 +74,6 @@ func BenchmarkResponseRoundTripFast(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		data, err := AppendResponse(buf[:0], resp)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := DecodeResponse(data); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkResponseRoundTripGob(b *testing.B) {
-	resp := benchResponse()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		data, err := encodeResponseGob(resp)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -40,7 +40,7 @@ func TestWireInvocationRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !isWire(data) {
+	if data[0] != wireMagic {
 		t.Fatal("EncodeInvocation did not produce fast-codec framing")
 	}
 	out, err := DecodeInvocation(data)
@@ -139,66 +139,28 @@ func TestWireUnregisteredTypeFails(t *testing.T) {
 	}
 }
 
-// TestLegacyGobFramesStillDecode is the cross-version wire-compatibility
-// test: frames produced by the pre-codec (whole-message gob) format must
-// keep decoding, because a rolling upgrade has old clients talking to new
-// servers and vice versa.
-func TestLegacyGobFramesStillDecode(t *testing.T) {
-	in := sampleInvocation()
-	legacy, err := encodeInvocationGob(in)
-	if err != nil {
-		t.Fatal(err)
+// gobFrame is v as one whole-message gob stream, a frame the decoders
+// must reject.
+func gobFrame(tb testing.TB, v any) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+		tb.Fatal(err)
 	}
-	if isWire(legacy) {
-		t.Fatal("legacy gob frame unexpectedly carries the codec magic")
-	}
-	before := ReadCodecStats()
-	out, err := DecodeInvocation(legacy)
-	if err != nil {
-		t.Fatalf("legacy invocation frame rejected: %v", err)
-	}
-	if !reflect.DeepEqual(in, out) {
-		t.Fatalf("legacy round trip mismatch:\n in: %#v\nout: %#v", in, out)
-	}
-	if ReadCodecStats().LegacyGobDecodes <= before.LegacyGobDecodes {
-		t.Error("legacy decode counter did not advance")
-	}
-
-	resp := Response{Results: []any{int64(1)}, Err: "boom"}
-	legacyResp, err := encodeResponseGob(resp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotResp, err := DecodeResponse(legacyResp)
-	if err != nil {
-		t.Fatalf("legacy response frame rejected: %v", err)
-	}
-	if !reflect.DeepEqual(resp, gotResp) {
-		t.Fatalf("legacy response mismatch: %#v vs %#v", resp, gotResp)
-	}
+	return buf.Bytes()
 }
 
-// TestGobFirstByteNeverMagic documents why the magic sniff is sound: a
-// gob stream begins with a message length whose first byte is either a
-// small direct value (<= 0x7F) or a byte-count marker (>= 0xF8), never
-// 0xC7. If this ever fails, the codec needs real framing.
-func TestGobFirstByteNeverMagic(t *testing.T) {
-	for _, v := range []any{
-		sampleInvocation(),
-		Response{Err: strings.Repeat("x", 500)},
-		Response{Results: []any{make([]byte, 1<<16)}},
-	} {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-			t.Fatal(err)
-		}
-		first := buf.Bytes()[0]
-		if first == wireMagic {
-			t.Fatalf("gob stream begins with codec magic 0x%02x", first)
-		}
-		if first > 0x7F && first < 0xF8 {
-			t.Fatalf("gob first byte 0x%02x outside documented ranges", first)
-		}
+// TestWireRejectsGobFrames checks there is one wire format: a whole-message
+// gob Invocation or Response is a codec error, not a second decode path.
+func TestWireRejectsGobFrames(t *testing.T) {
+	RegisterValueTypes()
+	_, err := DecodeInvocation(gobFrame(t, sampleInvocation()))
+	if err == nil || !strings.Contains(err.Error(), "core: decode invocation") {
+		t.Fatalf("gob invocation: err = %v, want a codec error", err)
+	}
+	_, err = DecodeResponse(gobFrame(t, Response{Results: []any{int64(1)}, Err: "boom"}))
+	if err == nil || !strings.Contains(err.Error(), "core: decode response") {
+		t.Fatalf("gob response: err = %v, want a codec error", err)
 	}
 }
 

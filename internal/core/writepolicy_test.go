@@ -1,59 +1,27 @@
 package core
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 func TestWritePolicyZeroValueDisabled(t *testing.T) {
 	var p WritePolicy
 	if p.Batching() {
 		t.Fatal("zero WritePolicy must not enable batching")
 	}
-	if p.DirectWrites() {
-		t.Fatal("zero WritePolicy must keep rpc frame coalescing on")
-	}
-	if d := p.PipelineDepth(); d != 1 {
-		t.Fatalf("zero WritePolicy pipeline depth = %d, want 1", d)
-	}
 }
 
 func TestWritePolicyDefault(t *testing.T) {
-	p := DefaultWritePolicy()
-	if !p.Batching() {
+	if !DefaultWritePolicy().Batching() {
 		t.Fatal("DefaultWritePolicy must enable batching")
-	}
-	if p.DirectWrites() {
-		t.Fatal("DefaultWritePolicy must keep rpc frame coalescing on")
-	}
-	if p.PipelineDepth() < 2 {
-		t.Fatalf("DefaultWritePolicy pipeline depth = %d, want >= 2", p.PipelineDepth())
 	}
 }
 
 func TestWritePolicyBounds(t *testing.T) {
-	cases := []struct {
-		p        WritePolicy
+	for _, c := range []struct {
+		maxBatch int
 		batching bool
-		direct   bool
-		depth    int
-	}{
-		{WritePolicy{MaxBatch: 1}, false, false, 1},
-		{WritePolicy{MaxBatch: 2}, true, false, 1},
-		{WritePolicy{MaxBatch: -1}, false, true, 1},
-		{WritePolicy{MaxBatch: 8, Pipeline: 3}, true, false, 3},
-		{WritePolicy{MaxBatch: 8, Pipeline: -2}, true, false, 1},
-		{WritePolicy{MaxBatch: 8, MaxDelay: time.Millisecond}, true, false, 1},
-	}
-	for i, c := range cases {
-		if got := c.p.Batching(); got != c.batching {
-			t.Errorf("case %d: Batching() = %v, want %v", i, got, c.batching)
-		}
-		if got := c.p.DirectWrites(); got != c.direct {
-			t.Errorf("case %d: DirectWrites() = %v, want %v", i, got, c.direct)
-		}
-		if got := c.p.PipelineDepth(); got != c.depth {
-			t.Errorf("case %d: PipelineDepth() = %d, want %d", i, got, c.depth)
+	}{{-1, false}, {0, false}, {1, false}, {2, true}, {64, true}} {
+		if got := (WritePolicy{MaxBatch: c.maxBatch}).Batching(); got != c.batching {
+			t.Errorf("MaxBatch %d: Batching() = %v, want %v", c.maxBatch, got, c.batching)
 		}
 	}
 }

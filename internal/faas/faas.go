@@ -93,21 +93,6 @@ func (c FunctionConfig) withDefaults() (FunctionConfig, error) {
 	return c, nil
 }
 
-// Stats aggregates platform counters. BilledGBSeconds uses modeled time,
-// matching what Table 3 prices.
-//
-// Deprecated: Stats is a compatibility view over the platform's telemetry
-// registry (see Metrics), which additionally carries latency histograms
-// and throttle counts. Existing call sites keep working; new code should
-// read the registry snapshot.
-type Stats struct {
-	Invocations    uint64
-	ColdStarts     uint64
-	Failures       uint64
-	Timeouts       uint64
-	BilledGBSecond float64
-}
-
 type function struct {
 	name    string
 	handler Handler
@@ -130,7 +115,7 @@ type Platform struct {
 	rng       *rand.Rand
 
 	// Telemetry: counters always live in a registry (a private one when
-	// telemetry is disabled, so Stats keeps working at seed cost); spans,
+	// telemetry is disabled, so Metrics keeps working at seed cost); spans,
 	// histograms and extra timestamps are only taken when a shared
 	// telemetry bundle was supplied (instrumented == true).
 	tracer       *telemetry.Tracer
@@ -221,20 +206,6 @@ func (p *Platform) Deploy(name string, handler Handler, cfg FunctionConfig) erro
 	defer p.mu.Unlock()
 	p.functions[name] = &function{name: name, handler: handler, cfg: full}
 	return nil
-}
-
-// Stats returns a snapshot of the classic counters.
-//
-// Deprecated: use Metrics().Snapshot() for the full registry including
-// latency histograms; Stats remains as a thin view for old call sites.
-func (p *Platform) Stats() Stats {
-	return Stats{
-		Invocations:    p.cInvocations.Value(),
-		ColdStarts:     p.cColdStarts.Value(),
-		Failures:       p.cFailures.Value(),
-		Timeouts:       p.cTimeouts.Value(),
-		BilledGBSecond: p.fBilled.Value(),
-	}
 }
 
 // Metrics exposes the platform's metrics registry (the private fallback

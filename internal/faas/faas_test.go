@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"crucial/internal/netsim"
+	"crucial/internal/telemetry"
 )
 
 func echo(_ context.Context, p []byte) ([]byte, error) { return p, nil }
@@ -58,7 +59,7 @@ func TestColdThenWarm(t *testing.T) {
 	if _, err := p.Invoke(context.Background(), "f", nil); err != nil {
 		t.Fatal(err)
 	}
-	if got := p.Stats().ColdStarts; got != 1 {
+	if got := p.Metrics().Counter(telemetry.MetFaaSColdStarts).Value(); got != 1 {
 		t.Fatalf("cold starts = %d, want 1", got)
 	}
 	if got := p.WarmContainers("f"); got != 1 {
@@ -67,7 +68,7 @@ func TestColdThenWarm(t *testing.T) {
 	if _, err := p.Invoke(context.Background(), "f", nil); err != nil {
 		t.Fatal(err)
 	}
-	if got := p.Stats().ColdStarts; got != 1 {
+	if got := p.Metrics().Counter(telemetry.MetFaaSColdStarts).Value(); got != 1 {
 		t.Fatalf("second invocation cold-started (total %d)", got)
 	}
 }
@@ -110,7 +111,7 @@ func TestPrewarmSkipsColdStart(t *testing.T) {
 	if _, err := p.Invoke(ctx, "f", nil); err != nil {
 		t.Fatal(err)
 	}
-	if got := p.Stats().ColdStarts; got != 0 {
+	if got := p.Metrics().Counter(telemetry.MetFaaSColdStarts).Value(); got != 0 {
 		t.Fatalf("cold starts = %d after prewarm", got)
 	}
 	if err := p.Prewarm("ghost", 1); !errors.Is(err, ErrNotDeployed) {
@@ -135,7 +136,7 @@ func TestTimeout(t *testing.T) {
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("want ErrTimeout, got %v", err)
 	}
-	if got := p.Stats().Timeouts; got != 1 {
+	if got := p.Metrics().Counter(telemetry.MetFaaSTimeouts).Value(); got != 1 {
 		t.Fatalf("timeouts = %d", got)
 	}
 }
@@ -150,7 +151,7 @@ func TestHandlerErrorPropagates(t *testing.T) {
 	if !errors.Is(err, boom) {
 		t.Fatalf("want user error, got %v", err)
 	}
-	if got := p.Stats().Failures; got != 1 {
+	if got := p.Metrics().Counter(telemetry.MetFaaSFailures).Value(); got != 1 {
 		t.Fatalf("failures = %d", got)
 	}
 }
@@ -260,7 +261,7 @@ func billedVsMeasured(t *testing.T, opts Options) (billedGBs, handlerSeconds flo
 	if _, err := p.Invoke(context.Background(), "work", nil); err != nil {
 		t.Fatal(err)
 	}
-	return p.Stats().BilledGBSecond, ran.Seconds()
+	return p.Metrics().Float(telemetry.MetFaaSBilledGBs).Value(), ran.Seconds()
 }
 
 func TestBillingAccumulates(t *testing.T) {
@@ -310,7 +311,7 @@ func TestParallelInvocationsIndependent(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if got := p.Stats().Invocations; got != 20 {
+	if got := p.Metrics().Counter(telemetry.MetFaaSInvocations).Value(); got != 20 {
 		t.Fatalf("invocations = %d", got)
 	}
 }
@@ -359,7 +360,7 @@ func TestInjectorFaultSurfacesAsInjectedFailure(t *testing.T) {
 	if out, err := p.Invoke(context.Background(), "f", []byte("ok")); err != nil || string(out) != "ok" {
 		t.Fatalf("after faults drained: %q, %v", out, err)
 	}
-	if got := p.Stats().Failures; got != 2 {
+	if got := p.Metrics().Counter(telemetry.MetFaaSFailures).Value(); got != 2 {
 		t.Fatalf("failures = %d, want 2", got)
 	}
 	if got := p.Metrics().Counter("faas.failures.by_fn.f").Value(); got != 2 {

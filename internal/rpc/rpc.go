@@ -25,10 +25,8 @@
 //	uint8   flags (request / response / error-response)
 //	[]byte  payload
 //
-// The frame layout is unchanged since the seed; payload *contents* moved
-// from whole-message gob to the tag codec of internal/core/wire.go, which
-// is self-identifying (magic byte), so mixed-version peers interoperate:
-// decoders accept both payload formats frame by frame.
+// Payloads are opaque here; the DSO layers fill them with the tag codec of
+// internal/core/wire.go.
 package rpc
 
 import (
@@ -41,8 +39,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"crucial/internal/core"
 )
 
 const (
@@ -135,10 +131,6 @@ type connWriter struct {
 	buf      []byte // frames waiting to be written
 	spare    []byte // double buffer swapped with buf on each flush
 	flushing bool
-	// direct disables coalescing: each write performs its own
-	// conn.Write under the lock (the pre-coalescing behavior, kept for
-	// A/B benchmarks and debugging).
-	direct bool
 	// onFlush, when non-nil, runs after every conn.Write that carried
 	// frames out (one call per flush, not per frame), under mu — it must
 	// be cheap and non-blocking. The DSO client uses it to count write
@@ -160,17 +152,6 @@ func (w *connWriter) write(f frame) error {
 	w.mu.Lock()
 	if w.err != nil {
 		err := w.err
-		w.mu.Unlock()
-		return err
-	}
-	if w.direct {
-		w.buf = appendFrame(w.buf[:0], f)
-		_, err := w.conn.Write(w.buf)
-		if err != nil {
-			w.fail(err)
-		} else {
-			w.flushed()
-		}
 		w.mu.Unlock()
 		return err
 	}
@@ -427,8 +408,8 @@ type Client struct {
 }
 
 // NewClient wraps an established connection. The client owns the
-// connection and closes it on Close. Write coalescing is on by default;
-// SetWriteCoalescing(false) reverts to one Write per frame.
+// connection and closes it on Close. Concurrent calls coalesce their
+// frames into shared conn.Write calls.
 func NewClient(conn net.Conn) *Client {
 	c := &Client{
 		conn:    conn,
@@ -440,20 +421,6 @@ func NewClient(conn net.Conn) *Client {
 	return c
 }
 
-// SetWritePolicy applies a write policy's transport-level knob to this
-// connection: core.WritePolicy.DirectWrites (MaxBatch < 0) reverts frame
-// coalescing to one conn.Write per frame, any other policy keeps
-// coalescing on. The batching knobs themselves (MaxBatch, MaxDelay,
-// Pipeline) act one layer up, on the SMR ordering path — the rpc layer
-// only honors the debug escape hatch. Meant to be set right after
-// NewClient; flipping it mid-traffic is safe but the switch is not
-// synchronized with in-flight writes.
-func (c *Client) SetWritePolicy(p core.WritePolicy) {
-	c.w.mu.Lock()
-	c.w.direct = p.DirectWrites()
-	c.w.mu.Unlock()
-}
-
 // SetFlushHook installs fn to run after every completed write flush on
 // this connection (one call per conn.Write, which may carry many frames).
 // fn runs under the writer lock and must be cheap; pass nil to remove.
@@ -461,21 +428,6 @@ func (c *Client) SetFlushHook(fn func()) {
 	c.w.mu.Lock()
 	c.w.onFlush = fn
 	c.w.mu.Unlock()
-}
-
-// SetWriteCoalescing toggles batching of concurrent writes into single
-// conn.Write calls.
-//
-// Deprecated: use SetWritePolicy — SetWriteCoalescing(false) is
-// SetWritePolicy(core.WritePolicy{MaxBatch: -1}), SetWriteCoalescing(true)
-// is the zero policy. Kept as a shim so existing A/B benchmarks and tests
-// keep working.
-func (c *Client) SetWriteCoalescing(enable bool) {
-	if enable {
-		c.SetWritePolicy(core.WritePolicy{})
-	} else {
-		c.SetWritePolicy(core.WritePolicy{MaxBatch: -1})
-	}
 }
 
 // Dial connects over TCP and returns a client.

@@ -11,7 +11,7 @@ func benchEcho(_ context.Context, _ uint8, payload []byte) ([]byte, error) {
 	return payload, nil
 }
 
-func benchClient(b *testing.B, coalesce bool) *Client {
+func benchClient(b *testing.B) *Client {
 	b.Helper()
 	tr := NewMemNetwork()
 	l, err := tr.Listen("bench")
@@ -26,7 +26,6 @@ func benchClient(b *testing.B, coalesce bool) *Client {
 		b.Fatal(err)
 	}
 	c := NewClient(conn)
-	c.SetWriteCoalescing(coalesce)
 	b.Cleanup(func() { _ = c.Close() })
 	return c
 }
@@ -34,7 +33,7 @@ func benchClient(b *testing.B, coalesce bool) *Client {
 // BenchmarkRPCEchoSequential measures one in-flight call at a time over
 // the in-memory transport: the floor for a single uncontended RPC.
 func BenchmarkRPCEchoSequential(b *testing.B) {
-	c := benchClient(b, true)
+	c := benchClient(b)
 	payload := make([]byte, 64)
 	ctx := context.Background()
 	b.ReportAllocs()
@@ -49,29 +48,9 @@ func BenchmarkRPCEchoSequential(b *testing.B) {
 }
 
 // BenchmarkRPCEchoParallel multiplexes many in-flight calls on one
-// connection; with coalescing enabled, concurrent writers batch into
-// single conn.Write calls.
+// connection; concurrent writers batch into single conn.Write calls.
 func BenchmarkRPCEchoParallel(b *testing.B) {
-	c := benchClient(b, true)
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		payload := make([]byte, 64)
-		for pb.Next() {
-			raw, err := c.Call(ctx, 1, payload)
-			if err != nil {
-				b.Fatal(err)
-			}
-			PutBuffer(raw)
-		}
-	})
-}
-
-// BenchmarkRPCEchoParallelDirect is the A/B control: same workload with
-// coalescing disabled (one mutex-serialized conn.Write per frame).
-func BenchmarkRPCEchoParallelDirect(b *testing.B) {
-	c := benchClient(b, false)
+	c := benchClient(b)
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()

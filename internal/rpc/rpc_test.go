@@ -467,12 +467,11 @@ func TestBufferPoolStress(t *testing.T) {
 }
 
 // TestCoalescedWritesUnderLoad drives many concurrent callers through a
-// single connection with write coalescing enabled, so follower writers
+// single connection, so follower writers
 // regularly hand their frames to an in-flight flusher. Every response must
 // still match its request (no frame tearing or cross-wiring).
 func TestCoalescedWritesUnderLoad(t *testing.T) {
 	c := startPair(t, NewMemNetwork(), echoHandler)
-	c.SetWriteCoalescing(true)
 
 	const goroutines = 32
 	const callsPer = 200
@@ -502,34 +501,6 @@ func TestCoalescedWritesUnderLoad(t *testing.T) {
 	case err := <-errCh:
 		t.Fatal(err)
 	default:
-	}
-}
-
-// TestDirectWritesUnderLoad is the same workload with coalescing disabled,
-// covering the mutex-serialized direct write path used for A/B comparison.
-func TestDirectWritesUnderLoad(t *testing.T) {
-	c := startPair(t, NewMemNetwork(), echoHandler)
-	c.SetWriteCoalescing(false)
-
-	var wg sync.WaitGroup
-	var failures atomic.Int64
-	for g := 0; g < 16; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				payload := []byte(fmt.Sprintf("d%d-%d", g, i))
-				got, err := c.Call(context.Background(), 9, payload)
-				if err != nil || !bytes.Equal(got, append([]byte{9}, payload...)) {
-					failures.Add(1)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	if n := failures.Load(); n != 0 {
-		t.Fatalf("%d goroutines failed on the direct write path", n)
 	}
 }
 

@@ -16,12 +16,17 @@ import (
 // queued per ref and flushed as a batch — one MsgID, one payload carrying
 // up to WritePolicy.MaxBatch stamped invocations — so the whole replica
 // group pays a single PROPOSE/FINAL exchange, one lease-revocation fence
-// and one monitor acquisition for N operations. Up to
-// WritePolicy.PipelineDepth rounds per ref may be in flight concurrently:
+// and one monitor acquisition for N operations. Up to pipelineDepth rounds
+// per ref may be in flight concurrently:
 // the in-flight admission check only refuses *other* coordinators
 // (inflightTracker.admit), and Skeen orders concurrent rounds from one
 // origin consistently at every member, so pipelining overlaps round k's
 // FINAL acks with round k+1's proposes without giving up linearizability.
+
+// pipelineDepth is how many group-commit rounds per ref may be in flight.
+// Two lets round k+1 form and propose while round k collects its FINAL
+// acks; the next cut waits for a free slot, so batches grow with load.
+const pipelineDepth = 2
 
 // batchedWrite is one caller's mutation queued for group commit. done is
 // buffered so a flush never blocks on a caller that gave up (context
@@ -48,16 +53,16 @@ type refQueue struct {
 // goroutines; idle refs cost nothing (their queue entry is deleted once
 // drained and settled).
 type writeBatcher struct {
-	n   *Node
-	pol core.WritePolicy
+	n        *Node
+	maxBatch int
 
 	mu     sync.Mutex
 	closed bool
 	queues map[core.Ref]*refQueue
 }
 
-func newWriteBatcher(n *Node, pol core.WritePolicy) *writeBatcher {
-	return &writeBatcher{n: n, pol: pol, queues: make(map[core.Ref]*refQueue)}
+func newWriteBatcher(n *Node, maxBatch int) *writeBatcher {
+	return &writeBatcher{n: n, maxBatch: maxBatch, queues: make(map[core.Ref]*refQueue)}
 }
 
 // submit queues one write for group commit and waits for its outcome,
@@ -77,7 +82,7 @@ func (b *writeBatcher) submit(ctx context.Context, inv core.Invocation) ([]any, 
 	}
 	rq := b.queues[inv.Ref]
 	if rq == nil {
-		rq = &refQueue{slots: make(chan struct{}, b.pol.PipelineDepth())}
+		rq = &refQueue{slots: make(chan struct{}, pipelineDepth)}
 		b.queues[inv.Ref] = rq
 	}
 	rq.pending = append(rq.pending, w)
@@ -99,8 +104,7 @@ func (b *writeBatcher) submit(ctx context.Context, inv core.Invocation) ([]any, 
 }
 
 // dispatch drains one ref's queue: take a pipeline slot, pop up to
-// MaxBatch writes, optionally linger MaxDelay for stragglers, and flush
-// in the background. The slot is acquired BEFORE the queue is cut so that
+// maxBatch writes and flush them in the background. The slot is acquired BEFORE the queue is cut so that
 // writes arriving while all slots are busy join the batch about to flush
 // instead of waiting a full extra round — under saturation this is what
 // lets batch sizes track the arrival rate. dispatch exits when the queue
@@ -128,20 +132,11 @@ func (b *writeBatcher) dispatch(ref core.Ref, rq *refQueue) {
 		rq.slots <- struct{}{} // pipeline gate
 
 		b.mu.Lock()
-		take := min(len(rq.pending), b.pol.MaxBatch)
+		take := min(len(rq.pending), b.maxBatch)
 		batch := rq.pending[:take:take]
 		rq.pending = rq.pending[take:]
 		b.mu.Unlock()
 
-		if len(batch) < b.pol.MaxBatch && b.pol.MaxDelay > 0 {
-			// Group-commit linger: trade this batch's latency for size.
-			time.Sleep(b.pol.MaxDelay)
-			b.mu.Lock()
-			extra := min(b.pol.MaxBatch-len(batch), len(rq.pending))
-			batch = append(batch, rq.pending[:extra]...)
-			rq.pending = rq.pending[extra:]
-			b.mu.Unlock()
-		}
 		if len(batch) == 0 {
 			// The queue emptied between the length check and the cut (close
 			// raced in); release the slot and re-check.

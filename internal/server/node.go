@@ -137,10 +137,10 @@ type Config struct {
 	// Write is the group-commit policy for the SMR write path (DESIGN.md
 	// §5e): with WritePolicy.Batching() true, concurrent mutations of one
 	// object coalesce into shared ordering rounds of up to MaxBatch
-	// stamped invocations, with up to Pipeline rounds in flight per
-	// object. The zero value runs every write as a round of one, inline.
-	// The same struct configures every layer (crucial.Options.Write,
-	// cluster.Options.Write, client.Config.Write, dso-server flags).
+	// stamped invocations, with up to two rounds in flight per object.
+	// The zero value runs every write as a round of one, inline. The same
+	// struct configures every layer (crucial.Options.Write,
+	// cluster.Options.Write, the dso-server -write-batch flag).
 	Write core.WritePolicy
 	// Rebalance configures the telemetry-driven elastic resharding loop
 	// (DESIGN.md §5g): with Enabled set (and a Telemetry bundle, its only
@@ -387,7 +387,7 @@ func Start(cfg Config) (*Node, error) {
 		n.leases = newLeaseTable(n, cfg.LeaseTTL)
 	}
 	if cfg.Write.Batching() {
-		n.batcher = newWriteBatcher(n, cfg.Write)
+		n.batcher = newWriteBatcher(n, cfg.Write.MaxBatch)
 	}
 	n.to = totalorder.NewNode(string(cfg.ID), n.deliver)
 	switch {
@@ -626,7 +626,7 @@ func (n *Node) handleInvoke(ctx context.Context, payload []byte) ([]byte, error)
 	// machinery (SMR round, dedup, version bump, lease revocation), so a
 	// stale or hostile client must not smuggle a mutating method through
 	// it — and a thin client that never registered the classification
-	// (dso-cli, old binaries) still gets the read fast path, since
+	// (dso-cli) still gets the read fast path, since
 	// re-executing or follower-serving a genuine read is always safe.
 	inv.ReadOnly = core.IsReadOnlyMethod(inv.Ref.Type, inv.Method)
 	n.invocations.Add(1)

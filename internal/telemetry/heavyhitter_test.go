@@ -314,8 +314,8 @@ func TestTrackerObserveAllocs(t *testing.T) {
 }
 
 // BenchmarkTrackerObserve measures the per-invocation accounting cost on
-// the server hot path (warm key). Recorded in BENCH_rpc.json next to the
-// codec round-trip numbers it must not regress.
+// the server hot path (warm key); TestTrackerObserveAllocs gates its
+// allocations.
 func BenchmarkTrackerObserve(b *testing.B) {
 	tr := NewObjectTracker(DefaultObjectTopK)
 	k := okey(1)

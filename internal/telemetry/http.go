@@ -51,9 +51,6 @@ func HTTPHandler(node string, t *Telemetry) http.Handler {
 //
 //	crucial_codec_fast_encodes_total    messages written in the tag-based format
 //	crucial_codec_fast_decodes_total    messages parsed from the tag-based format
-//	crucial_codec_legacy_gob_total      inbound frames still in the pre-codec gob
-//	                                    format (non-zero during a rolling upgrade;
-//	                                    persistently non-zero means an old peer)
 //	crucial_codec_fallback_values_total argument/result values outside the
 //	                                    built-in type set, embedded via per-value
 //	                                    gob (non-zero means RegisterValue types
@@ -61,9 +58,9 @@ func HTTPHandler(node string, t *Telemetry) http.Handler {
 //	                                    codec throughput matters)
 //	crucial_codec_stamped_decodes_total invocations carrying an at-most-once
 //	                                    (clientID, seq) stamp
-//	crucial_codec_unstamped_decodes_total invocations without a stamp (old
-//	                                    clients or control-plane tools; their
-//	                                    retries stay at-least-once)
+//	crucial_codec_unstamped_decodes_total invocations without a stamp
+//	                                    (control-plane tools; their retries
+//	                                    stay at-least-once)
 func writeCodecStats(w io.Writer) {
 	s := core.ReadCodecStats()
 	for _, c := range []struct {
@@ -72,7 +69,6 @@ func writeCodecStats(w io.Writer) {
 	}{
 		{"crucial_codec_fast_encodes_total", s.FastEncodes},
 		{"crucial_codec_fast_decodes_total", s.FastDecodes},
-		{"crucial_codec_legacy_gob_total", s.LegacyGobDecodes},
 		{"crucial_codec_fallback_values_total", s.FallbackValues},
 		{"crucial_codec_stamped_decodes_total", s.StampedDecodes},
 		{"crucial_codec_unstamped_decodes_total", s.UnstampedDecodes},

@@ -330,7 +330,6 @@ func TestHTTPEndpoints(t *testing.T) {
 	for _, name := range []string{
 		"crucial_codec_fast_encodes_total",
 		"crucial_codec_fast_decodes_total",
-		"crucial_codec_legacy_gob_total",
 		"crucial_codec_fallback_values_total",
 	} {
 		if !strings.Contains(string(body), "# TYPE "+name+" counter") {

@@ -26,16 +26,13 @@ const RunnerFunction = "crucial-runner"
 
 // WritePolicy configures group commit on the SMR write path: how many
 // concurrent mutations of one object may share a single ordering round
-// (MaxBatch), how long a round may linger for stragglers (MaxDelay), and
-// how many rounds per object may be pipelined (Pipeline). It is an alias
-// of core.WritePolicy, the single policy type threaded through
-// Options.Write, cluster.Options.Write, server.Config.Write and
-// client.Config.Write. The zero value disables batching.
+// (MaxBatch). It is an alias of core.WritePolicy, the single policy type
+// threaded through Options.Write, cluster.Options.Write and
+// server.Config.Write. The zero value disables batching.
 type WritePolicy = core.WritePolicy
 
-// DefaultWritePolicy returns the tested group-commit defaults
-// (MaxBatch 64, no linger, pipeline depth 2). A convenience re-export of
-// core.DefaultWritePolicy.
+// DefaultWritePolicy returns the tested group-commit default (MaxBatch
+// 64). A convenience re-export of core.DefaultWritePolicy.
 func DefaultWritePolicy() WritePolicy { return core.DefaultWritePolicy() }
 
 // RebalancePolicy configures the telemetry-driven elastic resharding loop
@@ -107,8 +104,8 @@ type Options struct {
 	ClientCache bool
 	// Write is the group-commit policy for the SMR write path (DESIGN.md
 	// §5e): concurrent mutations of one object coalesce into shared
-	// ordering rounds, bounded by Write.MaxBatch and Write.MaxDelay, with
-	// up to Write.Pipeline rounds in flight per object. The zero value
+	// ordering rounds of up to Write.MaxBatch, with up to two rounds in
+	// flight per object. The zero value
 	// keeps the classic one-round-per-mutation path; DefaultWritePolicy()
 	// enables batching with tested defaults.
 	Write WritePolicy

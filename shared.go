@@ -126,24 +126,3 @@ func Call2[T1, T2 any](ctx context.Context, s *Shared, method string, args ...an
 	}
 	return v1, v2, nil
 }
-
-// Call ships one method invocation to the object.
-//
-// Deprecated: use Invoke.
-func (s *Shared) Call(ctx context.Context, method string, args ...any) ([]any, error) {
-	return s.Invoke(ctx, method, args...)
-}
-
-// CallVoid ships a method invocation and discards its results.
-//
-// Deprecated: use Call0.
-func (s *Shared) CallVoid(ctx context.Context, method string, args ...any) error {
-	return Call0(ctx, s, method, args...)
-}
-
-// CallOne ships a method invocation and returns its single typed result.
-//
-// Deprecated: use Call1.
-func CallOne[T any](ctx context.Context, s *Shared, method string, args ...any) (T, error) {
-	return Call1[T](ctx, s, method, args...)
-}

@@ -13,9 +13,9 @@ import (
 // committed, so ns/op inverts to sustained msgs/sec; the final
 // per-instance drain calls (one replying message each, included in the
 // measurement) guarantee every pushed message was actually processed,
-// not merely enqueued. `make bench-statefun` aggregates these into
-// BENCH_statefun.json; the table-level view is `crucial-bench -exp
-// statefun` (EXPERIMENTS.md).
+// not merely enqueued. Run with `go test -run '^$' -bench
+// BenchmarkStatefun -benchtime 3000x -benchmem .`; the table-level view
+// is `crucial-bench -exp statefun` (EXPERIMENTS.md).
 
 // benchCountMsg is the benchmark handler's state and reply body.
 type benchCountMsg struct {

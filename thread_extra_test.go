@@ -5,6 +5,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"crucial/internal/telemetry"
 )
 
 // unregisteredRunnable is deliberately never passed to crucial.Register.
@@ -156,8 +158,8 @@ func TestRuntimePrewarmEliminatesColdStarts(t *testing.T) {
 	if err := JoinAll(ts); err != nil {
 		t.Fatal(err)
 	}
-	if rt.Platform().Stats().ColdStarts != 0 {
-		t.Fatalf("cold starts after prewarm: %d", rt.Platform().Stats().ColdStarts)
+	if rt.Platform().Metrics().Counter(telemetry.MetFaaSColdStarts).Value() != 0 {
+		t.Fatalf("cold starts after prewarm: %d", rt.Platform().Metrics().Counter(telemetry.MetFaaSColdStarts).Value())
 	}
 }
 
@@ -174,21 +176,21 @@ func TestRuntimeAccessors(t *testing.T) {
 	}
 }
 
-func TestSharedCallVoidAndErrors(t *testing.T) {
+func TestSharedCall0AndErrors(t *testing.T) {
 	rt := testRuntime(t, Options{})
 	s := NewShared("AtomicLong", "shared-void", []any{int64(5)})
 	rt.Bind(s)
-	if err := s.CallVoid(bg(), "Set", int64(9)); err != nil {
+	if err := Call0(bg(), s, "Set", int64(9)); err != nil {
 		t.Fatal(err)
 	}
-	v, err := CallOne[int64](bg(), s, "Get")
+	v, err := Call1[int64](bg(), s, "Get")
 	if err != nil || v != 9 {
-		t.Fatalf("CallOne = %d, %v", v, err)
+		t.Fatalf("Call1 = %d, %v", v, err)
 	}
-	if _, err := CallOne[string](bg(), s, "Get"); err == nil {
-		t.Fatal("type-mismatched CallOne succeeded")
+	if _, err := Call1[string](bg(), s, "Get"); err == nil {
+		t.Fatal("type-mismatched Call1 succeeded")
 	}
-	if _, err := s.Call(bg(), "Bogus"); err == nil {
+	if _, err := s.Invoke(bg(), "Bogus"); err == nil {
 		t.Fatal("unknown method accepted")
 	}
 }

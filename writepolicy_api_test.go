@@ -25,8 +25,8 @@ func (w *incWorker) Run(tc *TC) error {
 
 // TestWritePolicyOptionRoundTrip pins the single-seam contract of the
 // WritePolicy API: the struct handed to Options.Write is the same one the
-// cluster gives every server (server.Config.Write) and client
-// (client.Config.Write), and with batching enabled the runtime's whole
+// cluster gives every server (server.Config.Write), and with batching
+// enabled the runtime's whole
 // write path — cloud threads included — flows through group commit while
 // staying exact.
 func TestWritePolicyOptionRoundTrip(t *testing.T) {
