@@ -64,10 +64,11 @@ func hammerCounter(t *testing.T, c *Cluster, workers, perWorker, nclients int) i
 
 // TestWriteBatchingExactlyOnce floods one counter through the write path
 // under each way of slicing the stream into rounds — the zero policy and
-// MaxBatch 1 (rounds of one, inline), group commit with and without a
-// linger — and checks the final value: a round that dropped a queued write,
-// applied one twice (a retry landing in a second round after its first
-// already delivered), or mixed up per-invocation results would be off.
+// MaxBatch 1 (rounds of one, inline), group commit at the default MaxBatch
+// and at a small MaxBatch of 8 — and checks the final value: a round that
+// dropped a queued write, applied one twice (a retry landing in a second
+// round after its first already delivered), or mixed up per-invocation
+// results would be off.
 // However the rounds were cut, every replica must have counted the same
 // applies and replayed the same number of retries, and group commit must
 // have taken fewer rounds than ops.

@@ -104,11 +104,11 @@ func (b *writeBatcher) submit(ctx context.Context, inv core.Invocation) ([]any, 
 }
 
 // dispatch drains one ref's queue: take a pipeline slot, pop up to
-// maxBatch writes and flush them in the background. The slot is acquired BEFORE the queue is cut so that
-// writes arriving while all slots are busy join the batch about to flush
-// instead of waiting a full extra round — under saturation this is what
-// lets batch sizes track the arrival rate. dispatch exits when the queue
-// is empty; the next submit restarts it.
+// maxBatch writes and flush them in the background. The slot is acquired
+// BEFORE the queue is cut so that writes arriving while all slots are busy
+// join the batch about to flush instead of waiting a full extra round —
+// under saturation this is what lets batch sizes track the arrival rate.
+// dispatch exits when the queue is empty; the next submit restarts it.
 func (b *writeBatcher) dispatch(ref core.Ref, rq *refQueue) {
 	for {
 		b.mu.Lock()
