@@ -61,16 +61,19 @@ chaos-short:
 
 # flake-check reruns the tests that used to fail under CPU contention —
 # the two whose clocks are now under the test's control, the cache-on
-# crash/restart nemesis that caught the fork-check bug (DESIGN.md §5c) and
-# the migration race that lost an rf=1 write across the hand-off (§5g) —
-# 30 times each at one and two CPUs (about half a minute on an idle box).
+# crash/restart nemesis that caught the fork-check bug (DESIGN.md §5c), the
+# migration race that lost an rf=1 write across the hand-off (§5g) — and
+# the two that pin the rf=1 round of one: a write racing a Join hand-off,
+# and concurrent durable writes recovered after a full crash (§5h) — 30
+# times each at one and two CPUs (about half a minute on an idle box).
 # Not part of verify. To reproduce the contention itself, run any CPU hog
 # beside it (e.g. four copies of a `go test -c ./internal/chaos` binary).
 flake-check:
 	$(GO) test -count=30 -cpu 1,2 -run 'TestCheckFailuresConcurrentWithMembershipChurn' ./internal/membership/
 	$(GO) test -count=30 -cpu 1,2 -run 'TestBillingUsesModeledTime|TestBillingAccumulates' ./internal/faas/
 	$(GO) test -count=30 -cpu 1,2 -run 'TestNemesisCacheCrashRestart' ./internal/chaos/
-	$(GO) test -count=30 -cpu 1,2 -run 'TestInvokeDuringMigrationLosesNothing' ./internal/cluster/
+	$(GO) test -count=30 -cpu 1,2 -run 'TestInvokeDuringMigrationLosesNothing|TestDurabilityRecoversConcurrentRFOneWrites' ./internal/cluster/
+	$(GO) test -count=30 -cpu 1,2 -run 'TestRoundOfOneAcrossHandOff' ./internal/server/
 
 # doclint fails when an exported identifier in the public API (the root
 # package) has no doc comment.
@@ -82,9 +85,11 @@ doclint:
 # warm-path Observe must stay allocation-free (the telemetry-overhead
 # guard for the always-on accounting plane), one sequential RF-2 write
 # on the zero WritePolicy — a round of one — must not allocate more than
-# it did before the write paths were merged, and the lease read path must
-# keep a 95/5 read/write sequence cached (hit ratio, one grant per
-# invalidation) without building a hash ring per hit or per grant. These
+# it did before the write paths were merged, an rf=1 write (a group of
+# one) and read must stay near what they cost outside rounds, and the
+# lease read path must keep a 95/5 read/write sequence cached (hit ratio,
+# one grant per invalidation) without building a hash ring per hit or per
+# grant. These
 # tests self-skip under -race, so they need this dedicated non-race
 # invocation to actually bite; the measured numbers live next to each
 # budget in its test.

@@ -55,6 +55,58 @@ func TestReplicatedInvokeAllocBudget(t *testing.T) {
 	t.Logf("replicated AddAndGet allocates %.0f/op (budget %d)", got, replicatedInvokeAllocBudget)
 }
 
+// The rf=1 budgets: one sequential AddAndGet and one Get on an ephemeral
+// counter of a three-node cluster, client and server together. Measured
+// 2026-10-15 on the 2-vCPU reference box (go1.24): a write cost 19 before it
+// became a round of one and 19-20 after (a group of one has no round record
+// and no outcome channel: those took it to 22-23); a read, which takes no
+// round, costs 19 either way.
+const (
+	rfOneWriteAllocBudget = 23
+	rfOneReadAllocBudget  = 21
+)
+
+// TestRFOneInvokeAllocBudget pins what a group of one costs per write and
+// per read.
+func TestRFOneInvokeAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counting is meaningless under -race")
+	}
+	c, err := StartLocal(Options{Nodes: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	cl, err := c.NewClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	ctx := context.Background()
+	ref := core.Ref{Type: objects.TypeAtomicLong, Key: "alloc/rf1"}
+	for _, tc := range []struct {
+		name   string
+		inv    core.Invocation
+		budget int
+	}{
+		{"write", core.Invocation{Ref: ref, Method: "AddAndGet", Args: []any{int64(1)}}, rfOneWriteAllocBudget},
+		{"read", core.Invocation{Ref: ref, Method: "Get"}, rfOneReadAllocBudget},
+	} {
+		if _, err := cl.InvokeObject(ctx, tc.inv); err != nil { // creation, connections
+			t.Fatal(err)
+		}
+		got := testing.AllocsPerRun(500, func() {
+			if _, err := cl.InvokeObject(ctx, tc.inv); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > float64(tc.budget) {
+			t.Fatalf("rf=1 %s allocates %.0f/op, budget %d", tc.name, got, tc.budget)
+		}
+		t.Logf("rf=1 %s allocates %.0f/op (budget %d)", tc.name, got, tc.budget)
+	}
+}
+
 // The lease read path's budgets, measured 2026-10-04 on the 2-vCPU
 // reference box (go1.24): a cache hit on a 256-byte KV cell allocates 5
 // (invocation and result slices, the value copy), a grant round trip

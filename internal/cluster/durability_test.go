@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"context"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -99,6 +101,51 @@ func TestDurabilityRecoversFullClusterCrash(t *testing.T) {
 	// The recovered cluster must also be live for new writes.
 	if got := addPersist(ctx, t, cl2, ref); got != 18 {
 		t.Fatalf("post-recovery write = %d, want 18", got)
+	}
+}
+
+// TestDurabilityRecoversConcurrentRFOneWrites crashes a one-node RF-1
+// cluster under concurrent durable writes to one counter. Every acked
+// increment must come back: replay skips a record whose version the copy
+// has already reached, so a ref's records must reach the log in apply
+// order even though no delivery loop serializes a group of one.
+func TestDurabilityRecoversConcurrentRFOneWrites(t *testing.T) {
+	store := durableStore()
+	ctx := ctxT(t)
+	ref := core.Ref{Type: objects.TypeAtomicLong, Key: "durable-rf1"}
+	opts := durableOpts(store)
+	opts.Nodes, opts.RF = 1, 1
+
+	c1 := startCluster(t, opts)
+	cl1 := newClient(t, c1)
+	const writers, perWriter = 16, 200
+	var acked, failed atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				if _, err := cl1.InvokeObject(ctx, core.Invocation{
+					Ref: ref, Method: "AddAndGet", Args: []any{int64(1)}, Persist: true,
+				}); err != nil {
+					failed.Add(1)
+					continue
+				}
+				acked.Add(1)
+			}
+		}()
+	}
+	wg.Wait()
+	_ = cl1.Close()
+	if err := c1.Close(); err != nil {
+		t.Fatalf("crash the node: %v", err)
+	}
+
+	c2 := startCluster(t, opts)
+	got := getPersist(ctx, t, newClient(t, c2), ref)
+	if got < acked.Load() || got > acked.Load()+failed.Load() {
+		t.Fatalf("recovered counter = %d, want %d acked (+ up to %d in doubt)", got, acked.Load(), failed.Load())
 	}
 }
 

@@ -19,9 +19,9 @@ import (
 // land exactly once no matter how the batcher slices the stream into
 // rounds — plus the observability contract (DESIGN.md §5e).
 
-// hammerCounter runs workers*perWorker stamped increments of one
-// persistent counter through nclients clients and returns the final value.
-func hammerCounter(t *testing.T, c *Cluster, workers, perWorker, nclients int) int64 {
+// hammerCounter runs workers*perWorker stamped increments of one counter,
+// persistent or not, through nclients clients and returns the final value.
+func hammerCounter(t *testing.T, c *Cluster, workers, perWorker, nclients int, persist bool) int64 {
 	t.Helper()
 	clients := make([]*client.Client, nclients)
 	var err error
@@ -35,7 +35,7 @@ func hammerCounter(t *testing.T, c *Cluster, workers, perWorker, nclients int) i
 	defer cancel()
 	ref := core.Ref{Type: objects.TypeAtomicLong, Key: "wb/counter"}
 	if _, err := clients[0].InvokeObject(ctx, core.Invocation{
-		Ref: ref, Method: "Set", Args: []any{int64(0)}, Persist: true}); err != nil {
+		Ref: ref, Method: "Set", Args: []any{int64(0)}, Persist: persist}); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
@@ -44,7 +44,7 @@ func hammerCounter(t *testing.T, c *Cluster, workers, perWorker, nclients int) i
 		cl := clients[w%nclients]
 		go func() {
 			defer wg.Done()
-			inc := core.Invocation{Ref: ref, Method: "IncrementAndGet", Persist: true}
+			inc := core.Invocation{Ref: ref, Method: "IncrementAndGet", Persist: persist}
 			for i := 0; i < perWorker; i++ {
 				if _, err := cl.InvokeObject(ctx, inc); err != nil {
 					t.Error(err)
@@ -55,7 +55,7 @@ func hammerCounter(t *testing.T, c *Cluster, workers, perWorker, nclients int) i
 	}
 	wg.Wait()
 	out, err := clients[0].InvokeObject(ctx, core.Invocation{
-		Ref: ref, Method: "Get", Persist: true})
+		Ref: ref, Method: "Get", Persist: persist})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,8 +71,16 @@ func hammerCounter(t *testing.T, c *Cluster, workers, perWorker, nclients int) i
 // results would be off.
 // However the rounds were cut, every replica must have counted the same
 // applies and replayed the same number of retries, and group commit must
-// have taken fewer rounds than ops.
+// have taken fewer rounds than ops. An ephemeral counter's rounds have a
+// group of one, which never joins the batcher (it has no multicast to
+// amortize), and it must live on one node under every policy.
 func TestWriteBatchingExactlyOnce(t *testing.T) {
+	for _, persist := range []bool{true, false} {
+		writeBatchingExactlyOnce(t, persist)
+	}
+}
+
+func writeBatchingExactlyOnce(t *testing.T, persist bool) {
 	const workers, perWorker = 24, 25
 	type outcome struct {
 		value    int64
@@ -86,7 +94,7 @@ func TestWriteBatchingExactlyOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := outcome{value: hammerCounter(t, c, workers, perWorker, 4)}
+		got := outcome{value: hammerCounter(t, c, workers, perWorker, 4, persist)}
 		ref := core.Ref{Type: objects.TypeAtomicLong, Key: "wb/counter"}
 		for _, id := range c.Dir.View().Members {
 			v, _ := c.nodes[id].DebugVersion(ref)
@@ -99,18 +107,36 @@ func TestWriteBatchingExactlyOnce(t *testing.T) {
 		_ = c.Close()
 
 		if got.value != workers*perWorker {
-			t.Fatalf("%+v: counter = %d after %d increments", pol, got.value, workers*perWorker)
+			t.Fatalf("%+v persist=%v: counter = %d after %d increments", pol, persist, got.value, workers*perWorker)
 		}
-		if pol.Batching() != (batches > 0) {
-			t.Errorf("%+v: %d group-commit rounds", pol, batches)
+		copies, want := 0, 1
+		if persist {
+			want = 2
+		}
+		for _, v := range got.versions {
+			if v > 0 {
+				copies++
+			}
+		}
+		if copies != want {
+			t.Errorf("%+v persist=%v: copies on %d nodes (versions %v), want %d", pol, persist, copies, got.versions, want)
+		}
+		batched := pol.Batching() && persist
+		if batched != (batches > 0) {
+			t.Errorf("%+v persist=%v: %d group-commit rounds", pol, persist, batches)
 		}
 		// The hammer orders workers*perWorker+2 ops: the increments, the
-		// Set and the lease-less final Get. Rounds of one take exactly
-		// that many; group commit must save at least those two.
-		if ops := uint64(workers*perWorker + 2); !pol.Batching() && rounds != ops {
-			t.Errorf("%+v: %d ordering rounds for %d ops, want one each", pol, rounds, ops)
-		} else if pol.Batching() && rounds > workers*perWorker {
-			t.Errorf("%+v: %d ordering rounds for %d ops: batching amortized nothing", pol, rounds, workers*perWorker)
+		// Set and the lease-less final Get, which a group of one serves
+		// from its copy instead. Rounds of one take exactly that many;
+		// group commit must save at least those two.
+		ops := uint64(workers*perWorker + 2)
+		if !persist {
+			ops--
+		}
+		if !batched && rounds != ops {
+			t.Errorf("%+v persist=%v: %d ordering rounds for %d ops, want one each", pol, persist, rounds, ops)
+		} else if batched && rounds > workers*perWorker {
+			t.Errorf("%+v persist=%v: %d ordering rounds for %d ops: batching amortized nothing", pol, persist, rounds, workers*perWorker)
 		}
 		if i == 0 {
 			first = got
@@ -130,7 +156,7 @@ func TestWriteBatchingDisabledByDefault(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if got := hammerCounter(t, c, 8, 5, 2); got != 40 {
+	if got := hammerCounter(t, c, 8, 5, 2, true); got != 40 {
 		t.Fatalf("counter = %d after 40 increments", got)
 	}
 	if n := tel.Metrics().Counter(telemetry.MetServerBatches).Value(); n != 0 {
@@ -154,7 +180,7 @@ func TestWriteBatchingMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	hammerCounter(t, c, 16, 10, 2)
+	hammerCounter(t, c, 16, 10, 2, true)
 
 	var b strings.Builder
 	if err := telemetry.WritePrometheus(&b, tel.Snapshot()); err != nil {

@@ -216,8 +216,9 @@ func (b *writeBatcher) flush(ref core.Ref, batch []*batchedWrite) {
 		invs[i] = w.inv
 	}
 	// The group is computed now, not when the writes were routed: a queued
-	// write may be flushed under a later view.
-	group, view := n.replicaGroup(ref, true)
+	// write may be flushed under a later view. Every write of a batch
+	// targets one object, so the first says whether it is replicated.
+	group, view := n.replicaGroup(ref, batch[0].inv.Persist)
 	res, ordered, err := n.runRound(ctx, group, view, invs)
 	if ordered {
 		// Counted like smr_rounds, from the multicast on: a round that then

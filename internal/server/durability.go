@@ -217,7 +217,7 @@ func (n *Node) replayRecord(rec durability.Record) (applied bool, err error) {
 // (nil when the tier or the WAL is off). Origin/seq name the total-order
 // message; version is the post-apply version the replay gate keys on.
 func (n *Node) appendWAL(origin string, seq uint64, version uint64, payload []byte) *durability.Commit {
-	if n.dur == nil || n.dur.log == nil {
+	if !n.walEnabled() {
 		return nil
 	}
 	return n.dur.log.Append(durability.Record{
@@ -227,6 +227,9 @@ func (n *Node) appendWAL(origin string, seq uint64, version uint64, payload []by
 		Payload: payload,
 	})
 }
+
+// walEnabled reports whether this node logs applied rounds.
+func (n *Node) walEnabled() bool { return n.dur != nil && n.dur.log != nil }
 
 // waitDurable blocks an ack on a record's flush. A failed flush refuses
 // the ack with the retryable sentinel: the client's retry is dedup-safe,

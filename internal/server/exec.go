@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -162,119 +161,57 @@ func (n *Node) lookupOrCreate(inv core.Invocation) (*entry, error) {
 	return e, nil
 }
 
-// invokeLocal executes an invocation on this node directly (the rf=1
-// path). Ownership is validated against the current ring so stale clients
-// are redirected.
+// invokeLocal serves a call on a synchronization object (barrier,
+// semaphore, future, latch). Such objects are never replicated (paper,
+// fn. 2) and never ordered — a call parks under the monitor until another
+// call releases it — so it runs directly on the object's rf=1 owner.
 func (n *Node) invokeLocal(ctx context.Context, inv core.Invocation) ([]any, error) {
 	group, _ := n.replicaGroup(inv.Ref, false)
 	if err := n.primacy(inv.Ref, group); err != nil {
 		return nil, err
 	}
-	if n.isStale(inv.Ref) {
-		// The copy is marked behind the committed history (see markStale).
-		// Resolve it on the spot with a poll over the wider rf-sized set —
-		// the likeliest holders of a better leftover copy. With rf=1 this
-		// node is the whole set and the poll is trivially definitive: no
-		// better copy can exist anywhere, so the mark clears and whatever
-		// this node holds is the lineage's best surviving state.
-		if pollGroup, _ := n.replicaGroup(inv.Ref, true); len(pollGroup) > 0 {
-			n.pullObject(ctx, inv.Ref, pollGroup)
-		}
-		if n.isStale(inv.Ref) {
-			return nil, fmt.Errorf("%w: %s stale on %s", core.ErrRebalancing, inv.Ref, n.cfg.ID)
-		}
-	}
 	e, err := n.lookupOrCreate(inv)
 	if err != nil {
 		return nil, err
 	}
-	// Ownership again, now that the entry is in hand: a placement flip since
-	// the check above hands the copy off and removes it here, and the lookup
-	// then created the object fresh — a write acked on it would be lost.
-	group, _ = n.replicaGroup(inv.Ref, false)
-	if err := n.primacy(inv.Ref, group); err != nil {
-		return nil, err
-	}
-	if n.leases != nil && !inv.ReadOnly && !e.sync {
-		// Mutations must fence outstanding leases before executing; reads
-		// and synchronization objects (never leased) skip the hook.
-		done, err := n.prepareWrite(ctx, inv.Ref)
-		if err != nil {
-			return nil, err
-		}
-		defer done()
-	}
-	results, version, err := n.applyOne(ctx, e, inv)
-	if e.persist && !inv.ReadOnly && !errors.Is(err, core.ErrRebalancing) &&
-		n.dur != nil && n.dur.log != nil {
-		// The rf=1 write path has no ordering round, so the WAL record is
-		// synthesized here: a genesis-flagged round of one (replay may have
-		// to re-create the object — with rf=1 no replica held another
-		// copy) under a locally sequenced id. The ack waits on the flush
-		// exactly like the replicated path's.
-		if payload, encErr := encodeRoundPayload(true, []core.Invocation{inv}); encErr == nil {
-			c := n.appendWAL(string(n.cfg.ID), n.seq.Add(1), version, payload)
-			if werr := waitDurable(ctx, c); werr != nil {
-				return nil, werr
-			}
-		}
-	}
-	return results, err
+	return n.applyOne(ctx, e, inv)
 }
 
-// applyOne is apply for a single invocation outside any round (the rf=1
-// path and lease-covered reads); a copy mid-transfer is its error.
-func (n *Node) applyOne(ctx context.Context, e *entry, inv core.Invocation) ([]any, uint64, error) {
+// applyOne runs one invocation outside any round: a synchronization call,
+// or a read from a copy proved current. A copy mid-transfer or fenced for a
+// migration bounces it — under the monitor, so that a call admitted before
+// the fence cannot land behind the migration's final snapshot.
+func (n *Node) applyOne(ctx context.Context, e *entry, inv core.Invocation) ([]any, error) {
+	n.lockEntry(ctx, e)
+	defer e.mu.Unlock()
+	if e.transferring || n.migrationFenced(inv.Ref) {
+		return nil, core.ErrRebalancing
+	}
 	invs := [1]core.Invocation{inv}
 	var res [1]opResult
-	version, _, err := n.apply(ctx, e, invs[:], res[:], true)
-	if err != nil {
-		return nil, version, err
-	}
-	return res[0].results, version, res[0].err
+	n.applyLocked(ctx, e, invs[:], res[:])
+	return res[0].results, res[0].err
 }
 
-// apply runs invs, in order, under one acquisition of the object monitor:
-// the single place methods execute, whether they arrive through an
-// ordering round, the rf=1 path or a lease-covered read. Instrumented
-// nodes attribute monitor acquisition time to the active span and record
-// each method's wall time (which includes any Ctl.Wait blocking — subtract
-// the span's monitor_wait timing for pure compute) in server.exec.
-//
-// The returned version is the copy's apply version right after the last
-// invocation and replays counts the invocations answered from the
-// at-most-once window, both read inside the same critical section as the
-// executions — the SMR layer compares them across replicas to detect a
-// forked copy (see checkRound), and a version read after the monitor is
-// released could already include a later delivery. The only error is
-// ErrRebalancing (copy handed off): nothing has executed at that point,
-// so skipping a whole round is sound; method outcomes land in res (when
-// the caller wants them: nil discards), index-aligned with invs.
-//
-// unordered marks a call outside any round (applyOne). It also bounces
-// while the ref is migration-fenced here — checked under the monitor, so
-// that a call admitted before the fence cannot land behind the migration's
-// final snapshot; in-flight rounds are waited out by pushObject instead.
-func (n *Node) apply(ctx context.Context, e *entry, invs []core.Invocation, res []opResult, unordered bool) (version uint64, replays int, err error) {
-	var acquire time.Time
-	if n.instrumented {
-		acquire = time.Now()
+// lockEntry acquires e's monitor; instrumented nodes attribute the wait to
+// the active span.
+func (n *Node) lockEntry(ctx context.Context, e *entry) {
+	if !n.instrumented {
+		e.mu.Lock()
+		return
 	}
+	start := time.Now()
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	if n.instrumented {
-		telemetry.SpanFromContext(ctx).AddTiming(telemetry.TimingAcquire, time.Since(acquire))
-	}
-	if e.transferring || (unordered && n.migrationFenced(invs[0].Ref)) {
-		return e.version, 0, core.ErrRebalancing
-	}
-	replays = n.applyLocked(ctx, e, invs, res)
-	return e.version, replays, nil
+	telemetry.SpanFromContext(ctx).AddTiming(telemetry.TimingAcquire, time.Since(start))
 }
 
-// applyLocked is apply's loop, for callers that already hold e.mu (WAL
-// replay gates on the version under the same lock). Every invocation is
-// individually dedup-checked, executed, version-bumped and dedup-recorded.
+// applyLocked runs invs, in order, on e; the caller holds e.mu. It is the
+// single place methods execute, whether they arrive through a round
+// (applyOrdered), outside one (applyOne) or from the WAL (replayRecord).
+// Instrumented nodes record each method's wall time in server.exec (it
+// includes any Ctl.Wait blocking — subtract the span's monitor_wait timing
+// for pure compute). Every invocation is individually dedup-checked,
+// executed, version-bumped and dedup-recorded.
 // Per-invocation bumps (rather than one per round) keep this copy's apply
 // version comparable across replicas regardless of how each coordinator
 // happened to slice the same operation stream into rounds; a dedup replay

@@ -35,17 +35,24 @@ type inflightEntry struct {
 	at     time.Time
 }
 
+// refFlight is a ref's undelivered proposals: admit refuses every other
+// origin while one has any, so they all come from one origin.
+type refFlight struct {
+	origin string
+	count  int
+}
+
 type inflightTracker struct {
 	mu    sync.Mutex
 	byID  map[totalorder.MsgID]inflightEntry
-	byRef map[core.Ref]map[string]int // ref → origin → undelivered count
-	ttl   time.Duration               // mirrors the total-order pending TTL
+	byRef map[core.Ref]refFlight
+	ttl   time.Duration // mirrors the total-order pending TTL
 }
 
 func newInflightTracker(ttl time.Duration) *inflightTracker {
 	return &inflightTracker{
 		byID:  make(map[totalorder.MsgID]inflightEntry),
-		byRef: make(map[core.Ref]map[string]int),
+		byRef: make(map[core.Ref]refFlight),
 		ttl:   ttl,
 	}
 }
@@ -54,22 +61,19 @@ func newInflightTracker(ttl time.Duration) *inflightTracker {
 // Duplicate admits of one ID (retried or chaos-duplicated frames) are
 // idempotent.
 func (t *inflightTracker) admit(id totalorder.MsgID, ref core.Ref) bool {
+	now := time.Now()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.gcLocked()
+	t.gcLocked(now)
 	if _, ok := t.byID[id]; ok {
 		return true
 	}
-	for origin, cnt := range t.byRef[ref] {
-		if cnt > 0 && origin != id.Origin {
-			return false
-		}
+	f, ok := t.byRef[ref]
+	if ok && f.origin != id.Origin {
+		return false
 	}
-	t.byID[id] = inflightEntry{ref: ref, origin: id.Origin, at: time.Now()}
-	if t.byRef[ref] == nil {
-		t.byRef[ref] = make(map[string]int)
-	}
-	t.byRef[ref][id.Origin]++
+	t.byID[id] = inflightEntry{ref: ref, origin: id.Origin, at: now}
+	t.byRef[ref] = refFlight{origin: id.Origin, count: f.count + 1}
 	return true
 }
 
@@ -85,13 +89,9 @@ func (t *inflightTracker) settle(id totalorder.MsgID) {
 func (t *inflightTracker) busy(ref core.Ref) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.gcLocked()
-	for _, cnt := range t.byRef[ref] {
-		if cnt > 0 {
-			return true
-		}
-	}
-	return false
+	t.gcLocked(time.Now())
+	_, ok := t.byRef[ref]
+	return ok
 }
 
 // purge drops proposals from origins that are no longer alive, mirroring
@@ -108,11 +108,11 @@ func (t *inflightTracker) purge(alive func(origin string) bool) {
 
 // gcLocked expires entries past the TTL — the backstop for aborts that
 // never arrive, mirroring the total-order pending GC.
-func (t *inflightTracker) gcLocked() {
+func (t *inflightTracker) gcLocked(now time.Time) {
 	if t.ttl <= 0 {
 		return
 	}
-	cutoff := time.Now().Add(-t.ttl)
+	cutoff := now.Add(-t.ttl)
 	for id, e := range t.byID {
 		if e.at.Before(cutoff) {
 			t.removeLocked(id)
@@ -126,12 +126,10 @@ func (t *inflightTracker) removeLocked(id totalorder.MsgID) {
 		return
 	}
 	delete(t.byID, id)
-	if origins := t.byRef[e.ref]; origins != nil {
-		if origins[e.origin]--; origins[e.origin] <= 0 {
-			delete(origins, e.origin)
-		}
-		if len(origins) == 0 {
-			delete(t.byRef, e.ref)
-		}
+	if f := t.byRef[e.ref]; f.count > 1 {
+		f.count--
+		t.byRef[e.ref] = f
+	} else {
+		delete(t.byRef, e.ref)
 	}
 }

@@ -601,14 +601,14 @@ func (n *Node) memberWriteFence(origin string, ref core.Ref) (func(), error) {
 }
 
 // tryLocalRead serves a read-only invocation from the primary's own copy
-// without an SMR round. It is only sound when this node can prove its copy
-// current: the directory's latest view still names it primary (a deposed
-// primary could miss writes the new one acks — and the new primary's first
-// write is fence-delayed past this check), the copy is resident, and no
-// accepted-but-undelivered proposal is pending. Anything short of that
-// falls back to the full SMR path (ok = false).
-func (n *Node) tryLocalRead(ctx context.Context, inv core.Invocation) ([]any, error, bool) {
-	if n.leases == nil || !inv.ReadOnly {
+// without a round, for an object whose group has rf members, when this node
+// can prove its copy current: the directory's latest view names it primary
+// (a deposed one could miss writes the new one acks), the copy is resident
+// and no proposal is in flight. A replica group also needs leases, which
+// fence-delay a new primary's first write past this check; a group of one
+// has no other copy. Otherwise ok = false and the caller runs a round.
+func (n *Node) tryLocalRead(ctx context.Context, inv core.Invocation, rf int) ([]any, error, bool) {
+	if !inv.ReadOnly || (rf > 1 && n.leases == nil) {
 		return nil, nil, false
 	}
 	e, resident := n.lookupExisting(inv.Ref)
@@ -618,11 +618,11 @@ func (n *Node) tryLocalRead(ctx context.Context, inv core.Invocation) ([]any, er
 	if n.inflight.busy(inv.Ref) {
 		return nil, nil, false
 	}
-	group := n.cfg.Directory.Placement().Place(inv.Ref.String(), n.cfg.RF)
+	group := n.cfg.Directory.Placement().Place(inv.Ref.String(), rf)
 	if len(group) == 0 || group[0] != n.cfg.ID {
 		return nil, nil, false
 	}
-	results, _, err := n.applyOne(ctx, e, inv)
+	results, err := n.applyOne(ctx, e, inv)
 	n.cLocalReads.Inc()
 	return results, err, true
 }
@@ -666,7 +666,7 @@ func (n *Node) followerRead(ctx context.Context, inv core.Invocation, primary ri
 		return nil, fmt.Errorf("%w: follower copy of %s behind lease floor",
 			core.ErrRebalancing, inv.Ref)
 	}
-	results, _, err := n.applyOne(ctx, e, inv)
+	results, err := n.applyOne(ctx, e, inv)
 	if err == nil {
 		n.cFollowerReads.Inc()
 	}

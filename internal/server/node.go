@@ -249,6 +249,8 @@ type Node struct {
 	// before its multicast until its runRound returns (see round).
 	roundMu sync.Mutex
 	rounds  map[totalorder.MsgID]*round
+	// beforeApply is a test hook: orderAlone calls it between fence and apply.
+	beforeApply func(core.Ref)
 
 	// applied holds this node's member-side round outcomes awaiting their
 	// FINAL reply, the other half of the fork check (see finalResp).
@@ -614,8 +616,8 @@ func (n *Node) handle(ctx context.Context, kind uint8, payload []byte) ([]byte, 
 	}
 }
 
-// handleInvoke executes a client invocation, choosing the direct path for
-// ephemeral objects and the SMR path for persistent ones.
+// handleInvoke executes a client invocation: directly on the owner for a
+// synchronization object, through invoke for every other one.
 func (n *Node) handleInvoke(ctx context.Context, payload []byte) ([]byte, error) {
 	inv, err := core.DecodeInvocation(payload)
 	if err != nil {
@@ -645,20 +647,15 @@ func (n *Node) handleInvoke(ctx context.Context, payload []byte) ([]byte, error)
 	// Telemetry: continue the client's trace across the RPC boundary via
 	// the invocation's TraceContext, and track queue depth (in-flight
 	// invocations on this node).
+	var span *telemetry.Span
 	if n.instrumented {
 		n.cInvocations.Inc()
 		n.gInflight.Add(1)
 		defer n.gInflight.Add(-1)
-		var span *telemetry.Span
 		ctx, span = n.tracer.StartRemote(ctx, telemetry.SpanServerInvoke,
 			telemetry.SpanContext{TraceID: inv.Trace.TraceID, SpanID: inv.Trace.SpanID})
 		span.SetAttr(telemetry.AttrObjectType, inv.Ref.Type)
 		span.SetAttr(telemetry.AttrMethod, inv.Method)
-		if inv.Persist && n.cfg.RF > 1 {
-			span.SetAttr(telemetry.AttrPath, "smr")
-		} else {
-			span.SetAttr(telemetry.AttrPath, "local")
-		}
 		defer span.End()
 	}
 	if n.svcGate != nil {
@@ -675,18 +672,21 @@ func (n *Node) handleInvoke(ctx context.Context, payload []byte) ([]byte, error)
 	}
 
 	var results []any
-	var callErr error
+	info, callErr := n.cfg.Registry.Lookup(inv.Ref.Type)
 	switch {
+	case callErr != nil:
 	case n.migrationFenced(inv.Ref):
 		// Mid-migration: the copy is about to move and the directive flip
 		// will change the primary. Bounce retryably; the client refreshes
 		// its view and lands on the new home (see migrate.go).
 		callErr = fmt.Errorf("%w: %s mid-migration on %s",
 			core.ErrRebalancing, inv.Ref, n.cfg.ID)
-	case inv.Persist && n.cfg.RF > 1:
-		results, callErr = n.invokeReplicated(ctx, inv)
-	default:
+	case info.Synchronization:
+		span.SetAttr(telemetry.AttrPath, "sync")
 		results, callErr = n.invokeLocal(ctx, inv)
+	default:
+		span.SetAttr(telemetry.AttrPath, "round")
+		results, callErr = n.invoke(ctx, inv)
 	}
 	resp := core.Response{Results: results, Err: core.EncodeError(callErr)}
 	// Encode into a pooled buffer; the rpc server recycles it after the

@@ -104,7 +104,7 @@ func (n *Node) onView(v membership.View) {
 	// lift: the directive flip it was guarding has landed (or membership
 	// moved the key anyway), and the new primary serves from here on. Not
 	// before the rebalance: until the copy is dropped there, the fence is
-	// what keeps a late rf=1 call off it (see apply).
+	// what keeps a late rf=1 call off it (see orderAlone and applyOne).
 	n.liftMigrationFences(v)
 }
 

@@ -98,7 +98,7 @@ func TestForkCheckRefusesReplayAsymmetry(t *testing.T) {
 	base := core.Invocation{Ref: ref, Method: "Put", Args: []any{"k0", int64(0)}, Persist: true, ClientID: 9, Seq: 1}
 	remove := core.Invocation{Ref: ref, Method: "Remove", Args: []any{"k1"}, Persist: true, ClientID: 7, Seq: 1}
 	put := core.Invocation{Ref: ref, Method: "Put", Args: []any{"k1", int64(3)}, Persist: true, ClientID: 7, Seq: 2}
-	if _, err := n1.invokeReplicated(ctx, base); err != nil {
+	if _, err := n1.invoke(ctx, base); err != nil {
 		t.Fatal(err)
 	}
 	e1, _ := n1.lookupExisting(ref)
@@ -107,7 +107,7 @@ func TestForkCheckRefusesReplayAsymmetry(t *testing.T) {
 		t.Fatal("genesis round did not reach the member")
 	}
 	for _, inv := range []core.Invocation{remove, put} {
-		if _, _, err := n1.applyOne(ctx, e1, inv); err != nil {
+		if _, err := n1.applyOne(ctx, e1, inv); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -115,16 +115,17 @@ func TestForkCheckRefusesReplayAsymmetry(t *testing.T) {
 
 	// The retries arrive in the other order. Put: replayed at the
 	// coordinator (version 3), executed at the member (1 -> 2).
-	if _, err := n1.invokeReplicated(ctx, put); !errors.Is(err, core.ErrRebalancing) {
+	if _, err := n1.invoke(ctx, put); !errors.Is(err, core.ErrRebalancing) {
 		t.Fatalf("retry on a behind member: err = %v, want ErrRebalancing", err)
 	}
 	<-arrived // its repair push holds a version-3 snapshot, parked at the member
 	// Remove: replayed at the coordinator (still 3), executed at the member
 	// (2 -> 3). Versions now tie; the states do not.
-	_, err := n1.invokeReplicated(ctx, remove)
+	_, err := n1.invoke(ctx, remove)
 	get := core.Invocation{Ref: ref, Method: "Get", Args: []any{"k1"}, Persist: true, ReadOnly: true}
-	at1, _, _ := n1.applyOne(ctx, e1, get)
-	at2, v2, _ := n2.applyOne(ctx, e2, get)
+	at1, _ := n1.applyOne(ctx, e1, get)
+	at2, _ := n2.applyOne(ctx, e2, get)
+	v2, _ := n2.DebugVersion(ref)
 	if v2 != 3 || reflect.DeepEqual(at1, at2) {
 		t.Fatalf("setup: member at version %d with k1=%v, coordinator k1=%v; want a version tie over different states", v2, at2, at1)
 	}
@@ -166,10 +167,10 @@ func TestForkCheckRefusesReplayAsymmetry(t *testing.T) {
 
 	// Converged: the retry now replays on both sides and is acked with the
 	// recorded outcome, and a follower read at the member sees the Put.
-	if _, err := n1.invokeReplicated(ctx, remove); err != nil {
+	if _, err := n1.invoke(ctx, remove); err != nil {
 		t.Fatalf("retry after repair: %v", err)
 	}
-	got, err := n2.invokeReplicated(ctx, get)
+	got, err := n2.invoke(ctx, get)
 	if err != nil {
 		t.Fatalf("follower read: %v", err)
 	}
@@ -220,16 +221,16 @@ func TestBatchRoundCountedOnceOrdered(t *testing.T) {
 	inc := func(seq uint64) core.Invocation {
 		return core.Invocation{Ref: ref, Method: "IncrementAndGet", Persist: true, ClientID: 5, Seq: seq}
 	}
-	if _, err := n1.invokeReplicated(ctx, inc(1)); err != nil {
+	if _, err := n1.invoke(ctx, inc(1)); err != nil {
 		t.Fatal(err)
 	}
 	// The coordinator runs ahead by one unacked op; its retry replays here
 	// and executes at the member.
 	e1, _ := n1.lookupExisting(ref)
-	if _, _, err := n1.applyOne(ctx, e1, inc(2)); err != nil {
+	if _, err := n1.applyOne(ctx, e1, inc(2)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := n1.invokeReplicated(ctx, inc(2)); !errors.Is(err, core.ErrRebalancing) {
+	if _, err := n1.invoke(ctx, inc(2)); !errors.Is(err, core.ErrRebalancing) {
 		t.Fatalf("retry over diverged copies: err = %v, want ErrRebalancing", err)
 	}
 	m := tel.Metrics()
@@ -275,7 +276,7 @@ func TestRoundOnStoppedNodeAnswersErrStopped(t *testing.T) {
 	ref := refLedBy(t, n1, objects.TypeAtomicLong)
 	done := make(chan error, 1)
 	go func() {
-		_, err := n1.invokeReplicated(context.Background(),
+		_, err := n1.invoke(context.Background(),
 			core.Invocation{Ref: ref, Method: "IncrementAndGet", Persist: true})
 		done <- err
 	}()
@@ -340,10 +341,10 @@ func TestRoundPayloadDecodeRejects(t *testing.T) {
 	}
 }
 
-// WAL replay reads the one payload format whoever wrote the record: an
-// rf=1 write's synthesized round of one and a group-commit round of three
-// for the same ref replay to exactly the version and state the live
-// applies produced, and replaying them again changes nothing.
+// WAL replay reads the one payload format whoever wrote the record: a
+// genesis round of one and a group-commit round of three for the same ref
+// replay to exactly the version and state the live applies produced, and
+// replaying them again changes nothing.
 func TestReplayMixedRecordsReachLiveVersion(t *testing.T) {
 	net := rpc.NewMemNetwork()
 	dir := membership.NewDirectory(time.Hour)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"testing"
 	"time"
 
@@ -315,13 +314,13 @@ func TestStaleTransferRefused(t *testing.T) {
 	ref := core.Ref{Type: objects.TypeAtomicLong, Key: "xfer"}
 	set := func(v int64) {
 		t.Helper()
-		if _, err := n.invokeLocal(ctx, core.Invocation{Ref: ref, Method: "Set", Args: []any{v}}); err != nil {
+		if _, err := n.invoke(ctx, core.Invocation{Ref: ref, Method: "Set", Args: []any{v}}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	get := func() int64 {
 		t.Helper()
-		res, err := n.invokeLocal(ctx, core.Invocation{Ref: ref, Method: "Get"})
+		res, err := n.invoke(ctx, core.Invocation{Ref: ref, Method: "Get", ReadOnly: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -366,7 +365,13 @@ func TestStaleTransferRefused(t *testing.T) {
 func TestDeliverWithoutBaseCopySkips(t *testing.T) {
 	net := rpc.NewMemNetwork()
 	dir := membership.NewDirectory(time.Hour)
-	n := startNode(t, validConfig(net, dir))
+	cfg := validConfig(net, dir)
+	cfg.RF = 2
+	n := startNode(t, cfg)
+	// An unreachable second member keeps the skip's background self-heal
+	// poll indefinite: alone, the node's poll is trivially definitive and
+	// may clear the stale mark before the test reads it.
+	dir.Join("n2", "unreachable")
 
 	ref := core.Ref{Type: objects.TypeAtomicLong, Key: "nobase"}
 	invs := []core.Invocation{{Ref: ref, Method: "IncrementAndGet", Persist: true}}
@@ -577,7 +582,7 @@ func TestDeliverRevokesMemberLeases(t *testing.T) {
 	// Materialize the object, then hand a lease to the sink — this node is
 	// the primary in the directory's latest view, so the grant succeeds.
 	ref := core.Ref{Type: objects.TypeAtomicLong, Key: "member-lease"}
-	if _, err := n.invokeLocal(context.Background(), core.Invocation{
+	if _, err := n.invoke(context.Background(), core.Invocation{
 		Ref: ref, Method: "Set", Args: []any{int64(1)},
 	}); err != nil {
 		t.Fatal(err)
@@ -644,73 +649,92 @@ func TestFetchBusyWhileOpsInFlight(t *testing.T) {
 	}
 }
 
-// An rf=1 invocation whose ownership check predates a placement flip must
-// not be acked by the old owner: once the copy is handed off and removed,
-// neither a fresh object created in its place nor the dropped entry itself
-// may take the write (it would be lost — the new owner never sees it).
-func TestInvokeLocalBouncesAcrossHandOff(t *testing.T) {
+// An rf=1 write in flight while a Join hands its object to the new member
+// must not be acked on a copy the new owner never receives: the round of
+// one either bounces or reaches the new owner with the hand-off. The view
+// flips, and the old owner's rebalance runs, after the round passed its
+// fence check and before it applies its first write, which creates the
+// object: a copy created only at apply time would miss the rebalance's
+// enumeration and stay behind on the old owner. A call
+// that already holds the entry (applyOne, which synchronization objects and
+// proved-current reads use) must bounce while the ref is fenced for a
+// migration, and once the copy was handed off and dropped.
+func TestRoundOfOneAcrossHandOff(t *testing.T) {
 	net := rpc.NewMemNetwork()
 	dir := membership.NewDirectory(time.Hour)
-	var n1 *Node
-	ref := core.Ref{Type: objects.TypeAtomicLong}
-	// The constructor runs inside lookupOrCreate, i.e. after invokeLocal's
-	// first ownership check: flip the placement right there and return only
-	// once n1 has installed the new view.
-	flipped := false
-	reg := core.NewRegistry()
-	reg.MustRegister(core.TypeInfo{Name: objects.TypeAtomicLong, New: func(init []any) (core.Object, error) {
-		if !flipped {
-			flipped = true
-			before, _ := n1.currentView()
-			go dir.SetDirective(ref.String(), []ring.NodeID{"n2"})
-			for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); runtime.Gosched() {
-				if v, _ := n1.currentView(); v.ID != before.ID {
-					break
-				}
-			}
-		}
-		return objects.NewAtomicInt64(init)
-	}})
-	cfg := validConfig(net, dir)
-	cfg.Registry = reg
-	n1 = startNode(t, cfg)
-	cfg.ID, cfg.Addr, cfg.Registry = "n2", "n2", objects.BuiltinRegistry()
-	startNode(t, cfg)
-	for i := 0; ; i++ {
-		ref.Key = fmt.Sprint("k", i)
-		if group, _ := n1.replicaGroup(ref, false); group[0] == n1.cfg.ID {
-			break
+	// Two keys n1 owns alone and n2 takes over when it joins.
+	var keys []core.Ref
+	joined := membership.View{Members: []ring.NodeID{"n1", "n2"}}
+	for i := 0; len(keys) < 2; i++ {
+		ref := core.Ref{Type: objects.TypeAtomicLong, Key: fmt.Sprint("k", i)}
+		if joined.Place(ref.String(), 1)[0] == "n2" {
+			keys = append(keys, ref)
 		}
 	}
+	held, moving := keys[0], keys[1]
+	n1 := startNode(t, validConfig(net, dir))
 	ctx := context.Background()
-	inc := core.Invocation{Ref: ref, Method: "IncrementAndGet"}
-	if res, err := n1.invokeLocal(ctx, inc); !errors.Is(err, core.ErrWrongNode) {
-		t.Fatalf("old owner answered %v, %v across the flip; want ErrWrongNode", res, err)
+	inc := func(ref core.Ref) core.Invocation {
+		return core.Invocation{Ref: ref, Method: "IncrementAndGet"}
 	}
 
-	// Same for an invocation that already holds the entry: it must not land
-	// behind a migration's final snapshot while the ref is fenced, nor on
-	// the entry once the copy was dropped.
-	ref.Key += "/held"
-	inc.Ref = ref
-	dir.SetDirective(ref.String(), []ring.NodeID{"n1"})
-	if _, err := n1.invokeLocal(ctx, inc); err != nil {
+	if _, err := n1.invoke(ctx, inc(held)); err != nil {
 		t.Fatal(err)
 	}
-	e, _ := n1.lookupExisting(ref)
-	n1.fenceMigration(ref)
-	if res, _, err := n1.applyOne(ctx, e, inc); !errors.Is(err, core.ErrRebalancing) {
+	e, _ := n1.lookupExisting(held)
+	n1.fenceMigration(held)
+	if res, err := n1.applyOne(ctx, e, inc(held)); !errors.Is(err, core.ErrRebalancing) {
 		t.Fatalf("fenced copy answered %v, %v; want ErrRebalancing", res, err)
 	}
-	n1.liftMigrationFence(ref)
-	if _, _, err := n1.applyOne(ctx, e, inc); err != nil {
+	n1.liftMigrationFence(held)
+	if _, err := n1.applyOne(ctx, e, inc(held)); err != nil {
 		t.Fatalf("after a failed migration lifts its fence: %v", err)
 	}
-	dir.SetDirective(ref.String(), []ring.NodeID{"n2"})
-	if n1.DebugHasObject(ref) {
-		t.Fatal("copy still resident at the old owner after the flip")
+
+	// Once set, the next round of one starts n2 before its delivery and
+	// goes on only once n1 has handed held off in the rebalance n2's Join
+	// makes.
+	var n2 *Node
+	n1.beforeApply = func(core.Ref) {
+		n1.beforeApply = nil
+		cfg := validConfig(net, dir)
+		cfg.ID, cfg.Addr = "n2", "n2"
+		var err error
+		if n2, err = Start(cfg); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = n2.Crash() })
+		for deadline := time.Now().Add(10 * time.Second); n1.DebugHasObject(held); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("n1 never handed its copy off to n2")
+			}
+		}
 	}
-	if res, _, err := n1.applyOne(ctx, e, inc); !errors.Is(err, core.ErrRebalancing) {
+	res, err := n1.invoke(ctx, inc(moving))
+	get := func(ref core.Ref) int64 {
+		t.Helper()
+		got, err := n2.invoke(ctx, core.Invocation{Ref: ref, Method: "Get", ReadOnly: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got[0].(int64)
+	}
+	switch {
+	case err == nil:
+		if got := get(moving); got != res[0].(int64) {
+			t.Fatalf("old owner acked %v across the hand-off; the new owner holds %d", res[0], got)
+		}
+	case !errors.Is(err, core.ErrRebalancing) && !errors.Is(err, core.ErrWrongNode):
+		t.Fatalf("write across the hand-off: %v, want an ack or a retryable bounce", err)
+	}
+
+	if n1.DebugHasObject(held) {
+		t.Fatal("copy still resident at the old owner after the hand-off")
+	}
+	if res, err := n1.applyOne(ctx, e, inc(held)); !errors.Is(err, core.ErrRebalancing) {
 		t.Fatalf("dropped entry answered %v, %v; want ErrRebalancing", res, err)
+	}
+	if got := get(held); got != 2 {
+		t.Fatalf("new owner holds %d of the two acked increments", got)
 	}
 }

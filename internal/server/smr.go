@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"log/slog"
 	"slices"
 	"sync"
 	"time"
@@ -29,6 +30,9 @@ import (
 // round of one, run inline on its caller's goroutine under its caller's
 // context; group commit (batch.go) only decides how many invocations a
 // round carries and runs it under the batcher's own bounded context.
+// An rf=1 object's round has a group of one, which skips the multicast and
+// applies inline (see orderAlone); only synchronization objects stay
+// outside rounds.
 
 // opResult is one invocation's outcome inside a round.
 type opResult struct {
@@ -43,7 +47,7 @@ type roundOutcome struct {
 	// version is the copy's apply version right after the round's last
 	// invocation, and replays how many of its invocations were answered
 	// from the at-most-once window instead of executing; both are captured
-	// under the object monitor (see apply) and compared against the
+	// under the object monitor (see applyOrdered) and compared against the
 	// members' finalResp before acking (see checkRound).
 	version uint64
 	replays int
@@ -55,14 +59,12 @@ type roundOutcome struct {
 	err error
 }
 
-// round is the coordinator's record of one ordering round in flight,
-// registered under its MsgID in Node.rounds from before the multicast
-// until runRound returns. It keeps what the coordinator already knows so
-// that nothing is decoded back out of its own payload: the admission check
-// of the local PROPOSE reads ref, and the coordinator's own delivery
-// applies invs. It is also the round's totalorder.Transport: messages to
-// self short-circuit without network or simulated latency, messages to
-// peers pay one DSOReplica hop each way.
+// round is the coordinator's record of one multicast round (a group of one
+// needs none, see orderAlone), in Node.rounds under its MsgID from before
+// the multicast until runRound returns. The local PROPOSE's admission reads
+// ref and the coordinator's own delivery applies invs, so nothing is decoded
+// out of its own payload. It is also the round's totalorder.Transport:
+// messages to self short-circuit, messages to peers pay one DSOReplica hop.
 type round struct {
 	n       *Node
 	ref     core.Ref
@@ -74,9 +76,8 @@ type round struct {
 	// (a crashed holder's lease running out) pass the view check at
 	// old-group members that have since installed the next view.
 	fence uint64
-	// done receives the coordinator's own delivery. Buffered: the protocol
-	// layer delivers an id at most once, and a round whose waiter gave up
-	// must not block the delivery goroutine.
+	// done receives the coordinator's own delivery. Buffered: an id is
+	// delivered at most once, and a waiter that gave up must not block it.
 	done chan roundOutcome
 	// replies collects the members' FINAL replies (under mu while the
 	// multicast runs; checkRound reads it once the multicast has returned).
@@ -216,12 +217,13 @@ func (n *Node) primacy(ref core.Ref, group []ring.NodeID) error {
 	return nil
 }
 
-// invokeReplicated is the primary-side path for persistent objects: the
-// contacted node must be the primary replica; reads it can prove current
-// are served from the local copy, everything else is ordered through a
-// round.
-func (n *Node) invokeReplicated(ctx context.Context, inv core.Invocation) ([]any, error) {
-	group, view := n.replicaGroup(inv.Ref, true)
+// invoke is the primary-side path for every call on a data object. Its
+// group is the replica group for a persistent object and a group of one
+// otherwise (replicaGroup), and the contacted node must lead it: reads it
+// can prove current are served from the local copy, everything else is
+// ordered through a round.
+func (n *Node) invoke(ctx context.Context, inv core.Invocation) ([]any, error) {
+	group, view := n.replicaGroup(inv.Ref, inv.Persist)
 	if len(group) > 0 && group[0] != n.cfg.ID && inv.ReadOnly && n.leases != nil && slices.Contains(group, n.cfg.ID) {
 		// Follower read: serve the read from our replica copy under a
 		// primary-granted lease instead of bouncing to the primary.
@@ -230,23 +232,16 @@ func (n *Node) invokeReplicated(ctx context.Context, inv core.Invocation) ([]any
 	if err := n.primacy(inv.Ref, group); err != nil {
 		return nil, err
 	}
-	info, err := n.cfg.Registry.Lookup(inv.Ref.Type)
-	if err != nil {
-		return nil, err
-	}
-	if info.Synchronization {
-		// Synchronization objects are never replicated (paper, fn. 2).
-		return n.invokeLocal(ctx, inv)
-	}
-	if results, err, ok := n.tryLocalRead(ctx, inv); ok {
+	if results, err, ok := n.tryLocalRead(ctx, inv, len(group)); ok {
 		// Read-only calls at a provably-current primary skip the ordering
 		// round entirely; writes it has not applied were never acked, so
 		// the read linearizes at its execution under the object monitor.
 		return results, err
 	}
-	if n.batcher != nil && !inv.ReadOnly {
+	if n.batcher != nil && !inv.ReadOnly && len(group) > 1 {
 		// Group commit (Config.Write): the mutation joins a per-ref queue
-		// and shares its round with its concurrent neighbors.
+		// and shares its round with its concurrent neighbors. A group of
+		// one has no multicast to amortize and runs inline.
 		return n.batcher.submit(ctx, inv)
 	}
 	// A round of one, right here: no queue, no goroutine hop, no timer.
@@ -259,14 +254,15 @@ func (n *Node) invokeReplicated(ctx context.Context, inv core.Invocation) ([]any
 
 // runRound coordinates one ordering round for invs, which all target one
 // object, among group as view places it (see replicaGroup): primacy check,
-// lease fence, residency, multicast, the wait for this node's own in-order
-// delivery, the fork check and the WAL wait, in that order and each exactly
-// once however many invocations the round carries. A nil error means the
-// round is applied at every group member and durable; the per-invocation
-// outcomes (method errors included, which every replica reproduces) are in
-// the result, index-aligned with invs. ordered reports whether the multicast
-// went through — the point from which the round counts in smr_rounds, even
-// if it then fails the fork check or the WAL wait.
+// lease fence, residency, multicast (orderAlone for a group of one), the
+// wait for this node's own in-order delivery, the fork check and the WAL
+// wait, in that order and each exactly once however many invocations the
+// round carries. A nil error means the round is applied at every group
+// member and durable; the per-invocation outcomes (method errors included,
+// which every replica reproduces) are in the result, index-aligned with
+// invs. ordered reports whether the round was ordered — the point from
+// which it counts in smr_rounds, even if it then fails the fork check or
+// the WAL wait.
 func (n *Node) runRound(ctx context.Context, group []ring.NodeID, view membership.View, invs []core.Invocation) (res []opResult, ordered bool, err error) {
 	defer func() {
 		if err != nil && n.closed.Load() {
@@ -277,8 +273,8 @@ func (n *Node) runRound(ctx context.Context, group []ring.NodeID, view membershi
 		}
 	}()
 	ref := invs[0].Ref
-	// A repeat after invokeReplicated, which gates its local paths on it, but
-	// not after flush, which computes its group later: two comparisons.
+	// A repeat after invoke, which gates its local paths on it, but not
+	// after flush, which computes its group later: two comparisons.
 	if err := n.primacy(ref, group); err != nil {
 		return nil, false, err
 	}
@@ -297,28 +293,15 @@ func (n *Node) runRound(ctx context.Context, group []ring.NodeID, view membershi
 	if err != nil {
 		return nil, false, err
 	}
-	// An invocation this node decoded off the wire re-encodes; a failure
-	// here is a codec bug, and nothing has been ordered yet.
-	payload, err := encodeRoundPayload(genesis, invs)
-	if err != nil {
-		return nil, false, err
+	// A failure here is a codec bug, and nothing has been ordered yet. A
+	// group of one encodes only for a persistent object's WAL record.
+	var payload []byte
+	if len(group) > 1 || (n.walEnabled() && invs[0].Persist) {
+		if payload, err = encodeRoundPayload(genesis, invs); err != nil {
+			return nil, false, err
+		}
 	}
 	id := totalorder.MsgID{Origin: string(n.cfg.ID), Seq: n.seq.Add(1)}
-	rd := &round{n: n, ref: ref, invs: invs, genesis: genesis, fence: view.Fence(),
-		done: make(chan roundOutcome, 1)}
-	n.roundMu.Lock()
-	n.rounds[id] = rd
-	n.roundMu.Unlock()
-	defer func() {
-		n.roundMu.Lock()
-		delete(n.rounds, id)
-		n.roundMu.Unlock()
-	}()
-
-	members := make([]string, len(group))
-	for i, g := range group {
-		members[i] = string(g)
-	}
 	// Telemetry: attribute the whole ordering round — multicast, in-order
 	// delivery, replica execution — to the active span so reports can
 	// separate SMR cost from plain method execution.
@@ -326,23 +309,42 @@ func (n *Node) runRound(ctx context.Context, group []ring.NodeID, view membershi
 	if n.instrumented {
 		orderStart = time.Now()
 	}
-	if err := totalorder.Multicast(ctx, rd, members, id, payload); err != nil {
-		// A failed multicast means part of the replica group is
-		// unreachable or the view is changing under our feet (a member
-		// crashed between group computation and propose). Either way the
-		// client should re-route and retry — surface the rebalancing
-		// sentinel, which survives the wire's string encoding as a prefix
-		// (unlike an error buried mid-text). At-most-once dedup makes the
-		// retry safe even if this round did deliver somewhere.
-		return nil, false, fmt.Errorf("%w: %v", core.ErrRebalancing, err)
+	var out roundOutcome
+	var rd *round
+	if len(group) == 1 {
+		if out, err = n.orderAlone(id, view.Fence(), genesis, invs, payload); err != nil {
+			return nil, false, err
+		}
+	} else {
+		rd = &round{n: n, ref: ref, invs: invs, genesis: genesis, fence: view.Fence(),
+			done: make(chan roundOutcome, 1)}
+		n.roundMu.Lock()
+		n.rounds[id] = rd
+		n.roundMu.Unlock()
+		defer func() {
+			n.roundMu.Lock()
+			delete(n.rounds, id)
+			n.roundMu.Unlock()
+		}()
+		members := make([]string, len(group))
+		for i, g := range group {
+			members[i] = string(g)
+		}
+		if err := totalorder.Multicast(ctx, rd, members, id, payload); err != nil {
+			// Part of the group is unreachable or the view is changing: the
+			// client re-routes on the rebalancing sentinel; dedup makes the
+			// retry safe even if this round delivered somewhere.
+			return nil, false, fmt.Errorf("%w: %v", core.ErrRebalancing, err)
+		}
 	}
 	n.smrOps.Add(uint64(len(invs)))
 	n.cSMRRounds.Inc()
-	var out roundOutcome
-	select {
-	case out = <-rd.done:
-	case <-ctx.Done():
-		return nil, true, ctx.Err()
+	if rd != nil {
+		select {
+		case out = <-rd.done:
+		case <-ctx.Done():
+			return nil, true, ctx.Err()
+		}
 	}
 	if n.instrumented {
 		telemetry.SpanFromContext(ctx).AddTiming(telemetry.TimingSMR, time.Since(orderStart))
@@ -350,8 +352,10 @@ func (n *Node) runRound(ctx context.Context, group []ring.NodeID, view membershi
 	if out.err != nil {
 		return nil, true, out.err
 	}
-	if err := n.checkRound(id, rd, out); err != nil {
-		return nil, true, err
+	if rd != nil {
+		if err := n.checkRound(id, rd, out); err != nil {
+			return nil, true, err
+		}
 	}
 	if err := waitDurable(ctx, out.commit); err != nil {
 		// The round is applied in memory but its record never reached cold
@@ -359,9 +363,41 @@ func (n *Node) runRound(ctx context.Context, group []ring.NodeID, view membershi
 		// honor. No ack — the clients' retries are dedup-safe.
 		return nil, true, err
 	}
-	n.log.Debug("smr round complete", "ref", ref.String(), "id", id.String(),
-		"ops", len(invs), "group", members, "genesis", genesis)
+	if n.log.Enabled(ctx, slog.LevelDebug) {
+		n.log.Debug("smr round complete", "ref", ref.String(), "id", id.String(),
+			"ops", len(invs), "group", group, "genesis", genesis)
+	}
 	return out.res, true, nil
+}
+
+// orderAlone orders and applies a group of one's round inline: admission,
+// then the copy's lookup (creation, for genesis), then the fences, so a
+// hand-off either pushes the copy after the round or bounces it. It applies
+// to exactly that copy: one dropped since bounces (DESIGN.md §5e).
+func (n *Node) orderAlone(id totalorder.MsgID, fence uint64, genesis bool, invs []core.Invocation, payload []byte) (roundOutcome, error) {
+	ref := invs[0].Ref
+	if !n.inflight.admit(id, ref) {
+		return roundOutcome{}, fmt.Errorf("%w: %s has an op in flight from another coordinator",
+			core.ErrRebalancing, ref)
+	}
+	defer n.inflight.settle(id)
+	var e *entry
+	var err error
+	if genesis {
+		e, err = n.lookupOrCreate(invs[0])
+	} else if e, _ = n.lookupExisting(ref); e == nil {
+		err = fmt.Errorf("%w: %s dropped on %s", core.ErrRebalancing, ref, n.cfg.ID)
+	}
+	if view, _ := n.currentView(); err == nil && (view.Fence() != fence || n.migrationFenced(ref)) {
+		err = fmt.Errorf("%w: %s moved while its round formed on %s", core.ErrRebalancing, ref, n.cfg.ID)
+	}
+	if err != nil {
+		return roundOutcome{}, err
+	}
+	if n.beforeApply != nil {
+		n.beforeApply(ref)
+	}
+	return n.applyOrdered(id, e, genesis, invs, make([]opResult, len(invs)), payload), nil
 }
 
 // ensureCoordinatorCopy makes sure this node may safely coordinate an
@@ -369,7 +405,15 @@ func (n *Node) runRound(ctx context.Context, group []ring.NodeID, view membershi
 // genesis. It runs once per round, not per write.
 func (n *Node) ensureCoordinatorCopy(ctx context.Context, ref core.Ref, group []ring.NodeID) (genesis bool, err error) {
 	_, resident := n.lookupExisting(ref)
-	if (!resident || n.isStale(ref)) && len(group) > 1 {
+	if len(group) == 1 {
+		// No peer to ask about a miss. A stale mark polls the rf-sized set,
+		// the likeliest holders of a better copy (at RF 1 it just clears).
+		if !n.isStale(ref) {
+			return !resident, nil
+		}
+		group, _ = n.replicaGroup(ref, true)
+	}
+	if !resident || n.isStale(ref) {
 		// The primary holds no copy, or holds one marked behind the
 		// committed history (a delivery was skipped before its base
 		// installed). A miss is either a genuinely new object or one whose
@@ -456,18 +500,19 @@ func (n *Node) checkRound(id totalorder.MsgID, rd *round, local roundOutcome) er
 // group member, and no single crash can take the only copy of an
 // acknowledged write with it. Only rebalancing-class failures count as
 // not applied; any other outcome every replica reproduces.
+// The round stays in flight until applied, so a quiesced snapshot has it.
 func (n *Node) deliver(id totalorder.MsgID, payload []byte) bool {
-	n.inflight.settle(id)
+	defer n.inflight.settle(id)
 	n.roundMu.Lock()
 	rd := n.rounds[id]
 	n.roundMu.Unlock()
 	var out roundOutcome
 	if rd != nil {
-		out = n.applyOrdered(id, rd.genesis, rd.invs, make([]opResult, len(rd.invs)), payload)
+		out = n.applyOrdered(id, nil, rd.genesis, rd.invs, make([]opResult, len(rd.invs)), payload)
 		rd.done <- out
 	} else if genesis, invs, err := decodeRoundPayload(payload); err != nil {
 		out.err = err
-	} else if out = n.applyOrdered(id, genesis, invs, nil, payload); out.err == nil {
+	} else if out = n.applyOrdered(id, nil, genesis, invs, nil, payload); out.err == nil {
 		// Member side: remember the outcome for the FINAL reply's fork
 		// check (see handleFinal). Bounded: an apply whose FINAL handler
 		// already gave up waiting leaves an orphan entry, so the map is
@@ -491,8 +536,8 @@ func (n *Node) deliver(id totalorder.MsgID, payload []byte) bool {
 // applyOrdered runs every invocation of a delivered round, in payload
 // order, on the local copy under a single member write fence and a single
 // monitor acquisition. Each invocation is individually dedup-checked and
-// dedup-recorded (apply), so a retried write that lands in a later round
-// replays instead of re-executing. The round applies all-or-nothing with
+// dedup-recorded (applyLocked), so a retried write that lands in a later
+// round replays instead of re-executing. The round applies all-or-nothing with
 // respect to rebalancing-class failures (no base copy, fence failure, copy
 // mid-transfer): those void it before any invocation runs, so the single
 // applied verdict the protocol layer expects remains sound; deterministic
@@ -508,11 +553,13 @@ func (n *Node) deliver(id totalorder.MsgID, payload []byte) bool {
 // background pull restores this replica's base copy.
 //
 // res receives the per-invocation outcomes; a member, which answers no
-// caller, passes nil.
-func (n *Node) applyOrdered(id totalorder.MsgID, genesis bool, invs []core.Invocation, res []opResult, payload []byte) (out roundOutcome) {
+// caller, passes nil. e is a group of one's copy (orderAlone), else nil.
+func (n *Node) applyOrdered(id totalorder.MsgID, e *entry, genesis bool, invs []core.Invocation, res []opResult, payload []byte) (out roundOutcome) {
 	ref := invs[0].Ref
-	e, resident := n.lookupExisting(ref)
-	if !resident {
+	if e == nil {
+		e, _ = n.lookupExisting(ref)
+	}
+	if e == nil {
 		if !genesis {
 			n.log.Debug("skipping committed round without base copy",
 				"ref", ref.String(), "origin", id.Origin, "ops", len(invs))
@@ -553,22 +600,32 @@ func (n *Node) applyOrdered(id totalorder.MsgID, genesis bool, invs []core.Invoc
 	}
 	// Ordered ops never block (no sync objects), so Background is a safe
 	// execution context here.
-	out.version, out.replays, out.err = n.apply(context.Background(), e, invs, res, false)
-	if out.err != nil {
+	ctx := context.Background()
+	n.lockEntry(ctx, e)
+	if e.transferring {
+		e.mu.Unlock()
+		out.err = core.ErrRebalancing
 		return out
 	}
-	out.res = res
-	if !readOnly {
+	// Read under the monitor: a later read could include a later delivery.
+	out.replays = n.applyLocked(ctx, e, invs, res)
+	out.version = e.version
+	if !readOnly && e.persist {
 		// One record carries the whole round; replay re-applies its
 		// invocations through the same dedup window. Every replica logs
-		// its own WAL; only the coordinator's ticket gates the ack.
+		// its own WAL; only the coordinator's ticket gates the ack. Under
+		// the monitor: replay's version gate needs apply-version order.
 		out.commit = n.appendWAL(id.Origin, id.Seq, out.version, payload)
 	}
+	e.mu.Unlock()
+	out.res = res
 	k := telemetry.ObjectKey{Type: ref.Type, Key: ref.Key}
 	n.objTrack.ObserveApply(k, len(invs))
 	n.bundleTrack.ObserveApply(k, len(invs))
-	n.log.Debug("smr round applied", "ref", ref.String(), "id", id.String(),
-		"ops", len(invs), "version", out.version, "replays", out.replays)
+	if n.log.Enabled(ctx, slog.LevelDebug) {
+		n.log.Debug("smr round applied", "ref", ref.String(), "id", id.String(),
+			"ops", len(invs), "version", out.version, "replays", out.replays)
+	}
 	return out
 }
 

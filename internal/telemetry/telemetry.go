@@ -252,7 +252,7 @@ const (
 	AttrObjectType = "object_type"
 	AttrObjectKey  = "object_key"
 	AttrMethod     = "method"
-	AttrPath       = "path" // "local" or "smr"
+	AttrPath       = "path" // "round" (a data object) or "sync" (a synchronization object)
 	// AttrBatchSize tags a server.smr_batch span with the number of
 	// sub-operations its round carried.
 	AttrBatchSize = "batch_size"
