@@ -62,9 +62,11 @@ chaos-short:
 # flake-check reruns the tests that used to fail under CPU contention —
 # the two whose clocks are now under the test's control, the cache-on
 # crash/restart nemesis that caught the fork-check bug (DESIGN.md §5c), the
-# migration race that lost an rf=1 write across the hand-off (§5g) — and
-# the two that pin the rf=1 round of one: a write racing a Join hand-off,
-# and concurrent durable writes recovered after a full crash (§5h) — 30
+# migration race that lost an rf=1 write across the hand-off (§5g) — the
+# two that pin the rf=1 round of one: a write racing a Join hand-off, and
+# concurrent durable writes recovered after a full crash (§5h) — and the
+# rf=2 routing test: every cache-less read reaches the primary and is
+# served there without a round, and a follower bounces reads (§5d). 30
 # times each at one and two CPUs (about half a minute on an idle box).
 # Not part of verify. To reproduce the contention itself, run any CPU hog
 # beside it (e.g. four copies of a `go test -c ./internal/chaos` binary).
@@ -72,7 +74,7 @@ flake-check:
 	$(GO) test -count=30 -cpu 1,2 -run 'TestCheckFailuresConcurrentWithMembershipChurn' ./internal/membership/
 	$(GO) test -count=30 -cpu 1,2 -run 'TestBillingUsesModeledTime|TestBillingAccumulates' ./internal/faas/
 	$(GO) test -count=30 -cpu 1,2 -run 'TestNemesisCacheCrashRestart' ./internal/chaos/
-	$(GO) test -count=30 -cpu 1,2 -run 'TestInvokeDuringMigrationLosesNothing|TestDurabilityRecoversConcurrentRFOneWrites' ./internal/cluster/
+	$(GO) test -count=30 -cpu 1,2 -run 'TestInvokeDuringMigrationLosesNothing|TestDurabilityRecoversConcurrentRFOneWrites|TestRF2ReadsServedAtPrimary' ./internal/cluster/
 	$(GO) test -count=30 -cpu 1,2 -run 'TestRoundOfOneAcrossHandOff' ./internal/server/
 
 # doclint fails when an exported identifier in the public API (the root

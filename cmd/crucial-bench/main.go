@@ -54,7 +54,6 @@ func run() int {
 		}
 		fmt.Println(bench.ExpStages)
 		fmt.Println(bench.ExpChaos)
-		fmt.Println(bench.ExpCache)
 		fmt.Println(bench.ExpReshard)
 		fmt.Println(bench.ExpStatefun)
 		return 0

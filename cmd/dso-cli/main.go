@@ -32,9 +32,9 @@
 //
 // The cache subcommand prints the read-path slice of the same counters:
 // lease grants/refusals/revocations, expiry waits on the write path, and
-// reads served without an SMR round (primary-local and follower reads) —
-// plus, from a node whose process also hosts caching clients (the
-// in-process runtime), their cache.* counters: hits, misses,
+// reads the primary served from its own copy without an SMR round — plus,
+// from a node whose process also hosts caching clients (the in-process
+// runtime), their cache.* counters: hits, misses,
 // invalidations, lease expiries and cache.stale_grants, the grants a
 // client paid a round trip for and had to discard. stats shows them too.
 // Meaningful when nodes run with -lease-ttl and -telemetry.
@@ -365,12 +365,12 @@ func printStorageCost(counters map[string]uint64) {
 // cachePrefixes selects the read-path metrics out of a node snapshot:
 // server-side lease-table counters plus any cache.* counters a node-local
 // cache might report.
-var cachePrefixes = []string{"server.lease", "server.follower_reads", "server.local_reads", "cache."}
+var cachePrefixes = []string{"server.lease", "server.local_reads", "cache."}
 
 // runCache implements `dso-cli cache`: the lease/read-path slice of every
 // node's counters — grants and refusals, synchronous revocations, expiry
-// waits on the write path, and how many reads were answered without an SMR
-// round (locally at the primary or by a follower).
+// waits on the write path, and how many reads the primary answered from
+// its own copy without an SMR round.
 func runCache(argv []string) int {
 	fs := flag.NewFlagSet("cache", flag.ExitOnError)
 	var (

@@ -112,15 +112,13 @@ func Run(name string, w io.Writer, o Options) error {
 		return Stages(w, o)
 	case ExpChaos:
 		return Chaos(w, o)
-	case ExpCache:
-		return Cache(w, o)
 	case ExpReshard:
 		return Reshard(w, o)
 	case ExpStatefun:
 		return Statefun(w, o)
 	default:
-		return fmt.Errorf("bench: unknown experiment %q (known: %v + %v + %q + %q + %q + %q + %q)",
-			name, Names(), AblationNames(), ExpStages, ExpChaos, ExpCache, ExpReshard, ExpStatefun)
+		return fmt.Errorf("bench: unknown experiment %q (known: %v + %v + %q + %q + %q + %q)",
+			name, Names(), AblationNames(), ExpStages, ExpChaos, ExpReshard, ExpStatefun)
 	}
 }
 

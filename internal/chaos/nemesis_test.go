@@ -52,7 +52,7 @@ type nemesisOpts struct {
 	ephemeral bool
 	// cache turns the lease-based client cache on (short TTL, so leases
 	// expire and re-grant inside the schedule) — reads are then served
-	// from client-local copies and follower replicas, and the histories
+	// from client-local copies and primary-local reads, and the histories
 	// must STILL be linearizable under every fault in the plan. A probe
 	// client (cacheProbe) joins the workload and the run fails unless it
 	// was served from its cache again after a write had invalidated it.
@@ -537,8 +537,8 @@ func TestNemesisWriteBatchCrashRestart(t *testing.T) {
 }
 
 // TestNemesisCachePartition runs the workload with the lease-based client
-// cache ON (seed 606): reads are served from client-local copies and
-// follower replicas while partitions isolate nodes, and one window drops
+// cache ON (seed 606): reads are served from client-local copies and the
+// primaries' own copies while partitions isolate nodes, and one window drops
 // every frame reaching the cache-side invalidation listeners — the
 // blackholed-invalidation case, where a writer must wait out the lease
 // TTL before committing because it cannot reach the holders. The

@@ -69,14 +69,6 @@ type Config struct {
 	// propagated to the serving node through the wire), RPC round-trip
 	// and per-object-type latency histograms, and re-route counters.
 	Telemetry *telemetry.Telemetry
-	// ReadReplicas, when > 1, spreads read-only invocations on persistent
-	// objects round-robin across the object's replica group instead of
-	// always hitting the primary. Followers serve such reads under a
-	// primary-granted lease (server follower reads) and bounce to the
-	// primary when they cannot, so any value is safe; set it to the
-	// cluster's replication factor to use every copy. Zero or one routes
-	// every call to the primary (the classic path).
-	ReadReplicas int
 	// Cache, when non-nil, enables the lease-based read cache: read-only
 	// invocations (per core.RegisterReadOnlyMethods) on leased objects are
 	// answered from a local copy without a network round trip, kept
@@ -115,12 +107,6 @@ type Client struct {
 	// the recorded response (see internal/server/dedup.go).
 	id  uint64
 	seq atomic.Uint64
-
-	// readSeq round-robins follower-read routing across a replica group
-	// (see Config.ReadReplicas). Advancing it per routed read also makes
-	// retries naturally move on to the next replica — and eventually the
-	// primary — when a follower cannot serve.
-	readSeq atomic.Uint64
 
 	// Telemetry handles; nil (no-op) when no bundle was configured.
 	instrumented bool
@@ -255,34 +241,6 @@ func (c *Client) route(ref core.Ref) (string, *rpc.Client, error) {
 	return addr, rc, err
 }
 
-// routeFor resolves the connection for one invocation attempt: read-only
-// calls on persistent objects fan out round-robin across the replica group
-// when Config.ReadReplicas > 1 (follower reads); everything else goes to
-// the primary.
-func (c *Client) routeFor(inv core.Invocation) (string, *rpc.Client, error) {
-	if c.cfg.ReadReplicas <= 1 || !inv.ReadOnly || !inv.Persist {
-		return c.route(inv.Ref)
-	}
-	rt := c.routes.Load()
-	if rt.ring == nil || rt.ring.Size() == 0 {
-		return "", nil, errors.New("client: no DSO nodes in view")
-	}
-	group := rt.view.Directives.Place(rt.ring, inv.Ref.String(), c.cfg.ReadReplicas)
-	if len(group) == 0 {
-		return "", nil, errors.New("client: no owner for " + inv.Ref.String())
-	}
-	id := group[c.readSeq.Add(1)%uint64(len(group))]
-	addr, ok := rt.view.Addrs[id]
-	if !ok {
-		return "", nil, fmt.Errorf("client: no address for node %s", id)
-	}
-	if rc, ok := rt.conns[addr]; ok {
-		return addr, rc, nil
-	}
-	rc, err := c.dial(addr)
-	return addr, rc, err
-}
-
 // dial establishes (or returns a concurrently established) connection to
 // addr and publishes it in a new snapshot. This is the slow path, taken
 // once per address until the connection breaks.
@@ -395,8 +353,8 @@ func (c *Client) InvokeObject(ctx context.Context, inv core.Invocation) ([]any, 
 
 	// Classify the call against the read-only registry. The flag rides the
 	// wire (servers re-validate it against their own registry) and steers
-	// every layer of the read path: the lease cache below, follower reads,
-	// and the server's local-read fast path.
+	// both layers of the read path: the lease cache below and the primary's
+	// local-read fast path.
 	if !inv.ReadOnly {
 		inv.ReadOnly = core.IsReadOnlyMethod(inv.Ref.Type, inv.Method)
 	}
@@ -438,7 +396,7 @@ func (c *Client) InvokeObject(ctx context.Context, inv core.Invocation) ([]any, 
 				return nil, err
 			}
 		}
-		addr, rc, err := c.routeFor(inv)
+		addr, rc, err := c.route(inv.Ref)
 		if err != nil {
 			lastErr = err
 			continue

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -12,6 +13,7 @@ import (
 	"crucial/internal/core"
 	"crucial/internal/objects"
 	"crucial/internal/rpc"
+	"crucial/internal/server"
 	"crucial/internal/telemetry"
 )
 
@@ -284,55 +286,71 @@ func TestCacheBlackholedInvalidation(t *testing.T) {
 	}
 }
 
-// TestFollowerReadsSpreadLoad: on an rf=2 group, read-only calls fan out
-// across both replicas; the follower serves them under a replica lease
-// instead of bouncing every call to the primary.
-func TestFollowerReadsSpreadLoad(t *testing.T) {
+// TestRF2ReadsServedAtPrimary: without a client cache, every read-only call
+// on an rf=2 object goes to the primary, which serves it from its own copy
+// without an ordering round. The follower serves no reads: a read sent
+// straight to it is bounced.
+func TestRF2ReadsServedAtPrimary(t *testing.T) {
 	tel := telemetry.New()
-	c := startCluster(t, Options{
-		Nodes:       3,
-		RF:          2,
-		LeaseTTL:    time.Second,
-		ClientCache: false, // isolate the follower-read path from the client cache
-		Telemetry:   tel,
-	})
+	c := startCluster(t, Options{Nodes: 3, RF: 2, LeaseTTL: time.Second, Telemetry: tel})
 	cl := newClient(t, c)
 	ctx := ctxT(t)
 	ref := core.Ref{Type: objects.TypeAtomicLong, Key: "replicated-hot"}
+	inv := func(method string, args ...any) int64 {
+		t.Helper()
+		res, err := cl.InvokeObject(ctx, core.Invocation{Ref: ref, Method: method, Args: args, Persist: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res[0].(int64)
+	}
 
-	inv := func(method string, args ...any) ([]any, error) {
-		return cl.InvokeObject(ctx, core.Invocation{
-			Ref: ref, Method: method, Args: args, Persist: true,
-		})
-	}
-	if _, err := inv("Set", int64(42)); err != nil {
-		t.Fatal(err)
-	}
+	inv("AddAndGet", int64(42))
+	local := tel.Metrics().Counter(telemetry.MetServerLocalReads)
+	rounds := tel.Metrics().Counter(telemetry.MetServerSMRRounds)
+	l0, r0 := local.Value(), rounds.Value()
 	const reads = 60
 	for i := 0; i < reads; i++ {
-		res, err := inv("Get")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res[0].(int64) != 42 {
-			t.Fatalf("read %d = %v, want 42", i, res[0])
+		if v := inv("Get"); v != 42 {
+			t.Fatalf("read %d = %d, want 42", i, v)
 		}
 	}
-	follower := tel.Metrics().Counter(telemetry.MetServerFollowerReads).Value()
-	if follower == 0 {
-		t.Fatal("no follower reads recorded — reads all funneled to the primary")
+	if got := local.Value() - l0; got != reads {
+		t.Fatalf("%d of %d reads served locally at the primary", got, reads)
 	}
-	// Writes stay linearizable through follower reads: bump and re-read.
-	if _, err := inv("AddAndGet", int64(1)); err != nil {
+	if got := rounds.Value() - r0; got != 0 {
+		t.Fatalf("%d ordering rounds for %d reads", got, reads)
+	}
+
+	group := c.Dir.Placement().Place(ref.String(), 2)
+	conn, err := c.Transport.Dial(c.Dir.View().Addrs[group[1]])
+	if err != nil {
 		t.Fatal(err)
 	}
+	rc := rpc.NewClient(conn)
+	defer rc.Close()
+	payload, err := core.EncodeInvocation(core.Invocation{Ref: ref, Method: "Get", Persist: true, ReadOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := rc.Call(ctx, server.KindInvoke, payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := core.DecodeResponse(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := core.DecodeError(resp.Err); !errors.Is(err, core.ErrWrongNode) {
+		t.Fatalf("read at the follower %s: err = %v, want ErrWrongNode", group[1], err)
+	}
+
+	if v := inv("AddAndGet", int64(1)); v != 43 {
+		t.Fatalf("AddAndGet = %d, want 43", v)
+	}
 	for i := 0; i < 10; i++ {
-		res, err := inv("Get")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res[0].(int64) != 43 {
-			t.Fatalf("post-write follower read = %v, want 43", res[0])
+		if v := inv("Get"); v != 43 {
+			t.Fatalf("read %d after the write = %d, want 43", i, v)
 		}
 	}
 }
@@ -394,48 +412,6 @@ func TestCacheWrittenKeyCachedAgain(t *testing.T) {
 		if w > 1 && after.Invalidations < uint64(w-1) {
 			t.Fatalf("after write %d: %d invalidations, want >= %d", w, after.Invalidations, w-1)
 		}
-	}
-}
-
-// TestFollowerLeaseStoredAgainAfterWrite: a write revokes the follower's
-// replica lease once; the lease it re-acquires is stored, so the follower
-// reads that come after do not each pay a peer KindLease round trip.
-func TestFollowerLeaseStoredAgainAfterWrite(t *testing.T) {
-	tel := telemetry.New()
-	c := startCluster(t, Options{Nodes: 3, RF: 2, LeaseTTL: 5 * time.Second, Telemetry: tel})
-	cl := newClient(t, c)
-	ctx := ctxT(t)
-	ref := core.Ref{Type: objects.TypeAtomicLong, Key: "follower-rewritten"}
-	inv := func(method string, args ...any) int64 {
-		t.Helper()
-		res, err := cl.InvokeObject(ctx, core.Invocation{Ref: ref, Method: method, Args: args, Persist: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		v, _ := res[0].(int64)
-		return v
-	}
-	grants := tel.Metrics().Counter(telemetry.MetServerLeaseGrants)
-	followerReads := tel.Metrics().Counter(telemetry.MetServerFollowerReads)
-
-	inv("AddAndGet", int64(1))
-	for i := 0; i < 4; i++ { // the follower acquires its first lease
-		inv("Get")
-	}
-	inv("AddAndGet", int64(1)) // revokes it
-	g0, f0 := grants.Value(), followerReads.Value()
-	const reads = 40
-	for i := 0; i < reads; i++ {
-		if v := inv("Get"); v != 2 {
-			t.Fatalf("read %d after the write = %d, want 2", i, v)
-		}
-	}
-	served := followerReads.Value() - f0
-	if served < reads/4 {
-		t.Fatalf("follower served %d of %d reads", served, reads)
-	}
-	if got := grants.Value() - g0; got > 3 {
-		t.Fatalf("%d replica-lease grants for %d follower reads after one write: the lease is not kept", got, served)
 	}
 }
 

@@ -69,8 +69,8 @@ type Options struct {
 	// frames are detected and aborted within a fault window.
 	PeerCallTimeout time.Duration
 	// LeaseTTL, when positive, enables the lease-based read path on every
-	// node (see server.Config.LeaseTTL): client cache leases, follower
-	// reads, and the primary's local-read fast path.
+	// node (see server.Config.LeaseTTL): client cache leases and the
+	// primary's local-read fast path.
 	LeaseTTL time.Duration
 	// ClientCache, when true, attaches a lease-based read cache to every
 	// client from NewClient (listener address "cache-client-NN", the
@@ -309,11 +309,6 @@ func (c *Cluster) NewClient() (*client.Client, error) {
 		Retry:          c.opts.ClientRetry,
 		AttemptTimeout: c.opts.ClientAttemptTimeout,
 		Telemetry:      c.opts.Telemetry,
-	}
-	if c.opts.LeaseTTL > 0 {
-		// Leases make follower reads sound, so clients may fan read-only
-		// calls across the whole replica group.
-		cfg.ReadReplicas = c.opts.RF
 	}
 	if c.opts.ClientCache {
 		cfg.Cache = &client.CacheConfig{

@@ -56,7 +56,8 @@ type Invocation struct {
 	Seq      uint64
 	// ReadOnly marks the method as declared read-only (see
 	// RegisterReadOnlyMethods). Read-only invocations may be served from a
-	// leased client cache or by a follower replica, skip the at-most-once
+	// leased client cache or from the primary's copy without a round, skip
+	// the at-most-once
 	// dedup window (re-executing a read is harmless and must not evict
 	// write records), and do not advance the object's apply version.
 	// Servers re-validate the flag against their own registry before

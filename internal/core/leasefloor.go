@@ -4,8 +4,8 @@ import "time"
 
 // LeaseFloors is the holder-side guard against a lease grant whose reply
 // lost the race home to the invalidation that killed it (DESIGN.md §5d).
-// Client caches and follower replicas keep one each; it is not safe for
-// concurrent use — the holder's own lock covers it. The zero value is
+// Each client cache keeps one; it is not safe for concurrent use — the
+// cache's own lock covers it. The zero value is
 // ready.
 //
 // A revocation can only be aimed at grants issued before it was sent, so

@@ -9,9 +9,9 @@ import (
 //
 // The DSO layer ships every method call to the object's owner, which is
 // correct but wasteful for reads: a read-only method cannot change object
-// state, so — under a coherence protocol that keeps the copy fresh (the
-// client lease cache, follower reads) — it may be answered from a cached
-// or replica copy without an ownership round trip.
+// state, so it may be answered from a client's cached copy kept fresh by
+// a lease (the client lease cache) without a round trip, or from the
+// primary's own copy without an ordering round.
 //
 // Classification is declarative: the code that registers an object type
 // also declares which of its methods are read-only, at the same place and

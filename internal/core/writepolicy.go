@@ -1,8 +1,8 @@
 package core
 
 // WritePolicy is the single write-path tuning vocabulary of the system,
-// the mutation-side sibling of the read-path knobs (client.CacheConfig,
-// client.Config.ReadReplicas). The same struct configures the runtime
+// the mutation-side sibling of the read-path knob (client.CacheConfig).
+// The same struct configures the runtime
 // (crucial.Options.Write), a cluster (cluster.Options.Write), one server
 // (server.Config.Write) and the dso-server -write-batch flag, so a policy
 // chosen in one place round-trips unchanged to every layer.

@@ -25,8 +25,8 @@ const (
 // Server nodes call it at startup; applications then add their own
 // user-defined types on top (the @Shared analog). It also declares the
 // library's read-only methods (core.RegisterReadOnlyMethods) so the lease
-// cache and follower-read paths can serve them without an ownership round
-// trip. Only methods that neither mutate state nor block qualify; note the
+// cache and the primary's local-read path can serve them without an
+// ordering round. Only methods that neither mutate state nor block qualify; note the
 // near-misses that do NOT: GetAndAdd and GetAndSet write, SumThenReset
 // resets, PutIfAbsent inserts.
 func RegisterBuiltins(r *core.Registry) {

@@ -229,8 +229,8 @@ func (n *Node) applyLocked(ctx context.Context, e *entry, invs []core.Invocation
 			results, err = e.obj.Call(nodeCtl{n: n, e: e, ctx: ctx}, inv.Method, inv.Args)
 			if !inv.ReadOnly {
 				// Reads leave the apply version alone: the version counts
-				// state changes, and — since primary-local and follower reads
-				// bypass the SMR round — bumping it per read would make
+				// state changes, and — since primary-local reads bypass the
+				// SMR round — bumping it per read would make
 				// replica versions diverge and break the "equal versions,
 				// equal state" invariant that state transfer relies on.
 				e.version++

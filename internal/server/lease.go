@@ -4,27 +4,24 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"crucial/internal/core"
-	"crucial/internal/ring"
 	"crucial/internal/rpc"
 )
 
 // Lease-based read-path coherence (DESIGN.md §5d).
 //
 // A lease is a time-bounded promise, granted by an object's primary, that
-// the holder's copy of the object stays fresh until the lease expires or
-// the primary synchronously revokes it. Two kinds of holder exist:
-//
-//   - client caches: the grant ships a snapshot; the client executes
-//     read-only methods against its local copy (internal/client/cache.go);
-//   - follower replicas: the grant ships only a version floor; a follower
-//     whose local copy has applied at least that many operations may serve
-//     read-only invocations itself (follower reads).
+// a client cache's copy of the object stays fresh until the lease expires
+// or the primary synchronously revokes it. The grant ships a snapshot and
+// the client executes read-only methods against its local copy
+// (internal/client/cache.go). The client cache is the only holder: a read
+// it does not answer goes to the primary like every other call, which
+// serves it from its own copy when it can prove that copy current
+// (tryLocalRead) and orders it in a round otherwise.
 //
 // Writes preserve linearizability by revoke-before-commit: a mutating
 // invocation first blocks new grants (beginWrite), then synchronously
@@ -53,15 +50,6 @@ import (
 // every write (and nothing else) waits the fence out — by then every
 // pre-view lease has expired.
 
-// leaseHolder is one outstanding grant in the primary's table.
-type leaseHolder struct {
-	// addr is where revocation reaches the holder: a client cache's
-	// invalidation listener address, or the node ID of a follower.
-	addr    string
-	replica bool
-	expiry  time.Time
-}
-
 // refLeases is the per-object grant state. Entries exist only while a
 // write is in progress or a holder is outstanding (endWrite drops idle
 // ones), which is why the epoch lives on the table and not here.
@@ -70,21 +58,14 @@ type refLeases struct {
 	// grants are refused while any are in progress, closing the window
 	// between revocation and commit.
 	writing int
-	holders map[string]*leaseHolder
+	// holders maps each outstanding grant's holder — the address of its
+	// client cache's invalidation listener, where revocation reaches it —
+	// to the grant's server-side expiry.
+	holders map[string]time.Time
 }
 
-// replicaLease is a lease this node holds as a follower: permission to
-// serve read-only calls from its own copy while the copy has applied at
-// least MinVersion operations and the lease has not expired.
-type replicaLease struct {
-	expiry     time.Time
-	minVersion uint64
-	epoch      uint64
-}
-
-// leaseTable is the per-node lease state: grants handed out (primary
-// role), replica leases held (follower role), the post-view write fence,
-// and pooled connections to client invalidation listeners.
+// leaseTable is the per-node lease state: grants handed out, the post-view
+// write fence, and pooled connections to client invalidation listeners.
 type leaseTable struct {
 	n   *Node
 	ttl time.Duration
@@ -98,13 +79,6 @@ type leaseTable struct {
 	// smaller epoch than that revocation and one issued after it at least
 	// its epoch, however often the ref's entry was dropped in between.
 	epoch uint64
-
-	heldMu sync.Mutex
-	held   map[core.Ref]replicaLease
-	// heldFloor fences a replica-lease grant that was in flight when its
-	// revocation landed here: the primary already considers that lease dead
-	// and may have committed a write on the strength of the revocation ack.
-	heldFloor core.LeaseFloors
 
 	// fence is the unix-nano instant until which writes must wait after a
 	// view change (see fenceWait).
@@ -120,20 +94,18 @@ func newLeaseTable(n *Node, ttl time.Duration) *leaseTable {
 		n:     n,
 		ttl:   ttl,
 		refs:  make(map[core.Ref]*refLeases),
-		held:  make(map[core.Ref]replicaLease),
 		conns: make(map[string]*rpc.Client),
 	}
 }
 
-// LeaseRequest asks an object's primary for a lease (KindLease). Replica
-// requests come from group members and carry the node ID in HolderAddr;
-// client requests carry the address of the client's invalidation listener.
+// LeaseRequest asks an object's primary for a client cache lease
+// (KindLease).
 type LeaseRequest struct {
 	Ref     core.Ref
 	Persist bool
-	Replica bool
-	// HolderAddr is where revocation reaches the holder; it also keys the
-	// holder in the primary's table, so renewals update in place.
+	// HolderAddr is the address of the client's invalidation listener,
+	// where revocation reaches the holder; it also keys the holder in the
+	// primary's table, so renewals update in place.
 	HolderAddr string
 }
 
@@ -147,19 +119,13 @@ type LeaseResponse struct {
 	// own start point.
 	TTLMillis int64
 	Epoch     uint64
-	// Version is the copy's apply count at grant time: the snapshot's
-	// version for client leases, the floor a follower's copy must have
-	// reached for replica leases.
-	Version uint64
-	// Init and Snapshot let a client lease materialize the object locally.
-	// Empty for replica leases (the follower already holds a copy).
+	// Init and Snapshot let the client materialize the object locally.
 	Init     []any
 	Snapshot []byte
 }
 
 // InvalidateMsg revokes a lease: the primary sends it to a client cache's
-// invalidation listener as KindCacheInvalidate and to a follower holding a
-// replica lease as KindLeaseRevoke.
+// invalidation listener as KindCacheInvalidate.
 type InvalidateMsg struct {
 	Ref   core.Ref
 	Epoch uint64
@@ -195,9 +161,6 @@ func (lt *leaseTable) grant(req LeaseRequest) LeaseResponse {
 		// directive flip will change the primary. A lease granted now could
 		// outlive this node's ownership without the new owner knowing.
 		return lt.refusal("migrating")
-	}
-	if req.Replica && !slices.Contains(group, ring.NodeID(req.HolderAddr)) {
-		return lt.refusal("holder not in replica group")
 	}
 	info, err := n.cfg.Registry.Lookup(req.Ref.Type)
 	if err != nil {
@@ -247,37 +210,29 @@ func (lt *leaseTable) grant(req LeaseRequest) LeaseResponse {
 		e.mu.Unlock()
 		return lt.refusal("transferring")
 	}
-	resp.Version = e.version
-	if !req.Replica {
-		snap, ok := e.obj.(core.Snapshotter)
-		if !ok {
-			e.mu.Unlock()
-			return lt.refusal("not snapshotable")
-		}
-		data, err := snap.Snapshot()
-		if err != nil {
-			e.mu.Unlock()
-			return lt.refusal("snapshot failed")
-		}
-		resp.Snapshot = data
-		resp.Init = e.init
+	snap, ok := e.obj.(core.Snapshotter)
+	if !ok {
+		e.mu.Unlock()
+		return lt.refusal("not snapshotable")
 	}
+	data, err := snap.Snapshot()
+	if err != nil {
+		e.mu.Unlock()
+		return lt.refusal("snapshot failed")
+	}
+	resp.Snapshot = data
+	resp.Init = e.init
 	e.mu.Unlock()
 
 	if rl == nil {
-		rl = &refLeases{holders: make(map[string]*leaseHolder)}
+		rl = &refLeases{holders: make(map[string]time.Time)}
 		lt.refs[req.Ref] = rl
 	}
-	rl.holders[req.HolderAddr] = &leaseHolder{
-		addr:    req.HolderAddr,
-		replica: req.Replica,
-		expiry:  time.Now().Add(lt.ttl),
-	}
+	rl.holders[req.HolderAddr] = time.Now().Add(lt.ttl)
 	n.cLeaseGrants.Inc()
 	if n.log.Enabled(context.Background(), slog.LevelDebug) {
 		n.log.Debug("lease granted", "ref", req.Ref.String(),
-			"holder", req.HolderAddr, "replica", req.Replica,
-			"version", resp.Version, "epoch", resp.Epoch)
+			"holder", req.HolderAddr, "epoch", resp.Epoch)
 	}
 	return resp
 }
@@ -289,7 +244,7 @@ func (lt *leaseTable) beginWrite(ref core.Ref) {
 	lt.mu.Lock()
 	rl := lt.refs[ref]
 	if rl == nil {
-		rl = &refLeases{holders: make(map[string]*leaseHolder)}
+		rl = &refLeases{holders: make(map[string]time.Time)}
 		lt.refs[ref] = rl
 	}
 	rl.writing++
@@ -324,32 +279,40 @@ func (lt *leaseTable) revokeAll(ctx context.Context, ref core.Ref, wait bool) er
 	epoch := lt.epoch
 	holders := rl.holders
 	if rl.writing > 0 {
-		rl.holders = make(map[string]*leaseHolder)
+		rl.holders = make(map[string]time.Time)
 	} else {
 		delete(lt.refs, ref) // a view-change revocation: no endWrite will follow
 	}
 	lt.mu.Unlock()
 
 	lt.n.cLeaseRevokes.Add(uint64(len(holders)))
+	// Every holder is a client cache and gets the same message: encode it
+	// once for the whole round. Should that fail, every holder counts as
+	// unreachable and the write waits its lease out.
+	body, encErr := core.EncodeValue(InvalidateMsg{Ref: ref, Epoch: epoch})
 	var wg sync.WaitGroup
 	var failMu sync.Mutex
 	var waitUntil time.Time
-	for _, h := range holders {
+	for addr, expiry := range holders {
 		wg.Add(1)
-		go func(h *leaseHolder) {
+		go func() {
 			defer wg.Done()
 			// Bound each attempt by the TTL: past that the lease is dead
 			// anyway and the expiry wait below takes over.
 			rctx, cancel := context.WithTimeout(ctx, lt.ttl)
 			defer cancel()
-			if err := lt.invalidate(rctx, h, InvalidateMsg{Ref: ref, Epoch: epoch}); err != nil {
+			err := encErr
+			if err == nil {
+				err = lt.invalidate(rctx, addr, body)
+			}
+			if err != nil {
 				failMu.Lock()
-				if h.expiry.After(waitUntil) {
-					waitUntil = h.expiry
+				if expiry.After(waitUntil) {
+					waitUntil = expiry
 				}
 				failMu.Unlock()
 			}
-		}(h)
+		}()
 	}
 	wg.Wait()
 	if !wait || waitUntil.IsZero() {
@@ -370,24 +333,15 @@ func (lt *leaseTable) revokeAll(ctx context.Context, ref core.Ref, wait bool) er
 	return nil
 }
 
-// invalidate pushes msg to one holder: a follower over the peer mesh, a
-// client cache over a connection to its listener that is pooled for the
-// next revocation.
-func (lt *leaseTable) invalidate(ctx context.Context, h *leaseHolder, msg InvalidateMsg) error {
-	body, err := core.EncodeValue(msg)
-	if err != nil {
-		return err
-	}
-	if h.replica {
-		_, err = lt.n.peerCall(ctx, ring.NodeID(h.addr), KindLeaseRevoke, body)
-		return err
-	}
-	c, err := lt.clientConn(h.addr)
+// invalidate pushes an encoded InvalidateMsg to the client cache listening
+// at addr, over a connection that is pooled for the next revocation.
+func (lt *leaseTable) invalidate(ctx context.Context, addr string, body []byte) error {
+	c, err := lt.clientConn(addr)
 	if err != nil {
 		return err
 	}
 	if _, err := c.Call(ctx, KindCacheInvalidate, body); err != nil {
-		lt.dropClientConn(h.addr)
+		lt.dropClientConn(addr)
 		return err
 	}
 	return nil
@@ -442,17 +396,11 @@ func (lt *leaseTable) fenceWait(ctx context.Context) error {
 	}
 }
 
-// onViewChange arms the write fence, drops every held replica lease, and
-// asynchronously invalidates every grant this node handed out (it may no
-// longer own the objects; the fence, not the invalidation, carries the
-// safety argument). The held-lease floors stay: they bind by request time,
-// so a new primary's lower epochs pass them and a grant still in flight
-// from the old one does not.
+// onViewChange arms the write fence and asynchronously invalidates every
+// grant this node handed out (it may no longer own the objects; the fence,
+// not the invalidation, carries the safety argument).
 func (lt *leaseTable) onViewChange() {
 	lt.fence.Store(time.Now().Add(lt.ttl).UnixNano())
-	lt.heldMu.Lock()
-	lt.held = make(map[core.Ref]replicaLease)
-	lt.heldMu.Unlock()
 
 	lt.mu.Lock()
 	refs := make([]core.Ref, 0, len(lt.refs))
@@ -470,43 +418,6 @@ func (lt *leaseTable) onViewChange() {
 			_ = lt.revokeAll(ctx, ref, false)
 		}()
 	}
-}
-
-// heldLease returns this node's replica lease for ref, if still valid by
-// the local clock.
-func (lt *leaseTable) heldLease(ref core.Ref) (replicaLease, bool) {
-	lt.heldMu.Lock()
-	defer lt.heldMu.Unlock()
-	rl, ok := lt.held[ref]
-	if !ok || time.Now().After(rl.expiry) {
-		return replicaLease{}, false
-	}
-	return rl, true
-}
-
-// storeHeld records a replica lease this node requested at requested,
-// keeping the newest epoch if two acquisitions race. A lease the floor
-// binds (see heldFloor) is already dead and is discarded: its grant
-// response merely lost the race against the invalidation.
-func (lt *leaseTable) storeHeld(ref core.Ref, rl replicaLease, requested time.Time) {
-	lt.heldMu.Lock()
-	defer lt.heldMu.Unlock()
-	if lt.heldFloor.Binds(ref, rl.epoch, requested) {
-		return
-	}
-	if cur, ok := lt.held[ref]; !ok || rl.epoch >= cur.epoch {
-		lt.held[ref] = rl
-	}
-}
-
-// dropHeld forgets a replica lease (the primary revoked it) and raises the
-// floor so a grant requested before now and older than the revocation
-// cannot resurrect it.
-func (lt *leaseTable) dropHeld(ref core.Ref, epoch uint64) {
-	lt.heldMu.Lock()
-	delete(lt.held, ref)
-	lt.heldFloor.Raise(ref, epoch, time.Now(), lt.ttl)
-	lt.heldMu.Unlock()
 }
 
 // close releases the pooled invalidation connections.
@@ -533,18 +444,6 @@ func (n *Node) handleLease(payload []byte) ([]byte, error) {
 		return core.EncodeValue(LeaseResponse{Reason: "missing holder address"})
 	}
 	return core.EncodeValue(n.leases.grant(req))
-}
-
-// handleLeaseRevoke services a primary's revocation of our replica lease.
-func (n *Node) handleLeaseRevoke(payload []byte) ([]byte, error) {
-	var msg InvalidateMsg
-	if err := core.DecodeValue(payload, &msg); err != nil {
-		return nil, err
-	}
-	if n.leases != nil {
-		n.leases.dropHeld(msg.Ref, msg.Epoch)
-	}
-	return nil, nil
 }
 
 // prepareWrite is the mutating-path lease hook: wait out the post-view
@@ -625,85 +524,4 @@ func (n *Node) tryLocalRead(ctx context.Context, inv core.Invocation, rf int) ([
 	results, err := n.applyOne(ctx, e, inv)
 	n.cLocalReads.Inc()
 	return results, err, true
-}
-
-// followerRead serves a read-only invocation from a follower's copy under
-// a primary-granted replica lease. The lease's version floor guarantees
-// the copy reflects every acknowledged write: the primary revokes replica
-// leases before acking a mutation, and a re-acquired lease carries the
-// primary's post-write version, which the follower must reach before it
-// may serve again.
-func (n *Node) followerRead(ctx context.Context, inv core.Invocation, primary ring.NodeID) ([]any, error) {
-	e, ok := n.lookupExisting(inv.Ref)
-	if !ok {
-		return nil, fmt.Errorf("%w: no follower copy of %s", core.ErrWrongNode, inv.Ref)
-	}
-	if n.isStale(inv.Ref) {
-		// A copy behind the committed history can transiently pass the
-		// lease's version floor (version counts diverge after a skipped
-		// delivery); bounce to the primary and heal in the background so
-		// this follower rejoins the read path.
-		go n.selfHeal(inv.Ref)
-		return nil, fmt.Errorf("%w: stale follower copy of %s", core.ErrWrongNode, inv.Ref)
-	}
-	rl, ok := n.leases.heldLease(inv.Ref)
-	if !ok {
-		var err error
-		rl, err = n.acquireReplicaLease(ctx, inv, primary)
-		if err != nil {
-			// Bounce to the primary rather than surface the grant failure:
-			// the client's retry loop re-routes there.
-			return nil, fmt.Errorf("%w: no replica lease for %s: %v",
-				core.ErrWrongNode, inv.Ref, err)
-		}
-	}
-	e.mu.Lock()
-	caughtUp := e.version >= rl.minVersion
-	e.mu.Unlock()
-	if !caughtUp {
-		// Our copy has not applied everything the primary acked; the
-		// missing deliveries are in flight. Retryable.
-		return nil, fmt.Errorf("%w: follower copy of %s behind lease floor",
-			core.ErrRebalancing, inv.Ref)
-	}
-	results, err := n.applyOne(ctx, e, inv)
-	if err == nil {
-		n.cFollowerReads.Inc()
-	}
-	return results, err
-}
-
-// acquireReplicaLease asks the primary for (or renews) this node's replica
-// lease on ref. The expiry clock starts before the request leaves, so the
-// follower's view of the lease always dies no later than the primary's.
-func (n *Node) acquireReplicaLease(ctx context.Context, inv core.Invocation, primary ring.NodeID) (replicaLease, error) {
-	req := LeaseRequest{
-		Ref:        inv.Ref,
-		Persist:    inv.Persist,
-		Replica:    true,
-		HolderAddr: string(n.cfg.ID),
-	}
-	body, err := core.EncodeValue(req)
-	if err != nil {
-		return replicaLease{}, err
-	}
-	start := time.Now()
-	out, err := n.peerCall(ctx, primary, KindLease, body)
-	if err != nil {
-		return replicaLease{}, err
-	}
-	var resp LeaseResponse
-	if err := core.DecodeValue(out, &resp); err != nil {
-		return replicaLease{}, err
-	}
-	if !resp.Granted {
-		return replicaLease{}, fmt.Errorf("lease refused: %s", resp.Reason)
-	}
-	rl := replicaLease{
-		expiry:     start.Add(time.Duration(resp.TTLMillis) * time.Millisecond),
-		minVersion: resp.Version,
-		epoch:      resp.Epoch,
-	}
-	n.leases.storeHeld(inv.Ref, rl, start)
-	return rl, nil
 }

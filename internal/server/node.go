@@ -57,17 +57,17 @@ const (
 	// of an object (gob-encoded core.Ref in, fetchResp out) instead of
 	// creating a fresh one when the hand-off transfer never arrived.
 	KindFetch uint8 = 11
-	// KindLease acquires or renews a lease on an object from its primary
-	// (gob-encoded LeaseRequest in, LeaseResponse out): client caches get
-	// a snapshot, followers get a version floor. See lease.go.
+	// KindLease acquires or renews a client cache lease on an object from
+	// its primary (gob-encoded LeaseRequest in, LeaseResponse with a
+	// snapshot out). See lease.go.
 	KindLease uint8 = 12
-	// KindLeaseRevoke is the primary telling a follower to stop serving
-	// reads under its replica lease (gob-encoded leaseRevokeMsg), sent
-	// synchronously before a mutation commits.
-	KindLeaseRevoke uint8 = 13
+	// 13 is retired (follower lease revocation). Do not reuse it: a node of
+	// an older build would misread the frame.
+
 	// KindCacheInvalidate is the primary telling a client cache to drop
-	// its leased copy (gob-encoded InvalidateMsg). It is handled by the
-	// client's invalidation listener, not by nodes.
+	// its leased copy (gob-encoded InvalidateMsg), sent synchronously
+	// before a mutation commits. It is handled by the client's invalidation
+	// listener, not by nodes.
 	KindCacheInvalidate uint8 = 14
 	// KindObjectStats returns the node's per-object heavy-hitter snapshot
 	// (gob-encoded telemetry.ObjectsSnapshot) for dso-cli top and the
@@ -126,13 +126,13 @@ type Config struct {
 	ServiceTime        time.Duration
 	ServiceConcurrency int
 	// LeaseTTL, when positive, enables the lease-based read path on this
-	// node: it grants client cache leases and follower read leases of this
-	// duration, serves read-only invocations locally at the primary
-	// without an SMR round, and fences mutations behind synchronous lease
-	// revocation (see lease.go and DESIGN.md §5d). Zero disables leases —
-	// every call takes the classic ownership path. Shorter TTLs shrink the
-	// worst-case write stall behind an unreachable lease holder; longer
-	// TTLs amortize more reads per grant.
+	// node: it grants client cache leases of this duration, serves
+	// read-only invocations locally at the primary without an SMR round,
+	// and fences mutations behind synchronous lease revocation (see
+	// lease.go and DESIGN.md §5d). Zero disables leases — every call takes
+	// the classic ownership path. Shorter TTLs shrink the worst-case write
+	// stall behind an unreachable lease holder; longer TTLs amortize more
+	// reads per grant.
 	LeaseTTL time.Duration
 	// Write is the group-commit policy for the SMR write path (DESIGN.md
 	// §5e): with WritePolicy.Batching() true, concurrent mutations of one
@@ -314,7 +314,6 @@ type Node struct {
 	cLeaseRefusals    *telemetry.Counter
 	cLeaseRevokes     *telemetry.Counter
 	cLeaseExpiryWaits *telemetry.Counter
-	cFollowerReads    *telemetry.Counter
 	cLocalReads       *telemetry.Counter
 
 	cBatches   *telemetry.Counter
@@ -378,7 +377,6 @@ func Start(cfg Config) (*Node, error) {
 	n.cLeaseRefusals = n.metrics.Counter(telemetry.MetServerLeaseRefusals)
 	n.cLeaseRevokes = n.metrics.Counter(telemetry.MetServerLeaseRevokes)
 	n.cLeaseExpiryWaits = n.metrics.Counter(telemetry.MetServerLeaseExpiryWts)
-	n.cFollowerReads = n.metrics.Counter(telemetry.MetServerFollowerReads)
 	n.cLocalReads = n.metrics.Counter(telemetry.MetServerLocalReads)
 	n.cBatches = n.metrics.Counter(telemetry.MetServerBatches)
 	n.hBatchSize = n.metrics.Histogram(telemetry.HistServerBatchSize)
@@ -598,8 +596,6 @@ func (n *Node) handle(ctx context.Context, kind uint8, payload []byte) ([]byte, 
 		return n.handleFetch(payload)
 	case KindLease:
 		return n.handleLease(payload)
-	case KindLeaseRevoke:
-		return n.handleLeaseRevoke(payload)
 	case KindMigrate:
 		return n.handleMigrate(ctx, payload)
 	case KindRebalanceStatus:
@@ -629,7 +625,7 @@ func (n *Node) handleInvoke(ctx context.Context, payload []byte) ([]byte, error)
 	// stale or hostile client must not smuggle a mutating method through
 	// it — and a thin client that never registered the classification
 	// (dso-cli) still gets the read fast path, since
-	// re-executing or follower-serving a genuine read is always safe.
+	// re-executing a genuine read is always safe.
 	inv.ReadOnly = core.IsReadOnlyMethod(inv.Ref.Type, inv.Method)
 	n.invocations.Add(1)
 	// Per-object load accounting (DESIGN.md §5f): one observation per

@@ -86,9 +86,8 @@ func (n *Node) onView(v membership.View) {
 		// Fence first, rebalance second: ownership just moved under every
 		// lease this node granted, and the new owners cannot revoke them
 		// (they live in our table). Arm the one-TTL write fence and drop
-		// everything — held replica leases immediately, granted leases by
-		// best-effort invalidation (their expiry, bounded by the fence, is
-		// the guarantee).
+		// the grants by best-effort invalidation (their expiry, bounded by
+		// the fence, is the guarantee).
 		n.leases.onViewChange()
 	}
 	n.log.Debug("view installed, rebalancing", "view", v.ID, "members", len(v.Members))

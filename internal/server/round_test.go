@@ -77,8 +77,8 @@ func (g gatedMap) Restore(data []byte) error {
 // them fresh — in the opposite order, since retries arrive in any order.
 // After the second retry both copies report the same version while holding
 // different states; the fork check used to ack it, the late repair push
-// was dropped as "stale" on the version tie, and a follower read then
-// returned not-found for an acknowledged Put.
+// was dropped as "stale" on the version tie, and the member's copy kept
+// not-found for an acknowledged Put, to be served once it became primary.
 func TestForkCheckRefusesReplayAsymmetry(t *testing.T) {
 	arrived := make(chan struct{}, 4) // one send per repair push, two pushes
 	gate := make(chan struct{})
@@ -166,16 +166,16 @@ func TestForkCheckRefusesReplayAsymmetry(t *testing.T) {
 	}
 
 	// Converged: the retry now replays on both sides and is acked with the
-	// recorded outcome, and a follower read at the member sees the Put.
+	// recorded outcome, and the member's copy holds the Put.
 	if _, err := n1.invoke(ctx, remove); err != nil {
 		t.Fatalf("retry after repair: %v", err)
 	}
-	got, err := n2.invoke(ctx, get)
+	got, err := n2.applyOne(ctx, e2, get)
 	if err != nil {
-		t.Fatalf("follower read: %v", err)
+		t.Fatalf("read at the member: %v", err)
 	}
 	if !reflect.DeepEqual(got, at1) || !reflect.DeepEqual(got, []any{int64(3), true}) {
-		t.Fatalf("follower read k1 = %v, coordinator holds %v", got, at1)
+		t.Fatalf("member k1 = %v, coordinator holds %v", got, at1)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"slices"
 	"sync"
 	"time"
 
@@ -224,11 +223,6 @@ func (n *Node) primacy(ref core.Ref, group []ring.NodeID) error {
 // ordered through a round.
 func (n *Node) invoke(ctx context.Context, inv core.Invocation) ([]any, error) {
 	group, view := n.replicaGroup(inv.Ref, inv.Persist)
-	if len(group) > 0 && group[0] != n.cfg.ID && inv.ReadOnly && n.leases != nil && slices.Contains(group, n.cfg.ID) {
-		// Follower read: serve the read from our replica copy under a
-		// primary-granted lease instead of bouncing to the primary.
-		return n.followerRead(ctx, inv, group[0])
-	}
 	if err := n.primacy(inv.Ref, group); err != nil {
 		return nil, err
 	}
@@ -280,7 +274,7 @@ func (n *Node) runRound(ctx context.Context, group []ring.NodeID, view membershi
 	}
 	if n.leases != nil && !readOnlyRound(invs) {
 		// Revoke-before-commit: block new grants, synchronously invalidate
-		// every cached copy and follower lease, and only then order the
+		// every cached copy, and only then order the
 		// mutations. Grants resume (at the post-round version) once the
 		// primary has applied the round and replied.
 		done, lerr := n.prepareWrite(ctx, ref)

@@ -120,17 +120,20 @@ const (
 	MetCacheLeaseExpiries = "cache.lease_expiries"
 	MetCacheStaleGrants   = "cache.stale_grants"
 
-	// Server-side lease table: grants handed out (client + replica),
-	// grants refused, synchronous revocations on the write path, writes
-	// that had to sit out an unreachable holder's expiry or a post-view
-	// fence, and read-only calls served without an SMR round (locally at
-	// the primary or by a follower holding a replica lease).
+	// Server-side lease table: client cache grants handed out, grants
+	// refused, synchronous revocations on the write path, writes that had
+	// to sit out an unreachable holder's expiry or a post-view fence, and
+	// read-only calls the primary served from its own copy without an SMR
+	// round.
 	MetServerLeaseGrants    = "server.lease_grants"
 	MetServerLeaseRefusals  = "server.lease_refusals"
 	MetServerLeaseRevokes   = "server.lease_revokes"
 	MetServerLeaseExpiryWts = "server.lease_expiry_waits"
-	MetServerFollowerReads  = "server.follower_reads"
 	MetServerLocalReads     = "server.local_reads"
+	// MetServerFollowerReads is never incremented: followers no longer
+	// serve reads. The benchmark harness still sums it; the next change to
+	// the benchmark deletes it.
+	MetServerFollowerReads = "server.follower_reads"
 
 	// Group-commit write path (DESIGN.md §5e). Batches is ordering rounds
 	// that carried a coalesced batch (crucial_server_batches_total);

@@ -92,8 +92,8 @@ type Options struct {
 	DefaultRetry RetryPolicy
 	// LeaseTTL, when positive, enables the lease-based read path on every
 	// DSO node (DESIGN.md §5d): read-only methods (RegisterReadOnlyMethods)
-	// are served from client caches, follower replicas, or the primary's
-	// local fast path instead of taking an SMR ordering round. Writes
+	// are served from client caches or the primary's local fast path
+	// instead of taking an SMR ordering round. Writes
 	// synchronously invalidate outstanding leases, preserving
 	// linearizability. Zero (the default) disables the read path entirely.
 	LeaseTTL time.Duration

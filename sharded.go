@@ -15,7 +15,7 @@ import (
 // rebalanced) onto different nodes, and Get merges by summing shard
 // values. Writes scale with the shard count; reads cost one fan-out but
 // stay cheap because Get is classified read-only and rides the whole
-// lease-based read path (client caches, follower reads).
+// lease-based read path (client caches, primary-local reads).
 //
 // Semantics: Add/Increment are linearizable per shard, and Get returns a
 // sum of linearizable per-shard reads — a value the counter passed through

@@ -59,8 +59,7 @@ func RegisterValue(v any) {
 
 // RegisterReadOnlyMethods declares methods of a registered shared-object
 // type as read-only, making them eligible for the lease-based read path:
-// client-cached execution, follower reads, and the primary's local-read
-// fast path (Options.LeaseTTL, DESIGN.md §5d). Declare them where the type
+// client-cached execution and the primary's local-read fast path (Options.LeaseTTL, DESIGN.md §5d). Declare them where the type
 // itself is registered. The contract is strict — a read-only method must
 // not mutate any object state, must not block (no Ctl.Wait), and must be
 // deterministic given the state; servers re-validate the classification,

@@ -227,7 +227,12 @@ func TestStatefunMailboxOverflow(t *testing.T) {
 		t.Fatalf("accepted=%d bounced=%d, want 4/4", accepted, bounced)
 	}
 	close(release)
-	waitFor(t, "drain after release", func() bool { return processed.Load() == 4 })
+	// Wait for the fourth commit, not the fourth handler run: the message
+	// leaves the mailbox at commit, and a resend before it would bounce.
+	waitFor(t, "drain after release", func() bool {
+		st, err := fn.Status(bg(), "s1")
+		return err == nil && st.Processed == 4
+	})
 	// Backpressure must be lossless for the caller: bounced messages can
 	// be resent and arrive exactly once.
 	for i := 0; i < bounced; i++ {
