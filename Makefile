@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt race bench wal-fuzz cover verify chaos chaos-short flake-check doclint alloc-guard
+.PHONY: build test vet fmt race bench wal-fuzz codec-fuzz cover verify chaos chaos-short flake-check doclint alloc-guard
 
 build:
 	$(GO) build ./...
@@ -33,6 +33,17 @@ bench:
 # Invariants: no panics, and accepted records re-encode byte-identically.
 wal-fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeSegment' -fuzztime 30s ./internal/durability/
+
+# codec-fuzz fuzzes the per-operation wire codecs for 15 s each: the
+# invocation round trip, the invocation and response decoders, and the
+# eight Skeen and lease control frame decoders — every parser a peer or a
+# client feeds on each operation. Invariants: no panics, and a frame that
+# decodes re-encodes to one that decodes the same. Not part of verify.
+codec-fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzInvocationRoundTrip$$' -fuzztime 15s ./internal/core/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeInvocation$$' -fuzztime 15s ./internal/core/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResponse$$' -fuzztime 15s ./internal/core/
+	$(GO) test -run '^$$' -fuzz '^FuzzControlFrames$$' -fuzztime 15s ./internal/server/
 
 cover:
 	$(GO) test -coverprofile=cover.out ./...
@@ -86,12 +97,13 @@ doclint:
 # round trip must hold PR 3's 8 allocs/op, the per-object tracker's
 # warm-path Observe must stay allocation-free (the telemetry-overhead
 # guard for the always-on accounting plane), one sequential RF-2 write
-# on the zero WritePolicy — a round of one — must not allocate more than
-# it did before the write paths were merged, an rf=1 write (a group of
-# one) and read must stay near what they cost outside rounds, and the
-# lease read path must keep a 95/5 read/write sequence cached (hit ratio,
-# one grant per invalidation) without building a hash ring per hit or per
-# grant. These
+# on the zero WritePolicy — a round of one — must stay near the ~100
+# allocations it costs with tag-encoded PROPOSE/FINAL frames (a gob frame
+# alone costs more), an rf=1 write (a group of one) and read must stay
+# near what they cost outside rounds, and the lease read path must keep a
+# 95/5 read/write sequence cached (hit ratio, one grant per invalidation)
+# without building a hash ring per hit or per grant, and a grant must stay
+# near the cost of shipping the object's state. These
 # tests self-skip under -race, so they need this dedicated non-race
 # invocation to actually bite; the measured numbers live next to each
 # budget in its test.

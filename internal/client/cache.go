@@ -144,8 +144,8 @@ func newLeaseCache(c *Client, cfg CacheConfig) (*leaseCache, error) {
 func (lc *leaseCache) handle(_ context.Context, kind uint8, payload []byte) ([]byte, error) {
 	switch kind {
 	case server.KindCacheInvalidate:
-		var msg server.InvalidateMsg
-		if err := core.DecodeValue(payload, &msg); err != nil {
+		msg, err := server.DecodeInvalidateMsg(payload)
+		if err != nil {
 			return nil, err
 		}
 		lc.invalidate(msg.Ref, msg.Epoch)
@@ -260,14 +260,11 @@ func (lc *leaseCache) acquire(ctx context.Context, inv core.Invocation) *cacheEn
 	if err != nil {
 		return nil
 	}
-	body, err := core.EncodeValue(server.LeaseRequest{
+	body := server.LeaseRequest{
 		Ref:        inv.Ref,
 		Persist:    inv.Persist,
 		HolderAddr: lc.cfg.ListenAddr,
-	})
-	if err != nil {
-		return nil
-	}
+	}.Encode()
 	callCtx := ctx
 	var cancel context.CancelFunc
 	if t := lc.c.cfg.AttemptTimeout; t > 0 {
@@ -285,8 +282,8 @@ func (lc *leaseCache) acquire(ctx context.Context, inv core.Invocation) *cacheEn
 	if err != nil {
 		return nil
 	}
-	var resp server.LeaseResponse
-	if err := core.DecodeValue(out, &resp); err != nil {
+	resp, err := server.DecodeLeaseResponse(out)
+	if err != nil {
 		return nil
 	}
 	if !resp.Granted {

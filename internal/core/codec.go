@@ -87,10 +87,14 @@ func DecodeResponse(data []byte) (Response, error) {
 	return decodeWireResponse(data)
 }
 
-// EncodeValue gob-encodes a single value; used by Snapshotter
-// implementations in the object library.
+// EncodeValue gob-encodes a single value: object state bodies (the
+// Snapshotter implementations of the object library) and cold-path
+// control-plane messages. Every call opens a fresh gob stream, so it
+// re-sends and re-compiles its type descriptors: per-operation frames use
+// the tag helpers of wire.go instead.
 func EncodeValue(v any) ([]byte, error) {
 	RegisterValueTypes()
+	codecStats.gobStreams.Add(1)
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
 		return nil, fmt.Errorf("core: encode value: %w", err)
@@ -101,6 +105,7 @@ func EncodeValue(v any) ([]byte, error) {
 // DecodeValue gob-decodes into v, which must be a pointer.
 func DecodeValue(data []byte, v any) error {
 	RegisterValueTypes()
+	codecStats.gobStreams.Add(1)
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(v); err != nil {
 		return fmt.Errorf("core: decode value: %w", err)
 	}

@@ -92,6 +92,10 @@ type CodecStats struct {
 	// Unstamped callers (control-plane tools) get at-least-once retries.
 	StampedDecodes   uint64
 	UnstampedDecodes uint64
+	// GobStreams counts gob encoders and decoders opened, each of which
+	// sends or compiles its type descriptors afresh: EncodeValue,
+	// DecodeValue and both directions of the per-value fallback.
+	GobStreams uint64
 }
 
 var codecStats struct {
@@ -100,6 +104,7 @@ var codecStats struct {
 	fallbackValues   atomic.Uint64
 	stampedDecodes   atomic.Uint64
 	unstampedDecodes atomic.Uint64
+	gobStreams       atomic.Uint64
 }
 
 // ReadCodecStats returns a snapshot of the process-wide codec counters.
@@ -110,6 +115,7 @@ func ReadCodecStats() CodecStats {
 		FallbackValues:   codecStats.fallbackValues.Load(),
 		StampedDecodes:   codecStats.stampedDecodes.Load(),
 		UnstampedDecodes: codecStats.unstampedDecodes.Load(),
+		GobStreams:       codecStats.gobStreams.Load(),
 	}
 }
 
@@ -120,14 +126,14 @@ func ReadCodecStats() CodecStats {
 func AppendInvocation(dst []byte, inv Invocation) ([]byte, error) {
 	RegisterValueTypes() // a fallback value may need the gob registrations
 	dst = append(dst, wireMagic, wireVersion, wireInvocation)
-	dst = appendString(dst, inv.Ref.Type)
-	dst = appendString(dst, inv.Ref.Key)
-	dst = appendString(dst, inv.Method)
+	dst = AppendString(dst, inv.Ref.Type)
+	dst = AppendString(dst, inv.Ref.Key)
+	dst = AppendString(dst, inv.Method)
 	var err error
-	if dst, err = appendValues(dst, inv.Args); err != nil {
+	if dst, err = AppendValues(dst, inv.Args); err != nil {
 		return nil, fmt.Errorf("core: encode invocation %s.%s: %w", inv.Ref, inv.Method, err)
 	}
-	if dst, err = appendValues(dst, inv.Init); err != nil {
+	if dst, err = AppendValues(dst, inv.Init); err != nil {
 		return nil, fmt.Errorf("core: encode invocation %s.%s init: %w", inv.Ref, inv.Method, err)
 	}
 	var flags byte
@@ -156,60 +162,60 @@ func AppendResponse(dst []byte, resp Response) ([]byte, error) {
 	RegisterValueTypes() // a fallback value may need the gob registrations
 	dst = append(dst, wireMagic, wireVersion, wireResponse)
 	var err error
-	if dst, err = appendValues(dst, resp.Results); err != nil {
+	if dst, err = AppendValues(dst, resp.Results); err != nil {
 		return nil, fmt.Errorf("core: encode response: %w", err)
 	}
-	dst = appendString(dst, resp.Err)
+	dst = AppendString(dst, resp.Err)
 	codecStats.fastEncodes.Add(1)
 	return dst, nil
 }
 
 // decodeWireInvocation parses exactly one fast-codec invocation.
 func decodeWireInvocation(data []byte) (Invocation, error) {
-	r := wireReader{b: data}
+	r := Reader{b: data}
 	if err := r.preamble(wireInvocation); err != nil {
 		return Invocation{}, fmt.Errorf("core: decode invocation: %w", err)
 	}
 	var inv Invocation
 	var err error
-	if inv.Ref.Type, err = r.str(); err == nil {
-		if inv.Ref.Key, err = r.str(); err == nil {
-			inv.Method, err = r.str()
+	if inv.Ref.Type, err = r.Str(); err == nil {
+		if inv.Ref.Key, err = r.Str(); err == nil {
+			inv.Method, err = r.Str()
 		}
 	}
 	if err != nil {
 		return Invocation{}, fmt.Errorf("core: decode invocation: %w", err)
 	}
-	if inv.Args, err = r.values(); err != nil {
+	if inv.Args, err = r.Values(); err != nil {
 		return Invocation{}, fmt.Errorf("core: decode invocation %s.%s args: %w", inv.Ref, inv.Method, err)
 	}
-	if inv.Init, err = r.values(); err != nil {
+	if inv.Init, err = r.Values(); err != nil {
 		return Invocation{}, fmt.Errorf("core: decode invocation %s.%s init: %w", inv.Ref, inv.Method, err)
 	}
-	flags, err := r.u8()
+	flags, err := r.Byte()
 	if err != nil {
 		return Invocation{}, fmt.Errorf("core: decode invocation: %w", err)
 	}
 	inv.Persist = flags&1 != 0
 	inv.ReadOnly = flags&4 != 0
-	if inv.Trace.TraceID, err = r.uvarint(); err != nil {
+	if inv.Trace.TraceID, err = r.Uvarint(); err != nil {
 		return Invocation{}, fmt.Errorf("core: decode invocation: %w", err)
 	}
-	if inv.Trace.SpanID, err = r.uvarint(); err != nil {
+	if inv.Trace.SpanID, err = r.Uvarint(); err != nil {
 		return Invocation{}, fmt.Errorf("core: decode invocation: %w", err)
 	}
 	if flags&2 != 0 {
-		if inv.ClientID, err = r.uvarint(); err != nil {
+		if inv.ClientID, err = r.Uvarint(); err != nil {
 			return Invocation{}, fmt.Errorf("core: decode invocation stamp: %w", err)
 		}
 		if inv.ClientID == 0 {
 			return Invocation{}, fmt.Errorf("core: decode invocation stamp: zero client id")
 		}
-		if inv.Seq, err = r.uvarint(); err != nil {
+		if inv.Seq, err = r.Uvarint(); err != nil {
 			return Invocation{}, fmt.Errorf("core: decode invocation stamp: %w", err)
 		}
 	}
-	if err := r.end(); err != nil {
+	if err := r.End(); err != nil {
 		return Invocation{}, fmt.Errorf("core: decode invocation: %w", err)
 	}
 	codecStats.fastDecodes.Add(1)
@@ -218,33 +224,45 @@ func decodeWireInvocation(data []byte) (Invocation, error) {
 
 // decodeWireResponse parses exactly one fast-codec response.
 func decodeWireResponse(data []byte) (Response, error) {
-	r := wireReader{b: data}
+	r := Reader{b: data}
 	if err := r.preamble(wireResponse); err != nil {
 		return Response{}, fmt.Errorf("core: decode response: %w", err)
 	}
 	var resp Response
 	var err error
-	if resp.Results, err = r.values(); err != nil {
+	if resp.Results, err = r.Values(); err != nil {
 		return Response{}, fmt.Errorf("core: decode response results: %w", err)
 	}
-	if resp.Err, err = r.str(); err != nil {
+	if resp.Err, err = r.Str(); err != nil {
 		return Response{}, fmt.Errorf("core: decode response: %w", err)
 	}
-	if err := r.end(); err != nil {
+	if err := r.End(); err != nil {
 		return Response{}, fmt.Errorf("core: decode response: %w", err)
 	}
 	codecStats.fastDecodes.Add(1)
 	return resp, nil
 }
 
-// appendString appends a uvarint length + bytes.
-func appendString(dst []byte, s string) []byte {
+// The exported append helpers and Reader are what other packages build
+// their per-operation control frames from (the Skeen and lease frames of
+// internal/server): the same field encodings as the invocation format,
+// without its preamble. A control frame carries no version; its decoder
+// rejects anything but exactly its own layout.
+
+// AppendString appends a uvarint length + bytes.
+func AppendString(dst []byte, s string) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(s)))
 	return append(dst, s...)
 }
 
-// appendValues appends a uvarint count + tagged values.
-func appendValues(dst []byte, vs []any) ([]byte, error) {
+// AppendBytes appends a uvarint length + bytes; Reader.Bytes reads it back.
+func AppendBytes(dst, b []byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(b)))
+	return append(dst, b...)
+}
+
+// AppendValues appends a uvarint count + tagged values.
+func AppendValues(dst []byte, vs []any) ([]byte, error) {
 	dst = binary.AppendUvarint(dst, uint64(len(vs)))
 	var err error
 	for _, v := range vs {
@@ -282,10 +300,9 @@ func appendValue(dst []byte, v any, depth int) ([]byte, error) {
 	case float64:
 		return binary.BigEndian.AppendUint64(append(dst, tagFloat64), math.Float64bits(x)), nil
 	case string:
-		return appendString(append(dst, tagString), x), nil
+		return AppendString(append(dst, tagString), x), nil
 	case []byte:
-		dst = binary.AppendUvarint(append(dst, tagBytes), uint64(len(x)))
-		return append(dst, x...), nil
+		return AppendBytes(append(dst, tagBytes), x), nil
 	case []int:
 		dst = binary.AppendUvarint(append(dst, tagIntSlice), uint64(len(x)))
 		for _, n := range x {
@@ -309,7 +326,7 @@ func appendValue(dst []byte, v any, depth int) ([]byte, error) {
 	case []string:
 		dst = binary.AppendUvarint(append(dst, tagStringSlice), uint64(len(x)))
 		for _, s := range x {
-			dst = appendString(dst, s)
+			dst = AppendString(dst, s)
 		}
 		return dst, nil
 	case []any:
@@ -325,7 +342,7 @@ func appendValue(dst []byte, v any, depth int) ([]byte, error) {
 		dst = binary.AppendUvarint(append(dst, tagMapStrAny), uint64(len(x)))
 		var err error
 		for k, e := range x {
-			dst = appendString(dst, k)
+			dst = AppendString(dst, k)
 			if dst, err = appendValue(dst, e, depth+1); err != nil {
 				return nil, err
 			}
@@ -334,21 +351,21 @@ func appendValue(dst []byte, v any, depth int) ([]byte, error) {
 	case map[string]string:
 		dst = binary.AppendUvarint(append(dst, tagMapStrStr), uint64(len(x)))
 		for k, e := range x {
-			dst = appendString(dst, k)
-			dst = appendString(dst, e)
+			dst = AppendString(dst, k)
+			dst = AppendString(dst, e)
 		}
 		return dst, nil
 	case map[string]float64:
 		dst = binary.AppendUvarint(append(dst, tagMapStrF64), uint64(len(x)))
 		for k, e := range x {
-			dst = appendString(dst, k)
+			dst = AppendString(dst, k)
 			dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(e))
 		}
 		return dst, nil
 	case map[string]int64:
 		dst = binary.AppendUvarint(append(dst, tagMapStrI64), uint64(len(x)))
 		for k, e := range x {
-			dst = appendString(dst, k)
+			dst = AppendString(dst, k)
 			dst = binary.AppendVarint(dst, e)
 		}
 		return dst, nil
@@ -370,6 +387,7 @@ func appendFloat64Slice(dst []byte, x []float64) []byte {
 // keeps working without the fast codec knowing about it.
 func appendGobValue(dst []byte, v any) ([]byte, error) {
 	var buf bytes.Buffer
+	codecStats.gobStreams.Add(1)
 	if err := gob.NewEncoder(&buf).Encode(&v); err != nil {
 		return nil, fmt.Errorf("gob fallback for %T: %w", v, err)
 	}
@@ -378,17 +396,22 @@ func appendGobValue(dst []byte, v any) ([]byte, error) {
 	return append(dst, buf.Bytes()...), nil
 }
 
-// wireReader decodes the tag format from a byte slice. Every length is
+// Reader decodes the tag format from a byte slice. Every length is
 // validated against the remaining input before allocating, so corrupt
-// frames fail with an error instead of a huge allocation or panic.
-type wireReader struct {
+// frames fail with an error instead of a huge allocation or panic, and
+// nothing it returns aliases the input: a caller may keep a decoded
+// message after the (possibly pooled) buffer is recycled.
+type Reader struct {
 	b   []byte
 	off int
 }
 
-func (r *wireReader) remaining() int { return len(r.b) - r.off }
+// NewReader returns a Reader positioned at the start of b.
+func NewReader(b []byte) Reader { return Reader{b: b} }
 
-func (r *wireReader) preamble(kind byte) error {
+func (r *Reader) remaining() int { return len(r.b) - r.off }
+
+func (r *Reader) preamble(kind byte) error {
 	if r.remaining() < 3 {
 		return fmt.Errorf("truncated preamble (%d bytes)", r.remaining())
 	}
@@ -406,15 +429,16 @@ func (r *wireReader) preamble(kind byte) error {
 	return nil
 }
 
-// end fails when input is left after the last field.
-func (r *wireReader) end() error {
+// End fails when input is left after the last field.
+func (r *Reader) End() error {
 	if n := r.remaining(); n > 0 {
 		return fmt.Errorf("%d trailing bytes at offset %d", n, r.off)
 	}
 	return nil
 }
 
-func (r *wireReader) u8() (byte, error) {
+// Byte reads one byte.
+func (r *Reader) Byte() (byte, error) {
 	if r.remaining() < 1 {
 		return 0, fmt.Errorf("truncated at offset %d", r.off)
 	}
@@ -423,7 +447,8 @@ func (r *wireReader) u8() (byte, error) {
 	return b, nil
 }
 
-func (r *wireReader) uvarint() (uint64, error) {
+// Uvarint reads one uvarint.
+func (r *Reader) Uvarint() (uint64, error) {
 	v, n := binary.Uvarint(r.b[r.off:])
 	if n <= 0 {
 		return 0, fmt.Errorf("bad uvarint at offset %d", r.off)
@@ -432,7 +457,7 @@ func (r *wireReader) uvarint() (uint64, error) {
 	return v, nil
 }
 
-func (r *wireReader) varint() (int64, error) {
+func (r *Reader) varint() (int64, error) {
 	v, n := binary.Varint(r.b[r.off:])
 	if n <= 0 {
 		return 0, fmt.Errorf("bad varint at offset %d", r.off)
@@ -444,8 +469,8 @@ func (r *wireReader) varint() (int64, error) {
 // count reads a uvarint element count and validates it against the
 // remaining bytes, each element occupying at least minBytes. The division
 // form avoids overflow on hostile counts.
-func (r *wireReader) count(minBytes int) (int, error) {
-	v, err := r.uvarint()
+func (r *Reader) count(minBytes int) (int, error) {
+	v, err := r.Uvarint()
 	if err != nil {
 		return 0, err
 	}
@@ -458,7 +483,7 @@ func (r *wireReader) count(minBytes int) (int, error) {
 	return int(v), nil
 }
 
-func (r *wireReader) take(n int) ([]byte, error) {
+func (r *Reader) take(n int) ([]byte, error) {
 	if n < 0 || r.remaining() < n {
 		return nil, fmt.Errorf("length %d exceeds remaining %d bytes", n, r.remaining())
 	}
@@ -467,9 +492,9 @@ func (r *wireReader) take(n int) ([]byte, error) {
 	return b, nil
 }
 
-// str reads a length-prefixed string. The conversion copies, so decoded
-// messages never alias the (possibly pooled) input buffer.
-func (r *wireReader) str() (string, error) {
+// Str reads a length-prefixed string (AppendString). The conversion
+// copies.
+func (r *Reader) Str() (string, error) {
 	n, err := r.count(1)
 	if err != nil {
 		return "", err
@@ -481,7 +506,21 @@ func (r *wireReader) str() (string, error) {
 	return string(b), nil
 }
 
-func (r *wireReader) f64() (float64, error) {
+// Bytes reads a length-prefixed byte slice (AppendBytes) into a fresh
+// copy. Zero-length slices decode as nil.
+func (r *Reader) Bytes() ([]byte, error) {
+	n, err := r.count(1)
+	if err != nil || n == 0 {
+		return nil, err
+	}
+	b, err := r.take(n)
+	if err != nil {
+		return nil, err
+	}
+	return append([]byte(nil), b...), nil
+}
+
+func (r *Reader) f64() (float64, error) {
 	b, err := r.take(8)
 	if err != nil {
 		return 0, err
@@ -489,8 +528,9 @@ func (r *wireReader) f64() (float64, error) {
 	return math.Float64frombits(binary.BigEndian.Uint64(b)), nil
 }
 
-// values reads a value list. Zero-length lists decode as nil.
-func (r *wireReader) values() ([]any, error) {
+// Values reads a value list (AppendValues). Zero-length lists decode as
+// nil.
+func (r *Reader) Values() ([]any, error) {
 	n, err := r.count(1)
 	if err != nil {
 		return nil, err
@@ -509,11 +549,11 @@ func (r *wireReader) values() ([]any, error) {
 
 // value reads one tagged value, reproducing the concrete types gob would
 // have delivered so callers' type switches keep working unchanged.
-func (r *wireReader) value(depth int) (any, error) {
+func (r *Reader) value(depth int) (any, error) {
 	if depth > maxValueDepth {
 		return nil, fmt.Errorf("value nesting exceeds %d levels", maxValueDepth)
 	}
-	tag, err := r.u8()
+	tag, err := r.Byte()
 	if err != nil {
 		return nil, err
 	}
@@ -533,7 +573,7 @@ func (r *wireReader) value(depth int) (any, error) {
 	case tagInt64:
 		return r.varint()
 	case tagUint64:
-		return r.uvarint()
+		return r.Uvarint()
 	case tagFloat32:
 		b, err := r.take(4)
 		if err != nil {
@@ -543,18 +583,9 @@ func (r *wireReader) value(depth int) (any, error) {
 	case tagFloat64:
 		return r.f64()
 	case tagString:
-		return r.str()
+		return r.Str()
 	case tagBytes:
-		n, err := r.count(1)
-		if err != nil {
-			return nil, err
-		}
-		b, err := r.take(n)
-		if err != nil {
-			return nil, err
-		}
-		// Copy so the decoded message outlives a recycled input buffer.
-		return append([]byte(nil), b...), nil
+		return r.Bytes()
 	case tagIntSlice:
 		n, err := r.count(1)
 		if err != nil {
@@ -602,7 +633,7 @@ func (r *wireReader) value(depth int) (any, error) {
 		}
 		out := make([]string, n)
 		for i := range out {
-			if out[i], err = r.str(); err != nil {
+			if out[i], err = r.Str(); err != nil {
 				return nil, err
 			}
 		}
@@ -626,7 +657,7 @@ func (r *wireReader) value(depth int) (any, error) {
 		}
 		out := make(map[string]any, n)
 		for i := 0; i < n; i++ {
-			k, err := r.str()
+			k, err := r.Str()
 			if err != nil {
 				return nil, err
 			}
@@ -642,11 +673,11 @@ func (r *wireReader) value(depth int) (any, error) {
 		}
 		out := make(map[string]string, n)
 		for i := 0; i < n; i++ {
-			k, err := r.str()
+			k, err := r.Str()
 			if err != nil {
 				return nil, err
 			}
-			if out[k], err = r.str(); err != nil {
+			if out[k], err = r.Str(); err != nil {
 				return nil, err
 			}
 		}
@@ -658,7 +689,7 @@ func (r *wireReader) value(depth int) (any, error) {
 		}
 		out := make(map[string]float64, n)
 		for i := 0; i < n; i++ {
-			k, err := r.str()
+			k, err := r.Str()
 			if err != nil {
 				return nil, err
 			}
@@ -674,7 +705,7 @@ func (r *wireReader) value(depth int) (any, error) {
 		}
 		out := make(map[string]int64, n)
 		for i := 0; i < n; i++ {
-			k, err := r.str()
+			k, err := r.Str()
 			if err != nil {
 				return nil, err
 			}
@@ -693,6 +724,7 @@ func (r *wireReader) value(depth int) (any, error) {
 			return nil, err
 		}
 		var v any
+		codecStats.gobStreams.Add(1)
 		if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&v); err != nil {
 			return nil, fmt.Errorf("gob fallback: %w", err)
 		}
@@ -702,7 +734,7 @@ func (r *wireReader) value(depth int) (any, error) {
 	}
 }
 
-func (r *wireReader) float64Slice() ([]float64, error) {
+func (r *Reader) float64Slice() ([]float64, error) {
 	n, err := r.count(8)
 	if err != nil {
 		return nil, err

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"log/slog"
 	"sync"
@@ -129,6 +130,139 @@ type LeaseResponse struct {
 type InvalidateMsg struct {
 	Ref   core.Ref
 	Epoch uint64
+}
+
+// The lease frames are control frames like the Skeen ones (see openFrame):
+// a tag byte, then the fields, decoded strictly and copied out. The client
+// cache reaches them only through LeaseRequest.Encode, DecodeLeaseResponse
+// and DecodeInvalidateMsg, so their format lives in this file alone.
+const (
+	frameLeaseRequest  byte = 'L' // Ref.Type, Ref.Key, Persist byte, HolderAddr
+	frameLeaseResponse byte = 'l' // Granted byte, Reason, TTLMillis, Epoch, Init values, Snapshot
+	frameInvalidate    byte = 'V' // Ref.Type, Ref.Key, Epoch
+)
+
+func appendRef(dst []byte, ref core.Ref) []byte {
+	return core.AppendString(core.AppendString(dst, ref.Type), ref.Key)
+}
+
+func readRef(r *core.Reader) (ref core.Ref, err error) {
+	if ref.Type, err = r.Str(); err == nil {
+		ref.Key, err = r.Str()
+	}
+	return ref, err
+}
+
+func appendBool(dst []byte, v bool) []byte {
+	if v {
+		return append(dst, 1)
+	}
+	return append(dst, 0)
+}
+
+// readBool reads a byte that must be 0 or 1.
+func readBool(r *core.Reader) (bool, error) {
+	b, err := r.Byte()
+	if err == nil && b > 1 {
+		err = fmt.Errorf("bad bool byte 0x%02x", b)
+	}
+	return b == 1, err
+}
+
+// Encode returns the KindLease request frame.
+func (q LeaseRequest) Encode() []byte {
+	b := newFrame(frameLeaseRequest, len(q.Ref.Type)+len(q.Ref.Key)+len(q.HolderAddr)+1, 3)
+	return core.AppendString(appendBool(appendRef(b, q.Ref), q.Persist), q.HolderAddr)
+}
+
+// decodeLeaseRequest parses exactly one LeaseRequest.Encode frame.
+func decodeLeaseRequest(data []byte) (q LeaseRequest, err error) {
+	r, err := openFrame(data, frameLeaseRequest)
+	if err == nil {
+		q.Ref, err = readRef(&r)
+	}
+	if err == nil {
+		q.Persist, err = readBool(&r)
+	}
+	if err == nil {
+		q.HolderAddr, err = r.Str()
+	}
+	if err == nil {
+		err = r.End()
+	}
+	if err != nil {
+		return LeaseRequest{}, fmt.Errorf("server: decode lease request: %w", err)
+	}
+	return q, nil
+}
+
+// encode returns the KindLease response frame. It fails only when an Init
+// value has no encoding (see core.AppendValues).
+func (p LeaseResponse) encode() ([]byte, error) {
+	b := newFrame(frameLeaseResponse, len(p.Reason)+len(p.Snapshot)+1, 5)
+	b = core.AppendString(appendBool(b, p.Granted), p.Reason)
+	b = binary.AppendUvarint(binary.AppendUvarint(b, uint64(p.TTLMillis)), p.Epoch)
+	b, err := core.AppendValues(b, p.Init)
+	if err != nil {
+		return nil, fmt.Errorf("server: encode lease response: %w", err)
+	}
+	return core.AppendBytes(b, p.Snapshot), nil
+}
+
+// DecodeLeaseResponse parses exactly one KindLease response frame.
+func DecodeLeaseResponse(data []byte) (p LeaseResponse, err error) {
+	r, err := openFrame(data, frameLeaseResponse)
+	if err == nil {
+		p.Granted, err = readBool(&r)
+	}
+	if err == nil {
+		p.Reason, err = r.Str()
+	}
+	var ttl uint64
+	if err == nil {
+		ttl, err = r.Uvarint()
+	}
+	if err == nil {
+		p.TTLMillis = int64(ttl)
+		p.Epoch, err = r.Uvarint()
+	}
+	if err == nil {
+		p.Init, err = r.Values()
+	}
+	if err == nil {
+		p.Snapshot, err = r.Bytes()
+	}
+	if err == nil {
+		err = r.End()
+	}
+	if err != nil {
+		return LeaseResponse{}, fmt.Errorf("server: decode lease response: %w", err)
+	}
+	return p, nil
+}
+
+// encode returns the KindCacheInvalidate frame.
+func (m InvalidateMsg) encode() []byte {
+	b := newFrame(frameInvalidate, len(m.Ref.Type)+len(m.Ref.Key), 3)
+	return binary.AppendUvarint(appendRef(b, m.Ref), m.Epoch)
+}
+
+// DecodeInvalidateMsg parses exactly one KindCacheInvalidate frame.
+func DecodeInvalidateMsg(data []byte) (m InvalidateMsg, err error) {
+	r, err := openFrame(data, frameInvalidate)
+	if err == nil {
+		m.Ref, err = readRef(&r)
+	}
+	if err == nil {
+		m.Epoch, err = r.Uvarint()
+	}
+	if err == nil {
+		err = r.End()
+	}
+	if err != nil {
+		return InvalidateMsg{}, fmt.Errorf("server: decode invalidation: %w", err)
+	}
+	return m, nil
 }
 
 // refusal builds a refused LeaseResponse and counts it.
@@ -287,9 +421,8 @@ func (lt *leaseTable) revokeAll(ctx context.Context, ref core.Ref, wait bool) er
 
 	lt.n.cLeaseRevokes.Add(uint64(len(holders)))
 	// Every holder is a client cache and gets the same message: encode it
-	// once for the whole round. Should that fail, every holder counts as
-	// unreachable and the write waits its lease out.
-	body, encErr := core.EncodeValue(InvalidateMsg{Ref: ref, Epoch: epoch})
+	// once for the whole round.
+	body := InvalidateMsg{Ref: ref, Epoch: epoch}.encode()
 	var wg sync.WaitGroup
 	var failMu sync.Mutex
 	var waitUntil time.Time
@@ -301,11 +434,7 @@ func (lt *leaseTable) revokeAll(ctx context.Context, ref core.Ref, wait bool) er
 			// anyway and the expiry wait below takes over.
 			rctx, cancel := context.WithTimeout(ctx, lt.ttl)
 			defer cancel()
-			err := encErr
-			if err == nil {
-				err = lt.invalidate(rctx, addr, body)
-			}
-			if err != nil {
+			if err := lt.invalidate(rctx, addr, body); err != nil {
 				failMu.Lock()
 				if expiry.After(waitUntil) {
 					waitUntil = expiry
@@ -434,16 +563,16 @@ func (lt *leaseTable) close() {
 // handleLease services a KindLease acquire/renew request.
 func (n *Node) handleLease(payload []byte) ([]byte, error) {
 	if n.leases == nil {
-		return core.EncodeValue(LeaseResponse{Reason: "leases disabled"})
+		return LeaseResponse{Reason: "leases disabled"}.encode()
 	}
-	var req LeaseRequest
-	if err := core.DecodeValue(payload, &req); err != nil {
+	req, err := decodeLeaseRequest(payload)
+	if err != nil {
 		return nil, err
 	}
 	if req.HolderAddr == "" {
-		return core.EncodeValue(LeaseResponse{Reason: "missing holder address"})
+		return LeaseResponse{Reason: "missing holder address"}.encode()
 	}
-	return core.EncodeValue(n.leases.grant(req))
+	return n.leases.grant(req).encode()
 }
 
 // prepareWrite is the mutating-path lease hook: wait out the post-view

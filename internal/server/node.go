@@ -30,14 +30,15 @@ import (
 const (
 	// KindInvoke is a client object invocation.
 	KindInvoke uint8 = 1
-	// KindPropose and KindFinal are Skeen protocol messages between nodes.
+	// KindPropose and KindFinal are Skeen protocol messages between nodes
+	// (tag-encoded control frames, see smr.go).
 	KindPropose uint8 = 2
 	KindFinal   uint8 = 3
 	// KindTransfer pushes an object snapshot during rebalancing.
 	KindTransfer uint8 = 4
 	// KindPing is a health check.
 	KindPing uint8 = 5
-	// KindAbort drops an abandoned total-order message.
+	// KindAbort drops an abandoned total-order message (a control frame).
 	KindAbort uint8 = 6
 	// KindStats returns the node's counters and telemetry snapshot
 	// (gob-encoded Snapshot) for dso-cli stats and cluster dashboards.
@@ -58,14 +59,14 @@ const (
 	// creating a fresh one when the hand-off transfer never arrived.
 	KindFetch uint8 = 11
 	// KindLease acquires or renews a client cache lease on an object from
-	// its primary (gob-encoded LeaseRequest in, LeaseResponse with a
+	// its primary (LeaseRequest frame in, LeaseResponse frame with a
 	// snapshot out). See lease.go.
 	KindLease uint8 = 12
 	// 13 is retired (follower lease revocation). Do not reuse it: a node of
 	// an older build would misread the frame.
 
 	// KindCacheInvalidate is the primary telling a client cache to drop
-	// its leased copy (gob-encoded InvalidateMsg), sent synchronously
+	// its leased copy (an InvalidateMsg frame), sent synchronously
 	// before a mutation commits. It is handled by the client's invalidation
 	// listener, not by nodes.
 	KindCacheInvalidate uint8 = 14

@@ -327,11 +327,7 @@ func TestRoundPayloadDecodeRejects(t *testing.T) {
 		if name == "mixed refs" {
 			continue // admission reads only the first part; delivery voids the round
 		}
-		body, err := core.EncodeValue(proposeMsg{
-			ID: totalorder.MsgID{Origin: "n9", Seq: 2}, Payload: payload, Fence: dir.View().Fence()})
-		if err != nil {
-			t.Fatal(err)
-		}
+		body := proposeMsg{ID: totalorder.MsgID{Origin: "n9", Seq: 2}, Payload: payload, Fence: dir.View().Fence()}.encode()
 		if _, err := n.handlePropose(body); err == nil {
 			t.Errorf("%s: proposed", name)
 		}

@@ -446,15 +446,11 @@ func TestProposeFencedOnViewMismatch(t *testing.T) {
 		Ref: core.Ref{Type: objects.TypeAtomicLong, Key: "fenced"},
 	})
 	mk := func(fence uint64, seq uint64) []byte {
-		body, err := core.EncodeValue(proposeMsg{
+		return proposeMsg{
 			ID:      totalorder.MsgID{Origin: "n9", Seq: seq},
 			Payload: payload,
 			Fence:   fence,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return body
+		}.encode()
 	}
 
 	if _, err := c.Call(ctx, KindPropose, mk(dir.View().Fence()+1, 1)); err == nil {

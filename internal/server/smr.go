@@ -124,6 +124,161 @@ type finalMsg struct {
 	TS uint64
 }
 
+// Control frames (DESIGN.md §5b). Each per-operation frame — the Skeen
+// frames here, the lease frames in lease.go — is a tag byte naming the
+// frame followed by its fields in the tag codec's encodings (core.Append*):
+// strings and byte slices length-prefixed, integers uvarint. There is no
+// version and no fallback. A decoder accepts exactly its own tag and
+// layout: a truncated frame, a field length past the end and a trailing
+// byte are all errors. Decoders copy what they return, because the rpc
+// server recycles a request's buffer once its handler returns while the
+// total order keeps a PROPOSE's payload queued until delivery.
+const (
+	framePropose      byte = 'P' // MsgID, Fence, Payload
+	frameProposeReply byte = 'p' // the proposed timestamp
+	frameFinal        byte = 'F' // MsgID, TS
+	frameFinalReply   byte = 'f' // finalResp: Version, Replays
+	frameAbort        byte = 'A' // MsgID
+)
+
+// openFrame checks data's tag and returns a reader positioned after it.
+func openFrame(data []byte, tag byte) (core.Reader, error) {
+	r := core.NewReader(data)
+	got, err := r.Byte()
+	if err == nil && got != tag {
+		err = fmt.Errorf("frame tag %q, want %q", got, tag)
+	}
+	return r, err
+}
+
+// appendMsgID appends id's Origin and Seq; readMsgID reads them back.
+func appendMsgID(dst []byte, id totalorder.MsgID) []byte {
+	return binary.AppendUvarint(core.AppendString(dst, id.Origin), id.Seq)
+}
+
+func readMsgID(r *core.Reader) (id totalorder.MsgID, err error) {
+	if id.Origin, err = r.Str(); err == nil {
+		id.Seq, err = r.Uvarint()
+	}
+	return id, err
+}
+
+// newFrame starts a frame with its tag, sized for variable bytes of
+// strings and payload plus n varints so that its encoder allocates once.
+func newFrame(tag byte, variable, n int) []byte {
+	return append(make([]byte, 0, 1+variable+n*binary.MaxVarintLen64), tag)
+}
+
+func (m proposeMsg) encode() []byte {
+	b := newFrame(framePropose, len(m.ID.Origin)+len(m.Payload), 4)
+	b = binary.AppendUvarint(appendMsgID(b, m.ID), m.Fence)
+	return core.AppendBytes(b, m.Payload)
+}
+
+func decodeProposeMsg(data []byte) (m proposeMsg, err error) {
+	r, err := openFrame(data, framePropose)
+	if err == nil {
+		m.ID, err = readMsgID(&r)
+	}
+	if err == nil {
+		m.Fence, err = r.Uvarint()
+	}
+	if err == nil {
+		m.Payload, err = r.Bytes()
+	}
+	if err == nil {
+		err = r.End()
+	}
+	if err != nil {
+		return proposeMsg{}, fmt.Errorf("server: decode PROPOSE: %w", err)
+	}
+	return m, nil
+}
+
+// encodeTimestamp is the reply to a PROPOSE.
+func encodeTimestamp(ts uint64) []byte {
+	return binary.AppendUvarint(newFrame(frameProposeReply, 0, 1), ts)
+}
+
+func decodeTimestamp(data []byte) (ts uint64, err error) {
+	r, err := openFrame(data, frameProposeReply)
+	if err == nil {
+		ts, err = r.Uvarint()
+	}
+	if err == nil {
+		err = r.End()
+	}
+	if err != nil {
+		return 0, fmt.Errorf("server: decode PROPOSE reply: %w", err)
+	}
+	return ts, nil
+}
+
+func (m finalMsg) encode() []byte {
+	b := newFrame(frameFinal, len(m.ID.Origin), 3)
+	return binary.AppendUvarint(appendMsgID(b, m.ID), m.TS)
+}
+
+func decodeFinalMsg(data []byte) (m finalMsg, err error) {
+	r, err := openFrame(data, frameFinal)
+	if err == nil {
+		m.ID, err = readMsgID(&r)
+	}
+	if err == nil {
+		m.TS, err = r.Uvarint()
+	}
+	if err == nil {
+		err = r.End()
+	}
+	if err != nil {
+		return finalMsg{}, fmt.Errorf("server: decode FINAL: %w", err)
+	}
+	return m, nil
+}
+
+func (f finalResp) encode() []byte {
+	b := newFrame(frameFinalReply, 0, 2)
+	return binary.AppendUvarint(binary.AppendUvarint(b, f.Version), uint64(f.Replays))
+}
+
+func decodeFinalResp(data []byte) (f finalResp, err error) {
+	r, err := openFrame(data, frameFinalReply)
+	if err == nil {
+		f.Version, err = r.Uvarint()
+	}
+	var replays uint64
+	if err == nil {
+		replays, err = r.Uvarint()
+	}
+	if err == nil {
+		f.Replays = int(replays)
+		err = r.End()
+	}
+	if err != nil {
+		return finalResp{}, fmt.Errorf("server: decode FINAL reply: %w", err)
+	}
+	return f, nil
+}
+
+// encodeAbort is an ABORT: the id of the message to drop.
+func encodeAbort(id totalorder.MsgID) []byte {
+	return appendMsgID(newFrame(frameAbort, len(id.Origin), 2), id)
+}
+
+func decodeAbort(data []byte) (id totalorder.MsgID, err error) {
+	r, err := openFrame(data, frameAbort)
+	if err == nil {
+		id, err = readMsgID(&r)
+	}
+	if err == nil {
+		err = r.End()
+	}
+	if err != nil {
+		return totalorder.MsgID{}, fmt.Errorf("server: decode ABORT: %w", err)
+	}
+	return id, nil
+}
+
 // A round's payload — on the wire and in the WAL — is one flag byte ahead
 // of a totalorder batch container of its encoded invocations, all
 // targeting one ref. The flag says whether the coordinator held a copy of
@@ -623,27 +778,17 @@ func (n *Node) applyOrdered(id totalorder.MsgID, e *entry, genesis bool, invs []
 	return out
 }
 
-// send encodes one control message and delivers it to a remote member.
-func (rd *round) send(ctx context.Context, target string, kind uint8, msg any) ([]byte, error) {
-	body, err := core.EncodeValue(msg)
-	if err != nil {
-		return nil, err
-	}
-	return rd.n.peerCall(ctx, ring.NodeID(target), kind, body)
-}
-
 // Propose implements totalorder.Transport.
 func (rd *round) Propose(ctx context.Context, target string, id totalorder.MsgID, payload []byte) (uint64, error) {
 	if target == string(rd.n.cfg.ID) {
 		return rd.n.acceptPropose(id, rd.ref, payload)
 	}
-	out, err := rd.send(ctx, target, KindPropose, proposeMsg{ID: id, Payload: payload, Fence: rd.fence})
+	out, err := rd.n.peerCall(ctx, ring.NodeID(target), KindPropose,
+		proposeMsg{ID: id, Payload: payload, Fence: rd.fence}.encode())
 	if err != nil {
 		return 0, err
 	}
-	var ts uint64
-	err = core.DecodeValue(out, &ts)
-	return ts, err
+	return decodeTimestamp(out)
 }
 
 // Final implements totalorder.Transport. Remote replies carry the member's
@@ -653,12 +798,14 @@ func (rd *round) Final(ctx context.Context, target string, id totalorder.MsgID, 
 		rd.n.to.HandleFinal(id, ts)
 		return nil
 	}
-	out, err := rd.send(ctx, target, KindFinal, finalMsg{ID: id, TS: ts})
+	out, err := rd.n.peerCall(ctx, ring.NodeID(target), KindFinal, finalMsg{ID: id, TS: ts}.encode())
 	if err != nil {
 		return err
 	}
-	var resp finalResp
-	if len(out) > 0 && core.DecodeValue(out, &resp) == nil {
+	if len(out) == 0 {
+		return nil // the member has no outcome recorded: nothing to compare
+	}
+	if resp, err := decodeFinalResp(out); err == nil {
 		rd.mu.Lock()
 		rd.replies = append(rd.replies, memberReply{ring.NodeID(target), resp})
 		rd.mu.Unlock()
@@ -673,7 +820,7 @@ func (rd *round) Abort(ctx context.Context, target string, id totalorder.MsgID) 
 		rd.n.to.Drop(id)
 		return nil
 	}
-	_, err := rd.send(ctx, target, KindAbort, id)
+	_, err := rd.n.peerCall(ctx, ring.NodeID(target), KindAbort, encodeAbort(id))
 	return err
 }
 
@@ -731,8 +878,8 @@ func (n *Node) waitTimeout() time.Duration {
 
 // handleAbort services a peer's ABORT.
 func (n *Node) handleAbort(payload []byte) ([]byte, error) {
-	var id totalorder.MsgID
-	if err := core.DecodeValue(payload, &id); err != nil {
+	id, err := decodeAbort(payload)
+	if err != nil {
 		return nil, err
 	}
 	n.inflight.settle(id)
@@ -745,8 +892,8 @@ func (n *Node) handleAbort(payload []byte) ([]byte, error) {
 // the coordinator aborts the round and the client retries once the views
 // converge — a transient bounce, never a fork.
 func (n *Node) handlePropose(payload []byte) ([]byte, error) {
-	var msg proposeMsg
-	if err := core.DecodeValue(payload, &msg); err != nil {
+	msg, err := decodeProposeMsg(payload)
+	if err != nil {
 		return nil, err
 	}
 	view, _ := n.currentView()
@@ -767,7 +914,7 @@ func (n *Node) handlePropose(payload []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return core.EncodeValue(ts)
+	return encodeTimestamp(ts), nil
 }
 
 // acceptPropose is the receiving half of a PROPOSE, the coordinator's own
@@ -799,8 +946,8 @@ func (n *Node) acceptPropose(id totalorder.MsgID, ref core.Ref, payload []byte) 
 // on expiry the coordinator surfaces a retryable error instead of acking
 // (the at-most-once window makes the client's retry safe either way).
 func (n *Node) handleFinal(payload []byte) ([]byte, error) {
-	var msg finalMsg
-	if err := core.DecodeValue(payload, &msg); err != nil {
+	msg, err := decodeFinalMsg(payload)
+	if err != nil {
 		return nil, err
 	}
 	n.to.HandleFinal(msg.ID, msg.TS)
@@ -818,5 +965,5 @@ func (n *Node) handleFinal(payload []byte) ([]byte, error) {
 	if !known {
 		return nil, nil
 	}
-	return core.EncodeValue(resp)
+	return resp.encode(), nil
 }

@@ -61,6 +61,10 @@ func HTTPHandler(node string, t *Telemetry) http.Handler {
 //	crucial_codec_unstamped_decodes_total invocations without a stamp
 //	                                    (control-plane tools; their retries
 //	                                    stay at-least-once)
+//	crucial_codec_gob_streams_total     gob encoders and decoders opened:
+//	                                    object state bodies, cold-path
+//	                                    control-plane messages and fallback
+//	                                    values (no per-operation frame is gob)
 func writeCodecStats(w io.Writer) {
 	s := core.ReadCodecStats()
 	for _, c := range []struct {
@@ -72,6 +76,7 @@ func writeCodecStats(w io.Writer) {
 		{"crucial_codec_fallback_values_total", s.FallbackValues},
 		{"crucial_codec_stamped_decodes_total", s.StampedDecodes},
 		{"crucial_codec_unstamped_decodes_total", s.UnstampedDecodes},
+		{"crucial_codec_gob_streams_total", s.GobStreams},
 	} {
 		fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", c.name, c.name, c.v)
 	}

@@ -331,6 +331,7 @@ func TestHTTPEndpoints(t *testing.T) {
 		"crucial_codec_fast_encodes_total",
 		"crucial_codec_fast_decodes_total",
 		"crucial_codec_fallback_values_total",
+		"crucial_codec_gob_streams_total",
 	} {
 		if !strings.Contains(string(body), "# TYPE "+name+" counter") {
 			t.Fatalf("/metrics missing codec counter %s", name)

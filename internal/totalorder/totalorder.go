@@ -75,20 +75,14 @@ type Node struct {
 	// concurrent finals could pop m1 then m2 but run deliver(m2) first.
 	deliverMu sync.Mutex
 
-	mu        sync.Mutex
-	clock     uint64
-	ttl       time.Duration
-	pending   map[MsgID]*pendingMsg
-	delivered map[MsgID]struct{}
-
-	// applied records, for messages whose deliver callback has returned,
-	// whether the callback applied them (its return value); it lags
-	// delivered (set when a message is popped) by the callback's runtime
-	// and feeds WaitDelivered. Kept separate from delivered on purpose:
-	// HandlePropose consults delivered for idempotence, and a message must
-	// count as delivered the moment it is popped or a retried propose
-	// could re-enqueue (and double-deliver) it mid-callback.
-	applied   map[MsgID]bool
+	mu      sync.Mutex
+	clock   uint64
+	ttl     time.Duration
+	pending map[MsgID]*pendingMsg
+	// recent remembers what became of recently delivered messages; its
+	// bound is the window within which duplicates are recognised (see
+	// outcomes).
+	recent    outcomes
 	applyCond *sync.Cond
 
 	// closed aborts WaitDelivered early (see Close).
@@ -99,11 +93,10 @@ type Node struct {
 // name; deliver receives messages in total order.
 func NewNode(id string, deliver Deliver) *Node {
 	n := &Node{
-		id:        id,
-		deliver:   deliver,
-		pending:   make(map[MsgID]*pendingMsg),
-		delivered: make(map[MsgID]struct{}),
-		applied:   make(map[MsgID]bool),
+		id:      id,
+		deliver: deliver,
+		pending: make(map[MsgID]*pendingMsg),
+		recent:  outcomes{cur: map[MsgID]outcome{}, old: map[MsgID]outcome{}},
 	}
 	n.applyCond = sync.NewCond(&n.mu)
 	return n
@@ -125,7 +118,7 @@ func (n *Node) Clock() uint64 {
 func (n *Node) HandlePropose(id MsgID, payload []byte) uint64 {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if _, done := n.delivered[id]; done {
+	if _, done := n.recent.get(id); done {
 		// Retry of an already-delivered message: echo a harmless value.
 		return n.clock
 	}
@@ -161,7 +154,7 @@ func (n *Node) HandleFinal(id MsgID, ts uint64) {
 	n.deliverMu.Lock()
 	defer n.deliverMu.Unlock()
 	n.mu.Lock()
-	if _, done := n.delivered[id]; done {
+	if _, done := n.recent.get(id); done {
 		n.mu.Unlock()
 		return
 	}
@@ -197,7 +190,11 @@ func (n *Node) deliverAll(ready []*pendingMsg) {
 	}
 	n.mu.Lock()
 	for i, m := range ready {
-		n.applied[m.id] = results[i]
+		o := outcomeSkipped
+		if results[i] {
+			o = outcomeApplied
+		}
+		n.recent.set(m.id, o)
 	}
 	n.mu.Unlock()
 	n.applyCond.Broadcast()
@@ -219,8 +216,8 @@ func (n *Node) WaitDelivered(id MsgID, timeout time.Duration) bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	for {
-		if ok, present := n.applied[id]; present {
-			return ok
+		if o, present := n.recent.get(id); present && o != outcomePopped {
+			return o == outcomeApplied
 		}
 		if n.closed || !time.Now().Before(deadline) {
 			return false
@@ -264,7 +261,7 @@ func (n *Node) collectDeliverableLocked() []*pendingMsg {
 			return out
 		}
 		delete(n.pending, min.id)
-		n.delivered[min.id] = struct{}{}
+		n.recent.set(min.id, outcomePopped)
 		out = append(out, min)
 	}
 }
@@ -317,6 +314,78 @@ func (n *Node) PendingCount() int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return len(n.pending)
+}
+
+// outcome is what became of a delivered message.
+type outcome uint8
+
+const (
+	// outcomePopped: taken off the pending queue, callback still running.
+	// The message counts as delivered from this moment on, or a retried
+	// PROPOSE could re-enqueue (and double-deliver) it mid-callback.
+	outcomePopped  outcome = iota + 1
+	outcomeApplied         // the callback returned true
+	outcomeSkipped         // the callback returned false
+)
+
+// outcomeGeneration is how many delivered messages one generation of a
+// Node's outcome memory holds: two full generations measured 650 KB (80
+// bytes an entry, origin strings included).
+const outcomeGeneration = 1 << 12
+
+// outcomes is the two-generation memory of recent delivery outcomes that
+// HandlePropose's idempotence, HandleFinal's duplicate check and
+// WaitDelivered read. A message enters it when popped and stays in the
+// generation it entered when its outcome is recorded. When the current
+// generation fills, it becomes the old one and the old one is dropped, so
+// the memory never holds more than two generations, and a message is
+// remembered for at least one full generation of later deliveries at this
+// node (outcomeGeneration, 4 096) and at most two.
+//
+// A duplicate PROPOSE or FINAL that arrives within that window is
+// recognised: the PROPOSE is answered without re-queueing the message, the
+// FINAL delivers nothing and WaitDelivered reports the recorded outcome.
+// Network-duplicated frames arrive within milliseconds, far inside the
+// window. A coordinator re-sends a FINAL only after its first attempt
+// failed or timed out (the server's Config.PeerCallTimeout), and a node
+// that delivers more than a generation's worth of messages in that time
+// may have forgotten it. A duplicate that arrives after the window is
+// taken for a new message. A late FINAL
+// finds nothing pending and is ignored; the FINAL handler's WaitDelivered
+// on the forgotten id waits out its timeout and reports false, so the
+// coordinator fails the round with a retryable error (the operation is
+// applied, and the client's retry replays it from the at-most-once
+// window). A late PROPOSE is queued as a fresh pending message that no
+// FINAL will follow: like any orphan, it holds back later deliveries until
+// an ABORT, a view change's PurgeOrigins or the pending TTL (SetPendingTTL)
+// discards it, and it is never delivered.
+type outcomes struct {
+	cur, old map[MsgID]outcome
+}
+
+func (o *outcomes) get(id MsgID) (outcome, bool) {
+	if v, ok := o.cur[id]; ok {
+		return v, true
+	}
+	v, ok := o.old[id]
+	return v, ok
+}
+
+// set records id's outcome: in place where id is remembered, else in the
+// current generation, rotating first if that is full.
+func (o *outcomes) set(id MsgID, v outcome) {
+	if _, ok := o.cur[id]; ok {
+		o.cur[id] = v
+		return
+	}
+	if _, ok := o.old[id]; ok {
+		o.old[id] = v
+		return
+	}
+	if len(o.cur) >= outcomeGeneration {
+		o.old, o.cur = o.cur, map[MsgID]outcome{}
+	}
+	o.cur[id] = v
 }
 
 // Transport carries protocol messages to group members. The DSO server

@@ -427,3 +427,36 @@ func TestMulticastFailureAborts(t *testing.T) {
 		}
 	}
 }
+
+// The delivery outcome memory is bounded: 100 000 deliveries never leave
+// more than two generations remembered, duplicates of the latest
+// deliveries are still recognised, and the oldest outcomes are forgotten.
+func TestOutcomeMemoryBounded(t *testing.T) {
+	delivered := 0
+	n := NewNode("a", func(MsgID, []byte) bool { delivered++; return true })
+	const total = 100_000
+	most := 0
+	for seq := uint64(1); seq <= total; seq++ {
+		id := MsgID{Origin: "c", Seq: seq}
+		n.HandleFinal(id, n.HandlePropose(id, nil))
+		most = max(most, len(n.recent.cur)+len(n.recent.old))
+	}
+	if delivered != total {
+		t.Fatalf("delivered %d of %d", delivered, total)
+	}
+	if most > 2*outcomeGeneration {
+		t.Fatalf("outcome memory peaked at %d entries, bound %d (two generations)", most, 2*outcomeGeneration)
+	}
+	last := MsgID{Origin: "c", Seq: total}
+	n.HandlePropose(last, nil) // a late retry of both frames
+	n.HandleFinal(last, 1)
+	if delivered != total || n.PendingCount() != 0 {
+		t.Fatalf("duplicate of the latest delivery re-queued or re-delivered (%d delivered, %d pending)", delivered, n.PendingCount())
+	}
+	if !n.WaitDelivered(last, time.Millisecond) {
+		t.Fatal("latest delivery's outcome forgotten")
+	}
+	if _, ok := n.recent.get(MsgID{Origin: "c", Seq: 1}); ok {
+		t.Fatal("the first of 100 000 deliveries is still remembered")
+	}
+}
