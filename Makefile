@@ -34,16 +34,23 @@ bench:
 wal-fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeSegment' -fuzztime 30s ./internal/durability/
 
-# codec-fuzz fuzzes the per-operation wire codecs for 15 s each: the
-# invocation round trip, the invocation and response decoders, and the
-# eight Skeen and lease control frame decoders — every parser a peer or a
-# client feeds on each operation. Invariants: no panics, and a frame that
-# decodes re-encodes to one that decodes the same. Not part of verify.
+# codec-fuzz fuzzes the tag-encoded wire codecs for 15 s each: the
+# invocation round trip, the invocation and response decoders, the eight
+# Skeen and lease control frame decoders, and FuzzStateBodies in the three
+# packages that decode state — the built-in objects' Restore, the statefun
+# mailbox values and drain-pass frames, and the transfer and fetch frames
+# that rebalancing and checkpoints ship. These are every parser a peer, a
+# client or cold storage feeds on each operation. Invariants: no panics,
+# and a frame that decodes re-encodes to one that decodes the same. Not
+# part of verify.
 codec-fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzInvocationRoundTrip$$' -fuzztime 15s ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeInvocation$$' -fuzztime 15s ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResponse$$' -fuzztime 15s ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzControlFrames$$' -fuzztime 15s ./internal/server/
+	$(GO) test -run '^$$' -fuzz '^FuzzStateBodies$$' -fuzztime 15s ./internal/objects/
+	$(GO) test -run '^$$' -fuzz '^FuzzStateBodies$$' -fuzztime 15s ./internal/statefun/
+	$(GO) test -run '^$$' -fuzz '^FuzzStateBodies$$' -fuzztime 15s ./internal/server/
 
 cover:
 	$(GO) test -coverprofile=cover.out ./...
@@ -102,8 +109,10 @@ doclint:
 # alone costs more), an rf=1 write (a group of one) and read must stay
 # near what they cost outside rounds, and the lease read path must keep a
 # 95/5 read/write sequence cached (hit ratio, one grant per invalidation)
-# without building a hash ring per hit or per grant, and a grant must stay
-# near the cost of shipping the object's state. These
+# without building a hash ring per hit, miss or grant, and a grant and a
+# whole 256-byte KV miss (grant plus Restore) must stay near the ~12 and
+# ~23 allocations they cost with tag-encoded state bodies (a gob body
+# alone costs more). These
 # tests self-skip under -race, so they need this dedicated non-race
 # invocation to actually bite; the measured numbers live next to each
 # budget in its test.

@@ -108,21 +108,24 @@ func TestRFOneInvokeAllocBudget(t *testing.T) {
 
 // The lease read path's budgets, measured on the 2-vCPU reference box
 // (go1.24): a cache hit on a 256-byte KV cell allocates 5 (invocation and
-// result slices, the value copy; 2026-10-04), a grant round trip 31 in
-// each of five runs (2026-10-16, budget about 10 % above), most of it the
-// gob Snapshot of the cell; with gob KindLease frames it cost 235-240.
-// Building the view's ring on either path — 384 vnodes hashed from
-// formatted labels, then sorted — is over 1 000 allocations by itself, so
-// neither budget survives a ring.New per operation.
+// result slices, the value copy; 2026-10-04). A grant round trip allocates
+// 12 and a whole miss — grant, Restore and the local read — 23, each in
+// five of five runs (2026-10-17, budgets about 10 % above), with the cell's
+// state body tag-encoded; with a gob body they cost 31 and 199, and with
+// gob KindLease frames a grant cost 235-240. Building the view's ring on
+// any of these paths — 384 vnodes hashed from formatted labels, then
+// sorted — is over 1 000 allocations by itself, so no budget survives a
+// ring.New per operation.
 const (
 	cacheHitAllocBudget   = 8
-	leaseGrantAllocBudget = 34
+	kvMissAllocBudget     = 26
+	leaseGrantAllocBudget = 13
 )
 
 // TestLeaseReadPathAllocBudget drives one client through a fixed 95/5
 // read/write sequence over 64 KV cells and pins what the lease cache must
 // deliver on it: reads hit, a key costs one grant per invalidation and no
-// more, and neither a hit nor a grant builds a ring.
+// more, and neither a hit, a miss nor a grant builds a ring.
 func TestLeaseReadPathAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counting is meaningless under -race")
@@ -181,6 +184,32 @@ func TestLeaseReadPathAllocBudget(t *testing.T) {
 		t.Fatalf("%d grants discarded at install with one sequential caller", st.StaleGrants)
 	}
 
+	// A miss, end to end: a cache that holds one object, reading two cells
+	// in turn, pays a grant round trip and a Restore of the 256-byte cell
+	// on every read — the kv_read_mostly miss.
+	missCl, err := client.New(client.Config{Transport: c.Transport, Views: c.Dir,
+		Cache: &client.CacheConfig{ListenAddr: "cache-alloc-miss", Registry: c.Registry(), MaxObjects: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer missCl.Close()
+	read := func(i int) {
+		t.Helper()
+		if _, err := missCl.InvokeObject(ctx, core.Invocation{Ref: cell(i), Method: "Get"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read(1)
+	read(2) // connections
+	misses := missCl.DebugCacheStats().Misses
+	miss := testing.AllocsPerRun(200, func() { read(1); read(2) }) / 2
+	if got := missCl.DebugCacheStats().Misses - misses; got < 400 {
+		t.Fatalf("only %d of the 400 measured reads were misses", got)
+	}
+	if miss > kvMissAllocBudget {
+		t.Fatalf("a cache miss on a 256-byte KV cell allocates %.0f, budget %d", miss, kvMissAllocBudget)
+	}
+
 	call(0, "Get") // make sure cell 0 is leased
 	hits := st.Hits
 	hit := testing.AllocsPerRun(500, func() { call(0, "Get") })
@@ -215,6 +244,6 @@ func TestLeaseReadPathAllocBudget(t *testing.T) {
 	if grant > leaseGrantAllocBudget {
 		t.Fatalf("a lease grant allocates %.0f, budget %d", grant, leaseGrantAllocBudget)
 	}
-	t.Logf("hit ratio %.2f, %d grants for %d keys + %d invalidations; cache hit %.0f allocs (budget %d), grant %.0f allocs (budget %d)",
-		float64(st.Hits)/float64(st.Hits+st.Misses), grants, keys, st.Invalidations, hit, cacheHitAllocBudget, grant, leaseGrantAllocBudget)
+	t.Logf("hit ratio %.2f, %d grants for %d keys + %d invalidations; cache hit %.0f allocs (budget %d), miss %.1f allocs (budget %d), grant %.0f allocs (budget %d)",
+		float64(st.Hits)/float64(st.Hits+st.Misses), grants, keys, st.Invalidations, hit, cacheHitAllocBudget, miss, kvMissAllocBudget, grant, leaseGrantAllocBudget)
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -481,5 +482,60 @@ func TestNodeStatsCount(t *testing.T) {
 	n, _ := c.Node(id)
 	if n.Stats().Invocations < 5 {
 		t.Fatalf("stats = %+v", n.Stats())
+	}
+}
+
+// Every replica evaluates a CompareAndSet on its own copy, so the
+// comparison must not depend on map iteration order: on an RF-2 cluster, a
+// CAS whose expected value equals the current 8-key map swaps on both
+// replicas every time, and their copies stay equal.
+func TestReplicasAgreeOnMapCompareAndSet(t *testing.T) {
+	c := startCluster(t, Options{Nodes: 3, RF: 2})
+	cl := newClient(t, c)
+	ctx := ctxT(t)
+	ref := core.Ref{Type: objects.TypeAtomicReference, Key: "cas/map"}
+	state := func(v int64) map[string]any {
+		m := make(map[string]any, 8)
+		for i, k := range []string{"a", "b", "c", "d", "e", "f", "g", "h"} {
+			m[k] = int64(i) + v
+		}
+		return m
+	}
+	cas := func(expect, update any) bool {
+		t.Helper()
+		res, err := cl.InvokeObject(ctx, core.Invocation{Ref: ref, Method: "CompareAndSet",
+			Args: []any{expect, update}, Persist: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res[0].(bool)
+	}
+	if !cas(nil, state(0)) {
+		t.Fatal("CAS from nil failed")
+	}
+	for i := int64(0); i < 100; i++ {
+		if !cas(state(i), state(i+1)) {
+			t.Fatalf("CAS %d with an equal map as the expected value failed", i)
+		}
+	}
+	var copies []any
+	for _, id := range c.Dir.Placement().Place(ref.String(), 2) {
+		n, _ := c.Node(id)
+		data, err := n.DebugSnapshot(ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		obj, _ := objects.NewAtomicReference(nil)
+		if err := obj.(core.Snapshotter).Restore(data); err != nil {
+			t.Fatal(err)
+		}
+		res, err := obj.Call(nil, "Get", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		copies = append(copies, res[0])
+	}
+	if len(copies) != 2 || !reflect.DeepEqual(copies[0], copies[1]) || !reflect.DeepEqual(copies[0], state(100)) {
+		t.Fatalf("replica copies %v, want both %v", copies, state(100))
 	}
 }

@@ -7,13 +7,25 @@ import (
 
 	"crucial/internal/core"
 	"crucial/internal/objects"
+	"crucial/internal/statefun"
 )
 
-// The per-operation control frames carry no gob: on an RF-2 cluster with
-// leases and the client cache on, a write that revokes a cached lease — the
-// invalidation, then PROPOSE, FINAL and their replies — opens no gob stream,
-// and a lease grant opens exactly the pair that ships the object's state
-// (the primary's Snapshot and the client's Restore, still gob).
+// gobStreamsDuring returns how many gob streams the process opened while f
+// ran.
+func gobStreamsDuring(t *testing.T, f func() error) uint64 {
+	t.Helper()
+	before := core.ReadCodecStats().GobStreams
+	if err := f(); err != nil {
+		t.Fatal(err)
+	}
+	return core.ReadCodecStats().GobStreams - before
+}
+
+// The per-operation frames carry no gob: on an RF-2 cluster with leases
+// and the client cache on, a write that revokes a cached lease — the
+// invalidation, then PROPOSE, FINAL and their replies — and a lease grant,
+// which ships the object's tag-encoded state body (the primary's Snapshot
+// and the client's Restore), open no gob stream.
 func TestControlFramesOpenNoGobStreams(t *testing.T) {
 	c, err := StartLocal(Options{Nodes: 3, RF: 2, LeaseTTL: time.Second, ClientCache: true})
 	if err != nil {
@@ -34,16 +46,15 @@ func TestControlFramesOpenNoGobStreams(t *testing.T) {
 	}
 	gobStreams := func(inv core.Invocation) uint64 {
 		t.Helper()
-		before := core.ReadCodecStats().GobStreams
-		if _, err := cl.InvokeObject(ctx, inv); err != nil {
-			t.Fatal(err)
-		}
-		return core.ReadCodecStats().GobStreams - before
+		return gobStreamsDuring(t, func() error {
+			_, err := cl.InvokeObject(ctx, inv)
+			return err
+		})
 	}
 
 	misses := cl.DebugCacheStats().Misses
-	if got := gobStreams(get); got != 2 {
-		t.Fatalf("a lease grant opened %d gob streams, want 2 (Snapshot + Restore)", got)
+	if got := gobStreams(get); got != 0 {
+		t.Fatalf("a lease grant opened %d gob streams, want 0", got)
 	}
 	if cl.DebugCacheStats().Misses != misses+1 || cl.DebugCacheStats().Entries != 1 {
 		t.Fatalf("the read was not a grant that left the object cached: %+v", cl.DebugCacheStats())
@@ -54,5 +65,43 @@ func TestControlFramesOpenNoGobStreams(t *testing.T) {
 	}
 	if got := cl.DebugCacheStats().Invalidations - invalidations; got != 1 {
 		t.Fatalf("the write sent %d invalidations to the cache, want 1", got)
+	}
+}
+
+// A checkpoint pass writes every persistent object as a tag-encoded
+// transfer record around its tag-encoded state body: over KV, AtomicLong
+// and statefun mailbox objects the only gob stream it opens is the one of
+// its manifest.
+func TestCheckpointOpensOnlyManifestGobStream(t *testing.T) {
+	opts := durableOpts(durableStore())
+	opts.Durability.SnapshotInterval = time.Hour // passes run only when the test asks
+	c := startCluster(t, opts)
+	cl := newClient(t, c)
+	ctx := ctxT(t)
+	invs := []core.Invocation{
+		{Ref: core.Ref{Type: objects.TypeKV, Key: "ckpt/kv"}, Method: "Put", Args: []any{make([]byte, 256)}},
+		{Ref: core.Ref{Type: objects.TypeAtomicLong, Key: "ckpt/long"}, Method: "AddAndGet", Args: []any{int64(3)}},
+	}
+	for _, inv := range invs {
+		inv.Persist = true
+		if _, err := cl.InvokeObject(ctx, inv); err != nil {
+			t.Fatal(err)
+		}
+	}
+	to := statefun.Address{FnType: "fn", ID: "ckpt"}
+	if _, err := statefun.PushEnvelope(ctx, cl, statefun.Envelope{To: to, From: "s", Seq: 1, Name: "m", Body: []byte("body")}, 0); err != nil {
+		t.Fatal(err)
+	}
+	total := 0
+	for _, id := range c.NodeIDs() {
+		n, _ := c.Node(id)
+		objs := n.DebugObjectCount()
+		total += objs
+		if got := gobStreamsDuring(t, n.DebugCheckpoint); got != 1 {
+			t.Fatalf("node %s: a checkpoint pass over %d objects opened %d gob streams, want 1 (the manifest)", id, objs, got)
+		}
+	}
+	if total != 6 {
+		t.Fatalf("the passes covered %d copies, want 6 (three objects at RF 2)", total)
 	}
 }

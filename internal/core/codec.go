@@ -87,11 +87,12 @@ func DecodeResponse(data []byte) (Response, error) {
 	return decodeWireResponse(data)
 }
 
-// EncodeValue gob-encodes a single value: object state bodies (the
-// Snapshotter implementations of the object library) and cold-path
+// EncodeValue gob-encodes a single value: user bodies (the state of user
+// Snapshotters, stateful-function message and state bodies) and cold-path
 // control-plane messages. Every call opens a fresh gob stream, so it
-// re-sends and re-compiles its type descriptors: per-operation frames use
-// the tag helpers of wire.go instead.
+// re-sends and re-compiles its type descriptors: per-operation frames and
+// the built-in objects' state bodies use the tag helpers of wire.go
+// instead.
 func EncodeValue(v any) ([]byte, error) {
 	RegisterValueTypes()
 	codecStats.gobStreams.Add(1)

@@ -244,10 +244,63 @@ func decodeWireResponse(data []byte) (Response, error) {
 }
 
 // The exported append helpers and Reader are what other packages build
-// their per-operation control frames from (the Skeen and lease frames of
-// internal/server): the same field encodings as the invocation format,
-// without its preamble. A control frame carries no version; its decoder
-// rejects anything but exactly its own layout.
+// their tag-encoded frames from — the Skeen and lease control frames and
+// the transfer record of internal/server, the built-in objects' state
+// bodies, the statefun layer's mailbox values: the same field encodings as
+// the invocation format, without its preamble. Such a frame starts with one
+// tag byte naming it (OpenFrame checks it) and carries no version; its
+// decoder rejects anything but exactly its own layout.
+
+// NewFrame starts a frame with its tag, sized for variable bytes of
+// strings and payload plus n varints, so that its encoder allocates once.
+func NewFrame(tag byte, variable, n int) []byte {
+	return append(make([]byte, 0, 1+variable+n*binary.MaxVarintLen64), tag)
+}
+
+// OpenFrame checks that data starts with tag and returns a Reader
+// positioned after it.
+func OpenFrame(data []byte, tag byte) (Reader, error) {
+	r := Reader{b: data}
+	got, err := r.Byte()
+	if err == nil && got != tag {
+		err = fmt.Errorf("frame tag %q, want %q", got, tag)
+	}
+	return r, err
+}
+
+// DecodeFrame opens data as a frame with the given tag, reads its fields
+// with read and fails when anything trails them.
+func DecodeFrame[T any](data []byte, tag byte, read func(*Reader) (T, error)) (T, error) {
+	r, err := OpenFrame(data, tag)
+	var v T
+	if err == nil {
+		v, err = read(&r)
+	}
+	if err == nil {
+		err = r.End()
+	}
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	return v, nil
+}
+
+// AppendBool appends one byte, 1 for true and 0 for false.
+func AppendBool(dst []byte, v bool) []byte {
+	if v {
+		return append(dst, 1)
+	}
+	return append(dst, 0)
+}
+
+// AppendVarint appends a zigzag varint (Reader.Varint).
+func AppendVarint(dst []byte, v int64) []byte { return binary.AppendVarint(dst, v) }
+
+// AppendFloat64 appends 8 bytes big endian (Reader.Float64).
+func AppendFloat64(dst []byte, f float64) []byte {
+	return binary.BigEndian.AppendUint64(dst, math.Float64bits(f))
+}
 
 // AppendString appends a uvarint length + bytes.
 func AppendString(dst []byte, s string) []byte {
@@ -260,6 +313,10 @@ func AppendBytes(dst, b []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(b)))
 	return append(dst, b...)
 }
+
+// AppendValue appends one tagged value (Reader.Value). A value outside the
+// built-in tag set takes the per-value gob fallback.
+func AppendValue(dst []byte, v any) ([]byte, error) { return appendValue(dst, v, 0) }
 
 // AppendValues appends a uvarint count + tagged values.
 func AppendValues(dst []byte, vs []any) ([]byte, error) {
@@ -298,7 +355,7 @@ func appendValue(dst []byte, v any, depth int) ([]byte, error) {
 	case float32:
 		return binary.BigEndian.AppendUint32(append(dst, tagFloat32), math.Float32bits(x)), nil
 	case float64:
-		return binary.BigEndian.AppendUint64(append(dst, tagFloat64), math.Float64bits(x)), nil
+		return AppendFloat64(append(dst, tagFloat64), x), nil
 	case string:
 		return AppendString(append(dst, tagString), x), nil
 	case []byte:
@@ -316,11 +373,11 @@ func appendValue(dst []byte, v any, depth int) ([]byte, error) {
 		}
 		return dst, nil
 	case []float64:
-		return appendFloat64Slice(append(dst, tagFloat64Slice), x), nil
+		return AppendFloat64s(append(dst, tagFloat64Slice), x), nil
 	case [][]float64:
 		dst = binary.AppendUvarint(append(dst, tagFloat64Mat), uint64(len(x)))
 		for _, row := range x {
-			dst = appendFloat64Slice(dst, row)
+			dst = AppendFloat64s(dst, row)
 		}
 		return dst, nil
 	case []string:
@@ -359,7 +416,7 @@ func appendValue(dst []byte, v any, depth int) ([]byte, error) {
 		dst = binary.AppendUvarint(append(dst, tagMapStrF64), uint64(len(x)))
 		for k, e := range x {
 			dst = AppendString(dst, k)
-			dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(e))
+			dst = AppendFloat64(dst, e)
 		}
 		return dst, nil
 	case map[string]int64:
@@ -374,10 +431,12 @@ func appendValue(dst []byte, v any, depth int) ([]byte, error) {
 	}
 }
 
-func appendFloat64Slice(dst []byte, x []float64) []byte {
+// AppendFloat64s appends a uvarint count + 8 bytes per element
+// (Reader.Float64s).
+func AppendFloat64s(dst []byte, x []float64) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(x)))
 	for _, f := range x {
-		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(f))
+		dst = AppendFloat64(dst, f)
 	}
 	return dst
 }
@@ -405,9 +464,6 @@ type Reader struct {
 	b   []byte
 	off int
 }
-
-// NewReader returns a Reader positioned at the start of b.
-func NewReader(b []byte) Reader { return Reader{b: b} }
 
 func (r *Reader) remaining() int { return len(r.b) - r.off }
 
@@ -457,7 +513,17 @@ func (r *Reader) Uvarint() (uint64, error) {
 	return v, nil
 }
 
-func (r *Reader) varint() (int64, error) {
+// Bool reads a byte that must be 0 or 1 (AppendBool).
+func (r *Reader) Bool() (bool, error) {
+	b, err := r.Byte()
+	if err == nil && b > 1 {
+		err = fmt.Errorf("bad bool byte 0x%02x at offset %d", b, r.off-1)
+	}
+	return b == 1, err
+}
+
+// Varint reads one zigzag varint (AppendVarint).
+func (r *Reader) Varint() (int64, error) {
 	v, n := binary.Varint(r.b[r.off:])
 	if n <= 0 {
 		return 0, fmt.Errorf("bad varint at offset %d", r.off)
@@ -466,10 +532,11 @@ func (r *Reader) varint() (int64, error) {
 	return v, nil
 }
 
-// count reads a uvarint element count and validates it against the
-// remaining bytes, each element occupying at least minBytes. The division
-// form avoids overflow on hostile counts.
-func (r *Reader) count(minBytes int) (int, error) {
+// Count reads a uvarint element count and validates it against the
+// remaining bytes, each element occupying at least minBytes, so a decoder
+// can size its result before reading the elements. The division form
+// avoids overflow on hostile counts.
+func (r *Reader) Count(minBytes int) (int, error) {
 	v, err := r.Uvarint()
 	if err != nil {
 		return 0, err
@@ -495,7 +562,7 @@ func (r *Reader) take(n int) ([]byte, error) {
 // Str reads a length-prefixed string (AppendString). The conversion
 // copies.
 func (r *Reader) Str() (string, error) {
-	n, err := r.count(1)
+	n, err := r.Count(1)
 	if err != nil {
 		return "", err
 	}
@@ -509,7 +576,7 @@ func (r *Reader) Str() (string, error) {
 // Bytes reads a length-prefixed byte slice (AppendBytes) into a fresh
 // copy. Zero-length slices decode as nil.
 func (r *Reader) Bytes() ([]byte, error) {
-	n, err := r.count(1)
+	n, err := r.Count(1)
 	if err != nil || n == 0 {
 		return nil, err
 	}
@@ -520,7 +587,8 @@ func (r *Reader) Bytes() ([]byte, error) {
 	return append([]byte(nil), b...), nil
 }
 
-func (r *Reader) f64() (float64, error) {
+// Float64 reads 8 bytes big endian (AppendFloat64).
+func (r *Reader) Float64() (float64, error) {
 	b, err := r.take(8)
 	if err != nil {
 		return 0, err
@@ -531,7 +599,7 @@ func (r *Reader) f64() (float64, error) {
 // Values reads a value list (AppendValues). Zero-length lists decode as
 // nil.
 func (r *Reader) Values() ([]any, error) {
-	n, err := r.count(1)
+	n, err := r.Count(1)
 	if err != nil {
 		return nil, err
 	}
@@ -546,6 +614,9 @@ func (r *Reader) Values() ([]any, error) {
 	}
 	return out, nil
 }
+
+// Value reads one tagged value (AppendValue).
+func (r *Reader) Value() (any, error) { return r.value(0) }
 
 // value reads one tagged value, reproducing the concrete types gob would
 // have delivered so callers' type switches keep working unchanged.
@@ -565,13 +636,13 @@ func (r *Reader) value(depth int) (any, error) {
 	case tagTrue:
 		return true, nil
 	case tagInt:
-		v, err := r.varint()
+		v, err := r.Varint()
 		return int(v), err
 	case tagInt32:
-		v, err := r.varint()
+		v, err := r.Varint()
 		return int32(v), err
 	case tagInt64:
-		return r.varint()
+		return r.Varint()
 	case tagUint64:
 		return r.Uvarint()
 	case tagFloat32:
@@ -581,19 +652,19 @@ func (r *Reader) value(depth int) (any, error) {
 		}
 		return math.Float32frombits(binary.BigEndian.Uint32(b)), nil
 	case tagFloat64:
-		return r.f64()
+		return r.Float64()
 	case tagString:
 		return r.Str()
 	case tagBytes:
 		return r.Bytes()
 	case tagIntSlice:
-		n, err := r.count(1)
+		n, err := r.Count(1)
 		if err != nil {
 			return nil, err
 		}
 		out := make([]int, n)
 		for i := range out {
-			v, err := r.varint()
+			v, err := r.Varint()
 			if err != nil {
 				return nil, err
 			}
@@ -601,33 +672,33 @@ func (r *Reader) value(depth int) (any, error) {
 		}
 		return out, nil
 	case tagInt64Slice:
-		n, err := r.count(1)
+		n, err := r.Count(1)
 		if err != nil {
 			return nil, err
 		}
 		out := make([]int64, n)
 		for i := range out {
-			if out[i], err = r.varint(); err != nil {
+			if out[i], err = r.Varint(); err != nil {
 				return nil, err
 			}
 		}
 		return out, nil
 	case tagFloat64Slice:
-		return r.float64Slice()
+		return r.Float64s()
 	case tagFloat64Mat:
-		n, err := r.count(1)
+		n, err := r.Count(1)
 		if err != nil {
 			return nil, err
 		}
 		out := make([][]float64, n)
 		for i := range out {
-			if out[i], err = r.float64Slice(); err != nil {
+			if out[i], err = r.Float64s(); err != nil {
 				return nil, err
 			}
 		}
 		return out, nil
 	case tagStringSlice:
-		n, err := r.count(1)
+		n, err := r.Count(1)
 		if err != nil {
 			return nil, err
 		}
@@ -639,7 +710,7 @@ func (r *Reader) value(depth int) (any, error) {
 		}
 		return out, nil
 	case tagAnySlice:
-		n, err := r.count(1)
+		n, err := r.Count(1)
 		if err != nil {
 			return nil, err
 		}
@@ -651,7 +722,7 @@ func (r *Reader) value(depth int) (any, error) {
 		}
 		return out, nil
 	case tagMapStrAny:
-		n, err := r.count(2)
+		n, err := r.Count(2)
 		if err != nil {
 			return nil, err
 		}
@@ -667,7 +738,7 @@ func (r *Reader) value(depth int) (any, error) {
 		}
 		return out, nil
 	case tagMapStrStr:
-		n, err := r.count(2)
+		n, err := r.Count(2)
 		if err != nil {
 			return nil, err
 		}
@@ -683,7 +754,7 @@ func (r *Reader) value(depth int) (any, error) {
 		}
 		return out, nil
 	case tagMapStrF64:
-		n, err := r.count(9)
+		n, err := r.Count(9)
 		if err != nil {
 			return nil, err
 		}
@@ -693,13 +764,13 @@ func (r *Reader) value(depth int) (any, error) {
 			if err != nil {
 				return nil, err
 			}
-			if out[k], err = r.f64(); err != nil {
+			if out[k], err = r.Float64(); err != nil {
 				return nil, err
 			}
 		}
 		return out, nil
 	case tagMapStrI64:
-		n, err := r.count(2)
+		n, err := r.Count(2)
 		if err != nil {
 			return nil, err
 		}
@@ -709,13 +780,13 @@ func (r *Reader) value(depth int) (any, error) {
 			if err != nil {
 				return nil, err
 			}
-			if out[k], err = r.varint(); err != nil {
+			if out[k], err = r.Varint(); err != nil {
 				return nil, err
 			}
 		}
 		return out, nil
 	case tagGob:
-		n, err := r.count(1)
+		n, err := r.Count(1)
 		if err != nil {
 			return nil, err
 		}
@@ -734,14 +805,16 @@ func (r *Reader) value(depth int) (any, error) {
 	}
 }
 
-func (r *Reader) float64Slice() ([]float64, error) {
-	n, err := r.count(8)
+// Float64s reads a float64 list (AppendFloat64s). Zero-length lists
+// decode as empty, not nil.
+func (r *Reader) Float64s() ([]float64, error) {
+	n, err := r.Count(8)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]float64, n)
 	for i := range out {
-		if out[i], err = r.f64(); err != nil {
+		if out[i], err = r.Float64(); err != nil {
 			return nil, err
 		}
 	}

@@ -49,23 +49,23 @@ func (d *DoubleAdder) Call(_ core.Ctl, method string, args []any) ([]any, error)
 	}
 }
 
-type adderState struct {
-	Sum   float64
-	Count int64
-}
-
 // Snapshot encodes the accumulator.
 func (d *DoubleAdder) Snapshot() ([]byte, error) {
-	return core.EncodeValue(adderState{Sum: d.sum, Count: d.count})
+	return core.AppendVarint(core.AppendFloat64(core.NewFrame(stateAdder, 8, 1), d.sum), d.count), nil
 }
 
 // Restore replaces the accumulator.
 func (d *DoubleAdder) Restore(data []byte) error {
-	var s adderState
-	if err := core.DecodeValue(data, &s); err != nil {
-		return err
+	s, err := core.DecodeFrame(data, stateAdder, func(r *core.Reader) (s DoubleAdder, err error) {
+		if s.sum, err = r.Float64(); err == nil {
+			s.count, err = r.Varint()
+		}
+		return s, err
+	})
+	if err != nil {
+		return restoreErr("DoubleAdder", err)
 	}
-	d.sum, d.count = s.Sum, s.Count
+	*d = s
 	return nil
 }
 
@@ -183,10 +183,19 @@ func (a *AtomicDoubleArray) Call(_ core.Ctl, method string, args []any) ([]any, 
 }
 
 // Snapshot encodes the array.
-func (a *AtomicDoubleArray) Snapshot() ([]byte, error) { return core.EncodeValue(a.data) }
+func (a *AtomicDoubleArray) Snapshot() ([]byte, error) {
+	return core.AppendFloat64s(core.NewFrame(stateDoubleArray, 8*len(a.data), 1), a.data), nil
+}
 
 // Restore replaces the array.
-func (a *AtomicDoubleArray) Restore(data []byte) error { return core.DecodeValue(data, &a.data) }
+func (a *AtomicDoubleArray) Restore(data []byte) error {
+	v, err := core.DecodeFrame(data, stateDoubleArray, (*core.Reader).Float64s)
+	if err != nil {
+		return restoreErr("AtomicDoubleArray", err)
+	}
+	a.data = v
+	return nil
+}
 
 var (
 	_ core.Object      = (*DoubleAdder)(nil)

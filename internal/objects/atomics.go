@@ -12,8 +12,8 @@
 package objects
 
 import (
-	"bytes"
 	"fmt"
+	"reflect"
 	"time"
 
 	"crucial/internal/core"
@@ -158,10 +158,19 @@ func (a *AtomicInt64) Call(ctl core.Ctl, method string, args []any) ([]any, erro
 }
 
 // Snapshot encodes the current value.
-func (a *AtomicInt64) Snapshot() ([]byte, error) { return core.EncodeValue(a.value) }
+func (a *AtomicInt64) Snapshot() ([]byte, error) {
+	return core.AppendVarint(core.NewFrame(stateInt64, 0, 1), a.value), nil
+}
 
 // Restore replaces the current value.
-func (a *AtomicInt64) Restore(data []byte) error { return core.DecodeValue(data, &a.value) }
+func (a *AtomicInt64) Restore(data []byte) error {
+	v, err := core.DecodeFrame(data, stateInt64, (*core.Reader).Varint)
+	if err != nil {
+		return restoreErr("AtomicInt64", err)
+	}
+	a.value = v
+	return nil
+}
 
 // AtomicBoolean is a linearizable boolean flag.
 type AtomicBoolean struct {
@@ -217,12 +226,22 @@ func (a *AtomicBoolean) Call(_ core.Ctl, method string, args []any) ([]any, erro
 }
 
 // Snapshot encodes the current value.
-func (a *AtomicBoolean) Snapshot() ([]byte, error) { return core.EncodeValue(a.value) }
+func (a *AtomicBoolean) Snapshot() ([]byte, error) {
+	return core.AppendBool(core.NewFrame(stateBool, 1, 0), a.value), nil
+}
 
 // Restore replaces the current value.
-func (a *AtomicBoolean) Restore(data []byte) error { return core.DecodeValue(data, &a.value) }
+func (a *AtomicBoolean) Restore(data []byte) error {
+	v, err := core.DecodeFrame(data, stateBool, (*core.Reader).Bool)
+	if err != nil {
+		return restoreErr("AtomicBoolean", err)
+	}
+	a.value = v
+	return nil
+}
 
-// AtomicReference holds an arbitrary gob-serializable value.
+// AtomicReference holds one value of any wire type: a built-in one of the
+// tag codec, or a type registered with core.RegisterValue.
 type AtomicReference struct {
 	value any
 }
@@ -236,8 +255,8 @@ func NewAtomicReference(init []any) (core.Object, error) {
 	return &AtomicReference{value: v}, nil
 }
 
-// Call dispatches an atomic reference method. CompareAndSet compares the
-// gob encodings of values, which matches "equal serialized state".
+// Call dispatches an atomic reference method. CompareAndSet compares
+// values with valueEqual.
 func (a *AtomicReference) Call(_ core.Ctl, method string, args []any) ([]any, error) {
 	switch method {
 	case "Get":
@@ -259,11 +278,7 @@ func (a *AtomicReference) Call(_ core.Ctl, method string, args []any) ([]any, er
 		if len(args) < 2 {
 			return nil, fmt.Errorf("objects: CompareAndSet needs expect and update")
 		}
-		same, err := gobEqual(a.value, args[0])
-		if err != nil {
-			return nil, err
-		}
-		if same {
+		if valueEqual(a.value, args[0]) {
 			a.value = args[1]
 			return []any{true}, nil
 		}
@@ -275,35 +290,33 @@ func (a *AtomicReference) Call(_ core.Ctl, method string, args []any) ([]any, er
 	}
 }
 
-func gobEqual(a, b any) (bool, error) {
-	if a == nil || b == nil {
-		return a == nil && b == nil, nil
-	}
-	ea, err := core.EncodeValue(&a)
-	if err != nil {
-		return false, err
-	}
-	eb, err := core.EncodeValue(&b)
-	if err != nil {
-		return false, err
-	}
-	return bytes.Equal(ea, eb), nil
-}
-
-type refState struct{ Value any }
+// valueEqual is the equality of AtomicReference.CompareAndSet and
+// List.Contains: reflect.DeepEqual, so the same dynamic type and equal
+// contents, maps compared entry by entry whatever their iteration order.
+// Both sides are wire-decoded values (the stored one arrived as an
+// argument too), so their concrete types are the codec's — an int64
+// never equals an int — and a NaN never equals anything. Each replica
+// evaluates these methods on its own copy, so the comparison must be a
+// function of the values alone: one that depended on an encoding's map
+// order could swap on one replica and not on another.
+func valueEqual(a, b any) bool { return reflect.DeepEqual(a, b) }
 
 // Snapshot encodes the current value.
 func (a *AtomicReference) Snapshot() ([]byte, error) {
-	return core.EncodeValue(refState{Value: a.value})
+	b, err := core.AppendValue(core.NewFrame(stateReference, 0, 2), a.value)
+	if err != nil {
+		return nil, fmt.Errorf("objects: snapshot AtomicReference: %w", err)
+	}
+	return b, nil
 }
 
 // Restore replaces the current value.
 func (a *AtomicReference) Restore(data []byte) error {
-	var s refState
-	if err := core.DecodeValue(data, &s); err != nil {
-		return err
+	v, err := core.DecodeFrame(data, stateReference, (*core.Reader).Value)
+	if err != nil {
+		return restoreErr("AtomicReference", err)
 	}
-	a.value = s.Value
+	a.value = v
 	return nil
 }
 
@@ -380,10 +393,19 @@ func (a *AtomicByteArray) Call(_ core.Ctl, method string, args []any) ([]any, er
 }
 
 // Snapshot encodes the current contents.
-func (a *AtomicByteArray) Snapshot() ([]byte, error) { return core.EncodeValue(a.data) }
+func (a *AtomicByteArray) Snapshot() ([]byte, error) {
+	return core.AppendBytes(core.NewFrame(stateByteArray, len(a.data), 1), a.data), nil
+}
 
 // Restore replaces the current contents.
-func (a *AtomicByteArray) Restore(data []byte) error { return core.DecodeValue(data, &a.data) }
+func (a *AtomicByteArray) Restore(data []byte) error {
+	v, err := core.DecodeFrame(data, stateByteArray, (*core.Reader).Bytes)
+	if err != nil {
+		return restoreErr("AtomicByteArray", err)
+	}
+	a.data = v
+	return nil
+}
 
 var (
 	_ core.Object      = (*AtomicInt64)(nil)

@@ -238,6 +238,33 @@ func TestAtomicReference(t *testing.T) {
 	}
 }
 
+// eightKeyMap builds a fresh map[string]any with the same eight entries
+// every call, so two results are equal values in distinct maps.
+func eightKeyMap(tag int64) map[string]any {
+	m := make(map[string]any, 8)
+	for i, k := range []string{"a", "b", "c", "d", "e", "f", "g", "h"} {
+		m[k] = int64(i) + tag
+	}
+	return m
+}
+
+// CompareAndSet compares values, not encodings: a map equal to the current
+// one matches however its entries happen to iterate. Replicas evaluate CAS
+// each on its own, so a comparison that depended on map order would let
+// one replica swap while another does not.
+func TestAtomicReferenceCASOnEqualMap(t *testing.T) {
+	m := newTestMonitor()
+	r := mustNew(t, NewAtomicReference, eightKeyMap(0))
+	for i := int64(0); i < 100; i++ {
+		if ok := call[bool](t, m, r, "CompareAndSet", eightKeyMap(i), eightKeyMap(i+1)); !ok {
+			t.Fatalf("CAS %d with an equal 8-key map as the expected value failed", i)
+		}
+	}
+	if ok := call[bool](t, m, r, "CompareAndSet", eightKeyMap(0), nil); ok {
+		t.Fatal("CAS with an unequal map succeeded")
+	}
+}
+
 func TestAtomicReferenceSnapshot(t *testing.T) {
 	m := newTestMonitor()
 	r := mustNew(t, NewAtomicReference, []float64{1, 2}).(*AtomicReference)

@@ -1,12 +1,13 @@
 package objects
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"crucial/internal/core"
 )
 
-// List is a linearizable growable list of gob-serializable values.
+// List is a linearizable growable list of values of any wire type.
 type List struct {
 	items []any
 }
@@ -73,11 +74,7 @@ func (l *List) Call(_ core.Ctl, method string, args []any) ([]any, error) {
 			return nil, fmt.Errorf("objects: Contains needs a value")
 		}
 		for _, it := range l.items {
-			same, err := gobEqual(it, args[0])
-			if err != nil {
-				return nil, err
-			}
-			if same {
+			if valueEqual(it, args[0]) {
 				return []any{true}, nil
 			}
 		}
@@ -87,22 +84,26 @@ func (l *List) Call(_ core.Ctl, method string, args []any) ([]any, error) {
 	}
 }
 
-type listState struct{ Items []any }
-
 // Snapshot encodes the list contents.
-func (l *List) Snapshot() ([]byte, error) { return core.EncodeValue(listState{Items: l.items}) }
+func (l *List) Snapshot() ([]byte, error) {
+	b, err := core.AppendValues(core.NewFrame(stateList, 0, 2), l.items)
+	if err != nil {
+		return nil, fmt.Errorf("objects: snapshot List: %w", err)
+	}
+	return b, nil
+}
 
 // Restore replaces the list contents.
 func (l *List) Restore(data []byte) error {
-	var s listState
-	if err := core.DecodeValue(data, &s); err != nil {
-		return err
+	items, err := core.DecodeFrame(data, stateList, (*core.Reader).Values)
+	if err != nil {
+		return restoreErr("List", err)
 	}
-	l.items = s.Items
+	l.items = items
 	return nil
 }
 
-// Map is a linearizable string-keyed map of gob-serializable values.
+// Map is a linearizable string-keyed map of values of any wire type.
 type Map struct {
 	entries map[string]any
 }
@@ -186,22 +187,49 @@ func (m *Map) Call(_ core.Ctl, method string, args []any) ([]any, error) {
 	}
 }
 
-type mapState struct{ Entries map[string]any }
+// Snapshot encodes the map contents, in map iteration order: two
+// snapshots of one map may differ in bytes and still decode equal.
+func (m *Map) Snapshot() ([]byte, error) {
+	b := binary.AppendUvarint(core.NewFrame(stateMap, 0, 2), uint64(len(m.entries)))
+	var err error
+	for k, v := range m.entries {
+		if b, err = core.AppendValue(core.AppendString(b, k), v); err != nil {
+			return nil, fmt.Errorf("objects: snapshot Map entry %q: %w", k, err)
+		}
+	}
+	return b, nil
+}
 
-// Snapshot encodes the map contents.
-func (m *Map) Snapshot() ([]byte, error) { return core.EncodeValue(mapState{Entries: m.entries}) }
-
-// Restore replaces the map contents.
+// Restore replaces the map contents. A key listed twice is an error: no
+// snapshot holds one.
 func (m *Map) Restore(data []byte) error {
-	var s mapState
-	if err := core.DecodeValue(data, &s); err != nil {
-		return err
+	entries, err := core.DecodeFrame(data, stateMap, readEntries)
+	if err != nil {
+		return restoreErr("Map", err)
 	}
-	if s.Entries == nil {
-		s.Entries = make(map[string]any)
-	}
-	m.entries = s.Entries
+	m.entries = entries
 	return nil
+}
+
+func readEntries(r *core.Reader) (map[string]any, error) {
+	n, err := r.Count(2)
+	if err != nil {
+		return nil, err
+	}
+	entries := make(map[string]any, n)
+	for i := 0; i < n; i++ {
+		k, err := r.Str()
+		if err != nil {
+			return nil, err
+		}
+		if _, dup := entries[k]; dup {
+			return nil, fmt.Errorf("duplicate key %q", k)
+		}
+		if entries[k], err = r.Value(); err != nil {
+			return nil, err
+		}
+	}
+	return entries, nil
 }
 
 // KV is a single binary cell. It backs the "Infinispan as a plain key-value
@@ -247,21 +275,23 @@ func (c *KV) Call(_ core.Ctl, method string, args []any) ([]any, error) {
 	}
 }
 
-type kvState struct {
-	Data []byte
-	Set  bool
-}
-
 // Snapshot encodes the cell.
-func (c *KV) Snapshot() ([]byte, error) { return core.EncodeValue(kvState{Data: c.data, Set: c.set}) }
+func (c *KV) Snapshot() ([]byte, error) {
+	return core.AppendBytes(core.AppendBool(core.NewFrame(stateKV, 1+len(c.data), 1), c.set), c.data), nil
+}
 
 // Restore replaces the cell.
 func (c *KV) Restore(data []byte) error {
-	var s kvState
-	if err := core.DecodeValue(data, &s); err != nil {
-		return err
+	s, err := core.DecodeFrame(data, stateKV, func(r *core.Reader) (s KV, err error) {
+		if s.set, err = r.Bool(); err == nil {
+			s.data, err = r.Bytes()
+		}
+		return s, err
+	})
+	if err != nil {
+		return restoreErr("KV", err)
 	}
-	c.data, c.set = s.Data, s.Set
+	*c = s
 	return nil
 }
 

@@ -92,6 +92,24 @@ func TestListSnapshot(t *testing.T) {
 	}
 }
 
+// Contains compares values: an equal map is found whatever its iteration
+// order (see TestAtomicReferenceCASOnEqualMap).
+func TestListContainsEqualMap(t *testing.T) {
+	m := newTestMonitor()
+	l := mustNew(t, NewList)
+	if _, err := m.Call(l, "Add", eightKeyMap(0)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		if !call[bool](t, m, l, "Contains", eightKeyMap(0)) {
+			t.Fatalf("Contains %d missed an equal 8-key map", i)
+		}
+	}
+	if call[bool](t, m, l, "Contains", eightKeyMap(1)) {
+		t.Fatal("Contains found an unequal map")
+	}
+}
+
 func TestMapBasics(t *testing.T) {
 	m := newTestMonitor()
 	mp := mustNew(t, NewMap)

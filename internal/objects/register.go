@@ -1,6 +1,10 @@
 package objects
 
-import "crucial/internal/core"
+import (
+	"fmt"
+
+	"crucial/internal/core"
+)
 
 // Wire type names of the built-in library. The paper exposes AtomicInt and
 // AtomicLong separately (Table 1); both map to AtomicInt64 here.
@@ -20,6 +24,30 @@ const (
 	TypeFuture            = "Future"
 	TypeCountDownLatch    = "CountDownLatch"
 )
+
+// State body tags (DESIGN.md §5b "State bodies"). Every built-in data
+// object's Snapshot is one tag byte naming its type, then its fields in
+// the tag codec's encodings (core.Append*); its Restore accepts exactly
+// that layout — a wrong tag, a truncated body or a trailing byte is an
+// error — and copies what it keeps, so a restored object never aliases
+// the buffer it was decoded from (a lease response, a transfer frame).
+// There is no version: a body written by another layout does not decode.
+const (
+	stateInt64       byte = 'i' // AtomicInt64: value (varint)
+	stateBool        byte = 'b' // AtomicBoolean: value (bool byte)
+	stateReference   byte = 'r' // AtomicReference: one tagged value
+	stateByteArray   byte = 'y' // AtomicByteArray: bytes
+	stateList        byte = 'L' // List: value list
+	stateMap         byte = 'M' // Map: count, then key string + tagged value per entry
+	stateKV          byte = 'K' // KV: set (bool byte), bytes
+	stateAdder       byte = 'D' // DoubleAdder: sum (8 bytes), count (varint)
+	stateDoubleArray byte = 'd' // AtomicDoubleArray: float64 list
+)
+
+// restoreErr wraps a state body decode failure.
+func restoreErr(typ string, err error) error {
+	return fmt.Errorf("objects: restore %s: %w", typ, err)
+}
 
 // RegisterBuiltins installs the shared object library into a registry.
 // Server nodes call it at startup; applications then add their own

@@ -1,5 +1,12 @@
 package server
 
+import (
+	"encoding/binary"
+	"fmt"
+
+	"crucial/internal/core"
+)
+
 // At-most-once method shipping. Clients stamp every invocation with a
 // (clientID, seq) pair that stays fixed across retries; each object entry
 // keeps a bounded per-client window of applied stamps and their responses.
@@ -29,7 +36,7 @@ const (
 )
 
 // dedupRecord remembers the outcome of one applied stamped invocation.
-// Fields are exported for gob: records ride inside transfer snapshots.
+// Records ride inside transfer snapshots (appendDedup).
 type dedupRecord struct {
 	Seq     uint64
 	Results []any
@@ -110,4 +117,68 @@ func (d *dedupState) clone() dedupState {
 		out.Clients[id] = &clientWindow{Records: append([]dedupRecord(nil), w.Records...)}
 	}
 	return out
+}
+
+// appendDedup appends the window in its transfer encoding: a client count,
+// then per client in eviction order its ID and record count, and per
+// record Seq, Results (a value list) and Err. It fails only when a
+// result has no encoding (see core.AppendValues).
+func appendDedup(dst []byte, d dedupState) ([]byte, error) {
+	dst = binary.AppendUvarint(dst, uint64(len(d.Order)))
+	var err error
+	for _, id := range d.Order {
+		var recs []dedupRecord
+		if w := d.Clients[id]; w != nil {
+			recs = w.Records
+		}
+		dst = binary.AppendUvarint(binary.AppendUvarint(dst, id), uint64(len(recs)))
+		for _, rec := range recs {
+			if dst, err = core.AppendValues(binary.AppendUvarint(dst, rec.Seq), rec.Results); err != nil {
+				return nil, fmt.Errorf("dedup record %d/%d: %w", id, rec.Seq, err)
+			}
+			dst = core.AppendString(dst, rec.Err)
+		}
+	}
+	return dst, nil
+}
+
+// readDedup reads an appendDedup window. A client listed twice is an
+// error: no window holds one.
+func readDedup(r *core.Reader) (d dedupState, err error) {
+	n, err := r.Count(2)
+	if err != nil || n == 0 {
+		return dedupState{}, err
+	}
+	d.Clients = make(map[uint64]*clientWindow, n)
+	d.Order = make([]uint64, n)
+	for i := range d.Order {
+		id, err := r.Uvarint()
+		if err != nil {
+			return dedupState{}, err
+		}
+		if d.Clients[id] != nil {
+			return dedupState{}, fmt.Errorf("dedup client %d listed twice", id)
+		}
+		recs, err := r.Count(3)
+		if err != nil {
+			return dedupState{}, err
+		}
+		w := &clientWindow{}
+		if recs > 0 {
+			w.Records = make([]dedupRecord, recs)
+		}
+		for j := range w.Records {
+			rec := &w.Records[j]
+			if rec.Seq, err = r.Uvarint(); err == nil {
+				if rec.Results, err = r.Values(); err == nil {
+					rec.Err, err = r.Str()
+				}
+			}
+			if err != nil {
+				return dedupState{}, err
+			}
+		}
+		d.Order[i], d.Clients[id] = id, w
+	}
+	return d, nil
 }

@@ -99,8 +99,8 @@ func (n *Node) recoverFromCold(d *durabilityState) (maxSeg uint64, err error) {
 	if found {
 		d.epoch = man.Epoch
 		for i, blob := range blobs {
-			var msg transferMsg
-			if derr := core.DecodeValue(blob, &msg); derr != nil {
+			msg, derr := decodeTransfer(blob)
+			if derr != nil {
 				n.log.Warn("skipping undecodable snapshot blob", "key", man.Objects[i], "err", derr)
 				continue
 			}
@@ -292,7 +292,7 @@ func (n *Node) checkpoint(d *durabilityState) error {
 			n.log.Warn("checkpoint skipping object", "ref", ref.String(), "err", err)
 			continue
 		}
-		blob, err := core.EncodeValue(msg)
+		blob, err := msg.encode()
 		if err != nil {
 			n.log.Warn("checkpoint encode failed", "ref", ref.String(), "err", err)
 			continue
@@ -332,6 +332,14 @@ func (n *Node) checkpoint(d *durabilityState) error {
 	}
 	n.log.Debug("checkpoint complete", "epoch", man.Epoch, "objects", len(blobs), "cut", cut)
 	return nil
+}
+
+// DebugCheckpoint runs one snapshotter pass now (tests).
+func (n *Node) DebugCheckpoint() error {
+	if n.dur == nil {
+		return errors.New("server: durability is off")
+	}
+	return n.checkpoint(n.dur)
 }
 
 // closeDurability stops the snapshotter and abandons unflushed WAL

@@ -319,6 +319,16 @@ func (n *Node) DebugHasObject(ref core.Ref) bool {
 	return ok
 }
 
+// DebugSnapshot returns the state body of ref's local copy (tests).
+func (n *Node) DebugSnapshot(ref core.Ref) ([]byte, error) {
+	e, ok := n.lookupExisting(ref)
+	if !ok {
+		return nil, fmt.Errorf("server: %s not resident", ref)
+	}
+	msg, err := n.snapshotEntry(ref, e)
+	return msg.Snapshot, err
+}
+
 // DebugVersion reports the apply version of ref's local copy (tests).
 func (n *Node) DebugVersion(ref core.Ref) (uint64, bool) {
 	e, ok := n.lookupExisting(ref)

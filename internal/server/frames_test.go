@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"testing"
 	"time"
@@ -55,110 +54,69 @@ func TestProposePayloadOutlivesRequestBuffer(t *testing.T) {
 	}
 }
 
-// frameCodec is one control frame's encoder and decoder behind any, with a
-// valid sample frame.
-type frameCodec struct {
-	name   string
-	frame  []byte
-	sample any
-	encode func(any) ([]byte, error)
-	decode func([]byte) (any, error)
-}
-
-func codecOf[T any](name string, sample T, enc func(T) ([]byte, error), dec func([]byte) (T, error)) frameCodec {
-	frame, err := enc(sample)
-	if err != nil {
-		panic(err)
-	}
-	return frameCodec{
-		name: name, frame: frame, sample: sample,
-		encode: func(v any) ([]byte, error) { return enc(v.(T)) },
-		decode: func(b []byte) (any, error) {
-			v, err := dec(b)
-			return v, err
-		},
-	}
-}
-
-func infallible[T any](enc func(T) []byte) func(T) ([]byte, error) {
-	return func(v T) ([]byte, error) { return enc(v), nil }
-}
-
 // controlFrames lists every control frame codec with a sample message
 // that sets every field.
-func controlFrames() []frameCodec {
+func controlFrames() []codectest.Codec {
 	id := totalorder.MsgID{Origin: "n1", Seq: 1 << 40}
 	ref := core.Ref{Type: objects.TypeKV, Key: "k/1"}
-	return []frameCodec{
-		codecOf("propose", proposeMsg{ID: id, Payload: []byte("round payload"), Fence: 7},
-			infallible(proposeMsg.encode), decodeProposeMsg),
-		codecOf("propose reply", uint64(12345), infallible(encodeTimestamp), decodeTimestamp),
-		codecOf("final", finalMsg{ID: id, TS: 99}, infallible(finalMsg.encode), decodeFinalMsg),
-		codecOf("final reply", finalResp{Version: 3, Replays: 1}, infallible(finalResp.encode), decodeFinalResp),
-		codecOf("abort", id, infallible(encodeAbort), decodeAbort),
-		codecOf("lease request", LeaseRequest{Ref: ref, Persist: true, HolderAddr: "cache-1"},
-			infallible(LeaseRequest.Encode), decodeLeaseRequest),
-		codecOf("lease response", LeaseResponse{Granted: true, Reason: "r", TTLMillis: 2000, Epoch: 5,
+	return []codectest.Codec{
+		codectest.Of("propose", proposeMsg{ID: id, Payload: []byte("round payload"), Fence: 7},
+			codectest.Infallible(proposeMsg.encode), decodeProposeMsg),
+		codectest.Of("propose reply", uint64(12345), codectest.Infallible(encodeTimestamp), decodeTimestamp),
+		codectest.Of("final", finalMsg{ID: id, TS: 99}, codectest.Infallible(finalMsg.encode), decodeFinalMsg),
+		codectest.Of("final reply", finalResp{Version: 3, Replays: 1}, codectest.Infallible(finalResp.encode), decodeFinalResp),
+		codectest.Of("abort", id, codectest.Infallible(encodeAbort), decodeAbort),
+		codectest.Of("lease request", LeaseRequest{Ref: ref, Persist: true, HolderAddr: "cache-1"},
+			codectest.Infallible(LeaseRequest.Encode), decodeLeaseRequest),
+		codectest.Of("lease response", LeaseResponse{Granted: true, Reason: "r", TTLMillis: 2000, Epoch: 5,
 			Init: []any{int64(3), "x"}, Snapshot: []byte{1, 2, 3}}, LeaseResponse.encode, DecodeLeaseResponse),
-		codecOf("invalidate", InvalidateMsg{Ref: ref, Epoch: 9}, infallible(InvalidateMsg.encode), DecodeInvalidateMsg),
+		codectest.Of("invalidate", InvalidateMsg{Ref: ref, Epoch: 9}, codectest.Infallible(InvalidateMsg.encode), DecodeInvalidateMsg),
 	}
 }
 
-// Every frame round-trips, and its decoder refuses every proper prefix of
-// a valid frame, the frame plus one byte, and every other frame.
+// Every frame round-trips without aliasing its input, and its decoder
+// refuses every proper prefix of a valid frame, the frame plus one byte,
+// and every other frame.
 func TestControlFramesRoundTripAndRejectTruncation(t *testing.T) {
-	codecs := controlFrames()
-	for _, c := range codecs {
-		got, err := c.decode(c.frame)
-		if err != nil || !codectest.SameDecode(got, c.sample) {
-			t.Fatalf("%s: decoded %#v (err %v), want %#v", c.name, got, err, c.sample)
-		}
-		for i := 0; i < len(c.frame); i++ {
-			if _, err := c.decode(c.frame[:i]); err == nil {
-				t.Errorf("%s: %d-byte prefix of a %d-byte frame decoded", c.name, i, len(c.frame))
-			}
-		}
-		if _, err := c.decode(append(bytes.Clone(c.frame), 0)); err == nil {
-			t.Errorf("%s: frame with a trailing byte decoded", c.name)
-		}
-		for _, other := range codecs {
-			if _, err := c.decode(other.frame); err == nil && other.name != c.name {
-				t.Errorf("%s decoder accepted a %s frame", c.name, other.name)
-			}
-		}
-	}
+	codectest.CheckFrames(t, controlFrames())
 }
 
 // FuzzControlFrames throws raw bytes at all eight control frame decoders.
 // Any outcome is acceptable except a panic or a runaway allocation; a frame
 // that decodes must re-encode to one that decodes the same.
 func FuzzControlFrames(f *testing.F) {
-	for _, c := range controlFrames() {
-		f.Add(c.frame)
-		f.Add(c.frame[:len(c.frame)-1])
-		f.Add(append(bytes.Clone(c.frame), 0))
+	codectest.FuzzFrames(f, controlFrames(),
+		[]byte{frameLeaseRequest, 0, 0, 2, 0}, // a bool byte that is neither 0 nor 1
+		[]byte{framePropose, 1, 'n', 1, 0, 0xff, 0xff, 0xff, 0xff, 0x0f})
+}
+
+// stateFrames lists the frames that carry object state between nodes and
+// into checkpoints, with samples that set every field: the transfer record
+// (whose dedup window holds two clients, one with a failed call), the
+// fetch request and its reply.
+func stateFrames() []codectest.Codec {
+	ref := core.Ref{Type: objects.TypeAtomicReference, Key: "k/2"}
+	var dedup dedupState
+	dedup.record(7, 1, []any{int64(4), "r", []byte{9}}, "")
+	dedup.record(7, 2, nil, "boom")
+	dedup.record(3, 1, []any{true}, "")
+	msg := transferMsg{Ref: ref, Init: []any{int64(1), nil}, Persist: true, Snapshot: []byte("state body"),
+		Dedup: dedup, Version: 1 << 33, Stale: true, Repair: true}
+	return []codectest.Codec{
+		codectest.Of("transfer", msg, transferMsg.encode, decodeTransfer),
+		codectest.Of("fetch", ref, codectest.Infallible(encodeFetch), decodeFetch),
+		codectest.Of("fetch reply", fetchResp{Found: true, Busy: true, Msg: msg}, fetchResp.encode, decodeFetchResp),
 	}
-	f.Add([]byte{})
-	f.Add([]byte{frameLeaseRequest, 0, 0, 2, 0}) // a bool byte that is neither 0 nor 1
-	f.Add([]byte{framePropose, 1, 'n', 1, 0, 0xff, 0xff, 0xff, 0xff, 0x0f})
-	codecs := controlFrames()
-	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, c := range codecs {
-			msg, err := c.decode(data)
-			if err != nil {
-				continue
-			}
-			re, err := c.encode(msg)
-			if err != nil {
-				continue // a gob-fallback Init value need not re-encode
-			}
-			again, err := c.decode(re)
-			if err != nil {
-				t.Fatalf("%s: re-decode of re-encoded frame: %v", c.name, err)
-			}
-			if !codectest.SameDecode(msg, again) {
-				t.Fatalf("%s: re-encode not stable:\n 1: %#v\n 2: %#v", c.name, msg, again)
-			}
-		}
-	})
+}
+
+// The state frames keep the control frames' rules, and no decoder of
+// either set accepts a frame of the other.
+func TestStateBodiesRoundTripAndRejectTruncation(t *testing.T) {
+	codectest.CheckFrames(t, append(stateFrames(), controlFrames()...))
+}
+
+// FuzzStateBodies throws raw bytes at the transfer and fetch decoders (see
+// stateFrames), under the rules of FuzzControlFrames.
+func FuzzStateBodies(f *testing.F) {
+	codectest.FuzzFrames(f, stateFrames(), []byte{frameTransfer, 0, 0, 0, 0, 0, 1, 0xff, 0xff, 0xff, 0xff, 0x0f})
 }

@@ -132,7 +132,7 @@ type InvalidateMsg struct {
 	Epoch uint64
 }
 
-// The lease frames are control frames like the Skeen ones (see openFrame):
+// The lease frames are control frames like the Skeen ones (see core.OpenFrame):
 // a tag byte, then the fields, decoded strictly and copied out. The client
 // cache reaches them only through LeaseRequest.Encode, DecodeLeaseResponse
 // and DecodeInvalidateMsg, so their format lives in this file alone.
@@ -153,36 +153,20 @@ func readRef(r *core.Reader) (ref core.Ref, err error) {
 	return ref, err
 }
 
-func appendBool(dst []byte, v bool) []byte {
-	if v {
-		return append(dst, 1)
-	}
-	return append(dst, 0)
-}
-
-// readBool reads a byte that must be 0 or 1.
-func readBool(r *core.Reader) (bool, error) {
-	b, err := r.Byte()
-	if err == nil && b > 1 {
-		err = fmt.Errorf("bad bool byte 0x%02x", b)
-	}
-	return b == 1, err
-}
-
 // Encode returns the KindLease request frame.
 func (q LeaseRequest) Encode() []byte {
-	b := newFrame(frameLeaseRequest, len(q.Ref.Type)+len(q.Ref.Key)+len(q.HolderAddr)+1, 3)
-	return core.AppendString(appendBool(appendRef(b, q.Ref), q.Persist), q.HolderAddr)
+	b := core.NewFrame(frameLeaseRequest, len(q.Ref.Type)+len(q.Ref.Key)+len(q.HolderAddr)+1, 3)
+	return core.AppendString(core.AppendBool(appendRef(b, q.Ref), q.Persist), q.HolderAddr)
 }
 
 // decodeLeaseRequest parses exactly one LeaseRequest.Encode frame.
 func decodeLeaseRequest(data []byte) (q LeaseRequest, err error) {
-	r, err := openFrame(data, frameLeaseRequest)
+	r, err := core.OpenFrame(data, frameLeaseRequest)
 	if err == nil {
 		q.Ref, err = readRef(&r)
 	}
 	if err == nil {
-		q.Persist, err = readBool(&r)
+		q.Persist, err = r.Bool()
 	}
 	if err == nil {
 		q.HolderAddr, err = r.Str()
@@ -199,8 +183,8 @@ func decodeLeaseRequest(data []byte) (q LeaseRequest, err error) {
 // encode returns the KindLease response frame. It fails only when an Init
 // value has no encoding (see core.AppendValues).
 func (p LeaseResponse) encode() ([]byte, error) {
-	b := newFrame(frameLeaseResponse, len(p.Reason)+len(p.Snapshot)+1, 5)
-	b = core.AppendString(appendBool(b, p.Granted), p.Reason)
+	b := core.NewFrame(frameLeaseResponse, len(p.Reason)+len(p.Snapshot)+1, 5)
+	b = core.AppendString(core.AppendBool(b, p.Granted), p.Reason)
 	b = binary.AppendUvarint(binary.AppendUvarint(b, uint64(p.TTLMillis)), p.Epoch)
 	b, err := core.AppendValues(b, p.Init)
 	if err != nil {
@@ -211,9 +195,9 @@ func (p LeaseResponse) encode() ([]byte, error) {
 
 // DecodeLeaseResponse parses exactly one KindLease response frame.
 func DecodeLeaseResponse(data []byte) (p LeaseResponse, err error) {
-	r, err := openFrame(data, frameLeaseResponse)
+	r, err := core.OpenFrame(data, frameLeaseResponse)
 	if err == nil {
-		p.Granted, err = readBool(&r)
+		p.Granted, err = r.Bool()
 	}
 	if err == nil {
 		p.Reason, err = r.Str()
@@ -243,13 +227,13 @@ func DecodeLeaseResponse(data []byte) (p LeaseResponse, err error) {
 
 // encode returns the KindCacheInvalidate frame.
 func (m InvalidateMsg) encode() []byte {
-	b := newFrame(frameInvalidate, len(m.Ref.Type)+len(m.Ref.Key), 3)
+	b := core.NewFrame(frameInvalidate, len(m.Ref.Type)+len(m.Ref.Key), 3)
 	return binary.AppendUvarint(appendRef(b, m.Ref), m.Epoch)
 }
 
 // DecodeInvalidateMsg parses exactly one KindCacheInvalidate frame.
 func DecodeInvalidateMsg(data []byte) (m InvalidateMsg, err error) {
-	r, err := openFrame(data, frameInvalidate)
+	r, err := core.OpenFrame(data, frameInvalidate)
 	if err == nil {
 		m.Ref, err = readRef(&r)
 	}

@@ -34,7 +34,8 @@ const (
 	// (tag-encoded control frames, see smr.go).
 	KindPropose uint8 = 2
 	KindFinal   uint8 = 3
-	// KindTransfer pushes an object snapshot during rebalancing.
+	// KindTransfer pushes an object snapshot during rebalancing (a
+	// transferMsg frame).
 	KindTransfer uint8 = 4
 	// KindPing is a health check.
 	KindPing uint8 = 5
@@ -55,7 +56,7 @@ const (
 	// from dso-cli chaos to a node wired with a chaos engine.
 	KindChaos uint8 = 10
 	// KindFetch is a pull-on-miss: a replica asks a group peer for its copy
-	// of an object (gob-encoded core.Ref in, fetchResp out) instead of
+	// of an object (a fetch request frame in, a fetchResp frame out) instead of
 	// creating a fresh one when the hand-off transfer never arrived.
 	KindFetch uint8 = 11
 	// KindLease acquires or renews a client cache lease on an object from

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"time"
@@ -18,12 +19,10 @@ import (
 // left the set drop their copy. Synchronization objects are ephemeral and
 // are never transferred (their waiters are connection-bound).
 
-// transferMsg carries one object snapshot between nodes. Dedup moves the
-// at-most-once window with the object, so a client retry that lands on the
-// object's new home after a view change still replays instead of
-// re-executing. Pre-dedup peers simply omit the field (gob tolerates
-// absent fields), leaving the window empty — their retries degrade to
-// at-least-once, exactly the old behavior.
+// transferMsg carries one object snapshot between nodes, and is what a
+// checkpoint stores per object. Dedup moves the at-most-once window with
+// the object, so a client retry that lands on the object's new home after
+// a view change still replays instead of re-executing.
 //
 // Version is the snapshot's apply count (see entry.version). The receiver
 // installs a snapshot only when it is strictly newer than its local copy:
@@ -66,6 +65,119 @@ type fetchResp struct {
 	Found bool
 	Busy  bool
 	Msg   transferMsg
+}
+
+// The transfer record and the fetch frames are control frames like the
+// Skeen ones (see smr.go): a tag byte, then the fields, decoded strictly
+// and copied out. A checkpoint blob is one frameTransfer frame, so a blob
+// written by another layout (a gob one from an older build) does not
+// decode and recovery skips it.
+const (
+	frameTransfer  byte = 'T' // transferMsg (appendTransfer)
+	frameFetch     byte = 'G' // the requested Ref
+	frameFetchResp byte = 'g' // Found byte, Busy byte, transferMsg (appendTransfer)
+)
+
+// appendTransfer appends Ref, Init values, Persist, Snapshot, the dedup
+// window (appendDedup), Version, Stale and Repair. It fails only when a
+// value has no encoding (see core.AppendValues).
+func appendTransfer(dst []byte, m transferMsg) ([]byte, error) {
+	dst, err := core.AppendValues(appendRef(dst, m.Ref), m.Init)
+	if err != nil {
+		return nil, err
+	}
+	dst = core.AppendBytes(core.AppendBool(dst, m.Persist), m.Snapshot)
+	if dst, err = appendDedup(dst, m.Dedup); err != nil {
+		return nil, err
+	}
+	dst = binary.AppendUvarint(dst, m.Version)
+	return core.AppendBool(core.AppendBool(dst, m.Stale), m.Repair), nil
+}
+
+func readTransfer(r *core.Reader) (m transferMsg, err error) {
+	if m.Ref, err = readRef(r); err == nil {
+		m.Init, err = r.Values()
+	}
+	if err == nil {
+		m.Persist, err = r.Bool()
+	}
+	if err == nil {
+		m.Snapshot, err = r.Bytes()
+	}
+	if err == nil {
+		m.Dedup, err = readDedup(r)
+	}
+	if err == nil {
+		m.Version, err = r.Uvarint()
+	}
+	if err == nil {
+		m.Stale, err = r.Bool()
+	}
+	if err == nil {
+		m.Repair, err = r.Bool()
+	}
+	return m, err
+}
+
+// transferSize sizes a frame for m's fixed-size parts; a dedup window
+// grows it.
+func transferSize(m transferMsg) int {
+	return len(m.Ref.Type) + len(m.Ref.Key) + len(m.Snapshot) + 8
+}
+
+// encode returns the KindTransfer frame (also a checkpoint blob).
+func (m transferMsg) encode() ([]byte, error) {
+	b, err := appendTransfer(core.NewFrame(frameTransfer, transferSize(m), 6), m)
+	if err != nil {
+		return nil, fmt.Errorf("server: encode transfer %s: %w", m.Ref, err)
+	}
+	return b, nil
+}
+
+func decodeTransfer(data []byte) (transferMsg, error) {
+	m, err := core.DecodeFrame(data, frameTransfer, readTransfer)
+	if err != nil {
+		return transferMsg{}, fmt.Errorf("server: decode transfer: %w", err)
+	}
+	return m, nil
+}
+
+// encodeFetch is the KindFetch request for ref.
+func encodeFetch(ref core.Ref) []byte {
+	return appendRef(core.NewFrame(frameFetch, len(ref.Type)+len(ref.Key), 2), ref)
+}
+
+func decodeFetch(data []byte) (core.Ref, error) {
+	ref, err := core.DecodeFrame(data, frameFetch, readRef)
+	if err != nil {
+		return core.Ref{}, fmt.Errorf("server: decode fetch: %w", err)
+	}
+	return ref, nil
+}
+
+func (f fetchResp) encode() ([]byte, error) {
+	b := core.AppendBool(core.AppendBool(core.NewFrame(frameFetchResp, 2+transferSize(f.Msg), 6), f.Found), f.Busy)
+	b, err := appendTransfer(b, f.Msg)
+	if err != nil {
+		return nil, fmt.Errorf("server: encode fetch reply %s: %w", f.Msg.Ref, err)
+	}
+	return b, nil
+}
+
+func decodeFetchResp(data []byte) (fetchResp, error) {
+	f, err := core.DecodeFrame(data, frameFetchResp, func(r *core.Reader) (f fetchResp, err error) {
+		if f.Found, err = r.Bool(); err == nil {
+			f.Busy, err = r.Bool()
+		}
+		if err == nil {
+			f.Msg, err = readTransfer(r)
+		}
+		return f, err
+	})
+	if err != nil {
+		return fetchResp{}, fmt.Errorf("server: decode fetch reply: %w", err)
+	}
+	return f, nil
 }
 
 // onView installs a new view and rebalances. The directory serializes
@@ -259,7 +371,7 @@ func (n *Node) pushObject(ref core.Ref, e *entry, target ring.NodeID, repair boo
 		// transferMsg.Stale).
 		msg.Stale = n.isStale(ref)
 		msg.Repair = repair
-		body, err := core.EncodeValue(msg)
+		body, err := msg.encode()
 		if err != nil {
 			return err
 		}
@@ -300,8 +412,8 @@ func (n *Node) removeObject(ref core.Ref) {
 
 // handleTransfer installs a pushed snapshot.
 func (n *Node) handleTransfer(payload []byte) ([]byte, error) {
-	var msg transferMsg
-	if err := core.DecodeValue(payload, &msg); err != nil {
+	msg, err := decodeTransfer(payload)
+	if err != nil {
 		return nil, err
 	}
 	if err := n.installTransfer(msg); err != nil {
@@ -396,16 +508,16 @@ func (n *Node) installTransfer(msg transferMsg) error {
 // handleFetch answers a peer's pull-on-miss (KindFetch): ship our copy of
 // the requested object, or report that we hold none.
 func (n *Node) handleFetch(payload []byte) ([]byte, error) {
-	var ref core.Ref
-	if err := core.DecodeValue(payload, &ref); err != nil {
+	ref, err := decodeFetch(payload)
+	if err != nil {
 		return nil, err
 	}
 	e, ok := n.lookupExisting(ref)
 	if !ok {
-		return core.EncodeValue(fetchResp{})
+		return fetchResp{}.encode()
 	}
 	if n.inflight.busy(ref) {
-		return core.EncodeValue(fetchResp{Found: true, Busy: true})
+		return fetchResp{Found: true, Busy: true}.encode()
 	}
 	// Snapshot first, then read the mark: a skip recorded between the two
 	// taints a snapshot that is actually fine, which is merely
@@ -416,7 +528,7 @@ func (n *Node) handleFetch(payload []byte) ([]byte, error) {
 		return nil, err
 	}
 	msg.Stale = n.isStale(ref)
-	return core.EncodeValue(fetchResp{Found: true, Msg: msg})
+	return fetchResp{Found: true, Msg: msg}.encode()
 }
 
 // pullObject asks the other members of ref's replica group for an existing
@@ -447,10 +559,7 @@ func (n *Node) pullObject(ctx context.Context, ref core.Ref, group []ring.NodeID
 	// after the skip proves currency, and a skip recorded mid-pull must
 	// keep the mark.
 	token, wasStale := n.staleToken(ref)
-	body, err := core.EncodeValue(ref)
-	if err != nil {
-		return false, false
-	}
+	body := encodeFetch(ref)
 	var (
 		answers    []fetchResp
 		definitive = true
@@ -464,8 +573,8 @@ func (n *Node) pullObject(ctx context.Context, ref core.Ref, group []ring.NodeID
 			definitive = false
 			continue
 		}
-		var resp fetchResp
-		if core.DecodeValue(out, &resp) != nil {
+		resp, err := decodeFetchResp(out)
+		if err != nil {
 			definitive = false
 			continue
 		}

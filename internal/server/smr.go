@@ -141,16 +141,6 @@ const (
 	frameAbort        byte = 'A' // MsgID
 )
 
-// openFrame checks data's tag and returns a reader positioned after it.
-func openFrame(data []byte, tag byte) (core.Reader, error) {
-	r := core.NewReader(data)
-	got, err := r.Byte()
-	if err == nil && got != tag {
-		err = fmt.Errorf("frame tag %q, want %q", got, tag)
-	}
-	return r, err
-}
-
 // appendMsgID appends id's Origin and Seq; readMsgID reads them back.
 func appendMsgID(dst []byte, id totalorder.MsgID) []byte {
 	return binary.AppendUvarint(core.AppendString(dst, id.Origin), id.Seq)
@@ -163,20 +153,14 @@ func readMsgID(r *core.Reader) (id totalorder.MsgID, err error) {
 	return id, err
 }
 
-// newFrame starts a frame with its tag, sized for variable bytes of
-// strings and payload plus n varints so that its encoder allocates once.
-func newFrame(tag byte, variable, n int) []byte {
-	return append(make([]byte, 0, 1+variable+n*binary.MaxVarintLen64), tag)
-}
-
 func (m proposeMsg) encode() []byte {
-	b := newFrame(framePropose, len(m.ID.Origin)+len(m.Payload), 4)
+	b := core.NewFrame(framePropose, len(m.ID.Origin)+len(m.Payload), 4)
 	b = binary.AppendUvarint(appendMsgID(b, m.ID), m.Fence)
 	return core.AppendBytes(b, m.Payload)
 }
 
 func decodeProposeMsg(data []byte) (m proposeMsg, err error) {
-	r, err := openFrame(data, framePropose)
+	r, err := core.OpenFrame(data, framePropose)
 	if err == nil {
 		m.ID, err = readMsgID(&r)
 	}
@@ -197,11 +181,11 @@ func decodeProposeMsg(data []byte) (m proposeMsg, err error) {
 
 // encodeTimestamp is the reply to a PROPOSE.
 func encodeTimestamp(ts uint64) []byte {
-	return binary.AppendUvarint(newFrame(frameProposeReply, 0, 1), ts)
+	return binary.AppendUvarint(core.NewFrame(frameProposeReply, 0, 1), ts)
 }
 
 func decodeTimestamp(data []byte) (ts uint64, err error) {
-	r, err := openFrame(data, frameProposeReply)
+	r, err := core.OpenFrame(data, frameProposeReply)
 	if err == nil {
 		ts, err = r.Uvarint()
 	}
@@ -215,12 +199,12 @@ func decodeTimestamp(data []byte) (ts uint64, err error) {
 }
 
 func (m finalMsg) encode() []byte {
-	b := newFrame(frameFinal, len(m.ID.Origin), 3)
+	b := core.NewFrame(frameFinal, len(m.ID.Origin), 3)
 	return binary.AppendUvarint(appendMsgID(b, m.ID), m.TS)
 }
 
 func decodeFinalMsg(data []byte) (m finalMsg, err error) {
-	r, err := openFrame(data, frameFinal)
+	r, err := core.OpenFrame(data, frameFinal)
 	if err == nil {
 		m.ID, err = readMsgID(&r)
 	}
@@ -237,12 +221,12 @@ func decodeFinalMsg(data []byte) (m finalMsg, err error) {
 }
 
 func (f finalResp) encode() []byte {
-	b := newFrame(frameFinalReply, 0, 2)
+	b := core.NewFrame(frameFinalReply, 0, 2)
 	return binary.AppendUvarint(binary.AppendUvarint(b, f.Version), uint64(f.Replays))
 }
 
 func decodeFinalResp(data []byte) (f finalResp, err error) {
-	r, err := openFrame(data, frameFinalReply)
+	r, err := core.OpenFrame(data, frameFinalReply)
 	if err == nil {
 		f.Version, err = r.Uvarint()
 	}
@@ -262,11 +246,11 @@ func decodeFinalResp(data []byte) (f finalResp, err error) {
 
 // encodeAbort is an ABORT: the id of the message to drop.
 func encodeAbort(id totalorder.MsgID) []byte {
-	return appendMsgID(newFrame(frameAbort, len(id.Origin), 2), id)
+	return appendMsgID(core.NewFrame(frameAbort, len(id.Origin), 2), id)
 }
 
 func decodeAbort(data []byte) (id totalorder.MsgID, err error) {
-	r, err := openFrame(data, frameAbort)
+	r, err := core.OpenFrame(data, frameAbort)
 	if err == nil {
 		id, err = readMsgID(&r)
 	}

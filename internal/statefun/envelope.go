@@ -14,6 +14,7 @@
 package statefun
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"strings"
@@ -188,31 +189,270 @@ func DecodeBody(data []byte, v any) error {
 }
 
 // RegisterTypes adds the mailbox object type to a registry (idempotent)
-// and registers the layer's wire structs and read-only methods. Cluster
-// bootstrap calls it so every node can materialize mailboxes.
+// and declares its read-only methods. Cluster bootstrap calls it so every
+// node can materialize mailboxes.
 func RegisterTypes(r *core.Registry) {
-	registerWireTypes()
+	core.RegisterReadOnlyMethods(TypeMailbox, "Fetch", "Status", "Outbox")
 	if _, err := r.Lookup(TypeMailbox); err == nil {
 		return
 	}
 	r.MustRegister(core.TypeInfo{Name: TypeMailbox, New: NewMailbox})
 }
 
-// registerWireTypes makes the layer's argument/result structs and the
-// mailbox's read-only classification known process-wide (idempotent).
-func registerWireTypes() {
-	core.RegisterValueTypes()
-	core.RegisterValue(Address{})
-	core.RegisterValue(Envelope{})
-	core.RegisterValue(OutEntry{})
-	core.RegisterValue([]OutEntry(nil))
-	core.RegisterValue([]Envelope(nil))
-	core.RegisterValue(PushResult{})
-	core.RegisterValue(Task{})
-	core.RegisterValue(CommitReq{})
-	core.RegisterValue(CommitResult{})
-	core.RegisterValue(MailboxStatus{})
-	core.RegisterReadOnlyMethods(TypeMailbox, "Fetch", "Status", "Outbox")
+// Wire values (DESIGN.md §5b). Each value the layer ships per message —
+// a mailbox method's argument or result, a drain pass's request and
+// report, a mailbox snapshot — is one []byte: a tag byte naming the value,
+// then its fields in the tag codec's encodings (core.Append*). The
+// invocation codec carries it as a plain byte slice. Decoders accept
+// exactly their own tag and layout and copy what they return: the mailbox
+// keeps a pushed envelope's body queued long after the rpc server has
+// recycled the request buffer it arrived in. There is no version. User
+// bodies (EncodeBody) are opaque bytes inside these values and stay gob.
+const (
+	tagAddress      byte = 'a' // FnType, ID
+	tagEnvelope     byte = 'e' // an envelope (appendEnvelope)
+	tagPushResult   byte = 'p' // Status, QueueLen
+	tagTask         byte = 't' // Has, EnqSeq, envelope, State, HasState, QueueLen, OutLen
+	tagCommitReq    byte = 'c' // EnqSeq, From, State, SetState, envelope list
+	tagCommitResult byte = 'r' // Applied, outbox entry list
+	tagOutbox       byte = 'o' // outbox entry list: count, then Seq + envelope each
+	tagStatus       byte = 's' // QueueLen, OutboxLen, Processed, Dups, Rejected
+	tagRunReport    byte = 'R' // Processed, QueueLen, OutboxLen, Dirty address list
+	tagMailbox      byte = 'M' // a mailbox snapshot (Mailbox.Snapshot)
+)
+
+// decodeFrame is core.DecodeFrame with the value's name on its error.
+func decodeFrame[T any](data []byte, tag byte, what string, read func(*core.Reader) (T, error)) (T, error) {
+	v, err := core.DecodeFrame(data, tag, read)
+	if err != nil {
+		return v, fmt.Errorf("statefun: decode %s: %w", what, err)
+	}
+	return v, nil
+}
+
+func appendAddress(dst []byte, a Address) []byte {
+	return core.AppendString(core.AppendString(dst, a.FnType), a.ID)
+}
+
+func readAddress(r *core.Reader) (a Address, err error) {
+	if a.FnType, err = r.Str(); err == nil {
+		a.ID, err = r.Str()
+	}
+	return a, err
+}
+
+// Encode returns the address as a drain pass's request (DecodeAddress).
+func (a Address) Encode() []byte {
+	return appendAddress(core.NewFrame(tagAddress, len(a.FnType)+len(a.ID), 2), a)
+}
+
+// DecodeAddress parses exactly one Address.Encode frame.
+func DecodeAddress(data []byte) (Address, error) {
+	return decodeFrame(data, tagAddress, "address", readAddress)
+}
+
+func appendEnvelope(dst []byte, e Envelope) []byte {
+	dst = core.AppendString(appendAddress(dst, e.To), e.From)
+	dst = core.AppendString(binary.AppendUvarint(dst, e.Seq), e.Name)
+	return core.AppendString(core.AppendBytes(dst, e.Body), e.ReplyTo)
+}
+
+func readEnvelope(r *core.Reader) (e Envelope, err error) {
+	if e.To, err = readAddress(r); err == nil {
+		e.From, err = r.Str()
+	}
+	if err == nil {
+		e.Seq, err = r.Uvarint()
+	}
+	if err == nil {
+		e.Name, err = r.Str()
+	}
+	if err == nil {
+		e.Body, err = r.Bytes()
+	}
+	if err == nil {
+		e.ReplyTo, err = r.Str()
+	}
+	return e, err
+}
+
+// envelopeSize bounds the variable bytes of e's encoding, for sizing.
+func envelopeSize(e Envelope) int {
+	return len(e.To.FnType) + len(e.To.ID) + len(e.From) + len(e.Name) + len(e.Body) + len(e.ReplyTo) +
+		6*binary.MaxVarintLen64
+}
+
+func (e Envelope) encode() []byte {
+	return appendEnvelope(core.NewFrame(tagEnvelope, envelopeSize(e), 0), e)
+}
+
+func decodeEnvelope(data []byte) (Envelope, error) {
+	return decodeFrame(data, tagEnvelope, "envelope", readEnvelope)
+}
+
+func (p PushResult) encode() []byte {
+	b := core.NewFrame(tagPushResult, len(p.Status), 2)
+	return core.AppendVarint(core.AppendString(b, string(p.Status)), p.QueueLen)
+}
+
+func decodePushResult(data []byte) (PushResult, error) {
+	return decodeFrame(data, tagPushResult, "push result", func(r *core.Reader) (p PushResult, err error) {
+		var status string
+		if status, err = r.Str(); err == nil {
+			p.Status = PushStatus(status)
+			p.QueueLen, err = r.Varint()
+		}
+		return p, err
+	})
+}
+
+func (t Task) encode() []byte {
+	b := core.NewFrame(tagTask, envelopeSize(t.Env)+len(t.State), 6)
+	b = binary.AppendUvarint(core.AppendBool(b, t.Has), t.EnqSeq)
+	b = core.AppendBool(core.AppendBytes(appendEnvelope(b, t.Env), t.State), t.HasState)
+	return core.AppendVarint(core.AppendVarint(b, t.QueueLen), t.OutLen)
+}
+
+func decodeTask(data []byte) (Task, error) {
+	return decodeFrame(data, tagTask, "task", func(r *core.Reader) (t Task, err error) {
+		if t.Has, err = r.Bool(); err == nil {
+			t.EnqSeq, err = r.Uvarint()
+		}
+		if err == nil {
+			t.Env, err = readEnvelope(r)
+		}
+		if err == nil {
+			t.State, err = r.Bytes()
+		}
+		if err == nil {
+			t.HasState, err = r.Bool()
+		}
+		if err == nil {
+			t.QueueLen, err = r.Varint()
+		}
+		if err == nil {
+			t.OutLen, err = r.Varint()
+		}
+		return t, err
+	})
+}
+
+func (c CommitReq) encode() []byte {
+	size := len(c.From) + len(c.State)
+	for _, e := range c.Sends {
+		size += envelopeSize(e)
+	}
+	b := binary.AppendUvarint(core.NewFrame(tagCommitReq, size, 4), c.EnqSeq)
+	b = core.AppendBool(core.AppendBytes(core.AppendString(b, c.From), c.State), c.SetState)
+	b = binary.AppendUvarint(b, uint64(len(c.Sends)))
+	for _, e := range c.Sends {
+		b = appendEnvelope(b, e)
+	}
+	return b
+}
+
+func decodeCommitReq(data []byte) (CommitReq, error) {
+	return decodeFrame(data, tagCommitReq, "commit request", func(r *core.Reader) (c CommitReq, err error) {
+		if c.EnqSeq, err = r.Uvarint(); err == nil {
+			c.From, err = r.Str()
+		}
+		if err == nil {
+			c.State, err = r.Bytes()
+		}
+		if err == nil {
+			c.SetState, err = r.Bool()
+		}
+		n := 0
+		if err == nil {
+			n, err = r.Count(minEnvelopeBytes)
+		}
+		if err == nil && n > 0 {
+			c.Sends = make([]Envelope, n)
+			for i := range c.Sends {
+				if c.Sends[i], err = readEnvelope(r); err != nil {
+					break
+				}
+			}
+		}
+		return c, err
+	})
+}
+
+// minEnvelopeBytes is the smallest envelope encoding: six empty
+// length-prefixed fields and a one-byte Seq.
+const minEnvelopeBytes = 7
+
+func appendOutEntries(dst []byte, out []OutEntry) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(out)))
+	for _, o := range out {
+		dst = appendEnvelope(binary.AppendUvarint(dst, o.Seq), o.Env)
+	}
+	return dst
+}
+
+// outEntriesSize bounds the bytes of out's encoding, for sizing.
+func outEntriesSize(out []OutEntry) int {
+	size := binary.MaxVarintLen64
+	for _, o := range out {
+		size += binary.MaxVarintLen64 + envelopeSize(o.Env)
+	}
+	return size
+}
+
+func readOutEntries(r *core.Reader) ([]OutEntry, error) {
+	n, err := r.Count(1 + minEnvelopeBytes)
+	if err != nil || n == 0 {
+		return nil, err
+	}
+	out := make([]OutEntry, n)
+	for i := range out {
+		if out[i].Seq, err = r.Uvarint(); err != nil {
+			return nil, err
+		}
+		if out[i].Env, err = readEnvelope(r); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+func (c CommitResult) encode() []byte {
+	b := core.NewFrame(tagCommitResult, 1+outEntriesSize(c.Pending), 0)
+	return appendOutEntries(core.AppendBool(b, c.Applied), c.Pending)
+}
+
+func decodeCommitResult(data []byte) (CommitResult, error) {
+	return decodeFrame(data, tagCommitResult, "commit result", func(r *core.Reader) (c CommitResult, err error) {
+		if c.Applied, err = r.Bool(); err == nil {
+			c.Pending, err = readOutEntries(r)
+		}
+		return c, err
+	})
+}
+
+func encodeOutbox(out []OutEntry) []byte {
+	return appendOutEntries(core.NewFrame(tagOutbox, outEntriesSize(out), 0), out)
+}
+
+func decodeOutbox(data []byte) ([]OutEntry, error) {
+	return decodeFrame(data, tagOutbox, "outbox", readOutEntries)
+}
+
+func (s MailboxStatus) encode() []byte {
+	b := core.NewFrame(tagStatus, 0, 5)
+	b = core.AppendVarint(core.AppendVarint(b, s.QueueLen), s.OutboxLen)
+	return core.AppendVarint(core.AppendVarint(core.AppendVarint(b, s.Processed), s.Dups), s.Rejected)
+}
+
+func decodeStatus(data []byte) (MailboxStatus, error) {
+	return decodeFrame(data, tagStatus, "status", func(r *core.Reader) (s MailboxStatus, err error) {
+		for _, f := range []*int64{&s.QueueLen, &s.OutboxLen, &s.Processed, &s.Dups, &s.Rejected} {
+			if *f, err = r.Varint(); err != nil {
+				break
+			}
+		}
+		return s, err
+	})
 }
 
 // isFutureAlreadySet reports whether err is the (possibly wire-decoded)
@@ -220,6 +460,17 @@ func registerWireTypes() {
 // core error sentinel, so errors.Is holds across the wire.
 func isFutureAlreadySet(err error) bool {
 	return errors.Is(err, objects.ErrFutureAlreadySet)
+}
+
+// decodeResult decodes the single tag-encoded result of a mailbox
+// invocation.
+func decodeResult[T any](res []any, err error, decode func([]byte) (T, error)) (T, error) {
+	b, err := resultAs[[]byte](res, err)
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	return decode(b)
 }
 
 // resultAs decodes the single result of a mailbox invocation into T.

@@ -1,6 +1,7 @@
 package statefun
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"crucial/internal/core"
@@ -60,23 +61,33 @@ func NewMailbox(init []any) (core.Object, error) {
 	return &Mailbox{capacity: capacity, seen: make(map[string]uint64)}, nil
 }
 
-// Call dispatches a mailbox method.
+// Call dispatches a mailbox method. Push and Commit take one tag-encoded
+// argument, and every method but AckOut returns one tag-encoded result
+// (see the wire values in envelope.go).
 func (m *Mailbox) Call(_ core.Ctl, method string, args []any) ([]any, error) {
 	switch method {
 	case "Push":
-		env, err := structArg[Envelope](args, 0, "Push")
+		arg, err := core.Arg[[]byte](args, 0)
 		if err != nil {
 			return nil, err
 		}
-		return []any{m.push(env)}, nil
+		env, err := decodeEnvelope(arg)
+		if err != nil {
+			return nil, err
+		}
+		return []any{m.push(env).encode()}, nil
 	case "Fetch":
-		return []any{m.fetch()}, nil
+		return []any{m.fetch().encode()}, nil
 	case "Commit":
-		req, err := structArg[CommitReq](args, 0, "Commit")
+		arg, err := core.Arg[[]byte](args, 0)
 		if err != nil {
 			return nil, err
 		}
-		return []any{m.commit(req)}, nil
+		req, err := decodeCommitReq(arg)
+		if err != nil {
+			return nil, err
+		}
+		return []any{m.commit(req).encode()}, nil
 	case "AckOut":
 		upTo, err := core.Int64Arg(args, 0)
 		if err != nil {
@@ -91,11 +102,9 @@ func (m *Mailbox) Call(_ core.Ctl, method string, args []any) ([]any, error) {
 			Processed: m.processed,
 			Dups:      m.dups,
 			Rejected:  m.rejected,
-		}}, nil
+		}.encode()}, nil
 	case "Outbox":
-		out := make([]OutEntry, len(m.outbox))
-		copy(out, m.outbox)
-		return []any{out}, nil
+		return []any{encodeOutbox(m.outbox)}, nil
 	default:
 		return nil, fmt.Errorf("%w: Mailbox.%s", core.ErrUnknownMethod, method)
 	}
@@ -158,9 +167,8 @@ func (m *Mailbox) commit(req CommitReq) CommitResult {
 			m.outbox = append(m.outbox, OutEntry{Seq: m.nextOut, Env: env})
 		}
 	}
-	pending := make([]OutEntry, len(m.outbox))
-	copy(pending, m.outbox)
-	return CommitResult{Applied: applied, Pending: pending}
+	// Call encodes the result before the outbox can change.
+	return CommitResult{Applied: applied, Pending: m.outbox}
 }
 
 // ackOut prunes every outbox entry with sequence ≤ upTo (cumulative ack
@@ -175,74 +183,96 @@ func (m *Mailbox) ackOut(upTo uint64) {
 	}
 }
 
-// mailboxState is the snapshot wire form of a mailbox.
-type mailboxState struct {
-	Capacity  int64
-	Queue     []queuedMsg
-	NextEnq   uint64
-	State     []byte
-	HasState  bool
-	Seen      map[string]uint64
-	Outbox    []OutEntry
-	NextOut   uint64
-	Processed int64
-	Dups      int64
-	Rejected  int64
-}
-
 // Snapshot encodes the full mailbox state (checkpointed by the
-// durability tier and shipped whole by migration/state transfer).
+// durability tier and shipped whole by migration/state transfer): a
+// tagMailbox frame of Capacity, NextEnq, the queue (count, then EnqSeq +
+// envelope each), State, HasState, the dedup window (count, then sender +
+// high-water seq each, in map order), the outbox, NextOut, Processed,
+// Dups and Rejected.
 func (m *Mailbox) Snapshot() ([]byte, error) {
-	return core.EncodeValue(mailboxState{
-		Capacity:  m.capacity,
-		Queue:     m.queue,
-		NextEnq:   m.nextEnq,
-		State:     m.state,
-		HasState:  m.hasState,
-		Seen:      m.seen,
-		Outbox:    m.outbox,
-		NextOut:   m.nextOut,
-		Processed: m.processed,
-		Dups:      m.dups,
-		Rejected:  m.rejected,
-	})
+	size := len(m.state) + outEntriesSize(m.outbox)
+	for _, q := range m.queue {
+		size += envelopeSize(q.Env)
+	}
+	for from := range m.seen {
+		size += len(from)
+	}
+	b := core.NewFrame(tagMailbox, size, 10+len(m.queue)+2*len(m.seen))
+	b = binary.AppendUvarint(core.AppendVarint(b, m.capacity), m.nextEnq)
+	b = binary.AppendUvarint(b, uint64(len(m.queue)))
+	for _, q := range m.queue {
+		b = appendEnvelope(binary.AppendUvarint(b, q.EnqSeq), q.Env)
+	}
+	b = core.AppendBool(core.AppendBytes(b, m.state), m.hasState)
+	b = binary.AppendUvarint(b, uint64(len(m.seen)))
+	for from, seq := range m.seen {
+		b = binary.AppendUvarint(core.AppendString(b, from), seq)
+	}
+	b = binary.AppendUvarint(appendOutEntries(b, m.outbox), m.nextOut)
+	return core.AppendVarint(core.AppendVarint(core.AppendVarint(b, m.processed), m.dups), m.rejected), nil
 }
 
 // Restore replaces the mailbox state from a snapshot.
 func (m *Mailbox) Restore(data []byte) error {
-	var s mailboxState
-	if err := core.DecodeValue(data, &s); err != nil {
+	s, err := decodeFrame(data, tagMailbox, "mailbox", readMailbox)
+	if err != nil {
 		return err
 	}
-	m.capacity = s.Capacity
-	m.queue = s.Queue
-	m.nextEnq = s.NextEnq
-	m.state = s.State
-	m.hasState = s.HasState
-	m.seen = s.Seen
-	if m.seen == nil {
-		m.seen = make(map[string]uint64)
-	}
-	m.outbox = s.Outbox
-	m.nextOut = s.NextOut
-	m.processed = s.Processed
-	m.dups = s.Dups
-	m.rejected = s.Rejected
+	*m = s
 	return nil
 }
 
-var _ core.Snapshotter = (*Mailbox)(nil)
-
-// structArg extracts a typed struct argument.
-func structArg[T any](args []any, i int, method string) (T, error) {
-	var zero T
-	if i >= len(args) {
-		return zero, fmt.Errorf("statefun: %s needs %d argument(s)", method, i+1)
+// readMailbox reads the fields of a Snapshot frame.
+func readMailbox(r *core.Reader) (m Mailbox, err error) {
+	if m.capacity, err = r.Varint(); err == nil {
+		m.nextEnq, err = r.Uvarint()
 	}
-	v, ok := args[i].(T)
-	if !ok {
-		return zero, fmt.Errorf("statefun: %s argument %d has type %T, want %T",
-			method, i, args[i], zero)
+	n := 0
+	if err == nil {
+		n, err = r.Count(1 + minEnvelopeBytes)
 	}
-	return v, nil
+	if err == nil && n > 0 {
+		m.queue = make([]queuedMsg, n)
+		for i := range m.queue {
+			if m.queue[i].EnqSeq, err = r.Uvarint(); err != nil {
+				return m, err
+			}
+			if m.queue[i].Env, err = readEnvelope(r); err != nil {
+				return m, err
+			}
+		}
+	}
+	if err == nil {
+		m.state, err = r.Bytes()
+	}
+	if err == nil {
+		m.hasState, err = r.Bool()
+	}
+	if err == nil {
+		n, err = r.Count(2)
+	}
+	if err != nil {
+		return m, err
+	}
+	m.seen = make(map[string]uint64, n)
+	for i := 0; i < n; i++ {
+		from, err := r.Str()
+		if err != nil {
+			return m, err
+		}
+		if m.seen[from], err = r.Uvarint(); err != nil {
+			return m, err
+		}
+	}
+	if m.outbox, err = readOutEntries(r); err == nil {
+		m.nextOut, err = r.Uvarint()
+	}
+	for _, f := range []*int64{&m.processed, &m.dups, &m.rejected} {
+		if err == nil {
+			*f, err = r.Varint()
+		}
+	}
+	return m, err
 }
+
+var _ core.Snapshotter = (*Mailbox)(nil)

@@ -129,7 +129,6 @@ func TestMailboxAckOut(t *testing.T) {
 }
 
 func TestMailboxSnapshotRoundTrip(t *testing.T) {
-	registerWireTypes()
 	m := newTestMailbox(t, 8)
 	m.push(env("s", 1, "a"))
 	m.push(env("s", 2, "b"))
@@ -165,28 +164,30 @@ func TestMailboxSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// callMailbox calls a mailbox method and decodes its tag-encoded result.
+func callMailbox[T any](obj core.Object, method string, decode func([]byte) (T, error), args ...any) (T, error) {
+	res, err := obj.Call(nil, method, args)
+	return decodeResult(res, err, decode)
+}
+
 func TestMailboxCallDispatch(t *testing.T) {
-	registerWireTypes()
 	obj, err := NewMailbox(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := obj.Call(nil, "Push", []any{env("s", 1, "a")})
-	if err != nil {
-		t.Fatal(err)
+	pr, err := callMailbox(obj, "Push", decodePushResult, env("s", 1, "a").encode())
+	if err != nil || pr.Status != PushOK {
+		t.Fatalf("push via Call: %+v (err %v)", pr, err)
 	}
-	if pr := res[0].(PushResult); pr.Status != PushOK {
-		t.Fatalf("push via Call: %+v", pr)
+	if _, err := obj.Call(nil, "Push", []any{env("s", 2, "b")}); err == nil {
+		t.Fatal("Push accepted an argument that is not an encoded envelope")
 	}
 	if _, err := obj.Call(nil, "Bogus", nil); err == nil {
 		t.Fatal("unknown method accepted")
 	}
-	res, err = obj.Call(nil, "Status", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := res[0].(MailboxStatus); st.QueueLen != 1 {
-		t.Fatalf("status via Call: %+v", st)
+	st, err := callMailbox(obj, "Status", decodeStatus)
+	if err != nil || st.QueueLen != 1 {
+		t.Fatalf("status via Call: %+v (err %v)", st, err)
 	}
 }
 
@@ -206,7 +207,7 @@ func TestAddressDirEntryRoundTrip(t *testing.T) {
 // Status and Outbox must be read-only (idle polls ride the lease cache),
 // and the mutating methods must not be.
 func TestReadOnlyClassification(t *testing.T) {
-	registerWireTypes()
+	RegisterTypes(core.NewRegistry())
 	for _, m := range []string{"Fetch", "Status", "Outbox"} {
 		if !core.IsReadOnlyMethod(TypeMailbox, m) {
 			t.Errorf("%s not classified read-only", m)

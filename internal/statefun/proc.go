@@ -2,6 +2,7 @@ package statefun
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -174,6 +175,41 @@ type RunReport struct {
 	QueueLen  int64
 	OutboxLen int64
 	Dirty     []Address
+}
+
+// Encode returns the report as a drain pass's reply (DecodeRunReport).
+func (r RunReport) Encode() []byte {
+	b := core.NewFrame(tagRunReport, 0, 4+2*len(r.Dirty))
+	b = core.AppendVarint(core.AppendVarint(core.AppendVarint(b, r.Processed), r.QueueLen), r.OutboxLen)
+	b = binary.AppendUvarint(b, uint64(len(r.Dirty)))
+	for _, a := range r.Dirty {
+		b = appendAddress(b, a)
+	}
+	return b
+}
+
+// DecodeRunReport parses exactly one RunReport.Encode frame.
+func DecodeRunReport(data []byte) (RunReport, error) {
+	return decodeFrame(data, tagRunReport, "run report", func(r *core.Reader) (rep RunReport, err error) {
+		for _, f := range []*int64{&rep.Processed, &rep.QueueLen, &rep.OutboxLen} {
+			if err == nil {
+				*f, err = r.Varint()
+			}
+		}
+		n := 0
+		if err == nil {
+			n, err = r.Count(2)
+		}
+		if err == nil && n > 0 {
+			rep.Dirty = make([]Address, n)
+			for i := range rep.Dirty {
+				if rep.Dirty[i], err = readAddress(r); err != nil {
+					break
+				}
+			}
+		}
+		return rep, err
+	})
 }
 
 // Runner executes one drain pass over an instance's mailbox. The engine
@@ -404,7 +440,7 @@ func (p *Proc) fetch(ctx context.Context, addr Address) (Task, error) {
 		Init:    []any{p.mailboxCap},
 		Persist: true,
 	})
-	return resultAs[Task](res, err)
+	return decodeResult(res, err, decodeTask)
 }
 
 // commit applies one handler run's effect set.
@@ -412,11 +448,11 @@ func (p *Proc) commit(ctx context.Context, addr Address, req CommitReq) (CommitR
 	res, err := p.inv.InvokeObject(ctx, core.Invocation{
 		Ref:     core.Ref{Type: TypeMailbox, Key: addr.Key()},
 		Method:  "Commit",
-		Args:    []any{req},
+		Args:    []any{req.encode()},
 		Init:    []any{p.mailboxCap},
 		Persist: true,
 	})
-	return resultAs[CommitResult](res, err)
+	return decodeResult(res, err, decodeCommitResult)
 }
 
 // pendingOutbox reads the undelivered outbox entries.
@@ -427,7 +463,7 @@ func (p *Proc) pendingOutbox(ctx context.Context, addr Address) ([]OutEntry, err
 		Init:    []any{p.mailboxCap},
 		Persist: true,
 	})
-	return resultAs[[]OutEntry](res, err)
+	return decodeResult(res, err, decodeOutbox)
 }
 
 // ackOut prunes delivered outbox entries up to and including seq upTo.
@@ -454,7 +490,7 @@ func StateOf(ctx context.Context, inv core.Invoker, addr Address, mailboxCap int
 		Init:    []any{mailboxCap},
 		Persist: true,
 	})
-	task, err := resultAs[Task](res, err)
+	task, err := decodeResult(res, err, decodeTask)
 	if err != nil || !task.HasState {
 		return false, err
 	}
@@ -472,5 +508,5 @@ func StatusOf(ctx context.Context, inv core.Invoker, addr Address, mailboxCap in
 		Init:    []any{mailboxCap},
 		Persist: true,
 	})
-	return resultAs[MailboxStatus](res, err)
+	return decodeResult(res, err, decodeStatus)
 }

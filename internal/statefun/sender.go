@@ -135,11 +135,11 @@ func PushEnvelope(ctx context.Context, inv core.Invoker, env Envelope, mailboxCa
 	res, err := inv.InvokeObject(ctx, core.Invocation{
 		Ref:     core.Ref{Type: TypeMailbox, Key: env.To.Key()},
 		Method:  "Push",
-		Args:    []any{env},
+		Args:    []any{env.encode()},
 		Init:    []any{mailboxCap},
 		Persist: true,
 	})
-	return resultAs[PushResult](res, err)
+	return decodeResult(res, err, decodePushResult)
 }
 
 // RegisterInstance adds the instance to the dispatch directory so

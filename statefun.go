@@ -17,7 +17,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"crucial/internal/core"
 	"crucial/internal/faas"
 	"crucial/internal/statefun"
 	"crucial/internal/telemetry"
@@ -103,19 +102,11 @@ type faasRunner struct {
 
 // Run invokes the statefun runner function for one drain pass.
 func (r faasRunner) Run(ctx context.Context, addr statefun.Address) (statefun.RunReport, error) {
-	payload, err := core.EncodeValue(addr)
+	out, err := r.platform.Invoke(ctx, r.fn, addr.Encode())
 	if err != nil {
 		return statefun.RunReport{}, err
 	}
-	out, err := r.platform.Invoke(ctx, r.fn, payload)
-	if err != nil {
-		return statefun.RunReport{}, err
-	}
-	var report statefun.RunReport
-	if err := core.DecodeValue(out, &report); err != nil {
-		return statefun.RunReport{}, err
-	}
-	return report, nil
+	return statefun.DecodeRunReport(out)
 }
 
 // DeployStatefulFunction registers a handler for fnType and returns its
@@ -175,8 +166,8 @@ func (rt *Runtime) startStatefun() (*statefunState, error) {
 // statefunRunnerHandler is the statefun runner function body: decode the
 // instance address, drain its mailbox from inside the container.
 func (rt *Runtime) statefunRunnerHandler(ctx context.Context, payload []byte) ([]byte, error) {
-	var addr statefun.Address
-	if err := core.DecodeValue(payload, &addr); err != nil {
+	addr, err := statefun.DecodeAddress(payload)
+	if err != nil {
 		return nil, err
 	}
 	rt.sfMu.Lock()
@@ -189,7 +180,7 @@ func (rt *Runtime) statefunRunnerHandler(ctx context.Context, payload []byte) ([
 	if err != nil {
 		return nil, err
 	}
-	return core.EncodeValue(report)
+	return report.Encode(), nil
 }
 
 // closeStatefun stops the dispatch engine (idempotent).

@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"crucial/internal/core"
 )
 
 // counterState is the private state of the test counter function.
@@ -364,4 +366,31 @@ func TestStatefunFanOutAcrossInstances(t *testing.T) {
 func statefunWorkerState(ctx context.Context, rt *Runtime, id string, v any) (bool, error) {
 	f := &StatefulFunction{rt: rt, fnType: "worker"}
 	return f.State(ctx, id, v)
+}
+
+// A statefun Call ships its envelope, the mailbox's task and commit, the
+// FaaS drain pass's address and report, and the directory and mailbox
+// snapshots of the engine's polling all tag-encoded: the only gob streams
+// it opens are its user bodies, the handler's int64 reply encoded and
+// Call's decode of it.
+func TestStatefunCallOpensOnlyUserBodyGobStreams(t *testing.T) {
+	rt := testRuntime(t, Options{DSONodes: 2, RF: 2})
+	fn, err := rt.DeployStatefulFunction("echo", func(c *FnCtx, m FnMsg) error {
+		return c.Reply(int64(7))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got int64
+	if err := fn.Call(bg(), "e1", "ping", nil, &got); err != nil { // mailbox, directory, containers
+		t.Fatal(err)
+	}
+	before := core.ReadCodecStats().GobStreams
+	if err := fn.Call(bg(), "e1", "ping", nil, &got); err != nil || got != 7 {
+		t.Fatalf("Call = %d (err %v), want 7", got, err)
+	}
+	time.Sleep(100 * time.Millisecond) // the engine polls the directory and the idle mailbox
+	if n := core.ReadCodecStats().GobStreams - before; n != 2 {
+		t.Fatalf("a statefun Call and 100 ms of polling opened %d gob streams, want 2 (the reply body's encode and decode)", n)
+	}
 }
