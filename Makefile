@@ -35,8 +35,8 @@ wal-fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeSegment' -fuzztime 30s ./internal/durability/
 
 # codec-fuzz fuzzes the tag-encoded wire codecs for 15 s each: the
-# invocation round trip, the invocation and response decoders, the eight
-# Skeen and lease control frame decoders, and FuzzStateBodies in the three
+# invocation round trip, the invocation and response decoders, the five
+# ACCEPT and lease control frame decoders, and FuzzStateBodies in the three
 # packages that decode state — the built-in objects' Restore, the statefun
 # mailbox values and drain-pass frames, and the transfer and fetch frames
 # that rebalancing and checkpoints ship. These are every parser a peer, a
@@ -84,16 +84,20 @@ chaos-short:
 # two that pin the rf=1 round of one: a write racing a Join hand-off, and
 # concurrent durable writes recovered after a full crash (§5h) — and the
 # rf=2 routing test: every cache-less read reaches the primary and is
-# served there without a round, and a follower bounces reads (§5d). 30
-# times each at one and two CPUs (about half a minute on an idle box).
+# served there without a round, and a follower bounces reads (§5d) — and
+# the three that pin the per-object order (§5c): two coordinators in two
+# views are never both acked, a member applies an overtaking round only
+# after its predecessor, and a lost ACCEPT parks the next round until the
+# member pulls. 30 times each at one and two CPUs (about a minute on an
+# idle box).
 # Not part of verify. To reproduce the contention itself, run any CPU hog
 # beside it (e.g. four copies of a `go test -c ./internal/chaos` binary).
 flake-check:
 	$(GO) test -count=30 -cpu 1,2 -run 'TestCheckFailuresConcurrentWithMembershipChurn' ./internal/membership/
 	$(GO) test -count=30 -cpu 1,2 -run 'TestBillingUsesModeledTime|TestBillingAccumulates' ./internal/faas/
 	$(GO) test -count=30 -cpu 1,2 -run 'TestNemesisCacheCrashRestart' ./internal/chaos/
-	$(GO) test -count=30 -cpu 1,2 -run 'TestInvokeDuringMigrationLosesNothing|TestDurabilityRecoversConcurrentRFOneWrites|TestRF2ReadsServedAtPrimary' ./internal/cluster/
-	$(GO) test -count=30 -cpu 1,2 -run 'TestRoundOfOneAcrossHandOff' ./internal/server/
+	$(GO) test -count=30 -cpu 1,2 -run 'TestInvokeDuringMigrationLosesNothing|TestDurabilityRecoversConcurrentRFOneWrites|TestRF2ReadsServedAtPrimary|TestDroppedAcceptParksPullsAndConverges' ./internal/cluster/
+	$(GO) test -count=30 -cpu 1,2 -run 'TestRoundOfOneAcrossHandOff|TestTwoCoordinatorsInTwoViewsNotBothAcked|TestAcceptAppliesInSeqOrder' ./internal/server/
 
 # doclint fails when an exported identifier in the public API (the root
 # package) has no doc comment.
@@ -104,9 +108,9 @@ doclint:
 # round trip must hold PR 3's 8 allocs/op, the per-object tracker's
 # warm-path Observe must stay allocation-free (the telemetry-overhead
 # guard for the always-on accounting plane), one sequential RF-2 write
-# on the zero WritePolicy — a round of one — must stay near the ~100
-# allocations it costs with tag-encoded PROPOSE/FINAL frames (a gob frame
-# alone costs more), an rf=1 write (a group of one) and read must stay
+# on the zero WritePolicy — a round of one — must stay near the ~53
+# allocations it costs as one tag-encoded ACCEPT round trip (the Skeen
+# PROPOSE/FINAL exchange cost ~96, a gob frame alone more), an rf=1 write (a group of one) and read must stay
 # near what they cost outside rounds, and the lease read path must keep a
 # 95/5 read/write sequence cached (hit ratio, one grant per invalidation)
 # without building a hash ring per hit, miss or grant, and a grant and a

@@ -58,7 +58,7 @@ type nemesisOpts struct {
 	// was served from its cache again after a write had invalidated it.
 	cache bool
 	// write turns group commit on: concurrent mutations share ordering
-	// rounds (batched payloads, pipelined FINAL acks) and the per-sub-op
+	// rounds (batched payloads, pipelined ACCEPTs) and the per-sub-op
 	// at-most-once window is the only thing standing between a retried
 	// batch and a double-applied counter increment. Histories must stay
 	// linearizable with batching under every fault in the plan.

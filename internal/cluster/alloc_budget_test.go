@@ -2,10 +2,13 @@ package cluster
 
 import (
 	"context"
+	"net"
 	"strconv"
+	"sync"
 	"testing"
 	"time"
 
+	"crucial/internal/chaos"
 	"crucial/internal/client"
 	"crucial/internal/core"
 	"crucial/internal/objects"
@@ -16,11 +19,12 @@ import (
 
 // replicatedInvokeAllocBudget is what one sequential RF-2 AddAndGet on the
 // zero WritePolicy allocates, client and both replicas together, plus
-// about 10 %: 96 in each of five samples of 500 calls, measured 2026-10-16
-// on the 2-vCPU reference box (go1.24), after the Skeen control frames
-// moved off gob (they cost 694 with a fresh gob stream per frame).
+// about 10 %: 53 in each of five samples of 500 calls, measured 2026-10-17
+// on the 2-vCPU reference box (go1.24), once a round became one ACCEPT
+// round trip sequenced by the primary. Under the Skeen PROPOSE/FINAL
+// exchange it cost 96, and 694 with a gob stream per control frame.
 // `make alloc-guard` holds it there.
-const replicatedInvokeAllocBudget = 106
+const replicatedInvokeAllocBudget = 58
 
 // TestReplicatedInvokeAllocBudget pins the allocations of the round of one.
 func TestReplicatedInvokeAllocBudget(t *testing.T) {
@@ -52,6 +56,100 @@ func TestReplicatedInvokeAllocBudget(t *testing.T) {
 		t.Fatalf("replicated AddAndGet allocates %.0f/op, budget %d", got, replicatedInvokeAllocBudget)
 	}
 	t.Logf("replicated AddAndGet allocates %.0f/op (budget %d)", got, replicatedInvokeAllocBudget)
+}
+
+// frameCounter is an rpc.Transport that counts, per kind, the request
+// frames written on the connections it dials.
+type frameCounter struct {
+	rpc.Transport
+	mu     sync.Mutex
+	counts map[uint8]int
+}
+
+func (t *frameCounter) Dial(addr string) (net.Conn, error) {
+	c, err := t.Transport.Dial(addr)
+	if err != nil {
+		return nil, err
+	}
+	return &countingConn{Conn: c, t: t}, nil
+}
+
+// requests returns how many request frames of kind were written.
+func (t *frameCounter) requests(kind uint8) int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.counts[kind]
+}
+
+// countingConn cuts its written byte stream into rpc frames (the rpc
+// client serializes writes, so Write never runs concurrently with itself).
+type countingConn struct {
+	net.Conn
+	t       *frameCounter
+	pending []byte
+}
+
+func (c *countingConn) Write(p []byte) (int, error) {
+	c.pending = append(c.pending, p...)
+	for len(c.pending) >= rpc.FrameHeaderSize {
+		m := rpc.ParseFrameHeader(c.pending)
+		if len(c.pending) < rpc.FrameHeaderSize+m.PayloadLen {
+			break
+		}
+		if m.IsRequest() {
+			c.t.mu.Lock()
+			c.t.counts[m.Kind]++
+			c.t.mu.Unlock()
+		}
+		c.pending = c.pending[rpc.FrameHeaderSize+m.PayloadLen:]
+	}
+	return c.Conn.Write(p)
+}
+
+// One sequential RF-2 write is one peer round trip: its primary sends the
+// other member exactly one request frame, the ACCEPT, and nothing else
+// (two under Skeen: PROPOSE and FINAL).
+func TestReplicatedWritePeerFrames(t *testing.T) {
+	counter := &frameCounter{Transport: rpc.NewMemNetwork(), counts: make(map[uint8]int)}
+	c, err := StartLocal(Options{Nodes: 3, RF: 2, Chaos: chaos.New(counter, chaos.Options{})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	cl, err := c.NewClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	ctx := context.Background()
+	add := core.Invocation{Ref: core.Ref{Type: objects.TypeAtomicLong, Key: "frames/counter"},
+		Method: "AddAndGet", Args: []any{int64(1)}, Persist: true}
+	if _, err := cl.InvokeObject(ctx, add); err != nil { // genesis, connections
+		t.Fatal(err)
+	}
+	peerFrames := func() (n int) {
+		counter.mu.Lock()
+		defer counter.mu.Unlock()
+		for kind, k := range counter.counts {
+			if kind != server.KindInvoke {
+				n += k
+			}
+		}
+		return n
+	}
+	const writes = 50
+	before, invokes := peerFrames(), counter.requests(server.KindInvoke)
+	for i := 0; i < writes; i++ {
+		if _, err := cl.InvokeObject(ctx, add); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := counter.requests(server.KindInvoke) - invokes; got != writes {
+		t.Fatalf("%d client frames for %d writes", got, writes)
+	}
+	if got := peerFrames() - before; got != writes {
+		t.Fatalf("%d peer request frames for %d sequential RF-2 writes, want exactly one each", got, writes)
+	}
 }
 
 // The rf=1 budgets: one sequential AddAndGet and one Get on an ephemeral

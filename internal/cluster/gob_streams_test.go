@@ -23,7 +23,7 @@ func gobStreamsDuring(t *testing.T, f func() error) uint64 {
 
 // The per-operation frames carry no gob: on an RF-2 cluster with leases
 // and the client cache on, a write that revokes a cached lease — the
-// invalidation, then PROPOSE, FINAL and their replies — and a lease grant,
+// invalidation, then the ACCEPT and its reply — and a lease grant,
 // which ships the object's tag-encoded state body (the primary's Snapshot
 // and the client's Restore), open no gob stream.
 func TestControlFramesOpenNoGobStreams(t *testing.T) {

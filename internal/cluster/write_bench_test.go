@@ -13,8 +13,8 @@ import (
 
 // The write-path microbenchmarks (`go test -run '^$' -bench BenchmarkWrite
 // -benchmem ./internal/cluster/`): parallel increments of one hot counter
-// on a 3-node RF=2 cluster, with group commit off (one Skeen ordering
-// round per increment) and on (concurrent increments coalesce into shared
+// on a 3-node RF=2 cluster, with group commit off (one ordering round
+// per increment) and on (concurrent increments coalesce into shared
 // rounds, DESIGN.md §5e). The batch-size ablation shows where the
 // amortization saturates. Parallelism is the point — group commit only has
 // something to coalesce when writes are concurrent — so every benchmark

@@ -244,7 +244,7 @@ func decodeWireResponse(data []byte) (Response, error) {
 }
 
 // The exported append helpers and Reader are what other packages build
-// their tag-encoded frames from — the Skeen and lease control frames and
+// their tag-encoded frames from — the ACCEPT and lease control frames and
 // the transfer record of internal/server, the built-in objects' state
 // bodies, the statefun layer's mailbox values: the same field encodings as
 // the invocation format, without its preamble. Such a frame starts with one

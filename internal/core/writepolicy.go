@@ -8,13 +8,13 @@ package core
 // chosen in one place round-trips unchanged to every layer.
 //
 // The policy decides how many invocations one replicated round carries
-// (DESIGN.md §5e). There is a single round — one total-order multicast,
-// one lease fence, one apply at every replica, one fork check — and it
+// (DESIGN.md §5e). There is a single round — one seq in the object's
+// order, one lease fence, one apply at every replica, one fork check — and it
 // takes 1..N invocations on one object. With batching on, concurrent
 // mutations of one object queue per object and are flushed, as soon as
 // one of the object's two pipeline slots is free, as rounds of up to
-// MaxBatch stamped invocations; a round's FINAL acks overlap the next
-// round's proposes.
+// MaxBatch stamped invocations; a round's member replies overlap the next
+// round's apply and ACCEPT.
 //
 // The zero value means rounds of one: every write runs its own round
 // inline on the goroutine that received it — no queue, no hand-off, no

@@ -16,7 +16,7 @@ import (
 )
 
 // Record is one committed delivery in the log. Origin and Seq are the
-// delivery's total-order message identity (totalorder.MsgID), recorded so
+// round's identity (totalorder.MsgID), recorded so
 // replay tooling can correlate log entries with traces; Version is the
 // object copy's apply version immediately after the delivery — the replay
 // gate: recovery re-applies a record only onto a copy whose version is

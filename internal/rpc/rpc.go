@@ -57,6 +57,12 @@ const (
 // connection fails.
 var ErrClientClosed = errors.New("rpc: client closed")
 
+// RemoteError is the error a handler returned, as Call reports it: the
+// request reached the peer and was answered, so the connection is sound.
+type RemoteError string
+
+func (e RemoteError) Error() string { return string(e) }
+
 // Payload buffer pool. Incoming frame payloads, outgoing encode buffers
 // and handler responses all cycle through here so a warmed-up connection
 // serves calls without per-message allocations.
@@ -462,7 +468,7 @@ func (c *Client) readLoop() {
 			continue // caller gave up (context cancelled)
 		}
 		if f.flags&flagError != 0 {
-			p.ch <- result{err: errors.New(string(f.payload))}
+			p.ch <- result{err: RemoteError(f.payload)}
 			PutBuffer(f.payload)
 		} else {
 			p.ch <- result{payload: f.payload}

@@ -86,7 +86,8 @@ func TestCallHandlerError(t *testing.T) {
 		return nil, errors.New("boom from handler")
 	})
 	_, err := c.Call(context.Background(), 0, []byte("x"))
-	if err == nil || err.Error() != "boom from handler" {
+	var remote RemoteError
+	if !errors.As(err, &remote) || err.Error() != "boom from handler" {
 		t.Fatalf("want handler error, got %v", err)
 	}
 }

@@ -12,20 +12,22 @@ import (
 )
 
 // Group commit on the SMR write path (DESIGN.md §5e): instead of one
-// Skeen ordering round per mutation, concurrent writes to one object are
-// queued per ref and flushed as a batch — one MsgID, one payload carrying
-// up to WritePolicy.MaxBatch stamped invocations — so the whole replica
-// group pays a single PROPOSE/FINAL exchange, one lease-revocation fence
-// and one monitor acquisition for N operations. Up to pipelineDepth rounds
-// per ref may be in flight concurrently:
-// the in-flight admission check only refuses *other* coordinators
-// (inflightTracker.admit), and Skeen orders concurrent rounds from one
-// origin consistently at every member, so pipelining overlaps round k's
-// FINAL acks with round k+1's proposes without giving up linearizability.
+// ordering round per mutation, concurrent writes to one object are queued
+// per ref and flushed as a batch — one MsgID, one payload carrying up to
+// WritePolicy.MaxBatch stamped invocations — so the whole replica group
+// pays a single ACCEPT exchange, one lease-revocation fence and one
+// monitor acquisition for N operations. Up to pipelineDepth rounds per ref
+// may be in flight concurrently: the in-flight admission check only
+// refuses *other* coordinators (inflightTracker.admit), and each round's
+// seq fixes its place in the ref's order at every member — the primary
+// applies its rounds in seq order by construction, and a member holds a
+// round that overtook its predecessor until that one applies (awaitTurn)
+// — so pipelining overlaps round k's member replies with round k+1's apply
+// and send without giving up linearizability.
 
 // pipelineDepth is how many group-commit rounds per ref may be in flight.
-// Two lets round k+1 form and propose while round k collects its FINAL
-// acks; the next cut waits for a free slot, so batches grow with load.
+// Two lets round k+1 form and go out while round k collects its member
+// replies; the next cut waits for a free slot, so batches grow with load.
 const pipelineDepth = 2
 
 // batchedWrite is one caller's mutation queued for group commit. done is
@@ -193,8 +195,9 @@ func (b *writeBatcher) flush(ref core.Ref, batch []*batchedWrite) {
 	n := b.n
 	// The round runs under its own deadline, not any caller's context: one
 	// canceled caller must not fail the other writes sharing the round.
-	// The bound covers the FINAL wait (10x peer timeout, like handleFinal)
-	// and the lease fence's worst case (revocation plus holder expiry).
+	// The bound covers a member holding the round and then pulling (see
+	// awaitTurn) with room to spare, and the lease fence's worst case
+	// (revocation plus holder expiry).
 	bound := 10 * n.waitTimeout()
 	if n.leases != nil {
 		bound = max(bound, 4*n.leases.ttl)
@@ -221,9 +224,9 @@ func (b *writeBatcher) flush(ref core.Ref, batch []*batchedWrite) {
 	group, view := n.replicaGroup(ref, batch[0].inv.Persist)
 	res, ordered, err := n.runRound(ctx, group, view, invs)
 	if ordered {
-		// Counted like smr_rounds, from the multicast on: a round that then
-		// fails its fork check or WAL wait was a group-commit round all the
-		// same.
+		// Counted like smr_rounds, from the local apply on: a round that a
+		// member then refuses, or that fails its fork check or WAL wait,
+		// was a group-commit round all the same.
 		n.cBatches.Inc()
 		n.hBatchSize.ObserveValue(int64(len(batch)))
 	}

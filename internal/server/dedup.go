@@ -15,10 +15,11 @@ import (
 // method like AtomicLong.Add moves state exactly once per client call.
 //
 // The window lives inside the entry and travels with it: on the SMR path
-// the stamp is recorded at apply time on every replica (the delivery order
-// is total, so all replicas agree on it), and rebalancing serializes the
-// window into the transfer snapshot. Wherever the object lands after a
-// crash or view change, its dedup memory lands with it.
+// the stamp is recorded at apply time on every replica (every replica
+// applies an object's rounds in one order, so all agree on it), and
+// rebalancing serializes the window into the transfer snapshot. Wherever
+// the object lands after a crash or view change, its dedup memory lands
+// with it.
 //
 // Bounds: dedupWindowPerClient stamps per client, dedupMaxClients clients
 // per object, both evicted FIFO. A window entry only matters while its

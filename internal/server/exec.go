@@ -10,6 +10,7 @@ import (
 	"crucial/internal/membership"
 	"crucial/internal/ring"
 	"crucial/internal/telemetry"
+	"crucial/internal/totalorder"
 )
 
 // entry is one resident object plus its monitor. The mutex serializes all
@@ -40,6 +41,14 @@ type entry struct {
 	// more — otherwise a snapshot taken before an op but installed after it
 	// would silently roll back an acknowledged update.
 	version uint64
+	// The ref's lane (see awaitTurn), guarded by mu: pos is where the copy
+	// stands in the ref's order, first the round that opened pos.Fence's
+	// order, recent the replies of the last rounds applied, and turn, when
+	// non-nil, is closed the next time pos moves, waking parked rounds.
+	pos    position
+	first  totalorder.MsgID
+	recent [laneMemory]laneRecord
+	turn   chan struct{}
 }
 
 func newEntry(obj core.Object, persist, syncObj bool, init []any) *entry {

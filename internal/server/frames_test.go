@@ -1,57 +1,88 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"testing"
 	"time"
 
 	"crucial/internal/core"
 	"crucial/internal/core/codectest"
+	"crucial/internal/durability"
 	"crucial/internal/membership"
+	"crucial/internal/netsim"
 	"crucial/internal/objects"
 	"crucial/internal/rpc"
+	"crucial/internal/storage/s3sim"
 	"crucial/internal/totalorder"
 )
 
-// A PROPOSE's payload stays queued in the total order after its handler
-// returns, and that is when the rpc server recycles the request buffer for
-// the next frame. The decoder must copy the payload out: one that aliased
-// the buffer would deliver whatever the next frame wrote there.
-func TestProposePayloadOutlivesRequestBuffer(t *testing.T) {
+// A round parked at a member — it arrived ahead of its predecessor —
+// keeps its payload past its decode: the WAL logs it once the round
+// applies, and flushes it later still, while the rpc server recycles the
+// request buffer for the next frame. The decoder must copy the payload
+// out: one that aliased the buffer would log whatever the next frame wrote
+// there, and a restart would replay it.
+func TestParkedAcceptPayloadOutlivesRequestBuffer(t *testing.T) {
 	net := rpc.NewMemNetwork()
 	dir := membership.NewDirectory(time.Hour)
-	n := startNode(t, validConfig(net, dir))
+	store := s3sim.New(s3sim.Options{Profile: netsim.Zero(), ListLag: -1})
+	cfg := validConfig(net, dir)
+	cfg.Durability, cfg.ColdStore = core.DurabilityPolicy{Enabled: true}, store
+	n := startNode(t, cfg)
+	ctx := context.Background()
 	ref := core.Ref{Type: objects.TypeAtomicLong, Key: "aliased"}
-	id := totalorder.MsgID{Origin: "n9", Seq: 1}
-	body := proposeMsg{ID: id, Fence: dir.View().Fence(), Payload: roundPayload(t, true,
-		core.Invocation{Ref: ref, Method: "Set", Args: []any{int64(42)}, Persist: true})}.encode()
+	set := func(seq uint64, v int64) []byte {
+		return acceptBody(t, dir, "n9", seq, seq == 1,
+			core.Invocation{Ref: ref, Method: "Set", Args: []any{v}, Persist: true})
+	}
+	if _, err := n.handleAccept(ctx, set(1, 7)); err != nil {
+		t.Fatal(err)
+	}
+	third := set(3, 42)
+	want, err := decodeAccept(bytes.Clone(third))
+	if err != nil {
+		t.Fatal(err)
+	}
+	parked := make(chan error, 1)
+	go func() {
+		_, err := n.handleAccept(ctx, third)
+		parked <- err
+	}()
+	for !n.inflight.busy(ref) { // admitted: the frame is decoded and parked
+		select {
+		case err := <-parked:
+			t.Fatalf("round 3 ran ahead of round 2: %v", err)
+		case <-time.After(time.Millisecond):
+		}
+	}
+	for i := range third { // the recycled buffer now holds another frame
+		third[i] = 0xff
+	}
+	if _, err := n.handleAccept(ctx, set(2, 9)); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-parked; err != nil {
+		t.Fatalf("parked round: %v", err)
+	}
+	if _, err := n.dur.log.SealSegment(ctx); err != nil {
+		t.Fatal(err)
+	}
+	recs, _, _, err := durability.ReadLog(ctx, store, "n1", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 3 || recs[2].Seq != 3 || !bytes.Equal(recs[2].Payload, want.Payload) {
+		t.Fatalf("logged %d records; the parked round's is not its payload as sent", len(recs))
+	}
+}
 
-	out, err := n.handlePropose(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts, err := decodeTimestamp(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range body { // the recycled buffer now holds another frame
-		body[i] = 0xff
-	}
-	out, err = n.handleFinal(finalMsg{ID: id, TS: ts}.encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp, err := decodeFinalResp(out); err != nil || resp.Version != 1 {
-		t.Fatalf("FINAL reply %+v (err %v), want the round applied at version 1", resp, err)
-	}
-	e, ok := n.lookupExisting(ref)
-	if !ok {
-		t.Fatal("the queued round did not create its object")
-	}
-	got, err := n.applyOne(context.Background(), e, core.Invocation{Ref: ref, Method: "Get"})
-	if err != nil || len(got) != 1 || got[0] != int64(42) {
-		t.Fatalf("Get = %v (err %v), want 42", got, err)
-	}
+// acceptBody is an ACCEPT frame for a round from origin at seq under the
+// directory's current view, carrying invs.
+func acceptBody(t *testing.T, dir *membership.Directory, origin string, seq uint64, genesis bool, invs ...core.Invocation) []byte {
+	t.Helper()
+	return acceptMsg{ID: totalorder.MsgID{Origin: origin, Seq: seq}, Ref: invs[0].Ref,
+		At: position{Fence: dir.View().Fence(), Seq: seq}, Payload: roundPayload(t, genesis, invs...)}.encode()
 }
 
 // controlFrames lists every control frame codec with a sample message
@@ -60,12 +91,9 @@ func controlFrames() []codectest.Codec {
 	id := totalorder.MsgID{Origin: "n1", Seq: 1 << 40}
 	ref := core.Ref{Type: objects.TypeKV, Key: "k/1"}
 	return []codectest.Codec{
-		codectest.Of("propose", proposeMsg{ID: id, Payload: []byte("round payload"), Fence: 7},
-			codectest.Infallible(proposeMsg.encode), decodeProposeMsg),
-		codectest.Of("propose reply", uint64(12345), codectest.Infallible(encodeTimestamp), decodeTimestamp),
-		codectest.Of("final", finalMsg{ID: id, TS: 99}, codectest.Infallible(finalMsg.encode), decodeFinalMsg),
-		codectest.Of("final reply", finalResp{Version: 3, Replays: 1}, codectest.Infallible(finalResp.encode), decodeFinalResp),
-		codectest.Of("abort", id, codectest.Infallible(encodeAbort), decodeAbort),
+		codectest.Of("accept", acceptMsg{ID: id, Ref: ref, At: position{Fence: 7, Seq: 1 << 35}, Payload: []byte("round payload")},
+			codectest.Infallible(acceptMsg.encode), decodeAccept),
+		codectest.Of("accept reply", finalResp{Version: 3, Replays: 1}, codectest.Infallible(finalResp.encode), decodeFinalResp),
 		codectest.Of("lease request", LeaseRequest{Ref: ref, Persist: true, HolderAddr: "cache-1"},
 			codectest.Infallible(LeaseRequest.Encode), decodeLeaseRequest),
 		codectest.Of("lease response", LeaseResponse{Granted: true, Reason: "r", TTLMillis: 2000, Epoch: 5,
@@ -81,13 +109,28 @@ func TestControlFramesRoundTripAndRejectTruncation(t *testing.T) {
 	codectest.CheckFrames(t, controlFrames())
 }
 
-// FuzzControlFrames throws raw bytes at all eight control frame decoders.
+// FuzzControlFrames throws raw bytes at all five control frame decoders.
 // Any outcome is acceptable except a panic or a runaway allocation; a frame
-// that decodes must re-encode to one that decodes the same.
+// that decodes must re-encode to one that decodes the same. Besides the
+// table's frames the seeds hold the retired Skeen frames (PROPOSE, its
+// timestamp reply, FINAL, its reply, ABORT), which no decoder may accept,
+// and ACCEPT frames with a field that overflows or runs past the end.
 func FuzzControlFrames(f *testing.F) {
+	accept := acceptMsg{ID: totalorder.MsgID{Origin: "n1", Seq: 9}, Ref: core.Ref{Type: "T", Key: "k"},
+		At: position{Fence: 5, Seq: 2}, Payload: []byte{1, 2}}.encode()
 	codectest.FuzzFrames(f, controlFrames(),
-		[]byte{frameLeaseRequest, 0, 0, 2, 0}, // a bool byte that is neither 0 nor 1
-		[]byte{framePropose, 1, 'n', 1, 0, 0xff, 0xff, 0xff, 0xff, 0x0f})
+		[]byte{frameLeaseRequest, 0, 0, 2, 0},   // a bool byte that is neither 0 nor 1
+		[]byte{'P', 2, 'n', '1', 9, 5, 2, 1, 2}, // PROPOSE: MsgID, Fence, Payload
+		[]byte{'p', 12},                         // its timestamp reply
+		[]byte{'F', 2, 'n', '1', 9, 99},         // FINAL: MsgID, TS
+		[]byte{'f', 3, 1},                       // FINAL's reply
+		[]byte{'A', 2, 'n', '1', 9},             // ABORT: MsgID
+		[]byte{frameAccept, 1, 'n', 1, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f},                           // a fence past the end
+		append([]byte{frameAccept, 1, 'n', 1, 1, 'T', 1, 'k', 5}, bytes.Repeat([]byte{0xff}, 11)...), // a seq overflowing uint64
+		append(bytes.Clone(accept[:len(accept)-3]), 0x7f, 1, 2),                                      // a payload length past the end
+		[]byte{frameAcceptReply, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, 0},      // a version of ten bytes
+		accept[:1],
+	)
 }
 
 // stateFrames lists the frames that carry object state between nodes and
@@ -101,7 +144,7 @@ func stateFrames() []codectest.Codec {
 	dedup.record(7, 2, nil, "boom")
 	dedup.record(3, 1, []any{true}, "")
 	msg := transferMsg{Ref: ref, Init: []any{int64(1), nil}, Persist: true, Snapshot: []byte("state body"),
-		Dedup: dedup, Version: 1 << 33, Stale: true, Repair: true}
+		Dedup: dedup, Version: 1 << 33, Fence: 1 << 60, Seq: 5, Stale: true, Repair: true}
 	return []codectest.Codec{
 		codectest.Of("transfer", msg, transferMsg.encode, decodeTransfer),
 		codectest.Of("fetch", ref, codectest.Infallible(encodeFetch), decodeFetch),

@@ -33,8 +33,8 @@ import (
 // receipt), so wall-clock skew cannot resurrect a fenced lease.
 //
 // Revocation is two-sided. The coordinator revokes its own grants before
-// multicasting (prepareWrite); every *other* group member revokes its
-// grants when the op is delivered to it, before answering the FINAL that
+// sequencing (prepareWrite); every *other* group member revokes its
+// grants when the round reaches it, before answering the ACCEPT that
 // gates the coordinator's ack (memberWriteFence, called from applyOrdered).
 // The member side exists because coordinator and grantor can be different
 // nodes around a view change: a deposed primary, its fence unarmed, may
@@ -42,7 +42,7 @@ import (
 // validated against the directory's latest view — has already granted
 // leases. Those grants live in the new primary's table where the
 // coordinator's revocation round never looks; the new primary is in the
-// write's replica group (or the propose fence would have refused the op),
+// write's replica group (or the view fence would have refused the round),
 // so its delivery-time revocation kills them before the write is acked.
 //
 // View changes where the grantor is *not* in the writing group are fenced
@@ -132,7 +132,7 @@ type InvalidateMsg struct {
 	Epoch uint64
 }
 
-// The lease frames are control frames like the Skeen ones (see core.OpenFrame):
+// The lease frames are control frames like the ACCEPT one (see core.OpenFrame):
 // a tag byte, then the fields, decoded strictly and copied out. The client
 // cache reaches them only through LeaseRequest.Encode, DecodeLeaseResponse
 // and DecodeInvalidateMsg, so their format lives in this file alone.
@@ -298,8 +298,8 @@ func (lt *leaseTable) grant(req LeaseRequest) LeaseResponse {
 		return lt.refusal("object not resident")
 	}
 	if n.inflight.busy(req.Ref) {
-		// An accepted-but-undelivered proposal is invisible to our copy;
-		// a lease granted now could miss an operation another coordinator
+		// An accepted-but-unapplied round is invisible to our copy; a
+		// lease granted now could miss an operation another coordinator
 		// already committed.
 		return lt.refusal("ops in flight")
 	}
@@ -583,7 +583,7 @@ func (n *Node) prepareWrite(ctx context.Context, ref core.Ref) (func(), error) {
 // coordinated. The coordinator's prepareWrite only revokes leases in *its*
 // table; around a view change this node may hold grants of its own (it is
 // the primary in the directory's latest view while a deposed coordinator
-// still writes under its old one), and those must die before the FINAL
+// still writes under its old one), and those must die before the ACCEPT
 // reply that lets the coordinator ack. Returns the func that re-enables
 // grants (to call after the round has applied, so no grant can snapshot
 // the pre-round state) and an error when the revocation round could not
@@ -616,7 +616,7 @@ func (n *Node) memberWriteFence(origin string, ref core.Ref) (func(), error) {
 // without a round, for an object whose group has rf members, when this node
 // can prove its copy current: the directory's latest view names it primary
 // (a deposed one could miss writes the new one acks), the copy is resident
-// and no proposal is in flight. A replica group also needs leases, which
+// and no round is in flight here. A replica group also needs leases, which
 // fence-delay a new primary's first write past this check; a group of one
 // has no other copy. Otherwise ok = false and the caller runs a round.
 func (n *Node) tryLocalRead(ctx context.Context, inv core.Invocation, rf int) ([]any, error, bool) {

@@ -33,8 +33,8 @@ import (
 //
 //   - No dual primary: until the flip lands, only the fenced source
 //     primary can coordinate for the ref (the directive table still names
-//     it), and it is bouncing everything; after the flip, proposals
-//     carrying the old view's fence are refused by handlePropose.
+//     it), and it is bouncing everything; after the flip, rounds
+//     carrying the old view's fence are refused (handleAccept).
 //   - No lost update: the push happens after the quiesce, so the snapshot
 //     contains every applied operation, and the flip only happens after
 //     the push to the new primary succeeded — the new primary never

@@ -1,7 +1,7 @@
 // Package server implements a DSO node: the in-memory grid server that
 // stores shared objects, executes shipped method calls under per-object
 // monitors (linearizability + server-side blocking), replicates persistent
-// objects through total-order multicast, and rebalances state on membership
+// objects by primary-sequenced rounds, and rebalances state on membership
 // changes (paper Sections 4 and 5).
 package server
 
@@ -23,24 +23,25 @@ import (
 	"crucial/internal/ring"
 	"crucial/internal/rpc"
 	"crucial/internal/telemetry"
-	"crucial/internal/totalorder"
 )
 
 // RPC kinds multiplexed on node connections.
 const (
 	// KindInvoke is a client object invocation.
 	KindInvoke uint8 = 1
-	// KindPropose and KindFinal are Skeen protocol messages between nodes
-	// (tag-encoded control frames, see smr.go).
-	KindPropose uint8 = 2
-	KindFinal   uint8 = 3
+	// KindAccept carries one replication round to a group member (an
+	// ACCEPT frame, see smr.go); the reply is the member's outcome.
+	KindAccept uint8 = 2
+	// KindPropose is KindAccept's number under its former name.
+	KindPropose = KindAccept
+	// 3 is retired (Skeen FINAL); do not reuse it.
+
 	// KindTransfer pushes an object snapshot during rebalancing (a
 	// transferMsg frame).
 	KindTransfer uint8 = 4
 	// KindPing is a health check.
 	KindPing uint8 = 5
-	// KindAbort drops an abandoned total-order message (a control frame).
-	KindAbort uint8 = 6
+	// 6 is retired (Skeen ABORT); do not reuse it.
 	// KindStats returns the node's counters and telemetry snapshot
 	// (gob-encoded Snapshot) for dso-cli stats and cluster dashboards.
 	KindStats uint8 = 7
@@ -163,11 +164,11 @@ type Config struct {
 	// checkpoints (s3sim in simulation). Required when Durability.Enabled;
 	// nil disables the tier regardless of policy.
 	ColdStore durability.Storage
-	// PeerCallTimeout bounds each inter-node RPC attempt (Skeen control
-	// messages, state transfers). Without it, a frame lost in the network
-	// blocks the coordinator forever and its orphaned proposal wedges the
-	// total-order queue on every replica. Zero means the 2s default;
-	// negative disables the bound.
+	// PeerCallTimeout bounds each inter-node RPC attempt (ACCEPT frames,
+	// fetches, state transfers), and how long a member holds a round that
+	// arrived ahead of its predecessor before it pulls a copy instead.
+	// Without it, a frame lost in the network blocks its round forever.
+	// Zero means the 2s default; negative disables the bound.
 	PeerCallTimeout time.Duration
 	// Telemetry, when non-nil, records server-side spans (attached to the
 	// caller's trace via the invocation's TraceContext), execution and
@@ -242,22 +243,14 @@ type Node struct {
 	peers  map[ring.NodeID]*rpc.Client
 
 	// replication
-	to          *totalorder.Node
 	inflight    *inflightTracker
 	peerTimeout time.Duration
 	seq         atomic.Uint64
-
-	// rounds holds every ordering round this node is coordinating, from
-	// before its multicast until its runRound returns (see round).
-	roundMu sync.Mutex
-	rounds  map[totalorder.MsgID]*round
-	// beforeApply is a test hook: orderAlone calls it between fence and apply.
+	// epoch is the installed view's fence with a channel closed when the
+	// next view installs (see viewEpoch).
+	epoch atomic.Pointer[viewEpoch]
+	// beforeApply is a test hook: applyOrdered calls it first.
 	beforeApply func(core.Ref)
-
-	// applied holds this node's member-side round outcomes awaiting their
-	// FINAL reply, the other half of the fork check (see finalResp).
-	applyMu sync.Mutex
-	applied map[totalorder.MsgID]finalResp
 
 	// batcher is the group-commit submit queue, nil when Config.Write
 	// disables batching: every round is then a round of one, run inline.
@@ -303,6 +296,7 @@ type Node struct {
 	bundleTrack     *telemetry.ObjectTracker
 	cInvocations    *telemetry.Counter
 	cSMRRounds      *telemetry.Counter
+	cForkRefusals   *telemetry.Counter
 	cTransfers      *telemetry.Counter
 	cTransfersStale *telemetry.Counter
 	cPulls          *telemetry.Counter
@@ -340,8 +334,6 @@ func Start(cfg Config) (*Node, error) {
 		profile: cfg.Profile,
 		objects: make(map[core.Ref]*entry),
 		peers:   make(map[ring.NodeID]*rpc.Client),
-		rounds:  make(map[totalorder.MsgID]*round),
-		applied: make(map[totalorder.MsgID]finalResp),
 		log:     telemetry.Logger(telemetry.CompServer).With("node", string(cfg.ID)),
 	}
 	if cfg.ServiceTime > 0 && cfg.ServiceConcurrency > 0 {
@@ -380,6 +372,7 @@ func Start(cfg Config) (*Node, error) {
 	n.cLeaseRevokes = n.metrics.Counter(telemetry.MetServerLeaseRevokes)
 	n.cLeaseExpiryWaits = n.metrics.Counter(telemetry.MetServerLeaseExpiryWts)
 	n.cLocalReads = n.metrics.Counter(telemetry.MetServerLocalReads)
+	n.cForkRefusals = n.metrics.Counter(telemetry.MetServerForkRefusals)
 	n.cBatches = n.metrics.Counter(telemetry.MetServerBatches)
 	n.hBatchSize = n.metrics.Histogram(telemetry.HistServerBatchSize)
 	n.cMigrations = n.metrics.Counter(telemetry.MetServerMigrations)
@@ -391,20 +384,18 @@ func Start(cfg Config) (*Node, error) {
 	if cfg.Write.Batching() {
 		n.batcher = newWriteBatcher(n, cfg.Write.MaxBatch)
 	}
-	n.to = totalorder.NewNode(string(cfg.ID), n.deliver)
 	switch {
 	case cfg.PeerCallTimeout > 0:
 		n.peerTimeout = cfg.PeerCallTimeout
 	case cfg.PeerCallTimeout == 0:
 		n.peerTimeout = 2 * time.Second
 	}
-	if n.peerTimeout > 0 {
-		// The orphan TTL must comfortably exceed the window in which a
-		// live coordinator could still finalize or abort (propose timeout
-		// plus abort retries), or the GC itself would drop in-flight ops.
-		n.to.SetPendingTTL(10 * n.peerTimeout)
-	}
-	n.inflight = newInflightTracker(10 * n.peerTimeout)
+	n.inflight = newInflightTracker()
+	// MsgIDs stay unique across restarts of a node: a restarted primary's
+	// first round under an unchanged fence must read as a new order to
+	// its members (see laneTurn).
+	n.seq.Store(uint64(time.Now().UnixNano()))
+	n.epoch.Store(&viewEpoch{fence: membership.View{}.Fence(), next: make(chan struct{})})
 
 	l, err := cfg.Transport.Listen(cfg.Addr)
 	if err != nil {
@@ -522,11 +513,6 @@ func (n *Node) shutdown() error {
 		// in-flight scan's peer calls fail fast against closed peers.
 		n.rebal.stopWait()
 	}
-	// Abort FINAL handlers parked in WaitDelivered (see totalorder.Close):
-	// they hold RPC handler slots, and waiting out their full bound here
-	// would stall the shutdown — and everything sequenced after it — for
-	// seconds.
-	n.to.Close()
 	if n.batcher != nil {
 		// Queued-but-unflushed writes fail with ErrStopped; rounds already
 		// in flight run out against the closing transport under their own
@@ -576,14 +562,10 @@ func (n *Node) handle(ctx context.Context, kind uint8, payload []byte) ([]byte, 
 	switch kind {
 	case KindInvoke:
 		return n.handleInvoke(ctx, payload)
-	case KindPropose:
-		return n.handlePropose(payload)
-	case KindFinal:
-		return n.handleFinal(payload)
+	case KindAccept:
+		return n.handleAccept(ctx, payload)
 	case KindTransfer:
 		return n.handleTransfer(payload)
-	case KindAbort:
-		return n.handleAbort(payload)
 	case KindStats:
 		return core.EncodeValue(n.Snapshot())
 	case KindObjectStats:

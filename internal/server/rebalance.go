@@ -36,6 +36,10 @@ type transferMsg struct {
 	Snapshot []byte
 	Dedup    dedupState
 	Version  uint64
+	// Fence and Seq are the copy's position in its ref's order (see
+	// position): a receiver that installs it, or already holds the same
+	// version, resumes its lane after it (see installTransfer).
+	Fence, Seq uint64
 
 	// Stale carries the sender's stale mark (see markStale) with the
 	// snapshot: a copy that may be behind the committed history must not
@@ -56,9 +60,9 @@ type transferMsg struct {
 
 // fetchResp answers a KindFetch pull: the requested object's snapshot,
 // Found=false when this node holds no copy, or Busy=true when the object
-// has accepted-but-undelivered proposals here. A busy snapshot would miss
-// an operation the puller may never receive by multicast (it was not in
-// that op's group), so the puller must retry rather than adopt it — and
+// has accepted-but-unapplied rounds here. A busy snapshot would miss
+// an operation the puller may never receive from its coordinator (it was
+// not in that round's group), so the puller must retry rather than adopt it — and
 // must not mistake Busy for "no copy anywhere" and create the object
 // fresh.
 type fetchResp struct {
@@ -68,7 +72,7 @@ type fetchResp struct {
 }
 
 // The transfer record and the fetch frames are control frames like the
-// Skeen ones (see smr.go): a tag byte, then the fields, decoded strictly
+// ACCEPT one (see smr.go): a tag byte, then the fields, decoded strictly
 // and copied out. A checkpoint blob is one frameTransfer frame, so a blob
 // written by another layout (a gob one from an older build) does not
 // decode and recovery skips it.
@@ -79,7 +83,7 @@ const (
 )
 
 // appendTransfer appends Ref, Init values, Persist, Snapshot, the dedup
-// window (appendDedup), Version, Stale and Repair. It fails only when a
+// window (appendDedup), Version, Fence, Seq, Stale and Repair. It fails only when a
 // value has no encoding (see core.AppendValues).
 func appendTransfer(dst []byte, m transferMsg) ([]byte, error) {
 	dst, err := core.AppendValues(appendRef(dst, m.Ref), m.Init)
@@ -90,7 +94,7 @@ func appendTransfer(dst []byte, m transferMsg) ([]byte, error) {
 	if dst, err = appendDedup(dst, m.Dedup); err != nil {
 		return nil, err
 	}
-	dst = binary.AppendUvarint(dst, m.Version)
+	dst = binary.AppendUvarint(binary.AppendUvarint(binary.AppendUvarint(dst, m.Version), m.Fence), m.Seq)
 	return core.AppendBool(core.AppendBool(dst, m.Stale), m.Repair), nil
 }
 
@@ -111,6 +115,12 @@ func readTransfer(r *core.Reader) (m transferMsg, err error) {
 		m.Version, err = r.Uvarint()
 	}
 	if err == nil {
+		m.Fence, err = r.Uvarint()
+	}
+	if err == nil {
+		m.Seq, err = r.Uvarint()
+	}
+	if err == nil {
 		m.Stale, err = r.Bool()
 	}
 	if err == nil {
@@ -127,7 +137,7 @@ func transferSize(m transferMsg) int {
 
 // encode returns the KindTransfer frame (also a checkpoint blob).
 func (m transferMsg) encode() ([]byte, error) {
-	b, err := appendTransfer(core.NewFrame(frameTransfer, transferSize(m), 6), m)
+	b, err := appendTransfer(core.NewFrame(frameTransfer, transferSize(m), 8), m)
 	if err != nil {
 		return nil, fmt.Errorf("server: encode transfer %s: %w", m.Ref, err)
 	}
@@ -156,7 +166,7 @@ func decodeFetch(data []byte) (core.Ref, error) {
 }
 
 func (f fetchResp) encode() ([]byte, error) {
-	b := core.AppendBool(core.AppendBool(core.NewFrame(frameFetchResp, 2+transferSize(f.Msg), 6), f.Found), f.Busy)
+	b := core.AppendBool(core.AppendBool(core.NewFrame(frameFetchResp, 2+transferSize(f.Msg), 8), f.Found), f.Busy)
 	b, err := appendTransfer(b, f.Msg)
 	if err != nil {
 		return nil, fmt.Errorf("server: encode fetch reply %s: %w", f.Msg.Ref, err)
@@ -180,6 +190,15 @@ func decodeFetchResp(data []byte) (fetchResp, error) {
 	return f, nil
 }
 
+// viewEpoch is an installed view's fence, which every round's fence is
+// checked against, and a channel closed when the next view installs, which
+// wakes the rounds waiting on a view (handleAccept, awaitTurn) so that
+// they check it again.
+type viewEpoch struct {
+	fence uint64
+	next  chan struct{}
+}
+
 // onView installs a new view and rebalances. The directory serializes
 // listener invocations, so onView never runs concurrently with itself.
 func (n *Node) onView(v membership.View) {
@@ -189,6 +208,7 @@ func (n *Node) onView(v membership.View) {
 	n.view = v
 	n.ringCur = v.Ring()
 	newRing := n.ringCur
+	close(n.epoch.Swap(&viewEpoch{fence: v.Fence(), next: make(chan struct{})}).next)
 	n.viewMu.Unlock()
 
 	if oldRing == nil || n.closed.Load() {
@@ -203,19 +223,12 @@ func (n *Node) onView(v membership.View) {
 		n.leases.onViewChange()
 	}
 	n.log.Debug("view installed, rebalancing", "view", v.ID, "members", len(v.Members))
-	// Flush the total-order layer: a coordinator that died mid-multicast
-	// must not hold back deliveries forever (view-synchrony flush).
-	alive := func(origin string) bool {
-		return origin == string(n.cfg.ID) || v.Contains(ring.NodeID(origin))
-	}
-	n.to.PurgeOrigins(alive)
-	n.inflight.purge(alive)
 	n.rebalance(oldView, oldRing, newRing, v)
 	// A migration fence held for an object this node no longer owns can
 	// lift: the directive flip it was guarding has landed (or membership
 	// moved the key anyway), and the new primary serves from here on. Not
 	// before the rebalance: until the copy is dropped there, the fence is
-	// what keeps a late rf=1 call off it (see orderAlone and applyOne).
+	// what keeps a late rf=1 call off it (see sequence and applyOne).
 	n.liftMigrationFences(v)
 }
 
@@ -325,6 +338,8 @@ func (n *Node) snapshotEntry(ref core.Ref, e *entry) (transferMsg, error) {
 		Snapshot: data,
 		Dedup:    e.dedup.clone(),
 		Version:  e.version,
+		Fence:    e.pos.Fence,
+		Seq:      e.pos.Seq,
 	}
 	e.mu.Unlock()
 	if err != nil {
@@ -348,10 +363,10 @@ const maxPushRounds = 3
 // target has everything this copy has. repair is transferMsg.Repair.
 func (n *Node) pushObject(ref core.Ref, e *entry, target ring.NodeID, repair bool) error {
 	for round := 0; round < maxPushRounds; round++ {
-		// Quiesce before snapshotting: an accepted-but-undelivered proposal
-		// is invisible to the snapshot, and the target — not a member of
-		// that op's group — can only ever get it from a snapshot taken
-		// after it applied. If the object will not quiesce within the
+		// Quiesce before snapshotting: an accepted-but-unapplied round is
+		// invisible to the snapshot, and the target — not a member of that
+		// round's group — can only ever get it from a snapshot taken after
+		// it applied. If the object will not quiesce within the
 		// bound, abort rather than ship: a target left non-resident is
 		// safe (its next access pulls under the fetch barrier), while a
 		// target holding a behind snapshot looks resident and would
@@ -459,6 +474,7 @@ func (n *Node) installTransfer(msg transferMsg) error {
 		e = newEntry(obj, msg.Persist, false, msg.Init)
 		e.dedup = msg.Dedup
 		e.version = msg.Version
+		e.pos = position{Fence: msg.Fence, Seq: msg.Seq}
 		n.objects[msg.Ref] = e
 		n.objMu.Unlock()
 		n.transfers.Add(1)
@@ -470,7 +486,16 @@ func (n *Node) installTransfer(msg transferMsg) error {
 	e.mu.Lock()
 	n.objMu.Unlock()
 	defer e.mu.Unlock()
+	at := position{Fence: msg.Fence, Seq: msg.Seq}
 	if e.version > msg.Version || (e.version == msg.Version && !msg.Repair) {
+		if at.Fence == n.epoch.Load().fence && (e.pos.Fence != at.Fence || at.Seq > e.pos.Seq) {
+			// Further along the installed view's order than this lane:
+			// resume after it even though its state stays out. At an equal
+			// version the rounds between were reads or replays; a copy
+			// ahead of the sender's is a divergence that only the fork
+			// check can settle, and it sees one only on rounds that apply.
+			e.setPos(at)
+		}
 		n.cTransfersStale.Inc()
 		n.log.Debug("stale transfer ignored", "ref", msg.Ref.String(),
 			"local_version", e.version, "snapshot_version", msg.Version)
@@ -485,6 +510,11 @@ func (n *Node) installTransfer(msg transferMsg) error {
 	e.init = msg.Init
 	e.dedup = msg.Dedup
 	e.version = msg.Version
+	if at.Fence != e.pos.Fence || at.Seq > e.pos.Seq {
+		// Resume the lane after the copy; within one order a position
+		// never moves back.
+		e.setPos(at)
+	}
 	if n.leases != nil {
 		// The copy just changed under any lease we granted on it (an
 		// anti-entropy refresh landing while we hold grants). The view
@@ -550,7 +580,7 @@ func (n *Node) handleFetch(payload []byte) ([]byte, error) {
 // tainted) or a firm "no copy" — the primary adopts the highest-versioned
 // state on offer and clears its mark anyway: the poll proves no better
 // copy survives anywhere in the group, and an op acknowledged under the
-// apply-at-every-member barrier (see handleFinal) is on at least one
+// apply-at-every-member barrier (see handleAccept) is on at least one
 // surviving copy after any single failure, so the adopted maximum
 // contains every acknowledged write. An unreachable or busy peer makes
 // the poll indefinite and the mark stays.

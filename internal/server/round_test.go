@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -23,13 +24,16 @@ import (
 
 // startPair boots n1 and n2 at RF 2 on one directory and returns them with
 // a persistent ref of the given type that n1 leads. reg2 (nil: builtins) is
-// n2's registry.
-func startPair(t *testing.T, typ string, leaseTTL time.Duration, reg2 *core.Registry) (n1, n2 *Node, dir *membership.Directory, ref core.Ref) {
+// n2's registry; peerTimeout (zero: the default) is both nodes'.
+func startPair(t *testing.T, typ string, leaseTTL time.Duration, reg2 *core.Registry, peerTimeout ...time.Duration) (n1, n2 *Node, dir *membership.Directory, ref core.Ref) {
 	t.Helper()
 	net := rpc.NewMemNetwork()
 	dir = membership.NewDirectory(time.Hour)
 	cfg := validConfig(net, dir)
 	cfg.RF, cfg.LeaseTTL = 2, leaseTTL
+	if len(peerTimeout) > 0 {
+		cfg.PeerCallTimeout = peerTimeout[0]
+	}
 	n1 = startNode(t, cfg)
 	cfg.ID, cfg.Addr = "n2", "n2"
 	if reg2 != nil {
@@ -181,10 +185,12 @@ func TestForkCheckRefusesReplayAsymmetry(t *testing.T) {
 
 // A round carries the fence of the view its group was computed from. One
 // whose group predates a view change (it sat out a crashed lease holder's
-// expiry in prepareWrite, say) must be refused by a member that has moved
-// on — stamping the fence at send time would let it through.
-func TestStaleGroupProposeFenced(t *testing.T) {
-	n1, _, dir, ref := startPair(t, objects.TypeAtomicLong, 0, nil)
+// expiry in prepareWrite, say) must be refused — stamping the fence at
+// send time would let it through. The coordinator refuses it before it
+// applies or sends anything, and a member refuses an ACCEPT fenced on a
+// view it has moved past (TestAcceptFencedOnViewMismatch).
+func TestStaleGroupAcceptFenced(t *testing.T) {
+	n1, n2, dir, ref := startPair(t, objects.TypeAtomicLong, 0, nil)
 	ctx := context.Background()
 	invs := []core.Invocation{{Ref: ref, Method: "IncrementAndGet", Persist: true}}
 
@@ -194,11 +200,18 @@ func TestStaleGroupProposeFenced(t *testing.T) {
 	dir.SetDirective("unrelated", []ring.NodeID{"n2"})
 	_, _, err := n1.runRound(ctx, group, view, invs)
 	if !errors.Is(err, core.ErrRebalancing) || !strings.Contains(err.Error(), "fenced") {
-		t.Fatalf("round with view-v group at a view-v+1 member: err = %v, want a fenced ErrRebalancing", err)
+		t.Fatalf("round with view-v group at a view-v+1 node: err = %v, want a fenced ErrRebalancing", err)
+	}
+	if n1.DebugHasObject(ref) || n2.DebugHasObject(ref) {
+		t.Fatal("a fenced genesis round created a copy")
 	}
 	group, view = n1.replicaGroup(ref, true)
-	if _, _, err := n1.runRound(ctx, group, view, invs); err != nil {
+	res, _, err := n1.runRound(ctx, group, view, invs)
+	if err != nil {
 		t.Fatalf("round with the current group refused: %v", err)
+	}
+	if got := res[0].results[0]; got != int64(1) {
+		t.Fatalf("first acked increment returned %v: the fenced round applied", got)
 	}
 }
 
@@ -243,7 +256,7 @@ func TestBatchRoundCountedOnceOrdered(t *testing.T) {
 
 // An invoke cut short by its own node's shutdown must answer the retryable
 // ErrStopped, whatever the shutdown happened to break first (here: the
-// peer connection a PROPOSE is parked on).
+// peer connection an ACCEPT is parked on).
 func TestRoundOnStoppedNodeAnswersErrStopped(t *testing.T) {
 	net := rpc.NewMemNetwork()
 	dir := membership.NewDirectory(time.Hour)
@@ -255,7 +268,7 @@ func TestRoundOnStoppedNodeAnswersErrStopped(t *testing.T) {
 	}
 	defer func() { _ = n1.Crash() }()
 
-	// n2 is a member that accepts PROPOSE and never answers it.
+	// n2 is a member that takes an ACCEPT and never answers it.
 	parked := make(chan struct{}, 1)
 	release := make(chan struct{})
 	l, err := net.Listen("n2")
@@ -263,7 +276,7 @@ func TestRoundOnStoppedNodeAnswersErrStopped(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := rpc.NewServer(func(_ context.Context, kind uint8, _ []byte) ([]byte, error) {
-		if kind == KindPropose {
+		if kind == KindAccept {
 			parked <- struct{}{}
 			<-release
 		}
@@ -286,7 +299,7 @@ func TestRoundOnStoppedNodeAnswersErrStopped(t *testing.T) {
 		t.Fatalf("round ended before parking on the member: %v", err)
 	}
 	_ = n1.Crash()
-	close(release) // the redialed PROPOSE must not sit out a peer timeout
+	close(release) // the redialed ACCEPT must not sit out a peer timeout
 	select {
 	case err := <-done:
 		if !errors.Is(err, core.ErrStopped) {
@@ -298,7 +311,8 @@ func TestRoundOnStoppedNodeAnswersErrStopped(t *testing.T) {
 }
 
 // Every malformed round payload is rejected with an error, by the decoder
-// and by the PROPOSE handler that meets it first, without a panic.
+// and by the ACCEPT handler, without a panic and without admitting or
+// applying anything.
 func TestRoundPayloadDecodeRejects(t *testing.T) {
 	net := rpc.NewMemNetwork()
 	dir := membership.NewDirectory(time.Hour)
@@ -314,22 +328,19 @@ func TestRoundPayloadDecodeRejects(t *testing.T) {
 		"truncated part":  good[:len(good)-3],
 		"mixed refs":      roundPayload(t, false, a, b),
 		"garbage part":    totalorder.AppendBatch([]byte{roundGenesis}, [][]byte{[]byte("junk")}),
+		"another ref":     roundPayload(t, true, b),
 	}
 	for name, payload := range cases {
-		if _, _, err := decodeRoundPayload(payload); err == nil {
+		if _, _, err := decodeRoundPayload(payload); err == nil && name != "another ref" {
 			t.Errorf("%s: decoded", name)
 		}
-		if !n.deliver(totalorder.MsgID{Origin: "n9", Seq: 1}, payload) {
-			// Every replica rejects it identically: a deterministic
-			// outcome, not a skipped apply.
-			t.Errorf("%s: delivery reported a rebalancing-class skip", name)
+		body := acceptMsg{ID: totalorder.MsgID{Origin: "n9", Seq: 2}, Ref: a.Ref,
+			At: position{Fence: dir.View().Fence(), Seq: 1}, Payload: payload}.encode()
+		if _, err := n.handleAccept(context.Background(), body); err == nil {
+			t.Errorf("%s: accepted", name)
 		}
-		if name == "mixed refs" {
-			continue // admission reads only the first part; delivery voids the round
-		}
-		body := proposeMsg{ID: totalorder.MsgID{Origin: "n9", Seq: 2}, Payload: payload, Fence: dir.View().Fence()}.encode()
-		if _, err := n.handlePropose(body); err == nil {
-			t.Errorf("%s: proposed", name)
+		if n.inflight.busy(a.Ref) || n.DebugObjectCount() != 0 {
+			t.Fatalf("%s: left a round admitted or an object behind", name)
 		}
 	}
 	if _, invs, err := decodeRoundPayload(good); err != nil || len(invs) != 2 {
@@ -360,13 +371,17 @@ func TestReplayMixedRecordsReachLiveVersion(t *testing.T) {
 		{Origin: "n1", Seq: 2, Payload: roundPayload(t, false, inc(2), set, inc(3))},
 	}
 	for i := range records {
-		id := totalorder.MsgID{Origin: "n9", Seq: records[i].Seq}
-		if !live.deliver(id, records[i].Payload) {
-			t.Fatalf("live apply of record %d skipped", i)
+		body := acceptMsg{ID: totalorder.MsgID{Origin: "n9", Seq: records[i].Seq}, Ref: ref,
+			At: position{Fence: dir.View().Fence(), Seq: uint64(i + 1)}, Payload: records[i].Payload}.encode()
+		out, err := live.handleAccept(context.Background(), body)
+		if err != nil {
+			t.Fatalf("live apply of record %d: %v", i, err)
 		}
-		live.applyMu.Lock()
-		records[i].Version = live.applied[id].Version
-		live.applyMu.Unlock()
+		resp, err := decodeFinalResp(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		records[i].Version = resp.Version
 	}
 	if records[0].Version != 1 || records[1].Version != 3 {
 		t.Fatalf("live versions = %d, %d; want 1, 3", records[0].Version, records[1].Version)
@@ -426,5 +441,190 @@ func TestRecoveryRefusesForeignWALRecord(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "n1/2") {
 		t.Fatalf("err = %v, want it to name record n1/2", err)
+	}
+}
+
+// holdApplies makes n's applyOrdered park the first k rounds until the
+// returned release runs, announcing each on the returned channel.
+func holdApplies(t *testing.T, n *Node, k int32) (held <-chan struct{}, release func()) {
+	t.Helper()
+	arrived := make(chan struct{}, k)
+	gate := make(chan struct{})
+	var calls atomic.Int32
+	n.beforeApply = func(core.Ref) {
+		if calls.Add(1) <= k {
+			arrived <- struct{}{}
+			<-gate
+		}
+	}
+	var once sync.Once
+	release = func() { once.Do(func() { close(gate) }) }
+	t.Cleanup(release) // before the nodes crash: a failed run must not strand a handler
+	return arrived, release
+}
+
+// Two coordinators for one ref in different views cannot both be acked.
+// The old primary's round reaches a member that then installs the next
+// view, whose primary is that member; the round is held there well past
+// the old orphan TTL (ten peer timeouts). While it is in flight the new
+// primary's round is refused, and once released it may not apply under a
+// view the member has left, so neither is acked on state the other's
+// group never saw. The retry after it is acked on a copy holding the
+// released round's effect: the hand-off shipped it.
+func TestTwoCoordinatorsInTwoViewsNotBothAcked(t *testing.T) {
+	n1, n2, dir, ref := startPair(t, objects.TypeAtomicLong, 0, nil, 20*time.Millisecond)
+	ctx := context.Background()
+	add := func(seq uint64) core.Invocation {
+		return core.Invocation{Ref: ref, Method: "AddAndGet", Args: []any{int64(1)}, Persist: true, ClientID: 4, Seq: seq}
+	}
+	if _, err := n1.invoke(ctx, add(1)); err != nil {
+		t.Fatal(err)
+	}
+
+	held, release := holdApplies(t, n2, 2) // the ACCEPT and its redial
+	oldDone := make(chan error, 1)
+	go func() {
+		_, err := n1.invoke(ctx, add(2))
+		oldDone <- err
+	}()
+	<-held
+	dir.SetDirective(ref.String(), []ring.NodeID{"n2", "n1"})
+	time.Sleep(12 * n1.peerTimeout)
+	if _, err := n2.invoke(ctx, core.Invocation{Ref: ref, Method: "AddAndGet", Args: []any{int64(1)},
+		Persist: true, ClientID: 5, Seq: 1}); !errors.Is(err, core.ErrRebalancing) {
+		t.Fatalf("new primary's round with the old one's in flight: err = %v, want ErrRebalancing", err)
+	}
+	release()
+	if err := <-oldDone; err == nil {
+		t.Fatal("old primary's round acked after its member moved to the next view")
+	}
+	for n2.inflight.busy(ref) {
+		time.Sleep(time.Millisecond)
+	}
+	res, err := n2.invoke(ctx, core.Invocation{Ref: ref, Method: "AddAndGet", Args: []any{int64(1)},
+		Persist: true, ClientID: 5, Seq: 1})
+	if err != nil {
+		t.Fatalf("new primary's retry: %v", err)
+	}
+	if got := res[0].(int64); got != 3 {
+		t.Fatalf("new primary acked %d, want 3 (the old round's effect shipped with the hand-off)", got)
+	}
+}
+
+// A round that overtakes its predecessor at a member waits for it: round
+// k is held in the member's apply while round k+1 arrives, and k+1 applies
+// only after k. Both are acked, in order, and the copies end equal.
+func TestAcceptAppliesInSeqOrder(t *testing.T) {
+	n1, n2, _, ref := startPair(t, objects.TypeAtomicLong, 0, nil)
+	ctx := context.Background()
+	add := func() ([]any, error) {
+		return n1.invoke(ctx, core.Invocation{Ref: ref, Method: "AddAndGet", Args: []any{int64(1)}, Persist: true})
+	}
+	if _, err := add(); err != nil {
+		t.Fatal(err)
+	}
+	held, release := holdApplies(t, n2, 1)
+	results := make(chan []any, 2)
+	for i := 0; i < 2; i++ {
+		go func() {
+			res, err := add()
+			if err != nil {
+				t.Error(err)
+			}
+			results <- res
+		}()
+		if i == 0 {
+			<-held // round k is at the member, held
+		}
+	}
+	for !n2.inflight.busy(ref) {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond)
+	if v, _ := n2.DebugVersion(ref); v != 1 || len(results) != 0 {
+		t.Fatalf("round k+1 applied (member version %d, %d acked) while round k was held", v, len(results))
+	}
+	release()
+	got := []int64{(<-results)[0].(int64), (<-results)[0].(int64)}
+	if !(got[0] == 2 && got[1] == 3 || got[0] == 3 && got[1] == 2) {
+		t.Fatalf("acked %v, want 2 and 3", got)
+	}
+	s1, _ := n1.DebugSnapshot(ref)
+	s2, _ := n2.DebugSnapshot(ref)
+	v1, _ := n1.DebugVersion(ref)
+	v2, _ := n2.DebugVersion(ref)
+	if v1 != 3 || v2 != 3 || string(s1) != string(s2) {
+		t.Fatalf("copies differ after the reordered rounds: versions %d/%d", v1, v2)
+	}
+}
+
+// A view change releases a parked round at once: a round from a dead
+// origin, or fenced on a view the member has left, must not hold its ref
+// until the park bound runs out.
+func TestParkedRoundLeavesOnViewChange(t *testing.T) {
+	net := rpc.NewMemNetwork()
+	dir := membership.NewDirectory(time.Hour)
+	n := startNode(t, validConfig(net, dir))
+	ref := core.Ref{Type: objects.TypeAtomicLong, Key: "parked"}
+	inc := core.Invocation{Ref: ref, Method: "IncrementAndGet", Persist: true}
+	if _, err := n.handleAccept(context.Background(), acceptBody(t, dir, "n9", 1, true, inc)); err != nil {
+		t.Fatal(err)
+	}
+	parked := make(chan error, 1)
+	go func() {
+		_, err := n.handleAccept(context.Background(), acceptBody(t, dir, "n9", 3, false, inc))
+		parked <- err
+	}()
+	for !n.inflight.busy(ref) {
+		time.Sleep(time.Millisecond)
+	}
+	start := time.Now()
+	dir.SetDirective("elsewhere", []ring.NodeID{"n1"})
+	if err := <-parked; !errors.Is(err, core.ErrRebalancing) || !strings.Contains(err.Error(), "fenced") {
+		t.Fatalf("parked round after a view change: err = %v, want fenced", err)
+	}
+	if d := time.Since(start); d > n.waitTimeout()/2 {
+		t.Fatalf("parked round left %v after the view change", d)
+	}
+	if n.inflight.busy(ref) {
+		t.Fatal("released round still admitted")
+	}
+}
+
+// A member whose copy diverged ahead of the primary's (here: two ops the
+// primary never applied) still gets past a gap: its pull finds the
+// primary's copy further along the current order, and although that state
+// does not replace its own (a lower version), the lane resumes after it.
+// The next round then applies, and its reply — a version the primary does
+// not hold — is the fork check's to refuse; without the rule every later
+// round of the ref would park and give up.
+func TestGapPullAdoptsPositionOfOlderCopy(t *testing.T) {
+	n1, n2, dir, ref := startPair(t, objects.TypeAtomicLong, 0, nil, 50*time.Millisecond)
+	ctx := context.Background()
+	inc := core.Invocation{Ref: ref, Method: "IncrementAndGet", Persist: true}
+	if _, err := n1.invoke(ctx, inc); err != nil { // seq 1 at both
+		t.Fatal(err)
+	}
+	e2, _ := n2.lookupExisting(ref)
+	for i := 0; i < 2; i++ {
+		if _, err := n2.applyOne(ctx, e2, inc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Seq 2 applies at the primary only: its ACCEPT is lost.
+	fence := dir.View().Fence()
+	if _, _, err := n1.sequence(ctx, totalorder.MsgID{Origin: "n1", Seq: 2}, fence, false,
+		[]core.Invocation{inc}, nil); err != nil {
+		t.Fatal(err)
+	}
+	body := acceptMsg{ID: totalorder.MsgID{Origin: "n1", Seq: 3}, Ref: ref,
+		At: position{Fence: fence, Seq: 3}, Payload: roundPayload(t, false, inc)}.encode()
+	out, err := n2.handleAccept(ctx, body)
+	if err != nil {
+		t.Fatalf("round after the gap: %v", err)
+	}
+	resp, _ := decodeFinalResp(out)
+	if v1, _ := n1.DebugVersion(ref); resp.Version == v1+1 {
+		t.Fatalf("member reported version %d, the primary's next; want its own diverged count", resp.Version)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -357,11 +358,12 @@ func TestStaleTransferRefused(t *testing.T) {
 	}
 }
 
-// Regression: a committed SMR delivery for an object this replica holds no
-// base copy of (the hand-off transfer has not arrived) must be skipped, not
-// applied to a freshly created object — that would fork the object's
-// lineage. Genesis-flagged ops (first-ever op, coordinator held no copy
-// and neither did its peers) still create.
+// Regression: a round for an object this replica holds no base copy of
+// (the hand-off transfer has not arrived) must be refused, not applied to
+// a freshly created object — that would fork the object's lineage.
+// Genesis-flagged rounds (first-ever op, the coordinator held no copy and
+// neither did its peers) still create. A coordinator whose copy was
+// dropped under its round bounces it the same way.
 func TestDeliverWithoutBaseCopySkips(t *testing.T) {
 	net := rpc.NewMemNetwork()
 	dir := membership.NewDirectory(time.Hour)
@@ -372,50 +374,38 @@ func TestDeliverWithoutBaseCopySkips(t *testing.T) {
 	// poll indefinite: alone, the node's poll is trivially definitive and
 	// may clear the stale mark before the test reads it.
 	dir.Join("n2", "unreachable")
+	ctx := context.Background()
 
 	ref := core.Ref{Type: objects.TypeAtomicLong, Key: "nobase"}
-	invs := []core.Invocation{{Ref: ref, Method: "IncrementAndGet", Persist: true}}
+	inv := core.Invocation{Ref: ref, Method: "IncrementAndGet", Persist: true}
 
-	// Non-genesis round this node coordinates, no local copy: must skip and
-	// report a retryable error to the (local) waiter.
-	id := totalorder.MsgID{Origin: "n1", Seq: 1}
-	rd := &round{n: n, ref: ref, invs: invs, done: make(chan roundOutcome, 1)}
-	n.roundMu.Lock()
-	n.rounds[id] = rd
-	n.roundMu.Unlock()
-	if n.deliver(id, roundPayload(t, false, invs...)) {
-		t.Fatal("skipped delivery reported as applied")
-	}
-	select {
-	case out := <-rd.done:
-		if !errors.Is(out.err, core.ErrRebalancing) {
-			t.Fatalf("skipped delivery returned %v, want ErrRebalancing", out.err)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("waiter never completed")
+	// Non-genesis round this node coordinates, no local copy: a retryable
+	// bounce, nothing created.
+	if _, _, err := n.sequence(ctx, totalorder.MsgID{Origin: "n1", Seq: 1}, dir.View().Fence(),
+		false, []core.Invocation{inv}, nil); !errors.Is(err, core.ErrRebalancing) {
+		t.Fatalf("round on a dropped copy returned %v, want ErrRebalancing", err)
 	}
 	if n.DebugHasObject(ref) {
-		t.Fatal("non-genesis delivery created a fresh object")
+		t.Fatal("non-genesis round created a fresh object")
+	}
+
+	// The same round from a peer: refused, marked, nothing created.
+	if _, err := n.handleAccept(ctx, acceptBody(t, dir, "n9", 1, false, inv)); !errors.Is(err, core.ErrRebalancing) {
+		t.Fatalf("member-side round without a base copy answered %v, want ErrRebalancing", err)
+	}
+	if n.DebugHasObject(ref) {
+		t.Fatal("member-side non-genesis round created a fresh object")
 	}
 	if !n.isStale(ref) {
-		t.Fatal("skipped delivery did not mark the ref stale")
-	}
-
-	// The same skip on the member side (a peer's round, decoded off the
-	// payload): not applied, nothing created.
-	if n.deliver(totalorder.MsgID{Origin: "n9", Seq: 1}, roundPayload(t, false, invs...)) {
-		t.Fatal("member-side skipped delivery reported as applied")
-	}
-	if n.DebugHasObject(ref) {
-		t.Fatal("member-side non-genesis delivery created a fresh object")
+		t.Fatal("refused round did not mark the ref stale")
 	}
 
 	// Genesis round: creates and applies.
-	if !n.deliver(totalorder.MsgID{Origin: "n9", Seq: 2}, roundPayload(t, true, invs...)) {
-		t.Fatal("genesis delivery not applied")
+	if _, err := n.handleAccept(ctx, acceptBody(t, dir, "n9", 1, true, inv)); err != nil {
+		t.Fatalf("genesis round refused: %v", err)
 	}
 	if !n.DebugHasObject(ref) {
-		t.Fatal("genesis delivery did not create the object")
+		t.Fatal("genesis round did not create the object")
 	}
 }
 
@@ -430,35 +420,69 @@ func roundPayload(t *testing.T, genesis bool, invs ...core.Invocation) []byte {
 	return payload
 }
 
-// Regression: a propose from a coordinator whose membership view differs
+// Regression: an ACCEPT from a coordinator whose membership view differs
 // from the receiver's must be fenced. Without the fence, a stale primary
 // and the new primary could both commit operations for one object during a
 // view transition, forking its lineage (two clients acknowledged the same
-// counter value).
-func TestProposeFencedOnViewMismatch(t *testing.T) {
+// counter value). A round fenced on a view the receiver has left, or on no
+// view at all, is refused at once; one fenced on the directory's latest
+// view, which the receiver has not installed yet, waits for that install
+// and is then accepted.
+func TestAcceptFencedOnViewMismatch(t *testing.T) {
 	net := rpc.NewMemNetwork()
 	dir := membership.NewDirectory(time.Hour)
+	// Subscribed before the node, this listener holds the node's install
+	// of the view that directs "elsewhere" until the gate opens.
+	gate := make(chan struct{})
+	dir.Subscribe(func(v membership.View) {
+		if _, ok := v.Directives.Lookup("elsewhere"); ok {
+			<-gate
+		}
+	})
 	startNode(t, validConfig(net, dir))
 	c := dial(t, net, "n1")
 	ctx := context.Background()
 
-	payload := roundPayload(t, true, core.Invocation{
-		Ref: core.Ref{Type: objects.TypeAtomicLong, Key: "fenced"},
-	})
+	inv := core.Invocation{Ref: core.Ref{Type: objects.TypeAtomicLong, Key: "fenced"}}
+	payload := roundPayload(t, true, inv)
 	mk := func(fence uint64, seq uint64) []byte {
-		return proposeMsg{
-			ID:      totalorder.MsgID{Origin: "n9", Seq: seq},
-			Payload: payload,
-			Fence:   fence,
-		}.encode()
+		return acceptMsg{ID: totalorder.MsgID{Origin: "n9", Seq: seq}, Ref: inv.Ref,
+			At: position{Fence: fence, Seq: 1}, Payload: payload}.encode()
 	}
+	prev := dir.View().Fence()
+	refusedAtOnce := func(fence, seq uint64) {
+		t.Helper()
+		start := time.Now()
+		if _, err := c.Call(ctx, KindAccept, mk(fence, seq)); err == nil || !strings.Contains(err.Error(), "fenced") {
+			t.Fatalf("ACCEPT fenced on another view: err = %v, want fenced", err)
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Fatalf("ACCEPT fenced on another view refused after %v, want at once", d)
+		}
+	}
+	refusedAtOnce(prev+1, 1)
 
-	if _, err := c.Call(ctx, KindPropose, mk(dir.View().Fence()+1, 1)); err == nil {
-		t.Fatal("propose with mismatched view fence accepted")
+	flipped := make(chan struct{})
+	go func() {
+		dir.SetDirective("elsewhere", []ring.NodeID{"n1"})
+		close(flipped)
+	}()
+	for dir.View().Fence() == prev {
+		time.Sleep(time.Millisecond)
 	}
-	if _, err := c.Call(ctx, KindPropose, mk(dir.View().Fence(), 2)); err != nil {
-		t.Fatalf("propose with matching fence refused: %v", err)
+	next := dir.View().Fence()
+	early := make(chan error, 1)
+	go func() {
+		_, err := c.Call(ctx, KindAccept, mk(next, 2))
+		early <- err
+	}()
+	time.Sleep(20 * time.Millisecond) // the ACCEPT waits for the node's install
+	close(gate)
+	<-flipped
+	if err := <-early; err != nil {
+		t.Fatalf("ACCEPT fenced on the view installed while it waited: %v", err)
 	}
+	refusedAtOnce(prev, 3)
 }
 
 // pullObject adopts an existing copy from a group peer instead of treating
@@ -501,54 +525,52 @@ func TestPullOnMissAdoptsPeerCopy(t *testing.T) {
 
 // The in-flight tracker admits only one coordinator per object at a time:
 // during a view transition the old and the new primary must not both have
-// undelivered proposals for the same object (each would ack a result the
-// other never sees).
+// unsettled rounds for the same object (each would ack a result the other
+// never sees).
 func TestInflightSingleCoordinatorPerObject(t *testing.T) {
-	tr := newInflightTracker(time.Minute)
+	tr := newInflightTracker()
 	ref := core.Ref{Type: objects.TypeAtomicLong, Key: "one"}
 	other := core.Ref{Type: objects.TypeAtomicLong, Key: "two"}
 
 	a1 := totalorder.MsgID{Origin: "a", Seq: 1}
 	if !tr.admit(a1, ref) {
-		t.Fatal("first propose refused")
+		t.Fatal("first round refused")
 	}
 	if !tr.admit(a1, ref) {
-		t.Fatal("duplicate propose (same ID) refused")
+		t.Fatal("duplicate round (same ID) refused")
 	}
 	if !tr.admit(totalorder.MsgID{Origin: "a", Seq: 2}, ref) {
-		t.Fatal("second propose from the same coordinator refused")
+		t.Fatal("second round from the same coordinator refused")
 	}
 	if tr.admit(totalorder.MsgID{Origin: "b", Seq: 1}, ref) {
-		t.Fatal("propose from a second coordinator admitted while the first is in flight")
+		t.Fatal("round from a second coordinator admitted while the first is in flight")
 	}
 	if !tr.admit(totalorder.MsgID{Origin: "b", Seq: 2}, other) {
-		t.Fatal("unrelated object blocked by another object's in-flight op")
+		t.Fatal("unrelated object blocked by another object's in-flight round")
 	}
 	if !tr.busy(ref) {
-		t.Fatal("object with undelivered proposals not busy")
+		t.Fatal("object with unsettled rounds not busy")
 	}
 
-	// Delivery settles both of a's proposals; b may now coordinate.
+	// Settling both of a's rounds (the duplicate's second settle is a
+	// no-op) lets b coordinate.
 	tr.settle(a1)
+	tr.settle(a1)
+	if !tr.busy(ref) {
+		t.Fatal("a duplicate settle released another round")
+	}
 	tr.settle(totalorder.MsgID{Origin: "a", Seq: 2})
 	if tr.busy(ref) {
-		t.Fatal("object busy after all proposals settled")
+		t.Fatal("object busy after all rounds settled")
 	}
 	if !tr.admit(totalorder.MsgID{Origin: "b", Seq: 3}, ref) {
-		t.Fatal("propose refused after the conflicting ops settled")
-	}
-
-	// A view change purges proposals from dead coordinators.
-	tr.purge(func(origin string) bool { return origin != "b" })
-	if tr.busy(ref) {
-		t.Fatal("dead coordinator's proposals survived the purge")
+		t.Fatal("round refused after the conflicting ones settled")
 	}
 }
 
 // Regression: a mutating op coordinated by another node must revoke the
-// leases *this* node granted before its delivery completes — the delivery's
-// return is what the coordinator's FINAL reply, and with it the client ack,
-// waits on. Around a view change the grantor (primary per the directory's
+// leases *this* node granted before its apply completes — the apply is
+// what the member's ACCEPT reply, and with it the client ack, waits on. Around a view change the grantor (primary per the directory's
 // latest view) and the coordinator (deposed primary, old view installed,
 // write fence unarmed) can be different nodes; without member-side
 // revocation the grantor's client caches would serve pre-write state for a
@@ -587,19 +609,19 @@ func TestDeliverRevokesMemberLeases(t *testing.T) {
 		t.Fatalf("grant refused: %s", resp.Reason)
 	}
 
-	// Deliver a write coordinated elsewhere (origin n9, as a deposed primary
-	// still on its old view would): the lease must be dead by the time
-	// deliver returns.
-	payload := roundPayload(t, false, core.Invocation{
+	// A write coordinated elsewhere (origin n9, as a deposed primary still
+	// on its old view would): the lease must be dead by the time the
+	// member answers.
+	// Seq 2: the Set above was round 1 of ref's order under this view.
+	if _, err := n.handleAccept(context.Background(), acceptBody(t, dir, "n9", 2, false, core.Invocation{
 		Ref: ref, Method: "Set", Args: []any{int64(2)}, Persist: true,
-	})
-	if !n.deliver(totalorder.MsgID{Origin: "n9", Seq: 1}, payload) {
-		t.Fatal("delivery not applied")
+	})); err != nil {
+		t.Fatalf("round not applied: %v", err)
 	}
 	select {
 	case <-invalidated:
 	default:
-		t.Fatal("member-side delivery did not revoke the lease this node granted")
+		t.Fatal("member-side apply did not revoke the lease this node granted")
 	}
 	n.leases.mu.Lock()
 	holders := 0
@@ -612,7 +634,7 @@ func TestDeliverRevokesMemberLeases(t *testing.T) {
 	}
 }
 
-// A fetch for an object with undelivered proposals answers Busy: a snapshot
+// A fetch for an object with unapplied rounds answers Busy: a snapshot
 // taken now would miss those ops, and the puller must neither adopt it nor
 // conclude the object does not exist.
 func TestFetchBusyWhileOpsInFlight(t *testing.T) {

@@ -6,32 +6,40 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"sync"
 	"time"
 
 	"crucial/internal/core"
 	"crucial/internal/durability"
 	"crucial/internal/membership"
 	"crucial/internal/ring"
+	"crucial/internal/rpc"
 	"crucial/internal/telemetry"
 	"crucial/internal/totalorder"
 )
 
 // State-machine replication of persistent objects (paper Section 4.1):
-// operations on an object with rf > 1 are disseminated to its replica group
-// with total-order multicast; every replica applies them in delivery order
-// on its local copy, and the primary returns the result to the caller.
+// operations on an object with rf > 1 reach every member of its replica
+// group in one order, every member applies them in that order on its local
+// copy, and the primary returns the result to the caller. The paper orders
+// them with a Skeen-style total-order multicast across all objects; here
+// the primary orders each object alone (DESIGN.md §5c). It gives every
+// round of a ref a seq under the fence of the view its group came from,
+// applies it, and sends one ACCEPT frame to each other member, which
+// applies the ref's rounds strictly in seq order (its lane, see
+// awaitTurn) and answers with that apply's outcome. Two rules make the
+// primary's order the ref's only one: a member refuses a round fenced on
+// another view than its own, and a node admits one coordinator's rounds
+// per ref at a time (inflight.go). Different refs apply concurrently.
 //
 // There is one way to do that, the round (runRound): 1..N invocations on
-// one object share one MsgID, one lease fence, one PROPOSE/FINAL exchange,
-// one monitor acquisition at every replica, one WAL record and one fork
-// check. An unbatched write — and every read-only ordering round — is a
-// round of one, run inline on its caller's goroutine under its caller's
+// one object share one MsgID, one lease fence, one seq, one ACCEPT per
+// member, one monitor acquisition at every replica, one WAL record and one
+// fork check. An unbatched write — and every read-only ordering round — is
+// a round of one, run inline on its caller's goroutine under its caller's
 // context; group commit (batch.go) only decides how many invocations a
-// round carries and runs it under the batcher's own bounded context.
-// An rf=1 object's round has a group of one, which skips the multicast and
-// applies inline (see orderAlone); only synchronization objects stay
-// outside rounds.
+// round carries and runs it under the batcher's own bounded context. An
+// rf=1 object's round has a group of one and sends nothing; only
+// synchronization objects stay outside rounds.
 
 // opResult is one invocation's outcome inside a round.
 type opResult struct {
@@ -39,8 +47,7 @@ type opResult struct {
 	err     error
 }
 
-// roundOutcome is what one replica's in-order apply of a round produced;
-// on the coordinator it is handed to the waiting runRound.
+// roundOutcome is what one replica's in-order apply of a round produced.
 type roundOutcome struct {
 	res []opResult
 	// version is the copy's apply version right after the round's last
@@ -54,91 +61,57 @@ type roundOutcome struct {
 	// and for read-only rounds); the coordinator's ack waits on it.
 	commit *durability.Commit
 	// err is a round-level failure (undecodable payload, missing base
-	// copy, lease fence, copy mid-transfer): no invocation executed.
+	// copy, fence, copy mid-transfer, a gap in the ref's order): no
+	// invocation executed.
 	err error
 }
 
-// round is the coordinator's record of one multicast round (a group of one
-// needs none, see orderAlone), in Node.rounds under its MsgID from before
-// the multicast until runRound returns. The local PROPOSE's admission reads
-// ref and the coordinator's own delivery applies invs, so nothing is decoded
-// out of its own payload. It is also the round's totalorder.Transport:
-// messages to self short-circuit, messages to peers pay one DSOReplica hop.
-type round struct {
-	n       *Node
-	ref     core.Ref
-	invs    []core.Invocation
-	genesis bool
-	// fence is the digest of the view the round's group was computed from,
-	// and every PROPOSE carries exactly it: reading the view again at send
-	// time would let a round whose group predates a long prepareWrite wait
-	// (a crashed holder's lease running out) pass the view check at
-	// old-group members that have since installed the next view.
-	fence uint64
-	// done receives the coordinator's own delivery. Buffered: an id is
-	// delivered at most once, and a waiter that gave up must not block it.
-	done chan roundOutcome
-	// replies collects the members' FINAL replies (under mu while the
-	// multicast runs; checkRound reads it once the multicast has returned).
-	mu      sync.Mutex
-	replies []memberReply
+// position is where a copy stands in its ref's order: the fence of the
+// view whose primary sequenced the last round it applied, and that round's
+// seq. Every primary numbers a ref's rounds from 1 under each new fence.
+type position struct {
+	Fence, Seq uint64
 }
 
-type memberReply struct {
-	member ring.NodeID
-	finalResp
-}
-
-// finalResp is the reply to a FINAL control message, sent after the
-// member has applied the finalized round (see handleFinal): the member
-// copy's apply version immediately after that apply, and how many of the
-// round's invocations it answered from its at-most-once window. Replicas
-// of one object apply the same totally-ordered sequence, so for any given
-// round every member's pair must agree with the coordinator's — a
-// mismatch means one side ran the round on a copy with a different history
-// and the round must not be acked (see checkRound). A member whose apply
-// raced the bookkeeping window has nothing recorded and replies with an
-// empty body, which skips the comparison.
+// finalResp is a member's reply to an ACCEPT, sent once it has applied the
+// round: the member copy's apply version immediately after that apply, and
+// how many of the round's invocations it answered from its at-most-once
+// window. Replicas of one object apply the same sequence, so for any given
+// round every member's pair must agree with the coordinator's — a mismatch
+// means one side ran the round on a copy with a different history and the
+// round must not be acked (see checkRound).
 type finalResp struct {
 	Version uint64
 	Replays int
 }
 
-// proposeMsg and finalMsg are the Skeen control messages on the wire.
-// Fence is the coordinator's membership digest (membership.View.Fence): a
-// receiver refuses proposes from a coordinator whose view of the cluster
-// differs from its own. Skeen's protocol needs every group member's
-// propose to succeed, so during a view transition any replica shared
-// between the old and the new replica group fences out the stale
-// coordinator — without the fence, the old and the new primary can both
-// commit ops for the same object to overlapping groups and fork its
+// acceptMsg is the replication frame (KindAccept). ID names the round for
+// dedup, the WAL record and the in-flight tracker; Ref is the object every
+// invocation of Payload targets; At is the round's place in Ref's order:
+// the fence of the view its group came from (membership.View.Fence) and
+// its seq under it. A receiver whose installed view has another fence
+// refuses the round: without the fence, an old and a new primary could
+// both commit rounds for one object to overlapping groups and fork its
 // lineage (two clients acknowledged the same counter value).
-type proposeMsg struct {
+type acceptMsg struct {
 	ID      totalorder.MsgID
+	Ref     core.Ref
+	At      position
 	Payload []byte
-	Fence   uint64
 }
 
-type finalMsg struct {
-	ID totalorder.MsgID
-	TS uint64
-}
-
-// Control frames (DESIGN.md §5b). Each per-operation frame — the Skeen
-// frames here, the lease frames in lease.go — is a tag byte naming the
-// frame followed by its fields in the tag codec's encodings (core.Append*):
-// strings and byte slices length-prefixed, integers uvarint. There is no
-// version and no fallback. A decoder accepts exactly its own tag and
-// layout: a truncated frame, a field length past the end and a trailing
-// byte are all errors. Decoders copy what they return, because the rpc
-// server recycles a request's buffer once its handler returns while the
-// total order keeps a PROPOSE's payload queued until delivery.
+// Control frames (DESIGN.md §5b). Each per-operation frame — ACCEPT here,
+// the lease frames in lease.go — is a tag byte naming the frame followed by
+// its fields in the tag codec's encodings (core.Append*): strings and byte
+// slices length-prefixed, integers uvarint. There is no version and no
+// fallback. A decoder accepts exactly its own tag and layout: a truncated
+// frame, a field length past the end and a trailing byte are all errors.
+// Decoders copy what they return, because the rpc server recycles a
+// request's buffer once its handler returns while the WAL keeps an
+// ACCEPT's payload until its flush.
 const (
-	framePropose      byte = 'P' // MsgID, Fence, Payload
-	frameProposeReply byte = 'p' // the proposed timestamp
-	frameFinal        byte = 'F' // MsgID, TS
-	frameFinalReply   byte = 'f' // finalResp: Version, Replays
-	frameAbort        byte = 'A' // MsgID
+	frameAccept      byte = 'A' // MsgID, Ref, At.Fence, At.Seq, Payload
+	frameAcceptReply byte = 'a' // finalResp: Version, Replays
 )
 
 // appendMsgID appends id's Origin and Seq; readMsgID reads them back.
@@ -153,120 +126,60 @@ func readMsgID(r *core.Reader) (id totalorder.MsgID, err error) {
 	return id, err
 }
 
-func (m proposeMsg) encode() []byte {
-	b := core.NewFrame(framePropose, len(m.ID.Origin)+len(m.Payload), 4)
-	b = binary.AppendUvarint(appendMsgID(b, m.ID), m.Fence)
+func (m acceptMsg) encode() []byte {
+	b := core.NewFrame(frameAccept, len(m.ID.Origin)+len(m.Ref.Type)+len(m.Ref.Key)+len(m.Payload), 7)
+	b = appendRef(appendMsgID(b, m.ID), m.Ref)
+	b = binary.AppendUvarint(binary.AppendUvarint(b, m.At.Fence), m.At.Seq)
 	return core.AppendBytes(b, m.Payload)
 }
 
-func decodeProposeMsg(data []byte) (m proposeMsg, err error) {
-	r, err := core.OpenFrame(data, framePropose)
-	if err == nil {
-		m.ID, err = readMsgID(&r)
-	}
-	if err == nil {
-		m.Fence, err = r.Uvarint()
-	}
-	if err == nil {
-		m.Payload, err = r.Bytes()
-	}
-	if err == nil {
-		err = r.End()
-	}
+func decodeAccept(data []byte) (acceptMsg, error) {
+	m, err := core.DecodeFrame(data, frameAccept, func(r *core.Reader) (m acceptMsg, err error) {
+		if m.ID, err = readMsgID(r); err == nil {
+			m.Ref, err = readRef(r)
+		}
+		if err == nil {
+			m.At.Fence, err = r.Uvarint()
+		}
+		if err == nil {
+			m.At.Seq, err = r.Uvarint()
+		}
+		if err == nil {
+			m.Payload, err = r.Bytes()
+		}
+		return m, err
+	})
 	if err != nil {
-		return proposeMsg{}, fmt.Errorf("server: decode PROPOSE: %w", err)
-	}
-	return m, nil
-}
-
-// encodeTimestamp is the reply to a PROPOSE.
-func encodeTimestamp(ts uint64) []byte {
-	return binary.AppendUvarint(core.NewFrame(frameProposeReply, 0, 1), ts)
-}
-
-func decodeTimestamp(data []byte) (ts uint64, err error) {
-	r, err := core.OpenFrame(data, frameProposeReply)
-	if err == nil {
-		ts, err = r.Uvarint()
-	}
-	if err == nil {
-		err = r.End()
-	}
-	if err != nil {
-		return 0, fmt.Errorf("server: decode PROPOSE reply: %w", err)
-	}
-	return ts, nil
-}
-
-func (m finalMsg) encode() []byte {
-	b := core.NewFrame(frameFinal, len(m.ID.Origin), 3)
-	return binary.AppendUvarint(appendMsgID(b, m.ID), m.TS)
-}
-
-func decodeFinalMsg(data []byte) (m finalMsg, err error) {
-	r, err := core.OpenFrame(data, frameFinal)
-	if err == nil {
-		m.ID, err = readMsgID(&r)
-	}
-	if err == nil {
-		m.TS, err = r.Uvarint()
-	}
-	if err == nil {
-		err = r.End()
-	}
-	if err != nil {
-		return finalMsg{}, fmt.Errorf("server: decode FINAL: %w", err)
+		return acceptMsg{}, fmt.Errorf("server: decode ACCEPT: %w", err)
 	}
 	return m, nil
 }
 
 func (f finalResp) encode() []byte {
-	b := core.NewFrame(frameFinalReply, 0, 2)
+	b := core.NewFrame(frameAcceptReply, 0, 2)
 	return binary.AppendUvarint(binary.AppendUvarint(b, f.Version), uint64(f.Replays))
 }
 
-func decodeFinalResp(data []byte) (f finalResp, err error) {
-	r, err := core.OpenFrame(data, frameFinalReply)
-	if err == nil {
+func decodeFinalResp(data []byte) (finalResp, error) {
+	f, err := core.DecodeFrame(data, frameAcceptReply, func(r *core.Reader) (f finalResp, err error) {
 		f.Version, err = r.Uvarint()
-	}
-	var replays uint64
-	if err == nil {
-		replays, err = r.Uvarint()
-	}
-	if err == nil {
+		var replays uint64
+		if err == nil {
+			replays, err = r.Uvarint()
+		}
 		f.Replays = int(replays)
-		err = r.End()
-	}
+		return f, err
+	})
 	if err != nil {
-		return finalResp{}, fmt.Errorf("server: decode FINAL reply: %w", err)
+		return finalResp{}, fmt.Errorf("server: decode ACCEPT reply: %w", err)
 	}
 	return f, nil
-}
-
-// encodeAbort is an ABORT: the id of the message to drop.
-func encodeAbort(id totalorder.MsgID) []byte {
-	return appendMsgID(core.NewFrame(frameAbort, len(id.Origin), 2), id)
-}
-
-func decodeAbort(data []byte) (id totalorder.MsgID, err error) {
-	r, err := core.OpenFrame(data, frameAbort)
-	if err == nil {
-		id, err = readMsgID(&r)
-	}
-	if err == nil {
-		err = r.End()
-	}
-	if err != nil {
-		return totalorder.MsgID{}, fmt.Errorf("server: decode ABORT: %w", err)
-	}
-	return id, nil
 }
 
 // A round's payload — on the wire and in the WAL — is one flag byte ahead
 // of a totalorder batch container of its encoded invocations, all
 // targeting one ref. The flag says whether the coordinator held a copy of
-// the object when it multicast the round. A replica that receives a
+// the object when it sequenced the round. A replica that receives a
 // non-genesis round for an object it does not hold is missing its base
 // copy (the hand-off transfer has not arrived) — applying to a freshly
 // created object would fork the lineage, so it skips the apply and pulls a
@@ -374,7 +287,7 @@ func (n *Node) invoke(ctx context.Context, inv core.Invocation) ([]any, error) {
 	if n.batcher != nil && !inv.ReadOnly && len(group) > 1 {
 		// Group commit (Config.Write): the mutation joins a per-ref queue
 		// and shares its round with its concurrent neighbors. A group of
-		// one has no multicast to amortize and runs inline.
+		// one has no ACCEPT to amortize and runs inline.
 		return n.batcher.submit(ctx, inv)
 	}
 	// A round of one, right here: no queue, no goroutine hop, no timer.
@@ -387,15 +300,16 @@ func (n *Node) invoke(ctx context.Context, inv core.Invocation) ([]any, error) {
 
 // runRound coordinates one ordering round for invs, which all target one
 // object, among group as view places it (see replicaGroup): primacy check,
-// lease fence, residency, multicast (orderAlone for a group of one), the
-// wait for this node's own in-order delivery, the fork check and the WAL
-// wait, in that order and each exactly once however many invocations the
-// round carries. A nil error means the round is applied at every group
-// member and durable; the per-invocation outcomes (method errors included,
-// which every replica reproduces) are in the result, index-aligned with
-// invs. ordered reports whether the round was ordered — the point from
-// which it counts in smr_rounds, even if it then fails the fork check or
-// the WAL wait.
+// lease fence, residency, the local apply that sequences it (sequence),
+// one ACCEPT to each other member with the fork check on its reply, and
+// the WAL wait, in that order and each exactly once however many
+// invocations the round carries. A nil error means the round is applied at
+// every group member and durable; the per-invocation outcomes (method
+// errors included, which every replica reproduces) are in the result,
+// index-aligned with invs. ordered reports whether the round was ordered —
+// applied here under its seq, the point from which it counts in
+// smr_rounds, even if a member then refuses it or the fork check or the
+// WAL wait fails it.
 func (n *Node) runRound(ctx context.Context, group []ring.NodeID, view membership.View, invs []core.Invocation) (res []opResult, ordered bool, err error) {
 	defer func() {
 		if err != nil && n.closed.Load() {
@@ -413,9 +327,9 @@ func (n *Node) runRound(ctx context.Context, group []ring.NodeID, view membershi
 	}
 	if n.leases != nil && !readOnlyRound(invs) {
 		// Revoke-before-commit: block new grants, synchronously invalidate
-		// every cached copy, and only then order the
-		// mutations. Grants resume (at the post-round version) once the
-		// primary has applied the round and replied.
+		// every cached copy, and only then order the mutations. Grants
+		// resume (at the post-round version) once every member has applied
+		// the round and this node replied.
 		done, lerr := n.prepareWrite(ctx, ref)
 		if lerr != nil {
 			return nil, false, lerr
@@ -435,60 +349,29 @@ func (n *Node) runRound(ctx context.Context, group []ring.NodeID, view membershi
 		}
 	}
 	id := totalorder.MsgID{Origin: string(n.cfg.ID), Seq: n.seq.Add(1)}
-	// Telemetry: attribute the whole ordering round — multicast, in-order
-	// delivery, replica execution — to the active span so reports can
+	// Telemetry: attribute the whole ordering round — local apply, the
+	// members' applies, their replies — to the active span so reports can
 	// separate SMR cost from plain method execution.
 	var orderStart time.Time
 	if n.instrumented {
 		orderStart = time.Now()
 	}
-	var out roundOutcome
-	var rd *round
-	if len(group) == 1 {
-		if out, err = n.orderAlone(id, view.Fence(), genesis, invs, payload); err != nil {
-			return nil, false, err
-		}
-	} else {
-		rd = &round{n: n, ref: ref, invs: invs, genesis: genesis, fence: view.Fence(),
-			done: make(chan roundOutcome, 1)}
-		n.roundMu.Lock()
-		n.rounds[id] = rd
-		n.roundMu.Unlock()
-		defer func() {
-			n.roundMu.Lock()
-			delete(n.rounds, id)
-			n.roundMu.Unlock()
-		}()
-		members := make([]string, len(group))
-		for i, g := range group {
-			members[i] = string(g)
-		}
-		if err := totalorder.Multicast(ctx, rd, members, id, payload); err != nil {
-			// Part of the group is unreachable or the view is changing: the
-			// client re-routes on the rebalancing sentinel; dedup makes the
-			// retry safe even if this round delivered somewhere.
-			return nil, false, fmt.Errorf("%w: %v", core.ErrRebalancing, err)
-		}
+	fence := view.Fence()
+	out, at, err := n.sequence(ctx, id, fence, genesis, invs, payload)
+	if err != nil {
+		return nil, false, err
 	}
 	n.smrOps.Add(uint64(len(invs)))
 	n.cSMRRounds.Inc()
-	if rd != nil {
-		select {
-		case out = <-rd.done:
-		case <-ctx.Done():
-			return nil, true, ctx.Err()
-		}
+	if len(group) > 1 {
+		body := acceptMsg{ID: id, Ref: ref, At: at, Payload: payload}.encode()
+		err = n.replicate(ctx, id, ref, group, body, finalResp{Version: out.version, Replays: out.replays})
 	}
 	if n.instrumented {
 		telemetry.SpanFromContext(ctx).AddTiming(telemetry.TimingSMR, time.Since(orderStart))
 	}
-	if out.err != nil {
-		return nil, true, out.err
-	}
-	if rd != nil {
-		if err := n.checkRound(id, rd, out); err != nil {
-			return nil, true, err
-		}
+	if err != nil {
+		return nil, true, err
 	}
 	if err := waitDurable(ctx, out.commit); err != nil {
 		// The round is applied in memory but its record never reached cold
@@ -498,39 +381,95 @@ func (n *Node) runRound(ctx context.Context, group []ring.NodeID, view membershi
 	}
 	if n.log.Enabled(ctx, slog.LevelDebug) {
 		n.log.Debug("smr round complete", "ref", ref.String(), "id", id.String(),
-			"ops", len(invs), "group", group, "genesis", genesis)
+			"seq", at.Seq, "ops", len(invs), "group", group, "genesis", genesis)
 	}
 	return out.res, true, nil
 }
 
-// orderAlone orders and applies a group of one's round inline: admission,
-// then the copy's lookup (creation, for genesis), then the fences, so a
-// hand-off either pushes the copy after the round or bounces it. It applies
-// to exactly that copy: one dropped since bounces (DESIGN.md §5e).
-func (n *Node) orderAlone(id totalorder.MsgID, fence uint64, genesis bool, invs []core.Invocation, payload []byte) (roundOutcome, error) {
+// sequence is the coordinator's half of a round: single-coordinator
+// admission, the fences — the view the round's group came from must still
+// be installed and no migration may hold the ref — the copy's lookup
+// (creation, for genesis), the fences again, then the apply that gives the
+// round its seq (applyOrdered), which it returns. The first check keeps a
+// stale round from creating anything; the second makes a hand-off either
+// push the copy after the round or bounce it: the round applies to exactly
+// the copy it looked up, and one dropped since bounces (DESIGN.md §5e). A
+// group of one's round ends here.
+func (n *Node) sequence(ctx context.Context, id totalorder.MsgID, fence uint64, genesis bool, invs []core.Invocation, payload []byte) (roundOutcome, position, error) {
 	ref := invs[0].Ref
 	if !n.inflight.admit(id, ref) {
-		return roundOutcome{}, fmt.Errorf("%w: %s has an op in flight from another coordinator",
+		return roundOutcome{}, position{}, fmt.Errorf("%w: %s has a round in flight from another coordinator",
 			core.ErrRebalancing, ref)
 	}
 	defer n.inflight.settle(id)
-	var e *entry
-	var err error
-	if genesis {
-		e, err = n.lookupOrCreate(invs[0])
-	} else if e, _ = n.lookupExisting(ref); e == nil {
-		err = fmt.Errorf("%w: %s dropped on %s", core.ErrRebalancing, ref, n.cfg.ID)
+	fenced := func() error {
+		if n.epoch.Load().fence != fence || n.migrationFenced(ref) {
+			return fmt.Errorf("%w: round for %s fenced on %s (view changed or migrating)",
+				core.ErrRebalancing, ref, n.cfg.ID)
+		}
+		return nil
 	}
-	if view, _ := n.currentView(); err == nil && (view.Fence() != fence || n.migrationFenced(ref)) {
-		err = fmt.Errorf("%w: %s moved while its round formed on %s", core.ErrRebalancing, ref, n.cfg.ID)
+	var e *entry
+	err := fenced()
+	if err == nil && genesis {
+		e, err = n.lookupOrCreate(invs[0])
+	} else if err == nil {
+		if e, _ = n.lookupExisting(ref); e == nil {
+			err = fmt.Errorf("%w: %s dropped on %s", core.ErrRebalancing, ref, n.cfg.ID)
+		}
+	}
+	if err == nil {
+		err = fenced()
 	}
 	if err != nil {
-		return roundOutcome{}, err
+		return roundOutcome{}, position{}, err
 	}
-	if n.beforeApply != nil {
-		n.beforeApply(ref)
+	at := position{Fence: fence}
+	out := n.applyOrdered(ctx, id, e, &at, genesis, invs, make([]opResult, len(invs)), payload)
+	return out, at, out.err
+}
+
+// replicate sends a round's ACCEPT to every member of group but this node
+// (group[0]) and checks each reply against the coordinator's own outcome
+// (checkRound). The last member is called inline and the others each on
+// a goroutine, so a group of two starts none.
+func (n *Node) replicate(ctx context.Context, id totalorder.MsgID, ref core.Ref, group []ring.NodeID, body []byte, local finalResp) error {
+	var errs <-chan error
+	if len(group) > 2 {
+		errs = n.acceptAsync(ctx, id, ref, group[1:len(group)-1], body, local)
 	}
-	return n.applyOrdered(id, e, genesis, invs, make([]opResult, len(invs)), payload), nil
+	err := n.acceptAt(ctx, id, ref, group[len(group)-1], body, local)
+	for range len(group) - 2 {
+		if merr := <-errs; err == nil {
+			err = merr
+		}
+	}
+	return err
+}
+
+// acceptAsync runs acceptAt for each of members on its own goroutine and
+// returns where their verdicts arrive.
+func (n *Node) acceptAsync(ctx context.Context, id totalorder.MsgID, ref core.Ref, members []ring.NodeID, body []byte, local finalResp) <-chan error {
+	errs := make(chan error, len(members))
+	for _, m := range members {
+		go func() { errs <- n.acceptAt(ctx, id, ref, m, body, local) }()
+	}
+	return errs
+}
+
+// acceptAt sends one member a round's ACCEPT and checks its reply.
+func (n *Node) acceptAt(ctx context.Context, id totalorder.MsgID, ref core.Ref, member ring.NodeID, body []byte, local finalResp) error {
+	out, err := n.peerCall(ctx, member, KindAccept, body)
+	if err == nil {
+		var resp finalResp
+		if resp, err = decodeFinalResp(out); err == nil {
+			return n.checkRound(id, ref, member, resp, local)
+		}
+	}
+	// The member is unreachable, refused the round, or the view is
+	// changing: the client re-routes on the rebalancing sentinel, and dedup
+	// makes the retry safe although the round applied here.
+	return fmt.Errorf("%w: round %s on %s: %v", core.ErrRebalancing, id, member, err)
 }
 
 // ensureCoordinatorCopy makes sure this node may safely coordinate an
@@ -576,125 +515,142 @@ func (n *Node) ensureCoordinatorCopy(ctx context.Context, ref core.Ref, group []
 	return !resident, nil
 }
 
-// checkRound is the coordinator's fork check, run after its own in-order
-// apply and before the ack. Every member that reported its post-apply
-// version and replay count (finalResp) must agree with the coordinator's
-// on both: the total order delivers the same op sequence everywhere, so
-// disagreement means one side's copy carries a different history. Versions
-// catch the common case — a resurrected older snapshot executes an op
-// fresh that the other side replays from its at-most-once window. But
-// versions are counts, and two diverged copies can count their way back
-// to the same number: a coordinator left ahead of its group by applied,
-// never-acked ops (a member failed between PROPOSE and FINAL) replays
-// their retries while a member that joined from the older base executes
-// them fresh, in whatever order the retries arrive. The only way equal
-// versions hide different states is through such a replay-vs-execute
+// checkRound is the coordinator's fork check on one member's reply: its
+// post-apply version and replay count (finalResp) must agree with the
+// coordinator's own: both applied the same rounds in the same order, so
+// disagreement means one side's copy carries a different history.
+// Versions catch the common case — a resurrected older snapshot executes
+// an op fresh that the other side replays from its at-most-once window.
+// But versions are counts, and two diverged copies can count their way
+// back to the same number: a coordinator left ahead of its group by
+// applied, never-acked rounds (a member refused or never received them)
+// replays their retries while a member that joined from the older base
+// executes them fresh, in whatever order the retries arrive. The only way
+// equal versions hide different states is through such a replay-vs-execute
 // asymmetry, so the asymmetry itself refuses the ack (DESIGN.md §5c has
 // the worked interleaving). Either way: no ack (the retry is dedup-safe),
-// and the copies are brought together — a coordinator behind a member
-// marks itself stale and pulls; otherwise it pushes its copy to the
-// member as a repair, which wins a version tie there (see transferMsg).
-func (n *Node) checkRound(id totalorder.MsgID, rd *round, local roundOutcome) error {
-	for _, m := range rd.replies {
-		if m.Version == local.version && m.Replays == local.replays {
-			continue
-		}
-		n.log.Warn("replica diverged from coordinator, refusing ack",
-			"ref", rd.ref.String(), "id", id.String(), "member", string(m.member),
-			"member_version", m.Version, "local_version", local.version,
-			"member_replays", m.Replays, "local_replays", local.replays)
-		if m.Version > local.version {
-			n.markStale(rd.ref)
-			go n.selfHeal(rd.ref)
-		} else if e, ok := n.lookupExisting(rd.ref); ok {
-			go func(member ring.NodeID) {
-				if err := n.pushObject(rd.ref, e, member, true); err != nil {
-					n.log.Debug("repair push failed", "ref", rd.ref.String(),
-						"target", string(member), "err", err)
-				}
-			}(m.member)
-		}
-		return fmt.Errorf("%w: replica %s of %s at version %d (%d replayed), coordinator at %d (%d replayed)",
-			core.ErrRebalancing, m.member, rd.ref, m.Version, m.Replays, local.version, local.replays)
+// server.fork_refusals counts it, and the copies are brought together — a
+// coordinator behind the member marks itself stale and pulls; otherwise it
+// pushes its copy to the member as a repair, which wins a version tie
+// there (see transferMsg).
+func (n *Node) checkRound(id totalorder.MsgID, ref core.Ref, member ring.NodeID, m, local finalResp) error {
+	if m == local {
+		return nil
 	}
-	return nil
-}
-
-// deliver is the total-order delivery callback: it applies one ordered
-// round to the local replica and hands the outcome to the coordinating
-// runRound if this node originated it — in which case the round's own
-// invocations are applied and nothing is decoded.
-//
-// The return value reports whether the round was applied to this
-// replica's copy. The coordinator's FINAL exchange waits on it (see
-// handleFinal): a skipped or bounced delivery returns false, the
-// coordinator's multicast fails, and the clients get a retryable error
-// instead of an ack — so an acknowledged op is guaranteed applied at every
-// group member, and no single crash can take the only copy of an
-// acknowledged write with it. Only rebalancing-class failures count as
-// not applied; any other outcome every replica reproduces.
-// The round stays in flight until applied, so a quiesced snapshot has it.
-func (n *Node) deliver(id totalorder.MsgID, payload []byte) bool {
-	defer n.inflight.settle(id)
-	n.roundMu.Lock()
-	rd := n.rounds[id]
-	n.roundMu.Unlock()
-	var out roundOutcome
-	if rd != nil {
-		out = n.applyOrdered(id, nil, rd.genesis, rd.invs, make([]opResult, len(rd.invs)), payload)
-		rd.done <- out
-	} else if genesis, invs, err := decodeRoundPayload(payload); err != nil {
-		out.err = err
-	} else if out = n.applyOrdered(id, nil, genesis, invs, nil, payload); out.err == nil {
-		// Member side: remember the outcome for the FINAL reply's fork
-		// check (see handleFinal). Bounded: an apply whose FINAL handler
-		// already gave up waiting leaves an orphan entry, so the map is
-		// pruned arbitrarily past a cap — a pruned entry only downgrades
-		// the coordinator's comparison to "unknown", never corrupts it.
-		n.applyMu.Lock()
-		if len(n.applied) > 4096 {
-			for k := range n.applied {
-				delete(n.applied, k)
-				if len(n.applied) <= 2048 {
-					break
-				}
+	n.cForkRefusals.Inc()
+	n.log.Warn("replica diverged from coordinator, refusing ack",
+		"ref", ref.String(), "id", id.String(), "member", string(member),
+		"member_version", m.Version, "local_version", local.Version,
+		"member_replays", m.Replays, "local_replays", local.Replays)
+	if m.Version > local.Version {
+		n.markStale(ref)
+		go n.selfHeal(ref)
+	} else if e, ok := n.lookupExisting(ref); ok {
+		go func() {
+			if err := n.pushObject(ref, e, member, true); err != nil {
+				n.log.Debug("repair push failed", "ref", ref.String(),
+					"target", string(member), "err", err)
 			}
-		}
-		n.applied[id] = finalResp{Version: out.version, Replays: out.replays}
-		n.applyMu.Unlock()
+		}()
 	}
-	return out.err == nil || !errors.Is(out.err, core.ErrRebalancing)
+	return fmt.Errorf("%w: replica %s of %s at version %d (%d replayed), coordinator at %d (%d replayed)",
+		core.ErrRebalancing, member, ref, m.Version, m.Replays, local.Version, local.Replays)
 }
 
-// applyOrdered runs every invocation of a delivered round, in payload
-// order, on the local copy under a single member write fence and a single
-// monitor acquisition. Each invocation is individually dedup-checked and
+// handleAccept services a peer's ACCEPT: the view fence, single-coordinator
+// admission, then the apply at the round's place in its ref's order
+// (applyOrdered), answered with that apply's outcome. A round fenced on
+// the directory's latest view, which this node has not installed yet,
+// comes from a coordinator ahead of it and waits up to waitTimeout for
+// that install; any other mismatch is refused at once. A refused round
+// has already applied at its coordinator, so this member would miss it
+// and hold the ref's next rounds: the same holds for a round refused by
+// admission, which therefore pulls a copy at once (selfHeal) rather than
+// leave its successors to wait out their bound. Admission closes the
+// interleaving the fence alone cannot: we accept the old primary's round,
+// install the next view, then the new primary sends a round for the same
+// object while the first is still parked here. Two coordinators would each
+// ack a result the other never sees; the newcomer is refused and its
+// client retries once the first round settles.
+func (n *Node) handleAccept(ctx context.Context, body []byte) ([]byte, error) {
+	msg, err := decodeAccept(body)
+	if err != nil {
+		return nil, err
+	}
+	if ep := n.epoch.Load(); msg.At.Fence != ep.fence && msg.At.Fence == n.cfg.Directory.View().Fence() {
+		n.awaitView(ctx, ep)
+	}
+	if msg.At.Fence != n.epoch.Load().fence {
+		return nil, fmt.Errorf("%w: round %s fenced on %s (view mismatch)",
+			core.ErrRebalancing, msg.ID, n.cfg.ID)
+	}
+	genesis, invs, err := decodeRoundPayload(msg.Payload)
+	if err != nil {
+		return nil, err
+	}
+	if invs[0].Ref != msg.Ref {
+		return nil, fmt.Errorf("server: round %s names %s but carries %s", msg.ID, msg.Ref, invs[0].Ref)
+	}
+	if !n.inflight.admit(msg.ID, msg.Ref) {
+		go n.selfHeal(msg.Ref)
+		return nil, fmt.Errorf("%w: %s has a round in flight from another coordinator",
+			core.ErrRebalancing, msg.Ref)
+	}
+	defer n.inflight.settle(msg.ID)
+	out := n.applyOrdered(ctx, msg.ID, nil, &msg.At, genesis, invs, nil, msg.Payload)
+	if out.err != nil {
+		return nil, out.err
+	}
+	return finalResp{Version: out.version, Replays: out.replays}.encode(), nil
+}
+
+// awaitView waits, up to waitTimeout, for the view after ep to install.
+func (n *Node) awaitView(ctx context.Context, ep *viewEpoch) {
+	t := time.NewTimer(n.waitTimeout())
+	defer t.Stop()
+	select {
+	case <-ep.next:
+	case <-t.C:
+	case <-ctx.Done():
+	}
+}
+
+// applyOrdered runs every invocation of a round, in payload order, on the
+// local copy under a single member write fence and a single monitor
+// acquisition, at the round's place in its ref's order. The coordinator
+// passes a zero at.Seq: the round takes the next seq under at.Fence in the
+// same critical section that applies it, so a coordinator applies its own
+// rounds in seq order by construction. A member's round waits its turn
+// (awaitTurn). Each invocation is individually dedup-checked and
 // dedup-recorded (applyLocked), so a retried write that lands in a later
-// round replays instead of re-executing. The round applies all-or-nothing with
-// respect to rebalancing-class failures (no base copy, fence failure, copy
-// mid-transfer): those void it before any invocation runs, so the single
-// applied verdict the protocol layer expects remains sound; deterministic
-// method errors are per-invocation outcomes and count as applied.
+// round replays instead of re-executing. The round applies all-or-nothing
+// with respect to rebalancing-class failures (no base copy, fence failure,
+// copy mid-transfer, a gap): those void it before any invocation runs and
+// leave the copy's position where it was; deterministic method errors are
+// per-invocation outcomes and count as applied.
 //
 // A round for an object this replica does not hold is applied only when
 // the coordinator flagged it as genesis. Otherwise the base copy is
 // missing — the hand-off transfer has not arrived yet — and applying to a
 // fresh object would fork the lineage: this replica would hold a copy
 // reflecting only the ops it saw, yet look authoritative to a later
-// version comparison. The delivery is skipped (the ops are safe in the
-// other replicas' copies and in any snapshot taken after them) and a
+// version comparison. The round is refused (the ops are safe in the
+// coordinator's copy and in any snapshot taken after them) and a
 // background pull restores this replica's base copy.
 //
 // res receives the per-invocation outcomes; a member, which answers no
-// caller, passes nil. e is a group of one's copy (orderAlone), else nil.
-func (n *Node) applyOrdered(id totalorder.MsgID, e *entry, genesis bool, invs []core.Invocation, res []opResult, payload []byte) (out roundOutcome) {
+// caller, passes nil. e is the coordinator's copy (sequence), else nil.
+func (n *Node) applyOrdered(ctx context.Context, id totalorder.MsgID, e *entry, at *position, genesis bool, invs []core.Invocation, res []opResult, payload []byte) (out roundOutcome) {
 	ref := invs[0].Ref
+	if n.beforeApply != nil {
+		n.beforeApply(ref)
+	}
 	if e == nil {
 		e, _ = n.lookupExisting(ref)
 	}
 	if e == nil {
 		if !genesis {
-			n.log.Debug("skipping committed round without base copy",
+			n.log.Debug("refusing round without base copy",
 				"ref", ref.String(), "origin", id.Origin, "ops", len(invs))
 			out.err = fmt.Errorf("%w: %s has no base copy on %s",
 				core.ErrRebalancing, ref, n.cfg.ID)
@@ -714,7 +670,7 @@ func (n *Node) applyOrdered(id totalorder.MsgID, e *entry, genesis bool, invs []
 	if !readOnly {
 		// Member-side revoke-before-commit: leases *this* node granted on
 		// the ref (it may be the new primary while a deposed coordinator
-		// still writes under its old view) must die before the FINAL reply
+		// still writes under its old view) must die before the ACCEPT reply
 		// that gates the ack. One revocation round covers every write of
 		// the round — leases are dead before the first applies, and grants
 		// resume only after the last.
@@ -722,8 +678,8 @@ func (n *Node) applyOrdered(id totalorder.MsgID, e *entry, genesis bool, invs []
 		if err != nil {
 			// The revocation round could not complete, so a stale lease
 			// may outlive this round; refuse the apply (no ack — the
-			// retries are dedup-safe) and heal: the other members
-			// applied, so our copy is now behind.
+			// retries are dedup-safe) and heal: the coordinator applied,
+			// so our copy is now behind.
 			n.markStale(ref)
 			go n.selfHeal(ref)
 			out.err = err
@@ -731,18 +687,26 @@ func (n *Node) applyOrdered(id totalorder.MsgID, e *entry, genesis bool, invs []
 		}
 		defer release()
 	}
-	// Ordered ops never block (no sync objects), so Background is a safe
-	// execution context here.
-	ctx := context.Background()
 	n.lockEntry(ctx, e)
+	if at.Seq == 0 {
+		*at = e.nextSeq(at.Fence)
+	} else if rec, err := n.awaitTurn(ctx, e, ref, id, *at); rec != nil || err != nil {
+		e.mu.Unlock()
+		if rec != nil { // a duplicate: answer what the original did
+			out.version, out.replays = rec.Version, rec.Replays
+		}
+		out.err = err
+		return out
+	}
 	if e.transferring {
 		e.mu.Unlock()
 		out.err = core.ErrRebalancing
 		return out
 	}
-	// Read under the monitor: a later read could include a later delivery.
+	// Read under the monitor: a later read could include a later round.
 	out.replays = n.applyLocked(ctx, e, invs, res)
 	out.version = e.version
+	e.advance(id, *at, finalResp{Version: out.version, Replays: out.replays})
 	if !readOnly && e.persist {
 		// One record carries the whole round; replay re-applies its
 		// invocations through the same dedup window. Every replica logs
@@ -756,63 +720,156 @@ func (n *Node) applyOrdered(id totalorder.MsgID, e *entry, genesis bool, invs []
 	n.objTrack.ObserveApply(k, len(invs))
 	n.bundleTrack.ObserveApply(k, len(invs))
 	if n.log.Enabled(ctx, slog.LevelDebug) {
-		n.log.Debug("smr round applied", "ref", ref.String(), "id", id.String(),
+		n.log.Debug("smr round applied", "ref", ref.String(), "id", id.String(), "seq", at.Seq,
 			"ops", len(invs), "version", out.version, "replays", out.replays)
 	}
 	return out
 }
 
-// Propose implements totalorder.Transport.
-func (rd *round) Propose(ctx context.Context, target string, id totalorder.MsgID, payload []byte) (uint64, error) {
-	if target == string(rd.n.cfg.ID) {
-		return rd.n.acceptPropose(id, rd.ref, payload)
+// awaitTurn holds a member's round at position at until it is the next
+// round e applies, and returns with e.mu held as it was called. It returns
+// the recorded reply when e already applied the round (a duplicate
+// ACCEPT), and an error when the round may not apply: its fence is no
+// longer the installed view's (a view change also wakes every parked
+// round, so a dead origin's rounds leave at once), it is behind the copy,
+// or a predecessor never came. A round parked past waitTimeout pulls a
+// copy from the group through the fetch path (pullObject), which resumes
+// the lane after that copy's position (installTransfer), and then either
+// applies or gives up.
+func (n *Node) awaitTurn(ctx context.Context, e *entry, ref core.Ref, id totalorder.MsgID, at position) (*finalResp, error) {
+	var timer *time.Timer
+	for pulled := false; ; {
+		ep := n.epoch.Load()
+		if at.Fence != ep.fence {
+			return nil, fmt.Errorf("%w: round %s fenced on %s (view changed)", core.ErrRebalancing, id, n.cfg.ID)
+		}
+		switch verdict, rec := e.laneTurn(id, at); verdict {
+		case laneApply:
+			return nil, nil
+		case laneDone:
+			return &rec, nil
+		case laneStale:
+			return nil, fmt.Errorf("%w: round %s (seq %d) is behind %s's copy of %s (seq %d)",
+				core.ErrRebalancing, id, at.Seq, n.cfg.ID, ref, e.pos.Seq)
+		}
+		if pulled {
+			return nil, fmt.Errorf("%w: %s is missing rounds of %s before seq %d",
+				core.ErrRebalancing, n.cfg.ID, ref, at.Seq)
+		}
+		if e.turn == nil {
+			e.turn = make(chan struct{})
+		}
+		turn := e.turn
+		e.mu.Unlock()
+		if timer == nil {
+			timer = time.NewTimer(n.waitTimeout())
+			defer timer.Stop()
+		}
+		select {
+		case <-turn:
+		case <-ep.next:
+		case <-ctx.Done():
+			e.mu.Lock()
+			return nil, ctx.Err()
+		case <-timer.C:
+			group, _ := n.replicaGroup(ref, true)
+			pctx, cancel := context.WithTimeout(ctx, 2*n.waitTimeout())
+			n.pullObject(pctx, ref, group)
+			cancel()
+			pulled = true
+		}
+		e.mu.Lock()
 	}
-	out, err := rd.n.peerCall(ctx, ring.NodeID(target), KindPropose,
-		proposeMsg{ID: id, Payload: payload, Fence: rd.fence}.encode())
-	if err != nil {
-		return 0, err
-	}
-	return decodeTimestamp(out)
 }
 
-// Final implements totalorder.Transport. Remote replies carry the member's
-// post-apply outcome (finalResp), collected for the fork check.
-func (rd *round) Final(ctx context.Context, target string, id totalorder.MsgID, ts uint64) error {
-	if target == string(rd.n.cfg.ID) {
-		rd.n.to.HandleFinal(id, ts)
-		return nil
-	}
-	out, err := rd.n.peerCall(ctx, ring.NodeID(target), KindFinal, finalMsg{ID: id, TS: ts}.encode())
-	if err != nil {
-		return err
-	}
-	if len(out) == 0 {
-		return nil // the member has no outcome recorded: nothing to compare
-	}
-	if resp, err := decodeFinalResp(out); err == nil {
-		rd.mu.Lock()
-		rd.replies = append(rd.replies, memberReply{ring.NodeID(target), resp})
-		rd.mu.Unlock()
-	}
-	return nil
+// laneMemory is how many applied rounds a copy remembers the replies of,
+// so that a duplicate ACCEPT (a redialed or duplicated frame) answers what
+// its original did. Two covers group commit's pipeline; a duplicate of an
+// older round is refused, which costs its client a retry, not a fork.
+const laneMemory = pipelineDepth
+
+// laneRecord is one remembered round.
+type laneRecord struct {
+	seq  uint64
+	id   totalorder.MsgID
+	resp finalResp
 }
 
-// Abort implements totalorder.Transport.
-func (rd *round) Abort(ctx context.Context, target string, id totalorder.MsgID) error {
-	if target == string(rd.n.cfg.ID) {
-		rd.n.inflight.settle(id)
-		rd.n.to.Drop(id)
-		return nil
+type laneVerdict uint8
+
+const (
+	laneApply laneVerdict = iota // the round is next
+	laneWait                     // a predecessor has not applied yet
+	laneDone                     // applied already: answer its record
+	laneStale                    // behind the copy, and no known duplicate
+)
+
+// laneTurn says what a member's round at position at does next (e.mu
+// held). A round opening a new fence's order (seq 1) is next whatever the
+// copy's position; so is seq 1 of a restarted primary under an unchanged
+// fence, known by a MsgID later than the one that opened the order here.
+// A copy installed from a transfer does not know that round, so there
+// seq 1 reads as behind: a round the copy already covers must not apply
+// twice.
+func (e *entry) laneTurn(id totalorder.MsgID, at position) (laneVerdict, finalResp) {
+	if at.Fence != e.pos.Fence {
+		if at.Seq == 1 {
+			return laneApply, finalResp{}
+		}
+		return laneWait, finalResp{}
 	}
-	_, err := rd.n.peerCall(ctx, ring.NodeID(target), KindAbort, encodeAbort(id))
-	return err
+	switch {
+	case at.Seq == e.pos.Seq+1:
+		return laneApply, finalResp{}
+	case at.Seq > e.pos.Seq:
+		return laneWait, finalResp{}
+	}
+	if r := e.recent[at.Seq%laneMemory]; r.seq == at.Seq && r.id == id {
+		return laneDone, r.resp
+	}
+	if at.Seq == 1 && id.Origin == e.first.Origin && id.Seq > e.first.Seq {
+		return laneApply, finalResp{}
+	}
+	return laneStale, finalResp{}
+}
+
+// nextSeq is the position of the next round this node sequences under
+// fence (e.mu held).
+func (e *entry) nextSeq(fence uint64) position {
+	if e.pos.Fence != fence {
+		return position{Fence: fence, Seq: 1}
+	}
+	return position{Fence: fence, Seq: e.pos.Seq + 1}
+}
+
+// advance records the round id applied at position at (e.mu held).
+func (e *entry) advance(id totalorder.MsgID, at position, resp finalResp) {
+	e.setPos(at)
+	if at.Seq == 1 {
+		e.first = id
+	}
+	e.recent[at.Seq%laneMemory] = laneRecord{seq: at.Seq, id: id, resp: resp}
+}
+
+// setPos moves the copy to position p and wakes the rounds parked on it
+// (e.mu held).
+func (e *entry) setPos(p position) {
+	if p.Fence != e.pos.Fence {
+		e.first = totalorder.MsgID{}
+	}
+	e.pos = p
+	if e.turn != nil {
+		close(e.turn)
+		e.turn = nil
+	}
 }
 
 // peerCall performs one inter-node RPC with simulated replica-link latency,
 // a per-attempt timeout (see Config.PeerCallTimeout) and a single redial on
-// connection failure. The timeout is what turns a frame lost in the network
-// into an error the protocol layer can clean up after; an unbounded call
-// would wedge the coordinator and, with it, the total-order queue.
+// connection failure. A peer's refusal (rpc.RemoteError) comes back as is:
+// the connection is sound, and other calls share it. The timeout is what turns a frame lost in the network
+// into an error the round can fail with; an unbounded call would hold the
+// round, and its client, forever.
 func (n *Node) peerCall(ctx context.Context, id ring.NodeID, kind uint8, body []byte) ([]byte, error) {
 	if err := n.profile.Delay(ctx, n.profile.DSOReplica); err != nil {
 		return nil, err
@@ -831,8 +888,9 @@ func (n *Node) peerCall(ctx context.Context, id ring.NodeID, kind uint8, body []
 		if cancel != nil {
 			cancel()
 		}
-		if err == nil {
-			return out, nil
+		var refused rpc.RemoteError
+		if err == nil || errors.As(err, &refused) {
+			return out, err
 		}
 		n.dropPeer(id)
 		if attempt >= 1 || ctx.Err() != nil {
@@ -850,104 +908,11 @@ func (n *Node) peerCall(ctx context.Context, id ring.NodeID, kind uint8, body []
 // waitTimeout is peerTimeout floored at the Config.PeerCallTimeout default,
 // for waits that scale with it: a negative setting disables the per-attempt
 // RPC bound and zeroes peerTimeout, but those waits still need a real
-// deadline — at zero, any finalized op queued behind an earlier pending
-// message would fail its FINAL immediately and the coordinator would
-// spuriously abort the round.
+// deadline — at zero, a round that arrived a moment before its predecessor
+// would give up at once and pull.
 func (n *Node) waitTimeout() time.Duration {
 	if n.peerTimeout > 0 {
 		return n.peerTimeout
 	}
 	return 2 * time.Second
-}
-
-// handleAbort services a peer's ABORT.
-func (n *Node) handleAbort(payload []byte) ([]byte, error) {
-	id, err := decodeAbort(payload)
-	if err != nil {
-		return nil, err
-	}
-	n.inflight.settle(id)
-	n.to.Drop(id)
-	return nil, nil
-}
-
-// handlePropose services a peer's PROPOSE. Proposes from a coordinator
-// whose membership view disagrees with ours are refused (see proposeMsg):
-// the coordinator aborts the round and the client retries once the views
-// converge — a transient bounce, never a fork.
-func (n *Node) handlePropose(payload []byte) ([]byte, error) {
-	msg, err := decodeProposeMsg(payload)
-	if err != nil {
-		return nil, err
-	}
-	view, _ := n.currentView()
-	if fence := view.Fence(); msg.Fence != fence {
-		return nil, fmt.Errorf("%w: propose from %s fenced (view mismatch)",
-			core.ErrRebalancing, msg.ID.Origin)
-	}
-	// All invocations of a round share one object; the first names it.
-	_, parts, err := splitRoundPayload(msg.Payload)
-	if err != nil {
-		return nil, err
-	}
-	first, err := core.DecodeInvocation(parts[0])
-	if err != nil {
-		return nil, err
-	}
-	ts, err := n.acceptPropose(msg.ID, first.Ref, msg.Payload)
-	if err != nil {
-		return nil, err
-	}
-	return encodeTimestamp(ts), nil
-}
-
-// acceptPropose is the receiving half of a PROPOSE, the coordinator's own
-// or a peer's: single-coordinator admission, then the timestamp. The view
-// fence (handlePropose) compares whole views, but it cannot stop this
-// interleaving — we accept the old primary's op, install the next view,
-// then the new primary proposes for the same object while the first op is
-// still undelivered. Two coordinators would each ack a result the other
-// never sees. Refuse the newcomer; its round aborts and the client retries
-// after the pending op settles.
-func (n *Node) acceptPropose(id totalorder.MsgID, ref core.Ref, payload []byte) (uint64, error) {
-	if !n.inflight.admit(id, ref) {
-		return 0, fmt.Errorf("%w: %s has an op in flight from another coordinator",
-			core.ErrRebalancing, ref)
-	}
-	return n.to.HandlePropose(id, payload), nil
-}
-
-// handleFinal services a peer's FINAL. It replies only once the message
-// has been applied here, not merely finalized: the coordinator's
-// Multicast waits on this reply before its own delivery acks the client,
-// so the reply is the guarantee that an acknowledged operation exists at
-// every group member. A finalized-but-undelivered message (stuck behind
-// an earlier pending op) acked in that window would live solely in the
-// coordinator's memory — a coordinator crash would drop it, the view
-// change would purge the stuck proposal, and the survivors would agree on
-// a history missing an acknowledged write. The wait bound matches the
-// orphan TTL that limits how long a zombie proposal can stall delivery;
-// on expiry the coordinator surfaces a retryable error instead of acking
-// (the at-most-once window makes the client's retry safe either way).
-func (n *Node) handleFinal(payload []byte) ([]byte, error) {
-	msg, err := decodeFinalMsg(payload)
-	if err != nil {
-		return nil, err
-	}
-	n.to.HandleFinal(msg.ID, msg.TS)
-	if !n.to.WaitDelivered(msg.ID, 10*n.waitTimeout()) {
-		return nil, fmt.Errorf("%w: %s finalized but not yet applied on %s",
-			core.ErrRebalancing, msg.ID, n.cfg.ID)
-	}
-	// Report the local outcome so the coordinator can verify the copies
-	// did not fork (see finalResp). The entry was recorded by deliver;
-	// consume it so the map stays bounded.
-	n.applyMu.Lock()
-	resp, known := n.applied[msg.ID]
-	delete(n.applied, msg.ID)
-	n.applyMu.Unlock()
-	if !known {
-		return nil, nil
-	}
-	return resp.encode(), nil
 }

@@ -98,6 +98,10 @@ const (
 	// (pull-on-miss) instead of being created fresh.
 	MetServerTransfersStale = "server.transfers_stale"
 	MetServerPulls          = "server.object_pulls"
+	// Rounds the coordinator's fork check refused because a member's
+	// post-apply version or replay count differed from its own. A
+	// fault-free run refuses none.
+	MetServerForkRefusals = "server.fork_refusals"
 
 	// Per-function FaaS fault accounting: the function name is appended,
 	// e.g. "faas.failures.by_fn.trainer".

@@ -5,13 +5,12 @@ import (
 	"fmt"
 )
 
-// Batch container: the payload framing for group commit. One multicast
-// message (one MsgID, one ordering round) may carry several application
-// payloads; the SMR layer coalesces concurrent writes to one object into
-// such a batch so the whole group pays a single PROPOSE/FINAL exchange for
-// N operations. The protocol itself is oblivious — a batch is ordered,
-// TTL-garbage-collected, aborted and delivered exactly like any other
-// payload, and the delivery callback splits it back into its parts.
+// Batch container: the payload framing for group commit. One round (one
+// MsgID, one ordering round) may carry several application payloads; the
+// SMR layer coalesces concurrent writes to one object into such a batch so
+// the whole group pays a single ACCEPT exchange for N operations. The
+// ordering is oblivious — a batch is ordered and applied exactly like any
+// other payload, and the apply splits it back into its parts.
 //
 // Wire image: uvarint part count, then per part a uvarint length followed
 // by that many bytes.

@@ -1,7 +1,9 @@
-// Package totalorder implements Skeen's total-order multicast algorithm,
-// the primitive beneath state-machine replication of persistent objects
-// (paper Section 4.1/5: Infinispan relies on JGroups' TOA protocol, which
-// uses Skeen's algorithm).
+// Package totalorder names replication rounds (MsgID) and frames their
+// batched payloads (AppendBatch). It also implements Skeen's total-order
+// multicast algorithm, the primitive Infinispan's replication relies on
+// (paper Section 4.1/5: JGroups' TOA protocol uses it); the server orders
+// each object at its primary instead (DESIGN.md §1), and only the
+// benchmark's per-layer probe still runs the Skeen half.
 //
 // Protocol, per message m multicast to group G:
 //
