@@ -62,9 +62,12 @@ cover:
 # on, with live migration mid-partition), the kill-everything
 # full-cluster recovery audit, the stateful-functions kill-everything
 # delivery audit, and the at-most-once blackhole regressions. Schedules
-# are deterministic in their seeds, so a failure reproduces.
+# are deterministic in their seeds, so a failure reproduces. The
+# stateful-functions audit runs three times: its engine is woken by a
+# doorbell whose waits the schedule's attempt timeouts cut short.
 chaos:
-	$(GO) test -race -count=1 -run 'TestNemesis|TestAtMostOnce' ./internal/chaos/
+	$(GO) test -race -count=1 -run 'TestNemesis|TestAtMostOnce' -skip 'TestNemesisStatefunKillEverything' ./internal/chaos/
+	$(GO) test -race -count=3 -run 'TestNemesisStatefunKillEverything' ./internal/chaos/
 
 # chaos-short is the verify-gate slice of the nemesis: one partition
 # schedule, one crash/restart schedule, the cache-on partition schedule
@@ -88,7 +91,11 @@ chaos-short:
 # the three that pin the per-object order (§5c): two coordinators in two
 # views are never both acked, a member applies an overtaking round only
 # after its predecessor, and a lost ACCEPT parks the next round until the
-# member pulls. 30 times each at one and two CPUs (about a minute on an
+# member pulls — and the three statefun dispatch tests that time a
+# wake-up: a push to an idle instance is handled within 100 ms while idle
+# instances get no drain pass, a doorbell owner's crash makes the engine
+# re-list, and the push after one that errored in doubt still rings
+# (§5i). 30 times each at one and two CPUs (about three minutes on an
 # idle box).
 # Not part of verify. To reproduce the contention itself, run any CPU hog
 # beside it (e.g. four copies of a `go test -c ./internal/chaos` binary).
@@ -98,6 +105,7 @@ flake-check:
 	$(GO) test -count=30 -cpu 1,2 -run 'TestNemesisCacheCrashRestart' ./internal/chaos/
 	$(GO) test -count=30 -cpu 1,2 -run 'TestInvokeDuringMigrationLosesNothing|TestDurabilityRecoversConcurrentRFOneWrites|TestRF2ReadsServedAtPrimary|TestDroppedAcceptParksPullsAndConverges' ./internal/cluster/
 	$(GO) test -count=30 -cpu 1,2 -run 'TestRoundOfOneAcrossHandOff|TestTwoCoordinatorsInTwoViewsNotBothAcked|TestAcceptAppliesInSeqOrder' ./internal/server/
+	$(GO) test -count=30 -cpu 1,2 -run 'TestDispatchIdleInstancesCostNothing|TestDispatchDoorbellOwnerCrashRelists|TestDispatchPushInDoubtActivatesNext' ./internal/statefun/
 
 # doclint fails when an exported identifier in the public API (the root
 # package) has no doc comment.

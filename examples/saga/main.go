@@ -176,11 +176,7 @@ func runRemote(members string, orders int, stock int64) int {
 		if err != nil {
 			return err
 		}
-		if err := sender.Send(ctx, to, name, data, ""); err != nil {
-			return err
-		}
-		eng.Notify(to)
-		return nil
+		return sender.Send(ctx, to, name, data, "")
 	}
 	if err := send(statefun.Address{FnType: saga.FnInventory, ID: "widget"}, "restock", saga.Step{Qty: stock}); err != nil {
 		fmt.Fprintln(os.Stderr, "saga:", err)
@@ -202,7 +198,6 @@ func runRemote(members string, orders int, stock int64) int {
 		if err := sender.Send(ctx, to, "place", body, replyKey); err != nil {
 			return saga.Receipt{}, err
 		}
-		eng.Notify(to)
 		raw, err := statefun.AwaitReply(ctx, c, replyKey)
 		if err != nil {
 			return saga.Receipt{}, err

@@ -115,10 +115,9 @@ func sfEngine(t *testing.T, clu *cluster.Cluster, hs *statefun.HandlerSet) (*sta
 	}
 	proc := statefun.NewProc(conn, hs, statefun.ProcOptions{})
 	eng := statefun.NewEngine(statefun.EngineConfig{
-		Invoker:      conn,
-		Runner:       proc,
-		Workers:      4,
-		PollInterval: 2 * time.Millisecond,
+		Invoker: conn,
+		Runner:  proc,
+		Workers: 4,
 	})
 	return eng, func() {
 		eng.Close()

@@ -193,6 +193,14 @@ type Object interface {
 	Call(ctl Ctl, method string, args []any) ([]any, error)
 }
 
+// Finisher is implemented by synchronization objects that can be spent,
+// like a Future its one consumer has taken. Once Finished reports true
+// after a call, the owning node drops the object, and the next call on
+// its key creates a fresh one.
+type Finisher interface {
+	Finished() bool
+}
+
 // Snapshotter is implemented by objects that support state transfer, which
 // is required for replication (rf > 1) and for rebalancing on membership
 // changes. The library objects all implement it.

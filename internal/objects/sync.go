@@ -156,9 +156,12 @@ func (s *Semaphore) Call(ctl core.Ctl, method string, args []any) ([]any, error)
 // Future is a single-assignment cell whose Get blocks until completion.
 // The Fig. 6 map-phase synchronization uses one Future per mapper (or a
 // single Future fed by a server-side aggregate for the auto-reduce
-// variant).
+// variant). Take is a Get by the future's one consumer: afterwards the
+// future reports Finished and its node frees it, so a later call on the
+// key meets a fresh, incomplete future.
 type Future struct {
 	done  bool
+	taken bool
 	value any
 	errs  string
 }
@@ -193,10 +196,11 @@ func (f *Future) Call(ctl core.Ctl, method string, args []any) ([]any, error) {
 		f.done = true
 		ctl.Broadcast()
 		return nil, nil
-	case "Get":
+	case "Get", "Take":
 		if err := ctl.Wait(func() bool { return f.done }); err != nil {
 			return nil, err
 		}
+		f.taken = f.taken || method == "Take"
 		if f.errs != "" {
 			return nil, errors.New(f.errs)
 		}
@@ -212,6 +216,9 @@ func (f *Future) Call(ctl core.Ctl, method string, args []any) ([]any, error) {
 		return nil, errUnknownMethod("Future", method)
 	}
 }
+
+// Finished reports whether the future has been taken.
+func (f *Future) Finished() bool { return f.taken }
 
 // CountDownLatch blocks waiters until the count reaches zero.
 // Init: count (int).
@@ -255,8 +262,9 @@ func (l *CountDownLatch) Call(ctl core.Ctl, method string, args []any) ([]any, e
 }
 
 var (
-	_ core.Object = (*CyclicBarrier)(nil)
-	_ core.Object = (*Semaphore)(nil)
-	_ core.Object = (*Future)(nil)
-	_ core.Object = (*CountDownLatch)(nil)
+	_ core.Object   = (*CyclicBarrier)(nil)
+	_ core.Object   = (*Semaphore)(nil)
+	_ core.Object   = (*Future)(nil)
+	_ core.Finisher = (*Future)(nil)
+	_ core.Object   = (*CountDownLatch)(nil)
 )

@@ -277,6 +277,21 @@ func TestFutureGetBlocksUntilSet(t *testing.T) {
 	}
 }
 
+func TestFutureTakeFinishes(t *testing.T) {
+	m := newTestMonitor()
+	f := mustNew(t, NewFuture)
+	fin := f.(core.Finisher)
+	if _, err := m.Call(f, "Set", int64(3)); err != nil {
+		t.Fatal(err)
+	}
+	if got := call[int64](t, m, f, "Get"); got != 3 || fin.Finished() {
+		t.Fatalf("Get = %d, finished %v; want 3 and not finished", got, fin.Finished())
+	}
+	if got := call[int64](t, m, f, "Take"); got != 3 || !fin.Finished() {
+		t.Fatalf("Take = %d, finished %v; want 3 and finished", got, fin.Finished())
+	}
+}
+
 func TestFutureFail(t *testing.T) {
 	m := newTestMonitor()
 	f := mustNew(t, NewFuture)

@@ -173,7 +173,8 @@ func (n *Node) lookupOrCreate(inv core.Invocation) (*entry, error) {
 // invokeLocal serves a call on a synchronization object (barrier,
 // semaphore, future, latch). Such objects are never replicated (paper,
 // fn. 2) and never ordered — a call parks under the monitor until another
-// call releases it — so it runs directly on the object's rf=1 owner.
+// call releases it — so it runs directly on the object's rf=1 owner. An
+// object the call left Finished (core.Finisher) is dropped.
 func (n *Node) invokeLocal(ctx context.Context, inv core.Invocation) ([]any, error) {
 	group, _ := n.replicaGroup(inv.Ref, false)
 	if err := n.primacy(inv.Ref, group); err != nil {
@@ -183,7 +184,20 @@ func (n *Node) invokeLocal(ctx context.Context, inv core.Invocation) ([]any, err
 	if err != nil {
 		return nil, err
 	}
-	return n.applyOne(ctx, e, inv)
+	results, err := n.applyOne(ctx, e, inv)
+	if f, ok := e.obj.(core.Finisher); ok {
+		e.mu.Lock()
+		finished := f.Finished()
+		e.mu.Unlock()
+		if finished {
+			n.objMu.Lock()
+			if n.objects[inv.Ref] == e {
+				delete(n.objects, inv.Ref)
+			}
+			n.objMu.Unlock()
+		}
+	}
+	return results, err
 }
 
 // applyOne runs one invocation outside any round: a synchronization call,

@@ -267,6 +267,45 @@ func TestDebugHelpers(t *testing.T) {
 	}
 }
 
+// A synchronization object that a call leaves Finished is dropped: a
+// taken future is freed, and the next call on its key meets a fresh one.
+func TestFinishedSyncObjectDropped(t *testing.T) {
+	net := rpc.NewMemNetwork()
+	dir := membership.NewDirectory(time.Hour)
+	n := startNode(t, validConfig(net, dir))
+	c := dial(t, net, "n1")
+	ref := core.Ref{Type: objects.TypeFuture, Key: "reply"}
+	call := func(method string, args ...any) []any {
+		t.Helper()
+		payload, err := core.EncodeInvocation(core.Invocation{Ref: ref, Method: method, Args: args})
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := c.Call(context.Background(), KindInvoke, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := core.DecodeResponse(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := core.DecodeError(resp.Err); err != nil {
+			t.Fatalf("%s: %v", method, err)
+		}
+		return resp.Results
+	}
+	call("Set", int64(5))
+	if got := call("Get"); !n.DebugHasObject(ref) || got[0] != int64(5) {
+		t.Fatalf("Get = %v, resident %v; want 5 and the future kept", got, n.DebugHasObject(ref))
+	}
+	if got := call("Take"); n.DebugHasObject(ref) || got[0] != int64(5) {
+		t.Fatalf("Take = %v, resident %v; want 5 and the future dropped", got, n.DebugHasObject(ref))
+	}
+	if done := call("IsDone"); done[0] != false {
+		t.Fatal("the key still names the taken future")
+	}
+}
+
 // Regression: a context cancelled while an invocation is parked in
 // Ctl.Wait must unblock promptly. Before the cancellation watcher the
 // waiter only re-checked its context after a Broadcast on the same

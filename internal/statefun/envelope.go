@@ -3,14 +3,15 @@
 // owning one durable mailbox DSO that holds its inbound queue, its
 // private state blob, and a transactional outbox of unsent effects.
 //
-// Delivery composes the machinery of earlier PRs instead of adding new
-// protocol: pushes ride the at-most-once write path (PR 4), idle
-// mailboxes are polled through lease-cached read-only methods (PR 5),
-// the handler's whole effect set commits as a single group-commit
-// invocation (PR 6), the mailbox is a persistent object so every
-// transition lands in the WAL and survives full-cluster recovery
-// (PR 9), and hot instances reshard like any other object (PR 8).
-// Execution is at-least-once; effects are exactly-once-visible.
+// Delivery composes the machinery of the layers below instead of adding
+// new protocol: pushes ride the at-most-once write path (§5c), the
+// handler's whole effect set commits as a single group-commit invocation
+// (§5e), the mailbox is a persistent object so every transition lands in
+// the WAL and survives full-cluster recovery (§5h), hot instances
+// reshard like any other object (§5g), and engines learn of work by
+// parking on a synchronization object's monitor (the Doorbell), as
+// cloud threads park on a Future. Execution is at-least-once; effects
+// are exactly-once-visible.
 package statefun
 
 import (
@@ -33,8 +34,9 @@ const TypeMailbox = "StatefunMailbox"
 const ReplyFnType = "_reply"
 
 // DirectoryKey is the key of the Map object listing the currently live
-// (possibly-nonempty) function instances; dispatch engines poll it to
-// learn what to drain, and retire entries after the idle TTL.
+// (possibly-nonempty) function instances. An engine lists it only when
+// the doorbell cannot tell it what changed (see Doorbell), and retires
+// entries after the idle TTL.
 const DirectoryKey = "statefun/.dir"
 
 // Address names one function instance: a registered function type plus a
@@ -120,8 +122,8 @@ const (
 )
 
 // PushResult reports the outcome of a Push and the queue length after it
-// (senders register the instance in the dispatch directory when the
-// queue transitions empty → nonempty, i.e. QueueLen == 1).
+// (senders activate the instance — directory entry, then doorbell — when
+// the queue transitions empty → nonempty, i.e. QueueLen == 1).
 type PushResult struct {
 	Status   PushStatus
 	QueueLen int64
@@ -154,11 +156,12 @@ type CommitReq struct {
 
 // CommitResult reports whether the commit applied (false means the head
 // had already been committed by an earlier attempt — the redelivery
-// no-op) and returns every still-undelivered outbox entry so the runner
-// can forward them regardless.
+// no-op), the queue length after it, and every still-undelivered outbox
+// entry so the runner can forward them regardless.
 type CommitResult struct {
-	Applied bool
-	Pending []OutEntry
+	Applied  bool
+	QueueLen int64
+	Pending  []OutEntry
 }
 
 // MailboxStatus is the read-only health view of one instance, used by
@@ -188,15 +191,16 @@ func DecodeBody(data []byte, v any) error {
 	return core.DecodeValue(data, v)
 }
 
-// RegisterTypes adds the mailbox object type to a registry (idempotent)
-// and declares its read-only methods. Cluster bootstrap calls it so every
-// node can materialize mailboxes.
+// RegisterTypes adds the mailbox and doorbell object types to a registry
+// (idempotent) and declares the mailbox's read-only methods. Cluster
+// bootstrap calls it so every node can materialize both.
 func RegisterTypes(r *core.Registry) {
 	core.RegisterReadOnlyMethods(TypeMailbox, "Fetch", "Status", "Outbox")
 	if _, err := r.Lookup(TypeMailbox); err == nil {
 		return
 	}
 	r.MustRegister(core.TypeInfo{Name: TypeMailbox, New: NewMailbox})
+	r.MustRegister(core.TypeInfo{Name: TypeDoorbell, New: NewDoorbell, Synchronization: true})
 }
 
 // Wire values (DESIGN.md §5b). Each value the layer ships per message —
@@ -214,11 +218,12 @@ const (
 	tagPushResult   byte = 'p' // Status, QueueLen
 	tagTask         byte = 't' // Has, EnqSeq, envelope, State, HasState, QueueLen, OutLen
 	tagCommitReq    byte = 'c' // EnqSeq, From, State, SetState, envelope list
-	tagCommitResult byte = 'r' // Applied, outbox entry list
+	tagCommitResult byte = 'r' // Applied, QueueLen, outbox entry list
 	tagOutbox       byte = 'o' // outbox entry list: count, then Seq + envelope each
 	tagStatus       byte = 's' // QueueLen, OutboxLen, Processed, Dups, Rejected
-	tagRunReport    byte = 'R' // Processed, QueueLen, OutboxLen, Dirty address list
+	tagRunReport    byte = 'R' // Processed, QueueLen, OutboxLen
 	tagMailbox      byte = 'M' // a mailbox snapshot (Mailbox.Snapshot)
+	tagDoorbellWake byte = 'w' // Nonce, Head, Relist, address list
 )
 
 // decodeFrame is core.DecodeFrame with the value's name on its error.
@@ -417,13 +422,16 @@ func readOutEntries(r *core.Reader) ([]OutEntry, error) {
 }
 
 func (c CommitResult) encode() []byte {
-	b := core.NewFrame(tagCommitResult, 1+outEntriesSize(c.Pending), 0)
-	return appendOutEntries(core.AppendBool(b, c.Applied), c.Pending)
+	b := core.NewFrame(tagCommitResult, 1+outEntriesSize(c.Pending), 1)
+	return appendOutEntries(core.AppendVarint(core.AppendBool(b, c.Applied), c.QueueLen), c.Pending)
 }
 
 func decodeCommitResult(data []byte) (CommitResult, error) {
 	return decodeFrame(data, tagCommitResult, "commit result", func(r *core.Reader) (c CommitResult, err error) {
 		if c.Applied, err = r.Bool(); err == nil {
+			c.QueueLen, err = r.Varint()
+		}
+		if err == nil {
 			c.Pending, err = readOutEntries(r)
 		}
 		return c, err

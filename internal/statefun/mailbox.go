@@ -130,7 +130,7 @@ func (m *Mailbox) push(env Envelope) PushResult {
 }
 
 // fetch returns the head message and current state without mutating
-// anything (read-only, so idle polls are answered from lease caches).
+// anything (read-only, so it can be answered from a lease cache).
 func (m *Mailbox) fetch() Task {
 	t := Task{
 		State:    m.state,
@@ -149,8 +149,9 @@ func (m *Mailbox) fetch() Task {
 // commit atomically applies one handler run's effect set. The head is
 // popped only if its enqueue sequence matches req.EnqSeq; a stale commit
 // (the message was already applied by an earlier delivery attempt)
-// changes nothing and reports Applied=false. Either way the full
-// undelivered outbox is returned so the caller can forward it.
+// changes nothing and reports Applied=false. Either way the queue length
+// and the full undelivered outbox are returned, so the caller can stop
+// at an empty queue and forward the outbox.
 func (m *Mailbox) commit(req CommitReq) CommitResult {
 	applied := len(m.queue) > 0 && m.queue[0].EnqSeq == req.EnqSeq
 	if applied {
@@ -168,7 +169,7 @@ func (m *Mailbox) commit(req CommitReq) CommitResult {
 		}
 	}
 	// Call encodes the result before the outbox can change.
-	return CommitResult{Applied: applied, Pending: m.outbox}
+	return CommitResult{Applied: applied, QueueLen: int64(len(m.queue)), Pending: m.outbox}
 }
 
 // ackOut prunes every outbox entry with sequence ≤ upTo (cumulative ack

@@ -204,7 +204,7 @@ func TestAddressDirEntryRoundTrip(t *testing.T) {
 }
 
 // TestReadOnlyClassification pins the lease-cacheable method set: Fetch,
-// Status and Outbox must be read-only (idle polls ride the lease cache),
+// Status and Outbox must be read-only (reads of them ride the lease cache),
 // and the mutating methods must not be.
 func TestReadOnlyClassification(t *testing.T) {
 	RegisterTypes(core.NewRegistry())

@@ -2,7 +2,6 @@ package statefun
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -167,25 +166,18 @@ func (c *Ctx) Reply(body any) error {
 }
 
 // RunReport is what a runner tells the dispatch engine about one drain
-// pass: how many messages committed, what is left queued or undelivered,
-// and which other instances received messages (dirty hints that let the
-// engine dispatch them without waiting for a poll).
+// pass: how many messages committed and what is left queued or
+// undelivered.
 type RunReport struct {
 	Processed int64
 	QueueLen  int64
 	OutboxLen int64
-	Dirty     []Address
 }
 
 // Encode returns the report as a drain pass's reply (DecodeRunReport).
 func (r RunReport) Encode() []byte {
-	b := core.NewFrame(tagRunReport, 0, 4+2*len(r.Dirty))
-	b = core.AppendVarint(core.AppendVarint(core.AppendVarint(b, r.Processed), r.QueueLen), r.OutboxLen)
-	b = binary.AppendUvarint(b, uint64(len(r.Dirty)))
-	for _, a := range r.Dirty {
-		b = appendAddress(b, a)
-	}
-	return b
+	b := core.NewFrame(tagRunReport, 0, 3)
+	return core.AppendVarint(core.AppendVarint(core.AppendVarint(b, r.Processed), r.QueueLen), r.OutboxLen)
 }
 
 // DecodeRunReport parses exactly one RunReport.Encode frame.
@@ -194,18 +186,6 @@ func DecodeRunReport(data []byte) (RunReport, error) {
 		for _, f := range []*int64{&rep.Processed, &rep.QueueLen, &rep.OutboxLen} {
 			if err == nil {
 				*f, err = r.Varint()
-			}
-		}
-		n := 0
-		if err == nil {
-			n, err = r.Count(2)
-		}
-		if err == nil && n > 0 {
-			rep.Dirty = make([]Address, n)
-			for i := range rep.Dirty {
-				if rep.Dirty[i], err = readAddress(r); err != nil {
-					break
-				}
 			}
 		}
 		return rep, err
@@ -279,7 +259,10 @@ func NewProc(inv core.Invoker, handlers *HandlerSet, opts ProcOptions) *Proc {
 	}
 }
 
-// Run drains up to MaxBatch messages from the instance's mailbox.
+// Run drains up to MaxBatch messages from the instance's mailbox. It
+// stops when a commit reports the queue empty, without a closing Fetch:
+// the pop and the length come from one mailbox invocation, so a push
+// that lands after it sees QueueLen 1 and activates the instance again.
 func (p *Proc) Run(ctx context.Context, addr Address) (RunReport, error) {
 	var report RunReport
 	for n := 0; n < p.maxBatch; n++ {
@@ -325,15 +308,18 @@ func (p *Proc) Run(ctx context.Context, addr Address) (RunReport, error) {
 		}
 		if res.Applied {
 			report.Processed++
-			report.QueueLen = task.QueueLen - 1
 			p.cMessages.Inc()
 			p.hDispatch.Observe(time.Since(started))
 		} else {
 			p.cRedeliveries.Inc()
 		}
+		report.QueueLen = res.QueueLen
 		report.OutboxLen = int64(len(res.Pending))
 		if err := p.deliver(ctx, addr, res.Pending, &report); err != nil {
 			return report, err
+		}
+		if res.QueueLen == 0 {
+			break
 		}
 	}
 	return report, nil
@@ -350,7 +336,8 @@ func runHandler(h Handler, c *Ctx, m Msg) (err error) {
 	return h(c, m)
 }
 
-// deliver forwards pending outbox entries in sequence order. A full
+// deliver forwards pending outbox entries in sequence order, activating
+// each destination whose queue the push made nonempty. A full
 // destination suspends only its own later entries (ordering is
 // per-destination, and skipping everything would let two backpressuring
 // instances head-of-line-block each other forever); any other failure
@@ -396,25 +383,23 @@ deliverLoop:
 				continue
 			case PushOK:
 				p.cSends.Inc()
-				report.Dirty = append(report.Dirty, e.Env.To)
 				if res.QueueLen == 1 {
-					if err := RegisterInstance(ctx, p.inv, e.Env.To); err != nil {
+					if err := activate(ctx, p.inv, e.Env.To); err != nil {
 						stopErr = err
 						break deliverLoop
 					}
 				}
 			case PushDup:
 				// The push applied on an earlier attempt that may have died
-				// between pushing and registering the destination, so the
-				// QueueLen==1 transition is unobservable now. Registration
-				// is idempotent: re-register (and re-hint) whenever the
-				// queue is nonempty rather than strand the message.
+				// between pushing and activating the destination, so the
+				// QueueLen==1 transition is unobservable now. Activation
+				// is idempotent: activate whenever the queue is nonempty
+				// rather than strand the message.
 				if res.QueueLen > 0 {
-					if err := RegisterInstance(ctx, p.inv, e.Env.To); err != nil {
+					if err := activate(ctx, p.inv, e.Env.To); err != nil {
 						stopErr = err
 						break deliverLoop
 					}
-					report.Dirty = append(report.Dirty, e.Env.To)
 				}
 			}
 		}

@@ -9,16 +9,18 @@ import (
 	"crucial/internal/objects"
 )
 
-// fakeInvoker backs mailboxes, the dispatch directory and reply futures
-// in memory, so the delivery paths of Proc and Sender can be exercised
-// without a cluster — including the crash windows a real cluster only
-// hits under fault injection.
+// fakeInvoker backs mailboxes, the dispatch directory, the doorbell and
+// reply futures in memory, so the delivery paths of Proc and Sender can
+// be exercised without a cluster — including the crash windows a real
+// cluster only hits under fault injection.
 type fakeInvoker struct {
 	mailboxes map[string]*Mailbox
 	dir       map[string]bool
 	futures   map[string][]byte
+	doorbell  *Doorbell
 	dirErrs   int // the next N directory Puts fail (injected fault)
 	dirPuts   int
+	calls     map[string]int // invocations per method
 }
 
 func newFakeInvoker() *fakeInvoker {
@@ -26,8 +28,32 @@ func newFakeInvoker() *fakeInvoker {
 		mailboxes: make(map[string]*Mailbox),
 		dir:       make(map[string]bool),
 		futures:   make(map[string][]byte),
+		doorbell:  &Doorbell{nonce: 1},
+		calls:     make(map[string]int),
 	}
 }
+
+// offered reports whether addr was rung on the doorbell.
+func (f *fakeInvoker) offered(addr Address) bool {
+	for _, a := range f.doorbell.wake(f.doorbell.nonce, 0).Ready {
+		if a == addr {
+			return true
+		}
+	}
+	return false
+}
+
+// nopCtl is the monitor of a lone in-memory object: nothing ever waits.
+type nopCtl struct{}
+
+func (nopCtl) Wait(cond func() bool) error {
+	if !cond() {
+		return errors.New("nopCtl: would block")
+	}
+	return nil
+}
+func (nopCtl) Broadcast()               {}
+func (nopCtl) Context() context.Context { return context.Background() }
 
 func (f *fakeInvoker) mailbox(t *testing.T, key string, capacity int64) *Mailbox {
 	t.Helper()
@@ -40,7 +66,10 @@ func (f *fakeInvoker) mailbox(t *testing.T, key string, capacity int64) *Mailbox
 }
 
 func (f *fakeInvoker) InvokeObject(_ context.Context, inv core.Invocation) ([]any, error) {
+	f.calls[inv.Method]++
 	switch inv.Ref.Type {
+	case TypeDoorbell:
+		return f.doorbell.Call(nopCtl{}, inv.Method, inv.Args)
 	case TypeMailbox:
 		capacity := int64(DefaultMailboxCap)
 		if len(inv.Init) > 0 {
@@ -103,9 +132,9 @@ func commitWithSends(t *testing.T, f *fakeInvoker, src Address, sends []Envelope
 
 // TestDeliverRegistersOnPushDup pins the crash-window fix: a prior
 // delivery attempt pushed the message (queue 0 → 1) but died before
-// registering the destination in the dispatch directory. The retry sees
-// PushDup and must still register and hint the destination — otherwise
-// the durable message is never dispatched.
+// activating the destination. The retry sees PushDup and must still
+// register the destination and ring the doorbell for it — otherwise the
+// durable message is never dispatched.
 func TestDeliverRegistersOnPushDup(t *testing.T) {
 	f := newFakeInvoker()
 	src := Address{FnType: "src", ID: "1"}
@@ -131,12 +160,8 @@ func TestDeliverRegistersOnPushDup(t *testing.T) {
 	if !f.dir[dst.DirEntry()] {
 		t.Fatalf("destination not registered on PushDup retry: %v", f.dir)
 	}
-	hinted := false
-	for _, d := range report.Dirty {
-		hinted = hinted || d == dst
-	}
-	if !hinted {
-		t.Fatalf("destination not dirty-hinted on PushDup retry: %v", report.Dirty)
+	if !f.offered(dst) {
+		t.Fatal("destination not offered on the doorbell on PushDup retry")
 	}
 	if got := f.mailbox(t, src.Key(), 0).fetch().OutLen; got != 0 {
 		t.Fatalf("outbox not acked after dup delivery: %d entries left", got)
@@ -324,5 +349,50 @@ func TestFutureAlreadySetSurvivesWire(t *testing.T) {
 	}
 	if isFutureAlreadySet(errors.New("some other failure")) {
 		t.Fatal("unrelated error recognised as future-already-set")
+	}
+}
+
+// A pass over one message ends at the commit that empties the queue: it
+// issues one Fetch, not a second that finds the queue empty.
+func TestRunStopsAtEmptyQueueWithoutFetch(t *testing.T) {
+	f := newFakeInvoker()
+	dst := Address{FnType: "fn", ID: "1"}
+	if err := NewSender(f, "client/1", 0).Send(context.Background(), dst, "m", nil, ""); err != nil {
+		t.Fatal(err)
+	}
+	hs := NewHandlerSet()
+	if err := hs.Register("fn", func(*Ctx, Msg) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	f.calls = make(map[string]int)
+	report, err := NewProc(f, hs, ProcOptions{}).Run(context.Background(), dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report != (RunReport{Processed: 1}) {
+		t.Fatalf("report = %+v, want one message processed and nothing left", report)
+	}
+	if got := f.calls["Fetch"]; got != 1 {
+		t.Fatalf("the pass issued %d Fetch calls, want 1", got)
+	}
+}
+
+// A sender whose first push finds the queue nonempty lists the instance
+// before acking: the push that made the queue nonempty owes the
+// activation, and if its sender died first, only a re-list of the
+// directory finds the messages acked behind it.
+func TestSenderListsBehindAnotherSendersPush(t *testing.T) {
+	f := newFakeInvoker()
+	dst := Address{FnType: "dst", ID: "1"}
+	// Another sender's push made the queue nonempty and died before
+	// activating.
+	if r, err := PushEnvelope(context.Background(), f, Envelope{To: dst, From: "gone", Seq: 1, Name: "a"}, 0); err != nil || r.QueueLen != 1 {
+		t.Fatalf("first push: %+v %v", r, err)
+	}
+	if err := NewSender(f, "client/1", 0).Send(context.Background(), dst, "b", nil, ""); err != nil {
+		t.Fatal(err)
+	}
+	if !f.dir[dst.DirEntry()] {
+		t.Fatalf("a push acked behind an unactivated one left the instance unlisted: %v", f.dir)
 	}
 }

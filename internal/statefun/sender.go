@@ -18,7 +18,7 @@ var ErrMailboxFull = errors.New("statefun: mailbox full")
 // per-destination monotonic sequence numbers under a per-destination
 // lock (the dedup windows are max-seq based, so sends to one mailbox
 // must land in order), pushes through the at-most-once write path, and
-// registers newly-nonempty instances in the dispatch directory.
+// activates newly-nonempty instances (see activate).
 type Sender struct {
 	inv        core.Invoker
 	from       string
@@ -32,12 +32,16 @@ type Sender struct {
 type destStream struct {
 	mu   sync.Mutex
 	next uint64
-	// needReg records a directory registration that a previous Send owed
-	// (its push made the queue nonempty) but failed to complete; the next
-	// Send retries it regardless of the queue length it observes, so a
-	// transient registration failure cannot strand a durably-enqueued
-	// message outside the dispatch directory.
-	needReg bool
+	// needAct records an activation that a previous Send owed (its push
+	// made the queue nonempty, or errored and may have) but failed to
+	// complete; the next Send
+	// retries it regardless of the queue length it observes, so a
+	// transient failure cannot strand a durably-enqueued message outside
+	// the directory and the doorbell.
+	needAct bool
+	// listed records that this sender has put the destination in the
+	// directory (see Send).
+	listed bool
 }
 
 // NewSender builds a sender whose envelopes carry the given identity
@@ -83,35 +87,49 @@ func (s *Sender) Send(ctx context.Context, to Address, name string, body []byte,
 	env := Envelope{To: to, From: s.from, Seq: d.next, Name: name, Body: body, ReplyTo: replyTo}
 	res, err := PushEnvelope(ctx, s.inv, env, s.mailboxCap)
 	if err != nil {
+		// The push may have applied and made the queue nonempty, and the
+		// next push would then find it longer than 1: activate on that
+		// one regardless.
+		d.needAct = true
 		return err
 	}
 	switch res.Status {
 	case PushFull:
 		return fmt.Errorf("%w: %s", ErrMailboxFull, to)
 	case PushOK:
-		if res.QueueLen == 1 || d.needReg {
-			return s.register(ctx, d, to)
+		switch {
+		case res.QueueLen == 1 || d.needAct:
+			return s.activate(ctx, d, to)
+		case !d.listed:
+			// The queue was nonempty, so the push that made it so owes the
+			// activation. If that sender dies first, only a re-list finds
+			// this message, so list the instance before acking it.
+			if err := RegisterInstance(ctx, s.inv, to); err != nil {
+				return err
+			}
+			d.listed = true
 		}
 	case PushDup:
 		// A retry of a push whose first attempt errored after applying —
-		// and possibly before the registration it owed. Registration is
-		// idempotent, so re-register while the queue is nonempty rather
-		// than strand the message outside the directory.
-		if res.QueueLen > 0 || d.needReg {
-			return s.register(ctx, d, to)
+		// and possibly before the activation it owed. Activation is
+		// idempotent, so activate again while the queue is nonempty rather
+		// than strand the message.
+		if res.QueueLen > 0 || d.needAct {
+			return s.activate(ctx, d, to)
 		}
 	}
 	return nil
 }
 
-// register completes the directory registration owed for to, remembering
-// a failure in d so a later Send retries it.
-func (s *Sender) register(ctx context.Context, d *destStream, to Address) error {
-	d.needReg = true
-	if err := RegisterInstance(ctx, s.inv, to); err != nil {
+// activate completes the activation owed for to, remembering a failure
+// in d so a later Send retries it.
+func (s *Sender) activate(ctx context.Context, d *destStream, to Address) error {
+	d.needAct = true
+	if err := activate(ctx, s.inv, to); err != nil {
 		return err
 	}
-	d.needReg = false
+	d.needAct = false
+	d.listed = true
 	return nil
 }
 
@@ -142,9 +160,20 @@ func PushEnvelope(ctx context.Context, inv core.Invoker, env Envelope, mailboxCa
 	return decodeResult(res, err, decodePushResult)
 }
 
-// RegisterInstance adds the instance to the dispatch directory so
-// engines start draining it. Registration is idempotent; callers invoke
-// it on every empty → nonempty queue transition.
+// activate is the one wake-up path: every push that takes a mailbox from
+// empty to nonempty (a Sender's, or a runner forwarding its outbox) lists
+// the instance in the directory, so an engine that re-lists finds it,
+// then rings the doorbell, so every waiting engine drains it now. Both
+// steps are idempotent; a caller whose activation failed repeats it.
+func activate(ctx context.Context, inv core.Invoker, addr Address) error {
+	if err := RegisterInstance(ctx, inv, addr); err != nil {
+		return err
+	}
+	return ringDoorbell(ctx, inv, addr)
+}
+
+// RegisterInstance adds the instance to the dispatch directory, where an
+// engine's re-list finds it. Registration is idempotent.
 func RegisterInstance(ctx context.Context, inv core.Invoker, addr Address) error {
 	_, err := inv.InvokeObject(ctx, core.Invocation{
 		Ref:     core.Ref{Type: objects.TypeMap, Key: DirectoryKey},
@@ -156,11 +185,14 @@ func RegisterInstance(ctx context.Context, inv core.Invoker, addr Address) error
 }
 
 // AwaitReply blocks on the reply future stored under key and returns the
-// reply body set by the handler.
+// reply body set by the handler. It takes the future (Future.Take), so
+// the owning node frees it once answered. A Take whose response is lost
+// cannot be repeated: the retry finds a fresh future and blocks until ctx
+// ends, as a reply lost to a node crash does.
 func AwaitReply(ctx context.Context, inv core.Invoker, key string) ([]byte, error) {
 	res, err := inv.InvokeObject(ctx, core.Invocation{
 		Ref:    core.Ref{Type: objects.TypeFuture, Key: key},
-		Method: "Get",
+		Method: "Take",
 	})
 	body, err := resultAs[[]byte](res, err)
 	if err != nil {
@@ -171,7 +203,9 @@ func AwaitReply(ctx context.Context, inv core.Invoker, key string) ([]byte, erro
 
 // DeliverReply completes the reply future named by env.To.ID with the
 // envelope body. A future that is already completed counts as delivered
-// (the redelivery case), so the outbox entry can be acked.
+// (the redelivery case), so the outbox entry can be acked. A reply
+// redelivered after its Take re-creates one completed future, which
+// nothing frees.
 func DeliverReply(ctx context.Context, inv core.Invoker, env Envelope) error {
 	_, err := inv.InvokeObject(ctx, core.Invocation{
 		Ref:    core.Ref{Type: objects.TypeFuture, Key: env.To.ID},

@@ -30,13 +30,15 @@ func wireValues() []codectest.Codec {
 			codectest.Infallible(Task.encode), decodeTask),
 		codectest.Of("commit request", CommitReq{EnqSeq: 4, From: "fn/i/1", State: []byte("s2"), SetState: true, Sends: []Envelope{e1, e2}},
 			codectest.Infallible(CommitReq.encode), decodeCommitReq),
-		codectest.Of("commit result", CommitResult{Applied: true, Pending: out}, codectest.Infallible(CommitResult.encode), decodeCommitResult),
+		codectest.Of("commit result", CommitResult{Applied: true, QueueLen: 6, Pending: out}, codectest.Infallible(CommitResult.encode), decodeCommitResult),
 		codectest.Of("outbox", out, codectest.Infallible(encodeOutbox), decodeOutbox),
 		codectest.Of("status", MailboxStatus{QueueLen: 1, OutboxLen: 2, Processed: 3, Dups: 4, Rejected: 5},
 			codectest.Infallible(MailboxStatus.encode), decodeStatus),
-		codectest.Of("run report", RunReport{Processed: 1, QueueLen: 2, OutboxLen: 3, Dirty: []Address{a, e2.To}},
+		codectest.Of("run report", RunReport{Processed: 1, QueueLen: 2, OutboxLen: 3},
 			codectest.Infallible(RunReport.Encode), DecodeRunReport),
 		mailbox,
+		codectest.Of("doorbell wake", doorbellWake{Nonce: 1<<63 | 5, Head: 4097, Relist: true, Ready: []Address{a, e2.To}},
+			codectest.Infallible(doorbellWake.encode), decodeDoorbellWake),
 	}
 }
 
@@ -51,7 +53,8 @@ func TestStateBodiesRoundTripAndRejectTruncation(t *testing.T) {
 func FuzzStateBodies(f *testing.F) {
 	codectest.FuzzFrames(f, wireValues(),
 		[]byte{tagTask, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, // a bool byte that is neither 0 nor 1
-		[]byte{tagCommitReq, 1, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f})
+		[]byte{tagCommitReq, 1, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f},
+		[]byte{tagDoorbellWake, 1, 0, 2, 0}) // a Relist byte that is neither 0 nor 1
 }
 
 // A pushed envelope stays queued after the Push returns, which is when the

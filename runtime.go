@@ -126,7 +126,7 @@ type Options struct {
 	// DefaultDurabilityPolicy() enables the tier with tested defaults.
 	Durability DurabilityPolicy
 	// Statefun tunes the stateful-functions layer (DESIGN.md §5i):
-	// dispatch concurrency, poll cadence, idle-instance GC and mailbox
+	// dispatch concurrency, idle-instance GC and mailbox
 	// capacity. The layer itself boots lazily on the first
 	// DeployStatefulFunction; the zero value uses tested defaults.
 	Statefun StatefunOptions

@@ -59,8 +59,6 @@ var ErrMailboxFull = statefun.ErrMailboxFull
 type StatefunOptions struct {
 	// Workers is the dispatch concurrency (default 8).
 	Workers int
-	// PollInterval is the dispatch scheduler tick (default 2ms).
-	PollInterval time.Duration
 	// IdleTTL retires instances idle this long from the dispatch
 	// directory; their durable mailboxes survive and re-activate on the
 	// next message (default 0 = never retire).
@@ -150,13 +148,12 @@ func (rt *Runtime) startStatefun() (*statefunState, error) {
 		runner = faasRunner{platform: rt.platform, fn: StatefunRunnerFunction}
 	}
 	sf.engine = statefun.NewEngine(statefun.EngineConfig{
-		Invoker:      rt.masterClient,
-		Runner:       runner,
-		Workers:      rt.sfOpts.Workers,
-		PollInterval: rt.sfOpts.PollInterval,
-		IdleTTL:      rt.sfOpts.IdleTTL,
-		MailboxCap:   rt.sfOpts.MailboxCap,
-		Metrics:      metrics,
+		Invoker:    rt.masterClient,
+		Runner:     runner,
+		Workers:    rt.sfOpts.Workers,
+		IdleTTL:    rt.sfOpts.IdleTTL,
+		MailboxCap: rt.sfOpts.MailboxCap,
+		Metrics:    metrics,
 	})
 	sf.sender = statefun.NewSender(rt.masterClient,
 		fmt.Sprintf("client/%016x", rt.masterClient.ID()), rt.sfOpts.MailboxCap)
@@ -208,12 +205,7 @@ func (f *StatefulFunction) Send(ctx context.Context, id, name string, body any) 
 	if err != nil {
 		return err
 	}
-	addr := f.Address(id)
-	if err := f.sender().Send(ctx, addr, name, data, ""); err != nil {
-		return err
-	}
-	f.rt.notifyStatefun(addr)
-	return nil
+	return f.sender().Send(ctx, f.Address(id), name, data, "")
 }
 
 // Call sends a request message and blocks until the handler — or a
@@ -222,6 +214,7 @@ func (f *StatefulFunction) Send(ctx context.Context, id, name string, body any) 
 // travel through reply futures, which are coordination objects, not
 // durable ones: a reply lost to a node crash leaves Call blocked until
 // ctx cancels, even though the request itself remains exactly-once.
+// Call takes its future, so the node holding it frees it once answered.
 func (f *StatefulFunction) Call(ctx context.Context, id, name string, body, reply any) error {
 	data, err := statefun.EncodeBody(body)
 	if err != nil {
@@ -229,11 +222,9 @@ func (f *StatefulFunction) Call(ctx context.Context, id, name string, body, repl
 	}
 	sf := f.rt.statefun()
 	replyKey := fmt.Sprintf("statefun/reply/%s/%d", sf.sender.From(), sf.replySeq.Add(1))
-	addr := f.Address(id)
-	if err := sf.sender.Send(ctx, addr, name, data, replyKey); err != nil {
+	if err := sf.sender.Send(ctx, f.Address(id), name, data, replyKey); err != nil {
 		return err
 	}
-	f.rt.notifyStatefun(addr)
 	raw, err := statefun.AwaitReply(ctx, f.rt.masterClient, replyKey)
 	if err != nil {
 		return err
@@ -267,15 +258,4 @@ func (rt *Runtime) statefun() *statefunState {
 		panic("crucial: stateful functions not deployed")
 	}
 	return rt.sf
-}
-
-// notifyStatefun marks an instance dirty so the dispatcher picks it up
-// on the next tick instead of waiting for a directory poll.
-func (rt *Runtime) notifyStatefun(addr FnAddress) {
-	rt.sfMu.Lock()
-	sf := rt.sf
-	rt.sfMu.Unlock()
-	if sf != nil {
-		sf.engine.Notify(addr)
-	}
 }

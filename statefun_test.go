@@ -263,9 +263,8 @@ func TestStatefunMailboxOverflow(t *testing.T) {
 // survives retirement and the instance re-activates on the next message.
 func TestStatefunIdleGC(t *testing.T) {
 	rt := testRuntime(t, Options{Statefun: StatefunOptions{
-		InProcess:    true,
-		IdleTTL:      80 * time.Millisecond,
-		PollInterval: 5 * time.Millisecond,
+		InProcess: true,
+		IdleTTL:   80 * time.Millisecond,
 	}})
 	fn, err := rt.DeployStatefulFunction("ephemeral", func(c *FnCtx, m FnMsg) error {
 		var st counterState
@@ -369,10 +368,10 @@ func statefunWorkerState(ctx context.Context, rt *Runtime, id string, v any) (bo
 }
 
 // A statefun Call ships its envelope, the mailbox's task and commit, the
-// FaaS drain pass's address and report, and the directory and mailbox
-// snapshots of the engine's polling all tag-encoded: the only gob streams
-// it opens are its user bodies, the handler's int64 reply encoded and
-// Call's decode of it.
+// FaaS drain pass's address and report, the doorbell's offer and wake
+// and the directory listing all tag-encoded: the only gob streams it
+// opens are its user bodies, the handler's int64 reply encoded and Call's
+// decode of it.
 func TestStatefunCallOpensOnlyUserBodyGobStreams(t *testing.T) {
 	rt := testRuntime(t, Options{DSONodes: 2, RF: 2})
 	fn, err := rt.DeployStatefulFunction("echo", func(c *FnCtx, m FnMsg) error {
@@ -389,8 +388,43 @@ func TestStatefunCallOpensOnlyUserBodyGobStreams(t *testing.T) {
 	if err := fn.Call(bg(), "e1", "ping", nil, &got); err != nil || got != 7 {
 		t.Fatalf("Call = %d (err %v), want 7", got, err)
 	}
-	time.Sleep(100 * time.Millisecond) // the engine polls the directory and the idle mailbox
+	time.Sleep(100 * time.Millisecond) // the engine's doorbell wait ends its park
 	if n := core.ReadCodecStats().GobStreams - before; n != 2 {
-		t.Fatalf("a statefun Call and 100 ms of polling opened %d gob streams, want 2 (the reply body's encode and decode)", n)
+		t.Fatalf("a statefun Call and 100 ms of dispatch opened %d gob streams, want 2 (the reply body's encode and decode)", n)
+	}
+}
+
+// Call takes its reply future, so the node holding it frees it: after a
+// warm-up, 500 sequential Calls leave the cluster's resident objects
+// unchanged.
+func TestStatefunCallFreesReplyFutures(t *testing.T) {
+	rt := testRuntime(t, Options{DSONodes: 2, RF: 2, Statefun: StatefunOptions{InProcess: true}})
+	fn, err := rt.DeployStatefulFunction("echo", func(c *FnCtx, m FnMsg) error {
+		return c.Reply(int64(1))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resident := func() int {
+		n := 0
+		for _, id := range rt.Cluster().NodeIDs() {
+			if node, ok := rt.Cluster().Node(id); ok {
+				n += node.DebugObjectCount()
+			}
+		}
+		return n
+	}
+	var got int64
+	if err := fn.Call(bg(), "e1", "ping", nil, &got); err != nil { // mailbox, directory, doorbell
+		t.Fatal(err)
+	}
+	before := resident()
+	for i := 0; i < 500; i++ {
+		if err := fn.Call(bg(), "e1", "ping", nil, &got); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if after := resident(); after != before {
+		t.Fatalf("500 Calls took the resident objects from %d to %d, want no change", before, after)
 	}
 }
