@@ -112,25 +112,28 @@ flake-check:
 doclint:
 	$(GO) run ./cmd/doclint .
 
-# alloc-guard enforces the hot-path allocation budgets: the invocation
-# round trip must hold PR 3's 8 allocs/op, the per-object tracker's
-# warm-path Observe must stay allocation-free (the telemetry-overhead
-# guard for the always-on accounting plane), one sequential RF-2 write
-# on the zero WritePolicy — a round of one — must stay near the ~53
-# allocations it costs as one tag-encoded ACCEPT round trip (the Skeen
-# PROPOSE/FINAL exchange cost ~96, a gob frame alone more), an rf=1 write (a group of one) and read must stay
-# near what they cost outside rounds, and the lease read path must keep a
-# 95/5 read/write sequence cached (hit ratio, one grant per invalidation)
-# without building a hash ring per hit, miss or grant, and a grant and a
-# whole 256-byte KV miss (grant plus Restore) must stay near the ~12 and
-# ~23 allocations they cost with tag-encoded state bodies (a gob body
-# alone costs more). These
+# alloc-guard enforces the hot-path allocation budgets: a warmed rpc echo
+# call, plain or bounded by CallTimeout, must allocate nothing (pooled
+# handler workers, per-connection frame headers, pooled buffer boxes and
+# attempt timers), the invocation round trip must hold PR 3's 8
+# allocs/op, the per-object tracker's warm-path Observe must stay
+# allocation-free (the telemetry-overhead guard for the always-on
+# accounting plane), one sequential RF-2 write on the zero WritePolicy — a
+# round of one — must stay near the ~34 allocations it costs as one
+# tag-encoded ACCEPT round trip (53 with a goroutine and a context per rpc
+# frame, ~96 under the Skeen PROPOSE/FINAL exchange), an rf=1 write (a
+# group of one) and read must stay near the ~10 and ~11 they cost outside
+# rounds, and the lease read path must keep a 95/5 read/write sequence
+# cached (hit ratio, one grant per invalidation) without building a hash
+# ring per hit, miss or grant, and a grant and a whole 256-byte KV miss
+# (grant plus Restore) must stay near the ~6 and ~18 allocations they
+# cost with tag-encoded state bodies (a gob body alone costs more). These
 # tests self-skip under -race, so they need this dedicated non-race
 # invocation to actually bite; the measured numbers live next to each
 # budget in its test.
 alloc-guard:
 	$(GO) test -count=1 -run 'AllocBudget|TrackerObserveAllocs' \
-		./internal/core/ ./internal/telemetry/ ./internal/cluster/
+		./internal/rpc/ ./internal/core/ ./internal/telemetry/ ./internal/cluster/
 
 # verify is the tier-1 gate (see ROADMAP.md): everything must be gofmt
 # clean, compile, vet clean (benchmark module included), doc-complete on

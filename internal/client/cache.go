@@ -265,20 +265,12 @@ func (lc *leaseCache) acquire(ctx context.Context, inv core.Invocation) *cacheEn
 		Persist:    inv.Persist,
 		HolderAddr: lc.cfg.ListenAddr,
 	}.Encode()
-	callCtx := ctx
-	var cancel context.CancelFunc
-	if t := lc.c.cfg.AttemptTimeout; t > 0 {
-		callCtx, cancel = context.WithTimeout(ctx, t)
-	}
 	// The TTL clock starts before the request leaves: the server starts
 	// its own at receipt, which is strictly later, so our lease always
 	// expires first and a writer waiting out the server-side expiry can
 	// never race a read we still consider leased.
 	start := time.Now()
-	out, err := rc.Call(callCtx, server.KindLease, body)
-	if cancel != nil {
-		cancel()
-	}
+	out, err := rc.CallTimeout(ctx, server.KindLease, body, lc.c.cfg.AttemptTimeout)
 	if err != nil {
 		return nil
 	}

@@ -404,19 +404,11 @@ func (c *Client) InvokeObject(ctx context.Context, inv core.Invocation) ([]any, 
 		if err := c.profile.Delay(ctx, c.profile.DSONet); err != nil {
 			return nil, err
 		}
-		callCtx := ctx
-		var cancel context.CancelFunc
-		if c.cfg.AttemptTimeout > 0 {
-			callCtx, cancel = context.WithTimeout(ctx, c.cfg.AttemptTimeout)
-		}
-		raw, err := rc.Call(callCtx, server.KindInvoke, payload)
-		if cancel != nil {
-			cancel()
-		}
+		raw, err := rc.CallTimeout(ctx, server.KindInvoke, payload, c.cfg.AttemptTimeout)
 		if err != nil {
 			// Only the caller's context ends the call; an expired attempt
-			// context means this attempt timed out (e.g. the response was
-			// lost in the network) and the stamped retry is safe.
+			// means this attempt timed out (e.g. the response was lost in
+			// the network) and the stamped retry is safe.
 			if ctx.Err() != nil {
 				return nil, ctx.Err()
 			}

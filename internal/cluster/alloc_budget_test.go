@@ -19,12 +19,14 @@ import (
 
 // replicatedInvokeAllocBudget is what one sequential RF-2 AddAndGet on the
 // zero WritePolicy allocates, client and both replicas together, plus
-// about 10 %: 53 in each of five samples of 500 calls, measured 2026-10-17
-// on the 2-vCPU reference box (go1.24), once a round became one ACCEPT
-// round trip sequenced by the primary. Under the Skeen PROPOSE/FINAL
-// exchange it cost 96, and 694 with a gob stream per control frame.
+// about 10 %: 34 in each of seven samples of 500 calls, measured
+// 2026-10-17 on the 2-vCPU reference box (go1.24) at -cpu 1, 2 and 4, once
+// rpc requests ran on pooled handler workers over allocation-free framing
+// and attempts were bounded by pooled timers. As one ACCEPT round trip
+// with a goroutine and a context per frame it cost 53, under the Skeen
+// PROPOSE/FINAL exchange 96, and 694 with a gob stream per control frame.
 // `make alloc-guard` holds it there.
-const replicatedInvokeAllocBudget = 58
+const replicatedInvokeAllocBudget = 37
 
 // TestReplicatedInvokeAllocBudget pins the allocations of the round of one.
 func TestReplicatedInvokeAllocBudget(t *testing.T) {
@@ -154,13 +156,13 @@ func TestReplicatedWritePeerFrames(t *testing.T) {
 
 // The rf=1 budgets: one sequential AddAndGet and one Get on an ephemeral
 // counter of a three-node cluster, client and server together. Measured
-// 2026-10-15 on the 2-vCPU reference box (go1.24): a write cost 19 before it
-// became a round of one and 19-20 after (a group of one has no round record
-// and no outcome channel: those took it to 22-23); a read, which takes no
-// round, costs 19 either way.
+// 2026-10-17 on the 2-vCPU reference box (go1.24): a write costs 10 and a
+// read 11 in seven of seven runs, budgets about 10 % above. With a
+// goroutine, a header array and a context per rpc frame they cost 18 and
+// 19 (2026-10-15: a write cost 19 before it became a round of one).
 const (
-	rfOneWriteAllocBudget = 23
-	rfOneReadAllocBudget  = 21
+	rfOneWriteAllocBudget = 11
+	rfOneReadAllocBudget  = 12
 )
 
 // TestRFOneInvokeAllocBudget pins what a group of one costs per write and
@@ -207,17 +209,19 @@ func TestRFOneInvokeAllocBudget(t *testing.T) {
 // The lease read path's budgets, measured on the 2-vCPU reference box
 // (go1.24): a cache hit on a 256-byte KV cell allocates 5 (invocation and
 // result slices, the value copy; 2026-10-04). A grant round trip allocates
-// 12 and a whole miss — grant, Restore and the local read — 23, each in
-// five of five runs (2026-10-17, budgets about 10 % above), with the cell's
-// state body tag-encoded; with a gob body they cost 31 and 199, and with
-// gob KindLease frames a grant cost 235-240. Building the view's ring on
+// 6 and a whole miss — grant, Restore and the local read — 18, each in
+// seven of seven runs (2026-10-17, budgets about 10 % above), with the
+// cell's state body tag-encoded and rpc frames served by pooled handler
+// workers. With a goroutine, a header array and a context per frame they
+// cost 12 and 23, with a gob body 31 and 199, and with gob KindLease
+// frames a grant cost 235-240. Building the view's ring on
 // any of these paths — 384 vnodes hashed from formatted labels, then
 // sorted — is over 1 000 allocations by itself, so no budget survives a
 // ring.New per operation.
 const (
 	cacheHitAllocBudget   = 8
-	kvMissAllocBudget     = 26
-	leaseGrantAllocBudget = 13
+	kvMissAllocBudget     = 20
+	leaseGrantAllocBudget = 7
 )
 
 // TestLeaseReadPathAllocBudget drives one client through a fixed 95/5

@@ -140,13 +140,9 @@ const spinThreshold = 2 * time.Millisecond
 // immediately. It reports ctx.Err() when interrupted.
 func Sleep(ctx context.Context, d time.Duration) error {
 	if d <= 0 {
-		// Still honour an already-cancelled context.
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		default:
-			return nil
-		}
+		// Still honour an already-cancelled context, without Done: that
+		// would allocate the channel of every fresh context.
+		return ctx.Err()
 	}
 	if d < spinThreshold {
 		deadline := time.Now().Add(d)

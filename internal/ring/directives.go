@@ -1,6 +1,9 @@
 package ring
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // Directives is a small, versioned table of per-key placement overrides.
 // Consistent hashing spreads keys uniformly, but it cannot react to load:
@@ -100,31 +103,24 @@ func (d Directives) Place(r *Ring, key string, rf int) []NodeID {
 	if rf <= 0 {
 		return nil
 	}
+	// Duplicates are found by scanning out: it holds at most rf entries.
 	out := make([]NodeID, 0, rf)
-	seen := make(map[NodeID]struct{}, rf)
 	for _, t := range targets {
 		if len(out) == rf {
 			break
 		}
-		if !r.Contains(t) {
-			continue
+		if r.Contains(t) && !slices.Contains(out, t) {
+			out = append(out, t)
 		}
-		if _, dup := seen[t]; dup {
-			continue
-		}
-		seen[t] = struct{}{}
-		out = append(out, t)
 	}
 	if len(out) < rf {
 		for _, n := range r.ReplicaSet(key, len(r.nodes)) {
 			if len(out) == rf {
 				break
 			}
-			if _, dup := seen[n]; dup {
-				continue
+			if !slices.Contains(out, n) {
+				out = append(out, n)
 			}
-			seen[n] = struct{}{}
-			out = append(out, n)
 		}
 	}
 	return out

@@ -8,6 +8,7 @@ package ring
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 )
 
@@ -125,14 +126,10 @@ func (r *Ring) ReplicaSet(key string, rf int) []NodeID {
 		i = 0
 	}
 	out := make([]NodeID, 0, rf)
-	seen := make(map[NodeID]struct{}, rf)
 	for j := 0; j < len(r.vnodes) && len(out) < rf; j++ {
-		n := r.vnodes[(i+j)%len(r.vnodes)].node
-		if _, dup := seen[n]; dup {
-			continue
+		if n := r.vnodes[(i+j)%len(r.vnodes)].node; !slices.Contains(out, n) {
+			out = append(out, n)
 		}
-		seen[n] = struct{}{}
-		out = append(out, n)
 	}
 	return out
 }

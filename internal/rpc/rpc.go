@@ -6,16 +6,24 @@
 //
 //  1. A single connection must support many outstanding requests, because
 //     synchronization objects (barriers, futures) block server side for
-//     arbitrarily long: the server runs every request in its own goroutine
-//     and writes responses as they complete, in any order.
+//     arbitrarily long: the server hands every request to a handler
+//     worker of its own and writes responses as they complete, in any
+//     order. Workers are pooled (internal/workpool): a request goes to the
+//     most recently idle one, or to a new one when all are busy, so a
+//     parked handler never delays another request; a worker idle for a
+//     second retires.
 //  2. Cancellation must propagate: a caller abandoning a request (context
-//     cancelled) must not wedge the connection.
+//     cancelled, or a CallTimeout attempt expired) must not wedge the
+//     connection.
 //  3. The framing must be transport-agnostic so the same protocol runs over
 //     TCP (cmd/dso-server) and over in-memory pipes (tests, benchmarks).
-//  4. The hot path must not allocate: payload buffers are pooled
-//     (GetBuffer/PutBuffer), frames are appended straight into a shared
-//     write buffer, and concurrent writers on one connection coalesce
-//     into a single Write (one syscall carries many frames).
+//  4. The hot path must not allocate, and a warmed call does not (the
+//     alloc-guard's TestRPCEchoAllocBudget): no goroutine per request,
+//     frame headers read into a per-connection array, payload buffers
+//     pooled (GetBuffer/PutBuffer, boxes included), attempt timers pooled
+//     (CallTimeout), frames appended straight into a shared write buffer,
+//     and concurrent writers on one connection coalesced into a single
+//     Write (one syscall carries many frames).
 //
 // Frame layout (big endian):
 //
@@ -39,6 +47,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"crucial/internal/workpool"
 )
 
 const (
@@ -75,27 +85,34 @@ const (
 	maxPooledBuffer = 256 << 10
 )
 
-var bufPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, minBuffer)
-		return &b
-	},
-}
+// bufPool holds recycled payload buffers, each in a *[]byte box (a bare
+// slice put into a sync.Pool would be boxed into an interface, one
+// allocation per Put). boxPool recycles the emptied boxes, so neither
+// GetBuffer nor PutBuffer allocates once the pools are warm.
+var (
+	bufPool sync.Pool
+	boxPool sync.Pool
+)
 
 // GetBuffer returns a zero-length buffer with capacity of at least n from
 // the payload pool. Hand it back with PutBuffer when the data encoded or
 // decoded from it is no longer referenced.
 func GetBuffer(n int) []byte {
-	bp := bufPool.Get().(*[]byte)
-	b := *bp
-	if cap(b) >= n {
-		return b[:0]
+	if bp, _ := bufPool.Get().(*[]byte); bp != nil {
+		b := *bp
+		*bp = nil
+		boxPool.Put(bp)
+		if cap(b) >= n {
+			return b[:0]
+		}
+		// Too small for n. A buffer below the floor (a handler's exact-size
+		// response) goes to the garbage collector: put back, it would sit
+		// at the head of the pool and fail every request larger than it.
+		if cap(b) >= minBuffer {
+			PutBuffer(b)
+		}
 	}
-	bufPool.Put(bp)
-	if n < minBuffer {
-		n = minBuffer
-	}
-	return make([]byte, 0, n)
+	return make([]byte, 0, max(n, minBuffer))
 }
 
 // PutBuffer recycles a buffer previously handed out by GetBuffer (or any
@@ -104,8 +121,12 @@ func PutBuffer(b []byte) {
 	if cap(b) == 0 || cap(b) > maxPooledBuffer {
 		return
 	}
-	b = b[:0]
-	bufPool.Put(&b)
+	bp, _ := boxPool.Get().(*[]byte)
+	if bp == nil {
+		bp = new([]byte)
+	}
+	*bp = b[:0]
+	bufPool.Put(bp)
 }
 
 type frame struct {
@@ -200,12 +221,20 @@ func (w *connWriter) fail(err error) {
 	}
 }
 
-// readFrame reads one frame, drawing the payload buffer from the pool.
+// frameReader reads frames off one connection into a header array it
+// owns: a header read into a local array would escape through the
+// io.Reader call, one allocation per frame.
+type frameReader struct {
+	r   io.Reader
+	hdr [headerSize]byte
+}
+
+// next reads one frame, drawing the payload buffer from the pool.
 // Ownership of the payload passes to the caller, who may recycle it with
 // PutBuffer once decoded.
-func readFrame(r io.Reader) (frame, error) {
-	var hdr [headerSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+func (fr *frameReader) next() (frame, error) {
+	hdr := fr.hdr[:]
+	if _, err := io.ReadFull(fr.r, hdr); err != nil {
 		return frame{}, err
 	}
 	n := binary.BigEndian.Uint32(hdr[0:4])
@@ -219,7 +248,7 @@ func readFrame(r io.Reader) (frame, error) {
 	}
 	if n > 0 {
 		f.payload = GetBuffer(int(n))[:n]
-		if _, err := io.ReadFull(r, f.payload); err != nil {
+		if _, err := io.ReadFull(fr.r, f.payload); err != nil {
 			return frame{}, err
 		}
 	}
@@ -228,8 +257,10 @@ func readFrame(r io.Reader) (frame, error) {
 
 // Handler processes one request. kind is the application multiplexing tag;
 // the returned bytes are shipped back as the response payload. Returning an
-// error sends an error response carrying err.Error(). Handlers run in their
-// own goroutine per request and may block (that is the point).
+// error sends an error response carrying err.Error(). Handlers may block
+// (that is the point): each request runs on a handler worker of its own,
+// drawn from the server's pool, and a request that finds every worker busy
+// gets a new one, so a parked handler never delays another request.
 //
 // Buffer ownership: payload is only valid for the duration of the call —
 // the server recycles it after the handler returns, so handlers must copy
@@ -242,6 +273,8 @@ type Handler func(ctx context.Context, kind uint8, payload []byte) ([]byte, erro
 // Server serves the protocol on any net.Listener.
 type Server struct {
 	handler Handler
+	// workers runs the requests of every connection.
+	workers *workpool.Pool[request]
 
 	mu       sync.Mutex
 	closed   bool
@@ -253,15 +286,33 @@ type Server struct {
 	cancelBase context.CancelFunc
 }
 
+// serverConn is one accepted connection's state.
+type serverConn struct {
+	conn net.Conn
+	rd   frameReader
+	w    connWriter
+	// reqs counts the connection's requests still in a handler; the
+	// connection closes only once they have answered.
+	reqs sync.WaitGroup
+}
+
+// request is one request frame on its way to a handler worker.
+type request struct {
+	f  frame
+	sc *serverConn
+}
+
 // NewServer returns a server dispatching to handler.
 func NewServer(handler Handler) *Server {
 	ctx, cancel := context.WithCancel(context.Background())
-	return &Server{
+	s := &Server{
 		handler:    handler,
 		conns:      make(map[net.Conn]struct{}),
 		baseCtx:    ctx,
 		cancelBase: cancel,
 	}
+	s.workers = workpool.New(s.serve)
+	return s
 }
 
 // Serve accepts connections on l until Close. It returns the accept error
@@ -303,12 +354,11 @@ func (s *Server) serveConn(conn net.Conn) {
 		_ = conn.Close()
 	}()
 
-	w := &connWriter{conn: conn}
-	var reqWG sync.WaitGroup
-	defer reqWG.Wait()
+	sc := &serverConn{conn: conn, rd: frameReader{r: conn}, w: connWriter{conn: conn}}
+	defer sc.reqs.Wait()
 
 	for {
-		f, err := readFrame(conn)
+		f, err := sc.rd.next()
 		if err != nil {
 			return
 		}
@@ -316,36 +366,41 @@ func (s *Server) serveConn(conn net.Conn) {
 			PutBuffer(f.payload)
 			continue // ignore stray frames
 		}
-		reqWG.Add(1)
-		go func(f frame) {
-			defer reqWG.Done()
-			out, herr := s.handler(s.baseCtx, f.kind, f.payload)
-			resp := frame{id: f.id, kind: f.kind, flags: flagResponse}
-			if herr != nil {
-				resp.flags |= flagError
-				resp.payload = []byte(herr.Error())
-			} else {
-				resp.payload = out
-			}
-			err := w.write(resp)
-			// Both buffers are dead once the frame is out: the request
-			// payload (handlers may not retain it) and the response
-			// (copied into the write buffer). Guard against a handler
-			// echoing the request buffer back so it is not pooled twice.
-			aliased := len(out) > 0 && len(f.payload) > 0 && &out[0] == &f.payload[0]
-			PutBuffer(f.payload)
-			if !aliased {
-				PutBuffer(resp.payload)
-			}
-			if err != nil {
-				_ = conn.Close()
-			}
-		}(f)
+		sc.reqs.Add(1)
+		s.workers.Go(request{f: f, sc: sc})
+	}
+}
+
+// serve runs one request on a handler worker and writes its response.
+func (s *Server) serve(r request) {
+	f, sc := r.f, r.sc
+	defer sc.reqs.Done()
+	out, herr := s.handler(s.baseCtx, f.kind, f.payload)
+	resp := frame{id: f.id, kind: f.kind, flags: flagResponse}
+	if herr != nil {
+		resp.flags |= flagError
+		resp.payload = []byte(herr.Error())
+	} else {
+		resp.payload = out
+	}
+	err := sc.w.write(resp)
+	// Both buffers are dead once the frame is out: the request payload
+	// (handlers may not retain it) and the response (copied into the
+	// write buffer). Guard against a handler echoing the request buffer
+	// back so it is not pooled twice.
+	aliased := len(out) > 0 && len(f.payload) > 0 && &out[0] == &f.payload[0]
+	PutBuffer(f.payload)
+	if !aliased {
+		PutBuffer(resp.payload)
+	}
+	if err != nil {
+		_ = sc.conn.Close()
 	}
 }
 
 // Close stops accepting, closes every connection and cancels the contexts
-// of in-flight handlers, then waits for connection goroutines to finish.
+// of in-flight handlers, then waits for connection goroutines and handler
+// workers to finish.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -368,6 +423,8 @@ func (s *Server) Close() error {
 		_ = c.Close()
 	}
 	s.wg.Wait()
+	// Every connection has answered its requests: the workers are idle.
+	s.workers.Close()
 	return nil
 }
 
@@ -398,6 +455,7 @@ type Observer func(kind uint8, rtt time.Duration, sent int, err error)
 // Client multiplexes calls over a single connection.
 type Client struct {
 	conn net.Conn
+	rd   frameReader
 	w    *connWriter
 
 	mu      sync.Mutex
@@ -411,6 +469,9 @@ type Client struct {
 
 	nextID atomic.Uint64
 	done   chan struct{}
+	// late counts responses that arrived after their caller gave up; the
+	// read loop drops them and recycles their buffers.
+	late atomic.Uint64
 }
 
 // NewClient wraps an established connection. The client owns the
@@ -419,6 +480,7 @@ type Client struct {
 func NewClient(conn net.Conn) *Client {
 	c := &Client{
 		conn:    conn,
+		rd:      frameReader{r: conn},
 		w:       &connWriter{conn: conn},
 		pending: make(map[uint64]pending),
 		done:    make(chan struct{}),
@@ -448,7 +510,7 @@ func Dial(addr string) (*Client, error) {
 func (c *Client) readLoop() {
 	defer close(c.done)
 	for {
-		f, err := readFrame(c.conn)
+		f, err := c.rd.next()
 		if err != nil {
 			c.failAll(fmt.Errorf("%w: %v", ErrClientClosed, err))
 			return
@@ -464,8 +526,9 @@ func (c *Client) readLoop() {
 		}
 		c.mu.Unlock()
 		if !ok {
+			c.late.Add(1)
 			PutBuffer(f.payload)
-			continue // caller gave up (context cancelled)
+			continue // caller gave up (context done, attempt expired)
 		}
 		if f.flags&flagError != 0 {
 			p.ch <- result{err: RemoteError(f.payload)}
@@ -507,16 +570,28 @@ func (c *Client) SetObserver(f Observer) {
 // it (decoders must not retain references into it afterwards). Callers
 // that never recycle simply let the garbage collector take it.
 func (c *Client) Call(ctx context.Context, kind uint8, payload []byte) ([]byte, error) {
+	return c.CallTimeout(ctx, kind, payload, 0)
+}
+
+// CallTimeout is Call with one attempt bounded by d as well as by ctx: when
+// d expires first it reports context.DeadlineExceeded, and the response, if
+// it still comes, is dropped. A non-positive d leaves ctx as the only bound.
+// The bound is a pooled timer, where a context.WithTimeout per attempt
+// would cost a context, a timer and a channel.
+func (c *Client) CallTimeout(ctx context.Context, kind uint8, payload []byte, d time.Duration) ([]byte, error) {
 	if obs := c.observer.Load(); obs != nil {
 		start := time.Now()
-		out, err := c.call(ctx, kind, payload)
+		out, err := c.call(ctx, kind, payload, d)
 		(*obs)(kind, time.Since(start), len(payload), err)
 		return out, err
 	}
-	return c.call(ctx, kind, payload)
+	return c.call(ctx, kind, payload, d)
 }
 
-func (c *Client) call(ctx context.Context, kind uint8, payload []byte) ([]byte, error) {
+// timerPool recycles the stopped attempt timers of CallTimeout.
+var timerPool sync.Pool
+
+func (c *Client) call(ctx context.Context, kind uint8, payload []byte, d time.Duration) ([]byte, error) {
 	id := c.nextID.Add(1)
 	ch := chPool.Get().(chan result)
 
@@ -533,15 +608,31 @@ func (c *Client) call(ctx context.Context, kind uint8, payload []byte) ([]byte, 
 	c.pending[id] = pending{ch: ch}
 	c.mu.Unlock()
 
+	var expired <-chan time.Time
+	if d > 0 {
+		t, _ := timerPool.Get().(*time.Timer)
+		if t == nil {
+			t = time.NewTimer(d)
+		} else {
+			t.Reset(d)
+		}
+		defer func() {
+			if !t.Stop() {
+				// Since Go 1.23 a stopped timer delivers no stale tick;
+				// under GODEBUG=asynctimerchan=1 one may sit unreceived.
+				select {
+				case <-t.C:
+				default:
+				}
+			}
+			timerPool.Put(t)
+		}()
+		expired = t.C
+	}
+
 	err := c.w.write(frame{id: id, kind: kind, flags: flagRequest, payload: payload})
 	if err != nil {
-		c.mu.Lock()
-		_, mine := c.pending[id]
-		delete(c.pending, id)
-		c.mu.Unlock()
-		if mine {
-			chPool.Put(ch)
-		}
+		c.abandon(id, ch)
 		return nil, fmt.Errorf("rpc: send: %w", err)
 	}
 
@@ -550,19 +641,27 @@ func (c *Client) call(ctx context.Context, kind uint8, payload []byte) ([]byte, 
 		chPool.Put(ch)
 		return r.payload, r.err
 	case <-ctx.Done():
-		c.mu.Lock()
-		_, mine := c.pending[id]
-		delete(c.pending, id)
-		c.mu.Unlock()
-		if mine {
-			// No sender can exist: the entry was still ours, so the read
-			// loop never saw it. Safe to recycle.
-			chPool.Put(ch)
-		}
-		// Otherwise the read loop (or failAll) owns the channel and its
-		// imminent send; abandon it to the garbage collector.
+		c.abandon(id, ch)
 		return nil, ctx.Err()
+	case <-expired:
+		c.abandon(id, ch)
+		return nil, context.DeadlineExceeded
 	}
+}
+
+// abandon withdraws a call whose caller stopped waiting for it.
+func (c *Client) abandon(id uint64, ch chan result) {
+	c.mu.Lock()
+	_, mine := c.pending[id]
+	delete(c.pending, id)
+	c.mu.Unlock()
+	if mine {
+		// No sender can exist: the entry was still ours, so the read
+		// loop never saw it. Safe to recycle.
+		chPool.Put(ch)
+	}
+	// Otherwise the read loop (or failAll) owns the channel and its
+	// imminent send; abandon it to the garbage collector.
 }
 
 // Close tears down the connection and fails outstanding calls.

@@ -263,7 +263,7 @@ func TestPayloadTooLarge(t *testing.T) {
 func TestFrameRoundTripProperty(t *testing.T) {
 	f := func(id uint64, kind, flags uint8, payload []byte) bool {
 		in := frame{id: id, kind: kind, flags: flags, payload: payload}
-		out, err := readFrame(bytes.NewReader(appendFrame(nil, in)))
+		out, err := (&frameReader{r: bytes.NewReader(appendFrame(nil, in))}).next()
 		if err != nil {
 			return false
 		}

@@ -9,6 +9,7 @@ import (
 
 	"crucial/internal/core"
 	"crucial/internal/telemetry"
+	"crucial/internal/workpool"
 )
 
 // Group commit on the SMR write path (DESIGN.md §5e): instead of one
@@ -51,12 +52,16 @@ type refQueue struct {
 }
 
 // writeBatcher implements the coordinator-side submit queue. One
-// dispatcher goroutine per active ref collects batches and launches flush
-// goroutines; idle refs cost nothing (their queue entry is deleted once
-// drained and settled).
+// dispatcher goroutine per active ref collects batches and hands each to a
+// pooled round worker; idle refs cost nothing (their queue entry is
+// deleted once drained and settled).
 type writeBatcher struct {
 	n        *Node
 	maxBatch int
+	// rounds runs the flushes. It is never closed: rounds in flight at
+	// shutdown run out under their own deadline, and idle workers retire
+	// on their own.
+	rounds *workpool.Pool[batchRound]
 
 	mu     sync.Mutex
 	closed bool
@@ -64,7 +69,9 @@ type writeBatcher struct {
 }
 
 func newWriteBatcher(n *Node, maxBatch int) *writeBatcher {
-	return &writeBatcher{n: n, maxBatch: maxBatch, queues: make(map[core.Ref]*refQueue)}
+	b := &writeBatcher{n: n, maxBatch: maxBatch, queues: make(map[core.Ref]*refQueue)}
+	b.rounds = workpool.New(b.runBatch)
+	return b
 }
 
 // submit queues one write for group commit and waits for its outcome,
@@ -149,17 +156,27 @@ func (b *writeBatcher) dispatch(ref core.Ref, rq *refQueue) {
 		b.mu.Lock()
 		rq.inflight++
 		b.mu.Unlock()
-		go func(batch []*batchedWrite) {
-			b.flush(ref, batch)
-			<-rq.slots
-			b.mu.Lock()
-			rq.inflight--
-			if rq.inflight == 0 && !rq.running && len(rq.pending) == 0 && b.queues[ref] == rq {
-				delete(b.queues, ref)
-			}
-			b.mu.Unlock()
-		}(batch)
+		b.rounds.Go(batchRound{ref: ref, rq: rq, batch: batch})
 	}
+}
+
+// batchRound is one cut batch on its way to a round worker.
+type batchRound struct {
+	ref   core.Ref
+	rq    *refQueue
+	batch []*batchedWrite
+}
+
+// runBatch flushes one batch on a round worker and frees its pipeline slot.
+func (b *writeBatcher) runBatch(r batchRound) {
+	b.flush(r.ref, r.batch)
+	<-r.rq.slots
+	b.mu.Lock()
+	r.rq.inflight--
+	if r.rq.inflight == 0 && !r.rq.running && len(r.rq.pending) == 0 && b.queues[r.ref] == r.rq {
+		delete(b.queues, r.ref)
+	}
+	b.mu.Unlock()
 }
 
 // close fails every queued write; dispatchers notice closed on their next

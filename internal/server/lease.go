@@ -355,10 +355,11 @@ func (lt *leaseTable) grant(req LeaseRequest) LeaseResponse {
 	return resp
 }
 
-// beginWrite blocks new grants for ref until endWrite. It must precede
-// revokeAll on every mutating path, or a grant could slip in between the
-// revocation round and the commit.
-func (lt *leaseTable) beginWrite(ref core.Ref) {
+// beginWrite blocks new grants for ref until endWrite and reports whether
+// ref has holders, that is whether revokeAll has anything to do. It must
+// precede revokeAll on every mutating path, or a grant could slip in
+// between the revocation round and the commit.
+func (lt *leaseTable) beginWrite(ref core.Ref) (held bool) {
 	lt.mu.Lock()
 	rl := lt.refs[ref]
 	if rl == nil {
@@ -366,7 +367,9 @@ func (lt *leaseTable) beginWrite(ref core.Ref) {
 		lt.refs[ref] = rl
 	}
 	rl.writing++
+	held = len(rl.holders) > 0
 	lt.mu.Unlock()
+	return held
 }
 
 // endWrite re-enables grants for ref.
@@ -414,11 +417,7 @@ func (lt *leaseTable) revokeAll(ctx context.Context, ref core.Ref, wait bool) er
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Bound each attempt by the TTL: past that the lease is dead
-			// anyway and the expiry wait below takes over.
-			rctx, cancel := context.WithTimeout(ctx, lt.ttl)
-			defer cancel()
-			if err := lt.invalidate(rctx, addr, body); err != nil {
+			if err := lt.invalidate(ctx, addr, body); err != nil {
 				failMu.Lock()
 				if expiry.After(waitUntil) {
 					waitUntil = expiry
@@ -447,13 +446,15 @@ func (lt *leaseTable) revokeAll(ctx context.Context, ref core.Ref, wait bool) er
 }
 
 // invalidate pushes an encoded InvalidateMsg to the client cache listening
-// at addr, over a connection that is pooled for the next revocation.
+// at addr, over a connection that is pooled for the next revocation. The
+// attempt is bounded by the TTL: past that the lease is dead anyway and
+// revokeAll's expiry wait takes over.
 func (lt *leaseTable) invalidate(ctx context.Context, addr string, body []byte) error {
 	c, err := lt.clientConn(addr)
 	if err != nil {
 		return err
 	}
-	if _, err := c.Call(ctx, KindCacheInvalidate, body); err != nil {
+	if _, err := c.CallTimeout(ctx, KindCacheInvalidate, body, lt.ttl); err != nil {
 		lt.dropClientConn(addr)
 		return err
 	}
@@ -598,7 +599,11 @@ func (n *Node) memberWriteFence(origin string, ref core.Ref) (func(), error) {
 		return func() {}, nil
 	}
 	lt := n.leases
-	lt.beginWrite(ref)
+	// The grant block goes up even with no holder to revoke: without it a
+	// grant could snapshot the state from before the round.
+	if !lt.beginWrite(ref) {
+		return func() { lt.endWrite(ref) }, nil
+	}
 	// The bound only guards against pathological scheduling: revokeAll's
 	// longest path is one TTL-bounded invalidation attempt plus waiting out
 	// a holder's expiry, itself at most one TTL away.

@@ -879,15 +879,7 @@ func (n *Node) peerCall(ctx context.Context, id ring.NodeID, kind uint8, body []
 		if err != nil {
 			return nil, err
 		}
-		callCtx := ctx
-		var cancel context.CancelFunc
-		if n.peerTimeout > 0 {
-			callCtx, cancel = context.WithTimeout(ctx, n.peerTimeout)
-		}
-		out, err := c.Call(callCtx, kind, body)
-		if cancel != nil {
-			cancel()
-		}
+		out, err := c.CallTimeout(ctx, kind, body, n.peerTimeout)
 		var refused rpc.RemoteError
 		if err == nil || errors.As(err, &refused) {
 			return out, err
