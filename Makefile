@@ -58,13 +58,14 @@ cover:
 
 # chaos runs the nemesis suite under the race detector: ten seeded
 # linearizability schedules (partitions, drop/delay, duplication,
-# crash/restart, combined, with the lease cache on, with write batching
-# on, with live migration mid-partition), the kill-everything
-# full-cluster recovery audit, the stateful-functions kill-everything
-# delivery audit, and the at-most-once blackhole regressions. Schedules
-# are deterministic in their seeds, so a failure reproduces. The
-# stateful-functions audit runs three times: its engine is woken by a
-# doorbell whose waits the schedule's attempt timeouts cut short.
+# crash/restart, combined, with the lease cache on, with enough writers
+# that writes queue for group commit, with live migration mid-partition),
+# the kill-everything full-cluster recovery audit, the stateful-functions
+# kill-everything delivery audit, and the at-most-once blackhole
+# regressions. Schedules are deterministic in their seeds, so a failure
+# reproduces. The stateful-functions audit runs three times: its engine
+# is woken by a doorbell whose waits the schedule's attempt timeouts cut
+# short.
 chaos:
 	$(GO) test -race -count=1 -run 'TestNemesis|TestAtMostOnce' -skip 'TestNemesisStatefunKillEverything' ./internal/chaos/
 	$(GO) test -race -count=3 -run 'TestNemesisStatefunKillEverything' ./internal/chaos/
@@ -72,11 +73,12 @@ chaos:
 # chaos-short is the verify-gate slice of the nemesis: one partition
 # schedule, one crash/restart schedule, the cache-on partition schedule
 # (with its invalidation-blackhole window), the group-commit partition
-# schedule (write batching on), the live-migration partition schedule
-# (hot object migrated mid-partition), the kill-everything schedule
-# (full-cluster crash recovered from cold storage), and the stateful-
-# functions kill-everything schedule (exactly-once-visible delivery
-# audited across the same full-cluster crash), shrunk by -short.
+# schedule (ten workers in lockstep, so writes queue and share rounds), the
+# live-migration partition schedule (hot object migrated mid-partition),
+# the kill-everything schedule (full-cluster crash recovered from cold
+# storage), and the stateful-functions kill-everything schedule
+# (exactly-once-visible delivery audited across the same full-cluster
+# crash), shrunk by -short.
 chaos-short:
 	$(GO) test -race -count=1 -short -run 'TestNemesisPartition|TestNemesisCrashRestart|TestNemesisCachePartition|TestNemesisWriteBatchPartition|TestNemesisMigrationPartition|TestNemesisKillEverything|TestNemesisStatefunKillEverything' ./internal/chaos/
 
@@ -118,8 +120,8 @@ doclint:
 # attempt timers), the invocation round trip must hold PR 3's 8
 # allocs/op, the per-object tracker's warm-path Observe must stay
 # allocation-free (the telemetry-overhead guard for the always-on
-# accounting plane), one sequential RF-2 write on the zero WritePolicy — a
-# round of one — must stay near the ~34 allocations it costs as one
+# accounting plane), one sequential RF-2 write — an inline round of one —
+# must stay near the ~34 allocations it costs as one
 # tag-encoded ACCEPT round trip (53 with a goroutine and a context per rpc
 # frame, ~96 under the Skeen PROPOSE/FINAL exchange), an rf=1 write (a
 # group of one) and read must stay near the ~10 and ~11 they cost outside

@@ -52,7 +52,6 @@ func run() int {
 		crashFor = flag.Duration("chaos-restart-after", 3*time.Second, "downtime before the supervisor revives a chaos-crashed node (restart is immediate)")
 		httpAddr = flag.String("http", "", "serve /metrics (Prometheus), /traces (trace-event JSON) and /debug/pprof on this address, e.g. :8080")
 		leaseTTL = flag.Duration("lease-ttl", 0, "enable the lease-based read path with this lease duration (e.g. 500ms); 0 disables leases")
-		wrBatch  = flag.Int("write-batch", 0, "group-commit batch size: coalesce up to this many concurrent writes per object into one ordering round; 0 disables batching")
 		rebal    = flag.Bool("rebalance", false, "enable the elastic resharding loop: the coordinator live-migrates sustained heavy hitters (requires -telemetry for a load signal)")
 		rebalHot = flag.Float64("rebalance-hot-rate", 0, "rebalancer hot threshold in ops/s (default 200)")
 		rebalInt = flag.Duration("rebalance-interval", 0, "rebalancer scan period (default 2s)")
@@ -122,14 +121,11 @@ func run() int {
 		Directory: dir,
 		RF:        *rf,
 		LeaseTTL:  *leaseTTL,
-		// -write-batch round-trips the core.WritePolicy the embedded
-		// runtime takes via Options.Write.
-		Write:     core.WritePolicy{MaxBatch: *wrBatch},
 		Telemetry: tel,
 	}
 	if *rebal {
-		// Same pattern as -write-batch: the flags round-trip core.RebalancePolicy,
-		// unset knobs fall back to the library defaults via Normalized.
+		// The flags round-trip core.RebalancePolicy; unset knobs fall back
+		// to the library defaults via Normalized.
 		cfg.Rebalance = core.RebalancePolicy{
 			Enabled:  true,
 			HotRate:  *rebalHot,

@@ -57,12 +57,11 @@ type nemesisOpts struct {
 	// client (cacheProbe) joins the workload and the run fails unless it
 	// was served from its cache again after a write had invalidated it.
 	cache bool
-	// write turns group commit on: concurrent mutations share ordering
-	// rounds (batched payloads, pipelined ACCEPTs) and the per-sub-op
-	// at-most-once window is the only thing standing between a retried
-	// batch and a double-applied counter increment. Histories must stay
-	// linearizable with batching under every fault in the plan.
-	write bool
+	// lockstep starts every worker's k-th operation at the same instant,
+	// lockstepSlot after the (k-1)-th (a late worker goes at once), so
+	// each object sees its writers in bursts: the group-commit schedules
+	// use it to queue writes on a lane.
+	lockstep bool
 	// plan builds the fault schedule from the cluster's node names.
 	plan func(nodes []string) chaos.Plan
 	// during, when set, runs concurrently with the workload (a second
@@ -111,11 +110,6 @@ func runNemesis(t *testing.T, o nemesisOpts) (*chaos.Engine, *telemetry.Telemetr
 	if o.cache {
 		copts.LeaseTTL = 50 * time.Millisecond
 		copts.ClientCache = true
-	}
-	if o.write {
-		// Small batches, so rounds coalesce the 3-worker load while still
-		// cutting many distinct rounds per window.
-		copts.Write = core.WritePolicy{MaxBatch: 8}
 	}
 	cl, err := cluster.StartLocal(copts)
 	if err != nil {
@@ -183,24 +177,39 @@ func runNemesis(t *testing.T, o nemesisOpts) (*chaos.Engine, *telemetry.Telemetr
 			rehits = cacheProbe(t, ctx, cl, probe, o.workers)
 		}()
 	}
+	// Workers dial first and then start together, so their first
+	// operations contend on every object.
+	var dialed sync.WaitGroup
+	dialed.Add(o.workers)
+	start := make(chan struct{})
+	var begin time.Time // set before start closes
 	for w := 0; w < o.workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			conn, err := cl.NewClient()
+			dialed.Done()
 			if err != nil {
 				t.Error(err)
 				return
 			}
 			defer conn.Close()
+			<-start
 			for i := 0; i < o.ops; i++ {
-				for _, obj := range objs {
+				for j, obj := range objs {
 					nemesisOp(t, ctx, conn, obj, w, i)
-					time.Sleep(time.Duration(4+(w+i)%5) * time.Millisecond)
+					pause := time.Duration(4+(w+i)%5) * time.Millisecond
+					if o.lockstep {
+						pause = time.Until(begin.Add(time.Duration(i*len(objs)+j+1) * lockstepSlot))
+					}
+					time.Sleep(pause)
 				}
 			}
 		}(w)
 	}
+	dialed.Wait()
+	begin = time.Now()
+	close(start)
 	wg.Wait()
 	close(stopDuring)
 	<-duringDone
@@ -476,17 +485,41 @@ func TestNemesisCrashRestart(t *testing.T) {
 	})
 }
 
-// TestNemesisWriteBatchPartition runs the workload with group commit ON
-// (seed 505) under the partition schedule: concurrent mutations share
-// ordering rounds while partitions isolate the coordinator mid-round, so
-// retried writes land in *different* batches than their first attempt and
-// only the per-sub-operation at-most-once window keeps them applied once.
-// Every history must stay linearizable with batching enabled.
+// batchWorkers and batchOps shape the two group-commit schedules: ten
+// workers in lockstep put six or seven writers on each object at once,
+// well past a lane's two rounds in flight, so writes really queue and
+// ride combined rounds; two ops each keep every history inside the
+// checker's 20.
+const batchWorkers, batchOps = 10, 2
+
+// lockstepSlot is the time between a lockstep schedule's operations. At
+// 16 ms a group-commit schedule's six (two on each object) span more than
+// one fault window; at 8 ms they all landed in the first partition, where
+// queued writes give up before a stalled round frees their lane.
+const lockstepSlot = 16 * time.Millisecond
+
+// requireCombinedRound fails a group-commit schedule in which no round
+// carried more than one write: it would have checked rounds of one only.
+func requireCombinedRound(t *testing.T, tel *telemetry.Telemetry) {
+	t.Helper()
+	if tel.Metrics().Histogram(telemetry.HistServerBatchSize).Snapshot().Max <= time.Microsecond {
+		t.Error("no round carried more than one write: the schedule never exercised group commit")
+	}
+}
+
+// TestNemesisWriteBatchPartition runs the group-commit workload (seed 505)
+// under the partition schedule: concurrent mutations share ordering rounds
+// while partitions isolate the coordinator mid-round, so retried writes
+// land in *different* rounds than their first attempt and only the
+// per-sub-operation at-most-once window keeps them applied once. Every
+// history must stay linearizable.
 func TestNemesisWriteBatchPartition(t *testing.T) {
 	_, tel := runNemesis(t, nemesisOpts{
 		seed:      505,
+		workers:   batchWorkers,
+		ops:       batchOps,
+		lockstep:  true,
 		ephemeral: true,
-		write:     true,
 		plan: func(nodes []string) chaos.Plan {
 			s := spacing()
 			var steps []chaos.Step
@@ -507,20 +540,20 @@ func TestNemesisWriteBatchPartition(t *testing.T) {
 			return chaos.Plan{Steps: steps}
 		},
 	})
-	if tel.Metrics().Counter(telemetry.MetServerBatches).Value() == 0 {
-		t.Error("group commit enabled but no batch round was ever cut")
-	}
+	requireCombinedRound(t, tel)
 }
 
-// TestNemesisWriteBatchCrashRestart crashes nodes with group commit ON
-// (seed 707): a coordinator may die with batches queued and rounds in
-// flight, replicas must converge on the batched state, and the restarted
-// node's state transfer must hand back object versions advanced by whole
-// batches at a time.
+// TestNemesisWriteBatchCrashRestart crashes nodes under the group-commit
+// workload (seed 707): a coordinator may die with writes queued and rounds
+// in flight, replicas must converge on the combined rounds' state, and the
+// restarted node's state transfer must hand back object versions advanced
+// by whole rounds at a time.
 func TestNemesisWriteBatchCrashRestart(t *testing.T) {
-	runNemesis(t, nemesisOpts{
-		seed:  707,
-		write: true,
+	_, tel := runNemesis(t, nemesisOpts{
+		seed:     707,
+		workers:  batchWorkers,
+		ops:      batchOps,
+		lockstep: true,
 		plan: func(nodes []string) chaos.Plan {
 			s := spacing()
 			var steps []chaos.Step
@@ -534,6 +567,7 @@ func TestNemesisWriteBatchCrashRestart(t *testing.T) {
 			return chaos.Plan{Steps: steps}
 		},
 	})
+	requireCombinedRound(t, tel)
 }
 
 // TestNemesisCachePartition runs the workload with the lease-based client

@@ -161,7 +161,6 @@ func TestNemesisStatefunKillEverything(t *testing.T) {
 		PeerCallTimeout:      250 * time.Millisecond,
 		LeaseTTL:             150 * time.Millisecond,
 		ClientCache:          true,
-		Write:                core.DefaultWritePolicy(),
 		Durability:           dur,
 		ColdStore:            store,
 	})
@@ -278,7 +277,7 @@ func TestNemesisStatefunKillEverything(t *testing.T) {
 	c2, err := cluster.StartLocal(cluster.Options{
 		Nodes: 3, RF: 2, Telemetry: tel2,
 		LeaseTTL: 150 * time.Millisecond, ClientCache: true,
-		Write: core.DefaultWritePolicy(), Durability: dur, ColdStore: store,
+		Durability: dur, ColdStore: store,
 	})
 	if err != nil {
 		t.Fatalf("restart from cold store: %v", err)

@@ -17,8 +17,8 @@ import (
 	"crucial/internal/telemetry"
 )
 
-// replicatedInvokeAllocBudget is what one sequential RF-2 AddAndGet on the
-// zero WritePolicy allocates, client and both replicas together, plus
+// replicatedInvokeAllocBudget is what one sequential RF-2 AddAndGet, an
+// inline round of one, allocates, client and both replicas together, plus
 // about 10 %: 34 in each of seven samples of 500 calls, measured
 // 2026-10-17 on the 2-vCPU reference box (go1.24) at -cpu 1, 2 and 4, once
 // rpc requests ran on pooled handler workers over allocation-free framing

@@ -79,9 +79,10 @@ type Options struct {
 	// ClientCacheObjects bounds resident entries per client cache
 	// (default 1024).
 	ClientCacheObjects int
-	// Write is the group-commit policy for the SMR write path, applied to
-	// every node (server.Config.Write). The zero value keeps the classic
-	// one-round-per-mutation path; see core.WritePolicy.
+	// Write once set the group-commit policy.
+	//
+	// Deprecated: nothing reads it. Group commit is every replicated
+	// write's own behaviour (DESIGN.md §5e).
 	Write core.WritePolicy
 	// Rebalance is the elastic resharding policy applied to every node
 	// (server.Config.Rebalance): with Enabled set and Telemetry attached,
@@ -205,7 +206,6 @@ func (c *Cluster) nodeConfig(id ring.NodeID) server.Config {
 		ServiceConcurrency: c.opts.ServiceConcurrency,
 		PeerCallTimeout:    c.opts.PeerCallTimeout,
 		LeaseTTL:           c.opts.LeaseTTL,
-		Write:              c.opts.Write,
 		Rebalance:          c.opts.Rebalance,
 		Durability:         c.opts.Durability,
 		ColdStore:          c.opts.ColdStore,

@@ -15,17 +15,17 @@ import (
 
 // The durability-overhead microbenchmarks (`go test -run '^$' -bench
 // BenchmarkWAL -benchmem ./internal/cluster/`): the same contended
-// hot-counter workload as BenchmarkWriteBatched (3 nodes, RF=2, group
-// commit on, 8 client connections, parallel writers) with the durability
-// tier off, snapshot-only, group-fsynced, and fsynced per operation. Group
-// commit already coalesces concurrent increments into shared ordering
-// rounds, so one WAL flush covers many acks — the group-fsync column is
-// the tier's advertised operating point and should stay within ~2x of
+// hot-counter workload as BenchmarkWriteHotCounter (3 nodes, RF=2, 8
+// client connections, parallel writers) with the durability tier off,
+// snapshot-only, group-fsynced, and fsynced per operation. Group commit
+// already coalesces concurrent increments into shared ordering rounds, so
+// one WAL flush covers many acks — the group-fsync column is the tier's
+// advertised operating point and should stay within ~2x of
 // durability-off.
 
 func benchWAL(b *testing.B, dur core.DurabilityPolicy) {
 	b.Helper()
-	opts := Options{Nodes: 3, RF: 2, Write: core.DefaultWritePolicy(), Durability: dur}
+	opts := Options{Nodes: 3, RF: 2, Durability: dur}
 	if dur.Enabled {
 		// Long snapshot interval: the benchmark measures the WAL on the
 		// ack path, not checkpoint interference.
@@ -64,7 +64,7 @@ func benchWAL(b *testing.B, dur core.DurabilityPolicy) {
 }
 
 // BenchmarkWALOff is the baseline: the identical workload with the
-// durability tier disabled (equals BenchmarkWriteBatched).
+// durability tier disabled (equals BenchmarkWriteHotCounter).
 func BenchmarkWALOff(b *testing.B) {
 	benchWAL(b, core.DurabilityPolicy{})
 }

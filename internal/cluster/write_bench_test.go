@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -12,29 +13,33 @@ import (
 )
 
 // The write-path microbenchmarks (`go test -run '^$' -bench BenchmarkWrite
-// -benchmem ./internal/cluster/`): parallel increments of one hot counter
-// on a 3-node RF=2 cluster, with group commit off (one ordering round
-// per increment) and on (concurrent increments coalesce into shared
-// rounds, DESIGN.md §5e). The batch-size ablation shows where the
-// amortization saturates. Parallelism is the point — group commit only has
-// something to coalesce when writes are concurrent — so every benchmark
-// drives the counter from many goroutines via RunParallel.
+// -benchmem ./internal/cluster/`) increment one persistent counter on a
+// 3-node RF=2 cluster. BenchmarkWriteHotCounter drives it from 64 writers:
+// their writes overrun the counter's lane and ride shared rounds
+// (DESIGN.md §5e). BenchmarkWriteSequential drives it from one, so every
+// write is an inline round of one. Persist matters: only replicated
+// objects take the ordering round that group commit amortizes.
 
-func benchWrite(b *testing.B, write core.WritePolicy) {
+// hotCounterWriters is how many goroutines contend on the hot counter.
+const hotCounterWriters = 64
+
+// writeBenchCounter boots the cluster and creates the counter, so genesis
+// placement is out of the loop, and returns a client and the increment.
+func writeBenchCounter(b *testing.B) (*Cluster, *client.Client, core.Invocation) {
 	b.Helper()
-	c, cl := benchCluster(b, Options{Nodes: 3, RF: 2, Write: write})
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
-	defer cancel()
-	// Persist matters: only replicated objects take the SMR ordering round
-	// that group commit amortizes. An ephemeral ref would measure the
-	// single-copy direct path and show no batching effect at all.
+	c, cl := benchCluster(b, Options{Nodes: 3, RF: 2})
 	ref := core.Ref{Type: objects.TypeAtomicLong, Key: "bench/hot"}
 	set := core.Invocation{Ref: ref, Method: "Set", Args: []any{int64(0)}, Persist: true}
-	inc := core.Invocation{Ref: ref, Method: "IncrementAndGet", Persist: true}
-	// Create the object up front so genesis placement is out of the loop.
-	if _, err := cl.InvokeObject(ctx, set); err != nil {
+	if _, err := cl.InvokeObject(context.Background(), set); err != nil {
 		b.Fatal(err)
 	}
+	return c, cl, core.Invocation{Ref: ref, Method: "IncrementAndGet", Persist: true}
+}
+
+func BenchmarkWriteHotCounter(b *testing.B) {
+	c, cl, inc := writeBenchCounter(b)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
+	defer cancel()
 	// Several client connections, so a single connection's frame stream is
 	// not the measured bottleneck — the contended write path is.
 	clients := []*client.Client{cl}
@@ -47,7 +52,7 @@ func benchWrite(b *testing.B, write core.WritePolicy) {
 		clients = append(clients, extra)
 	}
 	var next atomic.Uint64
-	b.SetParallelism(32) // 32 writers per GOMAXPROCS unit contend on one object
+	b.SetParallelism(max(1, hotCounterWriters/runtime.GOMAXPROCS(0)))
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		cl := clients[next.Add(1)%uint64(len(clients))]
@@ -59,24 +64,14 @@ func benchWrite(b *testing.B, write core.WritePolicy) {
 	})
 }
 
-func BenchmarkWriteUnbatched(b *testing.B) {
-	benchWrite(b, core.WritePolicy{})
-}
-
-func BenchmarkWriteBatched(b *testing.B) {
-	benchWrite(b, core.DefaultWritePolicy())
-}
-
-// The batch-size ablation varies MaxBatch: the gain should grow with the
-// cap until the offered concurrency (not the cap) limits batch sizes.
-func BenchmarkWriteBatch8(b *testing.B) {
-	benchWrite(b, core.WritePolicy{MaxBatch: 8})
-}
-
-func BenchmarkWriteBatch64(b *testing.B) {
-	benchWrite(b, core.WritePolicy{MaxBatch: 64})
-}
-
-func BenchmarkWriteBatch256(b *testing.B) {
-	benchWrite(b, core.WritePolicy{MaxBatch: 256})
+func BenchmarkWriteSequential(b *testing.B) {
+	_, cl, inc := writeBenchCounter(b)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
+	defer cancel()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := cl.InvokeObject(ctx, inc); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -16,7 +15,7 @@ import (
 
 // Group-commit integration tests: the same concurrent hot-counter load the
 // write benchmark drives, but checked for exactness — every increment must
-// land exactly once no matter how the batcher slices the stream into
+// land exactly once no matter how the lanes cut the stream into
 // rounds — plus the observability contract (DESIGN.md §5e).
 
 // hammerCounter runs workers*perWorker stamped increments of one counter,
@@ -63,17 +62,14 @@ func hammerCounter(t *testing.T, c *Cluster, workers, perWorker, nclients int, p
 }
 
 // TestWriteBatchingExactlyOnce floods one counter through the write path
-// under each way of slicing the stream into rounds — the zero policy and
-// MaxBatch 1 (rounds of one, inline), group commit at the default MaxBatch
-// and at a small MaxBatch of 8 — and checks the final value: a round that
-// dropped a queued write, applied one twice (a retry landing in a second
-// round after its first already delivered), or mixed up per-invocation
-// results would be off.
-// However the rounds were cut, every replica must have counted the same
-// applies and replayed the same number of retries, and group commit must
-// have taken fewer rounds than ops. An ephemeral counter's rounds have a
-// group of one, which never joins the batcher (it has no multicast to
-// amortize), and it must live on one node under every policy.
+// and checks the final value: a round that dropped a queued write, applied
+// one twice (a retry landing in a second round after its first already
+// delivered), or mixed up per-invocation results would be off. A
+// persistent counter's writes overrun its lane and ride cut rounds, so it
+// takes fewer rounds than writes, and both copies must have counted the
+// same applies. An ephemeral counter's rounds have a group of one, which
+// has no ACCEPT to amortize and never queues: it lives on one node, and
+// every write is a round of its own.
 func TestWriteBatchingExactlyOnce(t *testing.T) {
 	for _, persist := range []bool{true, false} {
 		writeBatchingExactlyOnce(t, persist)
@@ -82,85 +78,43 @@ func TestWriteBatchingExactlyOnce(t *testing.T) {
 
 func writeBatchingExactlyOnce(t *testing.T, persist bool) {
 	const workers, perWorker = 24, 25
-	type outcome struct {
-		value    int64
-		versions []uint64 // per node, in node-ID order; 0 where no copy lives
-		replays  uint64
-	}
-	var first outcome
-	for i, pol := range []core.WritePolicy{{}, {MaxBatch: 1}, core.DefaultWritePolicy(), {MaxBatch: 8}} {
-		tel := telemetry.New()
-		c, err := StartLocal(Options{Nodes: 3, RF: 2, Telemetry: tel, Write: pol})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := outcome{value: hammerCounter(t, c, workers, perWorker, 4, persist)}
-		ref := core.Ref{Type: objects.TypeAtomicLong, Key: "wb/counter"}
-		for _, id := range c.Dir.View().Members {
-			v, _ := c.nodes[id].DebugVersion(ref)
-			got.versions = append(got.versions, v)
-		}
-		m := tel.Metrics()
-		got.replays = m.Counter(telemetry.MetServerDedupHits).Value()
-		batches := m.Counter(telemetry.MetServerBatches).Value()
-		rounds := m.Counter(telemetry.MetServerSMRRounds).Value()
-		_ = c.Close()
-
-		if got.value != workers*perWorker {
-			t.Fatalf("%+v persist=%v: counter = %d after %d increments", pol, persist, got.value, workers*perWorker)
-		}
-		copies, want := 0, 1
-		if persist {
-			want = 2
-		}
-		for _, v := range got.versions {
-			if v > 0 {
-				copies++
-			}
-		}
-		if copies != want {
-			t.Errorf("%+v persist=%v: copies on %d nodes (versions %v), want %d", pol, persist, copies, got.versions, want)
-		}
-		batched := pol.Batching() && persist
-		if batched != (batches > 0) {
-			t.Errorf("%+v persist=%v: %d group-commit rounds", pol, persist, batches)
-		}
-		// The hammer orders workers*perWorker+2 ops: the increments, the
-		// Set and the lease-less final Get, which a group of one serves
-		// from its copy instead. Rounds of one take exactly that many;
-		// group commit must save at least those two.
-		ops := uint64(workers*perWorker + 2)
-		if !persist {
-			ops--
-		}
-		if !batched && rounds != ops {
-			t.Errorf("%+v persist=%v: %d ordering rounds for %d ops, want one each", pol, persist, rounds, ops)
-		} else if batched && rounds > workers*perWorker {
-			t.Errorf("%+v persist=%v: %d ordering rounds for %d ops: batching amortized nothing", pol, persist, rounds, workers*perWorker)
-		}
-		if i == 0 {
-			first = got
-		} else if !reflect.DeepEqual(got, first) {
-			t.Errorf("%+v: outcome %+v differs from the zero policy's %+v", pol, got, first)
-		}
-	}
-}
-
-// TestWriteBatchingDisabledByDefault pins the compatibility contract: the
-// zero Options keep the classic one-round-per-mutation path, so existing
-// deployments see no behavior change until they opt in.
-func TestWriteBatchingDisabledByDefault(t *testing.T) {
 	tel := telemetry.New()
 	c, err := StartLocal(Options{Nodes: 3, RF: 2, Telemetry: tel})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if got := hammerCounter(t, c, 8, 5, 2, true); got != 40 {
-		t.Fatalf("counter = %d after 40 increments", got)
+	value := hammerCounter(t, c, workers, perWorker, 4, persist)
+	if value != workers*perWorker {
+		t.Fatalf("persist=%v: counter = %d after %d increments", persist, value, workers*perWorker)
 	}
-	if n := tel.Metrics().Counter(telemetry.MetServerBatches).Value(); n != 0 {
-		t.Errorf("zero WritePolicy cut %d batch rounds, want the classic path", n)
+	ref := core.Ref{Type: objects.TypeAtomicLong, Key: "wb/counter"}
+	var versions []uint64 // of the nodes holding a copy
+	for _, id := range c.Dir.View().Members {
+		if v, _ := c.nodes[id].DebugVersion(ref); v > 0 {
+			versions = append(versions, v)
+		}
+	}
+	want := 1
+	if persist {
+		want = 2
+	}
+	if len(versions) != want || versions[0] != versions[len(versions)-1] {
+		t.Errorf("persist=%v: copies at versions %v, want %d agreeing", persist, versions, want)
+	}
+	m := tel.Metrics()
+	batches := m.Counter(telemetry.MetServerBatches).Value()
+	rounds := m.Counter(telemetry.MetServerSMRRounds).Value()
+	// The hammer orders workers*perWorker+2 ops: the increments, the Set
+	// and the lease-less final Get, which a group of one serves from its
+	// copy instead.
+	if !persist {
+		if ops := uint64(workers*perWorker + 1); batches != 0 || rounds != ops {
+			t.Errorf("ephemeral: %d cut rounds, %d ordering rounds for %d ops; want none and one each", batches, rounds, ops)
+		}
+	} else if batches == 0 || rounds >= workers*perWorker {
+		t.Errorf("persistent: %d cut rounds, %d ordering rounds for %d increments: batching amortized nothing",
+			batches, rounds, workers*perWorker)
 	}
 }
 
@@ -170,12 +124,7 @@ func TestWriteBatchingDisabledByDefault(t *testing.T) {
 // flush counter as crucial_client_write_flushes_total.
 func TestWriteBatchingMetrics(t *testing.T) {
 	tel := telemetry.New()
-	c, err := StartLocal(Options{
-		Nodes:     3,
-		RF:        2,
-		Telemetry: tel,
-		Write:     core.WritePolicy{MaxBatch: 16},
-	})
+	c, err := StartLocal(Options{Nodes: 3, RF: 2, Telemetry: tel})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,7 @@ package core
 import "time"
 
 // DurabilityPolicy is the single durability-tier vocabulary of the system,
-// the cold-storage sibling of WritePolicy and RebalancePolicy. The same
+// the cold-storage sibling of RebalancePolicy. The same
 // struct configures the runtime (crucial.Options.Durability), a cluster
 // (cluster.Options.Durability), one server (server.Config.Durability) and
 // the dso-server -wal-* flags, so a policy chosen in one place round-trips

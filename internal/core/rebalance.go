@@ -7,8 +7,8 @@ import "time"
 // scans the cluster-wide heavy-hitter snapshots, what per-object load
 // counts as a sustained hot spot, and how aggressively it reacts. It is
 // the single policy type threaded through crucial.Options.Rebalance,
-// cluster.Options.Rebalance and server.Config.Rebalance, the placement
-// sibling of WritePolicy. The zero value disables rebalancing entirely.
+// cluster.Options.Rebalance and server.Config.Rebalance. The zero value
+// disables rebalancing entirely.
 //
 // The rebalancer needs telemetry (the per-object trackers are its only
 // load signal); with telemetry disabled an enabled policy scans nothing

@@ -388,7 +388,9 @@ func (lt *leaseTable) endWrite(ref core.Ref) {
 // wait is true (the write path), a holder whose invalidation fails is
 // fenced by waiting out its server-side expiry — the lease dies of old age
 // before the write commits. When wait is false (best-effort cleanup), the
-// invalidations still go out but nothing blocks on them.
+// invalidations still go out but nothing blocks on them. The last holder
+// is contacted inline and the others each on a goroutine, so revoking a
+// single holder starts none.
 func (lt *leaseTable) revokeAll(ctx context.Context, ref core.Ref, wait bool) error {
 	lt.mu.Lock()
 	rl := lt.refs[ref]
@@ -410,39 +412,59 @@ func (lt *leaseTable) revokeAll(ctx context.Context, ref core.Ref, wait bool) er
 	// Every holder is a client cache and gets the same message: encode it
 	// once for the whole round.
 	body := InvalidateMsg{Ref: ref, Epoch: epoch}.encode()
-	var wg sync.WaitGroup
-	var failMu sync.Mutex
 	var waitUntil time.Time
+	var others chan time.Time
+	left := len(holders)
 	for addr, expiry := range holders {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := lt.invalidate(ctx, addr, body); err != nil {
-				failMu.Lock()
-				if expiry.After(waitUntil) {
-					waitUntil = expiry
-				}
-				failMu.Unlock()
-			}
-		}()
+		if left--; left == 0 {
+			waitUntil = lt.revoke(ctx, addr, body, expiry)
+			break
+		}
+		if others == nil {
+			others = make(chan time.Time, len(holders)-1)
+		}
+		go func() { others <- lt.revoke(ctx, addr, body, expiry) }()
 	}
-	wg.Wait()
+	for range len(holders) - 1 {
+		if until := <-others; until.After(waitUntil) {
+			waitUntil = until
+		}
+	}
 	if !wait || waitUntil.IsZero() {
 		return nil
 	}
-	if d := time.Until(waitUntil); d > 0 {
-		lt.n.cLeaseExpiryWaits.Inc()
-		if lt.n.log.Enabled(ctx, slog.LevelDebug) {
-			lt.n.log.Debug("write waiting out unreachable lease holder",
-				"ref", ref.String(), "wait", d.String())
-		}
-		select {
-		case <-time.After(d):
-		case <-ctx.Done():
-			return ctx.Err()
-		}
+	d := time.Until(waitUntil)
+	if d <= 0 {
+		return nil
 	}
-	return nil
+	lt.n.cLeaseExpiryWaits.Inc()
+	if lt.n.log.Enabled(ctx, slog.LevelDebug) {
+		lt.n.log.Debug("write waiting out unreachable lease holder",
+			"ref", ref.String(), "wait", d.String())
+	}
+	return pause(ctx, d)
+}
+
+// pause waits d, or until ctx ends first and returns its error. Its timer
+// is stopped either way.
+func pause(ctx context.Context, d time.Duration) error {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// revoke invalidates one holder's lease and returns the expiry a write
+// must wait out when the holder could not be reached, else the zero time.
+func (lt *leaseTable) revoke(ctx context.Context, addr string, body []byte, expiry time.Time) time.Time {
+	if lt.invalidate(ctx, addr, body) != nil {
+		return expiry
+	}
+	return time.Time{}
 }
 
 // invalidate pushes an encoded InvalidateMsg to the client cache listening
@@ -502,12 +524,7 @@ func (lt *leaseTable) fenceWait(ctx context.Context) error {
 		return nil
 	}
 	lt.n.cLeaseExpiryWaits.Inc()
-	select {
-	case <-time.After(d):
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
+	return pause(ctx, d)
 }
 
 // onViewChange arms the write fence and asynchronously invalidates every

@@ -137,14 +137,6 @@ type Config struct {
 	// stall behind an unreachable lease holder; longer TTLs amortize more
 	// reads per grant.
 	LeaseTTL time.Duration
-	// Write is the group-commit policy for the SMR write path (DESIGN.md
-	// §5e): with WritePolicy.Batching() true, concurrent mutations of one
-	// object coalesce into shared ordering rounds of up to MaxBatch
-	// stamped invocations, with up to two rounds in flight per object.
-	// The zero value runs every write as a round of one, inline. The same
-	// struct configures every layer (crucial.Options.Write,
-	// cluster.Options.Write, the dso-server -write-batch flag).
-	Write core.WritePolicy
 	// Rebalance configures the telemetry-driven elastic resharding loop
 	// (DESIGN.md §5g): with Enabled set (and a Telemetry bundle, its only
 	// load signal), the coordinator node periodically merges the cluster's
@@ -252,9 +244,10 @@ type Node struct {
 	// beforeApply is a test hook: applyOrdered calls it first.
 	beforeApply func(core.Ref)
 
-	// batcher is the group-commit submit queue, nil when Config.Write
-	// disables batching: every round is then a round of one, run inline.
-	batcher *writeBatcher
+	// lanes holds the write lane of every ref with a round in flight from
+	// this node (lane.go).
+	lanesMu sync.Mutex
+	lanes   map[core.Ref]lane
 
 	// leases is the lease table (nil when Config.LeaseTTL is zero: the
 	// read path and the write hooks are disabled at zero cost).
@@ -333,6 +326,7 @@ func Start(cfg Config) (*Node, error) {
 		cfg:     cfg,
 		profile: cfg.Profile,
 		objects: make(map[core.Ref]*entry),
+		lanes:   make(map[core.Ref]lane),
 		peers:   make(map[ring.NodeID]*rpc.Client),
 		log:     telemetry.Logger(telemetry.CompServer).With("node", string(cfg.ID)),
 	}
@@ -380,9 +374,6 @@ func Start(cfg Config) (*Node, error) {
 	n.cRebalScans = n.metrics.Counter(telemetry.MetServerRebalanceScans)
 	if cfg.LeaseTTL > 0 {
 		n.leases = newLeaseTable(n, cfg.LeaseTTL)
-	}
-	if cfg.Write.Batching() {
-		n.batcher = newWriteBatcher(n, cfg.Write.MaxBatch)
 	}
 	switch {
 	case cfg.PeerCallTimeout > 0:
@@ -512,12 +503,6 @@ func (n *Node) shutdown() error {
 		// Stop the scan loop before tearing down the RPC plane; an
 		// in-flight scan's peer calls fail fast against closed peers.
 		n.rebal.stopWait()
-	}
-	if n.batcher != nil {
-		// Queued-but-unflushed writes fail with ErrStopped; rounds already
-		// in flight run out against the closing transport under their own
-		// deadline.
-		n.batcher.close()
 	}
 	// Stop the snapshotter and abandon unflushed WAL records (nothing
 	// unflushed was acked); the next start recovers from the store.

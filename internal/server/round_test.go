@@ -215,16 +215,17 @@ func TestStaleGroupAcceptFenced(t *testing.T) {
 	}
 }
 
-// A group-commit round counts in crucial_server_batches_total from the
-// multicast on, like smr_rounds: one that is ordered and then refused by the
-// fork check was a batch round all the same, and the two counters must not
-// drift apart under faults.
+// A replicated write round counts in crucial_server_batch_size from the
+// local apply on, like smr_rounds: one that is ordered and then refused by
+// the fork check was a write round all the same, and the two must not
+// drift apart under faults. Sequential writes never queue, so each is an
+// inline round of one and none is a cut round (crucial_server_batches_total).
 func TestBatchRoundCountedOnceOrdered(t *testing.T) {
 	net := rpc.NewMemNetwork()
 	dir := membership.NewDirectory(time.Hour)
 	tel := telemetry.New()
 	cfg := validConfig(net, dir)
-	cfg.RF, cfg.Telemetry, cfg.Write = 2, tel, core.WritePolicy{MaxBatch: 4}
+	cfg.RF, cfg.Telemetry = 2, tel
 	n1 := startNode(t, cfg)
 	cfg.ID, cfg.Addr, cfg.Telemetry = "n2", "n2", nil
 	startNode(t, cfg)
@@ -247,10 +248,15 @@ func TestBatchRoundCountedOnceOrdered(t *testing.T) {
 		t.Fatalf("retry over diverged copies: err = %v, want ErrRebalancing", err)
 	}
 	m := tel.Metrics()
+	sizes := m.Histogram(telemetry.HistServerBatchSize).Snapshot()
 	batches := m.Counter(telemetry.MetServerBatches).Value()
 	rounds := m.Counter(telemetry.MetServerSMRRounds).Value()
-	if batches != 2 || rounds != 2 {
-		t.Fatalf("%d batch rounds, %d ordering rounds; want 2 and 2 (one acked, one refused after ordering)", batches, rounds)
+	if sizes.Count != 2 || sizes.Sum != 2*time.Microsecond || rounds != 2 {
+		t.Fatalf("%d write rounds carrying %d writes, %d ordering rounds; want 2, 2 and 2 (one acked, one refused after ordering)",
+			sizes.Count, sizes.Sum/time.Microsecond, rounds)
+	}
+	if batches != 0 {
+		t.Fatalf("%d cut rounds from sequential writes, want 0", batches)
 	}
 }
 

@@ -34,11 +34,11 @@ import (
 // There is one way to do that, the round (runRound): 1..N invocations on
 // one object share one MsgID, one lease fence, one seq, one ACCEPT per
 // member, one monitor acquisition at every replica, one WAL record and one
-// fork check. An unbatched write — and every read-only ordering round — is
-// a round of one, run inline on its caller's goroutine under its caller's
-// context; group commit (batch.go) only decides how many invocations a
-// round carries and runs it under the batcher's own bounded context. An
-// rf=1 object's round has a group of one and sends nothing; only
+// fork check. A write is a round of one, run inline on its caller's
+// goroutine under its caller's context, unless its ref's lane is full:
+// then it queues and rides a later round with the writes queued beside it
+// (lane.go). Every read-only ordering round is a round of one. An rf=1
+// object's round has a group of one and sends nothing; only
 // synchronization objects stay outside rounds.
 
 // opResult is one invocation's outcome inside a round.
@@ -284,14 +284,20 @@ func (n *Node) invoke(ctx context.Context, inv core.Invocation) ([]any, error) {
 		// the read linearizes at its execution under the object monitor.
 		return results, err
 	}
-	if n.batcher != nil && !inv.ReadOnly && len(group) > 1 {
-		// Group commit (Config.Write): the mutation joins a per-ref queue
-		// and shares its round with its concurrent neighbors. A group of
-		// one has no ACCEPT to amortize and runs inline.
-		return n.batcher.submit(ctx, inv)
+	// A replicated write goes through its ref's lane (lane.go); a group of
+	// one has no ACCEPT to amortize, and a read no slot to take.
+	write := !inv.ReadOnly && len(group) > 1
+	if write {
+		if w := n.enterLane(ctx, inv); w != nil {
+			return n.awaitCut(ctx, w)
+		}
+		defer n.freeSlot(inv.Ref)
 	}
 	// A round of one, right here: no queue, no goroutine hop, no timer.
-	res, _, err := n.runRound(ctx, group, view, []core.Invocation{inv})
+	res, ordered, err := n.runRound(ctx, group, view, []core.Invocation{inv})
+	if write && ordered {
+		n.hBatchSize.ObserveValue(1)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -321,7 +327,7 @@ func (n *Node) runRound(ctx context.Context, group []ring.NodeID, view membershi
 	}()
 	ref := invs[0].Ref
 	// A repeat after invoke, which gates its local paths on it, but not
-	// after flush, which computes its group later: two comparisons.
+	// after cutRound, which computes its group later: two comparisons.
 	if err := n.primacy(ref, group); err != nil {
 		return nil, false, err
 	}
@@ -784,8 +790,9 @@ func (n *Node) awaitTurn(ctx context.Context, e *entry, ref core.Ref, id totalor
 
 // laneMemory is how many applied rounds a copy remembers the replies of,
 // so that a duplicate ACCEPT (a redialed or duplicated frame) answers what
-// its original did. Two covers group commit's pipeline; a duplicate of an
-// older round is refused, which costs its client a retry, not a fork.
+// its original did. Two covers every write round, inline or cut: a primary
+// keeps at most pipelineDepth of a ref's in flight (lane.go). A duplicate
+// of an older round is refused, which costs its client a retry, not a fork.
 const laneMemory = pipelineDepth
 
 // laneRecord is one remembered round.
@@ -889,10 +896,8 @@ func (n *Node) peerCall(ctx context.Context, id ring.NodeID, kind uint8, body []
 			return nil, err
 		}
 		// Brief pause before redial: the peer may be restarting.
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-time.After(time.Millisecond):
+		if err := pause(ctx, time.Millisecond); err != nil {
+			return nil, err
 		}
 	}
 }

@@ -139,12 +139,14 @@ const (
 	// the benchmark deletes it.
 	MetServerFollowerReads = "server.follower_reads"
 
-	// Group-commit write path (DESIGN.md §5e). Batches is ordering rounds
-	// that carried a coalesced batch (crucial_server_batches_total);
-	// batch_size is a unitless size histogram — the *.size suffix selects
-	// value semantics, see Histogram.ObserveValue — of sub-operations per
-	// round (crucial_server_batch_size); write_flushes counts completed
-	// frame flushes on a DSO client's connections
+	// Group-commit write path (DESIGN.md §5e). batch_size is a unitless
+	// size histogram — the *.size suffix selects value semantics, see
+	// Histogram.ObserveValue — observing every replicated write round with
+	// the writes it carried, 1 for an inline round, so its mean is
+	// invocations per replicated write round (crucial_server_batch_size);
+	// batches counts the rounds cut from a lane's queue
+	// (crucial_server_batches_total); write_flushes counts completed frame
+	// flushes on a DSO client's connections
 	// (crucial_client_write_flushes_total), the transport-level half of
 	// the same amortization story.
 	MetServerBatches      = "server.batches"
@@ -232,11 +234,11 @@ const (
 	SpanFaaSInvoke   = "faas.invoke"
 	SpanClientInvoke = "client.invoke"
 	SpanServerInvoke = "server.invoke"
-	// SpanSMRBatch wraps one group-commit ordering round on the
-	// coordinator: the lease fence, the multicast and the wait for the
-	// batch's in-order delivery. It is recorded once per batch (not per
-	// sub-operation) with AttrBatchSize, and the stages report attributes
-	// its self time to the smr_order category.
+	// SpanSMRBatch wraps one ordering round cut from a lane's queue, on
+	// the coordinator: the lease fence, the local apply, the ACCEPTs and
+	// the members' replies. It is recorded once per cut round (not per
+	// write) with AttrBatchSize, and the stages report attributes its self
+	// time to the smr_order category. An inline round of one has none.
 	SpanSMRBatch = "server.smr_batch"
 	// SpanChaosFault is the marker span the chaos engine records per
 	// injected fault, so trace dumps show what the workload survived.

@@ -24,17 +24,6 @@ import (
 // to the DSO layer, and runs it (paper Section 5).
 const RunnerFunction = "crucial-runner"
 
-// WritePolicy configures group commit on the SMR write path: how many
-// concurrent mutations of one object may share a single ordering round
-// (MaxBatch). It is an alias of core.WritePolicy, the single policy type
-// threaded through Options.Write, cluster.Options.Write and
-// server.Config.Write. The zero value disables batching.
-type WritePolicy = core.WritePolicy
-
-// DefaultWritePolicy returns the tested group-commit default (MaxBatch
-// 64). A convenience re-export of core.DefaultWritePolicy.
-func DefaultWritePolicy() WritePolicy { return core.DefaultWritePolicy() }
-
 // RebalancePolicy configures the telemetry-driven elastic resharding loop
 // (DESIGN.md §5g): how often the coordinator node scans the cluster's
 // per-object windowed load, what counts as a sustained heavy hitter, and
@@ -102,13 +91,6 @@ type Options struct {
 	// and the master thread answer read-only calls on leased objects
 	// locally, without any network round trip.
 	ClientCache bool
-	// Write is the group-commit policy for the SMR write path (DESIGN.md
-	// §5e): concurrent mutations of one object coalesce into shared
-	// ordering rounds of up to Write.MaxBatch, with up to two rounds in
-	// flight per object. The zero value
-	// keeps the classic one-round-per-mutation path; DefaultWritePolicy()
-	// enables batching with tested defaults.
-	Write WritePolicy
 	// Rebalance is the elastic resharding policy (DESIGN.md §5g): with
 	// Enabled set (and telemetry on — the per-object trackers are the only
 	// load signal), the DSO coordinator node watches cluster-wide windowed
@@ -242,7 +224,6 @@ func NewLocalRuntime(opts Options) (*Runtime, error) {
 		Telemetry:   opts.Telemetry,
 		LeaseTTL:    opts.LeaseTTL,
 		ClientCache: opts.ClientCache && opts.LeaseTTL > 0,
-		Write:       opts.Write,
 		Rebalance:   opts.Rebalance,
 		Durability:  opts.Durability,
 		ColdStore:   asColdStore(coldStore),
