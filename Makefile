@@ -89,11 +89,13 @@ chaos-short:
 # two that pin the rf=1 round of one: a write racing a Join hand-off, and
 # concurrent durable writes recovered after a full crash (§5h) — and the
 # rf=2 routing test: every cache-less read reaches the primary and is
-# served there without a round, and a follower bounces reads (§5d) — and
-# the three that pin the per-object order (§5c): two coordinators in two
+# served there without a round, and a follower bounces reads (§5d) — the
+# group-commit test whose writes must overrun their lane (§5e) — and
+# the four that pin the per-object order (§5c): two coordinators in two
 # views are never both acked, a member applies an overtaking round only
-# after its predecessor, and a lost ACCEPT parks the next round until the
-# member pulls — and the three statefun dispatch tests that time a
+# after its predecessor, a round that overtakes the genesis round creating
+# its copy waits for that copy, and a lost ACCEPT parks the next round
+# until the member pulls — and the three statefun dispatch tests that time a
 # wake-up: a push to an idle instance is handled within 100 ms while idle
 # instances get no drain pass, a doorbell owner's crash makes the engine
 # re-list, and the push after one that errored in doubt still rings
@@ -105,8 +107,8 @@ flake-check:
 	$(GO) test -count=30 -cpu 1,2 -run 'TestCheckFailuresConcurrentWithMembershipChurn' ./internal/membership/
 	$(GO) test -count=30 -cpu 1,2 -run 'TestBillingUsesModeledTime|TestBillingAccumulates' ./internal/faas/
 	$(GO) test -count=30 -cpu 1,2 -run 'TestNemesisCacheCrashRestart' ./internal/chaos/
-	$(GO) test -count=30 -cpu 1,2 -run 'TestInvokeDuringMigrationLosesNothing|TestDurabilityRecoversConcurrentRFOneWrites|TestRF2ReadsServedAtPrimary|TestDroppedAcceptParksPullsAndConverges' ./internal/cluster/
-	$(GO) test -count=30 -cpu 1,2 -run 'TestRoundOfOneAcrossHandOff|TestTwoCoordinatorsInTwoViewsNotBothAcked|TestAcceptAppliesInSeqOrder' ./internal/server/
+	$(GO) test -count=30 -cpu 1,2 -run 'TestInvokeDuringMigrationLosesNothing|TestDurabilityRecoversConcurrentRFOneWrites|TestRF2ReadsServedAtPrimary|TestDroppedAcceptParksPullsAndConverges|TestWriteBatchingExactlyOnce' ./internal/cluster/
+	$(GO) test -count=30 -cpu 1,2 -run 'TestRoundOfOneAcrossHandOff|TestTwoCoordinatorsInTwoViewsNotBothAcked|TestAcceptAppliesInSeqOrder|TestRoundOvertakingGenesisWaitsForIt' ./internal/server/
 	$(GO) test -count=30 -cpu 1,2 -run 'TestDispatchIdleInstancesCostNothing|TestDispatchDoorbellOwnerCrashRelists|TestDispatchPushInDoubtActivatesNext' ./internal/statefun/
 
 # doclint fails when an exported identifier in the public API (the root
@@ -117,8 +119,10 @@ doclint:
 # alloc-guard enforces the hot-path allocation budgets: a warmed rpc echo
 # call, plain or bounded by CallTimeout, must allocate nothing (pooled
 # handler workers, per-connection frame headers, pooled buffer boxes and
-# attempt timers), the invocation round trip must hold PR 3's 8
-# allocs/op, the per-object tracker's warm-path Observe must stay
+# attempt timers), eight parallel echo callers on one in-process
+# connection at most one allocation per twenty calls (their frames share
+# pooled write and queue buffers), the invocation round trip must hold its
+# 8 allocs/op, the per-object tracker's warm-path Observe must stay
 # allocation-free (the telemetry-overhead guard for the always-on
 # accounting plane), one sequential RF-2 write — an inline round of one —
 # must stay near the ~34 allocations it costs as one

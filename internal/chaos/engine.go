@@ -1,11 +1,12 @@
 // Package chaos is a deterministic, seeded fault-injection engine for the
 // DSO stack. It weaves into the system at three seams:
 //
-//   - the transport: Engine wraps an rpc.Transport and hands each process a
-//     named Endpoint whose connections pass every frame through the fault
-//     rules — per-link drop, delay, duplication (and, through probabilistic
+//   - the network: Engine is the Verdict at the in-process network's one
+//     delivery point (rpc.MemNetwork) and hands each process a named
+//     Endpoint, so every frame on every link meets the fault rules —
+//     per-link drop, delay, duplication (and, through probabilistic
 //     delay, reordering) — plus symmetric and asymmetric partitions that
-//     refuse dials and blackhole in-flight frames;
+//     refuse dials and blackhole frames on established connections;
 //   - node lifecycle: crash/restart schedules in a Plan drive
 //     cluster-level Crash/Restart hooks, exercising failure detection,
 //     view changes and state transfer;
@@ -19,11 +20,11 @@
 // workload goroutines still varies with scheduling, but the fault schedule
 // itself is reproducible, which is what a failed nemesis run needs.
 //
-// Faults operate at frame granularity, never mid-frame: a chaos connection
-// cuts the byte stream on rpc frame boundaries (rpc.ParseFrameHeader)
-// before rolling the dice, so a dropped request looks to the client
+// Faults operate at frame granularity, never mid-frame: the network hands
+// its Verdict whole rpc frames, so a dropped request looks to the client
 // exactly like a lost datagram — the connection stays usable and the
-// multiplexed calls sharing it are unaffected.
+// multiplexed calls sharing it are unaffected. The engine keeps no state
+// per connection and starts no goroutine; a delayed frame is one timer.
 //
 // Every injected fault increments a chaos.* counter (exported on /metrics
 // as crucial_chaos_*_total) and, when a tracer is configured, records a
@@ -131,6 +132,7 @@ type Engine struct {
 	mu      sync.Mutex
 	rng     *rand.Rand
 	inner   rpc.Transport
+	mem     *rpc.MemNetwork // inner, when the engine is its Verdict
 	rules   []*Rule
 	blocked map[link]struct{}
 	faas    map[string]*FaaSFaults
@@ -149,7 +151,12 @@ type Engine struct {
 	cRestarts       *telemetry.Counter
 }
 
-// New builds an engine around the given inner transport.
+// New builds an engine around the given inner transport. When inner is an
+// *rpc.MemNetwork, the engine installs itself as the network's Verdict, so
+// create it before anything dials. Over any other transport (a wrapper
+// that counts traffic, say) the engine refuses dials across partitions but
+// cannot see frames: link rules and partitions leave established
+// connections alone.
 func New(inner rpc.Transport, opts Options) *Engine {
 	if opts.Seed == 0 {
 		opts.Seed = 1
@@ -175,6 +182,10 @@ func New(inner rpc.Transport, opts Options) *Engine {
 	e.cFaaSDelays = e.metrics.Counter(telemetry.MetChaosFaaSDelays)
 	e.cCrashes = e.metrics.Counter(telemetry.MetChaosCrashes)
 	e.cRestarts = e.metrics.Counter(telemetry.MetChaosRestarts)
+	if mem, ok := inner.(*rpc.MemNetwork); ok {
+		e.mem = mem
+		mem.SetVerdict(e.frameVerdict)
+	}
 	return e
 }
 
@@ -183,11 +194,11 @@ func New(inner rpc.Transport, opts Options) *Engine {
 func (e *Engine) Inner() rpc.Transport { return e.inner }
 
 // Endpoint returns the transport a process named name should use. Listen
-// passes through untouched; Dial enforces partitions and wraps the
-// connection so both flows pass through the fault rules. The dialed
-// address doubles as the remote endpoint name, which holds throughout the
-// repo: node addresses equal node IDs on the in-memory transport, and
-// clients dial nodes by address.
+// passes through untouched; Dial enforces partitions and names the
+// connection's dialing end, so the Verdict judges both flows by link. The
+// dialed address doubles as the remote endpoint name, which holds
+// throughout the repo: node addresses equal node IDs on the in-memory
+// transport, and clients dial nodes by address.
 func (e *Engine) Endpoint(name string) rpc.Transport {
 	return endpoint{e: e, name: name}
 }
@@ -212,11 +223,10 @@ func (ep endpoint) Dial(addr string) (net.Conn, error) {
 		e.markerSpan("dial_refused", ep.name+"->"+addr)
 		return nil, fmt.Errorf("dial %s: %w", addr, ErrPartitioned)
 	}
-	c, err := e.inner.Dial(addr)
-	if err != nil {
-		return nil, err
+	if e.mem != nil {
+		return e.mem.DialAs(ep.name, addr)
 	}
-	return newChaosConn(e, ep.name, addr, c), nil
+	return e.inner.Dial(addr)
 }
 
 // Partition splits the cluster into groups and blocks every link that
@@ -436,25 +446,22 @@ func (e *Engine) Counts() Counts {
 	}
 }
 
-// verdict is the engine's decision for one frame.
-type verdict struct {
-	drop      bool
-	partition bool // drop because of a partition, not a rule
-	dup       bool
-	delay     time.Duration
-}
-
-// frameVerdict rolls the dice for one frame flowing from -> to. Partitions
-// take precedence; otherwise the first matching rule decides.
-func (e *Engine) frameVerdict(from, to string, meta rpc.FrameMeta) verdict {
+// frameVerdict is the engine's rpc.Verdict: it rolls the dice for one
+// frame flowing from -> to. Partitions take precedence; otherwise the
+// first matching rule decides. A connection dialed around the engine
+// (through Inner) has an unnamed end and is never faulted.
+func (e *Engine) frameVerdict(from, to string, meta rpc.FrameMeta) rpc.Fate {
+	if from == "" || to == "" {
+		return rpc.Fate{}
+	}
 	e.mu.Lock()
 	if _, ok := e.blocked[link{from, to}]; ok {
 		e.mu.Unlock()
 		e.cPartitionDrops.Inc()
 		e.markerSpan("partition_drop", from+"->"+to)
-		return verdict{drop: true, partition: true}
+		return rpc.Fate{Drop: true}
 	}
-	var v verdict
+	var v rpc.Fate
 	var kind string
 	for _, r := range e.rules {
 		if !r.matches(from, to, meta) {
@@ -463,15 +470,15 @@ func (e *Engine) frameVerdict(from, to string, meta rpc.FrameMeta) verdict {
 		f := r.Faults
 		switch {
 		case f.Drop > 0 && e.rng.Float64() < f.Drop:
-			v.drop = true
+			v.Drop = true
 			kind = "drop"
 		case f.Duplicate > 0 && e.rng.Float64() < f.Duplicate:
-			v.dup = true
+			v.Dup = true
 			kind = "duplicate"
 		case f.Delay > 0 && e.rng.Float64() < f.Delay:
-			v.delay = f.DelayBy
+			v.Delay = f.DelayBy
 			if f.DelayJitter > 0 {
-				v.delay += time.Duration(e.rng.Int63n(int64(f.DelayJitter)))
+				v.Delay += time.Duration(e.rng.Int63n(int64(f.DelayJitter)))
 			}
 			kind = "delay"
 		}

@@ -1,9 +1,11 @@
 package chaos
 
 import (
+	"bytes"
 	"encoding/binary"
 	"io"
 	"net"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -28,32 +30,32 @@ func makeFrame(id uint64, kind, flags uint8, payload []byte) []byte {
 	return buf
 }
 
-func TestSplitterReassemblesFragments(t *testing.T) {
-	f1 := makeFrame(1, 7, flagRequest, []byte("hello"))
-	f2 := makeFrame(2, 8, flagResponse, nil)
-	stream := append(append([]byte{}, f1...), f2...)
+// A Write may carry any cut of the byte stream; the network hands the
+// verdict whole frames regardless. Fed one byte at a time, a stream of
+// three frames reaches the verdict as three frames, the one it drops
+// vanishes, and the others arrive intact.
+func TestVerdictSeesWholeFramesOfFragmentedWrites(t *testing.T) {
+	e := New(rpc.NewMemNetwork(), Options{Seed: 1})
+	dialer, remote := dialPair(t, e, "a", "b")
+	e.AddRule(Rule{Kind: 7, Faults: LinkFaults{Drop: 1}})
 
-	var s splitter
-	var got [][]byte
-	// Feed one byte at a time: worst-case fragmentation.
+	f1 := makeFrame(1, 8, flagRequest, []byte("hello"))
+	f2 := makeFrame(2, 7, flagRequest, []byte("dropped"))
+	f3 := makeFrame(3, 8, flagResponse, nil)
+	stream := append(append(append([]byte{}, f1...), f2...), f3...)
 	for _, b := range stream {
-		s.feed([]byte{b})
-		for {
-			frame, meta, ok := s.next()
-			if !ok {
-				break
-			}
-			if int(meta.PayloadLen) != len(frame)-rpc.FrameHeaderSize {
-				t.Fatalf("meta payload %d, frame payload %d", meta.PayloadLen, len(frame)-rpc.FrameHeaderSize)
-			}
-			got = append(got, frame)
+		if _, err := dialer.Write([]byte{b}); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if len(got) != 2 {
-		t.Fatalf("got %d frames, want 2", len(got))
+	if got := readFrame(t, remote, time.Second); !bytes.Equal(got, f1) {
+		t.Fatalf("first frame %x, want %x", got, f1)
 	}
-	if string(got[0]) != string(f1) || string(got[1]) != string(f2) {
-		t.Fatal("frames corrupted by fragmentation")
+	if got := readFrame(t, remote, time.Second); !bytes.Equal(got, f3) {
+		t.Fatalf("second frame %x, want %x", got, f3)
+	}
+	if got := e.Counts().FramesDropped; got != 1 {
+		t.Fatalf("frames dropped = %d, want 1", got)
 	}
 }
 
@@ -103,12 +105,13 @@ func dialPair(t *testing.T, e *Engine, local, addr string) (net.Conn, net.Conn) 
 	return dialer, remote
 }
 
-// writeAsync writes a stream (one or more whole frames) from a goroutine:
-// net.Pipe rendezvouses writer with reader, so a synchronous write-then-
-// read would deadlock the test.
-func writeAsync(t *testing.T, c net.Conn, stream []byte) {
+// write writes a stream of one or more whole frames. The network queues
+// it for the reader, so the test reads it back on its own goroutine.
+func write(t *testing.T, c net.Conn, stream []byte) {
 	t.Helper()
-	go func() { _, _ = c.Write(stream) }()
+	if _, err := c.Write(stream); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // readFrame reads exactly one frame from a raw conn.
@@ -188,17 +191,14 @@ func TestPartitionBlackholesEstablishedConn(t *testing.T) {
 	dialer, remote := dialPair(t, e, "a", "b")
 
 	// Healthy first: the frame crosses.
-	writeAsync(t, dialer, makeFrame(1, 9, flagRequest, []byte("x")))
+	write(t, dialer, makeFrame(1, 9, flagRequest, []byte("x")))
 	readFrame(t, remote, time.Second)
 
 	e.Partition([]string{"a"}, []string{"b"})
-	// A blackholed frame is loss inside the network, not an error — and
-	// the write returns without blocking on the (absent) reader.
-	if _, err := dialer.Write(makeFrame(2, 9, flagRequest, []byte("y"))); err != nil {
-		t.Fatal(err)
-	}
+	// A blackholed frame is loss inside the network, not an error.
+	write(t, dialer, makeFrame(2, 9, flagRequest, []byte("y")))
 	e.Heal()
-	writeAsync(t, dialer, makeFrame(3, 9, flagRequest, []byte("z")))
+	write(t, dialer, makeFrame(3, 9, flagRequest, []byte("z")))
 	frame := readFrame(t, remote, time.Second)
 	if got := rpc.ParseFrameHeader(frame).ID; got != 3 {
 		t.Fatalf("frame %d arrived, want the post-heal frame 3", got)
@@ -215,7 +215,7 @@ func TestDropRuleWithMaxHitsRetires(t *testing.T) {
 	// Drop exactly one request frame, then deliver normally.
 	e.AddRule(Rule{From: "a", To: "b", Dir: Requests, Faults: LinkFaults{Drop: 1}, MaxHits: 1})
 	stream := append(makeFrame(1, 9, flagRequest, nil), makeFrame(2, 9, flagRequest, nil)...)
-	writeAsync(t, dialer, stream)
+	write(t, dialer, stream)
 	frame := readFrame(t, remote, time.Second)
 	if got := rpc.ParseFrameHeader(frame).ID; got != 2 {
 		t.Fatalf("frame %d arrived, want 2 (frame 1 dropped)", got)
@@ -230,7 +230,7 @@ func TestDuplicateRuleDeliversTwice(t *testing.T) {
 	dialer, remote := dialPair(t, e, "a", "b")
 
 	e.AddRule(Rule{Faults: LinkFaults{Duplicate: 1}, MaxHits: 1})
-	writeAsync(t, dialer, makeFrame(5, 9, flagRequest, []byte("dup")))
+	write(t, dialer, makeFrame(5, 9, flagRequest, []byte("dup")))
 	first := readFrame(t, remote, time.Second)
 	second := readFrame(t, remote, time.Second)
 	if string(first) != string(second) {
@@ -248,17 +248,11 @@ func TestDelayRuleReordersResponses(t *testing.T) {
 	e := New(rpc.NewMemNetwork(), Options{Seed: 1})
 	dialer, remote := dialPair(t, e, "a", "b")
 
-	// Delay exactly one response on the read path (remote -> local); the
+	// Delay exactly one response on the accepted end's flow (b -> a); the
 	// next response overtakes it.
 	e.AddRule(Rule{Dir: Responses, Faults: LinkFaults{Delay: 1, DelayBy: 30 * time.Millisecond}, MaxHits: 1})
-	// The dialer-side pump drains the pipe continuously, so these writes
-	// unblock even before the test reads anything.
-	if _, err := remote.Write(makeFrame(1, 9, flagResponse, nil)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := remote.Write(makeFrame(2, 9, flagResponse, nil)); err != nil {
-		t.Fatal(err)
-	}
+	write(t, remote, makeFrame(1, 9, flagResponse, nil))
+	write(t, remote, makeFrame(2, 9, flagResponse, nil))
 	first := readFrame(t, dialer, time.Second)
 	second := readFrame(t, dialer, time.Second)
 	if a, b := rpc.ParseFrameHeader(first).ID, rpc.ParseFrameHeader(second).ID; a != 2 || b != 1 {
@@ -276,10 +270,101 @@ func TestKindFilterLeavesOtherTrafficAlone(t *testing.T) {
 	e.AddRule(Rule{Kind: 9, Faults: LinkFaults{Drop: 1}})
 	// Frame 1 matches the kind and is dropped; frame 2 is untouched.
 	stream := append(makeFrame(1, 9, flagRequest, nil), makeFrame(2, 3, flagRequest, nil)...)
-	writeAsync(t, dialer, stream)
+	write(t, dialer, stream)
 	frame := readFrame(t, remote, time.Second)
 	if got := rpc.ParseFrameHeader(frame).ID; got != 2 {
 		t.Fatalf("frame %d arrived, want 2", got)
+	}
+}
+
+// A one-way partition blackholes one flow of an established connection
+// and leaves the other alone: a's frames to b vanish while b's frames to
+// a arrive.
+func TestOneWayPartitionBlackholesOneFlow(t *testing.T) {
+	e := New(rpc.NewMemNetwork(), Options{Seed: 1})
+	dialer, remote := dialPair(t, e, "a", "b")
+
+	e.PartitionOneWay([]string{"a"}, []string{"b"})
+	write(t, dialer, makeFrame(1, 9, flagRequest, nil))
+	write(t, remote, makeFrame(2, 9, flagResponse, nil))
+	if got := rpc.ParseFrameHeader(readFrame(t, dialer, time.Second)).ID; got != 2 {
+		t.Fatalf("a read frame %d, want b's frame 2", got)
+	}
+	e.Heal()
+	write(t, dialer, makeFrame(3, 9, flagRequest, nil))
+	if got := rpc.ParseFrameHeader(readFrame(t, remote, time.Second)).ID; got != 3 {
+		t.Fatalf("b read frame %d, want the post-heal frame 3 (frame 1 lost)", got)
+	}
+	if got := e.Counts().PartitionDrops; got != 1 {
+		t.Fatalf("partition drops = %d, want 1", got)
+	}
+}
+
+// A connection dialed around the engine, through its inner network, has
+// an unnamed end: catch-all rules leave its frames alone.
+func TestUnnamedConnectionNeverFaulted(t *testing.T) {
+	e := New(rpc.NewMemNetwork(), Options{Seed: 1})
+	ln, err := e.Inner().Listen("b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		if c, err := ln.Accept(); err == nil {
+			accepted <- c
+		}
+	}()
+	c, err := e.Inner().Dial("b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	remote := <-accepted
+	t.Cleanup(func() { remote.Close() })
+
+	e.AddRule(Rule{Faults: LinkFaults{Drop: 1}})
+	write(t, c, makeFrame(1, 9, flagRequest, nil))
+	if got := rpc.ParseFrameHeader(readFrame(t, remote, time.Second)).ID; got != 1 {
+		t.Fatalf("frame %d, want 1", got)
+	}
+	if got := e.Counts().FramesDropped; got != 0 {
+		t.Fatalf("frames dropped = %d on an unnamed connection", got)
+	}
+}
+
+// The engine keeps nothing per connection: dialing through an endpoint
+// starts no goroutine.
+func TestEngineStartsNoGoroutinePerConnection(t *testing.T) {
+	e := New(rpc.NewMemNetwork(), Options{Seed: 1})
+	ln, err := e.Inner().Listen("b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	const conns = 50
+	accepted := make(chan net.Conn, conns)
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			accepted <- c
+		}
+	}()
+	before := runtime.NumGoroutine()
+	for i := 0; i < conns; i++ {
+		c, err := e.Endpoint("a").Dial("b")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		r := <-accepted
+		t.Cleanup(func() { r.Close() })
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("%d goroutines after %d connections, %d before", after, conns, before)
 	}
 }
 

@@ -1,8 +1,11 @@
 package client
 
 import (
+	"context"
+	"errors"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -10,6 +13,7 @@ import (
 	"crucial/internal/membership"
 	"crucial/internal/objects"
 	"crucial/internal/rpc"
+	"crucial/internal/server"
 	"crucial/internal/telemetry"
 )
 
@@ -103,5 +107,53 @@ func TestCacheFloorAndBackoffBounded(t *testing.T) {
 	// 500 refs per burst, swept whenever a map has doubled.
 	if peakFloor > 2048 || peakBackoff > 2048 {
 		t.Fatalf("peak sizes over 10000 refs: floor %d, backoff %d", peakFloor, peakBackoff)
+	}
+}
+
+// A refused grant keeps reads of its ref off the lease path for about a
+// write round, not longer: a read 2 ms after the refusal asks its primary
+// for a lease again.
+func TestGrantBackoffSpansAWriteRound(t *testing.T) {
+	net := rpc.NewMemNetwork()
+	ln, err := net.Listen("primary")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var leases atomic.Int32
+	srv := rpc.NewServer(func(_ context.Context, kind uint8, _ []byte) ([]byte, error) {
+		if kind == server.KindLease {
+			leases.Add(1)
+		}
+		return nil, errors.New("no lease here")
+	})
+	go func() { _ = srv.Serve(ln) }()
+	t.Cleanup(func() { _ = srv.Close() })
+	dir := membership.NewDirectory(time.Hour)
+	dir.Join("n1", "primary")
+	c, err := New(Config{
+		Transport: net,
+		Views:     dir,
+		Cache:     &CacheConfig{ListenAddr: "cache-under-test", Registry: objects.BuiltinRegistry()},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = c.Close() })
+	lc := c.cache
+	ctx := context.Background()
+	inv := core.Invocation{Ref: core.Ref{Type: objects.TypeAtomicLong, Key: "refused"},
+		Method: "Get", ReadOnly: true, Persist: true}
+
+	refusedAt := time.Now()
+	lc.refused(inv.Ref)
+	lc.read(ctx, inv)
+	if leases.Load() != 0 && time.Since(refusedAt) < grantBackoff {
+		t.Fatal("a read inside the backoff window asked for a lease")
+	}
+	time.Sleep(2 * time.Millisecond)
+	before := leases.Load()
+	lc.read(ctx, inv)
+	if leases.Load() == before {
+		t.Fatal("a read 2 ms after a refused grant did not ask for a lease again")
 	}
 }

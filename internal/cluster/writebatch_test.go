@@ -9,6 +9,7 @@ import (
 
 	"crucial/internal/client"
 	"crucial/internal/core"
+	"crucial/internal/netsim"
 	"crucial/internal/objects"
 	"crucial/internal/telemetry"
 )
@@ -67,9 +68,12 @@ func hammerCounter(t *testing.T, c *Cluster, workers, perWorker, nclients int, p
 // delivered), or mixed up per-invocation results would be off. A
 // persistent counter's writes overrun its lane and ride cut rounds, so it
 // takes fewer rounds than writes, and both copies must have counted the
-// same applies. An ephemeral counter's rounds have a group of one, which
-// has no ACCEPT to amortize and never queues: it lives on one node, and
-// every write is a round of its own.
+// same applies. A 200 µs replica hop keeps each round in flight long
+// enough for that whatever the scheduler does: over the buffered
+// in-process network alone, one processor can run a round to its end
+// before it reads the next write. An ephemeral counter's rounds have a
+// group of one, which has no ACCEPT to amortize and never queues: it
+// lives on one node, and every write is a round of its own.
 func TestWriteBatchingExactlyOnce(t *testing.T) {
 	for _, persist := range []bool{true, false} {
 		writeBatchingExactlyOnce(t, persist)
@@ -79,7 +83,8 @@ func TestWriteBatchingExactlyOnce(t *testing.T) {
 func writeBatchingExactlyOnce(t *testing.T, persist bool) {
 	const workers, perWorker = 24, 25
 	tel := telemetry.New()
-	c, err := StartLocal(Options{Nodes: 3, RF: 2, Telemetry: tel})
+	hop := &netsim.Profile{Scale: 1, DSOReplica: netsim.Latency{Base: 200 * time.Microsecond}}
+	c, err := StartLocal(Options{Nodes: 3, RF: 2, Telemetry: tel, Profile: hop})
 	if err != nil {
 		t.Fatal(err)
 	}

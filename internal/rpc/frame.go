@@ -2,11 +2,11 @@ package rpc
 
 import "encoding/binary"
 
-// Frame inspection helpers for transport middleware (the chaos engine's
-// fault injector). They expose just enough of the framing for a conn
-// wrapper to cut the byte stream into whole frames and classify them,
-// without re-implementing — or depending on the layout details of — the
-// codec above the stream.
+// Frame inspection helpers. MemNetwork's delivery point cuts its byte
+// streams into whole frames with them, a Verdict classifies frames by
+// their FrameMeta, and transport wrappers that count traffic use them to
+// do the same cut, without re-implementing — or depending on the layout
+// details of — the codec above the stream.
 
 // FrameHeaderSize is the fixed size of a frame header on the wire:
 // uint32 payload length, uint64 request id, kind byte, flags byte.

@@ -16,7 +16,12 @@
 //     cancelled, or a CallTimeout attempt expired) must not wedge the
 //     connection.
 //  3. The framing must be transport-agnostic so the same protocol runs over
-//     TCP (cmd/dso-server) and over in-memory pipes (tests, benchmarks).
+//     TCP (cmd/dso-server) and over the in-process MemNetwork (tests,
+//     benchmarks, examples). MemNetwork connections are bounded, buffered
+//     queues with no goroutine of their own, and every frame crosses one
+//     delivery point where a Verdict (the chaos engine) may drop,
+//     duplicate or delay it; the writer only ever writes whole frames, so
+//     that cut reads headers and copies nothing.
 //  4. The hot path must not allocate, and a warmed call does not (the
 //     alloc-guard's TestRPCEchoAllocBudget): no goroutine per request,
 //     frame headers read into a per-connection array, payload buffers

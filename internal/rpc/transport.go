@@ -1,15 +1,13 @@
 package rpc
 
 import (
-	"errors"
 	"fmt"
 	"net"
-	"sync"
 )
 
 // Transport abstracts how nodes reach each other so the same cluster code
-// runs over real TCP (cmd/dso-server) and over in-process pipes (tests,
-// benchmarks, examples that do not want to open sockets).
+// runs over real TCP (cmd/dso-server) and over the in-process MemNetwork
+// (tests, benchmarks, examples that do not want to open sockets).
 type Transport interface {
 	Listen(addr string) (net.Listener, error)
 	Dial(addr string) (net.Conn, error)
@@ -37,100 +35,3 @@ func (TCP) Dial(addr string) (net.Conn, error) {
 }
 
 var _ Transport = TCP{}
-
-// MemNetwork is an in-process network of named endpoints built on
-// net.Pipe. Each Listen claims an address; Dial to that address yields a
-// connected pair. It is safe for concurrent use.
-type MemNetwork struct {
-	mu        sync.Mutex
-	listeners map[string]*memListener
-}
-
-// NewMemNetwork returns an empty in-process network.
-func NewMemNetwork() *MemNetwork {
-	return &MemNetwork{listeners: make(map[string]*memListener)}
-}
-
-// Listen claims addr on the network.
-func (n *MemNetwork) Listen(addr string) (net.Listener, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if _, taken := n.listeners[addr]; taken {
-		return nil, fmt.Errorf("rpc: memnet address %q already in use", addr)
-	}
-	l := &memListener{
-		net:    n,
-		addr:   addr,
-		accept: make(chan net.Conn),
-		done:   make(chan struct{}),
-	}
-	n.listeners[addr] = l
-	return l, nil
-}
-
-// Dial connects to a listener previously created with Listen.
-func (n *MemNetwork) Dial(addr string) (net.Conn, error) {
-	n.mu.Lock()
-	l, ok := n.listeners[addr]
-	n.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("rpc: memnet dial %q: %w", addr, errConnRefused)
-	}
-	client, server := net.Pipe()
-	select {
-	case l.accept <- server:
-		return client, nil
-	case <-l.done:
-		_ = client.Close()
-		_ = server.Close()
-		return nil, fmt.Errorf("rpc: memnet dial %q: %w", addr, errConnRefused)
-	}
-}
-
-// Remove drops a dead listener address so it can be reused (e.g. when a
-// crashed node is restarted under the same name).
-func (n *MemNetwork) remove(addr string, l *memListener) {
-	n.mu.Lock()
-	if cur, ok := n.listeners[addr]; ok && cur == l {
-		delete(n.listeners, addr)
-	}
-	n.mu.Unlock()
-}
-
-var errConnRefused = errors.New("connection refused")
-
-type memListener struct {
-	net    *MemNetwork
-	addr   string
-	accept chan net.Conn
-
-	closeOnce sync.Once
-	done      chan struct{}
-}
-
-func (l *memListener) Accept() (net.Conn, error) {
-	select {
-	case c := <-l.accept:
-		return c, nil
-	case <-l.done:
-		return nil, net.ErrClosed
-	}
-}
-
-func (l *memListener) Close() error {
-	l.closeOnce.Do(func() {
-		close(l.done)
-		l.net.remove(l.addr, l)
-	})
-	return nil
-}
-
-func (l *memListener) Addr() net.Addr { return memAddr(l.addr) }
-
-var _ net.Listener = (*memListener)(nil)
-var _ Transport = (*MemNetwork)(nil)
-
-type memAddr string
-
-func (a memAddr) Network() string { return "mem" }
-func (a memAddr) String() string  { return string(a) }

@@ -170,7 +170,7 @@ func (n *Node) restoreObject(msg transferMsg) error {
 	e.dedup = msg.Dedup
 	e.version = msg.Version
 	n.objMu.Lock()
-	n.objects[msg.Ref] = e
+	n.addObjectLocked(msg.Ref, e)
 	n.objMu.Unlock()
 	return nil
 }

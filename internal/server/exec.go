@@ -166,8 +166,18 @@ func (n *Node) lookupOrCreate(inv core.Invocation) (*entry, error) {
 	}
 	persist := inv.Persist && !info.Synchronization
 	e := newEntry(obj, persist, info.Synchronization, inv.Init)
-	n.objects[inv.Ref] = e
+	n.addObjectLocked(inv.Ref, e)
 	return e, nil
+}
+
+// addObjectLocked publishes a new copy of ref and wakes the rounds waiting
+// for one (awaitCopy). The caller holds objMu.
+func (n *Node) addObjectLocked(ref core.Ref, e *entry) {
+	n.objects[ref] = e
+	if n.copyAdded != nil {
+		close(n.copyAdded)
+		n.copyAdded = nil
+	}
 }
 
 // invokeLocal serves a call on a synchronization object (barrier,

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -48,11 +49,6 @@ func TestLaneBoundsRoundsInFlight(t *testing.T) {
 
 	const writers, perWriter = 16, 10
 	ctx := context.Background()
-	// Genesis first: a member refuses a round that overtakes the one
-	// creating its copy, and invoke, unlike a client, does not retry.
-	if _, err := n1.invoke(ctx, core.Invocation{Ref: ref, Method: "Set", Args: []any{int64(0)}, Persist: true}); err != nil {
-		t.Fatal(err)
-	}
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
@@ -91,9 +87,6 @@ func TestLaneQueuedWriteCanceled(t *testing.T) {
 	n1, n2, _, ref := startPair(t, objects.TypeAtomicLong, 0, nil)
 	ctx := context.Background()
 	inc := core.Invocation{Ref: ref, Method: "IncrementAndGet", Persist: true}
-	if _, err := n1.invoke(ctx, inc); err != nil { // genesis, before any round is held
-		t.Fatal(err)
-	}
 	held, release := holdApplies(t, n2, pipelineDepth)
 	done := make(chan error, pipelineDepth+1)
 	write := func(ctx context.Context) {
@@ -136,7 +129,53 @@ func TestLaneQueuedWriteCanceled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res[0].(int64); got != pipelineDepth+2 {
-		t.Fatalf("counter = %d, want %d: the canceled write ran, or a queued one was lost", got, pipelineDepth+2)
+	if got := res[0].(int64); got != pipelineDepth+1 {
+		t.Fatalf("counter = %d, want %d: the canceled write ran, or a queued one was lost", got, pipelineDepth+1)
+	}
+}
+
+// The first writes to a fresh rf=2 object race: the lane keeps two of its
+// rounds in flight, so the member may take seq 2's ACCEPT before seq 1's,
+// the genesis round that creates its copy. The overtaking round waits for
+// that copy, rather than refusing and pulling one while seq 1 is still on
+// its way: every write is acked, and each counter counts all of them.
+func TestRoundOvertakingGenesisWaitsForIt(t *testing.T) {
+	n1, _, _, _ := startPair(t, objects.TypeAtomicLong, 0, nil)
+	const refs, writers = 155, 8
+	fresh := make([]core.Ref, 0, refs)
+	for i := 0; len(fresh) < refs; i++ {
+		ref := core.Ref{Type: objects.TypeAtomicLong, Key: "fresh-" + strconv.Itoa(i)}
+		if group, _ := n1.replicaGroup(ref, true); len(group) == 2 && group[0] == n1.cfg.ID {
+			fresh = append(fresh, ref)
+		}
+	}
+	ctx := context.Background()
+	var wg sync.WaitGroup
+	var failed atomic.Int32
+	for _, ref := range fresh {
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := n1.invoke(ctx, core.Invocation{Ref: ref, Method: "IncrementAndGet", Persist: true}); err != nil {
+					if failed.Add(1) <= 3 {
+						t.Error(err)
+					}
+				}
+			}()
+		}
+	}
+	wg.Wait()
+	if n := failed.Load(); n > 0 {
+		t.Fatalf("%d of %d first writes failed", n, refs*writers)
+	}
+	for _, ref := range fresh {
+		res, err := n1.invoke(ctx, core.Invocation{Ref: ref, Method: "Get", ReadOnly: true, Persist: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res[0].(int64); got != writers {
+			t.Fatalf("%s = %d after %d increments", ref, got, writers)
+		}
 	}
 }

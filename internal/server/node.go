@@ -219,6 +219,9 @@ type Node struct {
 	// object table
 	objMu   sync.Mutex
 	objects map[core.Ref]*entry
+	// copyAdded, when non-nil, is closed by the next addObjectLocked: the
+	// rounds parked in awaitCopy wait on it (under objMu).
+	copyAdded chan struct{}
 
 	// in-flight pull-on-miss repairs, singleflight per ref (see selfHeal)
 	pullMu  sync.Mutex

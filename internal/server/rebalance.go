@@ -475,7 +475,7 @@ func (n *Node) installTransfer(msg transferMsg) error {
 		e.dedup = msg.Dedup
 		e.version = msg.Version
 		e.pos = position{Fence: msg.Fence, Seq: msg.Seq}
-		n.objects[msg.Ref] = e
+		n.addObjectLocked(msg.Ref, e)
 		n.objMu.Unlock()
 		n.transfers.Add(1)
 		n.cTransfers.Inc()

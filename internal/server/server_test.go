@@ -402,12 +402,14 @@ func TestStaleTransferRefused(t *testing.T) {
 // a freshly created object — that would fork the object's lineage.
 // Genesis-flagged rounds (first-ever op, the coordinator held no copy and
 // neither did its peers) still create. A coordinator whose copy was
-// dropped under its round bounces it the same way.
+// dropped under its round bounces it the same way. A member's round waits
+// up to the peer timeout for a copy first (it may have overtaken its
+// genesis round), so the test keeps that bound short.
 func TestDeliverWithoutBaseCopySkips(t *testing.T) {
 	net := rpc.NewMemNetwork()
 	dir := membership.NewDirectory(time.Hour)
 	cfg := validConfig(net, dir)
-	cfg.RF = 2
+	cfg.RF, cfg.PeerCallTimeout = 2, 50*time.Millisecond
 	n := startNode(t, cfg)
 	// An unreachable second member keeps the skip's background self-heal
 	// poll indefinite: alone, the node's poll is trivially definitive and
@@ -428,7 +430,8 @@ func TestDeliverWithoutBaseCopySkips(t *testing.T) {
 		t.Fatal("non-genesis round created a fresh object")
 	}
 
-	// The same round from a peer: refused, marked, nothing created.
+	// The same round from a peer: no copy comes within the bound, so it is
+	// refused, marked, nothing created.
 	if _, err := n.handleAccept(ctx, acceptBody(t, dir, "n9", 1, false, inv)); !errors.Is(err, core.ErrRebalancing) {
 		t.Fatalf("member-side round without a base copy answered %v, want ErrRebalancing", err)
 	}

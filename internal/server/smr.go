@@ -504,6 +504,11 @@ func (n *Node) ensureCoordinatorCopy(ctx context.Context, ref core.Ref, group []
 		installed, busy := n.pullObject(ctx, ref, group)
 		if installed {
 			resident = true
+		} else if !resident {
+			// A concurrent first write may have created the copy here
+			// meanwhile: its genesis round applies here before its ACCEPT
+			// leaves, and that ACCEPT is what a busy peer is holding.
+			_, resident = n.lookupExisting(ref)
 		}
 		if !resident && busy {
 			// A peer holds a copy but has in-flight ops for it; adopting a
@@ -637,12 +642,15 @@ func (n *Node) awaitView(ctx context.Context, ep *viewEpoch) {
 //
 // A round for an object this replica does not hold is applied only when
 // the coordinator flagged it as genesis. Otherwise the base copy is
-// missing — the hand-off transfer has not arrived yet — and applying to a
-// fresh object would fork the lineage: this replica would hold a copy
-// reflecting only the ops it saw, yet look authoritative to a later
-// version comparison. The round is refused (the ops are safe in the
-// coordinator's copy and in any snapshot taken after them) and a
-// background pull restores this replica's base copy.
+// missing: the round overtook the genesis round that creates it here, or
+// the hand-off transfer has not arrived yet. A member's round under the
+// installed fence waits for the copy (awaitCopy), as it would for any
+// predecessor. Past that bound, applying to a fresh object would fork the
+// lineage: this replica would hold a copy reflecting only the ops it saw,
+// yet look authoritative to a later version comparison. The round is
+// refused (the ops are safe in the coordinator's copy and in any snapshot
+// taken after them) and a background pull restores this replica's base
+// copy.
 //
 // res receives the per-invocation outcomes; a member, which answers no
 // caller, passes nil. e is the coordinator's copy (sequence), else nil.
@@ -653,6 +661,9 @@ func (n *Node) applyOrdered(ctx context.Context, id totalorder.MsgID, e *entry, 
 	}
 	if e == nil {
 		e, _ = n.lookupExisting(ref)
+	}
+	if e == nil && !genesis && at.Seq != 0 {
+		e = n.awaitCopy(ctx, ref, at.Fence)
 	}
 	if e == nil {
 		if !genesis {
@@ -730,6 +741,40 @@ func (n *Node) applyOrdered(ctx context.Context, id totalorder.MsgID, e *entry, 
 			"ops", len(invs), "version", out.version, "replays", out.replays)
 	}
 	return out
+}
+
+// awaitCopy holds a member's round for an object this node has no copy of
+// until one is added (the genesis round it overtook, or a transfer), for
+// up to waitTimeout, and returns that copy. It returns nil at the bound,
+// or at once when the round's fence is not the installed view's.
+func (n *Node) awaitCopy(ctx context.Context, ref core.Ref, fence uint64) *entry {
+	var timer *time.Timer
+	for {
+		ep := n.epoch.Load()
+		n.objMu.Lock()
+		e := n.objects[ref]
+		if e != nil || fence != ep.fence {
+			n.objMu.Unlock()
+			return e
+		}
+		if n.copyAdded == nil {
+			n.copyAdded = make(chan struct{})
+		}
+		added := n.copyAdded
+		n.objMu.Unlock()
+		if timer == nil {
+			timer = time.NewTimer(n.waitTimeout())
+			defer timer.Stop()
+		}
+		select {
+		case <-added:
+		case <-ep.next:
+		case <-ctx.Done():
+			return nil
+		case <-timer.C:
+			return nil
+		}
+	}
 }
 
 // awaitTurn holds a member's round at position at until it is the next
