@@ -11,7 +11,6 @@
 //	dso-cli top -members n1=:7001,n2=:7002 -rf 2 -n 10
 //	dso-cli cache -members n1=:7001,n2=:7002
 //	dso-cli trace -members n1=:7001,n2=:7002 -o trace.json
-//	dso-cli chaos partition -members n1=:7001,n2=:7002 -group n1 -group n2
 //	dso-cli chaos restart -members n1=:7001,n2=:7002 -node n2
 //	dso-cli rebalance status -members n1=:7001,n2=:7002
 //	dso-cli migrate -members n1=:7001,n2=:7002 -type AtomicLong -key hot -targets n2
@@ -167,34 +166,30 @@ func runTrace(argv []string) int {
 	return 0
 }
 
-// runChaos implements `dso-cli chaos <op>`: fault-injection commands for a
+// runChaos implements `dso-cli chaos <op>`: lifecycle commands for a
 // running cluster.
 //
-//	dso-cli chaos partition -members ... -group n1 -group n2,n3
-//	dso-cli chaos partition-one-way -members ... -from n1 -to n2,n3
-//	dso-cli chaos heal -members ...
 //	dso-cli chaos crash -members ... -node n2
 //	dso-cli chaos restart -members ... -node n2
 //
-// Partition commands are broadcast to every member (each node applies them
-// to its local chaos engine); crash/restart go to the named node only,
-// whose supervisor (dso-server -chaos) bounces it.
+// The command goes to the named node only, whose supervisor (dso-server
+// -chaos) bounces it.
 func runChaos(argv []string) int {
 	if len(argv) == 0 {
-		fmt.Fprintln(os.Stderr, "dso-cli chaos: missing op (partition|partition-one-way|heal|crash|restart)")
+		fmt.Fprintln(os.Stderr, "dso-cli chaos: missing op (crash|restart)")
 		return 1
 	}
 	op := argv[0]
+	if op != "crash" && op != "restart" {
+		fmt.Fprintf(os.Stderr, "dso-cli chaos: unknown op %q (crash|restart)\n", op)
+		return 1
+	}
 	fs := flag.NewFlagSet("chaos "+op, flag.ExitOnError)
 	var (
 		members = fs.String("members", "", "comma-separated id=addr pairs of the cluster")
-		node    = fs.String("node", "", "target node for crash/restart")
-		from    = fs.String("from", "", "comma-separated source group for partition-one-way")
-		to      = fs.String("to", "", "comma-separated destination group for partition-one-way")
-		timeout = fs.Duration("timeout", 10*time.Second, "per-node RPC timeout")
-		groups  groupList
+		node    = fs.String("node", "", "target node")
+		timeout = fs.Duration("timeout", 10*time.Second, "RPC timeout")
 	)
-	fs.Var(&groups, "group", "comma-separated partition group (repeatable)")
 	_ = fs.Parse(argv[1:])
 
 	view, err := staticView(*members)
@@ -202,60 +197,27 @@ func runChaos(argv []string) int {
 		fmt.Fprintln(os.Stderr, "dso-cli:", err)
 		return 1
 	}
-
-	cmd := server.ChaosCmd{Op: op}
-	targets := view.Members
-	switch op {
-	case "partition":
-		if len(groups) < 2 {
-			fmt.Fprintln(os.Stderr, "dso-cli chaos partition: need at least two -group")
-			return 1
-		}
-		cmd.Groups = groups
-	case "partition-one-way":
-		cmd.From = splitGroup(*from)
-		cmd.To = splitGroup(*to)
-		if len(cmd.From) == 0 || len(cmd.To) == 0 {
-			fmt.Fprintln(os.Stderr, "dso-cli chaos partition-one-way: need -from and -to")
-			return 1
-		}
-	case "heal":
-	case "crash", "restart":
-		if *node == "" {
-			fmt.Fprintf(os.Stderr, "dso-cli chaos %s: need -node\n", op)
-			return 1
-		}
-		if _, ok := view.Addrs[ring.NodeID(*node)]; !ok {
-			fmt.Fprintf(os.Stderr, "dso-cli chaos: node %q not in member list\n", *node)
-			return 1
-		}
-		targets = []ring.NodeID{ring.NodeID(*node)}
-	default:
-		fmt.Fprintf(os.Stderr, "dso-cli chaos: unknown op %q\n", op)
+	if *node == "" {
+		fmt.Fprintf(os.Stderr, "dso-cli chaos %s: need -node\n", op)
 		return 1
 	}
-
-	payload, err := core.EncodeValue(cmd)
+	addr, ok := view.Addrs[ring.NodeID(*node)]
+	if !ok {
+		fmt.Fprintf(os.Stderr, "dso-cli chaos: node %q not in member list\n", *node)
+		return 1
+	}
+	payload, err := core.EncodeValue(server.ChaosCmd{Op: op})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dso-cli:", err)
 		return 1
 	}
-	applied := 0
-	for _, id := range targets {
-		ctx, cancel := context.WithTimeout(context.Background(), *timeout)
-		err := sendChaos(ctx, view.Addrs[id], payload)
-		cancel()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dso-cli: warning: node %s: %v\n", id, err)
-			continue
-		}
-		applied++
-	}
-	if applied == 0 {
-		fmt.Fprintln(os.Stderr, "dso-cli: no node accepted the chaos command")
+	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
+	defer cancel()
+	if err := sendChaos(ctx, addr, payload); err != nil {
+		fmt.Fprintf(os.Stderr, "dso-cli: node %s: %v\n", *node, err)
 		return 1
 	}
-	fmt.Printf("chaos %s applied on %d/%d node(s)\n", op, applied, len(targets))
+	fmt.Printf("chaos %s applied on node %s\n", op, *node)
 	return 0
 }
 
@@ -271,21 +233,7 @@ func sendChaos(ctx context.Context, addr string, payload []byte) error {
 	return err
 }
 
-// groupList collects repeatable -group flags, each a comma-separated node
-// list.
-type groupList [][]string
-
-func (g *groupList) String() string { return fmt.Sprint([][]string(*g)) }
-
-func (g *groupList) Set(s string) error {
-	grp := splitGroup(s)
-	if len(grp) == 0 {
-		return fmt.Errorf("empty group")
-	}
-	*g = append(*g, grp)
-	return nil
-}
-
+// splitGroup splits a comma-separated node list, dropping blanks.
 func splitGroup(s string) []string {
 	var out []string
 	for _, n := range strings.Split(s, ",") {

@@ -1,6 +1,10 @@
 package main
 
-import "testing"
+import (
+	"os"
+	"strings"
+	"testing"
+)
 
 func TestArgListParsing(t *testing.T) {
 	var a argList
@@ -33,5 +37,34 @@ func TestStaticViewParsing(t *testing.T) {
 	}
 	if _, err := staticView("bogus"); err == nil {
 		t.Fatal("malformed member accepted")
+	}
+}
+
+// The partition ops are refused before their flags are parsed, so an old
+// command line fails with "unknown op" instead of a flag error, and no
+// node is contacted.
+func TestChaosRefusesPartitionOps(t *testing.T) {
+	stderr := os.Stderr
+	t.Cleanup(func() { os.Stderr = stderr })
+	for _, argv := range [][]string{
+		{"partition", "-members", "n1=127.0.0.1:1", "-group", "n1", "-group", "n2"},
+		{"partition-one-way", "-members", "n1=127.0.0.1:1", "-from", "n1", "-to", "n2"},
+		{"heal", "-members", "n1=127.0.0.1:1"},
+	} {
+		f, err := os.CreateTemp(t.TempDir(), "stderr")
+		if err != nil {
+			t.Fatal(err)
+		}
+		os.Stderr = f
+		rc := runChaos(argv)
+		os.Stderr = stderr
+		_ = f.Close()
+		out, err := os.ReadFile(f.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rc != 1 || !strings.Contains(string(out), "unknown op") {
+			t.Fatalf("runChaos(%v) = %d, stderr %q; want 1 and unknown op", argv, rc, out)
+		}
 	}
 }

@@ -27,11 +27,6 @@ const (
 	ExpAblationBlocking = "ablation-blocking"
 )
 
-// AblationNames lists the extra experiments (not part of RunAll).
-func AblationNames() []string {
-	return []string{ExpAblationShipping, ExpAblationBlocking}
-}
-
 // AblationShipping compares aggregating a shared vector by shipping the
 // method (AddAll executes on the owner) against shipping the data
 // (optimistic read-modify-write with CompareAndSet). Under contention the

@@ -22,15 +22,6 @@ type Options struct {
 	Scale float64
 	// Quick shrinks workloads to smoke-test size (used by `go test`).
 	Quick bool
-	// JSON, when non-nil, receives machine-readable results from
-	// experiments that capture telemetry (currently the stages breakdown):
-	// one JSON document with the experiment id and the final metrics
-	// snapshot.
-	JSON io.Writer
-	// Report prints the critical-path analysis (per-category attribution of
-	// trace wall time plus the slowest trace's path) after experiments that
-	// run instrumented (currently the stages breakdown).
-	Report bool
 }
 
 func (o Options) withDefaults() Options {
@@ -65,68 +56,61 @@ const (
 	ExpTable4 = "table4"
 )
 
-// Names lists every experiment id in presentation order.
+// experiments is the one registry of experiment ids: Run accepts
+// exactly these, and RunAll runs the paper's tables and figures (paper
+// true) in this order. The ablations and reshard run only by id.
+var experiments = []struct {
+	id    string
+	run   func(io.Writer, Options) error
+	paper bool
+}{
+	{ExpTable2, Table2, true},
+	{ExpFig2a, Fig2a, true},
+	{ExpFig2b, Fig2b, true},
+	{ExpFig3, Fig3, true},
+	{ExpFig4, Fig4, true},
+	{ExpFig5, Fig5, true},
+	{ExpTable3, Table3, true},
+	{ExpFig6, Fig6, true},
+	{ExpFig7a, Fig7a, true},
+	{ExpFig7b, Fig7b, true},
+	{ExpFig7c, Fig7c, true},
+	{ExpFig8, Fig8, true},
+	{ExpTable4, Table4, true},
+	{ExpAblationShipping, AblationShipping, false},
+	{ExpAblationBlocking, AblationBlocking, false},
+	{ExpReshard, Reshard, false},
+}
+
+// Names lists every experiment id Run accepts, in presentation order.
 func Names() []string {
-	return []string{
-		ExpTable2, ExpFig2a, ExpFig2b, ExpFig3, ExpFig4, ExpFig5,
-		ExpTable3, ExpFig6, ExpFig7a, ExpFig7b, ExpFig7c, ExpFig8,
-		ExpTable4,
+	names := make([]string, len(experiments))
+	for i, e := range experiments {
+		names[i] = e.id
 	}
+	return names
 }
 
 // Run executes one experiment by id, writing its report to w.
 func Run(name string, w io.Writer, o Options) error {
-	o = o.withDefaults()
-	switch name {
-	case ExpTable2:
-		return Table2(w, o)
-	case ExpFig2a:
-		return Fig2a(w, o)
-	case ExpFig2b:
-		return Fig2b(w, o)
-	case ExpFig3:
-		return Fig3(w, o)
-	case ExpFig4:
-		return Fig4(w, o)
-	case ExpFig5:
-		return Fig5(w, o)
-	case ExpTable3:
-		return Table3(w, o)
-	case ExpFig6:
-		return Fig6(w, o)
-	case ExpFig7a:
-		return Fig7a(w, o)
-	case ExpFig7b:
-		return Fig7b(w, o)
-	case ExpFig7c:
-		return Fig7c(w, o)
-	case ExpFig8:
-		return Fig8(w, o)
-	case ExpTable4:
-		return Table4(w, o)
-	case ExpAblationShipping:
-		return AblationShipping(w, o)
-	case ExpAblationBlocking:
-		return AblationBlocking(w, o)
-	case ExpStages:
-		return Stages(w, o)
-	case ExpChaos:
-		return Chaos(w, o)
-	case ExpReshard:
-		return Reshard(w, o)
-	case ExpStatefun:
-		return Statefun(w, o)
-	default:
-		return fmt.Errorf("bench: unknown experiment %q (known: %v + %v + %q + %q + %q + %q)",
-			name, Names(), AblationNames(), ExpStages, ExpChaos, ExpReshard, ExpStatefun)
+	for _, e := range experiments {
+		if e.id == name {
+			return e.run(w, o.withDefaults())
+		}
 	}
+	return fmt.Errorf("bench: unknown experiment %q (known: %v)", name, Names())
 }
 
-// RunAll executes every experiment in order, stopping on the first error.
+// RunAll executes the paper's tables and figures in paper order,
+// stopping on the first error.
 func RunAll(w io.Writer, o Options) error {
-	for _, name := range Names() {
-		if err := Run(name, w, o); err != nil {
-			return fmt.Errorf("bench: %s: %w", name, err)
+	o = o.withDefaults()
+	for _, e := range experiments {
+		if !e.paper {
+			continue
+		}
+		if err := e.run(w, o); err != nil {
+			return fmt.Errorf("bench: %s: %w", e.id, err)
 		}
 	}
 	return nil

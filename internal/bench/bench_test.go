@@ -2,6 +2,8 @@ package bench
 
 import (
 	"bytes"
+	"io"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -33,10 +35,92 @@ func TestUnknownExperiment(t *testing.T) {
 	}
 }
 
+// paperIDs are the 13 tables and figures RunAll runs, in paper order.
+var paperIDs = []string{
+	ExpTable2, ExpFig2a, ExpFig2b, ExpFig3, ExpFig4, ExpFig5,
+	ExpTable3, ExpFig6, ExpFig7a, ExpFig7b, ExpFig7c, ExpFig8,
+	ExpTable4,
+}
+
+// stubExperiments swaps every runner in the experiment table for one
+// that records its id, restoring the table when the test ends.
+func stubExperiments(t *testing.T) *[]string {
+	t.Helper()
+	saved := experiments
+	t.Cleanup(func() { experiments = saved })
+	ran := new([]string)
+	experiments = slices.Clone(saved)
+	for i := range experiments {
+		id := experiments[i].id
+		experiments[i].run = func(io.Writer, Options) error {
+			*ran = append(*ran, id)
+			return nil
+		}
+	}
+	return ran
+}
+
+// TestRegistry pins Run's dispatch with the runners stubbed out: Run
+// runs exactly the table's ids, rejecting the retired stages, statefun
+// and chaos experiments.
+func TestRegistry(t *testing.T) {
+	ran := stubExperiments(t)
+	accepted := append(slices.Clone(paperIDs), ExpAblationShipping, ExpAblationBlocking, ExpReshard)
+	for _, tc := range []struct {
+		ids []string
+		ok  bool
+	}{
+		{accepted, true},
+		{[]string{"stages", "statefun", "chaos", "all", "nope"}, false},
+	} {
+		for _, id := range tc.ids {
+			*ran = nil
+			err := Run(id, io.Discard, quickOpts())
+			if tc.ok && (err != nil || !slices.Equal(*ran, []string{id})) {
+				t.Fatalf("Run(%q): err %v, ran %v", id, err, *ran)
+			}
+			if !tc.ok && (err == nil || len(*ran) != 0) {
+				t.Fatalf("Run(%q) accepted (ran %v)", id, *ran)
+			}
+		}
+	}
+}
+
+// TestNamesComplete pins that -list (Names) prints every table and
+// figure then the by-id extras, and that RunAll runs the 13 paper ids
+// in paper order.
 func TestNamesComplete(t *testing.T) {
-	names := Names()
-	if len(names) != 13 {
-		t.Fatalf("%d experiments, want 13 (every table and figure)", len(names))
+	ran := stubExperiments(t)
+	want := append(slices.Clone(paperIDs), ExpAblationShipping, ExpAblationBlocking, ExpReshard)
+	if got := Names(); !slices.Equal(got, want) {
+		t.Fatalf("Names() = %v, want %v", got, want)
+	}
+	if err := RunAll(io.Discard, quickOpts()); err != nil || !slices.Equal(*ran, paperIDs) {
+		t.Fatalf("RunAll: err %v, ran %v, want %v", err, *ran, paperIDs)
+	}
+}
+
+// TestAblationNames pins that both ablations are listed and run by id,
+// and that RunAll leaves them out.
+func TestAblationNames(t *testing.T) {
+	ran := stubExperiments(t)
+	for _, id := range []string{ExpAblationShipping, ExpAblationBlocking} {
+		if !slices.Contains(Names(), id) {
+			t.Fatalf("Names() lacks %q", id)
+		}
+		*ran = nil
+		if err := Run(id, io.Discard, quickOpts()); err != nil || !slices.Equal(*ran, []string{id}) {
+			t.Fatalf("Run(%q): err %v, ran %v", id, err, *ran)
+		}
+	}
+	*ran = nil
+	if err := RunAll(io.Discard, quickOpts()); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{ExpAblationShipping, ExpAblationBlocking} {
+		if slices.Contains(*ran, id) {
+			t.Fatalf("RunAll ran ablation %q", id)
+		}
 	}
 }
 
@@ -172,80 +256,11 @@ func TestAblationBlockingSmoke(t *testing.T) {
 	}
 }
 
-func TestAblationNames(t *testing.T) {
-	if len(AblationNames()) != 2 {
-		t.Fatalf("ablations = %v", AblationNames())
-	}
-}
-
-func TestChaosSmoke(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Run(ExpChaos, &buf, quickOpts()); err != nil {
-		t.Fatalf("chaos: %v\noutput so far:\n%s", err, buf.String())
-	}
-	out := buf.String()
-	if !strings.Contains(out, "SEED") || !strings.Contains(out, "yes") {
-		t.Fatalf("chaos report incomplete:\n%s", out)
-	}
-	if strings.Contains(out, "NO") {
-		t.Fatalf("chaos run not linearizable:\n%s", out)
-	}
-}
-
-func TestStagesSmoke(t *testing.T) {
-	var jsonBuf bytes.Buffer
-	var buf bytes.Buffer
-	o := quickOpts()
-	o.JSON = &jsonBuf
-	if err := Run(ExpStages, &buf, o); err != nil {
-		t.Fatalf("stages: %v\noutput so far:\n%s", err, buf.String())
-	}
-	out := buf.String()
-	for _, stage := range []string{"faas.invoke", "client.rpc", "server.exec", "server.monitor_wait", "cold starts"} {
-		if !strings.Contains(out, stage) {
-			t.Fatalf("stages missing %q:\n%s", stage, out)
-		}
-	}
-	js := jsonBuf.String()
-	if !strings.Contains(js, `"experiment": "stages"`) || !strings.Contains(js, `"histograms"`) {
-		t.Fatalf("stages JSON incomplete:\n%s", js)
-	}
-}
-
 func TestReshardSmoke(t *testing.T) {
-	var jsonBuf bytes.Buffer
-	var buf bytes.Buffer
-	o := quickOpts()
-	o.JSON = &jsonBuf
-	if err := Run(ExpReshard, &buf, o); err != nil {
-		t.Fatalf("reshard: %v\noutput so far:\n%s", err, buf.String())
-	}
-	out := buf.String()
+	out := runExp(t, ExpReshard)
 	for _, cfg := range []string{"static", "sharded", "elastic"} {
 		if !strings.Contains(out, cfg) {
 			t.Fatalf("reshard missing %q row:\n%s", cfg, out)
 		}
-	}
-	js := jsonBuf.String()
-	if !strings.Contains(js, `"experiment": "reshard"`) || !strings.Contains(js, `"recovery_vs_static"`) {
-		t.Fatalf("reshard JSON incomplete:\n%s", js)
-	}
-}
-
-func TestStatefunSmoke(t *testing.T) {
-	var jsonBuf bytes.Buffer
-	var buf bytes.Buffer
-	o := quickOpts()
-	o.JSON = &jsonBuf
-	if err := Run(ExpStatefun, &buf, o); err != nil {
-		t.Fatalf("statefun: %v\noutput so far:\n%s", err, buf.String())
-	}
-	out := buf.String()
-	if !strings.Contains(out, "MSGS/SEC") || !strings.Contains(out, "true") || !strings.Contains(out, "false") {
-		t.Fatalf("statefun report incomplete:\n%s", out)
-	}
-	js := jsonBuf.String()
-	if !strings.Contains(js, `"experiment": "statefun"`) || !strings.Contains(js, `"msgs_per_sec"`) {
-		t.Fatalf("statefun JSON incomplete:\n%s", js)
 	}
 }

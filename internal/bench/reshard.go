@@ -2,7 +2,6 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
@@ -18,11 +17,11 @@ import (
 	"crucial/internal/telemetry"
 )
 
-// ExpReshard is the elastic-resharding experiment (not part of RunAll,
-// like cache): a zipfian-style hot-spot workload — most operations hit
-// one viral counter, the rest a cold tail — on a cluster whose per-node
-// capacity is modeled by the ServiceTime/ServiceConcurrency admission
-// gate. Three placements of the same offered load: static (the viral
+// ExpReshard is the elastic-resharding experiment (not part of RunAll):
+// a zipfian-style hot-spot workload — most operations hit one viral
+// counter, the rest a cold tail — on a cluster whose per-node capacity
+// is modeled by the ServiceTime/ServiceConcurrency admission gate.
+// Three placements of the same offered load: static (the viral
 // counter funnels through its one hash primary), sharded (the counter
 // split crucial.ShardedCounter-style across the ring, recovery limited
 // by hash placement luck), and elastic (sharded plus the rebalancer,
@@ -35,14 +34,14 @@ const ExpReshard = "reshard"
 
 // reshardRow is one configuration's measurement.
 type reshardRow struct {
-	Config     string  `json:"config"`
-	Nodes      int     `json:"nodes"`
-	Shards     int     `json:"shards"`
-	Rebalance  bool    `json:"rebalance"`
-	Ops        uint64  `json:"ops"`
-	OpsPerS    float64 `json:"ops_per_sec"`
-	Directives int     `json:"directives"`
-	Migrations uint64  `json:"migrations"`
+	Config     string
+	Nodes      int
+	Shards     int
+	Rebalance  bool
+	Ops        uint64
+	OpsPerS    float64
+	Directives int
+	Migrations uint64
 }
 
 // Reshard runs the hot-spot experiment and prints one row per placement
@@ -79,7 +78,6 @@ func Reshard(w io.Writer, o Options) error {
 		{"sharded", shards, false},
 		{"elastic", shards, true},
 	}
-	rows := make([]reshardRow, 0, len(cfgs))
 	recovery := make(map[string]float64)
 	var base float64
 	for _, c := range cfgs {
@@ -88,7 +86,6 @@ func Reshard(w io.Writer, o Options) error {
 			return fmt.Errorf("reshard %s: %w", c.name, err)
 		}
 		r.Config = c.name
-		rows = append(rows, r)
 		onOff := "off"
 		if c.rebalance {
 			onOff = "on"
@@ -106,19 +103,6 @@ func Reshard(w io.Writer, o Options) error {
 	note(w, "static funnels the hot fraction through one node's admission gate;")
 	note(w, "sharding spreads it as far as hash luck allows; the rebalancer migrates")
 	note(w, "the hot shards until no member carries more than its share")
-
-	if o.JSON != nil {
-		doc := struct {
-			Experiment string             `json:"experiment"`
-			Rows       []reshardRow       `json:"rows"`
-			Recovery   map[string]float64 `json:"recovery_vs_static"`
-		}{ExpReshard, rows, recovery}
-		enc := json.NewEncoder(o.JSON)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(doc); err != nil {
-			return fmt.Errorf("bench: write JSON results: %w", err)
-		}
-	}
 	return nil
 }
 

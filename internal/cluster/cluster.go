@@ -210,7 +210,6 @@ func (c *Cluster) nodeConfig(id ring.NodeID) server.Config {
 		Durability:         c.opts.Durability,
 		ColdStore:          c.opts.ColdStore,
 		Telemetry:          c.opts.Telemetry,
-		Chaos:              c.opts.Chaos,
 	}
 }
 

@@ -8,21 +8,13 @@ import (
 	"crucial/internal/core"
 )
 
-// ChaosCmd is the payload of a KindChaos RPC: a fault-injection command
-// sent by dso-cli chaos. Partition commands steer the node's configured
-// chaos engine; each node applies them to its own engine, so a CLI that
-// wants a cluster-wide partition sends the command to every node.
-// Lifecycle commands ("crash", "restart") go through the node's
-// OnChaosLifecycle hook — in dso-server that is the supervisor loop, which
-// bounces the node process-internally.
+// ChaosCmd is the payload of a KindChaos RPC: a lifecycle command sent
+// by dso-cli chaos. It goes through the node's OnChaosLifecycle hook — in
+// dso-server that is the supervisor loop, which bounces the node
+// process-internally.
 type ChaosCmd struct {
-	// Op is one of "partition", "partition-one-way", "heal", "crash",
-	// "restart".
+	// Op is "crash" or "restart".
 	Op string
-	// Groups are the partition groups for "partition".
-	Groups [][]string
-	// From and To are the blocked flow for "partition-one-way".
-	From, To []string
 }
 
 // handleChaos applies one ChaosCmd.
@@ -32,21 +24,6 @@ func (n *Node) handleChaos(payload []byte) ([]byte, error) {
 		return nil, err
 	}
 	switch cmd.Op {
-	case "partition":
-		if n.cfg.Chaos == nil {
-			return nil, errors.New("server: node has no chaos engine")
-		}
-		n.cfg.Chaos.Partition(cmd.Groups...)
-	case "partition-one-way":
-		if n.cfg.Chaos == nil {
-			return nil, errors.New("server: node has no chaos engine")
-		}
-		n.cfg.Chaos.PartitionOneWay(cmd.From, cmd.To)
-	case "heal":
-		if n.cfg.Chaos == nil {
-			return nil, errors.New("server: node has no chaos engine")
-		}
-		n.cfg.Chaos.Heal()
 	case "crash", "restart":
 		if n.cfg.OnChaosLifecycle == nil {
 			return nil, errors.New("server: node has no chaos lifecycle hook")

@@ -15,7 +15,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"crucial/internal/chaos"
 	"crucial/internal/core"
 	"crucial/internal/durability"
 	"crucial/internal/membership"
@@ -53,8 +52,8 @@ const (
 	// trace collector estimates per-node clock offsets from this cheap,
 	// symmetric round trip before draining spans.
 	KindClock uint8 = 9
-	// KindChaos carries a fault-injection command (gob-encoded ChaosCmd)
-	// from dso-cli chaos to a node wired with a chaos engine.
+	// KindChaos carries a lifecycle command (gob-encoded ChaosCmd) from
+	// dso-cli chaos to a node wired with an OnChaosLifecycle hook.
 	KindChaos uint8 = 10
 	// KindFetch is a pull-on-miss: a replica asks a group peer for its copy
 	// of an object (a fetch request frame in, a fetchResp frame out) instead of
@@ -166,10 +165,6 @@ type Config struct {
 	// caller's trace via the invocation's TraceContext), execution and
 	// monitor-wait histograms, SMR round counters and an in-flight gauge.
 	Telemetry *telemetry.Telemetry
-	// Chaos, when non-nil, lets KindChaos commands steer this fault
-	// injection engine (partition/heal). The engine must be the one whose
-	// endpoints carry this deployment's traffic for the commands to bite.
-	Chaos *chaos.Engine
 	// OnChaosLifecycle, when non-nil, handles KindChaos "crash" and
 	// "restart" commands. It runs outside the RPC handler (the command is
 	// acknowledged first — crashing tears down the RPC server, which

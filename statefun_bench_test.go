@@ -14,8 +14,9 @@ import (
 // per-instance drain calls (one replying message each, included in the
 // measurement) guarantee every pushed message was actually processed,
 // not merely enqueued. Run with `go test -run '^$' -bench
-// BenchmarkStatefun -benchtime 3000x -benchmem .`; the table-level view
-// is `crucial-bench -exp statefun` (EXPERIMENTS.md).
+// BenchmarkStatefun -benchtime 3000x -benchmem .`; the gated
+// request-reply workload is the composed benchmark's statefun_call
+// (benchmark/).
 
 // benchCountMsg is the benchmark handler's state and reply body.
 type benchCountMsg struct {

@@ -303,9 +303,23 @@ func TestStatefunIdleGC(t *testing.T) {
 // TestStatefunFanOutAcrossInstances checks per-instance isolation: one
 // coordinator fans a batch out to many worker instances, each keeping
 // its own state, and collects acks back — the canonical scatter/gather.
+// It runs with the durability tier off and on: every message completes
+// either way.
 func TestStatefunFanOutAcrossInstances(t *testing.T) {
+	for _, durable := range []bool{false, true} {
+		t.Run(fmt.Sprintf("durable=%v", durable), func(t *testing.T) {
+			opts := Options{DSONodes: 2, Statefun: StatefunOptions{InProcess: true}}
+			if durable {
+				opts.Durability = DefaultDurabilityPolicy()
+			}
+			testStatefunFanOut(t, testRuntime(t, opts))
+		})
+	}
+}
+
+// testStatefunFanOut runs the scatter/gather on one runtime.
+func testStatefunFanOut(t *testing.T, rt *Runtime) {
 	const workers = 20
-	rt := testRuntime(t, Options{DSONodes: 2, Statefun: StatefunOptions{InProcess: true}})
 	_, err := rt.DeployStatefulFunction("worker", func(c *FnCtx, m FnMsg) error {
 		var n int64
 		if err := m.Body(&n); err != nil {
