@@ -264,10 +264,10 @@ func reshardConverge(cl *cluster.Cluster, hot []core.Ref, bound time.Duration) {
 	fair := (len(hot) + nodes - 1) / nodes
 	deadline := time.Now().Add(bound)
 	for time.Now().Before(deadline) {
-		v := cl.Dir.View()
+		place := cl.Dir.Placement()
 		perNode := make(map[ring.NodeID]int)
 		for _, ref := range hot {
-			if set := v.Place(ref.String(), cl.RF()); len(set) > 0 {
+			if set := place.PlaceRef(ref, cl.RF()); len(set) > 0 {
 				perNode[set[0]]++
 			}
 		}

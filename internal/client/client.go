@@ -213,7 +213,7 @@ func (rt *routes) target(ref core.Ref) (ring.NodeID, string, error) {
 	if rt.ring == nil || rt.ring.Size() == 0 {
 		return "", "", errors.New("client: no DSO nodes in view")
 	}
-	set := rt.view.Directives.Place(rt.ring, ref.String(), 1)
+	set := rt.view.Directives.PlaceRef(rt.ring, ref.Type, ref.Key, 1)
 	if len(set) == 0 {
 		return "", "", errors.New("client: no owner for " + ref.String())
 	}

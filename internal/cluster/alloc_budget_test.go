@@ -19,14 +19,15 @@ import (
 
 // replicatedInvokeAllocBudget is what one sequential RF-2 AddAndGet, an
 // inline round of one, allocates, client and both replicas together, plus
-// about 10 %: 34 in each of seven samples of 500 calls, measured
-// 2026-10-17 on the 2-vCPU reference box (go1.24) at -cpu 1, 2 and 4, once
-// rpc requests ran on pooled handler workers over allocation-free framing
-// and attempts were bounded by pooled timers. As one ACCEPT round trip
-// with a goroutine and a context per frame it cost 53, under the Skeen
-// PROPOSE/FINAL exchange 96, and 694 with a gob stream per control frame.
-// `make alloc-guard` holds it there.
-const replicatedInvokeAllocBudget = 37
+// about 10 %: 21 in each of 20 samples of 500 calls, and in five more each
+// at -cpu 1 and 4, measured 2026-10-19 on the 2-vCPU reference box
+// (go1.24), once names decoded to shared copies, placement stopped building
+// a replica slice and a Ref string, frame readers stayed on the stack and
+// a round's payload was encoded in one pass. Before that it cost 34-35,
+// as one ACCEPT round trip with a goroutine and a context per frame 53,
+// under the Skeen PROPOSE/FINAL exchange 96, and 694 with a gob stream per
+// control frame. `make alloc-guard` holds it there.
+const replicatedInvokeAllocBudget = 24
 
 // TestReplicatedInvokeAllocBudget pins the allocations of the round of one.
 func TestReplicatedInvokeAllocBudget(t *testing.T) {
@@ -58,6 +59,47 @@ func TestReplicatedInvokeAllocBudget(t *testing.T) {
 		t.Fatalf("replicated AddAndGet allocates %.0f/op, budget %d", got, replicatedInvokeAllocBudget)
 	}
 	t.Logf("replicated AddAndGet allocates %.0f/op (budget %d)", got, replicatedInvokeAllocBudget)
+}
+
+// rfThreeWriteAllocBudget is what one sequential rf=3 AddAndGet allocates,
+// client and all three replicas together, plus about 10 %: 34 in each of
+// 30 samples (2026-10-19, same box and conditions as above). The second
+// member's ACCEPT runs on a pooled accept worker, so the round starts no
+// goroutine and makes no channel; with a goroutine and a channel per such
+// member, and before the savings listed above, it cost 57.
+const rfThreeWriteAllocBudget = 38
+
+// TestRFThreeWriteAllocBudget pins the allocations of a round with a
+// member beyond the last.
+func TestRFThreeWriteAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counting is meaningless under -race")
+	}
+	c, err := StartLocal(Options{Nodes: 3, RF: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	cl, err := c.NewClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	ctx := context.Background()
+	add := core.Invocation{Ref: core.Ref{Type: objects.TypeAtomicLong, Key: "alloc/rf3"},
+		Method: "AddAndGet", Args: []any{int64(1)}, Persist: true}
+	if _, err := cl.InvokeObject(ctx, add); err != nil { // genesis, connections, workers
+		t.Fatal(err)
+	}
+	got := testing.AllocsPerRun(500, func() {
+		if _, err := cl.InvokeObject(ctx, add); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > rfThreeWriteAllocBudget {
+		t.Fatalf("rf=3 AddAndGet allocates %.0f/op, budget %d", got, rfThreeWriteAllocBudget)
+	}
+	t.Logf("rf=3 AddAndGet allocates %.0f/op (budget %d)", got, rfThreeWriteAllocBudget)
 }
 
 // frameCounter is an rpc.Transport that counts, per kind, the request
@@ -156,13 +198,14 @@ func TestReplicatedWritePeerFrames(t *testing.T) {
 
 // The rf=1 budgets: one sequential AddAndGet and one Get on an ephemeral
 // counter of a three-node cluster, client and server together. Measured
-// 2026-10-17 on the 2-vCPU reference box (go1.24): a write costs 10 and a
-// read 11 in seven of seven runs, budgets about 10 % above. With a
-// goroutine, a header array and a context per rpc frame they cost 18 and
-// 19 (2026-10-15: a write cost 19 before it became a round of one).
+// 2026-10-19 on the 2-vCPU reference box (go1.24): a write and a read
+// cost 6 each in 20 of 20 runs, budgets about 10 % above. Before names
+// were interned and placement stopped allocating they cost 10 and 11; with
+// a goroutine, a header array and a context per rpc frame 18 and 19
+// (2026-10-15: a write cost 19 before it became a round of one).
 const (
-	rfOneWriteAllocBudget = 11
-	rfOneReadAllocBudget  = 12
+	rfOneWriteAllocBudget = 7
+	rfOneReadAllocBudget  = 7
 )
 
 // TestRFOneInvokeAllocBudget pins what a group of one costs per write and
@@ -207,21 +250,20 @@ func TestRFOneInvokeAllocBudget(t *testing.T) {
 }
 
 // The lease read path's budgets, measured on the 2-vCPU reference box
-// (go1.24): a cache hit on a 256-byte KV cell allocates 5 (invocation and
-// result slices, the value copy; 2026-10-04). A grant round trip allocates
-// 6 and a whole miss — grant, Restore and the local read — 18, each in
-// seven of seven runs (2026-10-17, budgets about 10 % above), with the
-// cell's state body tag-encoded and rpc frames served by pooled handler
-// workers. With a goroutine, a header array and a context per frame they
-// cost 12 and 23, with a gob body 31 and 199, and with gob KindLease
-// frames a grant cost 235-240. Building the view's ring on
-// any of these paths — 384 vnodes hashed from formatted labels, then
-// sorted — is over 1 000 allocations by itself, so no budget survives a
-// ring.New per operation.
+// (go1.24, 2026-10-19): a cache hit on a 256-byte KV cell allocates 5
+// (invocation and result slices, the value copy), a grant round trip 4 and
+// a whole miss — grant, Restore and the local read — 14, each in 20 of 20
+// runs, budgets about 10 % above. Before names were interned, placement
+// stopped allocating and frame readers stayed on the stack, a grant cost 6
+// and a miss 18; with a goroutine, a header array and a context per frame
+// 12 and 23, with a gob body 31 and 199, and with gob KindLease frames a
+// grant cost 235-240. Building the view's ring on any of these paths — 384
+// vnodes hashed and sorted — is over 1 000 allocations by itself, so no
+// budget survives a ring.New per operation.
 const (
-	cacheHitAllocBudget   = 8
-	kvMissAllocBudget     = 20
-	leaseGrantAllocBudget = 7
+	cacheHitAllocBudget   = 6
+	kvMissAllocBudget     = 16
+	leaseGrantAllocBudget = 5
 )
 
 // TestLeaseReadPathAllocBudget drives one client through a fixed 95/5

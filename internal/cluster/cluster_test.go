@@ -95,48 +95,63 @@ func TestObjectsSpreadAcrossNodes(t *testing.T) {
 
 // AddAndGet returns a distinct value per call when all increments are 1,
 // so uniqueness + final total is a linearizability witness for the counter.
+// Concurrent increments on one counter return each value once, with the
+// counter ephemeral on two nodes and replicated on three: at rf=3 every
+// round also sends an ACCEPT to a member beyond the last, on a pooled
+// accept worker, while other rounds do the same (run under -race).
 func TestConcurrentIncrementsLinearizable(t *testing.T) {
-	c := startCluster(t, Options{Nodes: 2})
-	ctx := ctxT(t)
-	ref := core.Ref{Type: objects.TypeAtomicLong, Key: "shared"}
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"ephemeral", Options{Nodes: 2}},
+		{"rf3", Options{Nodes: 3, RF: 3}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := startCluster(t, tc.opts)
+			ctx := ctxT(t)
+			inc := core.Invocation{Ref: core.Ref{Type: objects.TypeAtomicLong, Key: "shared"},
+				Method: "AddAndGet", Args: []any{int64(1)}, Persist: tc.opts.RF > 1}
 
-	const workers = 8
-	const perWorker = 50
-	seen := make(chan int64, workers*perWorker)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			cl := newClient(t, c)
-			for i := 0; i < perWorker; i++ {
-				res, err := cl.Call(ctx, ref, "AddAndGet", int64(1))
-				if err != nil {
-					t.Errorf("AddAndGet: %v", err)
-					return
-				}
-				seen <- res[0].(int64)
+			const workers = 8
+			const perWorker = 50
+			seen := make(chan int64, workers*perWorker)
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					cl := newClient(t, c)
+					for i := 0; i < perWorker; i++ {
+						res, err := cl.InvokeObject(ctx, inc)
+						if err != nil {
+							t.Errorf("AddAndGet: %v", err)
+							return
+						}
+						seen <- res[0].(int64)
+					}
+				}()
 			}
-		}()
-	}
-	wg.Wait()
-	close(seen)
+			wg.Wait()
+			close(seen)
 
-	unique := make(map[int64]bool)
-	var max int64
-	count := 0
-	for v := range seen {
-		if unique[v] {
-			t.Fatalf("value %d returned twice: not linearizable", v)
-		}
-		unique[v] = true
-		if v > max {
-			max = v
-		}
-		count++
-	}
-	if count != workers*perWorker || max != int64(workers*perWorker) {
-		t.Fatalf("count=%d max=%d, want both %d", count, max, workers*perWorker)
+			unique := make(map[int64]bool)
+			var max int64
+			count := 0
+			for v := range seen {
+				if unique[v] {
+					t.Fatalf("value %d returned twice: not linearizable", v)
+				}
+				unique[v] = true
+				if v > max {
+					max = v
+				}
+				count++
+			}
+			if count != workers*perWorker || max != int64(workers*perWorker) {
+				t.Fatalf("count=%d max=%d, want both %d", count, max, workers*perWorker)
+			}
+		})
 	}
 }
 

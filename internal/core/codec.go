@@ -52,10 +52,10 @@ func RegisterValue(v any) {
 }
 
 // EncodeInvocation serializes an invocation in the fast tag format (see
-// wire.go). Hot paths that reuse buffers call AppendInvocation directly.
+// wire.go) into a buffer sized once (InvocationSize). Hot paths that reuse
+// buffers call AppendInvocation directly.
 func EncodeInvocation(inv Invocation) ([]byte, error) {
-	RegisterValueTypes()
-	return AppendInvocation(nil, inv)
+	return AppendInvocation(make([]byte, 0, InvocationSize(inv)), inv)
 }
 
 // DecodeInvocation parses an invocation produced by EncodeInvocation. data

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"math"
 	"sync/atomic"
@@ -157,6 +158,42 @@ func AppendInvocation(dst []byte, inv Invocation) ([]byte, error) {
 	return dst, nil
 }
 
+// InvocationSize bounds the encoded size of inv from above for every
+// argument the tag codec encodes by itself, so that a buffer of this
+// capacity takes AppendInvocation without growing; a gob-fallback value,
+// and a nested list or map, may still make it grow.
+func InvocationSize(inv Invocation) int {
+	// Preamble, flags byte and seven varints: three string lengths, the
+	// trace and span ids, the stamp.
+	n := 3 + len(inv.Ref.Type) + len(inv.Ref.Key) + len(inv.Method) + 1 + 7*binary.MaxVarintLen64
+	return n + valuesSize(inv.Args) + valuesSize(inv.Init)
+}
+
+// valuesSize bounds AppendValues' output for vs (see InvocationSize).
+func valuesSize(vs []any) int {
+	n := binary.MaxVarintLen64
+	for _, v := range vs {
+		n += 1 + binary.MaxVarintLen64
+		switch x := v.(type) {
+		case string:
+			n += len(x)
+		case []byte:
+			n += len(x)
+		case []int:
+			n += len(x) * binary.MaxVarintLen64
+		case []int64:
+			n += len(x) * binary.MaxVarintLen64
+		case []float64:
+			n += len(x) * 8
+		case []string:
+			for _, s := range x {
+				n += binary.MaxVarintLen64 + len(s)
+			}
+		}
+	}
+	return n
+}
+
 // AppendResponse appends the wire encoding of resp to dst.
 func AppendResponse(dst []byte, resp Response) ([]byte, error) {
 	RegisterValueTypes() // a fallback value may need the gob registrations
@@ -178,9 +215,9 @@ func decodeWireInvocation(data []byte) (Invocation, error) {
 	}
 	var inv Invocation
 	var err error
-	if inv.Ref.Type, err = r.Str(); err == nil {
+	if inv.Ref.Type, err = r.Name(); err == nil {
 		if inv.Ref.Key, err = r.Str(); err == nil {
-			inv.Method, err = r.Str()
+			inv.Method, err = r.Name()
 		}
 	}
 	if err != nil {
@@ -260,30 +297,49 @@ func NewFrame(tag byte, variable, n int) []byte {
 // OpenFrame checks that data starts with tag and returns a Reader
 // positioned after it.
 func OpenFrame(data []byte, tag byte) (Reader, error) {
-	r := Reader{b: data}
-	got, err := r.Byte()
-	if err == nil && got != tag {
-		err = fmt.Errorf("frame tag %q, want %q", got, tag)
+	if len(data) == 0 {
+		return Reader{b: data}, errEmptyFrame
 	}
-	return r, err
+	if data[0] != tag {
+		return Reader{b: data}, frameTagError{data[0], tag}
+	}
+	return Reader{b: data, off: 1}, nil
 }
 
 // DecodeFrame opens data as a frame with the given tag, reads its fields
-// with read and fails when anything trails them.
-func DecodeFrame[T any](data []byte, tag byte, read func(*Reader) (T, error)) (T, error) {
-	r, err := OpenFrame(data, tag)
-	var v T
-	if err == nil {
-		v, err = read(&r)
+// with read and fails when anything trails them. On an error the value is
+// whatever read returned and must not be used. read must not keep its
+// Reader: DecodeFrame is kept small enough to inline, so that the call of
+// read becomes a direct one and the Reader stays on the caller's stack
+// instead of costing an allocation per frame.
+func DecodeFrame[T any](data []byte, tag byte, read func(*Reader) (T, error)) (v T, err error) {
+	r := Reader{b: data, off: 1}
+	if len(data) == 0 {
+		err = errEmptyFrame
+	} else if data[0] != tag {
+		err = frameTagError{data[0], tag}
+	} else if v, err = read(&r); err == nil && r.off < len(data) {
+		err = trailingError{r.off, len(data)}
 	}
-	if err == nil {
-		err = r.End()
-	}
-	if err != nil {
-		var zero T
-		return zero, err
-	}
-	return v, nil
+	return v, err
+}
+
+// errEmptyFrame and frameTagError are what OpenFrame and DecodeFrame fail
+// with when data does not start with the frame's tag.
+var errEmptyFrame = errors.New("truncated at offset 0")
+
+type frameTagError struct{ got, want byte }
+
+func (e frameTagError) Error() string {
+	return fmt.Sprintf("frame tag %q, want %q", e.got, e.want)
+}
+
+// trailingError is End's error: bytes left after offset off of a frame of
+// size bytes.
+type trailingError struct{ off, size int }
+
+func (e trailingError) Error() string {
+	return fmt.Sprintf("%d trailing bytes at offset %d", e.size-e.off, e.off)
 }
 
 // AppendBool appends one byte, 1 for true and 0 for false.
@@ -487,8 +543,8 @@ func (r *Reader) preamble(kind byte) error {
 
 // End fails when input is left after the last field.
 func (r *Reader) End() error {
-	if n := r.remaining(); n > 0 {
-		return fmt.Errorf("%d trailing bytes at offset %d", n, r.off)
+	if r.remaining() > 0 {
+		return trailingError{r.off, len(r.b)}
 	}
 	return nil
 }

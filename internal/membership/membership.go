@@ -20,6 +20,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"crucial/internal/core"
 	"crucial/internal/ring"
 )
 
@@ -52,10 +53,17 @@ func (v View) Ring() *ring.Ring {
 
 // Place computes the replica set for key in this view: directive table
 // first, ring otherwise (ring.Directives.Place). It builds the ring on
-// every call, so it is for cold paths only; per-operation callers take
-// Directory.Placement or keep a Ring and call Directives.Place on it.
+// every call, so it is for one-off lookups only; per-operation callers
+// take Directory.Placement, and a pass over many keys builds one
+// Placement.
 func (v View) Place(key string, rf int) []ring.NodeID {
 	return v.Directives.Place(v.Ring(), key, rf)
+}
+
+// Placement builds this view's placement function: one ring, for a caller
+// that places many keys in the same view.
+func (v View) Placement() *Placement {
+	return &Placement{ViewID: v.ID, directives: v.Directives, ring: v.Ring()}
 }
 
 // Placement is the placement function of one installed view: its directive
@@ -69,9 +77,16 @@ type Placement struct {
 }
 
 // Place computes the replica set for key, primary first; equal to
-// View.Place on the view it was published for.
+// View.Place on the view it was published for. The set may be the ring's
+// shared table: callers must not modify its elements.
 func (p *Placement) Place(key string, rf int) []ring.NodeID {
 	return p.directives.Place(p.ring, key, rf)
+}
+
+// PlaceRef is Place for ref's key (ref.String()), without building it. It
+// allocates nothing unless ref is directed or rf exceeds the ring's table.
+func (p *Placement) PlaceRef(ref core.Ref, rf int) []ring.NodeID {
+	return p.directives.PlaceRef(p.ring, ref.Type, ref.Key, rf)
 }
 
 // Fence is a digest of the view's placement function (FNV-1a over the

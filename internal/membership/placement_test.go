@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"crucial/internal/core"
 	"crucial/internal/ring"
 )
 
@@ -127,5 +128,50 @@ func TestPlacementAgainstConcurrentInstalls(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("no sample compared")
+	}
+}
+
+// A warmed placement of a hash-placed ref, at any rf the ring's table
+// covers, allocates nothing: no Ref.String, no replica slice.
+func TestPlacementPlaceAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counting is meaningless under -race")
+	}
+	d := threeNodeDir()
+	d.SetDirective("AtomicLong[hot]", []ring.NodeID{"n2"})
+	p := d.Placement()
+	ref := core.Ref{Type: "AtomicLong", Key: "cold"}
+	for rf := 1; rf <= 3; rf++ {
+		if got := testing.AllocsPerRun(100, func() { p.PlaceRef(ref, rf) }); got != 0 {
+			t.Fatalf("PlaceRef at rf %d allocates %.0f", rf, got)
+		}
+		if got := testing.AllocsPerRun(100, func() { p.Place("AtomicLong[cold]", rf) }); got != 0 {
+			t.Fatalf("Place at rf %d allocates %.0f", rf, got)
+		}
+	}
+}
+
+// The fence is a digest of the member list and the directive table; these
+// values were computed before placement moved to a successor table, so a
+// change to the digest shows here. View.Placement places like View.Place.
+func TestFenceAndViewPlacementUnchanged(t *testing.T) {
+	v := View{ID: 7, Members: []ring.NodeID{"n1", "n2", "n3"}}
+	if got := v.Fence(); got != 0x6bce59f1ad9c0b16 {
+		t.Fatalf("fence %#x", got)
+	}
+	v.Directives = ring.Directives{}.With("AtomicLong[hot]", []ring.NodeID{"n3", "n1"}).With("Map[m]", []ring.NodeID{"n2"})
+	if got := v.Fence(); got != 0xc43c5830270af7c4 {
+		t.Fatalf("fence with directives %#x", got)
+	}
+	p := v.Placement()
+	if p.ViewID != v.ID {
+		t.Fatalf("placement for view %d", p.ViewID)
+	}
+	for _, ref := range []core.Ref{{Type: "AtomicLong", Key: "hot"}, {Type: "Map", Key: "m"}, {Type: "AtomicLong", Key: "cold"}} {
+		for rf := 1; rf <= 4; rf++ {
+			if got, want := p.PlaceRef(ref, rf), v.Place(ref.String(), rf); !slices.Equal(got, want) {
+				t.Fatalf("%s rf %d: Placement puts it on %v, View.Place on %v", ref, rf, got, want)
+			}
+		}
 	}
 }

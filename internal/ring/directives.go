@@ -91,15 +91,36 @@ func (d Directives) Without(key string) Directives {
 // ring's hash placement. Directed targets that are no longer ring members
 // are skipped, and a directed set shorter than rf is topped up by the
 // clockwise ring walk — so a directive degrades gracefully toward hash
-// placement as its targets crash, instead of stranding the key.
+// placement as its targets crash, instead of stranding the key. A hash
+// placement is the ring's shared table (see Ring.ReplicaSet): callers must
+// not modify the returned elements.
 func (d Directives) Place(r *Ring, key string, rf int) []NodeID {
-	targets, ok := d.Lookup(key)
-	if !ok {
-		return r.ReplicaSet(key, rf)
+	if len(d.Entries) > 0 {
+		if targets, ok := d.Entries[key]; ok {
+			return directed(r, targets, hash64(key), rf)
+		}
 	}
-	if rf > len(r.nodes) {
-		rf = len(r.nodes)
+	return r.ReplicaSet(key, rf)
+}
+
+// PlaceRef is Place for the object key typ + "[" + key + "]"
+// (core.Ref.String), without building that string: an empty table is not
+// consulted, and a lookup in a non-empty one spells the key in a stack
+// buffer.
+func (d Directives) PlaceRef(r *Ring, typ, key string, rf int) []NodeID {
+	if len(d.Entries) > 0 {
+		var buf [128]byte
+		k := append(append(append(append(buf[:0], typ...), '['), key...), ']')
+		if targets, ok := d.Entries[string(k)]; ok {
+			return directed(r, targets, hashRef(typ, key), rf)
+		}
 	}
+	return r.replicaSet(hashRef(typ, key), rf)
+}
+
+// directed places a directed key, whose ring position is h, on targets.
+func directed(r *Ring, targets []NodeID, h uint64, rf int) []NodeID {
+	rf = min(rf, len(r.nodes))
 	if rf <= 0 {
 		return nil
 	}
@@ -114,7 +135,7 @@ func (d Directives) Place(r *Ring, key string, rf int) []NodeID {
 		}
 	}
 	if len(out) < rf {
-		for _, n := range r.ReplicaSet(key, len(r.nodes)) {
+		for _, n := range r.replicaSet(h, len(r.nodes)) {
 			if len(out) == rf {
 				break
 			}

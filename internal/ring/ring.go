@@ -6,10 +6,10 @@
 package ring
 
 import (
-	"fmt"
-	"hash/fnv"
+	"cmp"
 	"slices"
 	"sort"
+	"strconv"
 )
 
 // NodeID names a DSO node. Node identifiers must be unique in a view.
@@ -18,6 +18,12 @@ type NodeID string
 // DefaultVirtualNodes is the vnode count per physical node. 128 keeps the
 // standard deviation of load under a few percent for small clusters.
 const DefaultVirtualNodes = 128
+
+// tableWidth is how many distinct successors the placement table keeps per
+// vnode: a replica set of up to this many nodes is a slice of the table,
+// and a larger one is walked for. Every replication factor the system runs
+// with (1 to 3) fits.
+const tableWidth = 3
 
 type vnode struct {
 	hash uint64
@@ -29,6 +35,11 @@ type vnode struct {
 type Ring struct {
 	vnodes []vnode
 	nodes  []NodeID
+	// table holds, for vnode i, the first width distinct nodes met walking
+	// clockwise from it, at table[i*width:(i+1)*width]: the replica sets
+	// of every key that falls on the vnode, for every rf up to width.
+	table []NodeID
+	width int
 }
 
 // New builds a ring over nodes with the given number of virtual nodes per
@@ -41,34 +52,60 @@ func New(nodes []NodeID, vnodesPerNode int) *Ring {
 	}
 	sorted := make([]NodeID, len(nodes))
 	copy(sorted, nodes)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	slices.Sort(sorted)
 
 	r := &Ring{
 		vnodes: make([]vnode, 0, len(nodes)*vnodesPerNode),
 		nodes:  sorted,
+		width:  min(len(sorted), tableWidth),
 	}
+	var label [64]byte
 	for _, n := range sorted {
 		for v := 0; v < vnodesPerNode; v++ {
-			r.vnodes = append(r.vnodes, vnode{
-				hash: hash64(fmt.Sprintf("%s#%d", n, v)),
-				node: n,
-			})
+			// The label is fmt.Sprintf("%s#%d", n, v), built without one.
+			b := strconv.AppendInt(append(append(label[:0], n...), '#'), int64(v), 10)
+			r.vnodes = append(r.vnodes, vnode{hash: mix64(fnvAdd(fnvOffset, b)), node: n})
 		}
 	}
-	sort.Slice(r.vnodes, func(i, j int) bool {
-		a, b := r.vnodes[i], r.vnodes[j]
-		if a.hash != b.hash {
-			return a.hash < b.hash
+	slices.SortFunc(r.vnodes, func(a, b vnode) int {
+		if c := cmp.Compare(a.hash, b.hash); c != 0 {
+			return c
 		}
-		return a.node < b.node
+		return cmp.Compare(a.node, b.node)
 	})
+	r.table = make([]NodeID, len(r.vnodes)*r.width)
+	for i := range r.vnodes {
+		row := r.table[i*r.width : i*r.width]
+		for j := i; len(row) < r.width; j++ {
+			if n := r.vnodes[j%len(r.vnodes)].node; !slices.Contains(row, n) {
+				row = append(row, n)
+			}
+		}
+	}
 	return r
 }
 
-func hash64(s string) uint64 {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(s))
-	return mix64(h.Sum64())
+// FNV-1a, 64 bit, inline: it hashes byte by byte, so the fields of a
+// composite key can be fed in turn without concatenating them.
+const fnvOffset, fnvPrime = 14695981039346656037, 1099511628211
+
+func fnvAdd[S ~string | ~[]byte](h uint64, s S) uint64 {
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= fnvPrime
+	}
+	return h
+}
+
+func hash64(s string) uint64 { return mix64(fnvAdd(fnvOffset, s)) }
+
+// hashRef is hash64(typ + "[" + key + "]"), the hash of an object's key
+// (core.Ref.String), computed without building it.
+func hashRef(typ, key string) uint64 {
+	h := fnvAdd(fnvOffset, typ)
+	h = (h ^ '[') * fnvPrime
+	h = fnvAdd(h, key)
+	return mix64((h ^ ']') * fnvPrime)
 }
 
 // mix64 is the splitmix64 finalizer. FNV-1a alone correlates on the short,
@@ -111,19 +148,27 @@ func (r *Ring) Owner(key string) (NodeID, bool) {
 
 // ReplicaSet returns up to rf distinct nodes responsible for key, walking
 // the ring clockwise from the key's position. The first element is the
-// primary. If rf exceeds the node count, all nodes are returned.
+// primary. If rf exceeds the node count, all nodes are returned. Up to
+// tableWidth nodes the set is the ring's own table, returned without a
+// copy: a caller must not modify its elements (appending is safe — the
+// slice has no spare capacity).
 func (r *Ring) ReplicaSet(key string, rf int) []NodeID {
+	return r.replicaSet(hash64(key), rf)
+}
+
+func (r *Ring) replicaSet(h uint64, rf int) []NodeID {
 	if len(r.vnodes) == 0 || rf <= 0 {
 		return nil
 	}
-	if rf > len(r.nodes) {
-		rf = len(r.nodes)
-	}
-	h := hash64(key)
+	rf = min(rf, len(r.nodes))
 	// First vnode with hash >= h, wrapping.
 	i := sort.Search(len(r.vnodes), func(i int) bool { return r.vnodes[i].hash >= h })
 	if i == len(r.vnodes) {
 		i = 0
+	}
+	if rf <= r.width {
+		row := r.table[i*r.width:]
+		return row[:rf:rf]
 	}
 	out := make([]NodeID, 0, rf)
 	for j := 0; j < len(r.vnodes) && len(out) < rf; j++ {

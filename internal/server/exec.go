@@ -145,7 +145,7 @@ func (n *Node) replicaGroup(ref core.Ref, persist bool) ([]ring.NodeID, membersh
 	if persist {
 		rf = n.cfg.RF
 	}
-	return v.Directives.Place(r, ref.String(), rf), v
+	return v.Directives.PlaceRef(r, ref.Type, ref.Key, rf), v
 }
 
 // lookupOrCreate returns the entry for ref, materializing the object from

@@ -147,7 +147,7 @@ func appendRef(dst []byte, ref core.Ref) []byte {
 }
 
 func readRef(r *core.Reader) (ref core.Ref, err error) {
-	if ref.Type, err = r.Str(); err == nil {
+	if ref.Type, err = r.Name(); err == nil {
 		ref.Key, err = r.Str()
 	}
 	return ref, err
@@ -270,7 +270,7 @@ func (lt *leaseTable) grant(req LeaseRequest) LeaseResponse {
 	// new view yet, and granting from it would outlive the view fence. The
 	// directory publishes a view's placement before it tells any node of
 	// the view, so this is never older than a fence armed anywhere.
-	group := n.cfg.Directory.Placement().Place(req.Ref.String(), rf)
+	group := n.cfg.Directory.Placement().PlaceRef(req.Ref, rf)
 	if len(group) == 0 || group[0] != n.cfg.ID {
 		return lt.refusal("not primary")
 	}
@@ -652,7 +652,7 @@ func (n *Node) tryLocalRead(ctx context.Context, inv core.Invocation, rf int) ([
 	if n.inflight.busy(inv.Ref) {
 		return nil, nil, false
 	}
-	group := n.cfg.Directory.Placement().Place(inv.Ref.String(), rf)
+	group := n.cfg.Directory.Placement().PlaceRef(inv.Ref, rf)
 	if len(group) == 0 || group[0] != n.cfg.ID {
 		return nil, nil, false
 	}

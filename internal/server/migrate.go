@@ -124,8 +124,12 @@ func (n *Node) migrationFenced(ref core.Ref) bool {
 func (n *Node) liftMigrationFences(v membership.View) {
 	n.migrateMu.Lock()
 	defer n.migrateMu.Unlock()
+	var place *membership.Placement // built only when a fence is up
 	for ref := range n.migrating {
-		set := v.Place(ref.String(), n.cfg.RF)
+		if place == nil {
+			place = v.Placement()
+		}
+		set := place.PlaceRef(ref, n.cfg.RF)
 		if len(set) == 0 || set[0] != n.cfg.ID {
 			delete(n.migrating, ref)
 		}
@@ -177,7 +181,7 @@ func (n *Node) MigrateObject(ctx context.Context, ref core.Ref, targets []ring.N
 	if !resident || e.persist {
 		rf = n.cfg.RF
 	}
-	group := v.Place(key, rf)
+	group := v.Directives.PlaceRef(r, ref.Type, ref.Key, rf)
 	if len(group) == 0 || group[0] != n.cfg.ID {
 		owner := ring.NodeID("?")
 		if len(group) > 0 {

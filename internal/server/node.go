@@ -22,6 +22,7 @@ import (
 	"crucial/internal/ring"
 	"crucial/internal/rpc"
 	"crucial/internal/telemetry"
+	"crucial/internal/workpool"
 )
 
 // RPC kinds multiplexed on node connections.
@@ -231,6 +232,9 @@ type Node struct {
 	// peer connections
 	peerMu sync.Mutex
 	peers  map[ring.NodeID]*rpc.Client
+	// acceptWorkers send a round's ACCEPTs to the members beyond its last
+	// (replicate).
+	acceptWorkers *workpool.Pool[acceptTask]
 
 	// replication
 	inflight    *inflightTracker
@@ -392,6 +396,7 @@ func Start(cfg Config) (*Node, error) {
 	}
 	n.listener = l
 	n.rpcServer = rpc.NewServer(n.handle)
+	n.acceptWorkers = workpool.New(n.runAccept)
 	go func() { _ = n.rpcServer.Serve(l) }()
 
 	// Recover from cold storage BEFORE joining: the node must enter the
@@ -525,6 +530,7 @@ func (n *Node) shutdown() error {
 	}
 	n.peers = make(map[ring.NodeID]*rpc.Client)
 	n.peerMu.Unlock()
+	n.acceptWorkers.Close() // after the peers: an ACCEPT in flight fails fast
 	n.log.Info("node stopped",
 		"invocations", n.invocations.Load(), "transfers", n.transfers.Load())
 	return err

@@ -248,9 +248,8 @@ func (n *Node) rebalance(oldView membership.View, oldRing, newRing *ring.Ring, v
 		if e.persist {
 			rf = n.cfg.RF
 		}
-		key := ref.String()
-		oldSet := oldView.Directives.Place(oldRing, key, rf)
-		newSet := v.Directives.Place(newRing, key, rf)
+		oldSet := oldView.Directives.PlaceRef(oldRing, ref.Type, ref.Key, rf)
+		newSet := v.Directives.PlaceRef(newRing, ref.Type, ref.Key, rf)
 		if !slices.Contains(oldSet, n.cfg.ID) {
 			// We hold a copy we were not responsible for (leftover of an
 			// earlier view); drop it if we are not responsible now either —

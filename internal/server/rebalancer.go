@@ -161,10 +161,12 @@ func (rb *rebalancer) scan() {
 	// by up to a full rate window; attributing by measurement would keep
 	// steering pins at the node the flip just relieved (and away from
 	// the one it just burdened), dog-piling consecutive scans' choices
-	// onto the same target.
+	// onto the same target. One placement function serves the whole
+	// scan: View.Place would build a ring per ref.
+	place := v.Placement()
 	nodeLoad := make(map[ring.NodeID]float64, len(v.Members))
 	for ref, r := range rates {
-		if set := v.Place(ref.String(), n.cfg.RF); len(set) > 0 {
+		if set := place.PlaceRef(ref, n.cfg.RF); len(set) > 0 {
 			nodeLoad[set[0]] += r
 		}
 	}
@@ -237,11 +239,11 @@ func (rb *rebalancer) scan() {
 	// evened things out, the remaining hot keys stay on their unburdened
 	// origin instead of ping-ponging.
 	for _, ref := range toPin {
-		cur := v.Place(ref.String(), n.cfg.RF)
+		cur := place.PlaceRef(ref, n.cfg.RF)
 		if len(cur) == 0 {
 			continue
 		}
-		targets := rb.pickTargets(v, nodeLoad, ref)
+		targets := rb.pickTargets(v, nodeLoad, cur[0])
 		if len(targets) == 0 {
 			continue
 		}
@@ -249,12 +251,12 @@ func (rb *rebalancer) scan() {
 		if nodeLoad[targets[0]] >= nodeLoad[cur[0]]-r {
 			continue
 		}
-		rb.migrate(v, ref, targets, false)
+		rb.migrate(place, ref, targets, false)
 		nodeLoad[cur[0]] -= r
 		nodeLoad[targets[0]] += r
 	}
 	for _, ref := range toUnpin {
-		rb.migrate(v, ref, nil, true)
+		rb.migrate(place, ref, nil, true)
 	}
 
 	// Anti-entropy for private-directory deployments: re-broadcast the
@@ -267,17 +269,12 @@ func (rb *rebalancer) scan() {
 	}
 }
 
-// pickTargets spreads ref onto the least-loaded members, excluding its
-// current primary (the node the hot spot is burning). Ties break by node
-// ID so concurrent coordinators — impossible by construction, but cheap
-// to be deterministic about — would choose identically.
-func (rb *rebalancer) pickTargets(v membership.View, nodeLoad map[ring.NodeID]float64, ref core.Ref) []ring.NodeID {
+// pickTargets spreads a hot ref onto the least-loaded members, excluding
+// its current primary (the node the hot spot is burning). Ties break by
+// node ID so concurrent coordinators — impossible by construction, but
+// cheap to be deterministic about — would choose identically.
+func (rb *rebalancer) pickTargets(v membership.View, nodeLoad map[ring.NodeID]float64, curPrimary ring.NodeID) []ring.NodeID {
 	n := rb.n
-	cur := v.Place(ref.String(), n.cfg.RF)
-	var curPrimary ring.NodeID
-	if len(cur) > 0 {
-		curPrimary = cur[0]
-	}
 	cands := make([]ring.NodeID, 0, len(v.Members))
 	for _, m := range v.Members {
 		if m == curPrimary {
@@ -306,10 +303,10 @@ func (rb *rebalancer) pickTargets(v membership.View, nodeLoad map[ring.NodeID]fl
 // primary, by KindMigrate to the primary otherwise. Success or failure,
 // the ref enters cooldown — a failed migration re-attempted every scan
 // would hammer a struggling primary.
-func (rb *rebalancer) migrate(v membership.View, ref core.Ref, targets []ring.NodeID, unpin bool) {
+func (rb *rebalancer) migrate(place *membership.Placement, ref core.Ref, targets []ring.NodeID, unpin bool) {
 	n := rb.n
 	key := ref.String()
-	group := v.Place(key, n.cfg.RF)
+	group := place.PlaceRef(ref, n.cfg.RF)
 	if len(group) == 0 {
 		return
 	}

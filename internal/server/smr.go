@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"sync"
 	"time"
 
 	"crucial/internal/core"
@@ -120,7 +121,7 @@ func appendMsgID(dst []byte, id totalorder.MsgID) []byte {
 }
 
 func readMsgID(r *core.Reader) (id totalorder.MsgID, err error) {
-	if id.Origin, err = r.Str(); err == nil {
+	if id.Origin, err = r.Name(); err == nil {
 		id.Seq, err = r.Uvarint()
 	}
 	return id, err
@@ -190,24 +191,45 @@ const (
 	roundGenesis  byte = 1 // first-ever round: replicas may create it fresh
 )
 
-// encodeRoundPayload builds the payload of a round carrying invs.
+// encodeRoundPayload builds the payload of a round carrying invs: the flag
+// byte, then totalorder's batch container, each invocation appended in
+// place behind the room its length prefix needs.
 func encodeRoundPayload(genesis bool, invs []core.Invocation) ([]byte, error) {
-	var one [1][]byte // a round of one keeps its part list off the heap
-	parts, size := one[:0], 1+binary.MaxVarintLen64
+	size := 1 + binary.MaxVarintLen64
 	for _, inv := range invs {
-		enc, err := core.EncodeInvocation(inv)
-		if err != nil {
-			return nil, err
-		}
-		parts = append(parts, enc)
-		size += binary.MaxVarintLen64 + len(enc)
+		size += binary.MaxVarintLen64 + core.InvocationSize(inv)
 	}
-	payload := make([]byte, 1, size) // one allocation: AppendBatch never grows it
+	payload := make([]byte, 1, size) // grown only past InvocationSize's bound
 	payload[0] = roundExisting
 	if genesis {
 		payload[0] = roundGenesis
 	}
-	return totalorder.AppendBatch(payload, parts), nil
+	payload = binary.AppendUvarint(payload, uint64(len(invs)))
+	for _, inv := range invs {
+		at := len(payload)
+		guess := uvarintLen(core.InvocationSize(inv))
+		payload = append(payload, make([]byte, guess)...)
+		var err error
+		if payload, err = core.AppendInvocation(payload, inv); err != nil {
+			return nil, err
+		}
+		n := len(payload) - at - guess
+		if w := uvarintLen(n); w != guess {
+			// The encoding's length needs a prefix of another width than
+			// its bound's: move it.
+			payload = append(payload, make([]byte, max(w-guess, 0))...)
+			copy(payload[at+w:], payload[at+guess:at+guess+n])
+			payload = payload[:at+w+n]
+		}
+		binary.PutUvarint(payload[at:], uint64(n))
+	}
+	return payload, nil
+}
+
+// uvarintLen is the size of n as a uvarint.
+func uvarintLen(n int) int {
+	var b [binary.MaxVarintLen64]byte
+	return binary.PutUvarint(b[:], uint64(n))
 }
 
 // splitRoundPayload validates a payload's flag byte and container and
@@ -437,30 +459,64 @@ func (n *Node) sequence(ctx context.Context, id totalorder.MsgID, fence uint64, 
 
 // replicate sends a round's ACCEPT to every member of group but this node
 // (group[0]) and checks each reply against the coordinator's own outcome
-// (checkRound). The last member is called inline and the others each on
-// a goroutine, so a group of two starts none.
+// (checkRound). The last member is called inline and the others on the
+// node's pooled accept workers, so a round starts no goroutine.
 func (n *Node) replicate(ctx context.Context, id totalorder.MsgID, ref core.Ref, group []ring.NodeID, body []byte, local finalResp) error {
-	var errs <-chan error
+	var fan *acceptFan
 	if len(group) > 2 {
-		errs = n.acceptAsync(ctx, id, ref, group[1:len(group)-1], body, local)
+		fan = fanPool.Get().(*acceptFan)
+		fan.wg.Add(len(group) - 2)
+		for _, m := range group[1 : len(group)-1] {
+			n.acceptWorkers.Go(acceptTask{ctx: ctx, id: id, ref: ref, member: m, body: body, local: local, fan: fan})
+		}
 	}
 	err := n.acceptAt(ctx, id, ref, group[len(group)-1], body, local)
-	for range len(group) - 2 {
-		if merr := <-errs; err == nil {
-			err = merr
+	if fan != nil {
+		fan.wg.Wait()
+		if err == nil {
+			err = fan.err
 		}
+		fan.err = nil
+		fanPool.Put(fan)
 	}
 	return err
 }
 
-// acceptAsync runs acceptAt for each of members on its own goroutine and
-// returns where their verdicts arrive.
-func (n *Node) acceptAsync(ctx context.Context, id totalorder.MsgID, ref core.Ref, members []ring.NodeID, body []byte, local finalResp) <-chan error {
-	errs := make(chan error, len(members))
-	for _, m := range members {
-		go func() { errs <- n.acceptAt(ctx, id, ref, m, body, local) }()
+// acceptTask is one member's ACCEPT of a round whose group has more than
+// two members, run by runAccept on an accept worker.
+type acceptTask struct {
+	ctx    context.Context
+	id     totalorder.MsgID
+	ref    core.Ref
+	member ring.NodeID
+	body   []byte
+	local  finalResp
+	fan    *acceptFan
+}
+
+// acceptFan collects the verdicts of one round's pooled ACCEPTs: the
+// first error, and a WaitGroup that replicate waits on. Fans are pooled,
+// so a round allocates none once the pool is warm.
+type acceptFan struct {
+	wg  sync.WaitGroup
+	mu  sync.Mutex
+	err error
+}
+
+var fanPool = sync.Pool{New: func() any { return new(acceptFan) }}
+
+// runAccept is the accept workers' task: one acceptAt, its verdict
+// recorded on the round's fan.
+func (n *Node) runAccept(t acceptTask) {
+	err := n.acceptAt(t.ctx, t.id, t.ref, t.member, t.body, t.local)
+	if err != nil {
+		t.fan.mu.Lock()
+		if t.fan.err == nil {
+			t.fan.err = err
+		}
+		t.fan.mu.Unlock()
 	}
-	return errs
+	t.fan.wg.Done()
 }
 
 // acceptAt sends one member a round's ACCEPT and checks its reply.

@@ -230,7 +230,8 @@ const (
 func decodeFrame[T any](data []byte, tag byte, what string, read func(*core.Reader) (T, error)) (T, error) {
 	v, err := core.DecodeFrame(data, tag, read)
 	if err != nil {
-		return v, fmt.Errorf("statefun: decode %s: %w", what, err)
+		var zero T
+		return zero, fmt.Errorf("statefun: decode %s: %w", what, err)
 	}
 	return v, nil
 }
