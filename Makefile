@@ -41,12 +41,15 @@ wal-fuzz:
 # mailbox values and drain-pass frames, and the transfer and fetch frames
 # that rebalancing and checkpoints ship. These are every parser a peer, a
 # client or cold storage feeds on each operation. Invariants: no panics,
-# and a frame that decodes re-encodes to one that decodes the same. Not
+# and a frame that decodes re-encodes to one that decodes the same. It
+# also fuzzes the gob descriptor cache (FuzzGobValue): a cached decode and
+# a fresh gob decoder agree on success or failure and on the value. Not
 # part of verify.
 codec-fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzInvocationRoundTrip$$' -fuzztime 15s ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeInvocation$$' -fuzztime 15s ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResponse$$' -fuzztime 15s ./internal/core/
+	$(GO) test -run '^$$' -fuzz '^FuzzGobValue$$' -fuzztime 15s ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzControlFrames$$' -fuzztime 15s ./internal/server/
 	$(GO) test -run '^$$' -fuzz '^FuzzStateBodies$$' -fuzztime 15s ./internal/objects/
 	$(GO) test -run '^$$' -fuzz '^FuzzStateBodies$$' -fuzztime 15s ./internal/statefun/
@@ -141,13 +144,17 @@ doclint:
 # per invalidation) without building a hash ring per hit, miss or grant,
 # and a grant and a whole 256-byte KV miss (grant plus Restore) must stay
 # near the ~4 and ~14 allocations they cost with tag-encoded state bodies
-# (a gob body alone costs more). These tests self-skip under -race, so
+# (a gob body alone costs more), a warm small-struct gob value round
+# trip must stay near the 4 allocations it costs once its type's
+# descriptors are cached (174 on fresh streams), and the statefun
+# frame decoders must allocate nothing beyond what they return (their
+# readers stay on the stack). These tests self-skip under -race, so
 # they need this dedicated non-race invocation to actually bite; the
 # measured numbers live next to each budget in its test.
 alloc-guard:
 	$(GO) test -count=1 -run 'Alloc|SizedOnce|AppendedInPlace' \
 		./internal/rpc/ ./internal/core/ ./internal/telemetry/ ./internal/cluster/ \
-		./internal/ring/ ./internal/membership/ ./internal/server/
+		./internal/ring/ ./internal/membership/ ./internal/server/ ./internal/statefun/
 
 # verify is the tier-1 gate (see ROADMAP.md): everything must be gofmt
 # clean, compile, vet clean (benchmark module included), doc-complete on

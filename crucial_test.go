@@ -527,3 +527,23 @@ func TestDoubleArrayProxyAggregates(t *testing.T) {
 		}
 	}
 }
+
+// The membership directory builds one ring per view; the runtime's two
+// clients and the nodes of an in-process cluster route through that ring
+// instead of building their own copies.
+func TestClientsAndNodesShareTheViewRing(t *testing.T) {
+	rt := testRuntime(t, Options{DSONodes: 3})
+	want := rt.clu.Dir.RingFor(rt.clu.Dir.View())
+	if want.Size() != 3 {
+		t.Fatalf("the directory's ring holds %d nodes, want 3", want.Size())
+	}
+	if rt.fnClient.DebugRing() != want || rt.masterClient.DebugRing() != want {
+		t.Fatal("a runtime client routes through a ring of its own")
+	}
+	for _, id := range rt.clu.NodeIDs() {
+		n, _ := rt.clu.Node(id)
+		if n.DebugRing() != want {
+			t.Fatalf("node %s places through a ring of its own", id)
+		}
+	}
+}

@@ -20,6 +20,7 @@ import (
 	"crucial/internal/cluster"
 	"crucial/internal/core"
 	"crucial/internal/linearizability"
+	"crucial/internal/netsim"
 	"crucial/internal/objects"
 	"crucial/internal/ring"
 	"crucial/internal/rpc"
@@ -68,6 +69,8 @@ type nemesisOpts struct {
 	// nemesis beyond the fault plan — e.g. a migration driver bouncing a
 	// hot object between primaries). It must return when stop closes.
 	during func(ctx context.Context, cl *cluster.Cluster, stop <-chan struct{})
+	// profile, when set, injects network latency (cluster.Options.Profile).
+	profile *netsim.Profile
 }
 
 // nemesisRetry is deliberately generous: a call may straddle several fault
@@ -106,6 +109,7 @@ func runNemesis(t *testing.T, o nemesisOpts) (*chaos.Engine, *telemetry.Telemetr
 		ClientRetry:          nemesisRetry(),
 		ClientAttemptTimeout: 200 * time.Millisecond,
 		PeerCallTimeout:      250 * time.Millisecond,
+		Profile:              o.profile,
 	}
 	if o.cache {
 		copts.LeaseTTL = 50 * time.Millisecond
@@ -492,6 +496,16 @@ func TestNemesisCrashRestart(t *testing.T) {
 // checker's 20.
 const batchWorkers, batchOps = 10, 2
 
+// batchHop gives the group-commit schedules a replica hop, as
+// TestWriteBatchingExactlyOnce does. Over the buffered in-process network a
+// round can otherwise finish before the next lockstep writer wakes, so
+// whether any write queued behind the lane's rounds in flight was left to
+// goroutine timing; with 200 µs on every replica call a burst of writers
+// always finds both rounds still open.
+func batchHop() *netsim.Profile {
+	return &netsim.Profile{Scale: 1, DSOReplica: netsim.Latency{Base: 200 * time.Microsecond}}
+}
+
 // lockstepSlot is the time between a lockstep schedule's operations. At
 // 16 ms a group-commit schedule's six (two on each object) span more than
 // one fault window; at 8 ms they all landed in the first partition, where
@@ -520,6 +534,7 @@ func TestNemesisWriteBatchPartition(t *testing.T) {
 		ops:       batchOps,
 		lockstep:  true,
 		ephemeral: true,
+		profile:   batchHop(),
 		plan: func(nodes []string) chaos.Plan {
 			s := spacing()
 			var steps []chaos.Step
@@ -554,6 +569,7 @@ func TestNemesisWriteBatchCrashRestart(t *testing.T) {
 		workers:  batchWorkers,
 		ops:      batchOps,
 		lockstep: true,
+		profile:  batchHop(),
 		plan: func(nodes []string) chaos.Plan {
 			s := spacing()
 			var steps []chaos.Step

@@ -192,17 +192,29 @@ func newClientID() uint64 {
 }
 
 // refreshView reloads membership and publishes a new routing snapshot.
+// A view taken from an in-process membership.Directory routes through
+// the ring the directory built for it; any other source's view gets its
+// own.
 func (c *Client) refreshView() {
 	v := c.cfg.Views.View()
+	var r *ring.Ring
+	if d, ok := c.cfg.Views.(*membership.Directory); ok {
+		r = d.RingFor(v)
+	} else {
+		r = v.Ring()
+	}
 	c.mu.Lock()
 	cur := c.routes.Load()
 	if v.ID >= cur.view.ID {
 		// The conns map is shared with the previous snapshot: published
 		// maps are immutable, so aliasing is safe.
-		c.routes.Store(&routes{view: v, ring: v.Ring(), conns: cur.conns})
+		c.routes.Store(&routes{view: v, ring: r, conns: cur.conns})
 	}
 	c.mu.Unlock()
 }
+
+// DebugRing returns the ring the client routes its current view through.
+func (c *Client) DebugRing() *ring.Ring { return c.routes.Load().ring }
 
 // target picks the primary node for a reference from a routing snapshot,
 // honoring the view's directive table: a key the rebalancer pinned routes

@@ -70,8 +70,10 @@ func TestControlFramesOpenNoGobStreams(t *testing.T) {
 
 // A checkpoint pass writes every persistent object as a tag-encoded
 // transfer record around its tag-encoded state body: over KV, AtomicLong
-// and statefun mailbox objects the only gob stream it opens is the one of
-// its manifest.
+// and statefun mailbox objects the only gob stream it could open is the
+// one of its manifest, and that one only while the gob descriptor cache
+// has not yet seen the manifest's type. The counter is process-wide, so
+// the first pass opens at most one; a second pass opens none.
 func TestCheckpointOpensOnlyManifestGobStream(t *testing.T) {
 	opts := durableOpts(durableStore())
 	opts.Durability.SnapshotInterval = time.Hour // passes run only when the test asks
@@ -93,12 +95,20 @@ func TestCheckpointOpensOnlyManifestGobStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	total := 0
-	for _, id := range c.NodeIDs() {
-		n, _ := c.Node(id)
-		objs := n.DebugObjectCount()
-		total += objs
-		if got := gobStreamsDuring(t, n.DebugCheckpoint); got != 1 {
-			t.Fatalf("node %s: a checkpoint pass over %d objects opened %d gob streams, want 1 (the manifest)", id, objs, got)
+	for pass := 1; pass <= 2; pass++ {
+		for _, id := range c.NodeIDs() {
+			n, _ := c.Node(id)
+			objs := n.DebugObjectCount()
+			if pass == 1 {
+				total += objs
+			}
+			got := gobStreamsDuring(t, n.DebugCheckpoint)
+			if pass == 1 && got > 1 {
+				t.Fatalf("node %s: a first checkpoint pass over %d objects opened %d gob streams, want at most 1 (the manifest)", id, objs, got)
+			}
+			if pass == 2 && got != 0 {
+				t.Fatalf("node %s: a second checkpoint pass over %d objects opened %d gob streams, want 0", id, objs, got)
+			}
 		}
 	}
 	if total != 6 {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"encoding/gob"
 	"fmt"
 	"sync"
@@ -89,25 +88,25 @@ func DecodeResponse(data []byte) (Response, error) {
 
 // EncodeValue gob-encodes a single value: user bodies (the state of user
 // Snapshotters, stateful-function message and state bodies) and cold-path
-// control-plane messages. Every call opens a fresh gob stream, so it
-// re-sends and re-compiles its type descriptors: per-operation frames and
-// the built-in objects' state bodies use the tag helpers of wire.go
-// instead.
+// control-plane messages. The result is always a complete single-value gob
+// stream, but a type's descriptors are built once per process (gobcache.go):
+// a warm encode writes only the value message. Per-operation frames and the
+// built-in objects' state bodies use the tag helpers of wire.go instead.
 func EncodeValue(v any) ([]byte, error) {
 	RegisterValueTypes()
-	codecStats.gobStreams.Add(1)
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+	b, err := encodeGob(v)
+	if err != nil {
 		return nil, fmt.Errorf("core: encode value: %w", err)
 	}
-	return buf.Bytes(), nil
+	return b, nil
 }
 
-// DecodeValue gob-decodes into v, which must be a pointer.
+// DecodeValue gob-decodes into v, which must be a pointer. A stream whose
+// descriptors were seen before is decoded by a decoder that has already
+// compiled them (gobcache.go).
 func DecodeValue(data []byte, v any) error {
 	RegisterValueTypes()
-	codecStats.gobStreams.Add(1)
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(v); err != nil {
+	if err := decodeGob(data, v); err != nil {
 		return fmt.Errorf("core: decode value: %w", err)
 	}
 	return nil

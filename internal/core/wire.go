@@ -93,9 +93,11 @@ type CodecStats struct {
 	// Unstamped callers (control-plane tools) get at-least-once retries.
 	StampedDecodes   uint64
 	UnstampedDecodes uint64
-	// GobStreams counts gob encoders and decoders opened, each of which
-	// sends or compiles its type descriptors afresh: EncodeValue,
-	// DecodeValue and both directions of the per-value fallback.
+	// GobStreams counts gob streams whose type descriptors were sent or
+	// compiled afresh: EncodeValue, DecodeValue and the per-value fallback
+	// when the descriptor cache (gobcache.go) missed or does not hold
+	// the type, and every fallback encode (its value is an interface). A
+	// warm encode or decode of a cached type does not count.
 	GobStreams uint64
 }
 
@@ -499,7 +501,10 @@ func AppendFloat64s(dst []byte, x []float64) []byte {
 
 // appendGobValue is the per-value escape hatch: a complete single-value
 // gob stream of the dynamic value, so any type accepted by RegisterValue
-// keeps working without the fast codec knowing about it.
+// keeps working without the fast codec knowing about it. The stream is
+// always fresh: it encodes an interface, whose concrete type's descriptor
+// a long-lived encoder would send only once (gobcache.go). Its decode in
+// Reader.value goes through the descriptor cache.
 func appendGobValue(dst []byte, v any) ([]byte, error) {
 	var buf bytes.Buffer
 	codecStats.gobStreams.Add(1)
@@ -851,8 +856,7 @@ func (r *Reader) value(depth int) (any, error) {
 			return nil, err
 		}
 		var v any
-		codecStats.gobStreams.Add(1)
-		if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&v); err != nil {
+		if err := decodeGob(b, &v); err != nil {
 			return nil, fmt.Errorf("gob fallback: %w", err)
 		}
 		return v, nil

@@ -89,6 +89,18 @@ func (p *Placement) PlaceRef(ref core.Ref, rf int) []ring.NodeID {
 	return p.directives.PlaceRef(p.ring, ref.Type, ref.Key, rf)
 }
 
+// RingFor returns v's ring: the one the directory built for its latest
+// view when v is that view, so that the clients and nodes that take the
+// view from this directory route through one ring, and a new one (as
+// View.Ring builds) when a newer view has replaced v. The ring is shared:
+// callers must not modify it.
+func (d *Directory) RingFor(v View) *ring.Ring {
+	if p := d.Placement(); p.ViewID == v.ID {
+		return p.ring
+	}
+	return v.Ring()
+}
+
 // Fence is a digest of the view's placement function (FNV-1a over the
 // sorted member list and the directive table). Two views with equal
 // fences resolve every object to the same replica group and the same

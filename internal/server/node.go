@@ -536,6 +536,12 @@ func (n *Node) shutdown() error {
 	return err
 }
 
+// DebugRing returns the ring the node places its installed view with.
+func (n *Node) DebugRing() *ring.Ring {
+	_, r := n.currentView()
+	return r
+}
+
 // currentView returns the node's installed view and ring.
 func (n *Node) currentView() (membership.View, *ring.Ring) {
 	n.viewMu.RLock()

@@ -206,7 +206,7 @@ func (n *Node) onView(v membership.View) {
 	oldView := n.view
 	oldRing := n.ringCur
 	n.view = v
-	n.ringCur = v.Ring()
+	n.ringCur = n.cfg.Directory.RingFor(v)
 	newRing := n.ringCur
 	close(n.epoch.Swap(&viewEpoch{fence: v.Fence(), next: make(chan struct{})}).next)
 	n.viewMu.Unlock()

@@ -145,7 +145,7 @@ func (w doorbellWake) encode() []byte {
 }
 
 func decodeDoorbellWake(data []byte) (doorbellWake, error) {
-	return decodeFrame(data, tagDoorbellWake, "doorbell wake", func(r *core.Reader) (w doorbellWake, err error) {
+	v, err := core.DecodeFrame(data, tagDoorbellWake, func(r *core.Reader) (w doorbellWake, err error) {
 		if w.Nonce, err = r.Uvarint(); err == nil {
 			w.Head, err = r.Uvarint()
 		}
@@ -166,6 +166,10 @@ func decodeDoorbellWake(data []byte) (doorbellWake, error) {
 		}
 		return w, err
 	})
+	if err != nil {
+		return doorbellWake{}, decodeError("doorbell wake", err)
+	}
+	return v, nil
 }
 
 // ringDoorbell offers addr to every engine.

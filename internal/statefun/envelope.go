@@ -211,7 +211,8 @@ func RegisterTypes(r *core.Registry) {
 // exactly their own tag and layout and copy what they return: the mailbox
 // keeps a pushed envelope's body queued long after the rpc server has
 // recycled the request buffer it arrived in. There is no version. User
-// bodies (EncodeBody) are opaque bytes inside these values and stay gob.
+// bodies (EncodeBody) are opaque bytes inside these values and stay gob,
+// whose type descriptors core's cache sends and compiles once per process.
 const (
 	tagAddress      byte = 'a' // FnType, ID
 	tagEnvelope     byte = 'e' // an envelope (appendEnvelope)
@@ -226,14 +227,11 @@ const (
 	tagDoorbellWake byte = 'w' // Nonce, Head, Relist, address list
 )
 
-// decodeFrame is core.DecodeFrame with the value's name on its error.
-func decodeFrame[T any](data []byte, tag byte, what string, read func(*core.Reader) (T, error)) (T, error) {
-	v, err := core.DecodeFrame(data, tag, read)
-	if err != nil {
-		var zero T
-		return zero, fmt.Errorf("statefun: decode %s: %w", what, err)
-	}
-	return v, nil
+// decodeError names the value a frame decode failed on. Each decoder
+// calls core.DecodeFrame itself and wraps its error here, so that
+// DecodeFrame inlines into it and the frame's Reader stays on the stack.
+func decodeError(what string, err error) error {
+	return fmt.Errorf("statefun: decode %s: %w", what, err)
 }
 
 func appendAddress(dst []byte, a Address) []byte {
@@ -254,7 +252,11 @@ func (a Address) Encode() []byte {
 
 // DecodeAddress parses exactly one Address.Encode frame.
 func DecodeAddress(data []byte) (Address, error) {
-	return decodeFrame(data, tagAddress, "address", readAddress)
+	v, err := core.DecodeFrame(data, tagAddress, readAddress)
+	if err != nil {
+		return Address{}, decodeError("address", err)
+	}
+	return v, nil
 }
 
 func appendEnvelope(dst []byte, e Envelope) []byte {
@@ -293,7 +295,11 @@ func (e Envelope) encode() []byte {
 }
 
 func decodeEnvelope(data []byte) (Envelope, error) {
-	return decodeFrame(data, tagEnvelope, "envelope", readEnvelope)
+	v, err := core.DecodeFrame(data, tagEnvelope, readEnvelope)
+	if err != nil {
+		return Envelope{}, decodeError("envelope", err)
+	}
+	return v, nil
 }
 
 func (p PushResult) encode() []byte {
@@ -302,7 +308,7 @@ func (p PushResult) encode() []byte {
 }
 
 func decodePushResult(data []byte) (PushResult, error) {
-	return decodeFrame(data, tagPushResult, "push result", func(r *core.Reader) (p PushResult, err error) {
+	v, err := core.DecodeFrame(data, tagPushResult, func(r *core.Reader) (p PushResult, err error) {
 		var status string
 		if status, err = r.Str(); err == nil {
 			p.Status = PushStatus(status)
@@ -310,6 +316,10 @@ func decodePushResult(data []byte) (PushResult, error) {
 		}
 		return p, err
 	})
+	if err != nil {
+		return PushResult{}, decodeError("push result", err)
+	}
+	return v, nil
 }
 
 func (t Task) encode() []byte {
@@ -320,7 +330,7 @@ func (t Task) encode() []byte {
 }
 
 func decodeTask(data []byte) (Task, error) {
-	return decodeFrame(data, tagTask, "task", func(r *core.Reader) (t Task, err error) {
+	v, err := core.DecodeFrame(data, tagTask, func(r *core.Reader) (t Task, err error) {
 		if t.Has, err = r.Bool(); err == nil {
 			t.EnqSeq, err = r.Uvarint()
 		}
@@ -341,6 +351,10 @@ func decodeTask(data []byte) (Task, error) {
 		}
 		return t, err
 	})
+	if err != nil {
+		return Task{}, decodeError("task", err)
+	}
+	return v, nil
 }
 
 func (c CommitReq) encode() []byte {
@@ -358,7 +372,7 @@ func (c CommitReq) encode() []byte {
 }
 
 func decodeCommitReq(data []byte) (CommitReq, error) {
-	return decodeFrame(data, tagCommitReq, "commit request", func(r *core.Reader) (c CommitReq, err error) {
+	v, err := core.DecodeFrame(data, tagCommitReq, func(r *core.Reader) (c CommitReq, err error) {
 		if c.EnqSeq, err = r.Uvarint(); err == nil {
 			c.From, err = r.Str()
 		}
@@ -382,6 +396,10 @@ func decodeCommitReq(data []byte) (CommitReq, error) {
 		}
 		return c, err
 	})
+	if err != nil {
+		return CommitReq{}, decodeError("commit request", err)
+	}
+	return v, nil
 }
 
 // minEnvelopeBytes is the smallest envelope encoding: six empty
@@ -428,7 +446,7 @@ func (c CommitResult) encode() []byte {
 }
 
 func decodeCommitResult(data []byte) (CommitResult, error) {
-	return decodeFrame(data, tagCommitResult, "commit result", func(r *core.Reader) (c CommitResult, err error) {
+	v, err := core.DecodeFrame(data, tagCommitResult, func(r *core.Reader) (c CommitResult, err error) {
 		if c.Applied, err = r.Bool(); err == nil {
 			c.QueueLen, err = r.Varint()
 		}
@@ -437,6 +455,10 @@ func decodeCommitResult(data []byte) (CommitResult, error) {
 		}
 		return c, err
 	})
+	if err != nil {
+		return CommitResult{}, decodeError("commit result", err)
+	}
+	return v, nil
 }
 
 func encodeOutbox(out []OutEntry) []byte {
@@ -444,7 +466,11 @@ func encodeOutbox(out []OutEntry) []byte {
 }
 
 func decodeOutbox(data []byte) ([]OutEntry, error) {
-	return decodeFrame(data, tagOutbox, "outbox", readOutEntries)
+	v, err := core.DecodeFrame(data, tagOutbox, readOutEntries)
+	if err != nil {
+		return nil, decodeError("outbox", err)
+	}
+	return v, nil
 }
 
 func (s MailboxStatus) encode() []byte {
@@ -454,7 +480,7 @@ func (s MailboxStatus) encode() []byte {
 }
 
 func decodeStatus(data []byte) (MailboxStatus, error) {
-	return decodeFrame(data, tagStatus, "status", func(r *core.Reader) (s MailboxStatus, err error) {
+	v, err := core.DecodeFrame(data, tagStatus, func(r *core.Reader) (s MailboxStatus, err error) {
 		for _, f := range []*int64{&s.QueueLen, &s.OutboxLen, &s.Processed, &s.Dups, &s.Rejected} {
 			if *f, err = r.Varint(); err != nil {
 				break
@@ -462,6 +488,10 @@ func decodeStatus(data []byte) (MailboxStatus, error) {
 		}
 		return s, err
 	})
+	if err != nil {
+		return MailboxStatus{}, decodeError("status", err)
+	}
+	return v, nil
 }
 
 // isFutureAlreadySet reports whether err is the (possibly wire-decoded)

@@ -215,9 +215,9 @@ func (m *Mailbox) Snapshot() ([]byte, error) {
 
 // Restore replaces the mailbox state from a snapshot.
 func (m *Mailbox) Restore(data []byte) error {
-	s, err := decodeFrame(data, tagMailbox, "mailbox", readMailbox)
+	s, err := core.DecodeFrame(data, tagMailbox, readMailbox)
 	if err != nil {
-		return err
+		return decodeError("mailbox", err)
 	}
 	*m = s
 	return nil

@@ -182,7 +182,7 @@ func (r RunReport) Encode() []byte {
 
 // DecodeRunReport parses exactly one RunReport.Encode frame.
 func DecodeRunReport(data []byte) (RunReport, error) {
-	return decodeFrame(data, tagRunReport, "run report", func(r *core.Reader) (rep RunReport, err error) {
+	v, err := core.DecodeFrame(data, tagRunReport, func(r *core.Reader) (rep RunReport, err error) {
 		for _, f := range []*int64{&rep.Processed, &rep.QueueLen, &rep.OutboxLen} {
 			if err == nil {
 				*f, err = r.Varint()
@@ -190,6 +190,10 @@ func DecodeRunReport(data []byte) (RunReport, error) {
 		}
 		return rep, err
 	})
+	if err != nil {
+		return RunReport{}, decodeError("run report", err)
+	}
+	return v, nil
 }
 
 // Runner executes one drain pass over an instance's mailbox. The engine

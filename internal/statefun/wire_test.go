@@ -74,3 +74,32 @@ func TestMailboxPushOutlivesRequestBuffer(t *testing.T) {
 		t.Fatalf("queued envelope %+v after the request buffer was reused, want %+v", got, want)
 	}
 }
+
+// A drain pass's report, a push's result and a fetched task decode with
+// no allocation beyond the strings and byte slices they return: each
+// decoder inlines core.DecodeFrame, so its Reader stays on the stack.
+func TestFrameDecodeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counting is meaningless under -race")
+	}
+	env := Envelope{To: Address{FnType: "fn", ID: "i1"}, From: "client", Seq: 9, Name: "add", Body: []byte("body"), ReplyTo: "reply/1"}
+	report := RunReport{Processed: 1, QueueLen: 2, OutboxLen: 3}.Encode()
+	push := PushResult{Status: PushFull, QueueLen: 8}.encode()
+	task := Task{Has: true, EnqSeq: 4, Env: env, State: []byte("state"), HasState: true, QueueLen: 2}.encode()
+	for _, c := range []struct {
+		name    string
+		decode  func() error
+		returns float64 // the strings and slices of the decoded value
+	}{
+		{"run report", func() error { _, err := DecodeRunReport(report); return err }, 0},
+		{"push result", func() error { _, err := decodePushResult(push); return err }, 1},
+		{"task", func() error { _, err := decodeTask(task); return err }, 7},
+	} {
+		if err := c.decode(); err != nil {
+			t.Fatal(err)
+		}
+		if got := testing.AllocsPerRun(200, func() { _ = c.decode() }); got > c.returns {
+			t.Errorf("%s decode allocates %.1f/op, want %.0f (what it returns)", c.name, got, c.returns)
+		}
+	}
+}

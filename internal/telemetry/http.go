@@ -61,10 +61,13 @@ func HTTPHandler(node string, t *Telemetry) http.Handler {
 //	crucial_codec_unstamped_decodes_total invocations without a stamp
 //	                                    (control-plane tools; their retries
 //	                                    stay at-least-once)
-//	crucial_codec_gob_streams_total     gob encoders and decoders opened:
-//	                                    object state bodies, cold-path
-//	                                    control-plane messages and fallback
-//	                                    values (no per-operation frame is gob)
+//	crucial_codec_gob_streams_total     gob streams whose type descriptors
+//	                                    were sent or compiled afresh: the
+//	                                    descriptor cache's misses and the
+//	                                    types it does not hold, over user
+//	                                    bodies, cold-path control-plane
+//	                                    messages and fallback values (no
+//	                                    per-operation frame is gob)
 func writeCodecStats(w io.Writer) {
 	s := core.ReadCodecStats()
 	for _, c := range []struct {
