@@ -102,7 +102,10 @@ chaos-short:
 # wake-up: a push to an idle instance is handled within 100 ms while idle
 # instances get no drain pass, a doorbell owner's crash makes the engine
 # re-list, and the push after one that errored in doubt still rings
-# (§5i). 30 times each at one and two CPUs (about three minutes on an
+# (§5i) — and the two record tests that step through view changes and
+# pulls: every lifecycle transition of a ref's record, and a table that
+# stays one record per copy across pulls, a migration, a Join and a Leave
+# (§5c). 30 times each at one and two CPUs (about three minutes on an
 # idle box).
 # Not part of verify. To reproduce the contention itself, run any CPU hog
 # beside it (e.g. four copies of a `go test -c ./internal/chaos` binary).
@@ -111,7 +114,7 @@ flake-check:
 	$(GO) test -count=30 -cpu 1,2 -run 'TestBillingUsesModeledTime|TestBillingAccumulates' ./internal/faas/
 	$(GO) test -count=30 -cpu 1,2 -run 'TestNemesisCacheCrashRestart' ./internal/chaos/
 	$(GO) test -count=30 -cpu 1,2 -run 'TestInvokeDuringMigrationLosesNothing|TestDurabilityRecoversConcurrentRFOneWrites|TestRF2ReadsServedAtPrimary|TestDroppedAcceptParksPullsAndConverges|TestWriteBatchingExactlyOnce' ./internal/cluster/
-	$(GO) test -count=30 -cpu 1,2 -run 'TestRoundOfOneAcrossHandOff|TestTwoCoordinatorsInTwoViewsNotBothAcked|TestAcceptAppliesInSeqOrder|TestRoundOvertakingGenesisWaitsForIt' ./internal/server/
+	$(GO) test -count=30 -cpu 1,2 -run 'TestRoundOfOneAcrossHandOff|TestTwoCoordinatorsInTwoViewsNotBothAcked|TestAcceptAppliesInSeqOrder|TestRoundOvertakingGenesisWaitsForIt|TestRecordLifecycle|TestTableStaysFlat' ./internal/server/
 	$(GO) test -count=30 -cpu 1,2 -run 'TestDispatchIdleInstancesCostNothing|TestDispatchDoorbellOwnerCrashRelists|TestDispatchPushInDoubtActivatesNext' ./internal/statefun/
 
 # doclint fails when an exported identifier in the public API (the root
@@ -137,7 +140,10 @@ doclint:
 # must stay near the ~21 allocations it costs as one tag-encoded ACCEPT
 # round trip (~34 before names were interned and placement stopped
 # allocating, 53 with a goroutine and a context per rpc frame, ~96 under
-# the Skeen PROPOSE/FINAL exchange), an rf=3 write near its ~34 with the
+# the Skeen PROPOSE/FINAL exchange), the same write with leases on near
+# the same ~21 (the lease block lives on the ref's record and its release
+# is a method: 27 when each write rebuilt a holder table at both replicas
+# and returned two closures), an rf=3 write near its ~34 with the
 # extra member's ACCEPT on a pooled worker, an rf=1 write (a group of one)
 # and read near the ~6 and ~6 they cost outside rounds, and the lease read
 # path must keep a 95/5 read/write sequence cached (hit ratio, one grant

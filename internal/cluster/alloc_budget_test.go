@@ -102,6 +102,51 @@ func TestRFThreeWriteAllocBudget(t *testing.T) {
 	t.Logf("rf=3 AddAndGet allocates %.0f/op (budget %d)", got, rfThreeWriteAllocBudget)
 }
 
+// leasedWriteAllocBudget is what the sequential RF-2 AddAndGet of
+// TestReplicatedInvokeAllocBudget allocates with leases on (no cache
+// holds the counter), once the post-view write fence has run out, plus
+// about 10 %: 21 in each of 20 samples (2026-10-19, same box and
+// conditions as above), what the write costs with leases off. The lease
+// block and holders live on the ref's record and their release is a
+// method. Before, each write rebuilt a holder table at the primary and at
+// the member, and returned two release closures: 27.
+const leasedWriteAllocBudget = 23
+
+// TestLeasedWriteAllocBudget pins what the lease write hooks (prepareWrite
+// at the primary, memberWriteFence at the member) add to a write.
+func TestLeasedWriteAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counting is meaningless under -race")
+	}
+	c, err := StartLocal(Options{Nodes: 3, RF: 2, LeaseTTL: 2 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	cl, err := c.NewClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	ctx := context.Background()
+	add := core.Invocation{Ref: core.Ref{Type: objects.TypeAtomicLong, Key: "alloc/leased"},
+		Method: "AddAndGet", Args: []any{int64(1)}, Persist: true}
+	// The first write waits out the one-TTL fence the three joins armed,
+	// and makes the genesis round, the connections and the caches.
+	if _, err := cl.InvokeObject(ctx, add); err != nil {
+		t.Fatal(err)
+	}
+	got := testing.AllocsPerRun(500, func() {
+		if _, err := cl.InvokeObject(ctx, add); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > leasedWriteAllocBudget {
+		t.Fatalf("leased AddAndGet allocates %.0f/op, budget %d", got, leasedWriteAllocBudget)
+	}
+	t.Logf("leased AddAndGet allocates %.0f/op (budget %d)", got, leasedWriteAllocBudget)
+}
+
 // frameCounter is an rpc.Transport that counts, per kind, the request
 // frames written on the connections it dials.
 type frameCounter struct {

@@ -149,29 +149,20 @@ func (n *Node) recoverFromCold(d *durabilityState) (maxSeg uint64, err error) {
 }
 
 // restoreObject materializes one checkpointed object (the transferMsg
-// serialization that state transfer uses) into the object table.
+// serialization that state transfer uses) into the record table. Unlike
+// a transfer it leaves the copy's position at zero: a restarted primary
+// renumbers the ref's rounds from seq 1 under an unchanged fence, and a
+// restored position would read that round as behind the copy (laneTurn).
 func (n *Node) restoreObject(msg transferMsg) error {
-	info, err := n.cfg.Registry.Lookup(msg.Ref.Type)
+	obj, err := n.newCopy(msg)
 	if err != nil {
 		return err
 	}
-	obj, err := info.New(msg.Init)
-	if err != nil {
-		return err
-	}
-	snap, ok := obj.(core.Snapshotter)
-	if !ok {
-		return fmt.Errorf("server: recovered type %s is not snapshotable", msg.Ref.Type)
-	}
-	if err := snap.Restore(msg.Snapshot); err != nil {
-		return err
-	}
-	e := newEntry(obj, msg.Persist, false, msg.Init)
-	e.dedup = msg.Dedup
-	e.version = msg.Version
-	n.objMu.Lock()
-	n.addObjectLocked(msg.Ref, e)
-	n.objMu.Unlock()
+	e := n.pin(msg.Ref, true)
+	defer n.release(e)
+	e.rmu.Lock()
+	defer e.rmu.Unlock()
+	e.holdCopy(obj, msg.Persist, false, msg.Init, msg.Dedup, msg.Version, position{})
 	return nil
 }
 
@@ -194,8 +185,9 @@ func (n *Node) replayRecord(rec durability.Record) (applied bool, err error) {
 	if err != nil {
 		return false, fmt.Errorf("wal record %s/%d is not a round payload: %w", rec.Origin, rec.Seq, err)
 	}
-	e, err := n.lookupOrCreate(invs[0])
-	if err != nil {
+	e := n.pin(invs[0].Ref, true)
+	defer n.release(e)
+	if _, err := n.createCopy(e, invs[0]); err != nil {
 		n.log.Warn("cannot materialize object for wal replay",
 			"ref", invs[0].Ref.String(), "err", err)
 		return false, nil
@@ -280,21 +272,19 @@ func (n *Node) checkpoint(d *durabilityState) error {
 			return err
 		}
 	}
-	refs, entries := n.residents()
 	var blobs [][]byte
-	for i, ref := range refs {
-		e := entries[i]
-		if e.sync || !e.persist {
+	for _, e := range n.residents() {
+		if _, persist, _ := e.kind(); !persist {
 			continue
 		}
-		msg, err := n.snapshotEntry(ref, e)
+		msg, err := n.snapshotEntry(e)
 		if err != nil {
-			n.log.Warn("checkpoint skipping object", "ref", ref.String(), "err", err)
+			n.log.Warn("checkpoint skipping object", "ref", e.ref.String(), "err", err)
 			continue
 		}
 		blob, err := msg.encode()
 		if err != nil {
-			n.log.Warn("checkpoint encode failed", "ref", ref.String(), "err", err)
+			n.log.Warn("checkpoint encode failed", "ref", e.ref.String(), "err", err)
 			continue
 		}
 		blobs = append(blobs, blob)

@@ -49,7 +49,7 @@ func TestParkedAcceptPayloadOutlivesRequestBuffer(t *testing.T) {
 		_, err := n.handleAccept(ctx, third)
 		parked <- err
 	}()
-	for !n.inflight.busy(ref) { // admitted: the frame is decoded and parked
+	for !busyAt(n, ref) { // admitted: the frame is decoded and parked
 		select {
 		case err := <-parked:
 			t.Fatalf("round 3 ran ahead of round 2: %v", err)

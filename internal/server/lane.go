@@ -19,8 +19,8 @@ import (
 // it queues on the ref, and the round that frees a slot hands the slot and
 // a cut of up to maxCut queued writes to the first of their callers, which
 // runs them as one round and answers the others (runCut). Nothing runs per
-// ref or per round but the callers: a lane is a map entry, removed once
-// the ref is idle.
+// ref or per round but the callers: a lane is two fields of the ref's
+// record (entry.inflight, entry.queued).
 
 // pipelineDepth is how many rounds of one ref this node keeps in flight:
 // round k+1's apply and ACCEPT overlap round k's member replies, and each
@@ -30,15 +30,9 @@ const pipelineDepth = 2
 // maxCut caps how many queued writes one round carries.
 const maxCut = 64
 
-// lane is one ref's write state at this node (Node.lanesMu).
-type lane struct {
-	inflight int          // rounds in flight, at most pipelineDepth
-	queued   []*laneWrite // writes waiting for a slot, in arrival order
-}
-
 // laneWrite is one caller's queued write. ready fires once it is cut: the
-// cut's first write then finds the cut in batch (set under Node.lanesMu),
-// any other its outcome in out.
+// cut's first write then finds the cut in batch (set under the record
+// lock), any other its outcome in out.
 type laneWrite struct {
 	ctx   context.Context
 	inv   core.Invocation
@@ -51,41 +45,33 @@ var laneWrites = sync.Pool{New: func() any { return &laneWrite{ready: make(chan 
 
 // enterLane takes one of inv's lane slots and returns nil, or, when the
 // lane is full, queues inv and returns its queued write (see awaitCut).
-func (n *Node) enterLane(ctx context.Context, inv core.Invocation) (w *laneWrite) {
-	n.lanesMu.Lock()
-	l := n.lanes[inv.Ref]
-	if l.inflight < pipelineDepth {
-		l.inflight++
+func (n *Node) enterLane(ctx context.Context, e *entry, inv core.Invocation) (w *laneWrite) {
+	e.rmu.Lock()
+	if e.inflight < pipelineDepth {
+		e.inflight++
 	} else {
 		w = laneWrites.Get().(*laneWrite)
 		w.ctx, w.inv = ctx, inv
-		l.queued = append(l.queued, w)
+		e.queued = append(e.queued, w)
 	}
-	n.lanes[inv.Ref] = l
-	n.lanesMu.Unlock()
+	e.rmu.Unlock()
 	return w
 }
 
-// freeSlot ends one of ref's rounds: the slot passes straight to a cut of
-// the queued writes, or the lane has room again and goes once idle.
-func (n *Node) freeSlot(ref core.Ref) {
-	n.lanesMu.Lock()
-	l := n.lanes[ref]
-	if len(l.queued) == 0 {
-		if l.inflight--; l.inflight == 0 {
-			delete(n.lanes, ref)
-		} else {
-			n.lanes[ref] = l
-		}
-		n.lanesMu.Unlock()
+// freeSlot ends one of e's rounds: the slot passes straight to a cut of
+// the queued writes, or the lane has room again.
+func (n *Node) freeSlot(e *entry) {
+	e.rmu.Lock()
+	if len(e.queued) == 0 {
+		e.inflight--
+		e.rmu.Unlock()
 		return
 	}
-	take := min(len(l.queued), maxCut)
-	cut := l.queued[:take:take]
-	l.queued = l.queued[take:]
-	n.lanes[ref] = l
+	take := min(len(e.queued), maxCut)
+	cut := e.queued[:take:take]
+	e.queued = e.queued[take:]
 	cut[0].batch = cut
-	n.lanesMu.Unlock()
+	e.rmu.Unlock()
 	cut[0].ready <- struct{}{}
 }
 
@@ -93,7 +79,7 @@ func (n *Node) freeSlot(ref core.Ref) {
 // and attributes the wait to the caller's span. A caller that gives up
 // leaves the queue, or, once cut, its outcome unread; the cut's first
 // write runs its cut anyway, since the others wait on it.
-func (n *Node) awaitCut(ctx context.Context, w *laneWrite) ([]any, error) {
+func (n *Node) awaitCut(ctx context.Context, e *entry, w *laneWrite) ([]any, error) {
 	if n.instrumented {
 		defer func(start time.Time) {
 			telemetry.SpanFromContext(ctx).AddTiming(telemetry.TimingSMR, time.Since(start))
@@ -102,13 +88,10 @@ func (n *Node) awaitCut(ctx context.Context, w *laneWrite) ([]any, error) {
 	select {
 	case <-w.ready:
 	case <-ctx.Done():
-		n.lanesMu.Lock()
-		if l := n.lanes[w.inv.Ref]; len(l.queued) > 0 {
-			l.queued = slices.DeleteFunc(l.queued, func(q *laneWrite) bool { return q == w })
-			n.lanes[w.inv.Ref] = l
-		}
+		e.rmu.Lock()
+		e.queued = slices.DeleteFunc(e.queued, func(q *laneWrite) bool { return q == w })
 		lead := w.batch != nil
-		n.lanesMu.Unlock()
+		e.rmu.Unlock()
 		if !lead {
 			if n.closed.Load() {
 				return nil, core.ErrStopped // the handler context died with the node
@@ -118,7 +101,7 @@ func (n *Node) awaitCut(ctx context.Context, w *laneWrite) ([]any, error) {
 		<-w.ready
 	}
 	if w.batch != nil {
-		return n.runCut(w)
+		return n.runCut(e, w)
 	}
 	out := w.out
 	w.recycle()
@@ -130,8 +113,8 @@ func (n *Node) awaitCut(ctx context.Context, w *laneWrite) ([]any, error) {
 // own, never a caller's: one canceled caller must not fail the others. The
 // bound covers a member holding the round and then pulling (awaitTurn),
 // and the lease fence's worst case (revocation plus holder expiry).
-func (n *Node) runCut(lead *laneWrite) ([]any, error) {
-	ref, cut := lead.inv.Ref, lead.batch
+func (n *Node) runCut(e *entry, lead *laneWrite) ([]any, error) {
+	ref, cut := e.ref, lead.batch
 	res, err := []opResult(nil), error(core.ErrStopped)
 	if !n.closed.Load() {
 		bound := 10 * n.waitTimeout()
@@ -155,7 +138,7 @@ func (n *Node) runCut(lead *laneWrite) ([]any, error) {
 		// The group comes from the view at cut time, not at routing time.
 		group, view := n.replicaGroup(ref, lead.inv.Persist)
 		var ordered bool
-		if res, ordered, err = n.runRound(ctx, group, view, invs); ordered {
+		if res, ordered, err = n.runRound(ctx, e, group, view, invs); ordered {
 			n.cBatches.Inc() // counted like smr_rounds, from the local apply on
 			n.hBatchSize.ObserveValue(int64(len(cut)))
 		}
@@ -166,7 +149,7 @@ func (n *Node) runCut(lead *laneWrite) ([]any, error) {
 		}
 		cancel()
 	}
-	n.freeSlot(ref)
+	n.freeSlot(e)
 	for i, w := range cut[1:] {
 		w.out = opResult{err: err}
 		if err == nil {

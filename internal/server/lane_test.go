@@ -18,9 +18,14 @@ import (
 
 // queuedOn reports how many writes wait in ref's lane at n.
 func queuedOn(n *Node, ref core.Ref) int {
-	n.lanesMu.Lock()
-	defer n.lanesMu.Unlock()
-	return len(n.lanes[ref].queued)
+	e := n.pin(ref, false)
+	if e == nil {
+		return 0
+	}
+	defer n.release(e)
+	e.rmu.Lock()
+	defer e.rmu.Unlock()
+	return len(e.queued)
 }
 
 // Sixteen concurrent writers on one rf=2 ref never put more than
@@ -76,8 +81,14 @@ func TestLaneBoundsRoundsInFlight(t *testing.T) {
 	if tel.Metrics().Counter(telemetry.MetServerBatches).Value() == 0 {
 		t.Error("no write was ever queued: the test did not load the lane")
 	}
-	if n := len(n1.lanes); n != 0 {
-		t.Errorf("%d lanes left on an idle node", n)
+	for _, e := range n1.residents() {
+		if e.rmu.Lock(); e.inflight != 0 || len(e.queued) != 0 {
+			t.Errorf("lane of %s left open on an idle node: %d in flight, %d queued", e.ref, e.inflight, len(e.queued))
+		}
+		e.rmu.Unlock()
+	}
+	if s := n1.DebugTableSizes(); s.Records != s.Resident {
+		t.Errorf("%d records for %d copies on an idle node", s.Records, s.Resident)
 	}
 }
 

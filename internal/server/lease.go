@@ -13,73 +13,35 @@ import (
 	"crucial/internal/rpc"
 )
 
-// Lease-based read-path coherence (DESIGN.md §5d).
-//
-// A lease is a time-bounded promise, granted by an object's primary, that
-// a client cache's copy of the object stays fresh until the lease expires
-// or the primary synchronously revokes it. The grant ships a snapshot and
-// the client executes read-only methods against its local copy
-// (internal/client/cache.go). The client cache is the only holder: a read
-// it does not answer goes to the primary like every other call, which
-// serves it from its own copy when it can prove that copy current
-// (tryLocalRead) and orders it in a round otherwise.
-//
-// Writes preserve linearizability by revoke-before-commit: a mutating
-// invocation first blocks new grants (beginWrite), then synchronously
-// invalidates every outstanding holder, waiting out the server-side expiry
-// of any holder whose ack never arrives, and only then executes. The
-// server-side expiry is always at or after the holder-side expiry (holders
-// start their clock before the request leaves, the server starts its at
-// receipt), so wall-clock skew cannot resurrect a fenced lease.
-//
-// Revocation is two-sided. The coordinator revokes its own grants before
-// sequencing (prepareWrite); every *other* group member revokes its
-// grants when the round reaches it, before answering the ACCEPT that
-// gates the coordinator's ack (memberWriteFence, called from applyOrdered).
-// The member side exists because coordinator and grantor can be different
-// nodes around a view change: a deposed primary, its fence unarmed, may
-// coordinate a write under its old installed view while the new primary —
-// validated against the directory's latest view — has already granted
-// leases. Those grants live in the new primary's table where the
-// coordinator's revocation round never looks; the new primary is in the
-// write's replica group (or the view fence would have refused the round),
-// so its delivery-time revocation kills them before the write is acked.
-//
-// View changes where the grantor is *not* in the writing group are fenced
-// in time instead: leases granted by a deposed primary live in *its*
-// table, invisible to the new one, so for one TTL after any view install
-// every write (and nothing else) waits the fence out — by then every
-// pre-view lease has expired.
+// Lease-based read-path coherence (DESIGN.md §5d). A lease is a
+// time-bounded promise, granted by an object's primary, that a client
+// cache's copy stays fresh until the lease expires or the primary
+// synchronously revokes it; the grant ships a snapshot. Writes keep
+// linearizability by revoke-before-commit: a mutation blocks new grants
+// (beginWrite), invalidates every holder, waits out the server-side expiry
+// of any holder whose ack never arrives (it is at or after the holder's
+// own), and only then applies. The coordinator revokes its grants before
+// sequencing (prepareWrite), every other member before answering the
+// ACCEPT (memberWriteFence): around a view change the grantor may be a
+// member and not the coordinator. Grants a deposed primary handed out are
+// fenced in time instead: for one TTL after a view install every write
+// waits (fenceWait).
 
-// refLeases is the per-object grant state. Entries exist only while a
-// write is in progress or a holder is outstanding (endWrite drops idle
-// ones), which is why the epoch lives on the table and not here.
-type refLeases struct {
-	// writing counts mutating invocations between beginWrite and endWrite;
-	// grants are refused while any are in progress, closing the window
-	// between revocation and commit.
-	writing int
-	// holders maps each outstanding grant's holder — the address of its
-	// client cache's invalidation listener, where revocation reaches it —
-	// to the grant's server-side expiry.
-	holders map[string]time.Time
-}
-
-// leaseTable is the per-node lease state: grants handed out, the post-view
-// write fence, and pooled connections to client invalidation listeners.
+// leaseTable is the per-node lease state: the revocation epoch, the
+// post-view write fence, and pooled connections to client invalidation
+// listeners. A ref's grant block and holders live on its record
+// (entry.writing, entry.holders).
 type leaseTable struct {
 	n   *Node
 	ttl time.Duration
 
-	mu   sync.Mutex
-	refs map[core.Ref]*refLeases
-	// epoch is the table's one revocation counter: every revocation round
+	// epoch is the node's one revocation counter: every revocation round
 	// of any ref increments it and stamps its invalidations with the new
-	// value, every grant carries the value current when it was issued. For
-	// any one ref a grant issued before a revocation therefore carries a
-	// smaller epoch than that revocation and one issued after it at least
-	// its epoch, however often the ref's entry was dropped in between.
-	epoch uint64
+	// value, every grant carries the value current when it was issued.
+	// Both happen under the ref's record lock, so for any one ref a grant
+	// issued before a revocation carries a smaller epoch than that
+	// revocation and one issued after it at least its epoch.
+	epoch atomic.Uint64
 
 	// fence is the unix-nano instant until which writes must wait after a
 	// view change (see fenceWait).
@@ -91,12 +53,7 @@ type leaseTable struct {
 }
 
 func newLeaseTable(n *Node, ttl time.Duration) *leaseTable {
-	return &leaseTable{
-		n:     n,
-		ttl:   ttl,
-		refs:  make(map[core.Ref]*refLeases),
-		conns: make(map[string]*rpc.Client),
-	}
+	return &leaseTable{n: n, ttl: ttl, conns: make(map[string]*rpc.Client)}
 }
 
 // LeaseRequest asks an object's primary for a client cache lease
@@ -255,10 +212,11 @@ func (lt *leaseTable) refusal(reason string) LeaseResponse {
 	return LeaseResponse{Reason: reason}
 }
 
-// grant services one lease request on the primary. The entire decision —
-// primacy, residency, no write in flight — and the holder registration
-// happen atomically under lt.mu, so a write that begins after the grant is
-// recorded sees (and revokes) the holder.
+// grant services one lease request on the primary. The decision — no
+// migration fence, a copy, no round in flight, no stale mark, no write in
+// flight — the snapshot and the holder's registration happen under the
+// ref's record lock, so a write that begins after the grant is recorded
+// sees (and revokes) the holder.
 func (lt *leaseTable) grant(req LeaseRequest) LeaseResponse {
 	n := lt.n
 	rf := 1
@@ -274,12 +232,6 @@ func (lt *leaseTable) grant(req LeaseRequest) LeaseResponse {
 	if len(group) == 0 || group[0] != n.cfg.ID {
 		return lt.refusal("not primary")
 	}
-	if n.migrationFenced(req.Ref) {
-		// The object is mid-migration: its copy is about to move and the
-		// directive flip will change the primary. A lease granted now could
-		// outlive this node's ownership without the new owner knowing.
-		return lt.refusal("migrating")
-	}
 	info, err := n.cfg.Registry.Lookup(req.Ref.Type)
 	if err != nil {
 		return lt.refusal("unknown type")
@@ -289,64 +241,47 @@ func (lt *leaseTable) grant(req LeaseRequest) LeaseResponse {
 		// state is never cacheable.
 		return lt.refusal("synchronization object")
 	}
-	e, resident := n.lookupExisting(req.Ref)
-	if !resident {
-		// Grants never materialize objects: a miss here may mean the
-		// hand-off transfer has not arrived, and caching a fresh zero
-		// object would serve state the cluster never held. The normal
-		// invoke path (with its pull-on-miss machinery) creates first.
+	e := n.pin(req.Ref, false)
+	if e == nil {
 		return lt.refusal("object not resident")
 	}
-	if n.inflight.busy(req.Ref) {
-		// An accepted-but-unapplied round is invisible to our copy; a
-		// lease granted now could miss an operation another coordinator
-		// already committed.
+	defer n.release(e)
+	e.rmu.Lock()
+	defer e.rmu.Unlock()
+	switch {
+	case e.obj == nil:
+		// Grants never materialize objects: a miss here may mean the
+		// hand-off has not arrived. The invoke path pulls, then creates.
+		return lt.refusal("object not resident")
+	case e.fencedLocked():
+		// The copy is about to move: a lease could outlive this node's
+		// ownership without the new owner knowing.
+		return lt.refusal("migrating")
+	case e.count > 0:
+		// An admitted round is not in the copy yet.
 		return lt.refusal("ops in flight")
-	}
-	if n.isStale(req.Ref) {
-		// Resident but behind the committed history: a delivery was
-		// skipped before this copy's base installed (see markStale). A
-		// lease granted from it would serve reads that miss acknowledged
-		// writes.
+	case e.stale != 0:
 		return lt.refusal("copy stale")
-	}
-
-	lt.mu.Lock()
-	defer lt.mu.Unlock()
-	rl := lt.refs[req.Ref]
-	if rl != nil && rl.writing > 0 {
+	case e.writing > 0:
 		return lt.refusal("write in flight")
 	}
-	resp := LeaseResponse{
-		Granted:   true,
-		TTLMillis: lt.ttl.Milliseconds(),
-		Epoch:     lt.epoch,
-	}
-	// Lock order lt.mu → e.mu (matched by every lease-path caller).
 	e.mu.Lock()
-	if e.transferring {
-		e.mu.Unlock()
-		return lt.refusal("transferring")
-	}
 	snap, ok := e.obj.(core.Snapshotter)
-	if !ok {
-		e.mu.Unlock()
+	var data []byte
+	if ok {
+		data, err = snap.Snapshot()
+	}
+	init := e.init
+	e.mu.Unlock()
+	if !ok || err != nil {
 		return lt.refusal("not snapshotable")
 	}
-	data, err := snap.Snapshot()
-	if err != nil {
-		e.mu.Unlock()
-		return lt.refusal("snapshot failed")
+	if e.holders == nil {
+		e.holders = make(map[string]time.Time)
 	}
-	resp.Snapshot = data
-	resp.Init = e.init
-	e.mu.Unlock()
-
-	if rl == nil {
-		rl = &refLeases{holders: make(map[string]time.Time)}
-		lt.refs[req.Ref] = rl
-	}
-	rl.holders[req.HolderAddr] = time.Now().Add(lt.ttl)
+	e.holders[req.HolderAddr] = time.Now().Add(lt.ttl)
+	resp := LeaseResponse{Granted: true, TTLMillis: lt.ttl.Milliseconds(), Epoch: lt.epoch.Load(),
+		Init: init, Snapshot: data}
 	n.cLeaseGrants.Inc()
 	if n.log.Enabled(context.Background(), slog.LevelDebug) {
 		n.log.Debug("lease granted", "ref", req.Ref.String(),
@@ -355,58 +290,42 @@ func (lt *leaseTable) grant(req LeaseRequest) LeaseResponse {
 	return resp
 }
 
-// beginWrite blocks new grants for ref until endWrite and reports whether
-// ref has holders, that is whether revokeAll has anything to do. It must
+// beginWrite blocks new grants for e until endWrite and reports whether e
+// has holders, that is whether revokeAll has anything to do. It must
 // precede revokeAll on every mutating path, or a grant could slip in
 // between the revocation round and the commit.
-func (lt *leaseTable) beginWrite(ref core.Ref) (held bool) {
-	lt.mu.Lock()
-	rl := lt.refs[ref]
-	if rl == nil {
-		rl = &refLeases{holders: make(map[string]time.Time)}
-		lt.refs[ref] = rl
-	}
-	rl.writing++
-	held = len(rl.holders) > 0
-	lt.mu.Unlock()
-	return held
+func (e *entry) beginWrite() (held bool) {
+	e.rmu.Lock()
+	defer e.rmu.Unlock()
+	e.writing++
+	return len(e.holders) > 0
 }
 
-// endWrite re-enables grants for ref.
-func (lt *leaseTable) endWrite(ref core.Ref) {
-	lt.mu.Lock()
-	if rl := lt.refs[ref]; rl != nil {
-		rl.writing--
-		if rl.writing == 0 && len(rl.holders) == 0 {
-			delete(lt.refs, ref)
-		}
-	}
-	lt.mu.Unlock()
+// endWrite re-enables grants for e.
+func (e *entry) endWrite() {
+	e.rmu.Lock()
+	e.writing--
+	e.rmu.Unlock()
 }
 
-// revokeAll synchronously invalidates every outstanding lease on ref. When
+// revokeAll synchronously invalidates every outstanding lease on e. When
 // wait is true (the write path), a holder whose invalidation fails is
 // fenced by waiting out its server-side expiry — the lease dies of old age
 // before the write commits. When wait is false (best-effort cleanup), the
 // invalidations still go out but nothing blocks on them. The last holder
 // is contacted inline and the others each on a goroutine, so revoking a
 // single holder starts none.
-func (lt *leaseTable) revokeAll(ctx context.Context, ref core.Ref, wait bool) error {
-	lt.mu.Lock()
-	rl := lt.refs[ref]
-	if rl == nil || len(rl.holders) == 0 {
-		lt.mu.Unlock()
+func (lt *leaseTable) revokeAll(ctx context.Context, e *entry, wait bool) error {
+	e.rmu.Lock()
+	holders := e.holders
+	if len(holders) == 0 {
+		e.rmu.Unlock()
 		return nil
 	}
-	lt.epoch++
-	epoch := lt.epoch
-	holders := rl.holders
-	if rl.writing > 0 {
-		rl.holders = make(map[string]time.Time)
-	} else {
-		delete(lt.refs, ref) // a view-change revocation: no endWrite will follow
-	}
-	lt.mu.Unlock()
+	e.holders = nil
+	epoch := lt.epoch.Add(1)
+	e.rmu.Unlock()
+	ref := e.ref
 
 	lt.n.cLeaseRevokes.Add(uint64(len(holders)))
 	// Every holder is a client cache and gets the same message: encode it
@@ -533,22 +452,18 @@ func (lt *leaseTable) fenceWait(ctx context.Context) error {
 func (lt *leaseTable) onViewChange() {
 	lt.fence.Store(time.Now().Add(lt.ttl).UnixNano())
 
-	lt.mu.Lock()
-	refs := make([]core.Ref, 0, len(lt.refs))
-	for ref, rl := range lt.refs {
-		if len(rl.holders) > 0 {
-			refs = append(refs, ref)
-		}
+	for _, e := range lt.n.recordsWhere(func(e *entry) bool { return len(e.holders) > 0 }) {
+		go lt.revokeAsync(e)
 	}
-	lt.mu.Unlock()
-	for _, ref := range refs {
-		ref := ref
-		go func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 2*lt.ttl)
-			defer cancel()
-			_ = lt.revokeAll(ctx, ref, false)
-		}()
-	}
+}
+
+// revokeAsync revokes e's leases best effort, bounded by two TTLs, then
+// lets e leave the table if they were all it held.
+func (lt *leaseTable) revokeAsync(e *entry) {
+	ctx, cancel := context.WithTimeout(context.Background(), 2*lt.ttl)
+	defer cancel()
+	_ = lt.revokeAll(ctx, e, false)
+	lt.n.dropIfIdle(e)
 }
 
 // close releases the pooled invalidation connections.
@@ -579,59 +494,44 @@ func (n *Node) handleLease(payload []byte) ([]byte, error) {
 
 // prepareWrite is the mutating-path lease hook: wait out the post-view
 // fence, block new grants, and synchronously revoke every outstanding
-// lease on ref. The returned func (never nil) must run after the write
-// finishes to re-enable grants. With leases disabled it is all a no-op.
-func (n *Node) prepareWrite(ctx context.Context, ref core.Ref) (func(), error) {
-	if n.leases == nil {
-		return func() {}, nil
+// lease on e. Unless it fails, e.endWrite must run after the write
+// finishes to re-enable grants.
+func (lt *leaseTable) prepareWrite(ctx context.Context, e *entry) error {
+	if err := lt.fenceWait(ctx); err != nil {
+		return err
 	}
-	if err := n.leases.fenceWait(ctx); err != nil {
-		return func() {}, err
+	e.beginWrite()
+	if err := lt.revokeAll(ctx, e, true); err != nil {
+		e.endWrite()
+		return err
 	}
-	n.leases.beginWrite(ref)
-	if err := n.leases.revokeAll(ctx, ref, true); err != nil {
-		n.leases.endWrite(ref)
-		return func() {}, err
-	}
-	return func() { n.leases.endWrite(ref) }, nil
+	return nil
 }
 
 // memberWriteFence is the member-side half of revoke-before-commit, run by
-// applyOrdered before applying a mutating round that another node
-// coordinated. The coordinator's prepareWrite only revokes leases in *its*
-// table; around a view change this node may hold grants of its own (it is
-// the primary in the directory's latest view while a deposed coordinator
-// still writes under its old one), and those must die before the ACCEPT
-// reply that lets the coordinator ack. Returns the func that re-enables
-// grants (to call after the round has applied, so no grant can snapshot
-// the pre-round state) and an error when the revocation round could not
-// complete — the caller must then skip the apply so the round is never
-// acked on the strength of a lease that may still be alive. In the steady
-// state (no holders, or this node coordinated the round itself) it is two
-// map lookups.
-func (n *Node) memberWriteFence(origin string, ref core.Ref) (func(), error) {
-	if n.leases == nil || origin == string(n.cfg.ID) {
-		// The coordinator's own delivery is covered by prepareWrite, whose
-		// grant block stays up until the round completes.
-		return func() {}, nil
-	}
-	lt := n.leases
-	// The grant block goes up even with no holder to revoke: without it a
-	// grant could snapshot the state from before the round.
-	if !lt.beginWrite(ref) {
-		return func() { lt.endWrite(ref) }, nil
+// applyOrdered before a mutating round another node coordinated: around a
+// view change this node may hold grants of its own (it is the primary in
+// the directory's latest view while a deposed coordinator still writes
+// under its old one), and they must die before the ACCEPT reply that lets
+// the coordinator ack. The grant block goes up even with no holder, or a
+// grant could snapshot the state from before the round. Unless it fails,
+// e.endWrite must run once the round has applied; an error means the
+// revocation could not complete, and the round must not apply.
+func (lt *leaseTable) memberWriteFence(e *entry) error {
+	if !e.beginWrite() {
+		return nil
 	}
 	// The bound only guards against pathological scheduling: revokeAll's
 	// longest path is one TTL-bounded invalidation attempt plus waiting out
 	// a holder's expiry, itself at most one TTL away.
 	ctx, cancel := context.WithTimeout(context.Background(), 3*lt.ttl)
 	defer cancel()
-	if err := lt.revokeAll(ctx, ref, true); err != nil {
-		lt.endWrite(ref)
-		return func() {}, fmt.Errorf("%w: lease revocation for %s outlived its bound: %v",
-			core.ErrRebalancing, ref, err)
+	if err := lt.revokeAll(ctx, e, true); err != nil {
+		e.endWrite()
+		return fmt.Errorf("%w: lease revocation for %s outlived its bound: %v",
+			core.ErrRebalancing, e.ref, err)
 	}
-	return func() { lt.endWrite(ref) }, nil
+	return nil
 }
 
 // tryLocalRead serves a read-only invocation from the primary's own copy
@@ -641,15 +541,14 @@ func (n *Node) memberWriteFence(origin string, ref core.Ref) (func(), error) {
 // and no round is in flight here. A replica group also needs leases, which
 // fence-delay a new primary's first write past this check; a group of one
 // has no other copy. Otherwise ok = false and the caller runs a round.
-func (n *Node) tryLocalRead(ctx context.Context, inv core.Invocation, rf int) ([]any, error, bool) {
+func (n *Node) tryLocalRead(ctx context.Context, e *entry, inv core.Invocation, rf int) ([]any, error, bool) {
 	if !inv.ReadOnly || (rf > 1 && n.leases == nil) {
 		return nil, nil, false
 	}
-	e, resident := n.lookupExisting(inv.Ref)
-	if !resident || n.isStale(inv.Ref) {
-		return nil, nil, false
-	}
-	if n.inflight.busy(inv.Ref) {
+	e.rmu.Lock()
+	current := e.obj != nil && e.stale == 0 && e.count == 0
+	e.rmu.Unlock()
+	if !current {
 		return nil, nil, false
 	}
 	group := n.cfg.Directory.Placement().PlaceRef(inv.Ref, rf)

@@ -11,36 +11,20 @@ import (
 	"crucial/internal/ring"
 )
 
-// Live hot-object migration (DESIGN.md §5g). A migration moves one object
-// to an explicit placement while the cluster keeps serving, by composing
-// machinery the hand-off path already trusts:
+// Live hot-object migration (DESIGN.md §5g) moves one object to an
+// explicit placement while the cluster keeps serving:
 //
 //	fence → revoke → quiesce → push → flip
 //
-// The source primary fences the object (new invocations bounce with
-// ErrRebalancing, lease grants are refused), synchronously revokes every
-// outstanding lease via prepareWrite, waits out in-flight SMR rounds,
-// pushes a version-stamped snapshot (with the at-most-once dedup window)
-// to the object's next replica set, and only then flips the placement
-// directive in the directory. The flip installs a new view, so it rides
-// every existing view-change safety hook: the view fence cuts off
-// replication rounds routed by the old placement, the one-TTL lease fence
-// covers grants the revocation round missed, and the ordinary rebalance
-// pass doubles as anti-entropy for the copies just pushed.
-//
-// Safety argument, in terms of the invariants the rest of the package
-// maintains:
-//
-//   - No dual primary: until the flip lands, only the fenced source
-//     primary can coordinate for the ref (the directive table still names
-//     it), and it is bouncing everything; after the flip, rounds
-//     carrying the old view's fence are refused (handleAccept).
-//   - No lost update: the push happens after the quiesce, so the snapshot
-//     contains every applied operation, and the flip only happens after
-//     the push to the new primary succeeded — the new primary never
-//     creates the object fresh (pullObject would find the copy anyway).
-//   - No stale read: leases die in prepareWrite before the copy moves, and
-//     the flip's view install arms the one-TTL write fence on every node.
+// The source primary fences the record (calls and grants bounce), revokes
+// every lease (prepareWrite), waits out admitted rounds, pushes its
+// snapshot to the next replica set, and only then flips the placement
+// directive. The flip installs a view, so it rides every view-change
+// hook. No dual primary: until the flip only the fenced source can
+// coordinate, and after it the old view's rounds are refused. No lost
+// update: the push follows the quiesce, and the flip follows a successful
+// push to the new primary. No stale read: leases die before the copy
+// moves, and the flip arms the one-TTL write fence on every node.
 
 // migrationFenceTTL bounds how long a fence can outlive its migration: a
 // coordinator stuck mid-push must not bounce the object forever. It
@@ -81,74 +65,22 @@ type RebalanceStatus struct {
 	Streaks map[string]int
 }
 
-// fenceMigration fences ref: until liftMigrationFence (or the TTL), this
-// node bounces invocations and lease grants for it with ErrRebalancing.
-func (n *Node) fenceMigration(ref core.Ref) {
-	n.migrateMu.Lock()
-	if n.migrating == nil {
-		n.migrating = make(map[core.Ref]time.Time)
-	}
-	n.migrating[ref] = time.Now().Add(migrationFenceTTL)
-	n.migrateMu.Unlock()
-}
-
-// liftMigrationFence removes ref's fence.
-func (n *Node) liftMigrationFence(ref core.Ref) {
-	n.migrateMu.Lock()
-	delete(n.migrating, ref)
-	n.migrateMu.Unlock()
-}
-
-// migrationFenced reports whether ref is currently fenced here. Expired
-// fences (a migration that died mid-flight) lift lazily on first check,
-// so a wedged coordinator degrades to a bounded stall, not a black hole.
-func (n *Node) migrationFenced(ref core.Ref) bool {
-	n.migrateMu.Lock()
-	defer n.migrateMu.Unlock()
-	deadline, ok := n.migrating[ref]
-	if !ok {
-		return false
-	}
-	if time.Now().After(deadline) {
-		delete(n.migrating, ref)
-		return false
-	}
-	return true
-}
-
 // liftMigrationFences drops fences for refs this node no longer primaries
 // under v: the flip the fence was guarding has landed (or membership moved
 // the key anyway) and the new primary serves from here on. Called from
 // onView; fences for refs this node still primaries stay (their migration
 // is still in flight) and are lifted by MigrateObject itself.
 func (n *Node) liftMigrationFences(v membership.View) {
-	n.migrateMu.Lock()
-	defer n.migrateMu.Unlock()
 	var place *membership.Placement // built only when a fence is up
-	for ref := range n.migrating {
+	for _, e := range n.recordsWhere((*entry).fencedLocked) {
 		if place == nil {
 			place = v.Placement()
 		}
-		set := place.PlaceRef(ref, n.cfg.RF)
-		if len(set) == 0 || set[0] != n.cfg.ID {
-			delete(n.migrating, ref)
+		if set := place.PlaceRef(e.ref, n.cfg.RF); len(set) == 0 || set[0] != n.cfg.ID {
+			e.setFence(time.Time{})
+			n.dropIfIdle(e)
 		}
 	}
-}
-
-// fencedRefs lists the refs currently fenced here (for status reporting).
-func (n *Node) fencedRefs() []string {
-	n.migrateMu.Lock()
-	defer n.migrateMu.Unlock()
-	now := time.Now()
-	out := make([]string, 0, len(n.migrating))
-	for ref, deadline := range n.migrating {
-		if now.Before(deadline) {
-			out = append(out, ref.String())
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // MigrateObject live-migrates ref to targets (or, with unpin, back to its
@@ -176,9 +108,11 @@ func (n *Node) MigrateObject(ctx context.Context, ref core.Ref, targets []ring.N
 
 	// Only the current primary may migrate: it is the node whose copy is
 	// authoritative and whose fence actually stops the write path.
-	e, resident := n.lookupExisting(ref)
+	e := n.pin(ref, true)
+	defer n.release(e)
+	resident, persist, syncObj := e.kind()
 	rf := 1
-	if !resident || e.persist {
+	if !resident || persist {
 		rf = n.cfg.RF
 	}
 	group := v.Directives.PlaceRef(r, ref.Type, ref.Key, rf)
@@ -189,10 +123,10 @@ func (n *Node) MigrateObject(ctx context.Context, ref core.Ref, targets []ring.N
 		}
 		return fmt.Errorf("%w: %s belongs to %s", core.ErrWrongNode, ref, owner)
 	}
-	if resident && e.sync {
+	if syncObj {
 		return fmt.Errorf("server: migrate %s: synchronization objects are connection-bound", ref)
 	}
-	if n.isStale(ref) {
+	if e.isStale() {
 		// A copy suspected behind the committed history must not be blessed
 		// as the lineage's new authority; heal first, migrate later.
 		return fmt.Errorf("%w: %s stale on %s", core.ErrRebalancing, ref, n.cfg.ID)
@@ -208,37 +142,34 @@ func (n *Node) MigrateObject(ctx context.Context, ref core.Ref, targets []ring.N
 	}
 	newSet := nd.Place(r, key, rf)
 
-	// Fence: from here until the flip view installs, this node bounces new
-	// invocations and refuses lease grants for ref.
-	n.fenceMigration(ref)
-	defer n.liftMigrationFence(ref)
+	// Fence: until the flip's view installs, calls and grants bounce.
+	e.setFence(time.Now().Add(migrationFenceTTL))
+	defer e.setFence(time.Time{})
 	fail := func(err error) error {
 		n.migrationsFailed.Add(1)
 		n.cMigrationsFailed.Inc()
 		return err
 	}
 
-	// Revoke: every outstanding lease dies before the copy moves, exactly
-	// as before a write — a cache serving reads across the flip would miss
-	// the new primary's first mutation.
-	endWrite, err := n.prepareWrite(ctx, ref)
-	if err != nil {
-		return fail(fmt.Errorf("server: migrate %s: revoke: %w", ref, err))
+	// Revoke: a cache serving reads across the flip would miss the new
+	// primary's first mutation.
+	if n.leases != nil {
+		if err := n.leases.prepareWrite(ctx, e); err != nil {
+			return fail(fmt.Errorf("server: migrate %s: revoke: %w", ref, err))
+		}
+		defer e.endWrite()
 	}
-	defer endWrite()
 
-	// Quiesce + push: ship the snapshot to every member of the new set.
-	// pushObject waits out in-flight SMR rounds before snapshotting and
-	// re-ships while operations race the transfer. The new primary's copy
-	// is load-bearing (pullObject polls the new group, so a resident copy
-	// there prevents a lineage fork); the other members are best-effort —
-	// the flip's own rebalance pass and self-healing repair them.
+	// Quiesce + push (pushObject waits out admitted rounds) to the new set.
+	// The new primary's copy is load-bearing: its pulls find it, so no
+	// lineage forks. The others are best-effort; the flip's rebalance and
+	// self-healing repair them.
 	if resident {
 		for _, target := range newSet {
 			if target == n.cfg.ID {
 				continue
 			}
-			if err := n.pushObject(ref, e, target, false); err != nil {
+			if err := n.pushObject(e, target, false); err != nil {
 				if target == newSet[0] {
 					return fail(fmt.Errorf("server: migrate %s: push to new primary: %w", ref, err))
 				}
@@ -248,9 +179,8 @@ func (n *Node) MigrateObject(ctx context.Context, ref core.Ref, targets []ring.N
 		}
 	}
 
-	// Flip: install the directive through the directory's ordinary view
-	// path. Listeners (including this node's own onView) run before this
-	// returns, so the old placement is gone when the caller hears success.
+	// Flip, through the directory's ordinary view path: listeners, this
+	// node's onView included, run before it returns.
 	var nv membership.View
 	if unpin {
 		nv = n.cfg.Directory.ClearDirective(key)
@@ -263,13 +193,10 @@ func (n *Node) MigrateObject(ctx context.Context, ref core.Ref, targets []ring.N
 		"targets", fmt.Sprint(targets), "view", nv.ID,
 		"directives", nv.Directives.Version)
 
-	// Propagate: processes with private directories (dso-server) only
-	// learn the flip from this broadcast; without it every other member
-	// keeps routing — and fencing replication rounds — by the old
-	// placement, and the pinned key is unreachable cluster-wide. Best
-	// effort: a member that misses it converges from the rebalance
-	// coordinator's per-scan re-broadcast (or a peer's KindView answer,
-	// for clients). Shared-directory members no-op on their own table.
+	// Propagate: processes with private directories (dso-server) learn
+	// the flip only from this broadcast, or else keep routing and fencing
+	// rounds by the old placement. Best effort: a member that misses it
+	// converges from the rebalance coordinator's per-scan re-broadcast.
 	n.broadcastDirectives(nv)
 	return nil
 }
@@ -333,13 +260,18 @@ func (n *Node) RebalanceStatusNow() RebalanceStatus {
 		}
 		dirs[key] = out
 	}
+	var fenced []string
+	for _, e := range n.recordsWhere((*entry).fencedLocked) {
+		fenced = append(fenced, e.ref.String())
+	}
+	sort.Strings(fenced)
 	st := RebalanceStatus{
 		Node:             string(n.cfg.ID),
 		Enabled:          n.rebal != nil,
 		ViewID:           v.ID,
 		DirectiveVersion: v.Directives.Version,
 		Directives:       dirs,
-		Fenced:           n.fencedRefs(),
+		Fenced:           fenced,
 		Migrations:       n.migrations.Load(),
 		MigrationsFailed: n.migrationsFailed.Load(),
 		Scans:            n.rebalScans.Load(),
@@ -349,9 +281,4 @@ func (n *Node) RebalanceStatusNow() RebalanceStatus {
 		st.Streaks = n.rebal.streakSnapshot()
 	}
 	return st
-}
-
-// handleRebalanceStatus services a KindRebalanceStatus query.
-func (n *Node) handleRebalanceStatus() ([]byte, error) {
-	return core.EncodeValue(n.RebalanceStatusNow())
 }

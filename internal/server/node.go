@@ -212,22 +212,11 @@ type Node struct {
 	ringCur     *ring.Ring
 	unsubscribe func()
 
-	// object table
-	objMu   sync.Mutex
-	objects map[core.Ref]*entry
-	// copyAdded, when non-nil, is closed by the next addObjectLocked: the
-	// rounds parked in awaitCopy wait on it (under objMu).
-	copyAdded chan struct{}
-
-	// in-flight pull-on-miss repairs, singleflight per ref (see selfHeal)
-	pullMu  sync.Mutex
-	pulling map[core.Ref]bool
-
-	// refs whose local copy is behind the committed history because a
-	// delivery was skipped for want of a base copy (see markStale)
-	staleMu   sync.Mutex
-	staleRefs map[core.Ref]uint64
-	staleSeq  uint64
+	// records is the record table: one entry per ref this node holds
+	// anything for (record.go). staleSeq numbers the stale marks.
+	recMu    sync.RWMutex
+	records  map[core.Ref]*entry
+	staleSeq atomic.Uint64
 
 	// peer connections
 	peerMu sync.Mutex
@@ -237,7 +226,6 @@ type Node struct {
 	acceptWorkers *workpool.Pool[acceptTask]
 
 	// replication
-	inflight    *inflightTracker
 	peerTimeout time.Duration
 	seq         atomic.Uint64
 	// epoch is the installed view's fence with a channel closed when the
@@ -246,11 +234,6 @@ type Node struct {
 	// beforeApply is a test hook: applyOrdered calls it first.
 	beforeApply func(core.Ref)
 
-	// lanes holds the write lane of every ref with a round in flight from
-	// this node (lane.go).
-	lanesMu sync.Mutex
-	lanes   map[core.Ref]lane
-
 	// leases is the lease table (nil when Config.LeaseTTL is zero: the
 	// read path and the write hooks are disabled at zero cost).
 	leases *leaseTable
@@ -258,13 +241,8 @@ type Node struct {
 	// svcGate, when non-nil, is the modeled capacity gate (see Config).
 	svcGate chan struct{}
 
-	// migrating holds the live-migration fences (ref → deadline): writes
-	// and lease grants bounce with ErrRebalancing while a hand-off is in
-	// flight (see migrate.go). rebal is the resharding loop, nil unless
-	// Config.Rebalance enables it.
-	migrateMu sync.Mutex
-	migrating map[core.Ref]time.Time
-	rebal     *rebalancer
+	// rebal is the resharding loop, nil unless Config.Rebalance enables it.
+	rebal *rebalancer
 
 	migrations       atomic.Uint64
 	migrationsFailed atomic.Uint64
@@ -327,8 +305,7 @@ func Start(cfg Config) (*Node, error) {
 	n := &Node{
 		cfg:     cfg,
 		profile: cfg.Profile,
-		objects: make(map[core.Ref]*entry),
-		lanes:   make(map[core.Ref]lane),
+		records: make(map[core.Ref]*entry),
 		peers:   make(map[ring.NodeID]*rpc.Client),
 		log:     telemetry.Logger(telemetry.CompServer).With("node", string(cfg.ID)),
 	}
@@ -383,7 +360,6 @@ func Start(cfg Config) (*Node, error) {
 	case cfg.PeerCallTimeout == 0:
 		n.peerTimeout = 2 * time.Second
 	}
-	n.inflight = newInflightTracker()
 	// MsgIDs stay unique across restarts of a node: a restarted primary's
 	// first round under an unchanged fence must read as a new order to
 	// its members (see laneTurn).
@@ -514,8 +490,7 @@ func (n *Node) shutdown() error {
 		n.unsubscribe()
 	}
 	// Wake every blocked synchronization call with ErrStopped.
-	_, entries := n.residents()
-	for _, e := range entries {
+	for _, e := range n.residents() {
 		e.mu.Lock()
 		e.cond.Broadcast()
 		e.mu.Unlock()
@@ -560,7 +535,11 @@ func (n *Node) handle(ctx context.Context, kind uint8, payload []byte) ([]byte, 
 	case KindAccept:
 		return n.handleAccept(ctx, payload)
 	case KindTransfer:
-		return n.handleTransfer(payload)
+		msg, err := decodeTransfer(payload)
+		if err == nil {
+			err = n.installTransfer(msg)
+		}
+		return nil, err
 	case KindStats:
 		return core.EncodeValue(n.Snapshot())
 	case KindObjectStats:
@@ -578,7 +557,7 @@ func (n *Node) handle(ctx context.Context, kind uint8, payload []byte) ([]byte, 
 	case KindMigrate:
 		return n.handleMigrate(ctx, payload)
 	case KindRebalanceStatus:
-		return n.handleRebalanceStatus()
+		return core.EncodeValue(n.RebalanceStatusNow())
 	case KindView:
 		v, _ := n.currentView()
 		return core.EncodeValue(v)
@@ -650,12 +629,6 @@ func (n *Node) handleInvoke(ctx context.Context, payload []byte) ([]byte, error)
 	info, callErr := n.cfg.Registry.Lookup(inv.Ref.Type)
 	switch {
 	case callErr != nil:
-	case n.migrationFenced(inv.Ref):
-		// Mid-migration: the copy is about to move and the directive flip
-		// will change the primary. Bounce retryably; the client refreshes
-		// its view and lands on the new home (see migrate.go).
-		callErr = fmt.Errorf("%w: %s mid-migration on %s",
-			core.ErrRebalancing, inv.Ref, n.cfg.ID)
 	case info.Synchronization:
 		span.SetAttr(telemetry.AttrPath, "sync")
 		results, callErr = n.invokeLocal(ctx, inv)

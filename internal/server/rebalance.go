@@ -237,51 +237,18 @@ func (n *Node) onView(v membership.View) {
 // view's own directive table, so a directive install moves exactly the
 // directed key and a directive removal sends it back to its hash home.
 func (n *Node) rebalance(oldView membership.View, oldRing, newRing *ring.Ring, v membership.View) {
-	refs, entries := n.residents()
-
-	for i, ref := range refs {
-		e := entries[i]
-		if e.sync {
+	for _, e := range n.residents() {
+		ref := e.ref
+		_, persist, syncObj := e.kind()
+		if syncObj {
 			continue
 		}
 		rf := 1
-		if e.persist {
+		if persist {
 			rf = n.cfg.RF
 		}
 		oldSet := oldView.Directives.PlaceRef(oldRing, ref.Type, ref.Key, rf)
 		newSet := v.Directives.PlaceRef(newRing, ref.Type, ref.Key, rf)
-		if !slices.Contains(oldSet, n.cfg.ID) {
-			// We hold a copy we were not responsible for (leftover of an
-			// earlier view); drop it if we are not responsible now either —
-			// unless it is stale-marked, in which case it may be the best
-			// surviving state of its lineage and is kept for a future poll.
-			if !slices.Contains(newSet, n.cfg.ID) {
-				if !n.isStale(ref) {
-					n.removeObject(ref)
-				}
-				continue
-			}
-			// Re-entering the replica set with a leftover copy: every op
-			// committed while this node sat outside the set bypassed it
-			// without a trace — no skipped delivery, no transfer, nothing
-			// that would betray how far behind the copy is. Mark it so the
-			// write, grant, and read paths treat it as suspect until a
-			// proving pull (see markStale); the copy itself stays, both as
-			// a pull fallback for the group and so the mark has something
-			// to clear onto.
-			n.markStale(ref)
-			n.log.Debug("leftover copy rejoining replica set marked stale",
-				"ref", ref.String(), "old_set", fmt.Sprint(oldSet),
-				"new_set", fmt.Sprint(newSet))
-			// Resolve proactively rather than waiting for an access to
-			// trip over the mark. The common benign case — a hand-off
-			// transfer that landed just before this view was processed,
-			// making the fresh copy look like a leftover — clears on the
-			// first definitive poll.
-			go n.selfHeal(ref)
-			continue
-		}
-
 		// Deterministic pusher: the first old-set member still alive. The
 		// local node counts as alive even when absent from the new view —
 		// that is precisely the graceful-leave hand-off. Duplicate pushes
@@ -293,28 +260,43 @@ func (n *Node) rebalance(oldView membership.View, oldRing, newRing *ring.Ring, v
 				break
 			}
 		}
-		if pusher == n.cfg.ID {
+		inNew := slices.Contains(newSet, n.cfg.ID)
+		switch {
+		case pusher == n.cfg.ID:
 			// Push to every other member of the new set, not only the
-			// joiners: a surviving member may have missed operations (its
-			// base copy never arrived, so it skipped committed deliveries —
-			// see applyOrdered), and the version check on the receiving side
-			// makes refreshing an up-to-date copy a no-op. Each view change
-			// thereby doubles as an anti-entropy round.
+			// joiners: a surviving member may have skipped deliveries for
+			// want of a base copy, and the receiver's version check makes
+			// refreshing an up-to-date copy a no-op. Each view change thereby
+			// doubles as an anti-entropy round.
 			for _, target := range newSet {
 				if target == n.cfg.ID {
 					continue
 				}
-				if err := n.pushObject(ref, e, target, false); err != nil {
+				if err := n.pushObject(e, target, false); err != nil {
 					// Best effort: the target may be mid-join; clients
 					// retry on ErrWrongNode and repair on next access.
 					n.log.Debug("transfer failed", "ref", ref.String(),
 						"target", string(target), "err", err)
-					continue
 				}
 			}
+		case inNew && !slices.Contains(oldSet, n.cfg.ID):
+			// Re-entering the replica set with a leftover copy of an earlier
+			// view: every op committed while this node sat outside the set
+			// bypassed it without a trace. Mark it suspect until a proving
+			// pull, started now; the common benign case, a hand-off that
+			// landed just before this view was processed, clears on the
+			// first definitive poll.
+			n.markStale(ref)
+			n.log.Debug("leftover copy rejoining replica set marked stale",
+				"ref", ref.String(), "old_set", fmt.Sprint(oldSet),
+				"new_set", fmt.Sprint(newSet))
+			go n.selfHeal(ref)
 		}
-		if !slices.Contains(newSet, n.cfg.ID) && !n.isStale(ref) {
-			n.removeObject(ref)
+		// A copy this node is not responsible for goes, unless it is
+		// stale-marked: then it may be the best surviving state of its
+		// lineage, kept for a future poll.
+		if !inNew && !e.isStale() {
+			n.handOff(e)
 		}
 	}
 }
@@ -322,12 +304,13 @@ func (n *Node) rebalance(oldView membership.View, oldRing, newRing *ring.Ring, v
 // snapshotEntry captures one object's state under its monitor: snapshot
 // bytes, apply version and at-most-once window, all from a single critical
 // section so they describe the same instant.
-func (n *Node) snapshotEntry(ref core.Ref, e *entry) (transferMsg, error) {
+func (n *Node) snapshotEntry(e *entry) (transferMsg, error) {
+	ref := e.ref
 	e.mu.Lock()
 	snap, ok := e.obj.(core.Snapshotter)
 	if !ok {
 		e.mu.Unlock()
-		return transferMsg{}, fmt.Errorf("server: %s (%T) is not snapshotable", ref, e.obj)
+		return transferMsg{}, fmt.Errorf("server: %s (%T) is not resident and snapshotable", ref, e.obj)
 	}
 	data, err := snap.Snapshot()
 	msg := transferMsg{
@@ -360,30 +343,28 @@ const maxPushRounds = 3
 // of a base copy — only a newer snapshot can deliver it. The loop exits as
 // soon as a shipped snapshot's version still matches the entry, i.e. the
 // target has everything this copy has. repair is transferMsg.Repair.
-func (n *Node) pushObject(ref core.Ref, e *entry, target ring.NodeID, repair bool) error {
+func (n *Node) pushObject(e *entry, target ring.NodeID, repair bool) error {
+	ref := e.ref
 	for round := 0; round < maxPushRounds; round++ {
-		// Quiesce before snapshotting: an accepted-but-unapplied round is
-		// invisible to the snapshot, and the target — not a member of that
-		// round's group — can only ever get it from a snapshot taken after
-		// it applied. If the object will not quiesce within the
-		// bound, abort rather than ship: a target left non-resident is
-		// safe (its next access pulls under the fetch barrier), while a
-		// target holding a behind snapshot looks resident and would
-		// coordinate writes and grant leases from it.
-		for wait := 0; wait < 8 && n.inflight.busy(ref); wait++ {
+		// Quiesce before snapshotting: an admitted round is not in the
+		// snapshot, and the target, outside that round's group, can only
+		// get it from a later one. Rather than ship a behind copy that would
+		// look resident at the target, give up: a target with no copy
+		// pulls on its next access under the fetch barrier.
+		for wait := 0; wait < 8 && e.busy(); wait++ {
 			time.Sleep(10 * time.Millisecond)
 		}
-		if n.inflight.busy(ref) {
+		if e.busy() {
 			return fmt.Errorf("server: transfer %s to %s: ops in flight", ref, target)
 		}
-		msg, err := n.snapshotEntry(ref, e)
+		msg, err := n.snapshotEntry(e)
 		if err != nil {
 			return err
 		}
 		// A marked copy still ships — it may be the lineage's best
 		// surviving state — but the taint travels with it (see
 		// transferMsg.Stale).
-		msg.Stale = n.isStale(ref)
+		msg.Stale = e.isStale()
 		msg.Repair = repair
 		body, err := msg.encode()
 		if err != nil {
@@ -407,33 +388,12 @@ func (n *Node) pushObject(ref core.Ref, e *entry, target ring.NodeID, repair boo
 	return nil
 }
 
-// removeObject drops a local copy, waking any (stale) waiters first and
-// bouncing whoever still holds the entry (see entry.transferring).
-func (n *Node) removeObject(ref core.Ref) {
-	n.objMu.Lock()
-	e, ok := n.objects[ref]
-	if ok {
-		delete(n.objects, ref)
+// handOff drops a copy this node handed off, or no longer holds the
+// responsibility for (see dropCopy).
+func (n *Node) handOff(e *entry) {
+	if e.dropCopy(false) {
+		n.dropIfIdle(e)
 	}
-	n.objMu.Unlock()
-	if ok {
-		e.mu.Lock()
-		e.transferring = true
-		e.cond.Broadcast()
-		e.mu.Unlock()
-	}
-}
-
-// handleTransfer installs a pushed snapshot.
-func (n *Node) handleTransfer(payload []byte) ([]byte, error) {
-	msg, err := decodeTransfer(payload)
-	if err != nil {
-		return nil, err
-	}
-	if err := n.installTransfer(msg); err != nil {
-		return nil, err
-	}
-	return nil, nil
 }
 
 // installTransfer materializes a received snapshot, refusing to go
@@ -445,47 +405,29 @@ func (n *Node) handleTransfer(payload []byte) ([]byte, error) {
 // pointer, and swapping the map entry under them would divert their apply
 // to an orphan.
 func (n *Node) installTransfer(msg transferMsg) error {
-	info, err := n.cfg.Registry.Lookup(msg.Ref.Type)
+	obj, err := n.newCopy(msg)
 	if err != nil {
 		return err
 	}
-	obj, err := info.New(msg.Init)
-	if err != nil {
-		return fmt.Errorf("server: transfer create %s: %w", msg.Ref, err)
-	}
-	snap, ok := obj.(core.Snapshotter)
-	if !ok {
-		return fmt.Errorf("server: transferred type %s is not snapshotable", msg.Ref.Type)
-	}
-	if err := snap.Restore(msg.Snapshot); err != nil {
-		return fmt.Errorf("server: restore %s: %w", msg.Ref, err)
-	}
-
-	n.objMu.Lock()
-	e, exists := n.objects[msg.Ref]
-	if !exists {
+	e := n.pin(msg.Ref, true)
+	defer n.release(e)
+	e.rmu.Lock()
+	defer e.rmu.Unlock()
+	at := position{Fence: msg.Fence, Seq: msg.Seq}
+	if e.obj == nil {
 		if msg.Stale {
 			// The sender's copy carried a stale mark; the taint arrives
-			// with the copy (marked before the entry is published, so the
-			// copy never looks both resident and clean).
-			n.markStale(msg.Ref)
+			// with the copy, marked before the copy is, so it never looks
+			// both resident and clean.
+			e.stale = n.staleSeq.Add(1)
 		}
-		e = newEntry(obj, msg.Persist, false, msg.Init)
-		e.dedup = msg.Dedup
-		e.version = msg.Version
-		e.pos = position{Fence: msg.Fence, Seq: msg.Seq}
-		n.addObjectLocked(msg.Ref, e)
-		n.objMu.Unlock()
+		e.holdCopy(obj, msg.Persist, false, msg.Init, msg.Dedup, msg.Version, at)
 		n.transfers.Add(1)
 		n.cTransfers.Inc()
 		return nil
 	}
-	// Lock order objMu → e.mu matches the rest of the package (nothing
-	// acquires objMu while holding an entry lock).
 	e.mu.Lock()
-	n.objMu.Unlock()
 	defer e.mu.Unlock()
-	at := position{Fence: msg.Fence, Seq: msg.Seq}
 	if e.version > msg.Version || (e.version == msg.Version && !msg.Repair) {
 		if at.Fence == n.epoch.Load().fence && (e.pos.Fence != at.Fence || at.Seq > e.pos.Seq) {
 			// Further along the installed view's order than this lane:
@@ -503,7 +445,7 @@ func (n *Node) installTransfer(msg transferMsg) error {
 	if msg.Stale {
 		// Adopting a tainted snapshot taints the local copy (a refused
 		// one, above, does not: the local copy stays as it was).
-		n.markStale(msg.Ref)
+		e.stale = n.staleSeq.Add(1)
 	}
 	e.obj = obj
 	e.init = msg.Init
@@ -514,17 +456,12 @@ func (n *Node) installTransfer(msg transferMsg) error {
 		// never moves back.
 		e.setPos(at)
 	}
-	if n.leases != nil {
+	if n.leases != nil && len(e.holders) > 0 {
 		// The copy just changed under any lease we granted on it (an
 		// anti-entropy refresh landing while we hold grants). The view
 		// fence already covers the hand-off case; this best-effort
 		// invalidation covers the refresh case without waiting.
-		ref := msg.Ref
-		go func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 2*n.leases.ttl)
-			defer cancel()
-			_ = n.leases.revokeAll(ctx, ref, false)
-		}()
+		go n.leases.revokeAsync(e)
 	}
 	// State changed under waiters (synchronization objects are never
 	// transferred, but be safe).
@@ -541,53 +478,48 @@ func (n *Node) handleFetch(payload []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	e, ok := n.lookupExisting(ref)
-	if !ok {
+	e := n.pin(ref, false)
+	if e == nil {
 		return fetchResp{}.encode()
 	}
-	if n.inflight.busy(ref) {
+	defer n.release(e)
+	if resident, _, _ := e.kind(); !resident {
+		return fetchResp{}.encode()
+	}
+	if e.busy() {
 		return fetchResp{Found: true, Busy: true}.encode()
 	}
 	// Snapshot first, then read the mark: a skip recorded between the two
 	// taints a snapshot that is actually fine, which is merely
 	// conservative — the reverse order could export an unmarked stale
 	// copy.
-	msg, err := n.snapshotEntry(ref, e)
+	msg, err := n.snapshotEntry(e)
 	if err != nil {
 		return nil, err
 	}
-	msg.Stale = n.isStale(ref)
+	msg.Stale = e.isStale()
 	return fetchResp{Found: true, Msg: msg}.encode()
 }
 
-// pullObject asks the other members of ref's replica group for an existing
-// copy and adopts the best one offered (version-checked, like any
-// transfer). It returns whether a copy was installed, and whether some
-// peer holds a copy it could not serve yet (busy: in-flight ops there —
-// the caller must treat the object as existing-but-unavailable, never as
-// absent). The primary uses it before treating a local miss as object
-// creation: a miss can equally mean the hand-off transfer never arrived,
-// and creating a fresh object would fork the lineage and silently discard
-// all prior state.
+// pullObject asks the other members of e's replica group for a copy and
+// adopts the best one offered (version-checked, like any transfer). It
+// returns whether a copy was installed, and whether some peer holds a copy
+// it could not serve yet (busy: admitted rounds there — the object exists
+// but is unavailable, never absent). A miss may mean the hand-off never
+// arrived, so the primary pulls before it treats a miss as creation.
 //
-// pullObject is also how a stale mark (see markStale) is resolved. A
-// clean (unmarked) snapshot from a peer is a proof of currency: the fetch
-// was answered under the peer's in-flight barrier, so its version counts
-// the full committed history, and either installing it or already
-// covering its version clears the mark. When no clean copy exists but
-// every group member answered definitively — a snapshot (clean or
-// tainted) or a firm "no copy" — the primary adopts the highest-versioned
-// state on offer and clears its mark anyway: the poll proves no better
-// copy survives anywhere in the group, and an op acknowledged under the
-// apply-at-every-member barrier (see handleAccept) is on at least one
-// surviving copy after any single failure, so the adopted maximum
-// contains every acknowledged write. An unreachable or busy peer makes
-// the poll indefinite and the mark stays.
-func (n *Node) pullObject(ctx context.Context, ref core.Ref, group []ring.NodeID) (installed, busy bool) {
+// It also resolves stale marks (DESIGN.md §5c, "Proving pulls"): a clean
+// snapshot, fetched under the peer's admission barrier, proves currency
+// whether it installs or the local copy already covers its version. When
+// no clean copy exists but every member answered definitively, the
+// primary adopts the best state on offer and clears its mark anyway: an
+// acked op is on at least one surviving copy after any single failure.
+func (n *Node) pullObject(ctx context.Context, e *entry, group []ring.NodeID) (installed, busy bool) {
+	ref := e.ref
 	// Read the stale token before the first fetch: only a fetch issued
 	// after the skip proves currency, and a skip recorded mid-pull must
 	// keep the mark.
-	token, wasStale := n.staleToken(ref)
+	token := e.staleToken()
 	body := encodeFetch(ref)
 	var (
 		answers    []fetchResp
@@ -639,21 +571,19 @@ func (n *Node) pullObject(ctx context.Context, ref core.Ref, group []ring.NodeID
 			// Usually "not strictly newer": if the local copy already
 			// covers the clean snapshot's version, the barrier-protected
 			// fetch proves it current.
-			if e, ok := n.lookupExisting(ref); ok {
-				e.mu.Lock()
-				cleanProof = e.version >= best.Msg.Version
-				e.mu.Unlock()
-			}
+			e.mu.Lock()
+			cleanProof = e.obj != nil && e.version >= best.Msg.Version
+			e.mu.Unlock()
 			n.log.Debug("pull install failed", "ref", ref.String(), "err", err)
 		} else {
 			n.log.Debug("pull install failed", "ref", ref.String(), "err", err)
 		}
 	}
 
-	if wasStale {
+	if token != 0 {
 		switch {
 		case cleanProof:
-			n.clearStale(ref, token)
+			e.clearStale(token)
 		case definitive && len(group) > 0 && group[0] == n.cfg.ID:
 			// Fully-definitive poll, no clean copy anywhere in the group:
 			// whatever this node now holds (its own copy, or the best
@@ -663,10 +593,7 @@ func (n *Node) pullObject(ctx context.Context, ref core.Ref, group []ring.NodeID
 			// adopted snapshot may just have re-recorded; no new skip can
 			// have raced in, since skips only happen on non-resident
 			// deliveries and the copy is resident now.
-			tok, marked := n.staleToken(ref)
-			if marked {
-				n.clearStale(ref, tok)
-			}
+			e.clearStale(e.staleToken())
 			n.log.Info("primary adopted best surviving copy after group poll",
 				"ref", ref.String())
 		}
@@ -674,94 +601,20 @@ func (n *Node) pullObject(ctx context.Context, ref core.Ref, group []ring.NodeID
 	return installed, busy
 }
 
-// markStale records that ref's local copy — present or future — is behind
-// the committed history: a committed delivery was skipped because no base
-// copy was resident (applyOrdered). The danger is not the skip itself but
-// what can follow it: a rebalance push may later install a snapshot taken
-// *before* the skipped op, leaving this node resident-but-behind. Such a
-// copy looks authoritative — it passes the resident checks on the write,
-// lease-grant, and local-read paths — yet coordinating a write on it acks
-// results computed on state missing acknowledged operations, and granting
-// a lease from it serves reads that travel backwards in time.
-//
-// The mark is cleared only through pullObject, whose fetch carries a
-// proof of currency: handleFetch answers busy while the peer has accepted
-// ops still in flight, so a non-busy fetch issued after the skip returns
-// a snapshot that includes every op committed before the fetch — in
-// particular, every op this node skipped. Anti-entropy pushes install
-// copies but never clear the mark (a push's snapshot may predate the
-// skip); they merely make the subsequent proving pull cheap.
-func (n *Node) markStale(ref core.Ref) {
-	n.staleMu.Lock()
-	if n.staleRefs == nil {
-		n.staleRefs = make(map[core.Ref]uint64)
-	}
-	n.staleSeq++
-	n.staleRefs[ref] = n.staleSeq
-	n.staleMu.Unlock()
-}
-
-// staleToken returns the current stale mark for ref, if any. Callers that
-// intend to clear the mark must capture the token before issuing the
-// fetch that will justify the clear.
-func (n *Node) staleToken(ref core.Ref) (uint64, bool) {
-	n.staleMu.Lock()
-	defer n.staleMu.Unlock()
-	tok, ok := n.staleRefs[ref]
-	return tok, ok
-}
-
-// isStale reports whether ref's local copy is marked behind the committed
-// history. While true, this node must not coordinate writes, grant
-// leases, or serve reads for ref from its own copy.
-func (n *Node) isStale(ref core.Ref) bool {
-	n.staleMu.Lock()
-	defer n.staleMu.Unlock()
-	_, ok := n.staleRefs[ref]
-	return ok
-}
-
-// clearStale drops ref's stale mark, unless a newer skip was recorded
-// after token was captured (that skip still needs its own proving pull).
-func (n *Node) clearStale(ref core.Ref, token uint64) {
-	n.staleMu.Lock()
-	if tok, ok := n.staleRefs[ref]; ok && tok == token {
-		delete(n.staleRefs, ref)
-	}
-	n.staleMu.Unlock()
-}
-
 // selfHeal runs a background pull for an object whose committed delivery
-// had to be skipped for want of a base copy (singleflight per ref). Until
-// a copy arrives this replica contributes nothing for the object; pulling
-// promptly restores the replication factor instead of waiting for the
-// next view change's anti-entropy push.
+// had to be skipped for want of a base copy, one per ref at a time (the
+// record is pulling meanwhile): it restores the replication factor now
+// rather than at the next view change's anti-entropy push.
 func (n *Node) selfHeal(ref core.Ref) {
-	n.pullMu.Lock()
-	if n.pulling == nil {
-		n.pulling = make(map[core.Ref]bool)
-	}
-	if n.pulling[ref] {
-		n.pullMu.Unlock()
+	e := n.pin(ref, true)
+	defer n.release(e)
+	if e.setPulling(true) {
 		return
 	}
-	n.pulling[ref] = true
-	n.pullMu.Unlock()
-	defer func() {
-		n.pullMu.Lock()
-		delete(n.pulling, ref)
-		n.pullMu.Unlock()
-	}()
-
-	group, _ := n.replicaGroup(ref, true)
-	if len(group) == 0 {
-		return
+	defer e.setPulling(false)
+	if group, _ := n.replicaGroup(ref, true); len(group) > 0 {
+		ctx, cancel := context.WithTimeout(context.Background(), 2*n.waitTimeout())
+		defer cancel()
+		n.pullObject(ctx, e, group)
 	}
-	timeout := 2 * n.peerTimeout
-	if timeout <= 0 {
-		timeout = 5 * time.Second
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	n.pullObject(ctx, ref, group)
 }

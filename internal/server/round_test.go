@@ -156,11 +156,11 @@ func TestForkCheckRefusesReplayAsymmetry(t *testing.T) {
 	if timedOut {
 		t.Fatal("repair push never installed at the member (dropped on the version tie?)")
 	}
-	s1, err := n1.snapshotEntry(ref, e1)
+	s1, err := n1.snapshotEntry(e1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := n2.snapshotEntry(ref, e2)
+	s2, err := n2.snapshotEntry(e2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestStaleGroupAcceptFenced(t *testing.T) {
 	// View v+1: a directive on an unrelated key changes the fence and
 	// leaves ref's group alone.
 	dir.SetDirective("unrelated", []ring.NodeID{"n2"})
-	_, _, err := n1.runRound(ctx, group, view, invs)
+	_, _, err := n1.runRound(ctx, pinned(t, n1, ref), group, view, invs)
 	if !errors.Is(err, core.ErrRebalancing) || !strings.Contains(err.Error(), "fenced") {
 		t.Fatalf("round with view-v group at a view-v+1 node: err = %v, want a fenced ErrRebalancing", err)
 	}
@@ -206,7 +206,7 @@ func TestStaleGroupAcceptFenced(t *testing.T) {
 		t.Fatal("a fenced genesis round created a copy")
 	}
 	group, view = n1.replicaGroup(ref, true)
-	res, _, err := n1.runRound(ctx, group, view, invs)
+	res, _, err := n1.runRound(ctx, pinned(t, n1, ref), group, view, invs)
 	if err != nil {
 		t.Fatalf("round with the current group refused: %v", err)
 	}
@@ -345,7 +345,7 @@ func TestRoundPayloadDecodeRejects(t *testing.T) {
 		if _, err := n.handleAccept(context.Background(), body); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
-		if n.inflight.busy(a.Ref) || n.DebugObjectCount() != 0 {
+		if busyAt(n, a.Ref) || n.DebugObjectCount() != 0 {
 			t.Fatalf("%s: left a round admitted or an object behind", name)
 		}
 	}
@@ -401,11 +401,11 @@ func TestReplayMixedRecordsReachLiveVersion(t *testing.T) {
 	}
 	eLive, _ := live.lookupExisting(ref)
 	eRec, _ := recovered.lookupExisting(ref)
-	want, err := live.snapshotEntry(ref, eLive)
+	want, err := live.snapshotEntry(eLive)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := recovered.snapshotEntry(ref, eRec)
+	got, err := recovered.snapshotEntry(eRec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -504,7 +504,7 @@ func TestTwoCoordinatorsInTwoViewsNotBothAcked(t *testing.T) {
 	if err := <-oldDone; err == nil {
 		t.Fatal("old primary's round acked after its member moved to the next view")
 	}
-	for n2.inflight.busy(ref) {
+	for busyAt(n2, ref) {
 		time.Sleep(time.Millisecond)
 	}
 	res, err := n2.invoke(ctx, core.Invocation{Ref: ref, Method: "AddAndGet", Args: []any{int64(1)},
@@ -543,7 +543,7 @@ func TestAcceptAppliesInSeqOrder(t *testing.T) {
 			<-held // round k is at the member, held
 		}
 	}
-	for !n2.inflight.busy(ref) {
+	for !busyAt(n2, ref) {
 		time.Sleep(time.Millisecond)
 	}
 	time.Sleep(20 * time.Millisecond)
@@ -581,7 +581,7 @@ func TestParkedRoundLeavesOnViewChange(t *testing.T) {
 		_, err := n.handleAccept(context.Background(), acceptBody(t, dir, "n9", 3, false, inc))
 		parked <- err
 	}()
-	for !n.inflight.busy(ref) {
+	for !busyAt(n, ref) {
 		time.Sleep(time.Millisecond)
 	}
 	start := time.Now()
@@ -592,7 +592,7 @@ func TestParkedRoundLeavesOnViewChange(t *testing.T) {
 	if d := time.Since(start); d > n.waitTimeout()/2 {
 		t.Fatalf("parked round left %v after the view change", d)
 	}
-	if n.inflight.busy(ref) {
+	if busyAt(n, ref) {
 		t.Fatal("released round still admitted")
 	}
 }
@@ -619,7 +619,7 @@ func TestGapPullAdoptsPositionOfOlderCopy(t *testing.T) {
 	}
 	// Seq 2 applies at the primary only: its ACCEPT is lost.
 	fence := dir.View().Fence()
-	if _, _, err := n1.sequence(ctx, totalorder.MsgID{Origin: "n1", Seq: 2}, fence, false,
+	if _, _, err := n1.sequence(ctx, pinned(t, n1, ref), totalorder.MsgID{Origin: "n1", Seq: 2}, fence, false,
 		[]core.Invocation{inc}, nil); err != nil {
 		t.Fatal(err)
 	}

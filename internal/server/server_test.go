@@ -373,7 +373,7 @@ func TestStaleTransferRefused(t *testing.T) {
 	if !ok {
 		t.Fatal("object not resident")
 	}
-	stale, err := n.snapshotEntry(ref, e)
+	stale, err := n.snapshotEntry(e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +422,7 @@ func TestDeliverWithoutBaseCopySkips(t *testing.T) {
 
 	// Non-genesis round this node coordinates, no local copy: a retryable
 	// bounce, nothing created.
-	if _, _, err := n.sequence(ctx, totalorder.MsgID{Origin: "n1", Seq: 1}, dir.View().Fence(),
+	if _, _, err := n.sequence(ctx, pinned(t, n, ref), totalorder.MsgID{Origin: "n1", Seq: 1}, dir.View().Fence(),
 		false, []core.Invocation{inv}, nil); !errors.Is(err, core.ErrRebalancing) {
 		t.Fatalf("round on a dropped copy returned %v, want ErrRebalancing", err)
 	}
@@ -438,7 +438,7 @@ func TestDeliverWithoutBaseCopySkips(t *testing.T) {
 	if n.DebugHasObject(ref) {
 		t.Fatal("member-side non-genesis round created a fresh object")
 	}
-	if !n.isStale(ref) {
+	if !pinned(t, n, ref).isStale() {
 		t.Fatal("refused round did not mark the ref stale")
 	}
 
@@ -541,16 +541,16 @@ func TestPullOnMissAdoptsPeerCopy(t *testing.T) {
 	// Seed a copy on n1 directly (bypassing routing: this is the replica
 	// layer, not the client layer).
 	ref := core.Ref{Type: objects.TypeAtomicLong, Key: "adopt"}
-	if _, err := n1.lookupOrCreate(core.Invocation{Ref: ref}); err != nil {
+	e := pinned(t, n1, ref)
+	if _, err := n1.createCopy(e, core.Invocation{Ref: ref}); err != nil {
 		t.Fatal(err)
 	}
-	e, _ := n1.lookupExisting(ref)
 	e.mu.Lock()
 	e.version = 7
 	e.persist = true
 	e.mu.Unlock()
 
-	if installed, _ := n2.pullObject(ctx, ref, []ring.NodeID{"n1", "n2"}); !installed {
+	if installed, _ := n2.pullObject(ctx, pinned(t, n2, ref), []ring.NodeID{"n1", "n2"}); !installed {
 		t.Fatal("pull found no copy")
 	}
 	got, ok := n2.lookupExisting(ref)
@@ -565,47 +565,46 @@ func TestPullOnMissAdoptsPeerCopy(t *testing.T) {
 	}
 }
 
-// The in-flight tracker admits only one coordinator per object at a time:
-// during a view transition the old and the new primary must not both have
-// unsettled rounds for the same object (each would ack a result the other
-// never sees).
+// A record admits only one coordinator's rounds at a time: during a view
+// transition the old and the new primary must not both have unsettled
+// rounds for the same object (each would ack a result the other never
+// sees). A duplicate of an admitted round counts, and settles, like it.
 func TestInflightSingleCoordinatorPerObject(t *testing.T) {
-	tr := newInflightTracker()
-	ref := core.Ref{Type: objects.TypeAtomicLong, Key: "one"}
-	other := core.Ref{Type: objects.TypeAtomicLong, Key: "two"}
+	n := startNode(t, validConfig(rpc.NewMemNetwork(), membership.NewDirectory(time.Hour)))
+	e := pinned(t, n, core.Ref{Type: objects.TypeAtomicLong, Key: "one"})
+	other := pinned(t, n, core.Ref{Type: objects.TypeAtomicLong, Key: "two"})
 
-	a1 := totalorder.MsgID{Origin: "a", Seq: 1}
-	if !tr.admit(a1, ref) {
+	if !e.admit("a") {
 		t.Fatal("first round refused")
 	}
-	if !tr.admit(a1, ref) {
-		t.Fatal("duplicate round (same ID) refused")
+	if !e.admit("a") {
+		t.Fatal("duplicate round refused")
 	}
-	if !tr.admit(totalorder.MsgID{Origin: "a", Seq: 2}, ref) {
+	if !e.admit("a") {
 		t.Fatal("second round from the same coordinator refused")
 	}
-	if tr.admit(totalorder.MsgID{Origin: "b", Seq: 1}, ref) {
+	if e.admit("b") {
 		t.Fatal("round from a second coordinator admitted while the first is in flight")
 	}
-	if !tr.admit(totalorder.MsgID{Origin: "b", Seq: 2}, other) {
+	if !other.admit("b") {
 		t.Fatal("unrelated object blocked by another object's in-flight round")
 	}
-	if !tr.busy(ref) {
+	if !e.busy() {
 		t.Fatal("object with unsettled rounds not busy")
 	}
 
-	// Settling both of a's rounds (the duplicate's second settle is a
-	// no-op) lets b coordinate.
-	tr.settle(a1)
-	tr.settle(a1)
-	if !tr.busy(ref) {
-		t.Fatal("a duplicate settle released another round")
+	// The round and its duplicate settle; the second round is still in
+	// flight, and once it settles b may coordinate.
+	e.settle()
+	e.settle()
+	if !e.busy() {
+		t.Fatal("a duplicate's settle released another round")
 	}
-	tr.settle(totalorder.MsgID{Origin: "a", Seq: 2})
-	if tr.busy(ref) {
+	e.settle()
+	if e.busy() {
 		t.Fatal("object busy after all rounds settled")
 	}
-	if !tr.admit(totalorder.MsgID{Origin: "b", Seq: 3}, ref) {
+	if !e.admit("b") {
 		t.Fatal("round refused after the conflicting ones settled")
 	}
 }
@@ -665,13 +664,7 @@ func TestDeliverRevokesMemberLeases(t *testing.T) {
 	default:
 		t.Fatal("member-side apply did not revoke the lease this node granted")
 	}
-	n.leases.mu.Lock()
-	holders := 0
-	if rl := n.leases.refs[ref]; rl != nil {
-		holders = len(rl.holders)
-	}
-	n.leases.mu.Unlock()
-	if holders != 0 {
+	if holders := n.DebugTableSizes().LeaseHolders; holders != 0 {
 		t.Fatalf("%d lease holders survived a foreign-coordinated write", holders)
 	}
 }
@@ -689,12 +682,13 @@ func TestFetchBusyWhileOpsInFlight(t *testing.T) {
 	ctx := context.Background()
 
 	ref := core.Ref{Type: objects.TypeAtomicLong, Key: "busy"}
-	if _, err := n1.lookupOrCreate(core.Invocation{Ref: ref}); err != nil {
+	e := pinned(t, n1, ref)
+	if _, err := n1.createCopy(e, core.Invocation{Ref: ref}); err != nil {
 		t.Fatal(err)
 	}
-	n1.inflight.admit(totalorder.MsgID{Origin: "n9", Seq: 1}, ref)
+	e.admit("n9")
 
-	installed, busy := n2.pullObject(ctx, ref, []ring.NodeID{"n1", "n2"})
+	installed, busy := n2.pullObject(ctx, pinned(t, n2, ref), []ring.NodeID{"n1", "n2"})
 	if installed {
 		t.Fatal("pull adopted a snapshot with ops still in flight")
 	}
@@ -702,8 +696,8 @@ func TestFetchBusyWhileOpsInFlight(t *testing.T) {
 		t.Fatal("pull did not report the peer's copy as busy")
 	}
 
-	n1.inflight.settle(totalorder.MsgID{Origin: "n9", Seq: 1})
-	installed, busy = n2.pullObject(ctx, ref, []ring.NodeID{"n1", "n2"})
+	e.settle()
+	installed, busy = n2.pullObject(ctx, pinned(t, n2, ref), []ring.NodeID{"n1", "n2"})
 	if !installed || busy {
 		t.Fatalf("pull after settle: installed=%v busy=%v, want true/false", installed, busy)
 	}
@@ -742,11 +736,11 @@ func TestRoundOfOneAcrossHandOff(t *testing.T) {
 		t.Fatal(err)
 	}
 	e, _ := n1.lookupExisting(held)
-	n1.fenceMigration(held)
+	e.setFence(time.Now().Add(migrationFenceTTL))
 	if res, err := n1.applyOne(ctx, e, inc(held)); !errors.Is(err, core.ErrRebalancing) {
 		t.Fatalf("fenced copy answered %v, %v; want ErrRebalancing", res, err)
 	}
-	n1.liftMigrationFence(held)
+	e.setFence(time.Time{})
 	if _, err := n1.applyOne(ctx, e, inc(held)); err != nil {
 		t.Fatalf("after a failed migration lifts its fence: %v", err)
 	}

@@ -30,16 +30,14 @@ import (
 // awaitTurn) and answers with that apply's outcome. Two rules make the
 // primary's order the ref's only one: a member refuses a round fenced on
 // another view than its own, and a node admits one coordinator's rounds
-// per ref at a time (inflight.go). Different refs apply concurrently.
+// per ref at a time (entry.admit). Different refs apply concurrently.
 //
 // There is one way to do that, the round (runRound): 1..N invocations on
-// one object share one MsgID, one lease fence, one seq, one ACCEPT per
-// member, one monitor acquisition at every replica, one WAL record and one
-// fork check. A write is a round of one, run inline on its caller's
-// goroutine under its caller's context, unless its ref's lane is full:
-// then it queues and rides a later round with the writes queued beside it
-// (lane.go). Every read-only ordering round is a round of one. An rf=1
-// object's round has a group of one and sends nothing; only
+// one object share one MsgID, lease fence, seq, ACCEPT per member, monitor
+// acquisition at every replica, WAL record and fork check. A write is a
+// round of one on its caller's goroutine unless its ref's lane is full:
+// then it rides a later round with the writes queued beside it (lane.go).
+// An rf=1 object's round has a group of one and sends nothing; only
 // synchronization objects stay outside rounds.
 
 // opResult is one invocation's outcome inside a round.
@@ -87,7 +85,7 @@ type finalResp struct {
 }
 
 // acceptMsg is the replication frame (KindAccept). ID names the round for
-// dedup, the WAL record and the in-flight tracker; Ref is the object every
+// dedup, the WAL record and admission; Ref is the object every
 // invocation of Payload targets; At is the round's place in Ref's order:
 // the fence of the view its group came from (membership.View.Fence) and
 // its seq under it. A receiver whose installed view has another fence
@@ -294,13 +292,22 @@ func (n *Node) primacy(ref core.Ref, group []ring.NodeID) error {
 // group is the replica group for a persistent object and a group of one
 // otherwise (replicaGroup), and the contacted node must lead it: reads it
 // can prove current are served from the local copy, everything else is
-// ordered through a round.
+// ordered through a round. It looks the ref up once: the lane, the lease
+// fence, admission, the migration fence and the apply take its record.
 func (n *Node) invoke(ctx context.Context, inv core.Invocation) ([]any, error) {
 	group, view := n.replicaGroup(inv.Ref, inv.Persist)
 	if err := n.primacy(inv.Ref, group); err != nil {
 		return nil, err
 	}
-	if results, err, ok := n.tryLocalRead(ctx, inv, len(group)); ok {
+	e := n.pin(inv.Ref, true)
+	defer n.release(e)
+	if e.fenced() {
+		// Mid-migration: the copy is about to move and the directive flip
+		// will change the primary. Bounce retryably; the client refreshes
+		// its view and lands on the new home (see migrate.go).
+		return nil, fmt.Errorf("%w: %s mid-migration on %s", core.ErrRebalancing, inv.Ref, n.cfg.ID)
+	}
+	if results, err, ok := n.tryLocalRead(ctx, e, inv, len(group)); ok {
 		// Read-only calls at a provably-current primary skip the ordering
 		// round entirely; writes it has not applied were never acked, so
 		// the read linearizes at its execution under the object monitor.
@@ -310,13 +317,13 @@ func (n *Node) invoke(ctx context.Context, inv core.Invocation) ([]any, error) {
 	// one has no ACCEPT to amortize, and a read no slot to take.
 	write := !inv.ReadOnly && len(group) > 1
 	if write {
-		if w := n.enterLane(ctx, inv); w != nil {
-			return n.awaitCut(ctx, w)
+		if w := n.enterLane(ctx, e, inv); w != nil {
+			return n.awaitCut(ctx, e, w)
 		}
-		defer n.freeSlot(inv.Ref)
+		defer n.freeSlot(e)
 	}
 	// A round of one, right here: no queue, no goroutine hop, no timer.
-	res, ordered, err := n.runRound(ctx, group, view, []core.Invocation{inv})
+	res, ordered, err := n.runRound(ctx, e, group, view, []core.Invocation{inv})
 	if write && ordered {
 		n.hBatchSize.ObserveValue(1)
 	}
@@ -326,7 +333,7 @@ func (n *Node) invoke(ctx context.Context, inv core.Invocation) ([]any, error) {
 	return res[0].results, res[0].err
 }
 
-// runRound coordinates one ordering round for invs, which all target one
+// runRound coordinates one ordering round for invs, which all target e's
 // object, among group as view places it (see replicaGroup): primacy check,
 // lease fence, residency, the local apply that sequences it (sequence),
 // one ACCEPT to each other member with the fork check on its reply, and
@@ -338,7 +345,7 @@ func (n *Node) invoke(ctx context.Context, inv core.Invocation) ([]any, error) {
 // applied here under its seq, the point from which it counts in
 // smr_rounds, even if a member then refuses it or the fork check or the
 // WAL wait fails it.
-func (n *Node) runRound(ctx context.Context, group []ring.NodeID, view membership.View, invs []core.Invocation) (res []opResult, ordered bool, err error) {
+func (n *Node) runRound(ctx context.Context, e *entry, group []ring.NodeID, view membership.View, invs []core.Invocation) (res []opResult, ordered bool, err error) {
 	defer func() {
 		if err != nil && n.closed.Load() {
 			// Whatever cut the round short — a canceled handler context, a
@@ -354,17 +361,13 @@ func (n *Node) runRound(ctx context.Context, group []ring.NodeID, view membershi
 		return nil, false, err
 	}
 	if n.leases != nil && !readOnlyRound(invs) {
-		// Revoke-before-commit: block new grants, synchronously invalidate
-		// every cached copy, and only then order the mutations. Grants
-		// resume (at the post-round version) once every member has applied
-		// the round and this node replied.
-		done, lerr := n.prepareWrite(ctx, ref)
-		if lerr != nil {
-			return nil, false, lerr
+		// Grants resume once every member has applied the round.
+		if err := n.leases.prepareWrite(ctx, e); err != nil {
+			return nil, false, err
 		}
-		defer done()
+		defer e.endWrite()
 	}
-	genesis, err := n.ensureCoordinatorCopy(ctx, ref, group)
+	genesis, err := n.ensureCoordinatorCopy(ctx, e, group)
 	if err != nil {
 		return nil, false, err
 	}
@@ -385,7 +388,7 @@ func (n *Node) runRound(ctx context.Context, group []ring.NodeID, view membershi
 		orderStart = time.Now()
 	}
 	fence := view.Fence()
-	out, at, err := n.sequence(ctx, id, fence, genesis, invs, payload)
+	out, at, err := n.sequence(ctx, e, id, fence, genesis, invs, payload)
 	if err != nil {
 		return nil, false, err
 	}
@@ -416,38 +419,26 @@ func (n *Node) runRound(ctx context.Context, group []ring.NodeID, view membershi
 
 // sequence is the coordinator's half of a round: single-coordinator
 // admission, the fences — the view the round's group came from must still
-// be installed and no migration may hold the ref — the copy's lookup
-// (creation, for genesis), the fences again, then the apply that gives the
-// round its seq (applyOrdered), which it returns. The first check keeps a
+// be installed and no migration may hold the ref — the copy (created, for
+// genesis), then the apply that gives the round its seq (applyOrdered),
+// which checks the fences again under the monitor. The first check keeps a
 // stale round from creating anything; the second makes a hand-off either
-// push the copy after the round or bounce it: the round applies to exactly
-// the copy it looked up, and one dropped since bounces (DESIGN.md §5e). A
-// group of one's round ends here.
-func (n *Node) sequence(ctx context.Context, id totalorder.MsgID, fence uint64, genesis bool, invs []core.Invocation, payload []byte) (roundOutcome, position, error) {
-	ref := invs[0].Ref
-	if !n.inflight.admit(id, ref) {
+// push the copy after the round or bounce it (DESIGN.md §5e). A group of
+// one's round ends here.
+func (n *Node) sequence(ctx context.Context, e *entry, id totalorder.MsgID, fence uint64, genesis bool, invs []core.Invocation, payload []byte) (roundOutcome, position, error) {
+	ref := e.ref
+	if !e.admit(id.Origin) {
 		return roundOutcome{}, position{}, fmt.Errorf("%w: %s has a round in flight from another coordinator",
 			core.ErrRebalancing, ref)
 	}
-	defer n.inflight.settle(id)
-	fenced := func() error {
-		if n.epoch.Load().fence != fence || n.migrationFenced(ref) {
-			return fmt.Errorf("%w: round for %s fenced on %s (view changed or migrating)",
-				core.ErrRebalancing, ref, n.cfg.ID)
-		}
-		return nil
-	}
-	var e *entry
-	err := fenced()
-	if err == nil && genesis {
-		e, err = n.lookupOrCreate(invs[0])
-	} else if err == nil {
-		if e, _ = n.lookupExisting(ref); e == nil {
-			err = fmt.Errorf("%w: %s dropped on %s", core.ErrRebalancing, ref, n.cfg.ID)
-		}
-	}
-	if err == nil {
-		err = fenced()
+	defer e.settle()
+	var err error
+	if n.epoch.Load().fence != fence || e.fenced() {
+		err = fmt.Errorf("%w: round for %s fenced on %s (view changed or migrating)", core.ErrRebalancing, ref, n.cfg.ID)
+	} else if genesis {
+		_, err = n.createCopy(e, invs[0])
+	} else if resident, _, _ := e.kind(); !resident {
+		err = fmt.Errorf("%w: %s dropped on %s", core.ErrRebalancing, ref, n.cfg.ID)
 	}
 	if err != nil {
 		return roundOutcome{}, position{}, err
@@ -534,72 +525,56 @@ func (n *Node) acceptAt(ctx context.Context, id totalorder.MsgID, ref core.Ref, 
 	return fmt.Errorf("%w: round %s on %s: %v", core.ErrRebalancing, id, member, err)
 }
 
-// ensureCoordinatorCopy makes sure this node may safely coordinate an
-// ordering round for ref, and reports whether the round must be flagged
-// genesis. It runs once per round, not per write.
-func (n *Node) ensureCoordinatorCopy(ctx context.Context, ref core.Ref, group []ring.NodeID) (genesis bool, err error) {
-	_, resident := n.lookupExisting(ref)
+// ensureCoordinatorCopy makes sure this node may safely coordinate a
+// round for e's ref, and reports whether the round must be flagged
+// genesis. A primary with no copy, or a stale-marked one, asks the other
+// replicas first: a miss may mean the hand-off never reached it, and a
+// fresh object would discard all prior state, a stale copy ack results
+// missing acknowledged ops. Only a unanimous miss is creation.
+func (n *Node) ensureCoordinatorCopy(ctx context.Context, e *entry, group []ring.NodeID) (genesis bool, err error) {
+	ref := e.ref
+	resident, _, _ := e.kind()
 	if len(group) == 1 {
 		// No peer to ask about a miss. A stale mark polls the rf-sized set,
 		// the likeliest holders of a better copy (at RF 1 it just clears).
-		if !n.isStale(ref) {
+		if !e.isStale() {
 			return !resident, nil
 		}
 		group, _ = n.replicaGroup(ref, true)
 	}
-	if !resident || n.isStale(ref) {
-		// The primary holds no copy, or holds one marked behind the
-		// committed history (a delivery was skipped before its base
-		// installed). A miss is either a genuinely new object or one whose
-		// hand-off transfer never reached us (the view changed while we
-		// were partitioned, or the pusher died mid-transfer). Creating a
-		// fresh object in the second case would silently discard all prior
-		// state — and coordinating on a stale copy would ack results
-		// computed on state missing acknowledged ops. Ask the other
-		// replicas for a copy first; only a unanimous miss is creation.
-		installed, busy := n.pullObject(ctx, ref, group)
-		if installed {
-			resident = true
-		} else if !resident {
+	if !resident || e.isStale() {
+		installed, busy := n.pullObject(ctx, e, group)
+		if !installed && !resident {
 			// A concurrent first write may have created the copy here
 			// meanwhile: its genesis round applies here before its ACCEPT
 			// leaves, and that ACCEPT is what a busy peer is holding.
-			_, resident = n.lookupExisting(ref)
+			resident, _, _ = e.kind()
 		}
-		if !resident && busy {
-			// A peer holds a copy but has in-flight ops for it; adopting a
-			// snapshot now would miss them. Bounce the client to retry once
-			// they settle.
+		if !installed && !resident && busy {
+			// A peer holds a copy with admitted rounds; retry once they
+			// settle.
 			return false, fmt.Errorf("%w: %s busy at a peer", core.ErrRebalancing, ref)
 		}
-		if n.isStale(ref) {
-			// The pull could not prove the local copy current (no peer
-			// reachable, or every candidate busy). Bounce rather than ack
-			// a write computed on a possibly-behind copy.
+		if e.isStale() {
+			// The pull could not prove the copy current: do not ack a write
+			// computed on a possibly-behind copy.
 			return false, fmt.Errorf("%w: %s stale on %s", core.ErrRebalancing, ref, n.cfg.ID)
 		}
+		resident = resident || installed
 	}
 	return !resident, nil
 }
 
 // checkRound is the coordinator's fork check on one member's reply: its
-// post-apply version and replay count (finalResp) must agree with the
-// coordinator's own: both applied the same rounds in the same order, so
-// disagreement means one side's copy carries a different history.
-// Versions catch the common case — a resurrected older snapshot executes
-// an op fresh that the other side replays from its at-most-once window.
-// But versions are counts, and two diverged copies can count their way
-// back to the same number: a coordinator left ahead of its group by
-// applied, never-acked rounds (a member refused or never received them)
-// replays their retries while a member that joined from the older base
-// executes them fresh, in whatever order the retries arrive. The only way
-// equal versions hide different states is through such a replay-vs-execute
-// asymmetry, so the asymmetry itself refuses the ack (DESIGN.md §5c has
-// the worked interleaving). Either way: no ack (the retry is dedup-safe),
-// server.fork_refusals counts it, and the copies are brought together — a
-// coordinator behind the member marks itself stale and pulls; otherwise it
-// pushes its copy to the member as a repair, which wins a version tie
-// there (see transferMsg).
+// post-apply version and replay count (finalResp) must equal the
+// coordinator's own, since both applied the same rounds in one order.
+// Versions catch a resurrected older copy; replay counts catch two
+// diverged copies that counted their way back to one version, which can
+// only happen through a replay-vs-execute asymmetry (DESIGN.md §5c has the
+// worked interleaving). On a mismatch nothing is acked (the retry is
+// dedup-safe), server.fork_refusals counts it, and a coordinator behind
+// the member marks itself stale and pulls; otherwise it pushes its copy to
+// the member as a repair, which wins a version tie there (transferMsg).
 func (n *Node) checkRound(id totalorder.MsgID, ref core.Ref, member ring.NodeID, m, local finalResp) error {
 	if m == local {
 		return nil
@@ -612,9 +587,10 @@ func (n *Node) checkRound(id totalorder.MsgID, ref core.Ref, member ring.NodeID,
 	if m.Version > local.Version {
 		n.markStale(ref)
 		go n.selfHeal(ref)
-	} else if e, ok := n.lookupExisting(ref); ok {
+	} else if e := n.pin(ref, false); e != nil {
 		go func() {
-			if err := n.pushObject(ref, e, member, true); err != nil {
+			defer n.release(e)
+			if err := n.pushObject(e, member, true); err != nil {
 				n.log.Debug("repair push failed", "ref", ref.String(),
 					"target", string(member), "err", err)
 			}
@@ -625,20 +601,14 @@ func (n *Node) checkRound(id totalorder.MsgID, ref core.Ref, member ring.NodeID,
 }
 
 // handleAccept services a peer's ACCEPT: the view fence, single-coordinator
-// admission, then the apply at the round's place in its ref's order
-// (applyOrdered), answered with that apply's outcome. A round fenced on
-// the directory's latest view, which this node has not installed yet,
-// comes from a coordinator ahead of it and waits up to waitTimeout for
-// that install; any other mismatch is refused at once. A refused round
-// has already applied at its coordinator, so this member would miss it
-// and hold the ref's next rounds: the same holds for a round refused by
-// admission, which therefore pulls a copy at once (selfHeal) rather than
-// leave its successors to wait out their bound. Admission closes the
-// interleaving the fence alone cannot: we accept the old primary's round,
-// install the next view, then the new primary sends a round for the same
-// object while the first is still parked here. Two coordinators would each
-// ack a result the other never sees; the newcomer is refused and its
-// client retries once the first round settles.
+// admission on the ref's record, then the apply at the round's place in
+// its ref's order (applyOrdered), answered with that apply's outcome. A
+// round fenced on the directory's latest view, which this node has not
+// installed yet, comes from a coordinator ahead of it and waits up to
+// waitTimeout for that install; any other mismatch is refused at once. A
+// refused round has already applied at its coordinator, so this member
+// would miss it and hold the ref's next rounds: a round refused by
+// admission therefore pulls a copy at once (selfHeal).
 func (n *Node) handleAccept(ctx context.Context, body []byte) ([]byte, error) {
 	msg, err := decodeAccept(body)
 	if err != nil {
@@ -658,13 +628,15 @@ func (n *Node) handleAccept(ctx context.Context, body []byte) ([]byte, error) {
 	if invs[0].Ref != msg.Ref {
 		return nil, fmt.Errorf("server: round %s names %s but carries %s", msg.ID, msg.Ref, invs[0].Ref)
 	}
-	if !n.inflight.admit(msg.ID, msg.Ref) {
+	e := n.pin(msg.Ref, true)
+	defer n.release(e)
+	if !e.admit(msg.ID.Origin) {
 		go n.selfHeal(msg.Ref)
 		return nil, fmt.Errorf("%w: %s has a round in flight from another coordinator",
 			core.ErrRebalancing, msg.Ref)
 	}
-	defer n.inflight.settle(msg.ID)
-	out := n.applyOrdered(ctx, msg.ID, nil, &msg.At, genesis, invs, nil, msg.Payload)
+	defer e.settle()
+	out := n.applyOrdered(ctx, msg.ID, e, &msg.At, genesis, invs, nil, msg.Payload)
 	if out.err != nil {
 		return nil, out.err
 	}
@@ -682,98 +654,83 @@ func (n *Node) awaitView(ctx context.Context, ep *viewEpoch) {
 	}
 }
 
-// applyOrdered runs every invocation of a round, in payload order, on the
-// local copy under a single member write fence and a single monitor
+// applyOrdered runs every invocation of a round, in payload order, on e's
+// copy under a single member write fence and a single monitor
 // acquisition, at the round's place in its ref's order. The coordinator
 // passes a zero at.Seq: the round takes the next seq under at.Fence in the
-// same critical section that applies it, so a coordinator applies its own
-// rounds in seq order by construction. A member's round waits its turn
-// (awaitTurn). Each invocation is individually dedup-checked and
-// dedup-recorded (applyLocked), so a retried write that lands in a later
-// round replays instead of re-executing. The round applies all-or-nothing
-// with respect to rebalancing-class failures (no base copy, fence failure,
-// copy mid-transfer, a gap): those void it before any invocation runs and
-// leave the copy's position where it was; deterministic method errors are
-// per-invocation outcomes and count as applied.
+// critical section that applies it. A member's round waits its turn
+// (awaitTurn). Each invocation is dedup-checked and recorded (applyLocked),
+// so a retry that lands in a later round replays. Rebalancing-class
+// failures (no base copy, a fence, a hand-off, a gap) void the round before
+// any invocation runs and leave the position where it was; method errors
+// are per-invocation outcomes and count as applied.
 //
-// A round for an object this replica does not hold is applied only when
-// the coordinator flagged it as genesis. Otherwise the base copy is
-// missing: the round overtook the genesis round that creates it here, or
-// the hand-off transfer has not arrived yet. A member's round under the
-// installed fence waits for the copy (awaitCopy), as it would for any
-// predecessor. Past that bound, applying to a fresh object would fork the
-// lineage: this replica would hold a copy reflecting only the ops it saw,
-// yet look authoritative to a later version comparison. The round is
-// refused (the ops are safe in the coordinator's copy and in any snapshot
-// taken after them) and a background pull restores this replica's base
-// copy.
+// A member applies a round for a ref it holds no copy of only when the
+// coordinator flagged it genesis. Otherwise the round overtook the genesis
+// round that creates the copy here, or the hand-off has not arrived: it
+// waits for the copy (awaitCopy). Past that bound, applying to a fresh
+// object would fork the lineage, so the round is refused, the ref marked
+// stale and a pull started.
 //
-// res receives the per-invocation outcomes; a member, which answers no
-// caller, passes nil. e is the coordinator's copy (sequence), else nil.
+// res receives the per-invocation outcomes; a member passes nil. A
+// coordinator's round comes from sequence, which made sure of the copy,
+// and bounces when its view is no longer installed or a migration fences
+// the ref: every hand-off follows a view change, so a round that finds
+// its view under the monitor applies to a copy not handed off since.
 func (n *Node) applyOrdered(ctx context.Context, id totalorder.MsgID, e *entry, at *position, genesis bool, invs []core.Invocation, res []opResult, payload []byte) (out roundOutcome) {
-	ref := invs[0].Ref
+	ref := e.ref
 	if n.beforeApply != nil {
 		n.beforeApply(ref)
 	}
-	if e == nil {
-		e, _ = n.lookupExisting(ref)
-	}
-	if e == nil && !genesis && at.Seq != 0 {
-		e = n.awaitCopy(ctx, ref, at.Fence)
-	}
-	if e == nil {
-		if !genesis {
-			n.log.Debug("refusing round without base copy",
-				"ref", ref.String(), "origin", id.Origin, "ops", len(invs))
-			out.err = fmt.Errorf("%w: %s has no base copy on %s",
-				core.ErrRebalancing, ref, n.cfg.ID)
-			// The copy this node eventually installs may be a snapshot
-			// taken before this round; mark the ref so the write, grant,
-			// and local-read paths refuse it until a barrier-protected
-			// pull proves the copy current (see markStale).
-			n.markStale(ref)
-			go n.selfHeal(ref)
+	if at.Seq != 0 && genesis {
+		if _, out.err = n.createCopy(e, invs[0]); out.err != nil {
 			return out
 		}
-		if e, out.err = n.lookupOrCreate(invs[0]); out.err != nil {
-			return out
-		}
+	} else if at.Seq != 0 && !n.awaitCopy(ctx, e, at.Fence) {
+		n.log.Debug("refusing round without base copy",
+			"ref", ref.String(), "origin", id.Origin, "ops", len(invs))
+		out.err = fmt.Errorf("%w: %s has no base copy on %s",
+			core.ErrRebalancing, ref, n.cfg.ID)
+		// The copy this node eventually installs may be a snapshot taken
+		// before this round; mark the ref so the write, grant, and
+		// local-read paths refuse it until a barrier-protected pull proves
+		// the copy current (see markStale).
+		n.markStale(ref)
+		go n.selfHeal(ref)
+		return out
 	}
 	readOnly := readOnlyRound(invs)
-	if !readOnly {
-		// Member-side revoke-before-commit: leases *this* node granted on
-		// the ref (it may be the new primary while a deposed coordinator
-		// still writes under its old view) must die before the ACCEPT reply
-		// that gates the ack. One revocation round covers every write of
-		// the round — leases are dead before the first applies, and grants
-		// resume only after the last.
-		release, err := n.memberWriteFence(id.Origin, ref)
-		if err != nil {
-			// The revocation round could not complete, so a stale lease
-			// may outlive this round; refuse the apply (no ack — the
-			// retries are dedup-safe) and heal: the coordinator applied,
-			// so our copy is now behind.
+	if !readOnly && n.leases != nil && id.Origin != string(n.cfg.ID) {
+		// One revocation covers every write of the round; the
+		// coordinator's own apply is covered by its prepareWrite.
+		if err := n.leases.memberWriteFence(e); err != nil {
+			// No ack (the retries are dedup-safe), and heal: the
+			// coordinator applied, so our copy is now behind.
 			n.markStale(ref)
 			go n.selfHeal(ref)
 			out.err = err
 			return out
 		}
-		defer release()
+		defer e.endWrite()
 	}
 	n.lockEntry(ctx, e)
-	if at.Seq == 0 {
+	var dup *finalResp
+	switch {
+	case at.Seq != 0:
+		dup, out.err = n.awaitTurn(ctx, e, id, *at)
+	case at.Fence != n.epoch.Load().fence || e.fencedLocked():
+		out.err = fmt.Errorf("%w: round for %s fenced on %s (view changed or migrating)", core.ErrRebalancing, ref, n.cfg.ID)
+	default:
 		*at = e.nextSeq(at.Fence)
-	} else if rec, err := n.awaitTurn(ctx, e, ref, id, *at); rec != nil || err != nil {
-		e.mu.Unlock()
-		if rec != nil { // a duplicate: answer what the original did
-			out.version, out.replays = rec.Version, rec.Replays
-		}
-		out.err = err
-		return out
 	}
-	if e.transferring {
+	if dup == nil && out.err == nil && e.obj == nil {
+		out.err = core.ErrRebalancing // handed off
+	}
+	if dup != nil || out.err != nil {
 		e.mu.Unlock()
-		out.err = core.ErrRebalancing
+		if dup != nil { // a duplicate: answer what the original did
+			out.version, out.replays = dup.Version, dup.Replays
+		}
 		return out
 	}
 	// Read under the monitor: a later read could include a later round.
@@ -799,51 +756,16 @@ func (n *Node) applyOrdered(ctx context.Context, id totalorder.MsgID, e *entry, 
 	return out
 }
 
-// awaitCopy holds a member's round for an object this node has no copy of
-// until one is added (the genesis round it overtook, or a transfer), for
-// up to waitTimeout, and returns that copy. It returns nil at the bound,
-// or at once when the round's fence is not the installed view's.
-func (n *Node) awaitCopy(ctx context.Context, ref core.Ref, fence uint64) *entry {
-	var timer *time.Timer
-	for {
-		ep := n.epoch.Load()
-		n.objMu.Lock()
-		e := n.objects[ref]
-		if e != nil || fence != ep.fence {
-			n.objMu.Unlock()
-			return e
-		}
-		if n.copyAdded == nil {
-			n.copyAdded = make(chan struct{})
-		}
-		added := n.copyAdded
-		n.objMu.Unlock()
-		if timer == nil {
-			timer = time.NewTimer(n.waitTimeout())
-			defer timer.Stop()
-		}
-		select {
-		case <-added:
-		case <-ep.next:
-		case <-ctx.Done():
-			return nil
-		case <-timer.C:
-			return nil
-		}
-	}
-}
-
 // awaitTurn holds a member's round at position at until it is the next
 // round e applies, and returns with e.mu held as it was called. It returns
-// the recorded reply when e already applied the round (a duplicate
-// ACCEPT), and an error when the round may not apply: its fence is no
-// longer the installed view's (a view change also wakes every parked
-// round, so a dead origin's rounds leave at once), it is behind the copy,
-// or a predecessor never came. A round parked past waitTimeout pulls a
-// copy from the group through the fetch path (pullObject), which resumes
-// the lane after that copy's position (installTransfer), and then either
-// applies or gives up.
-func (n *Node) awaitTurn(ctx context.Context, e *entry, ref core.Ref, id totalorder.MsgID, at position) (*finalResp, error) {
+// the recorded reply of a round e already applied (a duplicate ACCEPT),
+// and an error when the round may not apply: its fence is no longer the
+// installed view's (a view change wakes every parked round), it is behind
+// the copy, or a predecessor never came. A round parked past waitTimeout
+// pulls a copy (pullObject), which resumes the lane after that copy's
+// position (installTransfer), and then applies or gives up.
+func (n *Node) awaitTurn(ctx context.Context, e *entry, id totalorder.MsgID, at position) (*finalResp, error) {
+	ref := e.ref
 	var timer *time.Timer
 	for pulled := false; ; {
 		ep := n.epoch.Load()
@@ -881,7 +803,7 @@ func (n *Node) awaitTurn(ctx context.Context, e *entry, ref core.Ref, id totalor
 		case <-timer.C:
 			group, _ := n.replicaGroup(ref, true)
 			pctx, cancel := context.WithTimeout(ctx, 2*n.waitTimeout())
-			n.pullObject(pctx, ref, group)
+			n.pullObject(pctx, e, group)
 			cancel()
 			pulled = true
 		}
