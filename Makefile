@@ -36,7 +36,10 @@ wal-fuzz:
 
 # codec-fuzz fuzzes the tag-encoded wire codecs for 15 s each: the
 # invocation round trip, the invocation and response decoders, the five
-# ACCEPT and lease control frame decoders, and FuzzStateBodies in the three
+# ACCEPT and lease control frame decoders, the in-place round payload
+# walker a member and WAL replay read rounds with (FuzzRoundPayload: every
+# invocation on the ACCEPT's ref, and a re-encode byte for byte the batch
+# container of its invocations), and FuzzStateBodies in the three
 # packages that decode state — the built-in objects' Restore, the statefun
 # mailbox values and drain-pass frames, and the transfer and fetch frames
 # that rebalancing and checkpoints ship. These are every parser a peer, a
@@ -51,6 +54,7 @@ codec-fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResponse$$' -fuzztime 15s ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzGobValue$$' -fuzztime 15s ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzControlFrames$$' -fuzztime 15s ./internal/server/
+	$(GO) test -run '^$$' -fuzz '^FuzzRoundPayload$$' -fuzztime 15s ./internal/server/
 	$(GO) test -run '^$$' -fuzz '^FuzzStateBodies$$' -fuzztime 15s ./internal/objects/
 	$(GO) test -run '^$$' -fuzz '^FuzzStateBodies$$' -fuzztime 15s ./internal/statefun/
 	$(GO) test -run '^$$' -fuzz '^FuzzStateBodies$$' -fuzztime 15s ./internal/server/
@@ -137,15 +141,17 @@ doclint:
 # object, the per-object tracker's warm-path Observe must stay
 # allocation-free (the telemetry-overhead guard for the always-on
 # accounting plane), one sequential RF-2 write — an inline round of one —
-# must stay near the ~21 allocations it costs as one tag-encoded ACCEPT
-# round trip (~34 before names were interned and placement stopped
+# must stay near the ~10 allocations it costs once a round allocates only
+# what its invocation carries (~21 with per-round and per-apply
+# scaffolding, ~34 before names were interned and placement stopped
 # allocating, 53 with a goroutine and a context per rpc frame, ~96 under
-# the Skeen PROPOSE/FINAL exchange), the same write with leases on near
-# the same ~21 (the lease block lives on the ref's record and its release
-# is a method: 27 when each write rebuilt a holder table at both replicas
-# and returned two closures), an rf=3 write near its ~34 with the
+# the Skeen PROPOSE/FINAL exchange), a warm member's ACCEPT of a round of
+# one near its ~3 (11 with that scaffolding), the same write with leases
+# on near the same ~10 (the lease block lives on the ref's record and its
+# release is a method: 27 when each write rebuilt a holder table at both
+# replicas and returned two closures), an rf=3 write near its ~15 with the
 # extra member's ACCEPT on a pooled worker, an rf=1 write (a group of one)
-# and read near the ~6 and ~6 they cost outside rounds, and the lease read
+# and read near the ~4 and ~5 they cost outside rounds, and the lease read
 # path must keep a 95/5 read/write sequence cached (hit ratio, one grant
 # per invalidation) without building a hash ring per hit, miss or grant,
 # and a grant and a whole 256-byte KV miss (grant plus Restore) must stay

@@ -19,15 +19,20 @@ import (
 
 // replicatedInvokeAllocBudget is what one sequential RF-2 AddAndGet, an
 // inline round of one, allocates, client and both replicas together, plus
-// about 10 %: 21 in each of 20 samples of 500 calls, and in five more each
-// at -cpu 1 and 4, measured 2026-10-19 on the 2-vCPU reference box
-// (go1.24), once names decoded to shared copies, placement stopped building
-// a replica slice and a Ref string, frame readers stayed on the stack and
-// a round's payload was encoded in one pass. Before that it cost 34-35,
-// as one ACCEPT round trip with a goroutine and a context per frame 53,
-// under the Skeen PROPOSE/FINAL exchange 96, and 694 with a gob stream per
-// control frame. `make alloc-guard` holds it there.
-const replicatedInvokeAllocBudget = 24
+// about 10 %: 10 in each of 20 samples of 500 calls, and in five more each
+// at -cpu 1 and 4, measured 2026-10-20 on the 2-vCPU reference box
+// (go1.24), once a round allocated only what its invocation carries: the
+// ACCEPT frame and its payload are one buffer, the member reads the
+// payload in place and replies in a pooled buffer, and neither side boxes
+// a Ctl, escapes a lane record or an error target, or allocates a result
+// slice for a round of one. Before that it cost 21; before names decoded
+// to shared copies, placement stopped building a replica slice and a Ref
+// string, frame readers stayed on the stack and a round's payload was
+// encoded in one pass 34-35, as one ACCEPT round trip with a goroutine and
+// a context per frame 53, under the Skeen PROPOSE/FINAL exchange 96, and
+// 694 with a gob stream per control frame. `make alloc-guard` holds it
+// there.
+const replicatedInvokeAllocBudget = 11
 
 // TestReplicatedInvokeAllocBudget pins the allocations of the round of one.
 func TestReplicatedInvokeAllocBudget(t *testing.T) {
@@ -62,12 +67,13 @@ func TestReplicatedInvokeAllocBudget(t *testing.T) {
 }
 
 // rfThreeWriteAllocBudget is what one sequential rf=3 AddAndGet allocates,
-// client and all three replicas together, plus about 10 %: 34 in each of
-// 30 samples (2026-10-19, same box and conditions as above). The second
-// member's ACCEPT runs on a pooled accept worker, so the round starts no
-// goroutine and makes no channel; with a goroutine and a channel per such
-// member, and before the savings listed above, it cost 57.
-const rfThreeWriteAllocBudget = 38
+// client and all three replicas together, plus about 10 %: 15 in each of
+// 30 samples (2026-10-20, same box and conditions as above; 34 before the
+// round allocated only what it carries). The second member's ACCEPT runs
+// on a pooled accept worker, so the round starts no goroutine and makes no
+// channel; with a goroutine and a channel per such member, and before the
+// savings listed above, it cost 57.
+const rfThreeWriteAllocBudget = 17
 
 // TestRFThreeWriteAllocBudget pins the allocations of a round with a
 // member beyond the last.
@@ -105,12 +111,13 @@ func TestRFThreeWriteAllocBudget(t *testing.T) {
 // leasedWriteAllocBudget is what the sequential RF-2 AddAndGet of
 // TestReplicatedInvokeAllocBudget allocates with leases on (no cache
 // holds the counter), once the post-view write fence has run out, plus
-// about 10 %: 21 in each of 20 samples (2026-10-19, same box and
-// conditions as above), what the write costs with leases off. The lease
-// block and holders live on the ref's record and their release is a
-// method. Before, each write rebuilt a holder table at the primary and at
-// the member, and returned two release closures: 27.
-const leasedWriteAllocBudget = 23
+// about 10 %: 10 in each of 20 samples (2026-10-20, same box and
+// conditions as above), what the write costs with leases off (21 before
+// the round allocated only what it carries). The lease block and holders
+// live on the ref's record and their release is a method. Before, each
+// write rebuilt a holder table at the primary and at the member, and
+// returned two release closures: 27.
+const leasedWriteAllocBudget = 11
 
 // TestLeasedWriteAllocBudget pins what the lease write hooks (prepareWrite
 // at the primary, memberWriteFence at the member) add to a write.
@@ -243,14 +250,16 @@ func TestReplicatedWritePeerFrames(t *testing.T) {
 
 // The rf=1 budgets: one sequential AddAndGet and one Get on an ephemeral
 // counter of a three-node cluster, client and server together. Measured
-// 2026-10-19 on the 2-vCPU reference box (go1.24): a write and a read
-// cost 6 each in 20 of 20 runs, budgets about 10 % above. Before names
-// were interned and placement stopped allocating they cost 10 and 11; with
+// 2026-10-20 on the 2-vCPU reference box (go1.24): a write costs 4 and a
+// read 5 in 20 of 20 runs, budgets about 10 % above; 6 each while every
+// call boxed its Ctl and a write's round of one allocated its result
+// slice. Before names were interned and placement stopped allocating they
+// cost 10 and 11; with
 // a goroutine, a header array and a context per rpc frame 18 and 19
 // (2026-10-15: a write cost 19 before it became a round of one).
 const (
-	rfOneWriteAllocBudget = 7
-	rfOneReadAllocBudget  = 7
+	rfOneWriteAllocBudget = 5
+	rfOneReadAllocBudget  = 6
 )
 
 // TestRFOneInvokeAllocBudget pins what a group of one costs per write and

@@ -61,8 +61,17 @@ func EncodeInvocation(inv Invocation) ([]byte, error) {
 // must be exactly one frame: one without the magic, with an unknown
 // version or with bytes after the last field is an error.
 func DecodeInvocation(data []byte) (Invocation, error) {
+	return DecodeInvocationOn(data, Ref{})
+}
+
+// DecodeInvocationOn is DecodeInvocation for an invocation expected on
+// ref: when its encoded type and key are ref's, the result shares ref's
+// strings instead of fresh copies of them. An invocation on another ref
+// decodes as DecodeInvocation decodes it, and the caller tells the two
+// apart by comparing Refs.
+func DecodeInvocationOn(data []byte, ref Ref) (Invocation, error) {
 	RegisterValueTypes()
-	inv, err := decodeWireInvocation(data)
+	inv, err := decodeWireInvocation(data, ref)
 	if err == nil {
 		if inv.Stamped() {
 			codecStats.stampedDecodes.Add(1)

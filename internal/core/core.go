@@ -179,6 +179,11 @@ func matchSentinel(s, prefix string) bool {
 // until cond() becomes true (re-checked after every Broadcast on the same
 // object) or the invocation context is cancelled. Broadcast wakes all
 // waiters of the object so they re-evaluate their conditions.
+//
+// Wait and Context are valid only during the Call that was handed the
+// Ctl: a node hands every call on one object the same Ctl and sets the
+// running call's context on it. Broadcast is valid at any time, also from
+// a timer that fires after the call returned.
 type Ctl interface {
 	Wait(cond func() bool) error
 	Broadcast()

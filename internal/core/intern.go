@@ -74,11 +74,7 @@ func internedNames() map[string]string {
 // — a type, a method, a node — and returns the shared copy of it
 // (intern). Like Str, the result does not alias the input.
 func (r *Reader) Name() (string, error) {
-	n, err := r.Count(1)
-	if err != nil {
-		return "", err
-	}
-	b, err := r.take(n)
+	b, err := r.BytesView()
 	if err != nil {
 		return "", err
 	}

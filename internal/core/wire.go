@@ -209,16 +209,26 @@ func AppendResponse(dst []byte, resp Response) ([]byte, error) {
 	return dst, nil
 }
 
-// decodeWireInvocation parses exactly one fast-codec invocation.
-func decodeWireInvocation(data []byte) (Invocation, error) {
+// decodeWireInvocation parses exactly one fast-codec invocation. A type
+// and key equal to on's take on's strings (DecodeInvocationOn).
+func decodeWireInvocation(data []byte, on Ref) (Invocation, error) {
 	r := Reader{b: data}
 	if err := r.preamble(wireInvocation); err != nil {
 		return Invocation{}, fmt.Errorf("core: decode invocation: %w", err)
 	}
 	var inv Invocation
-	var err error
-	if inv.Ref.Type, err = r.Name(); err == nil {
-		if inv.Ref.Key, err = r.Str(); err == nil {
+	typ, err := r.BytesView()
+	if err == nil {
+		inv.Ref.Type = on.Type
+		if string(typ) != on.Type {
+			inv.Ref.Type = intern(typ)
+		}
+		var key []byte
+		if key, err = r.BytesView(); err == nil {
+			inv.Ref.Key = on.Key
+			if string(key) != on.Key {
+				inv.Ref.Key = string(key)
+			}
 			inv.Method, err = r.Name()
 		}
 	}
@@ -519,8 +529,9 @@ func appendGobValue(dst []byte, v any) ([]byte, error) {
 // Reader decodes the tag format from a byte slice. Every length is
 // validated against the remaining input before allocating, so corrupt
 // frames fail with an error instead of a huge allocation or panic, and
-// nothing it returns aliases the input: a caller may keep a decoded
-// message after the (possibly pooled) buffer is recycled.
+// nothing it returns but BytesView's result aliases the input: a caller
+// may keep a decoded message after the (possibly pooled) buffer is
+// recycled.
 type Reader struct {
 	b   []byte
 	off int
@@ -620,18 +631,22 @@ func (r *Reader) take(n int) ([]byte, error) {
 	return b, nil
 }
 
+// BytesView reads a length-prefixed string or byte slice (AppendString,
+// AppendBytes) in place: unlike everything else Reader returns, the result
+// aliases the input, and a caller keeps it only while the input lives.
+func (r *Reader) BytesView() ([]byte, error) {
+	n, err := r.Count(1)
+	if err != nil {
+		return nil, err
+	}
+	return r.take(n)
+}
+
 // Str reads a length-prefixed string (AppendString). The conversion
 // copies.
 func (r *Reader) Str() (string, error) {
-	n, err := r.Count(1)
-	if err != nil {
-		return "", err
-	}
-	b, err := r.take(n)
-	if err != nil {
-		return "", err
-	}
-	return string(b), nil
+	b, err := r.BytesView()
+	return string(b), err
 }
 
 // Bytes reads a length-prefixed byte slice (AppendBytes) into a fresh

@@ -181,7 +181,7 @@ func (n *Node) restoreObject(msg transferMsg) error {
 // recovery and with it the node's start, rather than a skip that would come
 // up serving state with the write missing.
 func (n *Node) replayRecord(rec durability.Record) (applied bool, err error) {
-	_, invs, err := decodeRoundPayload(rec.Payload)
+	_, invs, err := readRound(rec.Payload, core.Ref{}, nil)
 	if err != nil {
 		return false, fmt.Errorf("wal record %s/%d is not a round payload: %w", rec.Origin, rec.Seq, err)
 	}

@@ -13,6 +13,9 @@ import (
 
 // nodeCtl is the core.Ctl handed to object methods. It operates on the
 // entry's monitor; the object's lock is held whenever object code runs.
+// Each record has one (entry.ctl), handed out by pointer, so a call boxes
+// nothing: applyLocked sets ctx to the running call's context under the
+// monitor, and a call parked in Wait puts its own back when it wakes.
 type nodeCtl struct {
 	n   *Node
 	e   *entry
@@ -27,8 +30,11 @@ type nodeCtl struct {
 // waiter either sees ctx.Done before sleeping or is parked and wakes.
 // Instrumented nodes record the time actually blocked in
 // server.monitor_wait and on the active server.invoke span, so reports
-// separate "the barrier was slow" from "the method was slow".
-func (c nodeCtl) Wait(cond func() bool) error {
+// separate "the barrier was slow" from "the method was slow". Other calls
+// run on the object while this one sleeps and set c.ctx to theirs; Wait
+// keeps its own and puts it back each time it wakes, monitor held.
+func (c *nodeCtl) Wait(cond func() bool) error {
+	ctx := c.ctx
 	var start time.Time
 	blocked := false
 	if c.n.instrumented {
@@ -36,7 +42,7 @@ func (c nodeCtl) Wait(cond func() bool) error {
 			if blocked {
 				d := time.Since(start)
 				c.n.hMonitorWait.Observe(d)
-				telemetry.SpanFromContext(c.ctx).AddTiming(telemetry.TimingMonitor, d)
+				telemetry.SpanFromContext(ctx).AddTiming(telemetry.TimingMonitor, d)
 			}
 		}()
 	}
@@ -47,8 +53,8 @@ func (c nodeCtl) Wait(cond func() bool) error {
 			if c.n.instrumented {
 				start = time.Now()
 			}
-			if c.ctx.Done() != nil {
-				stopWatch = context.AfterFunc(c.ctx, func() {
+			if ctx.Done() != nil {
+				stopWatch = context.AfterFunc(ctx, func() {
 					c.e.mu.Lock()
 					c.e.cond.Broadcast()
 					c.e.mu.Unlock()
@@ -60,22 +66,24 @@ func (c nodeCtl) Wait(cond func() bool) error {
 			return core.ErrStopped
 		}
 		select {
-		case <-c.ctx.Done():
-			return c.ctx.Err()
+		case <-ctx.Done():
+			return ctx.Err()
 		default:
 		}
 		c.e.cond.Wait()
+		c.ctx = ctx
 	}
 	return nil
 }
 
-// Broadcast wakes all waiters of the object.
-func (c nodeCtl) Broadcast() { c.e.cond.Broadcast() }
+// Broadcast wakes all waiters of the object. It touches only the record's
+// condition variable, so a timer may call it after the call returned.
+func (c *nodeCtl) Broadcast() { c.e.cond.Broadcast() }
 
-// Context returns the invocation context.
-func (c nodeCtl) Context() context.Context { return c.ctx }
+// Context returns the running invocation's context.
+func (c *nodeCtl) Context() context.Context { return c.ctx }
 
-var _ core.Ctl = nodeCtl{}
+var _ core.Ctl = (*nodeCtl)(nil)
 
 // replicaGroup computes the nodes responsible for a reference in the
 // installed view: the view's directive table first (per-key placement
@@ -164,7 +172,9 @@ func (n *Node) applyLocked(ctx context.Context, e *entry, invs []core.Invocation
 			if n.instrumented {
 				execStart = time.Now()
 			}
-			results, err = e.obj.Call(nodeCtl{n: n, e: e, ctx: ctx}, inv.Method, inv.Args)
+			e.ctl.ctx = ctx
+			results, err = e.obj.Call(&e.ctl, inv.Method, inv.Args)
+			e.ctl.ctx = nil // the record keeps no call's context
 			if !inv.ReadOnly {
 				// The version counts state changes: primary-local reads
 				// bypass rounds, so counting reads would split replicas.

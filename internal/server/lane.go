@@ -115,7 +115,7 @@ func (n *Node) awaitCut(ctx context.Context, e *entry, w *laneWrite) ([]any, err
 // and the lease fence's worst case (revocation plus holder expiry).
 func (n *Node) runCut(e *entry, lead *laneWrite) ([]any, error) {
 	ref, cut := e.ref, lead.batch
-	res, err := []opResult(nil), error(core.ErrStopped)
+	res, err := make([]opResult, len(cut)), error(core.ErrStopped)
 	if !n.closed.Load() {
 		bound := 10 * n.waitTimeout()
 		if n.leases != nil {
@@ -138,7 +138,7 @@ func (n *Node) runCut(e *entry, lead *laneWrite) ([]any, error) {
 		// The group comes from the view at cut time, not at routing time.
 		group, view := n.replicaGroup(ref, lead.inv.Persist)
 		var ordered bool
-		if res, ordered, err = n.runRound(ctx, e, group, view, invs); ordered {
+		if ordered, err = n.runRound(ctx, e, group, view, invs, res); ordered {
 			n.cBatches.Inc() // counted like smr_rounds, from the local apply on
 			n.hBatchSize.ObserveValue(int64(len(cut)))
 		}

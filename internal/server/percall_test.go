@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"strconv"
 	"testing"
 	"time"
@@ -62,9 +63,10 @@ func TestRoundPayloadAppendedInPlace(t *testing.T) {
 	}
 }
 
-// Decoding an ACCEPT copies its key and payload and nothing else: the
-// node id and type name are interned, the frame's reader is on the stack.
-// An ACCEPT reply, all integers, allocates nothing.
+// Decoding an ACCEPT copies its key and nothing else: the node id and
+// type name are interned, the payload is read in place, the frame's
+// reader is on the stack. An ACCEPT reply, all integers, allocates
+// nothing.
 func TestControlFrameDecodeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counting is meaningless under -race")
@@ -76,12 +78,60 @@ func TestControlFrameDecodeAllocs(t *testing.T) {
 	if _, err := decodeAccept(accept); err != nil { // interns the names
 		t.Fatal(err)
 	}
-	if got := testing.AllocsPerRun(100, func() { _, _ = decodeAccept(accept) }); got != 2 {
-		t.Fatalf("decoding an ACCEPT allocates %.0f, want 2 (key, payload)", got)
+	if got := testing.AllocsPerRun(100, func() { _, _ = decodeAccept(accept) }); got != 1 {
+		t.Fatalf("decoding an ACCEPT allocates %.0f, want 1 (the key)", got)
 	}
 	if got := testing.AllocsPerRun(100, func() { _, _ = decodeFinalResp(reply) }); got != 0 {
 		t.Fatalf("decoding an ACCEPT reply allocates %.0f", got)
 	}
+}
+
+// acceptApplyAllocBudget is what a warm member's handleAccept of a round
+// of one AddAndGet on an AtomicLong allocates with the WAL off, plus about
+// 10 %: 3 in each of 20 samples of 200 rounds (2026-10-20, 2-vCPU box,
+// go1.24): the ACCEPT's key, the argument list and the method's result
+// list (their small integers box without allocating). The payload is read
+// in place, its one invocation shares the ACCEPT's ref and decodes into an
+// array on the handler's stack, the record's Ctl is not boxed per call and
+// the reply goes out in a pooled buffer. Before, the member also split the
+// payload into a slice of parts, decoded an invocation slice and its key,
+// copied the payload, boxed the Ctl, moved its lane record to the heap,
+// and sized a reply frame of its own, whose recycling took a pool box: 11.
+const acceptApplyAllocBudget = 4
+
+// TestAcceptApplyAllocBudget pins the member's side of a round: what one
+// ACCEPT costs from its decode to its reply, the rpc server's recycling of
+// that reply included.
+func TestAcceptApplyAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counting is meaningless under -race")
+	}
+	dir := membership.NewDirectory(time.Hour)
+	n := startNode(t, validConfig(rpc.NewMemNetwork(), dir))
+	ref := core.Ref{Type: objects.TypeAtomicLong, Key: "alloc/member"}
+	const runs = 200
+	bodies := make([][]byte, runs+2) // seq 1 is the genesis round, AllocsPerRun runs once more
+	for i := range bodies {
+		seq := uint64(i + 1)
+		bodies[i] = acceptBody(t, dir, "n9", seq, seq == 1, core.Invocation{Ref: ref, Method: "AddAndGet",
+			Args: []any{int64(1)}, Persist: true, ClientID: 5, Seq: seq})
+	}
+	ctx := context.Background()
+	next := 0
+	apply := func() {
+		out, err := n.handleAccept(ctx, bodies[next])
+		if err != nil {
+			t.Fatalf("round %d: %v", next+1, err)
+		}
+		rpc.PutBuffer(out) // as the rpc server does once the reply is written
+		next++
+	}
+	apply() // genesis: the copy, its record, the dedup window
+	got := testing.AllocsPerRun(runs, apply)
+	if got > acceptApplyAllocBudget {
+		t.Fatalf("a member's ACCEPT of a round of one allocates %.0f, budget %d", got, acceptApplyAllocBudget)
+	}
+	t.Logf("a member's ACCEPT of a round of one allocates %.0f (budget %d)", got, acceptApplyAllocBudget)
 }
 
 // rebalancerScanAllocBudget is what one coordinator scan over 1 000

@@ -513,7 +513,9 @@ func (n *Node) handleFetch(payload []byte) ([]byte, error) {
 // whether it installs or the local copy already covers its version. When
 // no clean copy exists but every member answered definitively, the
 // primary adopts the best state on offer and clears its mark anyway: an
-// acked op is on at least one surviving copy after any single failure.
+// acked op is on at least one surviving copy after any single failure. A
+// member without a copy clears its mark when every member answered and
+// none holds one.
 func (n *Node) pullObject(ctx context.Context, e *entry, group []ring.NodeID) (installed, busy bool) {
 	ref := e.ref
 	// Read the stale token before the first fetch: only a fetch issued
@@ -596,6 +598,12 @@ func (n *Node) pullObject(ctx context.Context, e *entry, group []ring.NodeID) (i
 			e.clearStale(e.staleToken())
 			n.log.Info("primary adopted best surviving copy after group poll",
 				"ref", ref.String())
+		case definitive && best == nil:
+			// No copy in the group, at a member: with none here either,
+			// the mark guards nothing and would keep the record for good.
+			if resident, _, _ := e.kind(); !resident {
+				e.clearStale(token)
+			}
 		}
 	}
 	return installed, busy

@@ -52,6 +52,7 @@ type entry struct {
 
 	mu   sync.Mutex
 	cond sync.Cond
+	ctl  nodeCtl // the Ctl the copy's calls get (applyLocked), under mu
 	init []any
 	// dedup is the at-most-once window (see dedup.go).
 	dedup dedupState
@@ -89,6 +90,7 @@ func (n *Node) pin(ref core.Ref, create bool) *entry {
 	if e = n.records[ref]; e == nil {
 		e = &entry{ref: ref}
 		e.cond.L = &e.mu
+		e.ctl = nodeCtl{n: n, e: e}
 		n.records[ref] = e
 	}
 	e.pins.Add(1)

@@ -263,20 +263,22 @@ func TestTableStaysFlat(t *testing.T) {
 	}
 
 	// A copy handed off by hand and pulled back, and a stale mark on a ref
-	// no node holds, which a pull clears.
+	// no node holds, at its primary and at its member, which a pull clears.
 	e := n1.pin(ref, false)
 	n1.handOff(e)
 	n1.release(e)
 	n1.selfHeal(ref)
-	ghost := core.Ref{Type: objects.TypeAtomicLong, Key: "flat-ghost"}
-	for i := 0; ; i++ { // only the primary's poll may clear a mark on its own
-		if group, _ := n1.replicaGroup(ghost, true); group[0] == n1.cfg.ID {
-			break
+	for _, lead := range []*Node{n1, n2} {
+		ghost := core.Ref{Type: objects.TypeAtomicLong, Key: "flat-ghost"}
+		for i := 0; ; i++ {
+			if group, _ := n1.replicaGroup(ghost, true); group[0] == lead.cfg.ID {
+				break
+			}
+			ghost.Key = "flat-ghost-" + strconv.Itoa(i)
 		}
-		ghost.Key = "flat-ghost-" + strconv.Itoa(i)
+		n1.markStale(ghost)
+		n1.selfHeal(ghost)
 	}
-	n1.markStale(ghost)
-	n1.selfHeal(ghost)
 
 	// A spent future.
 	future := core.Ref{Type: objects.TypeFuture, Key: "flat-future"}

@@ -198,7 +198,8 @@ func TestStaleGroupAcceptFenced(t *testing.T) {
 	// View v+1: a directive on an unrelated key changes the fence and
 	// leaves ref's group alone.
 	dir.SetDirective("unrelated", []ring.NodeID{"n2"})
-	_, _, err := n1.runRound(ctx, pinned(t, n1, ref), group, view, invs)
+	res := make([]opResult, len(invs))
+	_, err := n1.runRound(ctx, pinned(t, n1, ref), group, view, invs, res)
 	if !errors.Is(err, core.ErrRebalancing) || !strings.Contains(err.Error(), "fenced") {
 		t.Fatalf("round with view-v group at a view-v+1 node: err = %v, want a fenced ErrRebalancing", err)
 	}
@@ -206,7 +207,7 @@ func TestStaleGroupAcceptFenced(t *testing.T) {
 		t.Fatal("a fenced genesis round created a copy")
 	}
 	group, view = n1.replicaGroup(ref, true)
-	res, _, err := n1.runRound(ctx, pinned(t, n1, ref), group, view, invs)
+	_, err = n1.runRound(ctx, pinned(t, n1, ref), group, view, invs, res)
 	if err != nil {
 		t.Fatalf("round with the current group refused: %v", err)
 	}
@@ -316,9 +317,9 @@ func TestRoundOnStoppedNodeAnswersErrStopped(t *testing.T) {
 	}
 }
 
-// Every malformed round payload is rejected with an error, by the decoder
-// and by the ACCEPT handler, without a panic and without admitting or
-// applying anything.
+// Every malformed round payload, and one on another ref than its ACCEPT's,
+// is rejected with an error, by the decoder and by the ACCEPT handler,
+// without a panic and without admitting or applying anything.
 func TestRoundPayloadDecodeRejects(t *testing.T) {
 	net := rpc.NewMemNetwork()
 	dir := membership.NewDirectory(time.Hour)
@@ -337,7 +338,7 @@ func TestRoundPayloadDecodeRejects(t *testing.T) {
 		"another ref":     roundPayload(t, true, b),
 	}
 	for name, payload := range cases {
-		if _, _, err := decodeRoundPayload(payload); err == nil && name != "another ref" {
+		if _, _, err := readRound(payload, a.Ref, nil); err == nil {
 			t.Errorf("%s: decoded", name)
 		}
 		body := acceptMsg{ID: totalorder.MsgID{Origin: "n9", Seq: 2}, Ref: a.Ref,
@@ -349,7 +350,7 @@ func TestRoundPayloadDecodeRejects(t *testing.T) {
 			t.Fatalf("%s: left a round admitted or an object behind", name)
 		}
 	}
-	if _, invs, err := decodeRoundPayload(good); err != nil || len(invs) != 2 {
+	if _, invs, err := readRound(good, a.Ref, nil); err != nil || len(invs) != 2 {
 		t.Fatalf("well-formed payload: %d invocations, err %v", len(invs), err)
 	}
 }
@@ -620,7 +621,7 @@ func TestGapPullAdoptsPositionOfOlderCopy(t *testing.T) {
 	// Seq 2 applies at the primary only: its ACCEPT is lost.
 	fence := dir.View().Fence()
 	if _, _, err := n1.sequence(ctx, pinned(t, n1, ref), totalorder.MsgID{Origin: "n1", Seq: 2}, fence, false,
-		[]core.Invocation{inc}, nil); err != nil {
+		[]core.Invocation{inc}, make([]opResult, 1), nil); err != nil {
 		t.Fatal(err)
 	}
 	body := acceptMsg{ID: totalorder.MsgID{Origin: "n1", Seq: 3}, Ref: ref,

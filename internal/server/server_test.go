@@ -423,7 +423,7 @@ func TestDeliverWithoutBaseCopySkips(t *testing.T) {
 	// Non-genesis round this node coordinates, no local copy: a retryable
 	// bounce, nothing created.
 	if _, _, err := n.sequence(ctx, pinned(t, n, ref), totalorder.MsgID{Origin: "n1", Seq: 1}, dir.View().Fence(),
-		false, []core.Invocation{inv}, nil); !errors.Is(err, core.ErrRebalancing) {
+		false, []core.Invocation{inv}, make([]opResult, 1), nil); !errors.Is(err, core.ErrRebalancing) {
 		t.Fatalf("round on a dropped copy returned %v, want ErrRebalancing", err)
 	}
 	if n.DebugHasObject(ref) {
@@ -449,6 +449,12 @@ func TestDeliverWithoutBaseCopySkips(t *testing.T) {
 	if !n.DebugHasObject(ref) {
 		t.Fatal("genesis round did not create the object")
 	}
+}
+
+// encodeRoundPayload is the payload of a round carrying invs, as a group
+// of one's round encodes it for its WAL record: no room ahead of it.
+func encodeRoundPayload(genesis bool, invs []core.Invocation) ([]byte, error) {
+	return encodeRound(0, genesis, invs)
 }
 
 // roundPayload is the single round-payload constructor, failing the test

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -46,9 +47,9 @@ type opResult struct {
 	err     error
 }
 
-// roundOutcome is what one replica's in-order apply of a round produced.
+// roundOutcome is what one replica's in-order apply of a round produced,
+// besides the per-invocation outcomes (applyOrdered's res).
 type roundOutcome struct {
-	res []opResult
 	// version is the copy's apply version right after the round's last
 	// invocation, and replays how many of its invocations were answered
 	// from the at-most-once window instead of executing; both are captured
@@ -106,8 +107,9 @@ type acceptMsg struct {
 // fallback. A decoder accepts exactly its own tag and layout: a truncated
 // frame, a field length past the end and a trailing byte are all errors.
 // Decoders copy what they return, because the rpc server recycles a
-// request's buffer once its handler returns while the WAL keeps an
-// ACCEPT's payload until its flush.
+// request's buffer once its handler returns, with one exception: an
+// ACCEPT's payload aliases the frame. Its invocations decode to copies,
+// and handleAccept copies the payload itself only when the WAL keeps it.
 const (
 	frameAccept      byte = 'A' // MsgID, Ref, At.Fence, At.Seq, Payload
 	frameAcceptReply byte = 'a' // finalResp: Version, Replays
@@ -126,10 +128,28 @@ func readMsgID(r *core.Reader) (id totalorder.MsgID, err error) {
 }
 
 func (m acceptMsg) encode() []byte {
-	b := core.NewFrame(frameAccept, len(m.ID.Origin)+len(m.Ref.Type)+len(m.Ref.Key)+len(m.Payload), 7)
-	b = appendRef(appendMsgID(b, m.ID), m.Ref)
-	b = binary.AppendUvarint(binary.AppendUvarint(b, m.At.Fence), m.At.Seq)
-	return core.AppendBytes(b, m.Payload)
+	room := acceptRoom(m.ID, m.Ref)
+	return m.frameAround(append(make([]byte, room, room+len(m.Payload)), m.Payload...), room)
+}
+
+// acceptRoom bounds what an ACCEPT of round id on ref puts ahead of its
+// payload: the tag, the strings, and seven uvarints (three string lengths,
+// the MsgID's seq, the position, the payload's length).
+func acceptRoom(id totalorder.MsgID, ref core.Ref) int {
+	return 1 + len(id.Origin) + len(ref.Type) + len(ref.Key) + 7*binary.MaxVarintLen64
+}
+
+// frameAround writes m's fields, ahead of the payload that buf holds past
+// its first room bytes (m.Payload is not read), into that room, and
+// returns the frame: buf from where the fields start. A round's payload
+// encoded behind that room (encodeRound) so becomes its ACCEPT in place.
+func (m acceptMsg) frameAround(buf []byte, room int) []byte {
+	h := appendRef(appendMsgID(append(buf[:0], frameAccept), m.ID), m.Ref)
+	h = binary.AppendUvarint(binary.AppendUvarint(h, m.At.Fence), m.At.Seq)
+	h = binary.AppendUvarint(h, uint64(len(buf)-room))
+	start := room - len(h)
+	copy(buf[start:room], h)
+	return buf[start:]
 }
 
 func decodeAccept(data []byte) (acceptMsg, error) {
@@ -144,7 +164,7 @@ func decodeAccept(data []byte) (acceptMsg, error) {
 			m.At.Seq, err = r.Uvarint()
 		}
 		if err == nil {
-			m.Payload, err = r.Bytes()
+			m.Payload, err = r.BytesView()
 		}
 		return m, err
 	})
@@ -154,9 +174,12 @@ func decodeAccept(data []byte) (acceptMsg, error) {
 	return m, nil
 }
 
-func (f finalResp) encode() []byte {
-	b := core.NewFrame(frameAcceptReply, 0, 2)
-	return binary.AppendUvarint(binary.AppendUvarint(b, f.Version), uint64(f.Replays))
+func (f finalResp) encode() []byte { return f.append(make([]byte, 0, 1+2*binary.MaxVarintLen64)) }
+
+// append appends f's frame to dst.
+func (f finalResp) append(dst []byte) []byte {
+	dst = binary.AppendUvarint(append(dst, frameAcceptReply), f.Version)
+	return binary.AppendUvarint(dst, uint64(f.Replays))
 }
 
 func decodeFinalResp(data []byte) (finalResp, error) {
@@ -189,39 +212,41 @@ const (
 	roundGenesis  byte = 1 // first-ever round: replicas may create it fresh
 )
 
-// encodeRoundPayload builds the payload of a round carrying invs: the flag
-// byte, then totalorder's batch container, each invocation appended in
-// place behind the room its length prefix needs.
-func encodeRoundPayload(genesis bool, invs []core.Invocation) ([]byte, error) {
-	size := 1 + binary.MaxVarintLen64
+// encodeRound builds the payload of a round carrying invs behind room
+// spare bytes, where runRound writes the fields of the round's ACCEPT
+// (acceptMsg.frameAround), so that the frame and the payload the WAL keeps
+// are one allocation. The payload (buf[room:]) is the flag byte, then
+// totalorder's batch container (totalorder.AppendBatch's bytes), each
+// invocation appended in place behind the room its length prefix needs.
+func encodeRound(room int, genesis bool, invs []core.Invocation) (buf []byte, err error) {
+	size := room + 1 + binary.MaxVarintLen64
 	for _, inv := range invs {
 		size += binary.MaxVarintLen64 + core.InvocationSize(inv)
 	}
-	payload := make([]byte, 1, size) // grown only past InvocationSize's bound
-	payload[0] = roundExisting
+	buf = make([]byte, room+1, size) // grown only past InvocationSize's bound
+	buf[room] = roundExisting
 	if genesis {
-		payload[0] = roundGenesis
+		buf[room] = roundGenesis
 	}
-	payload = binary.AppendUvarint(payload, uint64(len(invs)))
+	buf = binary.AppendUvarint(buf, uint64(len(invs)))
 	for _, inv := range invs {
-		at := len(payload)
+		at := len(buf)
 		guess := uvarintLen(core.InvocationSize(inv))
-		payload = append(payload, make([]byte, guess)...)
-		var err error
-		if payload, err = core.AppendInvocation(payload, inv); err != nil {
+		buf = append(buf, make([]byte, guess)...)
+		if buf, err = core.AppendInvocation(buf, inv); err != nil {
 			return nil, err
 		}
-		n := len(payload) - at - guess
+		n := len(buf) - at - guess
 		if w := uvarintLen(n); w != guess {
 			// The encoding's length needs a prefix of another width than
 			// its bound's: move it.
-			payload = append(payload, make([]byte, max(w-guess, 0))...)
-			copy(payload[at+w:], payload[at+guess:at+guess+n])
-			payload = payload[:at+w+n]
+			buf = append(buf, make([]byte, max(w-guess, 0))...)
+			copy(buf[at+w:], buf[at+guess:at+guess+n])
+			buf = buf[:at+w+n]
 		}
-		binary.PutUvarint(payload[at:], uint64(n))
+		binary.PutUvarint(buf[at:], uint64(n))
 	}
-	return payload, nil
+	return buf, nil
 }
 
 // uvarintLen is the size of n as a uvarint.
@@ -230,38 +255,42 @@ func uvarintLen(n int) int {
 	return binary.PutUvarint(b[:], uint64(n))
 }
 
-// splitRoundPayload validates a payload's flag byte and container and
-// returns the still-encoded invocations (aliasing payload).
-func splitRoundPayload(payload []byte) (genesis bool, parts [][]byte, err error) {
+// readRound decodes a round payload in place: its flag byte, and each
+// invocation of its container against ref (core.DecodeInvocationOn), so
+// that they share ref's strings. Every invocation must be on ref; a mixed
+// round is a protocol violation and voids it. A zero ref takes the first
+// invocation's (WAL replay: a record names no ref). The invocations fill
+// buf when they fit, so a caller with an array on its stack decodes a
+// round of one without a slice. Nothing returned aliases payload.
+func readRound(payload []byte, ref core.Ref, buf []core.Invocation) (genesis bool, invs []core.Invocation, err error) {
 	if len(payload) == 0 {
 		return false, nil, fmt.Errorf("server: empty round payload")
 	}
 	if payload[0] != roundExisting && payload[0] != roundGenesis {
 		return false, nil, fmt.Errorf("server: bad round payload flag 0x%02x", payload[0])
 	}
-	parts, err = totalorder.SplitBatch(payload[1:])
-	return payload[0] == roundGenesis, parts, err
-}
-
-// decodeRoundPayload decodes a payload into its genesis flag and
-// invocations. All invocations must target the same ref; a mixed round is
-// a protocol violation and voids it.
-func decodeRoundPayload(payload []byte) (genesis bool, invs []core.Invocation, err error) {
-	genesis, parts, err := splitRoundPayload(payload)
+	invs = buf[:0]
+	err = totalorder.WalkBatch(payload[1:], func(i, count int, part []byte) error {
+		if i == 0 && count > cap(invs) {
+			invs = make([]core.Invocation, 0, count)
+		}
+		inv, err := core.DecodeInvocationOn(part, ref)
+		if err != nil {
+			return fmt.Errorf("server: round part %d: %w", i, err)
+		}
+		if i == 0 && ref == (core.Ref{}) {
+			ref = inv.Ref
+		}
+		if inv.Ref != ref {
+			return fmt.Errorf("server: round mixes refs %s and %s", ref, inv.Ref)
+		}
+		invs = append(invs, inv)
+		return nil
+	})
 	if err != nil {
 		return false, nil, err
 	}
-	invs = make([]core.Invocation, len(parts))
-	for i, p := range parts {
-		if invs[i], err = core.DecodeInvocation(p); err != nil {
-			return false, nil, fmt.Errorf("server: round part %d: %w", i, err)
-		}
-		if invs[i].Ref != invs[0].Ref {
-			return false, nil, fmt.Errorf("server: round mixes refs %s and %s",
-				invs[0].Ref, invs[i].Ref)
-		}
-	}
-	return genesis, invs, nil
+	return payload[0] == roundGenesis, invs, nil
 }
 
 // readOnlyRound reports whether every invocation of a round is a read —
@@ -322,8 +351,10 @@ func (n *Node) invoke(ctx context.Context, inv core.Invocation) ([]any, error) {
 		}
 		defer n.freeSlot(e)
 	}
-	// A round of one, right here: no queue, no goroutine hop, no timer.
-	res, ordered, err := n.runRound(ctx, e, group, view, []core.Invocation{inv})
+	// A round of one, right here: no queue, no goroutine hop, no timer, and
+	// its outcome on this stack.
+	var res [1]opResult
+	ordered, err := n.runRound(ctx, e, group, view, []core.Invocation{inv}, res[:])
 	if write && ordered {
 		n.hBatchSize.ObserveValue(1)
 	}
@@ -340,12 +371,12 @@ func (n *Node) invoke(ctx context.Context, inv core.Invocation) ([]any, error) {
 // the WAL wait, in that order and each exactly once however many
 // invocations the round carries. A nil error means the round is applied at
 // every group member and durable; the per-invocation outcomes (method
-// errors included, which every replica reproduces) are in the result,
+// errors included, which every replica reproduces) are then in res,
 // index-aligned with invs. ordered reports whether the round was ordered —
 // applied here under its seq, the point from which it counts in
 // smr_rounds, even if a member then refuses it or the fork check or the
 // WAL wait fails it.
-func (n *Node) runRound(ctx context.Context, e *entry, group []ring.NodeID, view membership.View, invs []core.Invocation) (res []opResult, ordered bool, err error) {
+func (n *Node) runRound(ctx context.Context, e *entry, group []ring.NodeID, view membership.View, invs []core.Invocation, res []opResult) (ordered bool, err error) {
 	defer func() {
 		if err != nil && n.closed.Load() {
 			// Whatever cut the round short — a canceled handler context, a
@@ -358,28 +389,34 @@ func (n *Node) runRound(ctx context.Context, e *entry, group []ring.NodeID, view
 	// A repeat after invoke, which gates its local paths on it, but not
 	// after cutRound, which computes its group later: two comparisons.
 	if err := n.primacy(ref, group); err != nil {
-		return nil, false, err
+		return false, err
 	}
 	if n.leases != nil && !readOnlyRound(invs) {
 		// Grants resume once every member has applied the round.
 		if err := n.leases.prepareWrite(ctx, e); err != nil {
-			return nil, false, err
+			return false, err
 		}
 		defer e.endWrite()
 	}
 	genesis, err := n.ensureCoordinatorCopy(ctx, e, group)
 	if err != nil {
-		return nil, false, err
-	}
-	// A failure here is a codec bug, and nothing has been ordered yet. A
-	// group of one encodes only for a persistent object's WAL record.
-	var payload []byte
-	if len(group) > 1 || (n.walEnabled() && invs[0].Persist) {
-		if payload, err = encodeRoundPayload(genesis, invs); err != nil {
-			return nil, false, err
-		}
+		return false, err
 	}
 	id := totalorder.MsgID{Origin: string(n.cfg.ID), Seq: n.seq.Add(1)}
+	// A failure here is a codec bug, and nothing has been ordered yet. A
+	// group of one encodes only for a persistent object's WAL record, and
+	// needs no room for an ACCEPT's fields ahead of it.
+	var buf, payload []byte
+	room := 0
+	if len(group) > 1 {
+		room = acceptRoom(id, ref)
+	}
+	if len(group) > 1 || (n.walEnabled() && invs[0].Persist) {
+		if buf, err = encodeRound(room, genesis, invs); err != nil {
+			return false, err
+		}
+		payload = buf[room:]
+	}
 	// Telemetry: attribute the whole ordering round — local apply, the
 	// members' applies, their replies — to the active span so reports can
 	// separate SMR cost from plain method execution.
@@ -388,33 +425,33 @@ func (n *Node) runRound(ctx context.Context, e *entry, group []ring.NodeID, view
 		orderStart = time.Now()
 	}
 	fence := view.Fence()
-	out, at, err := n.sequence(ctx, e, id, fence, genesis, invs, payload)
+	out, at, err := n.sequence(ctx, e, id, fence, genesis, invs, res, payload)
 	if err != nil {
-		return nil, false, err
+		return false, err
 	}
 	n.smrOps.Add(uint64(len(invs)))
 	n.cSMRRounds.Inc()
 	if len(group) > 1 {
-		body := acceptMsg{ID: id, Ref: ref, At: at, Payload: payload}.encode()
+		body := acceptMsg{ID: id, Ref: ref, At: at}.frameAround(buf, room)
 		err = n.replicate(ctx, id, ref, group, body, finalResp{Version: out.version, Replays: out.replays})
 	}
 	if n.instrumented {
 		telemetry.SpanFromContext(ctx).AddTiming(telemetry.TimingSMR, time.Since(orderStart))
 	}
 	if err != nil {
-		return nil, true, err
+		return true, err
 	}
 	if err := waitDurable(ctx, out.commit); err != nil {
 		// The round is applied in memory but its record never reached cold
 		// storage; acking would promise crash durability the tier cannot
 		// honor. No ack — the clients' retries are dedup-safe.
-		return nil, true, err
+		return true, err
 	}
 	if n.log.Enabled(ctx, slog.LevelDebug) {
 		n.log.Debug("smr round complete", "ref", ref.String(), "id", id.String(),
 			"seq", at.Seq, "ops", len(invs), "group", group, "genesis", genesis)
 	}
-	return out.res, true, nil
+	return true, nil
 }
 
 // sequence is the coordinator's half of a round: single-coordinator
@@ -424,8 +461,8 @@ func (n *Node) runRound(ctx context.Context, e *entry, group []ring.NodeID, view
 // which checks the fences again under the monitor. The first check keeps a
 // stale round from creating anything; the second makes a hand-off either
 // push the copy after the round or bounce it (DESIGN.md §5e). A group of
-// one's round ends here.
-func (n *Node) sequence(ctx context.Context, e *entry, id totalorder.MsgID, fence uint64, genesis bool, invs []core.Invocation, payload []byte) (roundOutcome, position, error) {
+// one's round ends here. res receives the per-invocation outcomes.
+func (n *Node) sequence(ctx context.Context, e *entry, id totalorder.MsgID, fence uint64, genesis bool, invs []core.Invocation, res []opResult, payload []byte) (roundOutcome, position, error) {
 	ref := e.ref
 	if !e.admit(id.Origin) {
 		return roundOutcome{}, position{}, fmt.Errorf("%w: %s has a round in flight from another coordinator",
@@ -444,7 +481,7 @@ func (n *Node) sequence(ctx context.Context, e *entry, id totalorder.MsgID, fenc
 		return roundOutcome{}, position{}, err
 	}
 	at := position{Fence: fence}
-	out := n.applyOrdered(ctx, id, e, &at, genesis, invs, make([]opResult, len(invs)), payload)
+	out := n.applyOrdered(ctx, id, e, &at, genesis, invs, res, payload)
 	return out, at, out.err
 }
 
@@ -609,6 +646,11 @@ func (n *Node) checkRound(id totalorder.MsgID, ref core.Ref, member ring.NodeID,
 // refused round has already applied at its coordinator, so this member
 // would miss it and hold the ref's next rounds: a round refused by
 // admission therefore pulls a copy at once (selfHeal).
+//
+// The payload is read in place (readRound) and aliases body, which the rpc
+// server recycles once this handler returns: it is copied only for the
+// WAL, which keeps it until a flush. The reply goes out in a pooled
+// buffer that the rpc server recycles.
 func (n *Node) handleAccept(ctx context.Context, body []byte) ([]byte, error) {
 	msg, err := decodeAccept(body)
 	if err != nil {
@@ -621,12 +663,13 @@ func (n *Node) handleAccept(ctx context.Context, body []byte) ([]byte, error) {
 		return nil, fmt.Errorf("%w: round %s fenced on %s (view mismatch)",
 			core.ErrRebalancing, msg.ID, n.cfg.ID)
 	}
-	genesis, invs, err := decodeRoundPayload(msg.Payload)
+	var one [1]core.Invocation
+	genesis, invs, err := readRound(msg.Payload, msg.Ref, one[:])
 	if err != nil {
 		return nil, err
 	}
-	if invs[0].Ref != msg.Ref {
-		return nil, fmt.Errorf("server: round %s names %s but carries %s", msg.ID, msg.Ref, invs[0].Ref)
+	if n.walEnabled() && !readOnlyRound(invs) {
+		msg.Payload = bytes.Clone(msg.Payload)
 	}
 	e := n.pin(msg.Ref, true)
 	defer n.release(e)
@@ -640,7 +683,7 @@ func (n *Node) handleAccept(ctx context.Context, body []byte) ([]byte, error) {
 	if out.err != nil {
 		return nil, out.err
 	}
-	return finalResp{Version: out.version, Replays: out.replays}.encode(), nil
+	return finalResp{Version: out.version, Replays: out.replays}.append(rpc.GetBuffer(0)), nil
 }
 
 // awaitView waits, up to waitTimeout, for the view after ep to install.
@@ -745,7 +788,6 @@ func (n *Node) applyOrdered(ctx context.Context, id totalorder.MsgID, e *entry, 
 		out.commit = n.appendWAL(id.Origin, id.Seq, out.version, payload)
 	}
 	e.mu.Unlock()
-	out.res = res
 	k := telemetry.ObjectKey{Type: ref.Type, Key: ref.Key}
 	n.objTrack.ObserveApply(k, len(invs))
 	n.bundleTrack.ObserveApply(k, len(invs))
@@ -776,7 +818,8 @@ func (n *Node) awaitTurn(ctx context.Context, e *entry, id totalorder.MsgID, at 
 		case laneApply:
 			return nil, nil
 		case laneDone:
-			return &rec, nil
+			dup := rec // escapes: only a duplicate pays for it
+			return &dup, nil
 		case laneStale:
 			return nil, fmt.Errorf("%w: round %s (seq %d) is behind %s's copy of %s (seq %d)",
 				core.ErrRebalancing, id, at.Seq, n.cfg.ID, ref, e.pos.Seq)
@@ -910,9 +953,13 @@ func (n *Node) peerCall(ctx context.Context, id ring.NodeID, kind uint8, body []
 			return nil, err
 		}
 		out, err := c.CallTimeout(ctx, kind, body, n.peerTimeout)
+		if err == nil {
+			return out, nil
+		}
+		// Declared only on an error: errors.As moves it to the heap.
 		var refused rpc.RemoteError
-		if err == nil || errors.As(err, &refused) {
-			return out, err
+		if errors.As(err, &refused) {
+			return nil, err
 		}
 		n.dropPeer(id)
 		if attempt >= 1 || ctx.Err() != nil {

@@ -16,7 +16,14 @@ func TestBatchRoundTrip(t *testing.T) {
 	}
 	for i, parts := range cases {
 		enc := AppendBatch(nil, parts)
-		got, err := SplitBatch(enc)
+		var got [][]byte
+		err := WalkBatch(enc, func(i, count int, part []byte) error {
+			if i != len(got) || count != len(parts) {
+				t.Fatalf("case %d: part %d of %d visited as %d of %d", i, len(got), len(parts), i, count)
+			}
+			got = append(got, part)
+			return nil
+		})
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
@@ -41,7 +48,7 @@ func TestBatchRejectsCorruptContainers(t *testing.T) {
 		append(AppendBatch(nil, [][]byte{{'a'}}), 'z'), // trailing bytes
 	}
 	for i, data := range bad {
-		if _, err := SplitBatch(data); err == nil {
+		if err := WalkBatch(data, func(int, int, []byte) error { return nil }); err == nil {
 			t.Fatalf("case %d: corrupt container %v accepted", i, data)
 		}
 	}
