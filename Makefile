@@ -133,30 +133,40 @@ doclint:
 # connection at most one allocation per twenty calls (their frames share
 # pooled write and queue buffers), the invocation round trip must hold its
 # ~6 allocs/op (type and method decode to shared copies), EncodeInvocation
-# and a round's payload must be sized once, a control frame's reader must
-# stay on the stack (an ACCEPT reply decodes with none), a warmed
+# and a round's payload must be sized once, a call on its expected ref
+# without arguments must decode with none however long its Init list (it
+# stays encoded until a copy is created), a control frame's reader must
+# stay on the stack (an ACCEPT on a ref the node holds decodes with no
+# allocation, 1 while each decode copied the key; an ACCEPT reply with
+# none), a warm ACCEPT and a warm fetch must hand their replies back to
+# the payload pool (an ACCEPT ~0.1 KiB beyond its frame, 4.1 KiB when the
+# coordinator dropped the member's reply; a fetch 11 allocations, 12
+# before), a warmed
 # placement at rf up to the ring's table width must allocate nothing (no
 # replica slice, no Ref string) and New must not format a label per
 # vnode, a rebalancer scan over 1 000 objects must not build a ring per
 # object, the per-object tracker's warm-path Observe must stay
 # allocation-free (the telemetry-overhead guard for the always-on
-# accounting plane), one sequential RF-2 write — an inline round of one —
-# must stay near the ~10 allocations it costs once a round allocates only
-# what its invocation carries (~21 with per-round and per-apply
-# scaffolding, ~34 before names were interned and placement stopped
-# allocating, 53 with a goroutine and a context per rpc frame, ~96 under
-# the Skeen PROPOSE/FINAL exchange), a warm member's ACCEPT of a round of
-# one near its ~3 (11 with that scaffolding), the same write with leases
-# on near the same ~10 (the lease block lives on the ref's record and its
-# release is a method: 27 when each write rebuilt a holder table at both
-# replicas and returned two closures), an rf=3 write near its ~15 with the
-# extra member's ACCEPT on a pooled worker, an rf=1 write (a group of one)
-# and read near the ~4 and ~5 they cost outside rounds, and the lease read
-# path must keep a 95/5 read/write sequence cached (hit ratio, one grant
-# per invalidation) without building a hash ring per hit, miss or grant,
-# and a grant and a whole 256-byte KV miss (grant plus Restore) must stay
-# near the ~4 and ~14 allocations they cost with tag-encoded state bodies
-# (a gob body alone costs more), a warm small-struct gob value round
+# accounting plane), one sequential RF-2 write — an inline round of one,
+# counted on a counter past 1<<20 so that every result boxes — must stay
+# near the ~9 allocations it costs once replies go back to the pool and
+# refs are found by their bytes (~12 counted so, ~10 below 256, before
+# that; ~21 with per-round and per-apply scaffolding, ~34 before names
+# were interned and placement stopped allocating, 53 with a goroutine and
+# a context per rpc frame, ~96 under the Skeen PROPOSE/FINAL exchange), a
+# warm member's ACCEPT of a round of one at its 2 (3 with a fresh key per
+# ACCEPT, 11 with that scaffolding), the same write with leases on near
+# the same ~9 (the lease block lives on the ref's record and its release
+# is a method: 27 when each write rebuilt a holder table at both replicas
+# and returned two closures), an rf=3 write near its ~12 (~17 before)
+# with the extra member's ACCEPT on a pooled worker, an rf=1 write (a
+# group of one) and read near the ~5 and ~4 they cost outside rounds, and
+# the lease read path must keep a 95/5 read/write sequence cached (hit
+# ratio, one grant per invalidation) without building a hash ring per
+# hit, miss or grant, and a grant and a whole 256-byte KV miss (grant plus
+# Restore) must stay near the ~1 and ~11 allocations they cost with
+# pooled replies and tag-encoded state bodies (5 and 14 before; a gob body
+# alone costs more), a warm small-struct gob value round
 # trip must stay near the 4 allocations it costs once its type's
 # descriptors are cached (174 on fresh streams), and the statefun
 # frame decoders must allocate nothing beyond what they return (their

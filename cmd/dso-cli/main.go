@@ -229,7 +229,8 @@ func sendChaos(ctx context.Context, addr string, payload []byte) error {
 	}
 	rc := rpc.NewClient(conn)
 	defer func() { _ = rc.Close() }()
-	_, err = rc.Call(ctx, server.KindChaos, payload)
+	out, err := rc.Call(ctx, server.KindChaos, payload)
+	rpc.PutBuffer(out)
 	return err
 }
 
@@ -405,7 +406,9 @@ func fetchSnapshot(ctx context.Context, addr string) (server.Snapshot, error) {
 		return server.Snapshot{}, err
 	}
 	var snap server.Snapshot
-	if err := core.DecodeValue(raw, &snap); err != nil {
+	err = core.DecodeValue(raw, &snap)
+	rpc.PutBuffer(raw)
+	if err != nil {
 		return server.Snapshot{}, err
 	}
 	return snap, nil

@@ -169,7 +169,8 @@ func sendMigrate(ctx context.Context, addr string, body []byte) error {
 	}
 	rc := rpc.NewClient(conn)
 	defer func() { _ = rc.Close() }()
-	_, err = rc.Call(ctx, server.KindMigrate, body)
+	out, err := rc.Call(ctx, server.KindMigrate, body)
+	rpc.PutBuffer(out)
 	return err
 }
 
@@ -186,7 +187,9 @@ func fetchRebalanceStatus(ctx context.Context, addr string) (server.RebalanceSta
 		return server.RebalanceStatus{}, err
 	}
 	var st server.RebalanceStatus
-	if err := core.DecodeValue(raw, &st); err != nil {
+	err = core.DecodeValue(raw, &st)
+	rpc.PutBuffer(raw)
+	if err != nil {
 		return server.RebalanceStatus{}, err
 	}
 	return st, nil

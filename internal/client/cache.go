@@ -277,6 +277,7 @@ func (lc *leaseCache) acquire(ctx context.Context, inv core.Invocation) *cacheEn
 		return nil
 	}
 	resp, err := server.DecodeLeaseResponse(out)
+	rpc.PutBuffer(out) // the decoder copies what it returns
 	if err != nil {
 		return nil
 	}

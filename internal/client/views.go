@@ -106,7 +106,9 @@ func fetchView(tr rpc.Transport, addr string, timeout time.Duration) (membership
 		return membership.View{}, err
 	}
 	var v membership.View
-	if err := core.DecodeValue(raw, &v); err != nil {
+	err = core.DecodeValue(raw, &v)
+	rpc.PutBuffer(raw)
+	if err != nil {
 		return membership.View{}, err
 	}
 	return v, nil

@@ -72,7 +72,9 @@ func clockOffset(ctx context.Context, rc *rpc.Client) (time.Duration, error) {
 			return 0, err
 		}
 		var remote time.Time
-		if err := core.DecodeValue(raw, &remote); err != nil {
+		err = core.DecodeValue(raw, &remote)
+		rpc.PutBuffer(raw)
+		if err != nil {
 			return 0, err
 		}
 		if bestRTT < 0 || rtt < bestRTT {
@@ -105,7 +107,9 @@ func (c *Collector) FetchNode(ctx context.Context, transport rpc.Transport, addr
 		return fmt.Errorf("collector: trace dump from %s: %w", addr, err)
 	}
 	var dump telemetry.Dump
-	if err := core.DecodeValue(raw, &dump); err != nil {
+	err = core.DecodeValue(raw, &dump)
+	rpc.PutBuffer(raw)
+	if err != nil {
 		return fmt.Errorf("collector: decode dump from %s: %w", addr, err)
 	}
 	aligned := telemetry.AlignSpans(dump.Node, dump.Spans, offset)
@@ -147,7 +151,9 @@ func (c *Collector) FetchNodeObjects(ctx context.Context, transport rpc.Transpor
 		return telemetry.ObjectsSnapshot{}, fmt.Errorf("collector: object stats from %s: %w", addr, err)
 	}
 	var snap telemetry.ObjectsSnapshot
-	if err := core.DecodeValue(raw, &snap); err != nil {
+	err = core.DecodeValue(raw, &snap)
+	rpc.PutBuffer(raw)
+	if err != nil {
 		return telemetry.ObjectsSnapshot{}, fmt.Errorf("collector: decode object stats from %s: %w", addr, err)
 	}
 	c.AddObjects(snap)

@@ -62,3 +62,25 @@ func TestResponseRoundTripAllocBudget(t *testing.T) {
 	}
 	t.Logf("response round trip allocates %.1f/op (budget %d)", got, responseRoundTripAllocBudget)
 }
+
+// A call on the ref a server expects, without arguments — a barrier's
+// Await, a GetAll — decodes with no allocation however long its Init
+// list: the names are shared, the ref is the caller's and Init stays
+// encoded until a copy is created from it (DecodeInvocationOn). Decoding
+// Init cost every such call a list and its boxes.
+func TestLazyInitDecodeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counting is meaningless under -race")
+	}
+	ref := Ref{Type: "CyclicBarrier", Key: "b"}
+	await, err := EncodeInvocation(Invocation{Ref: ref, Method: "Await", Init: []any{int64(1000), "x"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeInvocationOn(await, ref); err != nil { // interns the names
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(100, func() { _, _ = DecodeInvocationOn(await, ref) }); got != 0 {
+		t.Fatalf("a call without arguments on its expected ref decodes with %.0f allocations, want 0", got)
+	}
+}

@@ -61,17 +61,40 @@ func EncodeInvocation(inv Invocation) ([]byte, error) {
 // must be exactly one frame: one without the magic, with an unknown
 // version or with bytes after the last field is an error.
 func DecodeInvocation(data []byte) (Invocation, error) {
-	return DecodeInvocationOn(data, Ref{})
+	return decodeInvocation(data, Ref{}, false)
 }
 
-// DecodeInvocationOn is DecodeInvocation for an invocation expected on
-// ref: when its encoded type and key are ref's, the result shares ref's
-// strings instead of fresh copies of them. An invocation on another ref
-// decodes as DecodeInvocation decodes it, and the caller tells the two
-// apart by comparing Refs.
+// DecodeInvocationOn is DecodeInvocation for a server, which decodes an
+// invocation expected on ref while data lives. When its encoded type and
+// key are ref's, the result shares ref's strings instead of fresh copies
+// of them; an invocation on another ref decodes as DecodeInvocation
+// decodes it, and the caller tells the two apart by comparing Refs. Its
+// Init list, which only the call that creates the object reads, stays
+// encoded in data (checked, but for the content of a gob-fallback value):
+// InitValues decodes it, and AppendInvocation copies it, both only while
+// data lives (Owned detaches it). Every other field is a copy.
 func DecodeInvocationOn(data []byte, ref Ref) (Invocation, error) {
+	return decodeInvocation(data, ref, true)
+}
+
+// InvocationRef reads, in place, the ref an encoded invocation names: its
+// type as a shared name (Reader.Name) and its key's bytes, which alias
+// data. A server finds its record for the ref by them without allocating,
+// then decodes the invocation against the record's ref
+// (DecodeInvocationOn).
+func InvocationRef(data []byte) (typ string, key []byte, err error) {
+	r := Reader{b: data}
+	if err = r.preamble(wireInvocation); err == nil {
+		if typ, err = r.Name(); err == nil {
+			key, err = r.BytesView()
+		}
+	}
+	return typ, key, err
+}
+
+func decodeInvocation(data []byte, ref Ref, lazyInit bool) (Invocation, error) {
 	RegisterValueTypes()
-	inv, err := decodeWireInvocation(data, ref)
+	inv, err := decodeWireInvocation(data, ref, lazyInit)
 	if err == nil {
 		if inv.Stamped() {
 			codecStats.stampedDecodes.Add(1)

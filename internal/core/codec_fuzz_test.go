@@ -73,7 +73,10 @@ func FuzzInvocationRoundTrip(f *testing.F) {
 
 // FuzzDecodeInvocation throws raw bytes at the decoder. Any outcome is
 // acceptable except a panic or runaway allocation; valid frames must
-// re-encode to something that decodes equal.
+// re-encode to something that decodes equal. DecodeInvocationOn, which
+// leaves Init encoded, accepts what DecodeInvocation accepts, with the
+// same Init once InitValues decodes it, and refuses what it refuses but
+// for a gob-fallback Init value's content, which InitValues then refuses.
 func FuzzDecodeInvocation(f *testing.F) {
 	seed, _ := EncodeInvocation(Invocation{
 		Ref: Ref{Type: "T", Key: "k"}, Method: "m",
@@ -88,10 +91,25 @@ func FuzzDecodeInvocation(f *testing.F) {
 	// Stamp flag set with a zero client id: Stamped() would be false, so a
 	// re-encode would drop the Seq — the decoder must refuse it.
 	f.Add([]byte("\xc7\x01I\x00\x00\x00\x00\x00200\x00\x800"))
+	withInit, _ := EncodeInvocation(Invocation{Ref: Ref{Type: "T", Key: "k"}, Method: "m",
+		Init: []any{int64(3), []any{"x", map[string]int64{"i": 1}}, [][]float64{{1}}}})
+	f.Add(withInit)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		inv, err := DecodeInvocation(data)
+		lazy, lazyErr := DecodeInvocationOn(data, Ref{})
 		if err != nil {
+			if lazyErr == nil {
+				if _, initErr := lazy.InitValues(); initErr == nil {
+					t.Fatalf("DecodeInvocationOn and InitValues accept a frame DecodeInvocation refuses: %v", err)
+				}
+			}
 			return
+		}
+		if lazyErr != nil {
+			t.Fatalf("DecodeInvocationOn refuses a frame DecodeInvocation accepts: %v", lazyErr)
+		}
+		if init, err := lazy.InitValues(); err != nil || !sameDecode(init, inv.Init) {
+			t.Fatalf("InitValues = %#v (err %v), want %#v", init, err, inv.Init)
 		}
 		re, err := EncodeInvocation(inv)
 		if err != nil {

@@ -8,6 +8,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -64,10 +65,42 @@ type Invocation struct {
 	// trusting it. Old frames decode with the flag unset — every call is
 	// conservatively a write.
 	ReadOnly bool
+
+	// initWire is a non-empty Init list left encoded by DecodeInvocationOn:
+	// it aliases the decoded frame, and Init is nil.
+	initWire []byte
 }
 
 // Stamped reports whether the invocation carries an at-most-once stamp.
 func (inv Invocation) Stamped() bool { return inv.ClientID != 0 }
+
+// InitValues returns the invocation's Init list: Init, or, for an
+// invocation from DecodeInvocationOn, the list decoded now from its frame,
+// into values that do not alias it.
+func (inv Invocation) InitValues() ([]any, error) {
+	if inv.initWire == nil {
+		return inv.Init, nil
+	}
+	r := Reader{b: inv.initWire}
+	vs, err := r.Values()
+	if err == nil {
+		err = r.End()
+	}
+	if err != nil {
+		return nil, fmt.Errorf("core: decode invocation %s.%s init: %w", inv.Ref, inv.Method, err)
+	}
+	return vs, nil
+}
+
+// Owned returns inv with nothing aliasing the frame it was decoded from,
+// for a caller that keeps it past that frame's life: an Init list
+// DecodeInvocationOn left encoded is copied.
+func (inv Invocation) Owned() Invocation {
+	if inv.initWire != nil {
+		inv.initWire = bytes.Clone(inv.initWire)
+	}
+	return inv
+}
 
 // TraceContext is the wire form of a telemetry span context. It lives in
 // core (rather than internal/telemetry) so the dependency-free vocabulary

@@ -136,7 +136,9 @@ func AppendInvocation(dst []byte, inv Invocation) ([]byte, error) {
 	if dst, err = AppendValues(dst, inv.Args); err != nil {
 		return nil, fmt.Errorf("core: encode invocation %s.%s: %w", inv.Ref, inv.Method, err)
 	}
-	if dst, err = AppendValues(dst, inv.Init); err != nil {
+	if inv.Init == nil && inv.initWire != nil {
+		dst = append(dst, inv.initWire...) // still encoded (DecodeInvocationOn)
+	} else if dst, err = AppendValues(dst, inv.Init); err != nil {
 		return nil, fmt.Errorf("core: encode invocation %s.%s init: %w", inv.Ref, inv.Method, err)
 	}
 	var flags byte
@@ -168,7 +170,7 @@ func InvocationSize(inv Invocation) int {
 	// Preamble, flags byte and seven varints: three string lengths, the
 	// trace and span ids, the stamp.
 	n := 3 + len(inv.Ref.Type) + len(inv.Ref.Key) + len(inv.Method) + 1 + 7*binary.MaxVarintLen64
-	return n + valuesSize(inv.Args) + valuesSize(inv.Init)
+	return n + valuesSize(inv.Args) + valuesSize(inv.Init) + len(inv.initWire)
 }
 
 // valuesSize bounds AppendValues' output for vs (see InvocationSize).
@@ -210,8 +212,9 @@ func AppendResponse(dst []byte, resp Response) ([]byte, error) {
 }
 
 // decodeWireInvocation parses exactly one fast-codec invocation. A type
-// and key equal to on's take on's strings (DecodeInvocationOn).
-func decodeWireInvocation(data []byte, on Ref) (Invocation, error) {
+// and key equal to on's take on's strings, and with lazyInit a non-empty
+// Init list stays encoded in data (DecodeInvocationOn).
+func decodeWireInvocation(data []byte, on Ref, lazyInit bool) (Invocation, error) {
 	r := Reader{b: data}
 	if err := r.preamble(wireInvocation); err != nil {
 		return Invocation{}, fmt.Errorf("core: decode invocation: %w", err)
@@ -238,7 +241,16 @@ func decodeWireInvocation(data []byte, on Ref) (Invocation, error) {
 	if inv.Args, err = r.Values(); err != nil {
 		return Invocation{}, fmt.Errorf("core: decode invocation %s.%s args: %w", inv.Ref, inv.Method, err)
 	}
-	if inv.Init, err = r.Values(); err != nil {
+	if lazyInit {
+		start := r.off
+		var count int
+		if count, err = r.skipValues(); count > 0 {
+			inv.initWire = data[start:r.off:r.off]
+		}
+	} else {
+		inv.Init, err = r.Values()
+	}
+	if err != nil {
 		return Invocation{}, fmt.Errorf("core: decode invocation %s.%s init: %w", inv.Ref, inv.Method, err)
 	}
 	flags, err := r.Byte()
@@ -693,6 +705,102 @@ func (r *Reader) Values() ([]any, error) {
 
 // Value reads one tagged value (AppendValue).
 func (r *Reader) Value() (any, error) { return r.value(0) }
+
+// skipValues reads past a value list (AppendValues) without building it
+// and returns its count. It refuses what Values refuses, but for the
+// content of a gob-fallback value, which only a decode reads.
+func (r *Reader) skipValues() (int, error) {
+	n, err := r.Count(1)
+	for i := 0; i < n && err == nil; i++ {
+		err = r.skipValue(0)
+	}
+	return n, err
+}
+
+// skipValue reads past one tagged value (see value and skipValues).
+func (r *Reader) skipValue(depth int) error {
+	if depth > maxValueDepth {
+		return fmt.Errorf("value nesting exceeds %d levels", maxValueDepth)
+	}
+	tag, err := r.Byte()
+	if err != nil {
+		return err
+	}
+	// each reads n elements with one, the first error ending the walk.
+	each := func(n int, one func() error) error {
+		for i := 0; i < n && err == nil; i++ {
+			err = one()
+		}
+		return err
+	}
+	view := func() error { _, err := r.BytesView(); return err }
+	varint := func() error { _, err := r.Varint(); return err }
+	var n int
+	switch tag {
+	case tagNil, tagFalse, tagTrue:
+	case tagInt, tagInt32, tagInt64:
+		err = varint()
+	case tagUint64:
+		_, err = r.Uvarint()
+	case tagFloat32:
+		_, err = r.take(4)
+	case tagFloat64:
+		_, err = r.take(8)
+	case tagString, tagBytes, tagGob:
+		err = view()
+	case tagIntSlice, tagInt64Slice:
+		if n, err = r.Count(1); err == nil {
+			err = each(n, varint)
+		}
+	case tagFloat64Slice:
+		if n, err = r.Count(8); err == nil {
+			_, err = r.take(8 * n)
+		}
+	case tagFloat64Mat:
+		if n, err = r.Count(1); err == nil {
+			err = each(n, func() error {
+				m, err := r.Count(8)
+				if err == nil {
+					_, err = r.take(8 * m)
+				}
+				return err
+			})
+		}
+	case tagStringSlice:
+		if n, err = r.Count(1); err == nil {
+			err = each(n, view)
+		}
+	case tagAnySlice:
+		if n, err = r.Count(1); err == nil {
+			err = each(n, func() error { return r.skipValue(depth + 1) })
+		}
+	case tagMapStrAny, tagMapStrStr, tagMapStrF64, tagMapStrI64:
+		minBytes := 2
+		if tag == tagMapStrF64 {
+			minBytes = 9
+		}
+		if n, err = r.Count(minBytes); err == nil {
+			err = each(n, func() error {
+				if err := view(); err != nil {
+					return err
+				}
+				switch tag {
+				case tagMapStrAny:
+					return r.skipValue(depth + 1)
+				case tagMapStrStr:
+					return view()
+				case tagMapStrF64:
+					_, err := r.take(8)
+					return err
+				}
+				return varint()
+			})
+		}
+	default:
+		err = fmt.Errorf("unknown value tag %d at offset %d", tag, r.off-1)
+	}
+	return err
+}
 
 // value reads one tagged value, reproducing the concrete types gob would
 // have delivered so callers' type switches keep working unchanged.

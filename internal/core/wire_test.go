@@ -260,3 +260,68 @@ func TestWireDecodeDoesNotAliasInput(t *testing.T) {
 		t.Error("decoded string corrupted after input reuse")
 	}
 }
+
+// DecodeInvocationOn leaves a non-empty Init list encoded: it checks it,
+// InitValues decodes it to what DecodeInvocation returns, a re-encode
+// copies it byte for byte, and Owned detaches it from the frame.
+func TestDecodeInvocationOnLeavesInitEncoded(t *testing.T) {
+	RegisterValue(customPoint{})
+	ref := Ref{Type: "T", Key: "k"}
+	in := Invocation{Ref: ref, Method: "m", Args: []any{int64(7)}, ClientID: 2, Seq: 3,
+		Init: []any{int64(1 << 40), "s", []byte{1}, []int{-1}, []int64{2}, []float64{0.5}, [][]float64{{1}, {}},
+			[]string{"a"}, []any{int32(4), []any{true, nil}}, map[string]any{"m": uint64(5)},
+			map[string]string{"k": "v"}, map[string]float64{"f": 1.5}, map[string]int64{"i": -6},
+			float32(2.5), customPoint{X: 1}, false}}
+	data, err := EncodeInvocation(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eager, err := DecodeInvocation(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lazy, err := DecodeInvocationOn(data, ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lazy.Init != nil {
+		t.Fatalf("DecodeInvocationOn decoded Init: %#v", lazy.Init)
+	}
+	if init, err := lazy.InitValues(); err != nil || !sameDecode(init, eager.Init) {
+		t.Fatalf("InitValues = %#v (err %v), want %#v", init, err, eager.Init)
+	}
+	if re, err := EncodeInvocation(lazy); err != nil || !bytes.Equal(re, data) {
+		t.Fatalf("re-encoding the lazy decode differs from its frame (err %v)", err)
+	}
+	owned := lazy.Owned()
+	frame := bytes.Clone(data)
+	for i := range data { // the rpc server recycles the frame
+		data[i] = 0
+	}
+	if init, err := owned.InitValues(); err != nil || !sameDecode(init, eager.Init) {
+		t.Fatalf("Owned's Init after its frame went: %#v (err %v)", init, err)
+	}
+	copy(data, frame)
+
+	// A bad value inside the list is refused, as DecodeInvocation refuses
+	// it; only a gob-fallback value's content waits for InitValues.
+	bad, _ := EncodeInvocation(Invocation{Ref: ref, Method: "m", Init: []any{customPoint{X: 1}}})
+	list, _ := AppendValues(nil, []any{customPoint{X: 1}})
+	gobAt := bytes.Index(bad, list) + 1 // past the list's count
+	if bad[gobAt] != tagGob {
+		t.Fatalf("byte %d is %d, not the gob tag", gobAt, bad[gobAt])
+	}
+	bad[gobAt+3] ^= 0xff // inside the gob stream, past its length
+	if _, err := DecodeInvocation(bad); err == nil {
+		t.Fatal("DecodeInvocation accepted a corrupt gob Init value")
+	}
+	if got, err := DecodeInvocationOn(bad, ref); err != nil {
+		t.Fatalf("DecodeInvocationOn refused a frame whose gob content it does not read: %v", err)
+	} else if _, err := got.InitValues(); err == nil {
+		t.Fatal("InitValues accepted a corrupt gob Init value")
+	}
+	bad[gobAt] = 0xee // an unknown tag
+	if _, err := DecodeInvocationOn(bad, ref); err == nil {
+		t.Fatal("DecodeInvocationOn accepted an unknown value tag in Init")
+	}
+}

@@ -110,20 +110,18 @@ func GetBuffer(n int) []byte {
 		if cap(b) >= n {
 			return b[:0]
 		}
-		// Too small for n. A buffer below the floor (a handler's exact-size
-		// response) goes to the garbage collector: put back, it would sit
-		// at the head of the pool and fail every request larger than it.
-		if cap(b) >= minBuffer {
-			PutBuffer(b)
-		}
+		PutBuffer(b) // too small for n, not for the next request
 	}
 	return make([]byte, 0, max(n, minBuffer))
 }
 
 // PutBuffer recycles a buffer previously handed out by GetBuffer (or any
-// buffer the caller owns outright). The caller must not touch b again.
+// buffer the caller owns outright). The caller must not touch b again. A
+// buffer below minBuffer (a handler's exact-size response) goes to the
+// garbage collector instead: pooled, it would sit at the head of the pool
+// and send every request larger than it to a fresh allocation.
 func PutBuffer(b []byte) {
-	if cap(b) == 0 || cap(b) > maxPooledBuffer {
+	if cap(b) < minBuffer || cap(b) > maxPooledBuffer {
 		return
 	}
 	bp, _ := boxPool.Get().(*[]byte)
@@ -570,10 +568,12 @@ func (c *Client) SetObserver(f Observer) {
 // Call sends one request and waits for its response or context
 // cancellation. It is safe for concurrent use.
 //
-// The returned payload is a pooled buffer owned by the caller; callers on
-// hot paths may hand it back with PutBuffer once they have fully decoded
-// it (decoders must not retain references into it afterwards). Callers
-// that never recycle simply let the garbage collector take it.
+// The returned payload is a pooled buffer owned by the caller, who hands
+// it back with PutBuffer once it has fully decoded it (decoders must not
+// retain references into it afterwards). A caller that drops a reply
+// drains the pool for every caller in the process: the next frame read
+// allocates a fresh buffer of at least minBuffer bytes however small the
+// reply was. Every caller in this repository hands its replies back.
 func (c *Client) Call(ctx context.Context, kind uint8, payload []byte) ([]byte, error) {
 	return c.CallTimeout(ctx, kind, payload, 0)
 }

@@ -91,7 +91,8 @@ func ctlCall(ctx context.Context, n *Node, key, method, tag string) (any, error)
 // Every call on an object shares the record's one Ctl, so it carries the
 // running call's context. A call parked in Wait while another call runs
 // on the object still sees its own context once it wakes, and cancelling
-// it wakes that call alone.
+// it wakes that call alone, although every blocked Wait on the object arms
+// its watcher with the record's one wake closure.
 func TestWaitKeepsItsOwnContext(t *testing.T) {
 	n := startCtlNode(t)
 	bg := context.Background()
@@ -109,30 +110,42 @@ func TestWaitKeepsItsOwnContext(t *testing.T) {
 	}
 	ctxA, cancelA := context.WithCancel(bg)
 	defer cancelA()
-	a, c := park(ctxA, "A"), park(bg, "C")
+	ctxE, cancelE := context.WithCancel(bg)
+	defer cancelE()
+	a, c, e := park(ctxA, "A"), park(bg, "C"), park(ctxE, "E")
 	// Parked runs under the monitor, which a Park call releases only once
-	// it sleeps in Wait: a count of two means both sleep.
-	eventually(t, says("the two Park calls never parked"), func() bool {
+	// it sleeps in Wait: a count of three means all three sleep.
+	eventually(t, says("the three Park calls never parked"), func() bool {
 		got, err := ctlCall(bg, n, "p", "Parked", "")
-		return err == nil && got == 2
+		return err == nil && got == 3
 	})
 	if got, err := ctlCall(bg, n, "p", "Poke", "B"); err != nil || got != "B" {
 		t.Fatalf("Poke saw context %v (err %v), want B", got, err)
 	}
-	cancelA()
-	select {
-	case o := <-a:
-		if !errors.Is(o.err, context.Canceled) || o.tag != "A" {
-			t.Fatalf("cancelled Park: context %v, err %v; want A, context.Canceled", o.tag, o.err)
+	// Cancelling one waiter's context wakes that waiter and ends its Wait;
+	// the others, woken by the same broadcast, go back to sleep.
+	cancelled := func(out <-chan outcome, tag string, others ...<-chan outcome) {
+		t.Helper()
+		select {
+		case o := <-out:
+			if !errors.Is(o.err, context.Canceled) || o.tag != tag {
+				t.Fatalf("cancelled Park: context %v, err %v; want %s, context.Canceled", o.tag, o.err, tag)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("cancelling %s did not wake its Park", tag)
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("cancelling A did not wake its Park")
+		for _, other := range others {
+			select {
+			case o := <-other:
+				t.Fatalf("cancelling %s ended another Park too (context %v, err %v)", tag, o.tag, o.err)
+			default:
+			}
+		}
 	}
-	select {
-	case o := <-c:
-		t.Fatalf("cancelling A woke C's Park too (context %v, err %v)", o.tag, o.err)
-	default:
-	}
+	cancelA()
+	cancelled(a, "A", c, e)
+	cancelE()
+	cancelled(e, "E", c)
 	if _, err := ctlCall(bg, n, "p", "Open", "D"); err != nil {
 		t.Fatal(err)
 	}

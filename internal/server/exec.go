@@ -26,27 +26,19 @@ type nodeCtl struct {
 // same object. It aborts with ErrStopped when the node shuts down. A
 // waiter must not depend on another Broadcast to notice its context died,
 // so the first time Wait blocks it installs a watcher that broadcasts the
-// monitor on cancellation; the watcher takes the monitor first, so a
-// waiter either sees ctx.Done before sleeping or is parked and wakes.
+// monitor on cancellation (the record's one wakeAll closure); the watcher
+// takes the monitor first, so a waiter either sees ctx.Done before
+// sleeping or is parked and wakes, and Wait stops it on its way out.
 // Instrumented nodes record the time actually blocked in
 // server.monitor_wait and on the active server.invoke span, so reports
 // separate "the barrier was slow" from "the method was slow". Other calls
 // run on the object while this one sleeps and set c.ctx to theirs; Wait
 // keeps its own and puts it back each time it wakes, monitor held.
-func (c *nodeCtl) Wait(cond func() bool) error {
+func (c *nodeCtl) Wait(cond func() bool) (err error) {
 	ctx := c.ctx
 	var start time.Time
-	blocked := false
-	if c.n.instrumented {
-		defer func() {
-			if blocked {
-				d := time.Since(start)
-				c.n.hMonitorWait.Observe(d)
-				telemetry.SpanFromContext(ctx).AddTiming(telemetry.TimingMonitor, d)
-			}
-		}()
-	}
 	var stopWatch func() bool
+	blocked := false
 	for !cond() {
 		if !blocked {
 			blocked = true
@@ -54,26 +46,28 @@ func (c *nodeCtl) Wait(cond func() bool) error {
 				start = time.Now()
 			}
 			if ctx.Done() != nil {
-				stopWatch = context.AfterFunc(ctx, func() {
-					c.e.mu.Lock()
-					c.e.cond.Broadcast()
-					c.e.mu.Unlock()
-				})
-				defer stopWatch()
+				stopWatch = context.AfterFunc(ctx, c.e.wakeAll)
 			}
 		}
 		if c.n.closed.Load() {
-			return core.ErrStopped
+			err = core.ErrStopped
+			break
 		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		default:
+		if err = ctx.Err(); err != nil {
+			break
 		}
 		c.e.cond.Wait()
 		c.ctx = ctx
 	}
-	return nil
+	if stopWatch != nil {
+		stopWatch()
+	}
+	if blocked && c.n.instrumented {
+		d := time.Since(start)
+		c.n.hMonitorWait.Observe(d)
+		telemetry.SpanFromContext(ctx).AddTiming(telemetry.TimingMonitor, d)
+	}
+	return err
 }
 
 // Broadcast wakes all waiters of the object. It touches only the record's
@@ -162,8 +156,17 @@ func (n *Node) lockEntry(ctx context.Context, e *entry) {
 // version-bumped and dedup-recorded on its own, so the apply version does
 // not depend on how a coordinator sliced the stream into rounds; a replay
 // skips its bump: replaying is not applying.
+//
+// A caller that discards the outcomes (res nil: a member, WAL replay)
+// does not run a read at all — one that the wire flag and this node's own
+// registry both call read-only. A read changes no state, takes no version
+// bump and records no dedup entry, so skipping it leaves the copy, its
+// version and the round's reply (finalResp) as running it would.
 func (n *Node) applyLocked(ctx context.Context, e *entry, invs []core.Invocation, res []opResult) (replays int) {
 	for i, inv := range invs {
+		if res == nil && inv.ReadOnly && core.IsReadOnlyMethod(inv.Ref.Type, inv.Method) {
+			continue
+		}
 		results, err, replayed := n.dedupLookupLocked(ctx, e, inv)
 		if replayed {
 			replays++

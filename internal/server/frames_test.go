@@ -40,7 +40,7 @@ func TestParkedAcceptPayloadOutlivesRequestBuffer(t *testing.T) {
 		t.Fatal(err)
 	}
 	third := set(3, 42)
-	want, err := decodeAccept(bytes.Clone(third))
+	want, err := decodeAccept(bytes.Clone(third), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func controlFrames() []codectest.Codec {
 			codectest.Infallible(acceptMsg.encode), decodeAcceptCopy),
 		codectest.Of("accept reply", finalResp{Version: 3, Replays: 1}, codectest.Infallible(finalResp.encode), decodeFinalResp),
 		codectest.Of("lease request", LeaseRequest{Ref: ref, Persist: true, HolderAddr: "cache-1"},
-			codectest.Infallible(LeaseRequest.Encode), decodeLeaseRequest),
+			codectest.Infallible(LeaseRequest.Encode), func(b []byte) (LeaseRequest, error) { return decodeLeaseRequest(b, nil) }),
 		codectest.Of("lease response", LeaseResponse{Granted: true, Reason: "r", TTLMillis: 2000, Epoch: 5,
 			Init: []any{int64(3), "x"}, Snapshot: []byte{1, 2, 3}}, LeaseResponse.encode, DecodeLeaseResponse),
 		codectest.Of("invalidate", InvalidateMsg{Ref: ref, Epoch: 9}, codectest.Infallible(InvalidateMsg.encode), DecodeInvalidateMsg),
@@ -106,7 +106,7 @@ func controlFrames() []codectest.Codec {
 // frame, which it aliases by design (handleAccept copies it only for the
 // WAL), so that the frame table's aliasing check covers every other field.
 func decodeAcceptCopy(data []byte) (acceptMsg, error) {
-	m, err := decodeAccept(data)
+	m, err := decodeAccept(data, nil)
 	m.Payload = bytes.Clone(m.Payload)
 	return m, err
 }

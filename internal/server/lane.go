@@ -50,8 +50,10 @@ func (n *Node) enterLane(ctx context.Context, e *entry, inv core.Invocation) (w 
 	if e.inflight < pipelineDepth {
 		e.inflight++
 	} else {
+		// A cut may run after this caller gave up and its request buffer
+		// went back to the pool: the write keeps nothing of that buffer.
 		w = laneWrites.Get().(*laneWrite)
-		w.ctx, w.inv = ctx, inv
+		w.ctx, w.inv = ctx, inv.Owned()
 		e.queued = append(e.queued, w)
 	}
 	e.rmu.Unlock()

@@ -103,11 +103,26 @@ func appendRef(dst []byte, ref core.Ref) []byte {
 	return core.AppendString(core.AppendString(dst, ref.Type), ref.Key)
 }
 
-func readRef(r *core.Reader) (ref core.Ref, err error) {
+func readRef(r *core.Reader) (core.Ref, error) { return readRefOn(r, nil) }
+
+// readRefOn is readRef taking the strings of the ref that known, when not
+// nil, returns for the type and the key's bytes (Node.knownRef): a ref
+// known takes no fresh key string.
+func readRefOn(r *core.Reader, known func(typ string, key []byte) core.Ref) (ref core.Ref, err error) {
+	var key []byte
 	if ref.Type, err = r.Name(); err == nil {
-		ref.Key, err = r.Str()
+		key, err = r.BytesView()
 	}
-	return ref, err
+	if err != nil {
+		return core.Ref{}, err
+	}
+	if known != nil {
+		if k := known(ref.Type, key); k != (core.Ref{}) {
+			return k, nil
+		}
+	}
+	ref.Key = string(key)
+	return ref, nil
 }
 
 // Encode returns the KindLease request frame.
@@ -116,17 +131,19 @@ func (q LeaseRequest) Encode() []byte {
 	return core.AppendString(core.AppendBool(appendRef(b, q.Ref), q.Persist), q.HolderAddr)
 }
 
-// decodeLeaseRequest parses exactly one LeaseRequest.Encode frame.
-func decodeLeaseRequest(data []byte) (q LeaseRequest, err error) {
+// decodeLeaseRequest parses exactly one LeaseRequest.Encode frame, its
+// ref through known (readRefOn). The holder address, one of the few
+// caches a node serves, decodes to a shared copy (core.Reader.Name).
+func decodeLeaseRequest(data []byte, known func(string, []byte) core.Ref) (q LeaseRequest, err error) {
 	r, err := core.OpenFrame(data, frameLeaseRequest)
 	if err == nil {
-		q.Ref, err = readRef(&r)
+		q.Ref, err = readRefOn(&r, known)
 	}
 	if err == nil {
 		q.Persist, err = r.Bool()
 	}
 	if err == nil {
-		q.HolderAddr, err = r.Str()
+		q.HolderAddr, err = r.Name()
 	}
 	if err == nil {
 		err = r.End()
@@ -140,8 +157,17 @@ func decodeLeaseRequest(data []byte) (q LeaseRequest, err error) {
 // encode returns the KindLease response frame. It fails only when an Init
 // value has no encoding (see core.AppendValues).
 func (p LeaseResponse) encode() ([]byte, error) {
-	b := core.NewFrame(frameLeaseResponse, len(p.Reason)+len(p.Snapshot)+1, 5)
-	b = core.AppendString(core.AppendBool(b, p.Granted), p.Reason)
+	return p.append(make([]byte, 0, p.size()))
+}
+
+// size bounds the frame's fixed-size parts; Init values grow it.
+func (p LeaseResponse) size() int {
+	return 2 + len(p.Reason) + len(p.Snapshot) + 5*binary.MaxVarintLen64
+}
+
+// append appends the frame to dst.
+func (p LeaseResponse) append(dst []byte) ([]byte, error) {
+	b := core.AppendString(core.AppendBool(append(dst, frameLeaseResponse), p.Granted), p.Reason)
 	b = binary.AppendUvarint(binary.AppendUvarint(b, uint64(p.TTLMillis)), p.Epoch)
 	b, err := core.AppendValues(b, p.Init)
 	if err != nil {
@@ -395,10 +421,12 @@ func (lt *leaseTable) invalidate(ctx context.Context, addr string, body []byte) 
 	if err != nil {
 		return err
 	}
-	if _, err := c.CallTimeout(ctx, KindCacheInvalidate, body, lt.ttl); err != nil {
+	out, err := c.CallTimeout(ctx, KindCacheInvalidate, body, lt.ttl)
+	if err != nil {
 		lt.dropClientConn(addr)
 		return err
 	}
+	rpc.PutBuffer(out)
 	return nil
 }
 
@@ -482,14 +510,17 @@ func (n *Node) handleLease(payload []byte) ([]byte, error) {
 	if n.leases == nil {
 		return LeaseResponse{Reason: "leases disabled"}.encode()
 	}
-	req, err := decodeLeaseRequest(payload)
+	req, err := decodeLeaseRequest(payload, n.knownRef)
 	if err != nil {
 		return nil, err
 	}
 	if req.HolderAddr == "" {
 		return LeaseResponse{Reason: "missing holder address"}.encode()
 	}
-	return n.leases.grant(req).encode()
+	// A grant, the hot reply, goes out in a pooled buffer, which the rpc
+	// server recycles.
+	resp := n.leases.grant(req)
+	return resp.append(rpc.GetBuffer(resp.size()))
 }
 
 // prepareWrite is the mutating-path lease hook: wait out the post-view

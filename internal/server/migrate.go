@@ -213,7 +213,7 @@ func (n *Node) broadcastDirectives(v membership.View) {
 			continue
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), n.waitTimeout())
-		_, err := n.peerCall(ctx, m, KindDirectivesSync, body)
+		err := n.peerCall(ctx, m, KindDirectivesSync, body, nil)
 		cancel()
 		if err != nil {
 			n.log.Debug("directive sync failed", "member", string(m), "err", err)

@@ -212,10 +212,11 @@ type Node struct {
 	ringCur     *ring.Ring
 	unsubscribe func()
 
-	// records is the record table: one entry per ref this node holds
-	// anything for (record.go). staleSeq numbers the stale marks.
+	// records is the record table, by type then key: one entry per ref
+	// this node holds anything for (record.go). staleSeq numbers the stale
+	// marks.
 	recMu    sync.RWMutex
-	records  map[core.Ref]*entry
+	records  map[string]map[string]*entry
 	staleSeq atomic.Uint64
 
 	// peer connections
@@ -305,7 +306,7 @@ func Start(cfg Config) (*Node, error) {
 	n := &Node{
 		cfg:     cfg,
 		profile: cfg.Profile,
-		records: make(map[core.Ref]*entry),
+		records: make(map[string]map[string]*entry),
 		peers:   make(map[ring.NodeID]*rpc.Client),
 		log:     telemetry.Logger(telemetry.CompServer).With("node", string(cfg.ID)),
 	}
@@ -572,8 +573,18 @@ func (n *Node) handle(ctx context.Context, kind uint8, payload []byte) ([]byte, 
 
 // handleInvoke executes a client invocation: directly on the owner for a
 // synchronization object, through invoke for every other one.
+//
+// The invocation decodes against the ref of this node's record for it,
+// when there is one (knownRef), so that a call on an object this node
+// holds copies no key; its Init list stays encoded in payload until a
+// copy is created from it (createCopy), and a queued write detaches it
+// (enterLane).
 func (n *Node) handleInvoke(ctx context.Context, payload []byte) ([]byte, error) {
-	inv, err := core.DecodeInvocation(payload)
+	var on core.Ref
+	if typ, key, err := core.InvocationRef(payload); err == nil {
+		on = n.knownRef(typ, key)
+	}
+	inv, err := core.DecodeInvocationOn(payload, on)
 	if err != nil {
 		return nil, err
 	}

@@ -10,6 +10,7 @@ import (
 	"crucial/internal/core"
 	"crucial/internal/membership"
 	"crucial/internal/ring"
+	"crucial/internal/rpc"
 )
 
 // Rebalancing (paper Section 4.1): when a view is installed, nodes
@@ -166,7 +167,15 @@ func decodeFetch(data []byte) (core.Ref, error) {
 }
 
 func (f fetchResp) encode() ([]byte, error) {
-	b := core.AppendBool(core.AppendBool(core.NewFrame(frameFetchResp, 2+transferSize(f.Msg), 8), f.Found), f.Busy)
+	return f.append(make([]byte, 0, f.size()))
+}
+
+// size bounds the frame's fixed-size parts; a dedup window grows it.
+func (f fetchResp) size() int { return 3 + transferSize(f.Msg) + 8*binary.MaxVarintLen64 }
+
+// append appends the frame to dst.
+func (f fetchResp) append(dst []byte) ([]byte, error) {
+	b := core.AppendBool(core.AppendBool(append(dst, frameFetchResp), f.Found), f.Busy)
 	b, err := appendTransfer(b, f.Msg)
 	if err != nil {
 		return nil, fmt.Errorf("server: encode fetch reply %s: %w", f.Msg.Ref, err)
@@ -371,7 +380,7 @@ func (n *Node) pushObject(e *entry, target ring.NodeID, repair bool) error {
 			return err
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		_, err = n.peerCall(ctx, target, KindTransfer, body)
+		err = n.peerCall(ctx, target, KindTransfer, body, nil)
 		cancel()
 		if err != nil {
 			return fmt.Errorf("server: transfer %s to %s: %w", ref, target, err)
@@ -498,7 +507,9 @@ func (n *Node) handleFetch(payload []byte) ([]byte, error) {
 		return nil, err
 	}
 	msg.Stale = e.isStale()
-	return fetchResp{Found: true, Msg: msg}.encode()
+	// In a pooled buffer, which the rpc server recycles.
+	resp := fetchResp{Found: true, Msg: msg}
+	return resp.append(rpc.GetBuffer(resp.size()))
 }
 
 // pullObject asks the other members of e's replica group for a copy and
@@ -531,12 +542,11 @@ func (n *Node) pullObject(ctx context.Context, e *entry, group []ring.NodeID) (i
 		if m == n.cfg.ID {
 			continue
 		}
-		out, err := n.peerCall(ctx, m, KindFetch, body)
-		if err != nil {
-			definitive = false
-			continue
-		}
-		resp, err := decodeFetchResp(out)
+		var resp fetchResp
+		err := n.peerCall(ctx, m, KindFetch, body, func(out []byte) (err error) {
+			resp, err = decodeFetchResp(out)
+			return err
+		})
 		if err != nil {
 			definitive = false
 			continue

@@ -127,13 +127,10 @@ func (rb *rebalancer) scan() {
 			continue
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), rb.policy.Interval)
-		out, err := n.peerCall(ctx, m, KindObjectStats, nil)
+		var snap telemetry.ObjectsSnapshot
+		err := n.peerCall(ctx, m, KindObjectStats, nil, func(out []byte) error { return core.DecodeValue(out, &snap) })
 		cancel()
 		if err != nil {
-			continue
-		}
-		var snap telemetry.ObjectsSnapshot
-		if core.DecodeValue(out, &snap) != nil {
 			continue
 		}
 		merged = merged.Merge(snap)
@@ -325,7 +322,7 @@ func (rb *rebalancer) migrate(place *membership.Placement, ref core.Ref, targets
 		var body []byte
 		body, err = core.EncodeValue(MigrateCmd{Ref: ref, Targets: targets, Unpin: unpin})
 		if err == nil {
-			_, err = n.peerCall(ctx, group[0], KindMigrate, body)
+			err = n.peerCall(ctx, group[0], KindMigrate, body, nil)
 		}
 	}
 	if err != nil {

@@ -17,7 +17,9 @@ import (
 // serving ⇄ fenced → handed off through holdCopy, setPulling, setFence
 // and dropCopy. Locks go table (Node.recMu), record (rmu), monitor (mu).
 // Callers pin the records they use (pin … release), and a record leaves
-// the table in dropIfIdle alone.
+// the table in dropIfIdle alone. The table is keyed by type, then key, so
+// that the type and key bytes a frame carries find their record without
+// building a string (knownRef).
 
 // entry is one ref's record at this node; its monitor (mu, cond) is the
 // object's, as in the paper: it serializes the calls on the copy, and the
@@ -53,7 +55,10 @@ type entry struct {
 	mu   sync.Mutex
 	cond sync.Cond
 	ctl  nodeCtl // the Ctl the copy's calls get (applyLocked), under mu
-	init []any
+	// wakeAll broadcasts cond under mu: the one closure every Ctl.Wait
+	// that blocks arms its cancellation watcher with.
+	wakeAll func()
+	init    []any
 	// dedup is the at-most-once window (see dedup.go).
 	dedup dedupState
 	// version counts operations applied to this copy. Replicas of one
@@ -77,7 +82,7 @@ type entry struct {
 // one is made when there is none; without, nil.
 func (n *Node) pin(ref core.Ref, create bool) *entry {
 	n.recMu.RLock()
-	e := n.records[ref]
+	e := n.records[ref.Type][ref.Key]
 	if e != nil || !create {
 		if e != nil {
 			e.pins.Add(1)
@@ -87,15 +92,42 @@ func (n *Node) pin(ref core.Ref, create bool) *entry {
 	}
 	n.recMu.RUnlock()
 	n.recMu.Lock()
-	if e = n.records[ref]; e == nil {
+	if e = n.records[ref.Type][ref.Key]; e == nil {
 		e = &entry{ref: ref}
 		e.cond.L = &e.mu
 		e.ctl = nodeCtl{n: n, e: e}
-		n.records[ref] = e
+		e.wakeAll = func() {
+			e.mu.Lock()
+			e.cond.Broadcast()
+			e.mu.Unlock()
+		}
+		byKey := n.records[ref.Type]
+		if byKey == nil {
+			byKey = make(map[string]*entry)
+			n.records[ref.Type] = byKey
+		}
+		byKey[ref.Key] = e
 	}
 	e.pins.Add(1)
 	n.recMu.Unlock()
 	return e
+}
+
+// knownRef returns the ref of this node's record for type typ and the key
+// bytes a frame carries, or the zero Ref when it has none. The lookup
+// builds no string (m[string(b)] does not copy b), and the ref it returns
+// shares the record's strings, so a frame on a ref this node holds
+// decodes without copying its key. The key is compared by its bytes once
+// its length prefix is read, so every encoding of one ref finds one
+// record.
+func (n *Node) knownRef(typ string, key []byte) core.Ref {
+	n.recMu.RLock()
+	e := n.records[typ][string(key)]
+	n.recMu.RUnlock()
+	if e == nil {
+		return core.Ref{}
+	}
+	return e.ref
 }
 
 // release unpins e, which leaves the table if nothing else holds it.
@@ -121,8 +153,11 @@ func (n *Node) dropIfIdle(e *entry) {
 	}
 	n.recMu.Lock()
 	e.rmu.Lock()
-	if idle() && n.records[e.ref] == e {
-		delete(n.records, e.ref)
+	if byKey := n.records[e.ref.Type]; idle() && byKey[e.ref.Key] == e {
+		delete(byKey, e.ref.Key)
+		if len(byKey) == 0 {
+			delete(n.records, e.ref.Type)
+		}
 	}
 	e.rmu.Unlock()
 	n.recMu.Unlock()
@@ -135,12 +170,14 @@ func (n *Node) recordsWhere(keep func(*entry) bool) []*entry {
 	n.recMu.RLock()
 	defer n.recMu.RUnlock()
 	var out []*entry
-	for _, e := range n.records {
-		e.rmu.Lock()
-		if keep(e) {
-			out = append(out, e)
+	for _, byKey := range n.records {
+		for _, e := range byKey {
+			e.rmu.Lock()
+			if keep(e) {
+				out = append(out, e)
+			}
+			e.rmu.Unlock()
 		}
-		e.rmu.Unlock()
 	}
 	return out
 }
@@ -187,11 +224,16 @@ func (n *Node) createCopy(e *entry, inv core.Invocation) (core.Object, error) {
 	if err != nil {
 		return nil, err
 	}
-	obj, err := info.New(inv.Init)
+	// The one place an Init list is decoded (core.DecodeInvocationOn).
+	init, err := inv.InitValues()
+	if err != nil {
+		return nil, err
+	}
+	obj, err := info.New(init)
 	if err != nil {
 		return nil, fmt.Errorf("server: create %s: %w", inv.Ref, err)
 	}
-	e.holdCopy(obj, inv.Persist && !info.Synchronization, info.Synchronization, inv.Init, dedupState{}, 0, position{})
+	e.holdCopy(obj, inv.Persist && !info.Synchronization, info.Synchronization, init, dedupState{}, 0, position{})
 	return obj, nil
 }
 
@@ -383,17 +425,19 @@ type TableSizes struct {
 func (n *Node) DebugTableSizes() (s TableSizes) {
 	n.recMu.RLock()
 	defer n.recMu.RUnlock()
-	s.Records = len(n.records)
-	for _, e := range n.records {
-		e.rmu.Lock()
-		s.LeaseHolders += len(e.holders)
-		if e.obj != nil {
-			e.mu.Lock()
-			s.Resident++
-			s.DedupClients += len(e.dedup.Clients)
-			e.mu.Unlock()
+	for _, byKey := range n.records {
+		s.Records += len(byKey)
+		for _, e := range byKey {
+			e.rmu.Lock()
+			s.LeaseHolders += len(e.holders)
+			if e.obj != nil {
+				e.mu.Lock()
+				s.Resident++
+				s.DedupClients += len(e.dedup.Clients)
+				e.mu.Unlock()
+			}
+			e.rmu.Unlock()
 		}
-		e.rmu.Unlock()
 	}
 	return s
 }

@@ -65,13 +65,15 @@ func absentRecords(n *Node) string {
 	n.recMu.RLock()
 	defer n.recMu.RUnlock()
 	out := ""
-	for ref, e := range n.records {
-		e.rmu.Lock()
-		if e.obj == nil {
-			out += fmt.Sprintf("%s: pins %d, holders %d, stale %d, fenced %v, pulling %v, admitted %d\n",
-				ref, e.pins.Load(), len(e.holders), e.stale, !e.fenceUntil.IsZero(), e.pulling, e.count)
+	for _, byKey := range n.records {
+		for _, e := range byKey {
+			e.rmu.Lock()
+			if e.obj == nil {
+				out += fmt.Sprintf("%s: pins %d, holders %d, stale %d, fenced %v, pulling %v, admitted %d\n",
+					e.ref, e.pins.Load(), len(e.holders), e.stale, !e.fenceUntil.IsZero(), e.pulling, e.count)
+			}
+			e.rmu.Unlock()
 		}
-		e.rmu.Unlock()
 	}
 	return out
 }
@@ -81,7 +83,7 @@ func absentRecords(n *Node) string {
 // something still holds reads absent.
 func recordState(n *Node, ref core.Ref) string {
 	n.recMu.RLock()
-	e := n.records[ref]
+	e := n.records[ref.Type][ref.Key]
 	n.recMu.RUnlock()
 	if e == nil {
 		return "gone"

@@ -108,8 +108,10 @@ type acceptMsg struct {
 // frame, a field length past the end and a trailing byte are all errors.
 // Decoders copy what they return, because the rpc server recycles a
 // request's buffer once its handler returns, with one exception: an
-// ACCEPT's payload aliases the frame. Its invocations decode to copies,
-// and handleAccept copies the payload itself only when the WAL keeps it.
+// ACCEPT's payload aliases the frame. Its invocations decode to copies but
+// for their Init lists (core.DecodeInvocationOn), which only the apply
+// that creates the copy reads, within the handler; handleAccept copies
+// the payload itself only when the WAL keeps it.
 const (
 	frameAccept      byte = 'A' // MsgID, Ref, At.Fence, At.Seq, Payload
 	frameAcceptReply byte = 'a' // finalResp: Version, Replays
@@ -152,10 +154,12 @@ func (m acceptMsg) frameAround(buf []byte, room int) []byte {
 	return buf[start:]
 }
 
-func decodeAccept(data []byte) (acceptMsg, error) {
+// decodeAccept decodes an ACCEPT frame, its ref through known (readRefOn;
+// nil: a fresh key string).
+func decodeAccept(data []byte, known func(string, []byte) core.Ref) (acceptMsg, error) {
 	m, err := core.DecodeFrame(data, frameAccept, func(r *core.Reader) (m acceptMsg, err error) {
 		if m.ID, err = readMsgID(r); err == nil {
-			m.Ref, err = readRef(r)
+			m.Ref, err = readRefOn(r, known)
 		}
 		if err == nil {
 			m.At.Fence, err = r.Uvarint()
@@ -549,12 +553,13 @@ func (n *Node) runAccept(t acceptTask) {
 
 // acceptAt sends one member a round's ACCEPT and checks its reply.
 func (n *Node) acceptAt(ctx context.Context, id totalorder.MsgID, ref core.Ref, member ring.NodeID, body []byte, local finalResp) error {
-	out, err := n.peerCall(ctx, member, KindAccept, body)
+	var resp finalResp
+	err := n.peerCall(ctx, member, KindAccept, body, func(out []byte) (err error) {
+		resp, err = decodeFinalResp(out)
+		return err
+	})
 	if err == nil {
-		var resp finalResp
-		if resp, err = decodeFinalResp(out); err == nil {
-			return n.checkRound(id, ref, member, resp, local)
-		}
+		return n.checkRound(id, ref, member, resp, local)
 	}
 	// The member is unreachable, refused the round, or the view is
 	// changing: the client re-routes on the rebalancing sentinel, and dedup
@@ -652,7 +657,7 @@ func (n *Node) checkRound(id totalorder.MsgID, ref core.Ref, member ring.NodeID,
 // WAL, which keeps it until a flush. The reply goes out in a pooled
 // buffer that the rpc server recycles.
 func (n *Node) handleAccept(ctx context.Context, body []byte) ([]byte, error) {
-	msg, err := decodeAccept(body)
+	msg, err := decodeAccept(body, n.knownRef)
 	if err != nil {
 		return nil, err
 	}
@@ -940,34 +945,42 @@ func (e *entry) setPos(p position) {
 // peerCall performs one inter-node RPC with simulated replica-link latency,
 // a per-attempt timeout (see Config.PeerCallTimeout) and a single redial on
 // connection failure. A peer's refusal (rpc.RemoteError) comes back as is:
-// the connection is sound, and other calls share it. The timeout is what turns a frame lost in the network
-// into an error the round can fail with; an unbounded call would hold the
-// round, and its client, forever.
-func (n *Node) peerCall(ctx context.Context, id ring.NodeID, kind uint8, body []byte) ([]byte, error) {
+// the connection is sound, and other calls share it. The timeout is what
+// turns a frame lost in the network into an error the round can fail
+// with; an unbounded call would hold the round, and its client, forever.
+//
+// decode, when not nil, reads the reply and must copy what it keeps: the
+// reply goes back to rpc's payload pool as soon as decode returns, so a
+// call leaves no buffer to the garbage collector. Its error is peerCall's.
+func (n *Node) peerCall(ctx context.Context, id ring.NodeID, kind uint8, body []byte, decode func([]byte) error) error {
 	if err := n.profile.Delay(ctx, n.profile.DSOReplica); err != nil {
-		return nil, err
+		return err
 	}
 	for attempt := 0; ; attempt++ {
 		c, err := n.peer(id)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		out, err := c.CallTimeout(ctx, kind, body, n.peerTimeout)
 		if err == nil {
-			return out, nil
+			if decode != nil {
+				err = decode(out)
+			}
+			rpc.PutBuffer(out)
+			return err
 		}
 		// Declared only on an error: errors.As moves it to the heap.
 		var refused rpc.RemoteError
 		if errors.As(err, &refused) {
-			return nil, err
+			return err
 		}
 		n.dropPeer(id)
 		if attempt >= 1 || ctx.Err() != nil {
-			return nil, err
+			return err
 		}
 		// Brief pause before redial: the peer may be restarting.
 		if err := pause(ctx, time.Millisecond); err != nil {
-			return nil, err
+			return err
 		}
 	}
 }

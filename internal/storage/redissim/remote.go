@@ -120,7 +120,9 @@ func (r *RemoteCluster) call(ctx context.Context, req request) (response, error)
 		return response{}, err
 	}
 	var resp response
-	if err := core.DecodeValue(raw, &resp); err != nil {
+	err = core.DecodeValue(raw, &resp)
+	rpc.PutBuffer(raw)
+	if err != nil {
 		return response{}, err
 	}
 	if resp.Err != "" {
