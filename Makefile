@@ -90,8 +90,9 @@ chaos-short:
 	$(GO) test -race -count=1 -short -run 'TestNemesisPartition|TestNemesisCrashRestart|TestNemesisCachePartition|TestNemesisWriteBatchPartition|TestNemesisMigrationPartition|TestNemesisKillEverything|TestNemesisStatefunKillEverything' ./internal/chaos/
 
 # flake-check reruns the tests that used to fail under CPU contention —
-# the two whose clocks are now under the test's control, the cache-on
-# crash/restart nemesis that caught the fork-check bug (DESIGN.md §5c), the
+# the two whose clocks are now under the test's control, the two seed-707
+# crash/restart nemeses (cache on, and writes queued for group commit)
+# whose interleaving positions and the epoch open close (DESIGN.md §5c), the
 # migration race that lost an rf=1 write across the hand-off (§5g) — the
 # two that pin the rf=1 round of one: a write racing a Join hand-off, and
 # concurrent durable writes recovered after a full crash (§5h) — and the
@@ -109,14 +110,14 @@ chaos-short:
 # (§5i) — and the two record tests that step through view changes and
 # pulls: every lifecycle transition of a ref's record, and a table that
 # stays one record per copy across pulls, a migration, a Join and a Leave
-# (§5c). 30 times each at one and two CPUs (about three minutes on an
-# idle box).
+# (§5c). 30 times each at one and two CPUs (about six and a half minutes
+# on an idle 2-vCPU box).
 # Not part of verify. To reproduce the contention itself, run any CPU hog
 # beside it (e.g. four copies of a `go test -c ./internal/chaos` binary).
 flake-check:
 	$(GO) test -count=30 -cpu 1,2 -run 'TestCheckFailuresConcurrentWithMembershipChurn' ./internal/membership/
 	$(GO) test -count=30 -cpu 1,2 -run 'TestBillingUsesModeledTime|TestBillingAccumulates' ./internal/faas/
-	$(GO) test -count=30 -cpu 1,2 -run 'TestNemesisCacheCrashRestart' ./internal/chaos/
+	$(GO) test -count=30 -cpu 1,2 -run 'TestNemesisCacheCrashRestart|TestNemesisWriteBatchCrashRestart' ./internal/chaos/
 	$(GO) test -count=30 -cpu 1,2 -run 'TestInvokeDuringMigrationLosesNothing|TestDurabilityRecoversConcurrentRFOneWrites|TestRF2ReadsServedAtPrimary|TestDroppedAcceptParksPullsAndConverges|TestWriteBatchingExactlyOnce' ./internal/cluster/
 	$(GO) test -count=30 -cpu 1,2 -run 'TestRoundOfOneAcrossHandOff|TestTwoCoordinatorsInTwoViewsNotBothAcked|TestAcceptAppliesInSeqOrder|TestRoundOvertakingGenesisWaitsForIt|TestRecordLifecycle|TestTableStaysFlat' ./internal/server/
 	$(GO) test -count=30 -cpu 1,2 -run 'TestDispatchIdleInstancesCostNothing|TestDispatchDoorbellOwnerCrashRelists|TestDispatchPushInDoubtActivatesNext' ./internal/statefun/
@@ -141,7 +142,9 @@ doclint:
 # none), a warm ACCEPT and a warm fetch must hand their replies back to
 # the payload pool (an ACCEPT ~0.1 KiB beyond its frame, 4.1 KiB when the
 # coordinator dropped the member's reply; a fetch 11 allocations, 12
-# before), a warmed
+# before), a pull that finds the member at its own position must take no
+# copy (under 1 KiB, ~70 bytes; 9.8 KB while every fetch reply shipped
+# the snapshot and its dedup window), a warmed
 # placement at rf up to the ring's table width must allocate nothing (no
 # replica slice, no Ref string) and New must not format a label per
 # vnode, a rebalancer scan over 1 000 objects must not build a ring per

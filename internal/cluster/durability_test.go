@@ -69,7 +69,7 @@ func getPersist(ctx context.Context, t *testing.T, cl interface {
 // write. The workload straddles a checkpoint so recovery must both
 // restore a snapshot AND replay WAL records, including records for
 // operations the checkpoint already covers (replay idempotence: the
-// post-apply version stamp in each record gates re-execution).
+// position each record carries gates re-execution).
 func TestDurabilityRecoversFullClusterCrash(t *testing.T) {
 	store := durableStore()
 	ctx := ctxT(t)
@@ -240,5 +240,64 @@ func TestDurabilitySnapshotOnlyLosesTail(t *testing.T) {
 	}
 	if got == 0 {
 		t.Fatalf("snapshot-only recovery = 0: the 250ms checkpoint window never captured anything")
+	}
+}
+
+// A cluster restarted over a cold store counts its views afresh, while the
+// copies it recovers stand at positions stamped with the old cluster's
+// view IDs. Each node raises the directory's next view ID above what it
+// recovered before it joins, so the restarted cluster's views come after
+// the recovered positions, and its first write is acked on top of them.
+func TestRestartedClusterViewsOutnumberRecoveredEpochs(t *testing.T) {
+	store := durableStore()
+	ctx := ctxT(t)
+	ref := core.Ref{Type: objects.TypeAtomicLong, Key: "epoch-counter"}
+
+	c1 := startCluster(t, durableOpts(store))
+	cl1 := newClient(t, c1)
+	addPersist(ctx, t, cl1, ref)
+	// Membership churn takes the first cluster's view IDs well past the
+	// three a fresh cluster starts with.
+	ids := c1.NodeIDs()
+	for i := 0; i < 5; i++ {
+		if err := c1.CrashNode(ids[2]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c1.RestartNode(ids[2]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		addPersist(ctx, t, cl1, ref)
+	}
+	var recovered uint64
+	for _, id := range c1.NodeIDs() {
+		n, _ := c1.Node(id)
+		if epoch, _, ok := n.DebugPosition(ref); ok {
+			recovered = max(recovered, epoch)
+		}
+	}
+	if recovered < 10 {
+		t.Fatalf("copies at epoch %d after the churn, want past 10", recovered)
+	}
+	time.Sleep(150 * time.Millisecond) // a checkpoint covers the writes
+	_ = cl1.Close()
+	if err := c1.Close(); err != nil {
+		t.Fatalf("crash all nodes: %v", err)
+	}
+
+	c2 := startCluster(t, durableOpts(store))
+	if v := c2.Dir.View(); v.ID <= recovered {
+		t.Fatalf("restarted cluster at view %d, want it above the recovered epoch %d", v.ID, recovered)
+	}
+	cl2 := newClient(t, c2)
+	if got := addPersist(ctx, t, cl2, ref); got != 5 {
+		t.Fatalf("first write after the restart = %d, want 5", got)
+	}
+	for _, id := range c2.NodeIDs() {
+		n, _ := c2.Node(id)
+		if epoch, _, ok := n.DebugPosition(ref); ok && epoch <= recovered {
+			t.Fatalf("%s holds the counter at epoch %d, not past the recovered %d", id, epoch, recovered)
+		}
 	}
 }

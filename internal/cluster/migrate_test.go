@@ -114,10 +114,9 @@ func TestMigrateObjectUnpin(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The new primary un-pins it. Right after the flip its freshly-pushed
-	// copy may still carry the conservative stale mark (cleared by the
-	// self-heal poll moments later), so retry through ErrRebalancing the
-	// way any caller would.
+	// The new primary un-pins it. Right after the flip its open may find
+	// a member still busy with the hand-off, so retry through
+	// ErrRebalancing the way any caller would.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		err := primaryNode(t, c, ref).MigrateObject(ctx, ref, nil, true)

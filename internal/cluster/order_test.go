@@ -119,7 +119,7 @@ func TestDroppedAcceptParksPullsAndConverges(t *testing.T) {
 	}
 }
 
-// A fault-free run refuses no round at the fork check: eight clients
+// A fault-free run refuses no round at a predecessor mismatch: eight clients
 // increment 32 RF-2 counters 500 times each, and every counter ends at
 // exactly the number of increments acked on it.
 func TestFaultFreeRunRefusesNoForks(t *testing.T) {
@@ -160,6 +160,6 @@ func TestFaultFreeRunRefusesNoForks(t *testing.T) {
 		}
 	}
 	if n := tel.Metrics().Counter(telemetry.MetServerForkRefusals).Value(); n != 0 {
-		t.Fatalf("%d fork-check refusals in a fault-free run", n)
+		t.Fatalf("%d predecessor-mismatch refusals in a fault-free run", n)
 	}
 }

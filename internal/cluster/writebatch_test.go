@@ -94,18 +94,18 @@ func writeBatchingExactlyOnce(t *testing.T, persist bool) {
 		t.Fatalf("persist=%v: counter = %d after %d increments", persist, value, workers*perWorker)
 	}
 	ref := core.Ref{Type: objects.TypeAtomicLong, Key: "wb/counter"}
-	var versions []uint64 // of the nodes holding a copy
+	var positions [][2]uint64 // of the nodes holding a copy
 	for _, id := range c.Dir.View().Members {
-		if v, _ := c.nodes[id].DebugVersion(ref); v > 0 {
-			versions = append(versions, v)
+		if epoch, seq, ok := c.nodes[id].DebugPosition(ref); ok {
+			positions = append(positions, [2]uint64{epoch, seq})
 		}
 	}
 	want := 1
 	if persist {
 		want = 2
 	}
-	if len(versions) != want || versions[0] != versions[len(versions)-1] {
-		t.Errorf("persist=%v: copies at versions %v, want %d agreeing", persist, versions, want)
+	if len(positions) != want || positions[0] != positions[len(positions)-1] {
+		t.Errorf("persist=%v: copies at positions %v, want %d agreeing", persist, positions, want)
 	}
 	m := tel.Metrics()
 	batches := m.Counter(telemetry.MetServerBatches).Value()

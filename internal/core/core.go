@@ -60,7 +60,7 @@ type Invocation struct {
 	// leased client cache or from the primary's copy without a round, skip
 	// the at-most-once
 	// dedup window (re-executing a read is harmless and must not evict
-	// write records), and do not advance the object's apply version.
+	// write records).
 	// Servers re-validate the flag against their own registry before
 	// trusting it. Old frames decode with the flag unset — every call is
 	// conservatively a write.

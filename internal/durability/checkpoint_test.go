@@ -124,8 +124,8 @@ func TestReadLogManifestPointsAtTruncatedSegment(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	put(3, []Record{{Origin: "n1", Seq: 30, Version: 30}})
-	put(4, []Record{{Origin: "n1", Seq: 40, Version: 40}})
+	put(3, []Record{{Origin: "n1", Seq: 30, Epoch: 1, Version: 30}})
+	put(4, []Record{{Origin: "n1", Seq: 40, Epoch: 1, Version: 40}})
 	recs, maxSeg, torn, err := ReadLog(ctx, store, "n1", 1)
 	if err != nil || torn != 0 {
 		t.Fatalf("ReadLog: torn %d, err %v", torn, err)
@@ -141,19 +141,19 @@ func TestReadLogManifestPointsAtTruncatedSegment(t *testing.T) {
 func TestReadLogStopsAtDamagedSegment(t *testing.T) {
 	store := testStore()
 	ctx := context.Background()
-	good := encodeAll([]Record{{Origin: "n1", Seq: 1, Version: 1}, {Origin: "n1", Seq: 2, Version: 2}})
+	good := encodeAll([]Record{{Origin: "n1", Seq: 1, Epoch: 1, Version: 1}, {Origin: "n1", Seq: 2, Epoch: 1, Version: 2}})
 	if err := store.Put(ctx, segmentKey("n1", 1), good); err != nil {
 		t.Fatal(err)
 	}
 	// Segment 2: one good record, then a torn frame.
-	torn := encodeAll([]Record{{Origin: "n1", Seq: 3, Version: 3}})
-	torn = append(torn, AppendRecord(nil, Record{Origin: "n1", Seq: 4, Version: 4})[:5]...)
+	torn := encodeAll([]Record{{Origin: "n1", Seq: 3, Epoch: 1, Version: 3}})
+	torn = append(torn, AppendRecord(nil, Record{Origin: "n1", Seq: 4, Epoch: 1, Version: 4})[:5]...)
 	if err := store.Put(ctx, segmentKey("n1", 2), torn); err != nil {
 		t.Fatal(err)
 	}
 	// Segment 3 exists but lies beyond the break: it must NOT be replayed
 	// over the gap.
-	if err := store.Put(ctx, segmentKey("n1", 3), encodeAll([]Record{{Origin: "n1", Seq: 9, Version: 9}})); err != nil {
+	if err := store.Put(ctx, segmentKey("n1", 3), encodeAll([]Record{{Origin: "n1", Seq: 9, Epoch: 1, Version: 9}})); err != nil {
 		t.Fatal(err)
 	}
 	recs, _, tornN, err := ReadLog(ctx, store, "n1", 1)
@@ -174,7 +174,7 @@ func TestReadLogEmptySegment(t *testing.T) {
 	if err := store.Put(ctx, segmentKey("n1", 1), nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := store.Put(ctx, segmentKey("n1", 2), encodeAll([]Record{{Origin: "n1", Seq: 5, Version: 5}})); err != nil {
+	if err := store.Put(ctx, segmentKey("n1", 2), encodeAll([]Record{{Origin: "n1", Seq: 5, Epoch: 1, Version: 5}})); err != nil {
 		t.Fatal(err)
 	}
 	recs, maxSeg, torn, err := ReadLog(ctx, store, "n1", 1)

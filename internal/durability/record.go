@@ -16,25 +16,27 @@ import (
 )
 
 // Record is one committed delivery in the log. Origin and Seq are the
-// round's identity (totalorder.MsgID), recorded so
-// replay tooling can correlate log entries with traces; Version is the
-// object copy's apply version immediately after the delivery — the replay
-// gate: recovery re-applies a record only onto a copy whose version is
-// strictly lower, which makes replay idempotent against the checkpoint
-// (a record the snapshot already covers is skipped) and against duplicate
-// records (a retry that re-delivered through a later round). Payload is
-// the raw SMR payload exactly as delivered: genesis/batch prefix plus the
-// encoded invocation(s) with their (ClientID, Seq) dedup stamps.
+// round's identity (totalorder.MsgID), recorded so replay tooling can
+// correlate log entries with traces. Epoch and Version are the round's
+// position in its object's order: the view epoch it was sequenced in and
+// its seq under that epoch. The position is the replay gate: recovery
+// re-applies a record only onto a copy whose position is strictly lower,
+// which makes replay idempotent against the checkpoint (a record the
+// snapshot already covers is skipped) and against a log read twice.
+// Payload is the raw SMR payload exactly as delivered: genesis/batch
+// prefix plus the encoded invocation(s) with their (ClientID, Seq) dedup
+// stamps.
 type Record struct {
-	Origin  string
-	Seq     uint64
-	Version uint64
-	Payload []byte
+	Origin         string
+	Seq            uint64
+	Epoch, Version uint64
+	Payload        []byte
 }
 
 // Framing: every record is [len u32][crc u32][body], little-endian, where
 // crc is CRC-32 (IEEE) over body. The body packs
-// uvarint(len(Origin)) Origin uvarint(Seq) uvarint(Version) Payload,
+// uvarint(len(Origin)) Origin uvarint(Seq) uvarint(Epoch)
+// uvarint(Version) Payload,
 // with Payload running to the end of the body. A reader that hits a short
 // frame reports a torn tail (the flush carrying it never completed); a
 // CRC mismatch reports corruption. Both truncate the log at the damage.
@@ -52,10 +54,11 @@ var (
 
 // AppendRecord appends rec's frame to dst and returns the extended slice.
 func AppendRecord(dst []byte, rec Record) []byte {
-	body := make([]byte, 0, 2*binary.MaxVarintLen64+len(rec.Origin)+len(rec.Payload)+binary.MaxVarintLen64)
+	body := make([]byte, 0, 4*binary.MaxVarintLen64+len(rec.Origin)+len(rec.Payload))
 	body = binary.AppendUvarint(body, uint64(len(rec.Origin)))
 	body = append(body, rec.Origin...)
 	body = binary.AppendUvarint(body, rec.Seq)
+	body = binary.AppendUvarint(body, rec.Epoch)
 	body = binary.AppendUvarint(body, rec.Version)
 	body = append(body, rec.Payload...)
 
@@ -75,17 +78,15 @@ func decodeBody(body []byte) (Record, error) {
 	}
 	rec.Origin = string(body[w : w+int(n)])
 	rest := body[w+int(n):]
-	seq, w := binary.Uvarint(rest)
-	if w <= 0 {
-		return rec, fmt.Errorf("durability: bad seq varint")
+	for _, f := range []struct {
+		name string
+		v    *uint64
+	}{{"seq", &rec.Seq}, {"epoch", &rec.Epoch}, {"version", &rec.Version}} {
+		if *f.v, w = binary.Uvarint(rest); w <= 0 {
+			return rec, fmt.Errorf("durability: bad %s varint", f.name)
+		}
+		rest = rest[w:]
 	}
-	rest = rest[w:]
-	ver, w := binary.Uvarint(rest)
-	if w <= 0 {
-		return rec, fmt.Errorf("durability: bad version varint")
-	}
-	rest = rest[w:]
-	rec.Seq, rec.Version = seq, ver
 	rec.Payload = append([]byte(nil), rest...)
 	return rec, nil
 }

@@ -16,7 +16,7 @@ func FuzzDecodeSegment(f *testing.F) {
 	f.Add(encodeAll(sampleRecords()))
 	f.Add(encodeAll(sampleRecords())[:11])
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0})
-	long := AppendRecord(nil, Record{Origin: "node-with-a-long-name", Seq: 1 << 60, Version: 1 << 50, Payload: bytes.Repeat([]byte{0xAB}, 300)})
+	long := AppendRecord(nil, Record{Origin: "node-with-a-long-name", Seq: 1 << 60, Epoch: 1 << 40, Version: 1 << 50, Payload: bytes.Repeat([]byte{0xAB}, 300)})
 	f.Add(long)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, _ := DecodeSegment(data)

@@ -8,9 +8,9 @@ import (
 
 func sampleRecords() []Record {
 	return []Record{
-		{Origin: "dso-01", Seq: 1, Version: 1, Payload: []byte{1, 'a', 'b'}},
-		{Origin: "dso-02", Seq: 9, Version: 2, Payload: nil},
-		{Origin: "", Seq: 0, Version: 0, Payload: []byte("genesis payload with some length")},
+		{Origin: "dso-01", Seq: 1, Epoch: 1, Version: 1, Payload: []byte{1, 'a', 'b'}},
+		{Origin: "dso-02", Seq: 9, Epoch: 7, Version: 2, Payload: nil},
+		{Origin: "", Seq: 0, Epoch: 0, Version: 0, Payload: []byte("genesis payload with some length")},
 	}
 }
 
@@ -33,7 +33,7 @@ func TestRecordRoundTrip(t *testing.T) {
 	}
 	for i := range want {
 		if got[i].Origin != want[i].Origin || got[i].Seq != want[i].Seq ||
-			got[i].Version != want[i].Version || !bytes.Equal(got[i].Payload, want[i].Payload) {
+			got[i].Epoch != want[i].Epoch || got[i].Version != want[i].Version || !bytes.Equal(got[i].Payload, want[i].Payload) {
 			t.Fatalf("record %d = %+v, want %+v", i, got[i], want[i])
 		}
 	}

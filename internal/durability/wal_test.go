@@ -25,7 +25,7 @@ func TestWALAppendFlushCommit(t *testing.T) {
 	ctx := context.Background()
 	commits := make([]*Commit, 10)
 	for i := range commits {
-		commits[i] = l.Append(Record{Origin: "n1", Seq: uint64(i + 1), Version: uint64(i + 1), Payload: []byte{byte(i)}})
+		commits[i] = l.Append(Record{Origin: "n1", Seq: uint64(i + 1), Epoch: 1, Version: uint64(i + 1), Payload: []byte{byte(i)}})
 	}
 	for i, c := range commits {
 		if err := c.Wait(ctx); err != nil {

@@ -189,3 +189,46 @@ func TestSyncDirectivesAdoptsStrictlyNewer(t *testing.T) {
 		t.Fatalf("older table adopted (adopted=%v view=%d)", adopted, v4.ID)
 	}
 }
+
+// Private directories over one member set (each dso-server process keeps
+// its own) agree on a view's ID once they hold the same directive table,
+// however many of its versions each adopted on the way: positions in an
+// object's order are stamped with view IDs and compared across nodes.
+func TestDirectiveStepsAndJumpAgreeOnViewID(t *testing.T) {
+	stepped, jumped := threeNodeDir(), threeNodeDir()
+	var tables []ring.Directives
+	for i, key := range []string{"a", "b", "c"} {
+		cur := ring.Directives{}
+		if i > 0 {
+			cur = tables[i-1]
+		}
+		tables = append(tables, cur.With(key, []ring.NodeID{"n2"}))
+	}
+	for _, table := range tables {
+		if _, adopted := stepped.SyncDirectives(table); !adopted {
+			t.Fatalf("v%d not adopted", table.Version)
+		}
+	}
+	if _, adopted := jumped.SyncDirectives(tables[2]); !adopted {
+		t.Fatal("v3 not adopted")
+	}
+	a, b := stepped.View(), jumped.View()
+	if a.Directives.Version != 3 || a.ID != b.ID || a.Fence() != b.Fence() {
+		t.Fatalf("stepped to view %d (fence %x), jumped to view %d (fence %x); want one view at directive v3",
+			a.ID, a.Fence(), b.ID, b.Fence())
+	}
+}
+
+// Outnumber lifts the next view's ID above a floor, for joins and
+// directive installs alike, and never lowers it.
+func TestOutnumberLiftsNextViewID(t *testing.T) {
+	d := NewDirectory(time.Second)
+	d.Outnumber(40)
+	d.Outnumber(7)
+	if v := d.Join("n1", "addr1"); v.ID != 41 {
+		t.Fatalf("first view after Outnumber(40) has ID %d, want 41", v.ID)
+	}
+	if v := d.SetDirective("k", []ring.NodeID{"n1"}); v.ID != 42 {
+		t.Fatalf("directive view has ID %d, want 42", v.ID)
+	}
+}

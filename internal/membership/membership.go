@@ -187,6 +187,8 @@ type Directory struct {
 	// installMu serializes view installation + listener notification so
 	// listeners observe views strictly in order.
 	installMu sync.Mutex
+	// floor is an ID the next view must exceed (Outnumber).
+	floor uint64
 }
 
 // NewDirectory builds a directory. timeout is the heartbeat staleness
@@ -301,7 +303,7 @@ func (d *Directory) change(mutate func(map[ring.NodeID]string)) View {
 		return cur
 	}
 
-	next := View{ID: d.view.ID + 1, Addrs: members, Directives: d.view.Directives.Clone()}
+	next := View{ID: d.nextIDLocked(1), Addrs: members, Directives: d.view.Directives.Clone()}
 	next.Members = make([]ring.NodeID, 0, len(members))
 	for n := range members {
 		next.Members = append(next.Members, n)
@@ -362,7 +364,10 @@ func (d *Directory) ClearDirective(key string) View {
 // callers each observe the latest table and versions are strictly
 // monotonic. mutate must return either its argument unchanged (no
 // install) or a derived table with a larger version; it must not call
-// back into the directory.
+// back into the directory. The view's ID advances by as much as the
+// table's version does, so that private directories over one member set
+// that adopt the same table, in steps or at once, agree on the view's ID:
+// a replica's position in an object's order is stamped with it.
 func (d *Directory) UpdateDirectives(mutate func(ring.Directives) ring.Directives) View {
 	d.installMu.Lock()
 	defer d.installMu.Unlock()
@@ -375,7 +380,10 @@ func (d *Directory) UpdateDirectives(mutate func(ring.Directives) ring.Directive
 		return cur
 	}
 	nv := d.view.clone()
-	nv.ID = d.view.ID + 1
+	nv.ID = d.nextIDLocked(1)
+	if cur := d.view.Directives.Version; next.Version > cur {
+		nv.ID = d.nextIDLocked(next.Version - cur)
+	}
 	nv.Directives = next
 	// Same members, same ring: a directive flip reuses the published one.
 	ls, installed := d.installLocked(nv, d.placement.Load().ring)
@@ -409,6 +417,25 @@ func (d *Directory) SyncDirectives(remote ring.Directives) (View, bool) {
 		return remote.Clone()
 	})
 	return v, adopted
+}
+
+// nextIDLocked is the ID of a view that comes gap installs after the
+// current one, counted from the floor when that is higher. Caller holds
+// d.mu.
+func (d *Directory) nextIDLocked(gap uint64) uint64 {
+	return max(d.view.ID, d.floor) + gap
+}
+
+// Outnumber makes every view the directory installs from now on have an
+// ID above id. A node that recovered positions stamped with view IDs from
+// cold storage calls it before it joins: a directory started afresh counts
+// from zero, and its views must still order after the recovered ones.
+func (d *Directory) Outnumber(id uint64) {
+	d.installMu.Lock()
+	d.mu.Lock()
+	d.floor = max(d.floor, id)
+	d.mu.Unlock()
+	d.installMu.Unlock()
 }
 
 // unchangedLocked reports whether the mutated member set equals the

@@ -9,6 +9,7 @@ import (
 	"crucial/internal/core"
 	"crucial/internal/durability"
 	"crucial/internal/telemetry"
+	"crucial/internal/totalorder"
 )
 
 // Durability tier (DESIGN.md §5h): every committed SMR delivery this node
@@ -17,7 +18,7 @@ import (
 // record's flush lands — so an acknowledged write exists in storage that
 // survives losing every node at once, not just f of them. A background
 // snapshotter periodically checkpoints per-object state (the pushObject
-// serialization: snapshot bytes + apply version + at-most-once window)
+// serialization: snapshot bytes + position + at-most-once window)
 // together with the placement directive table, then truncates the sealed
 // segments the checkpoint covers. On restart, recoverFromCold rebuilds the
 // node from the latest valid checkpoint plus a replay of the surviving
@@ -85,7 +86,10 @@ func (n *Node) initDurability() error {
 
 // recoverFromCold loads the latest checkpoint and replays the surviving
 // log; it returns the highest WAL segment observed so the reopened log
-// writes strictly after history.
+// writes strictly after history. The recovered copies stand at positions
+// stamped with view IDs of the cluster that wrote them, so the directory
+// is told to number its next view above them (Directory.Outnumber) before
+// this node joins: a cluster restarted over the store counts views afresh.
 func (n *Node) recoverFromCold(d *durabilityState) (maxSeg uint64, err error) {
 	ctx, span := n.tracer.Start(context.Background(), telemetry.SpanRecoveryReplay)
 	defer span.End()
@@ -95,7 +99,7 @@ func (n *Node) recoverFromCold(d *durabilityState) (maxSeg uint64, err error) {
 		// still holds rather than refusing to boot.
 		n.log.Warn("checkpoint load failed, recovering from log alone", "err", lerr)
 	}
-	restored := 0
+	restored, lastEpoch := 0, uint64(0)
 	if found {
 		d.epoch = man.Epoch
 		for i, blob := range blobs {
@@ -109,16 +113,7 @@ func (n *Node) recoverFromCold(d *durabilityState) (maxSeg uint64, err error) {
 				continue
 			}
 			restored++
-		}
-		if man.Directives.Version > 0 {
-			// Satellite of the elastic-resharding plane: hot-key pins ride
-			// the manifest and survive a full-cluster restart. Adoption is
-			// version-checked, so a peer that recovered a newer table first
-			// wins (SyncDirectives is last-writer-wins by version).
-			if _, adopted := n.cfg.Directory.SyncDirectives(man.Directives); adopted {
-				n.log.Info("recovered placement directives",
-					"version", man.Directives.Version, "keys", man.Directives.Len())
-			}
+			lastEpoch = max(lastEpoch, msg.At.Epoch)
 		}
 	}
 	recs, maxSeg, torn, rerr := durability.ReadLog(ctx, d.store, string(n.cfg.ID), man.CutSeg)
@@ -137,8 +132,20 @@ func (n *Node) recoverFromCold(d *durabilityState) (maxSeg uint64, err error) {
 		if applied {
 			replayed++
 		}
+		lastEpoch = max(lastEpoch, rec.Epoch)
 	}
 	d.cReplays.Add(uint64(len(recs)))
+	n.cfg.Directory.Outnumber(lastEpoch)
+	if found && man.Directives.Version > 0 {
+		// Satellite of the elastic-resharding plane: hot-key pins ride
+		// the manifest and survive a full-cluster restart. Adoption is
+		// version-checked, so a peer that recovered a newer table first
+		// wins (SyncDirectives is last-writer-wins by version).
+		if _, adopted := n.cfg.Directory.SyncDirectives(man.Directives); adopted {
+			n.log.Info("recovered placement directives",
+				"version", man.Directives.Version, "keys", man.Directives.Len())
+		}
+	}
 	if found || len(recs) > 0 {
 		n.log.Info("recovered from cold storage", "epoch", man.Epoch,
 			"objects", restored, "wal_records", len(recs), "replayed", replayed,
@@ -149,10 +156,9 @@ func (n *Node) recoverFromCold(d *durabilityState) (maxSeg uint64, err error) {
 }
 
 // restoreObject materializes one checkpointed object (the transferMsg
-// serialization that state transfer uses) into the record table. Unlike
-// a transfer it leaves the copy's position at zero: a restarted primary
-// renumbers the ref's rounds from seq 1 under an unchanged fence, and a
-// restored position would read that round as behind the copy (laneTurn).
+// serialization that state transfer uses) into the record table, at its
+// position. The record starts unopened: this node's first round on it as
+// primary polls the group first (open).
 func (n *Node) restoreObject(msg transferMsg) error {
 	obj, err := n.newCopy(msg)
 	if err != nil {
@@ -162,18 +168,16 @@ func (n *Node) restoreObject(msg transferMsg) error {
 	defer n.release(e)
 	e.rmu.Lock()
 	defer e.rmu.Unlock()
-	e.holdCopy(obj, msg.Persist, false, msg.Init, msg.Dedup, msg.Version, position{})
+	e.holdCopy(obj, msg.Persist, false, msg.Init, msg.Dedup, msg.At)
 	return nil
 }
 
 // replayRecord re-applies one logged round, gated by the record's
-// post-apply version: a record whose Version is not beyond the copy's
-// current version is already covered — by the checkpoint, or by an
-// earlier record of the same op (a client retry that re-delivered through
-// a later round) — and is skipped. Inside an applied record, each
-// invocation still runs through the at-most-once window, so a round that
-// originally mixed fresh ops with dedup replays reproduces the same
-// executions and the same version arithmetic it had live.
+// position: a record at or below the copy's position is already covered
+// by the checkpoint, or by the log read so far, and is skipped. An applied
+// record moves the copy to its position. Inside it, each invocation still
+// runs through the at-most-once window, so a round that originally mixed
+// fresh ops with dedup replays reproduces the same executions it had live.
 //
 // A record that passed the log's checksum yet is not a round payload was
 // written in another format (a log from before rounds had one) or by a bug,
@@ -192,30 +196,29 @@ func (n *Node) replayRecord(rec durability.Record) (applied bool, err error) {
 			"ref", invs[0].Ref.String(), "err", err)
 		return false, nil
 	}
+	at := position{Epoch: rec.Epoch, Seq: rec.Version}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if rec.Version <= e.version {
+	if !e.pos.less(at) {
 		return false, nil
 	}
 	n.applyLocked(context.Background(), e, invs, nil)
-	// The record's version is authoritative: the live execution produced
-	// it, and forcing it here keeps the copy comparable with replicas that
-	// recovered through a different snapshot/replay split.
-	e.version = rec.Version
+	e.setPos(at)
 	return true, nil
 }
 
-// appendWAL logs one applied delivery and returns its durability ticket
-// (nil when the tier or the WAL is off). Origin/seq name the total-order
-// message; version is the post-apply version the replay gate keys on.
-func (n *Node) appendWAL(origin string, seq uint64, version uint64, payload []byte) *durability.Commit {
+// appendWAL logs one applied round and returns its durability ticket (nil
+// when the tier or the WAL is off): id names the round, at is the position
+// the replay gate keys on.
+func (n *Node) appendWAL(id totalorder.MsgID, at position, payload []byte) *durability.Commit {
 	if !n.walEnabled() {
 		return nil
 	}
 	return n.dur.log.Append(durability.Record{
-		Origin:  origin,
-		Seq:     seq,
-		Version: version,
+		Origin:  id.Origin,
+		Seq:     id.Seq,
+		Epoch:   at.Epoch,
+		Version: at.Seq,
 		Payload: payload,
 	})
 }
@@ -256,7 +259,7 @@ func (n *Node) snapshotLoop(d *durabilityState) {
 }
 
 // checkpoint runs one snapshotter pass: seal the open WAL segment, dump
-// every persistent object (snapshot + version + dedup window, the
+// every persistent object (snapshot + position + dedup window, the
 // transferMsg serialization), write the epoch's blobs and CAS its
 // manifest, then truncate the segments the cut covers and prune epochs
 // older than the previous one. Ordering is what makes truncation safe:

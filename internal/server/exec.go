@@ -152,25 +152,20 @@ func (n *Node) lockEntry(ctx context.Context, e *entry) {
 // single place methods execute, whether they arrive through a round
 // (applyOrdered), outside one (applyOne) or from the WAL (replayRecord).
 // Instrumented nodes record each method's wall time, Ctl.Wait blocking
-// included, in server.exec. Every invocation is dedup-checked, executed,
-// version-bumped and dedup-recorded on its own, so the apply version does
-// not depend on how a coordinator sliced the stream into rounds; a replay
-// skips its bump: replaying is not applying.
+// included, in server.exec. Every invocation is dedup-checked, executed
+// and dedup-recorded on its own.
 //
 // A caller that discards the outcomes (res nil: a member, WAL replay)
 // does not run a read at all — one that the wire flag and this node's own
-// registry both call read-only. A read changes no state, takes no version
-// bump and records no dedup entry, so skipping it leaves the copy, its
-// version and the round's reply (finalResp) as running it would.
-func (n *Node) applyLocked(ctx context.Context, e *entry, invs []core.Invocation, res []opResult) (replays int) {
+// registry both call read-only. A read changes no state and records no
+// dedup entry, so skipping it leaves the copy as running it would.
+func (n *Node) applyLocked(ctx context.Context, e *entry, invs []core.Invocation, res []opResult) {
 	for i, inv := range invs {
 		if res == nil && inv.ReadOnly && core.IsReadOnlyMethod(inv.Ref.Type, inv.Method) {
 			continue
 		}
 		results, err, replayed := n.dedupLookupLocked(ctx, e, inv)
-		if replayed {
-			replays++
-		} else {
+		if !replayed {
 			var execStart time.Time
 			if n.instrumented {
 				execStart = time.Now()
@@ -178,11 +173,6 @@ func (n *Node) applyLocked(ctx context.Context, e *entry, invs []core.Invocation
 			e.ctl.ctx = ctx
 			results, err = e.obj.Call(&e.ctl, inv.Method, inv.Args)
 			e.ctl.ctx = nil // the record keeps no call's context
-			if !inv.ReadOnly {
-				// The version counts state changes: primary-local reads
-				// bypass rounds, so counting reads would split replicas.
-				e.version++
-			}
 			if n.instrumented {
 				n.hExec.Observe(time.Since(execStart))
 			}
@@ -192,7 +182,6 @@ func (n *Node) applyLocked(ctx context.Context, e *entry, invs []core.Invocation
 			res[i] = opResult{results: results, err: err}
 		}
 	}
-	return replays
 }
 
 // dedupLookupLocked answers a stamped retry whose original was already
@@ -235,7 +224,7 @@ func (n *Node) DebugObjectCount() int { return len(n.residents()) }
 
 // DebugHasObject reports residency of a reference (tests).
 func (n *Node) DebugHasObject(ref core.Ref) bool {
-	_, ok := n.DebugVersion(ref)
+	_, _, ok := n.DebugPosition(ref)
 	return ok
 }
 
@@ -250,14 +239,16 @@ func (n *Node) DebugSnapshot(ref core.Ref) ([]byte, error) {
 	return msg.Snapshot, err
 }
 
-// DebugVersion reports the apply version of ref's local copy (tests).
-func (n *Node) DebugVersion(ref core.Ref) (uint64, bool) {
+// DebugPosition reports the position of ref's local copy in its order —
+// the view epoch and the seq of the last round it applied — and whether
+// the node holds one (tests).
+func (n *Node) DebugPosition(ref core.Ref) (epoch, seq uint64, ok bool) {
 	e := n.pin(ref, false)
 	if e == nil {
-		return 0, false
+		return 0, 0, false
 	}
 	defer n.release(e)
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.version, e.obj != nil
+	return e.pos.Epoch, e.pos.Seq, e.obj != nil
 }

@@ -78,11 +78,17 @@ func TestParkedAcceptPayloadOutlivesRequestBuffer(t *testing.T) {
 }
 
 // acceptBody is an ACCEPT frame for a round from origin at seq under the
-// directory's current view, carrying invs.
+// directory's current view, carrying invs: seq 1 follows no copy, any
+// other seq the round before it in that view.
 func acceptBody(t *testing.T, dir *membership.Directory, origin string, seq uint64, genesis bool, invs ...core.Invocation) []byte {
 	t.Helper()
-	return acceptMsg{ID: totalorder.MsgID{Origin: origin, Seq: seq}, Ref: invs[0].Ref,
-		At: position{Fence: dir.View().Fence(), Seq: seq}, Payload: roundPayload(t, genesis, invs...)}.encode()
+	v := dir.View()
+	prev := position{Epoch: v.ID, Seq: seq - 1}
+	if seq == 1 {
+		prev = position{}
+	}
+	return acceptMsg{ID: totalorder.MsgID{Origin: origin, Seq: seq}, Ref: invs[0].Ref, Fence: v.Fence(),
+		Prev: prev, At: position{Epoch: v.ID, Seq: seq}, Payload: roundPayload(t, genesis, invs...)}.encode()
 }
 
 // controlFrames lists every control frame codec with a sample message
@@ -91,9 +97,10 @@ func controlFrames() []codectest.Codec {
 	id := totalorder.MsgID{Origin: "n1", Seq: 1 << 40}
 	ref := core.Ref{Type: objects.TypeKV, Key: "k/1"}
 	return []codectest.Codec{
-		codectest.Of("accept", acceptMsg{ID: id, Ref: ref, At: position{Fence: 7, Seq: 1 << 35}, Payload: []byte("round payload")},
+		codectest.Of("accept", acceptMsg{ID: id, Ref: ref, Fence: 7, Prev: position{Epoch: 3, Seq: 1 << 35},
+			At: position{Epoch: 1 << 50, Seq: 1}, Payload: []byte("round payload")},
 			codectest.Infallible(acceptMsg.encode), decodeAcceptCopy),
-		codectest.Of("accept reply", finalResp{Version: 3, Replays: 1}, codectest.Infallible(finalResp.encode), decodeFinalResp),
+		codectest.Of("accept reply", acceptAck{}, codectest.Infallible(acceptAck.encode), decodeAcceptAck),
 		codectest.Of("lease request", LeaseRequest{Ref: ref, Persist: true, HolderAddr: "cache-1"},
 			codectest.Infallible(LeaseRequest.Encode), func(b []byte) (LeaseRequest, error) { return decodeLeaseRequest(b, nil) }),
 		codectest.Of("lease response", LeaseResponse{Granted: true, Reason: "r", TTLMillis: 2000, Epoch: 5,
@@ -126,7 +133,7 @@ func TestControlFramesRoundTripAndRejectTruncation(t *testing.T) {
 // and ACCEPT frames with a field that overflows or runs past the end.
 func FuzzControlFrames(f *testing.F) {
 	accept := acceptMsg{ID: totalorder.MsgID{Origin: "n1", Seq: 9}, Ref: core.Ref{Type: "T", Key: "k"},
-		At: position{Fence: 5, Seq: 2}, Payload: []byte{1, 2}}.encode()
+		Fence: 5, Prev: position{Epoch: 4, Seq: 1}, At: position{Epoch: 4, Seq: 2}, Payload: []byte{1, 2}}.encode()
 	codectest.FuzzFrames(f, controlFrames(),
 		[]byte{frameLeaseRequest, 0, 0, 2, 0},   // a bool byte that is neither 0 nor 1
 		[]byte{'P', 2, 'n', '1', 9, 5, 2, 1, 2}, // PROPOSE: MsgID, Fence, Payload
@@ -137,7 +144,7 @@ func FuzzControlFrames(f *testing.F) {
 		[]byte{frameAccept, 1, 'n', 1, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f},                           // a fence past the end
 		append([]byte{frameAccept, 1, 'n', 1, 1, 'T', 1, 'k', 5}, bytes.Repeat([]byte{0xff}, 11)...), // a seq overflowing uint64
 		append(bytes.Clone(accept[:len(accept)-3]), 0x7f, 1, 2),                                      // a payload length past the end
-		[]byte{frameAcceptReply, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, 0},      // a version of ten bytes
+		[]byte{frameAcceptReply, 0}, // an ack with a trailing byte
 		accept[:1],
 	)
 }
@@ -219,11 +226,12 @@ func stateFrames() []codectest.Codec {
 	dedup.record(7, 2, nil, "boom")
 	dedup.record(3, 1, []any{true}, "")
 	msg := transferMsg{Ref: ref, Init: []any{int64(1), nil}, Persist: true, Snapshot: []byte("state body"),
-		Dedup: dedup, Version: 1 << 33, Fence: 1 << 60, Seq: 5, Stale: true, Repair: true}
+		Dedup: dedup, At: position{Epoch: 1 << 60, Seq: 5}}
 	return []codectest.Codec{
 		codectest.Of("transfer", msg, transferMsg.encode, decodeTransfer),
-		codectest.Of("fetch", ref, codectest.Infallible(encodeFetch), decodeFetch),
-		codectest.Of("fetch reply", fetchResp{Found: true, Busy: true, Msg: msg}, fetchResp.encode, decodeFetchResp),
+		codectest.Of("fetch", fetchReq{Ref: ref, Have: position{Epoch: 9, Seq: 1 << 33}},
+			codectest.Infallible(fetchReq.encode), decodeFetch),
+		codectest.Of("fetch reply", fetchResp{Found: true, Busy: true, At: msg.At, Msg: &msg}, fetchResp.encode, decodeFetchResp),
 	}
 }
 
@@ -236,5 +244,9 @@ func TestStateBodiesRoundTripAndRejectTruncation(t *testing.T) {
 // FuzzStateBodies throws raw bytes at the transfer and fetch decoders (see
 // stateFrames), under the rules of FuzzControlFrames.
 func FuzzStateBodies(f *testing.F) {
-	codectest.FuzzFrames(f, stateFrames(), []byte{frameTransfer, 0, 0, 0, 0, 0, 1, 0xff, 0xff, 0xff, 0xff, 0x0f})
+	positionOnly, err := fetchResp{Found: true, At: position{Epoch: 2, Seq: 7}}.encode()
+	if err != nil {
+		f.Fatal(err)
+	}
+	codectest.FuzzFrames(f, stateFrames(), []byte{frameTransfer, 0, 0, 0, 0, 0, 1, 0xff, 0xff, 0xff, 0xff, 0x0f}, positionOnly)
 }

@@ -239,10 +239,10 @@ func (lt *leaseTable) refusal(reason string) LeaseResponse {
 }
 
 // grant services one lease request on the primary. The decision — no
-// migration fence, a copy, no round in flight, no stale mark, no write in
-// flight — the snapshot and the holder's registration happen under the
-// ref's record lock, so a write that begins after the grant is recorded
-// sees (and revokes) the holder.
+// migration fence, a copy opened in the installed epoch (see open), no
+// round in flight, no write in flight — the snapshot and the holder's
+// registration happen under the ref's record lock, so a write that begins
+// after the grant is recorded sees (and revokes) the holder.
 func (lt *leaseTable) grant(req LeaseRequest) LeaseResponse {
 	n := lt.n
 	rf := 1
@@ -286,8 +286,10 @@ func (lt *leaseTable) grant(req LeaseRequest) LeaseResponse {
 	case e.count > 0:
 		// An admitted round is not in the copy yet.
 		return lt.refusal("ops in flight")
-	case e.stale != 0:
-		return lt.refusal("copy stale")
+	case e.opened != n.epoch.Load().id:
+		// A copy this node has not opened as primary in the installed
+		// view may be behind a member's.
+		return lt.refusal("copy not opened")
 	case e.writing > 0:
 		return lt.refusal("write in flight")
 	}
@@ -568,8 +570,9 @@ func (lt *leaseTable) memberWriteFence(e *entry) error {
 // tryLocalRead serves a read-only invocation from the primary's own copy
 // without a round, for an object whose group has rf members, when this node
 // can prove its copy current: the directory's latest view names it primary
-// (a deposed one could miss writes the new one acks), the copy is resident
-// and no round is in flight here. A replica group also needs leases, which
+// (a deposed one could miss writes the new one acks), the copy is resident,
+// opened in the installed epoch (see open) and no round is in flight here.
+// A replica group also needs leases, which
 // fence-delay a new primary's first write past this check; a group of one
 // has no other copy. Otherwise ok = false and the caller runs a round.
 func (n *Node) tryLocalRead(ctx context.Context, e *entry, inv core.Invocation, rf int) ([]any, error, bool) {
@@ -577,7 +580,7 @@ func (n *Node) tryLocalRead(ctx context.Context, e *entry, inv core.Invocation, 
 		return nil, nil, false
 	}
 	e.rmu.Lock()
-	current := e.obj != nil && e.stale == 0 && e.count == 0
+	current := e.obj != nil && e.opened == n.epoch.Load().id && e.count == 0
 	e.rmu.Unlock()
 	if !current {
 		return nil, nil, false

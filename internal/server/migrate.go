@@ -126,12 +126,12 @@ func (n *Node) MigrateObject(ctx context.Context, ref core.Ref, targets []ring.N
 	if syncObj {
 		return fmt.Errorf("server: migrate %s: synchronization objects are connection-bound", ref)
 	}
-	if e.isStale() {
-		// A copy suspected behind the committed history must not be blessed
-		// as the lineage's new authority; heal first, migrate later.
-		return fmt.Errorf("%w: %s stale on %s", core.ErrRebalancing, ref, n.cfg.ID)
+	// The shipped copy becomes the lineage's authority: make it the
+	// group's highest first.
+	if _, err := n.open(ctx, e, group, v.ID); err != nil {
+		return err
 	}
-
+	resident, _, _ = e.kind()
 	// The placement the cluster will have after the flip, computed against
 	// the same members: the push below must land on these nodes.
 	nd := v.Directives.Clone()
@@ -169,7 +169,7 @@ func (n *Node) MigrateObject(ctx context.Context, ref core.Ref, targets []ring.N
 			if target == n.cfg.ID {
 				continue
 			}
-			if err := n.pushObject(e, target, false); err != nil {
+			if err := n.pushObject(e, target); err != nil {
 				if target == newSet[0] {
 					return fail(fmt.Errorf("server: migrate %s: push to new primary: %w", ref, err))
 				}

@@ -213,11 +213,9 @@ type Node struct {
 	unsubscribe func()
 
 	// records is the record table, by type then key: one entry per ref
-	// this node holds anything for (record.go). staleSeq numbers the stale
-	// marks.
-	recMu    sync.RWMutex
-	records  map[string]map[string]*entry
-	staleSeq atomic.Uint64
+	// this node holds anything for (record.go).
+	recMu   sync.RWMutex
+	records map[string]map[string]*entry
 
 	// peer connections
 	peerMu sync.Mutex
@@ -361,9 +359,9 @@ func Start(cfg Config) (*Node, error) {
 	case cfg.PeerCallTimeout == 0:
 		n.peerTimeout = 2 * time.Second
 	}
-	// MsgIDs stay unique across restarts of a node: a restarted primary's
-	// first round under an unchanged fence must read as a new order to
-	// its members (see laneTurn).
+	// MsgIDs stay unique across restarts of a node, so that a member never
+	// acks a restarted primary's round as a duplicate of one the earlier
+	// incarnation sent at the same position (laneTurn).
 	n.seq.Store(uint64(time.Now().UnixNano()))
 	n.epoch.Store(&viewEpoch{fence: membership.View{}.Fence(), next: make(chan struct{})})
 
@@ -538,7 +536,7 @@ func (n *Node) handle(ctx context.Context, kind uint8, payload []byte) ([]byte, 
 	case KindTransfer:
 		msg, err := decodeTransfer(payload)
 		if err == nil {
-			err = n.installTransfer(msg)
+			_, err = n.installTransfer(msg)
 		}
 		return nil, err
 	case KindStats:
@@ -590,7 +588,7 @@ func (n *Node) handleInvoke(ctx context.Context, payload []byte) ([]byte, error)
 	}
 	// Re-derive the read-only flag from this node's own registry rather
 	// than trusting the wire: the flag steers execution past the write
-	// machinery (SMR round, dedup, version bump, lease revocation), so a
+	// machinery (SMR round, dedup, lease revocation), so a
 	// stale or hostile client must not smuggle a mutating method through
 	// it — and a thin client that never registered the classification
 	// (dso-cli) still gets the read fast path, since

@@ -8,13 +8,12 @@ import (
 	"time"
 
 	"crucial/internal/core"
-	"crucial/internal/totalorder"
 )
 
 // One record per ref (DESIGN.md §5c, "The record", has the lifecycle as
 // a table). A ref's copy, or none, and everything around it live in one
 // entry in one table (Node.records). The copy moves absent → pulling →
-// serving ⇄ fenced → handed off through holdCopy, setPulling, setFence
+// serving ⇄ fenced → handed off through holdCopy, claimPull, setFence
 // and dropCopy. Locks go table (Node.recMu), record (rmu), monitor (mu).
 // Callers pin the records they use (pin … release), and a record leaves
 // the table in dropIfIdle alone. The table is keyed by type, then key, so
@@ -37,9 +36,13 @@ type entry struct {
 	// of one lineage; read under either lock.
 	persist bool
 	sync    bool
-	pulling bool          // a selfHeal pull is running
-	stale   uint64        // the stale mark's token (see markStale); 0: unmarked
-	wake    chan struct{} // closed when a copy arrives (awaitCopy)
+	// pull is closed when the running open or selfHeal pull ends; nil
+	// while none runs.
+	pull chan struct{}
+	// opened is the view epoch in which this node, as the ref's primary,
+	// last made its copy the group's highest (open); 0: never.
+	opened uint64
+	wake   chan struct{} // closed when a copy arrives (awaitCopy)
 	// The primary's write lane (lane.go): rounds in flight from this node,
 	// at most pipelineDepth, and the writes waiting for a slot.
 	inflight int
@@ -61,19 +64,10 @@ type entry struct {
 	init    []any
 	// dedup is the at-most-once window (see dedup.go).
 	dedup dedupState
-	// version counts operations applied to this copy. Replicas of one
-	// object apply the same totally-ordered sequence, so equal versions
-	// mean equal state; state transfers carry the snapshot's version and a
-	// receiver refuses to replace a copy that has applied more — otherwise
-	// a snapshot taken before an op but installed after it would silently
-	// roll back an acknowledged update.
-	version uint64
 	// The ref's order at this copy (see awaitTurn): pos is where the copy
-	// stands, first the round that opened pos.Fence's order, recent the
-	// replies of the last rounds applied, and turn, when non-nil, is closed
-	// the next time pos moves, waking parked rounds.
+	// stands, recent the last rounds applied, and turn, when non-nil, is
+	// closed the next time pos moves, waking parked rounds.
 	pos    position
-	first  totalorder.MsgID
 	recent [laneMemory]laneRecord
 	turn   chan struct{}
 }
@@ -138,12 +132,12 @@ func (n *Node) release(e *entry) {
 }
 
 // dropIfIdle is the one way out of the table: e leaves once it is idle,
-// that is unpinned, without a copy, a lease holder, a stale mark or a
-// migration fence. A round, a lane slot, a queued write, a lease block or
-// a pull is held by a caller that pins the record.
+// that is unpinned, without a copy, a lease holder or a migration fence.
+// A round, a lane slot, a queued write, a lease block or a pull is held by
+// a caller that pins the record.
 func (n *Node) dropIfIdle(e *entry) {
 	idle := func() bool {
-		return e.pins.Load() == 0 && e.obj == nil && len(e.holders) == 0 && e.stale == 0 && e.fenceUntil.IsZero()
+		return e.pins.Load() == 0 && e.obj == nil && len(e.holders) == 0 && e.fenceUntil.IsZero()
 	}
 	e.rmu.Lock()
 	ok := idle()
@@ -198,11 +192,10 @@ func (e *entry) kind() (resident, persist, syncObj bool) {
 // holdCopy gives e, which has none, a copy at position at, and wakes the
 // rounds waiting for one (e.rmu held): absent, pulling or handed off →
 // serving.
-func (e *entry) holdCopy(obj core.Object, persist, syncObj bool, init []any, dedup dedupState, version uint64, at position) {
+func (e *entry) holdCopy(obj core.Object, persist, syncObj bool, init []any, dedup dedupState, at position) {
 	e.mu.Lock()
-	e.obj, e.persist, e.sync, e.init = obj, persist, syncObj, init
-	e.dedup, e.version = dedup, version
-	e.first, e.recent = totalorder.MsgID{}, [laneMemory]laneRecord{}
+	e.obj, e.persist, e.sync, e.init, e.dedup = obj, persist, syncObj, init, dedup
+	e.recent = [laneMemory]laneRecord{}
 	e.setPos(at)
 	e.mu.Unlock()
 	if e.wake != nil {
@@ -233,7 +226,7 @@ func (n *Node) createCopy(e *entry, inv core.Invocation) (core.Object, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: create %s: %w", inv.Ref, err)
 	}
-	e.holdCopy(obj, inv.Persist && !info.Synchronization, info.Synchronization, init, dedupState{}, 0, position{})
+	e.holdCopy(obj, inv.Persist && !info.Synchronization, info.Synchronization, init, dedupState{}, position{})
 	return obj, nil
 }
 
@@ -346,13 +339,24 @@ func (e *entry) busy() bool {
 	return e.count > 0
 }
 
-// setPulling marks e pulling (absent → pulling) or not, and reports
-// whether it was.
-func (e *entry) setPulling(on bool) (was bool) {
+// claimPull makes the caller e's one running pull, an open's or
+// selfHeal's (absent → pulling), and returns nil, or returns the running
+// pull's channel, which endPull closes.
+func (e *entry) claimPull() (running chan struct{}) {
 	e.rmu.Lock()
 	defer e.rmu.Unlock()
-	was, e.pulling = e.pulling, on
-	return was
+	if e.pull != nil {
+		return e.pull
+	}
+	e.pull = make(chan struct{})
+	return nil
+}
+
+func (e *entry) endPull() {
+	e.rmu.Lock()
+	close(e.pull)
+	e.pull = nil
+	e.rmu.Unlock()
 }
 
 // setFence fences e for a live migration until the deadline (serving →
@@ -375,41 +379,6 @@ func (e *entry) fenced() bool {
 	e.rmu.Lock()
 	defer e.rmu.Unlock()
 	return e.fencedLocked()
-}
-
-// markStale records that ref's copy here, present or future, is behind
-// the committed history (DESIGN.md §5c, "Stale marks"): a delivery was
-// skipped for want of a base copy (applyOrdered), so a snapshot installed
-// later may predate it. A marked copy must not coordinate writes, grant
-// leases or serve reads. Only pullObject clears the mark, because only a
-// fetch answered under the peer's admission barrier proves currency.
-func (n *Node) markStale(ref core.Ref) {
-	e := n.pin(ref, true)
-	e.rmu.Lock()
-	e.stale = n.staleSeq.Add(1)
-	e.rmu.Unlock()
-	n.release(e)
-}
-
-// staleToken returns e's stale mark, zero when it has none. A caller that
-// means to clear it captures the token before the fetch that will justify
-// the clear.
-func (e *entry) staleToken() uint64 {
-	e.rmu.Lock()
-	defer e.rmu.Unlock()
-	return e.stale
-}
-
-func (e *entry) isStale() bool { return e.staleToken() != 0 }
-
-// clearStale drops e's stale mark, unless it was marked again after token
-// was captured (that skip needs its own proving pull).
-func (e *entry) clearStale(token uint64) {
-	e.rmu.Lock()
-	if e.stale == token {
-		e.stale = 0
-	}
-	e.rmu.Unlock()
 }
 
 // TableSizes is what DebugTableSizes reports.

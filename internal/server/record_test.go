@@ -69,8 +69,8 @@ func absentRecords(n *Node) string {
 		for _, e := range byKey {
 			e.rmu.Lock()
 			if e.obj == nil {
-				out += fmt.Sprintf("%s: pins %d, holders %d, stale %d, fenced %v, pulling %v, admitted %d\n",
-					e.ref, e.pins.Load(), len(e.holders), e.stale, !e.fenceUntil.IsZero(), e.pulling, e.count)
+				out += fmt.Sprintf("%s: pins %d, holders %d, fenced %v, pulling %v, admitted %d\n",
+					e.ref, e.pins.Load(), len(e.holders), !e.fenceUntil.IsZero(), e.pull != nil, e.count)
 			}
 			e.rmu.Unlock()
 		}
@@ -91,7 +91,7 @@ func recordState(n *Node, ref core.Ref) string {
 	e.rmu.Lock()
 	defer e.rmu.Unlock()
 	switch {
-	case e.obj == nil && e.pulling:
+	case e.obj == nil && e.pull != nil:
 		return "pulling"
 	case e.obj == nil:
 		return "absent"
@@ -126,9 +126,9 @@ func lifecycleFixture(t *testing.T) (n1, n2 *Node, dir *membership.Directory, re
 	return n1, n2, dir, refLedBy(t, n1, objects.TypeAtomicLong), holder
 }
 
-// Every transition of a record's lifecycle, in one table: absent (a mark
-// or an admitted round without a copy), pulling, serving, fenced, handed
-// off, and gone from the table once nothing holds it.
+// Every transition of a record's lifecycle, in one table: absent (a lease
+// holder or an admitted round without a copy), pulling, serving, fenced,
+// handed off, and gone from the table once nothing holds it.
 func TestRecordLifecycle(t *testing.T) {
 	n1, n2, dir, ref, holder := lifecycleFixture(t)
 	ctx := context.Background()
@@ -167,8 +167,7 @@ func TestRecordLifecycle(t *testing.T) {
 		want string
 	}{
 		{"no call, no record", func() {}, n1, ref, "gone"},
-		{"a stale mark on no copy", func() { n1.markStale(ref) }, n1, ref, "absent"},
-		{"a pull that finds no copy anywhere clears it", func() { n1.selfHeal(ref) }, n1, ref, "gone"},
+		{"a pull that finds no copy anywhere leaves no record", func() { n1.selfHeal(ref) }, n1, ref, "gone"},
 		{"the genesis round", func() { mustInvoke(inc) }, n1, ref, "serving"},
 		{"a migration fence", func() {
 			with(n1, ref, func(e *entry) { e.setFence(time.Now().Add(migrationFenceTTL)) })
@@ -185,6 +184,7 @@ func TestRecordLifecycle(t *testing.T) {
 			n1.selfHeal(ref) // one pull at a time: this one returns at once
 		}, n1, ref, "pulling"},
 		{"the pull done", func() { <-pulled }, n1, ref, "serving"},
+		{"a write opens the pulled copy", func() { mustInvoke(inc) }, n1, ref, "serving"},
 		{"a lease holder outlives the copy", func() {
 			if resp := n1.leases.grant(LeaseRequest{Ref: ref, Persist: true, HolderAddr: holder}); !resp.Granted {
 				t.Fatalf("grant refused: %s", resp.Reason)
@@ -219,11 +219,12 @@ func TestRecordLifecycle(t *testing.T) {
 }
 
 // The record table stays flat: after a genesis write, an ACCEPT admitted
-// before its copy exists, a pull, a stale mark a pull clears, a live
+// before its copy exists, a pull, a pull of a ref no node holds, a live
 // migration whose fence the flip lifts, a spent future, a lease grant that
-// a write revokes, and a Join and a Leave handing copies over, every
-// quiescent node holds exactly one record per copy and no lease holder.
-// No absent record outlives its pull, waiter or fence.
+// a write revokes, and a Join and a Leave handing copies over (each
+// re-opening the refs it moved), every quiescent node holds exactly one
+// record per copy and no lease holder. No absent record outlives its pull,
+// waiter or fence.
 func TestTableStaysFlat(t *testing.T) {
 	n1, n2, dir, ref, holder := lifecycleFixture(t)
 	ctx := context.Background()
@@ -264,8 +265,8 @@ func TestTableStaysFlat(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A copy handed off by hand and pulled back, and a stale mark on a ref
-	// no node holds, at its primary and at its member, which a pull clears.
+	// A copy handed off by hand and pulled back, and a pull of a ref no node
+	// holds, at its primary and at its member.
 	e := n1.pin(ref, false)
 	n1.handOff(e)
 	n1.release(e)
@@ -278,7 +279,6 @@ func TestTableStaysFlat(t *testing.T) {
 			}
 			ghost.Key = "flat-ghost-" + strconv.Itoa(i)
 		}
-		n1.markStale(ghost)
 		n1.selfHeal(ghost)
 	}
 
@@ -291,7 +291,8 @@ func TestTableStaysFlat(t *testing.T) {
 		}
 	}
 
-	// A lease grant, revoked by the next write.
+	// A lease grant on the copy a write opened, revoked by the next write.
+	write(ref)
 	if resp := n1.leases.grant(LeaseRequest{Ref: ref, Persist: true, HolderAddr: holder}); !resp.Granted {
 		t.Fatalf("grant refused: %s", resp.Reason)
 	}

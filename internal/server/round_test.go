@@ -74,112 +74,211 @@ func (g gatedMap) Restore(data []byte) error {
 	return g.Object.(core.Snapshotter).Restore(data)
 }
 
-// Regression (nemesis seed 707, DESIGN.md §5c): apply versions are counts,
-// so two diverged copies can count their way back to the same version. A
-// coordinator left ahead of its group by two applied, never-acked ops
-// replays their retries while a member that holds the older base executes
-// them fresh — in the opposite order, since retries arrive in any order.
-// After the second retry both copies report the same version while holding
-// different states; the fork check used to ack it, the late repair push
-// was dropped as "stale" on the version tie, and the member's copy kept
-// not-found for an acknowledged Put, to be served once it became primary.
+// Regression (nemesis seed 707, DESIGN.md §5c): a coordinator left ahead
+// of its group by two applied, never-acked rounds sees their retries
+// arrive in the other order. Under apply versions the member executed
+// them fresh on its older base while the coordinator replayed them, and
+// the two copies counted their way back to one version over different
+// states. Under positions the first retry names the coordinator's copy as
+// its predecessor, which the member does not stand at: it is refused
+// before the member runs it, the member adopts the coordinator's copy, and
+// the next retry replays on both copies and is acked.
 func TestForkCheckRefusesReplayAsymmetry(t *testing.T) {
-	arrived := make(chan struct{}, 4) // one send per repair push, two pushes
-	gate := make(chan struct{})
+	var freshPuts atomic.Int32 // Puts of k1 the member runs
 	reg2 := core.NewRegistry()
 	reg2.MustRegister(core.TypeInfo{Name: objects.TypeMap, New: func(init []any) (core.Object, error) {
 		m, err := objects.NewMap(init)
-		return gatedMap{Object: m, arrived: arrived, gate: gate}, err
+		return countedMap{Object: m, puts: &freshPuts}, err
 	}})
-	n1, n2, _, ref := startPair(t, objects.TypeMap, 100*time.Millisecond, reg2)
-	var once sync.Once
-	openGate := func() { once.Do(func() { close(gate) }) }
-	t.Cleanup(openGate) // runs before the nodes' Crash: a failed run must not strand a parked handler
+	n1, n2, _, ref := startPair(t, objects.TypeMap, 0, reg2, 50*time.Millisecond)
 	ctx := context.Background()
 
 	// Same base copy on both nodes (one genesis round), then two
-	// non-commuting stamped ops applied at the coordinator only.
+	// non-commuting stamped ops applied at the coordinator only: their
+	// ACCEPTs were lost.
 	base := core.Invocation{Ref: ref, Method: "Put", Args: []any{"k0", int64(0)}, Persist: true, ClientID: 9, Seq: 1}
 	remove := core.Invocation{Ref: ref, Method: "Remove", Args: []any{"k1"}, Persist: true, ClientID: 7, Seq: 1}
 	put := core.Invocation{Ref: ref, Method: "Put", Args: []any{"k1", int64(3)}, Persist: true, ClientID: 7, Seq: 2}
 	if _, err := n1.invoke(ctx, base); err != nil {
 		t.Fatal(err)
 	}
-	e1, _ := n1.lookupExisting(ref)
-	e2, ok := n2.lookupExisting(ref)
-	if !ok {
-		t.Fatal("genesis round did not reach the member")
-	}
 	for _, inv := range []core.Invocation{remove, put} {
-		if _, err := n1.applyOne(ctx, e1, inv); err != nil {
-			t.Fatal(err)
-		}
+		sequenceLocally(t, n1, inv)
 	}
-	installs := n2.transfers.Load()
+	e2 := pinned(t, n2, ref)
 
 	// The retries arrive in the other order. Put: replayed at the
-	// coordinator (version 3), executed at the member (1 -> 2).
+	// coordinator, and refused at the member, which stands two rounds
+	// behind the retry's predecessor and pulls.
 	if _, err := n1.invoke(ctx, put); !errors.Is(err, core.ErrRebalancing) {
 		t.Fatalf("retry on a behind member: err = %v, want ErrRebalancing", err)
 	}
-	<-arrived // its repair push holds a version-3 snapshot, parked at the member
-	// Remove: replayed at the coordinator (still 3), executed at the member
-	// (2 -> 3). Versions now tie; the states do not.
-	_, err := n1.invoke(ctx, remove)
 	get := core.Invocation{Ref: ref, Method: "Get", Args: []any{"k1"}, Persist: true, ReadOnly: true}
-	at1, _ := n1.applyOne(ctx, e1, get)
+	at1, _ := n1.applyOne(ctx, pinned(t, n1, ref), get)
 	at2, _ := n2.applyOne(ctx, e2, get)
-	v2, _ := n2.DebugVersion(ref)
-	if v2 != 3 || reflect.DeepEqual(at1, at2) {
-		t.Fatalf("setup: member at version %d with k1=%v, coordinator k1=%v; want a version tie over different states", v2, at2, at1)
+	if !reflect.DeepEqual(at1, at2) || !reflect.DeepEqual(at2, []any{int64(3), true}) {
+		t.Fatalf("after the refused retry: member k1 = %v, coordinator k1 = %v; want both the Put", at2, at1)
 	}
-	if !errors.Is(err, core.ErrRebalancing) {
-		t.Fatalf("retry acked over diverged copies (err = %v): versions tie, replay counts do not", err)
-	}
-	<-arrived
-
-	// Both repair pushes land on a version tie; they must win it.
-	openGate()
-	timedOut := false
-	watchdog := time.AfterFunc(10*time.Second, func() {
-		e2.mu.Lock()
-		timedOut = true
-		e2.cond.Broadcast()
-		e2.mu.Unlock()
-	})
-	defer watchdog.Stop()
-	e2.mu.Lock()
-	for n2.transfers.Load() < installs+2 && !timedOut {
-		e2.cond.Wait() // installTransfer broadcasts under e2.mu
-	}
-	e2.mu.Unlock()
-	if timedOut {
-		t.Fatal("repair push never installed at the member (dropped on the version tie?)")
-	}
-	s1, err := n1.snapshotEntry(e1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := n2.snapshotEntry(e2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s1.Version != s2.Version || !reflect.DeepEqual(s1.Dedup, s2.Dedup) {
-		t.Fatalf("after repair: versions %d/%d, dedup windows equal = %v",
-			s1.Version, s2.Version, reflect.DeepEqual(s1.Dedup, s2.Dedup))
-	}
-
-	// Converged: the retry now replays on both sides and is acked with the
-	// recorded outcome, and the member's copy holds the Put.
+	// Remove: replayed on both copies, acked.
 	if _, err := n1.invoke(ctx, remove); err != nil {
-		t.Fatalf("retry after repair: %v", err)
+		t.Fatalf("retry once the member holds the coordinator's copy: %v", err)
 	}
-	got, err := n2.applyOne(ctx, e2, get)
+	// (A Map's state body lists its keys in no fixed order: compare reads.)
+	if s1, s2 := snapshotOf(t, n1, ref), snapshotOf(t, n2, ref); s1.At != s2.At || !reflect.DeepEqual(s1.Dedup, s2.Dedup) {
+		t.Fatalf("copies at %v and %v, dedup windows equal = %v, after the retries",
+			s1.At, s2.At, reflect.DeepEqual(s1.Dedup, s2.Dedup))
+	}
+	if got, _ := n2.applyOne(ctx, e2, get); !reflect.DeepEqual(got, []any{int64(3), true}) {
+		t.Fatalf("member k1 = %v after an acked Put", got)
+	}
+	if n := freshPuts.Load(); n != 0 {
+		t.Fatalf("the member ran the Put retry fresh %d times on its older base", n)
+	}
+}
+
+// countedMap is the builtin Map counting the Puts of k1 it runs.
+type countedMap struct {
+	core.Object
+	puts *atomic.Int32
+}
+
+func (c countedMap) Call(ctl core.Ctl, method string, args []any) ([]any, error) {
+	if method == "Put" && len(args) > 0 && args[0] == "k1" {
+		c.puts.Add(1)
+	}
+	return c.Object.Call(ctl, method, args)
+}
+
+func (c countedMap) Snapshot() ([]byte, error) { return c.Object.(core.Snapshotter).Snapshot() }
+
+func (c countedMap) Restore(data []byte) error { return c.Object.(core.Snapshotter).Restore(data) }
+
+// sequenceLocally applies inv at its primary n as the next round of its
+// ref, as a round whose ACCEPTs were all lost would.
+func sequenceLocally(t *testing.T, n *Node, inv core.Invocation) acceptMsg {
+	t.Helper()
+	_, view := n.replicaGroup(inv.Ref, true)
+	m := acceptMsg{ID: totalorder.MsgID{Origin: string(n.cfg.ID), Seq: n.seq.Add(1)}, Ref: inv.Ref,
+		Fence: view.Fence(), At: position{Epoch: view.ID}}
+	if out := n.sequence(context.Background(), pinned(t, n, inv.Ref), &m, false,
+		[]core.Invocation{inv}, make([]opResult, 1), nil); out.err != nil {
+		t.Fatal(out.err)
+	}
+	return m
+}
+
+// snapshotOf is ref's copy at n.
+func snapshotOf(t *testing.T, n *Node, ref core.Ref) transferMsg {
+	t.Helper()
+	msg, err := n.snapshotEntry(pinned(t, n, ref))
 	if err != nil {
-		t.Fatalf("read at the member: %v", err)
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, at1) || !reflect.DeepEqual(got, []any{int64(3), true}) {
-		t.Fatalf("member k1 = %v, coordinator holds %v", got, at1)
+	return msg
+}
+
+// After a view change that moves a ref's group, its primary opens the ref
+// before its first apply: it polls the group and adopts a member's copy
+// that is ahead of its own. Here a coordinator the primary never heard of
+// left the member a round ahead under the new view; the primary's first
+// write applies on top of it, and both copies end equal.
+func TestOpenAdoptsMemberCopyAhead(t *testing.T) {
+	n1, n2, dir, ref := startPair(t, objects.TypeAtomicLong, 0, nil)
+	ctx := context.Background()
+	add := core.Invocation{Ref: ref, Method: "AddAndGet", Args: []any{int64(1)}, Persist: true}
+	if _, err := n1.invoke(ctx, add); err != nil {
+		t.Fatal(err)
+	}
+	// Two flips move the group away from n1 and back: n1's open does not
+	// carry over.
+	dir.SetDirective(ref.String(), []ring.NodeID{"n2", "n1"})
+	dir.SetDirective(ref.String(), []ring.NodeID{"n1", "n2"})
+	v := dir.View()
+	e1, s1, _ := n2.DebugPosition(ref)
+	set := acceptMsg{ID: totalorder.MsgID{Origin: "n9", Seq: 1}, Ref: ref, Fence: v.Fence(),
+		Prev: position{Epoch: e1, Seq: s1}, At: position{Epoch: v.ID, Seq: 1},
+		Payload: roundPayload(t, false, core.Invocation{Ref: ref, Method: "Set", Args: []any{int64(5)}, Persist: true})}
+	if _, err := n2.handleAccept(ctx, set.encode()); err != nil {
+		t.Fatal(err)
+	}
+	res, err := n1.invoke(ctx, add)
+	if err != nil {
+		t.Fatalf("first write after the view change: %v", err)
+	}
+	if got := res[0].(int64); got != 6 {
+		t.Fatalf("first write after the view change returned %d, want 6: it applied before the open adopted the member's copy", got)
+	}
+	if a, b := snapshotOf(t, n1, ref), snapshotOf(t, n2, ref); a.At != b.At || a.At != (position{Epoch: v.ID, Seq: 2}) ||
+		string(a.Snapshot) != string(b.Snapshot) {
+		t.Fatalf("copies at %v and %v after the write, want both at (%d, 2) and equal", a.At, b.At, v.ID)
+	}
+}
+
+// A primary that restarts under an unchanged view (dso-server's chaos
+// bounce: the directory never saw it go) recovers an older checkpoint of
+// its copy. Its first round opens the ref with a poll, adopts the member's
+// copy, which is ahead, and follows it: a stamped retry of a write the
+// member already applied replays instead of running twice, and the next
+// write applies once at both copies.
+func TestRestartUnderUnchangedViewOpensWithPoll(t *testing.T) {
+	net := rpc.NewMemNetwork()
+	dir := membership.NewDirectory(time.Hour)
+	store := s3sim.New(s3sim.Options{Profile: netsim.Zero(), ListLag: -1})
+	cfg := validConfig(net, dir)
+	cfg.RF, cfg.ColdStore, cfg.Telemetry = 2, store, telemetry.New()
+	cfg.Durability = core.DurabilityPolicy{Enabled: true, SyncEvery: -1, SnapshotInterval: -1}
+	n1, err := Start(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg2 := validConfig(net, dir)
+	cfg2.ID, cfg2.Addr, cfg2.RF = "n2", "n2", 2
+	n2 := startNode(t, cfg2)
+	ref := refLedBy(t, n1, objects.TypeAtomicLong)
+	ctx := context.Background()
+	add := func(n *Node, seq uint64) int64 {
+		t.Helper()
+		res, err := n.invoke(ctx, core.Invocation{Ref: ref, Method: "AddAndGet", Args: []any{int64(1)},
+			Persist: true, ClientID: 8, Seq: seq})
+		if err != nil {
+			t.Fatalf("write %d: %v", seq, err)
+		}
+		return res[0].(int64)
+	}
+	add(n1, 1)
+	add(n1, 2)
+	if err := n1.DebugCheckpoint(); err != nil {
+		t.Fatal(err)
+	}
+	add(n1, 3) // in no checkpoint
+	_ = n1.Crash()
+	view := dir.View()
+	if n1, err = Start(cfg); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = n1.Crash() })
+	if dir.View().ID != view.ID {
+		t.Fatal("the restart installed a view")
+	}
+	if _, seq, _ := n1.DebugPosition(ref); seq != 2 {
+		t.Fatalf("restarted primary recovered its copy at seq %d, want the checkpoint's 2", seq)
+	}
+	if got := add(n1, 3); got != 3 {
+		t.Fatalf("retry of write 3 returned %d, want its recorded 3", got)
+	}
+	if pulls := cfg.Telemetry.Metrics().Counter(telemetry.MetServerPulls).Value(); pulls != 1 {
+		t.Fatalf("%d pulls by the restarted primary, want 1: its first round opens with a poll", pulls)
+	}
+	if got := add(n1, 4); got != 4 {
+		t.Fatalf("write 4 returned %d, want 4", got)
+	}
+	a, b := snapshotOf(t, n1, ref), snapshotOf(t, n2, ref)
+	if a.At != b.At || string(a.Snapshot) != string(b.Snapshot) {
+		t.Fatalf("copies at %v and %v differ after the restart", a.At, b.At)
+	}
+	got, err := n2.applyOne(ctx, pinned(t, n2, ref), core.Invocation{Ref: ref, Method: "Get", ReadOnly: true})
+	if err != nil || got[0] != int64(4) {
+		t.Fatalf("member's copy counts %v (err %v), want 4: a round ran twice", got, err)
 	}
 }
 
@@ -218,15 +317,15 @@ func TestStaleGroupAcceptFenced(t *testing.T) {
 
 // A replicated write round counts in crucial_server_batch_size from the
 // local apply on, like smr_rounds: one that is ordered and then refused by
-// the fork check was a write round all the same, and the two must not
-// drift apart under faults. Sequential writes never queue, so each is an
-// inline round of one and none is a cut round (crucial_server_batches_total).
+// a member was a write round all the same, and the two must not drift
+// apart under faults. Sequential writes never queue, so each is an inline
+// round of one and none is a cut round (crucial_server_batches_total).
 func TestBatchRoundCountedOnceOrdered(t *testing.T) {
 	net := rpc.NewMemNetwork()
 	dir := membership.NewDirectory(time.Hour)
 	tel := telemetry.New()
 	cfg := validConfig(net, dir)
-	cfg.RF, cfg.Telemetry = 2, tel
+	cfg.RF, cfg.Telemetry, cfg.PeerCallTimeout = 2, tel, 50*time.Millisecond
 	n1 := startNode(t, cfg)
 	cfg.ID, cfg.Addr, cfg.Telemetry = "n2", "n2", nil
 	startNode(t, cfg)
@@ -239,14 +338,11 @@ func TestBatchRoundCountedOnceOrdered(t *testing.T) {
 	if _, err := n1.invoke(ctx, inc(1)); err != nil {
 		t.Fatal(err)
 	}
-	// The coordinator runs ahead by one unacked op; its retry replays here
-	// and executes at the member.
-	e1, _ := n1.lookupExisting(ref)
-	if _, err := n1.applyOne(ctx, e1, inc(2)); err != nil {
-		t.Fatal(err)
-	}
+	// The coordinator runs ahead by one unacked round, so the member
+	// refuses the next: it stands behind that round's predecessor.
+	sequenceLocally(t, n1, inc(2))
 	if _, err := n1.invoke(ctx, inc(2)); !errors.Is(err, core.ErrRebalancing) {
-		t.Fatalf("retry over diverged copies: err = %v, want ErrRebalancing", err)
+		t.Fatalf("retry on a behind member: err = %v, want ErrRebalancing", err)
 	}
 	m := tel.Metrics()
 	sizes := m.Histogram(telemetry.HistServerBatchSize).Snapshot()
@@ -283,7 +379,10 @@ func TestRoundOnStoppedNodeAnswersErrStopped(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := rpc.NewServer(func(_ context.Context, kind uint8, _ []byte) ([]byte, error) {
-		if kind == KindAccept {
+		switch kind {
+		case KindFetch: // the open's poll: no copy here
+			return fetchResp{}.encode()
+		case KindAccept:
 			parked <- struct{}{}
 			<-release
 		}
@@ -341,8 +440,8 @@ func TestRoundPayloadDecodeRejects(t *testing.T) {
 		if _, _, err := readRound(payload, a.Ref, nil); err == nil {
 			t.Errorf("%s: decoded", name)
 		}
-		body := acceptMsg{ID: totalorder.MsgID{Origin: "n9", Seq: 2}, Ref: a.Ref,
-			At: position{Fence: dir.View().Fence(), Seq: 1}, Payload: payload}.encode()
+		body := acceptMsg{ID: totalorder.MsgID{Origin: "n9", Seq: 2}, Ref: a.Ref, Fence: dir.View().Fence(),
+			At: position{Epoch: dir.View().ID, Seq: 1}, Payload: payload}.encode()
 		if _, err := n.handleAccept(context.Background(), body); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
@@ -357,8 +456,8 @@ func TestRoundPayloadDecodeRejects(t *testing.T) {
 
 // WAL replay reads the one payload format whoever wrote the record: a
 // genesis round of one and a group-commit round of three for the same ref
-// replay to exactly the version and state the live applies produced, and
-// replaying them again changes nothing.
+// replay to exactly the position, state and dedup window the live applies
+// produced, and replaying them again changes nothing.
 func TestReplayMixedRecordsReachLiveVersion(t *testing.T) {
 	net := rpc.NewMemNetwork()
 	dir := membership.NewDirectory(time.Hour)
@@ -378,20 +477,17 @@ func TestReplayMixedRecordsReachLiveVersion(t *testing.T) {
 		{Origin: "n1", Seq: 2, Payload: roundPayload(t, false, inc(2), set, inc(3))},
 	}
 	for i := range records {
-		body := acceptMsg{ID: totalorder.MsgID{Origin: "n9", Seq: records[i].Seq}, Ref: ref,
-			At: position{Fence: dir.View().Fence(), Seq: uint64(i + 1)}, Payload: records[i].Payload}.encode()
-		out, err := live.handleAccept(context.Background(), body)
-		if err != nil {
+		seq := uint64(i + 1)
+		body := acceptMsg{ID: totalorder.MsgID{Origin: "n9", Seq: seq}, Ref: ref, Fence: dir.View().Fence(),
+			Prev: position{Epoch: dir.View().ID, Seq: seq - 1}, At: position{Epoch: dir.View().ID, Seq: seq},
+			Payload: records[i].Payload}
+		if seq == 1 {
+			body.Prev = position{}
+		}
+		if _, err := live.handleAccept(context.Background(), body.encode()); err != nil {
 			t.Fatalf("live apply of record %d: %v", i, err)
 		}
-		resp, err := decodeFinalResp(out)
-		if err != nil {
-			t.Fatal(err)
-		}
-		records[i].Version = resp.Version
-	}
-	if records[0].Version != 1 || records[1].Version != 3 {
-		t.Fatalf("live versions = %d, %d; want 1, 3", records[0].Version, records[1].Version)
+		records[i].Epoch, records[i].Version = body.At.Epoch, body.At.Seq
 	}
 	for pass := 0; pass < 2; pass++ {
 		for i, rec := range records {
@@ -400,19 +496,10 @@ func TestReplayMixedRecordsReachLiveVersion(t *testing.T) {
 			}
 		}
 	}
-	eLive, _ := live.lookupExisting(ref)
-	eRec, _ := recovered.lookupExisting(ref)
-	want, err := live.snapshotEntry(eLive)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := recovered.snapshotEntry(eRec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Version != want.Version || string(got.Snapshot) != string(want.Snapshot) ||
+	want, got := snapshotOf(t, live, ref), snapshotOf(t, recovered, ref)
+	if got.At != want.At || want.At.Seq != 2 || string(got.Snapshot) != string(want.Snapshot) ||
 		!reflect.DeepEqual(got.Dedup, want.Dedup) {
-		t.Fatalf("replayed copy (version %d) differs from the live one (version %d)", got.Version, want.Version)
+		t.Fatalf("replayed copy (at %v) differs from the live one (at %v)", got.At, want.At)
 	}
 }
 
@@ -432,7 +519,7 @@ func TestRecoveryRefusesForeignWALRecord(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	for seq, payload := range [][]byte{roundPayload(t, true, inc), append([]byte{roundExisting}, enc...)} {
-		rec := durability.Record{Origin: "n1", Seq: uint64(seq + 1), Version: uint64(seq + 1), Payload: payload}
+		rec := durability.Record{Origin: "n1", Seq: uint64(seq + 1), Epoch: 1, Version: uint64(seq + 1), Payload: payload}
 		if err := wal.Append(rec).Wait(ctx); err != nil {
 			t.Fatal(err)
 		}
@@ -548,20 +635,17 @@ func TestAcceptAppliesInSeqOrder(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	time.Sleep(20 * time.Millisecond)
-	if v, _ := n2.DebugVersion(ref); v != 1 || len(results) != 0 {
-		t.Fatalf("round k+1 applied (member version %d, %d acked) while round k was held", v, len(results))
+	if _, seq, _ := n2.DebugPosition(ref); seq != 1 || len(results) != 0 {
+		t.Fatalf("round k+1 applied (member at seq %d, %d acked) while round k was held", seq, len(results))
 	}
 	release()
 	got := []int64{(<-results)[0].(int64), (<-results)[0].(int64)}
 	if !(got[0] == 2 && got[1] == 3 || got[0] == 3 && got[1] == 2) {
 		t.Fatalf("acked %v, want 2 and 3", got)
 	}
-	s1, _ := n1.DebugSnapshot(ref)
-	s2, _ := n2.DebugSnapshot(ref)
-	v1, _ := n1.DebugVersion(ref)
-	v2, _ := n2.DebugVersion(ref)
-	if v1 != 3 || v2 != 3 || string(s1) != string(s2) {
-		t.Fatalf("copies differ after the reordered rounds: versions %d/%d", v1, v2)
+	a, b := snapshotOf(t, n1, ref), snapshotOf(t, n2, ref)
+	if a.At.Seq != 3 || a.At != b.At || string(a.Snapshot) != string(b.Snapshot) {
+		t.Fatalf("copies differ after the reordered rounds: at %v and %v", a.At, b.At)
 	}
 }
 
@@ -598,40 +682,31 @@ func TestParkedRoundLeavesOnViewChange(t *testing.T) {
 	}
 }
 
-// A member whose copy diverged ahead of the primary's (here: two ops the
-// primary never applied) still gets past a gap: its pull finds the
-// primary's copy further along the current order, and although that state
-// does not replace its own (a lower version), the lane resumes after it.
-// The next round then applies, and its reply — a version the primary does
-// not hold — is the fork check's to refuse; without the rule every later
-// round of the ref would park and give up.
+// A member that lost a round's ACCEPT parks the next round, which names
+// the lost one as its predecessor, and pulls past the gap: the primary's
+// copy is ahead, so the member takes its state and its position together,
+// stands at the parked round's predecessor, and applies it. Both copies
+// end at one position with one state.
 func TestGapPullAdoptsPositionOfOlderCopy(t *testing.T) {
-	n1, n2, dir, ref := startPair(t, objects.TypeAtomicLong, 0, nil, 50*time.Millisecond)
+	n1, n2, _, ref := startPair(t, objects.TypeAtomicLong, 0, nil, 50*time.Millisecond)
 	ctx := context.Background()
 	inc := core.Invocation{Ref: ref, Method: "IncrementAndGet", Persist: true}
 	if _, err := n1.invoke(ctx, inc); err != nil { // seq 1 at both
 		t.Fatal(err)
 	}
-	e2, _ := n2.lookupExisting(ref)
-	for i := 0; i < 2; i++ {
-		if _, err := n2.applyOne(ctx, e2, inc); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Seq 2 applies at the primary only: its ACCEPT is lost.
-	fence := dir.View().Fence()
-	if _, _, err := n1.sequence(ctx, pinned(t, n1, ref), totalorder.MsgID{Origin: "n1", Seq: 2}, fence, false,
-		[]core.Invocation{inc}, make([]opResult, 1), nil); err != nil {
-		t.Fatal(err)
-	}
-	body := acceptMsg{ID: totalorder.MsgID{Origin: "n1", Seq: 3}, Ref: ref,
-		At: position{Fence: fence, Seq: 3}, Payload: roundPayload(t, false, inc)}.encode()
-	out, err := n2.handleAccept(ctx, body)
-	if err != nil {
+	lost := sequenceLocally(t, n1, inc) // seq 2: its ACCEPT is lost
+	// Seq 3 reaches the member before the primary applies it (as a
+	// coordinator's own apply and a member's race in real runs).
+	m := lost
+	m.ID.Seq++
+	m.Prev, m.At = lost.At, lost.At.next(lost.At.Epoch)
+	m.Payload = roundPayload(t, false, inc)
+	if _, err := n2.handleAccept(ctx, m.encode()); err != nil {
 		t.Fatalf("round after the gap: %v", err)
 	}
-	resp, _ := decodeFinalResp(out)
-	if v1, _ := n1.DebugVersion(ref); resp.Version == v1+1 {
-		t.Fatalf("member reported version %d, the primary's next; want its own diverged count", resp.Version)
+	e, s, _ := n2.DebugPosition(ref)
+	got, err := n2.applyOne(ctx, pinned(t, n2, ref), core.Invocation{Ref: ref, Method: "Get", ReadOnly: true})
+	if (position{Epoch: e, Seq: s}) != m.At || err != nil || got[0] != int64(3) {
+		t.Fatalf("member at (%d, %d) holding %v (err %v) after the gap closed, want %v holding 3", e, s, got, err, m.At)
 	}
 }

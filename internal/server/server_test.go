@@ -341,10 +341,10 @@ func TestWaitUnblocksOnContextCancel(t *testing.T) {
 	}
 }
 
-// Regression: a state transfer carrying a snapshot older than the local
-// copy must be refused. Without the version check, a snapshot taken before
-// an operation but installed after it rolled the object back, losing an
-// acknowledged update (found by the chaos nemesis, seed 505).
+// Regression: a state transfer carrying a snapshot at or below the local
+// copy's position must be refused. Without the check, a snapshot taken
+// before an operation but installed after it rolled the object back,
+// losing an acknowledged update (found by the chaos nemesis, seed 505).
 func TestStaleTransferRefused(t *testing.T) {
 	net := rpc.NewMemNetwork()
 	dir := membership.NewDirectory(time.Hour)
@@ -368,7 +368,7 @@ func TestStaleTransferRefused(t *testing.T) {
 		return v
 	}
 
-	set(10) // version 1
+	set(10) // position (v, 1)
 	e, ok := n.lookupExisting(ref)
 	if !ok {
 		t.Fatal("object not resident")
@@ -377,20 +377,27 @@ func TestStaleTransferRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set(20) // version 2: the snapshot is now stale
-
-	if err := n.installTransfer(stale); err != nil {
+	set(20) // (v, 2): the snapshot is now stale
+	current, err := n.snapshotEntry(e)
+	if err != nil {
 		t.Fatal(err)
+	}
+
+	for _, msg := range []transferMsg{stale, current} {
+		if installed, err := n.installTransfer(msg); err != nil || installed {
+			t.Fatalf("transfer at %v over a copy at %v: installed %v, err %v", msg.At, current.At, installed, err)
+		}
 	}
 	if v := get(); v != 20 {
 		t.Fatalf("stale transfer rolled the object back: got %d, want 20", v)
 	}
 
-	// A strictly newer snapshot must install.
+	// A strictly higher position must install, whatever its seq: a later
+	// epoch's first round follows every round of an earlier one.
 	newer := stale
-	newer.Version = 99
-	if err := n.installTransfer(newer); err != nil {
-		t.Fatal(err)
+	newer.At = position{Epoch: current.At.Epoch + 1, Seq: 1}
+	if installed, err := n.installTransfer(newer); err != nil || !installed {
+		t.Fatalf("transfer at %v over a copy at %v: installed %v, err %v", newer.At, current.At, installed, err)
 	}
 	if v := get(); v != 10 {
 		t.Fatalf("newer transfer not installed: got %d, want 10", v)
@@ -411,9 +418,8 @@ func TestDeliverWithoutBaseCopySkips(t *testing.T) {
 	cfg := validConfig(net, dir)
 	cfg.RF, cfg.PeerCallTimeout = 2, 50*time.Millisecond
 	n := startNode(t, cfg)
-	// An unreachable second member keeps the skip's background self-heal
-	// poll indefinite: alone, the node's poll is trivially definitive and
-	// may clear the stale mark before the test reads it.
+	// An unreachable second member: the refused round's background pull
+	// finds no copy to install.
 	dir.Join("n2", "unreachable")
 	ctx := context.Background()
 
@@ -422,24 +428,22 @@ func TestDeliverWithoutBaseCopySkips(t *testing.T) {
 
 	// Non-genesis round this node coordinates, no local copy: a retryable
 	// bounce, nothing created.
-	if _, _, err := n.sequence(ctx, pinned(t, n, ref), totalorder.MsgID{Origin: "n1", Seq: 1}, dir.View().Fence(),
-		false, []core.Invocation{inv}, make([]opResult, 1), nil); !errors.Is(err, core.ErrRebalancing) {
-		t.Fatalf("round on a dropped copy returned %v, want ErrRebalancing", err)
+	m := acceptMsg{ID: totalorder.MsgID{Origin: "n1", Seq: 1}, Ref: ref, Fence: dir.View().Fence(),
+		At: position{Epoch: dir.View().ID}}
+	if out := n.sequence(ctx, pinned(t, n, ref), &m, false, []core.Invocation{inv}, make([]opResult, 1), nil); !errors.Is(out.err, core.ErrRebalancing) {
+		t.Fatalf("round on a dropped copy returned %v, want ErrRebalancing", out.err)
 	}
 	if n.DebugHasObject(ref) {
 		t.Fatal("non-genesis round created a fresh object")
 	}
 
 	// The same round from a peer: no copy comes within the bound, so it is
-	// refused, marked, nothing created.
+	// refused, nothing created.
 	if _, err := n.handleAccept(ctx, acceptBody(t, dir, "n9", 1, false, inv)); !errors.Is(err, core.ErrRebalancing) {
 		t.Fatalf("member-side round without a base copy answered %v, want ErrRebalancing", err)
 	}
 	if n.DebugHasObject(ref) {
 		t.Fatal("member-side non-genesis round created a fresh object")
-	}
-	if !pinned(t, n, ref).isStale() {
-		t.Fatal("refused round did not mark the ref stale")
 	}
 
 	// Genesis round: creates and applies.
@@ -494,8 +498,8 @@ func TestAcceptFencedOnViewMismatch(t *testing.T) {
 	inv := core.Invocation{Ref: core.Ref{Type: objects.TypeAtomicLong, Key: "fenced"}}
 	payload := roundPayload(t, true, inv)
 	mk := func(fence uint64, seq uint64) []byte {
-		return acceptMsg{ID: totalorder.MsgID{Origin: "n9", Seq: seq}, Ref: inv.Ref,
-			At: position{Fence: fence, Seq: 1}, Payload: payload}.encode()
+		return acceptMsg{ID: totalorder.MsgID{Origin: "n9", Seq: seq}, Ref: inv.Ref, Fence: fence,
+			At: position{Epoch: 1, Seq: 1}, Payload: payload}.encode()
 	}
 	prev := dir.View().Fence()
 	refusedAtOnce := func(fence, seq uint64) {
@@ -551,23 +555,25 @@ func TestPullOnMissAdoptsPeerCopy(t *testing.T) {
 	if _, err := n1.createCopy(e, core.Invocation{Ref: ref}); err != nil {
 		t.Fatal(err)
 	}
+	e.rmu.Lock()
 	e.mu.Lock()
-	e.version = 7
+	e.pos = position{Epoch: 3, Seq: 7}
 	e.persist = true
 	e.mu.Unlock()
+	e.rmu.Unlock()
 
-	if installed, _ := n2.pullObject(ctx, pinned(t, n2, ref), []ring.NodeID{"n1", "n2"}); !installed {
-		t.Fatal("pull found no copy")
+	if installed, found, err := n2.pullObject(ctx, pinned(t, n2, ref), []ring.NodeID{"n1", "n2"}); !installed || !found || err != nil {
+		t.Fatalf("pull: installed %v, found %v, err %v", installed, found, err)
 	}
 	got, ok := n2.lookupExisting(ref)
 	if !ok {
 		t.Fatal("pulled object not resident on n2")
 	}
 	got.mu.Lock()
-	v := got.version
+	at := got.pos
 	got.mu.Unlock()
-	if v != 7 {
-		t.Fatalf("pulled copy version = %d, want 7", v)
+	if at != (position{Epoch: 3, Seq: 7}) {
+		t.Fatalf("pulled copy at %v, want (3, 7)", at)
 	}
 }
 
@@ -694,18 +700,18 @@ func TestFetchBusyWhileOpsInFlight(t *testing.T) {
 	}
 	e.admit("n9")
 
-	installed, busy := n2.pullObject(ctx, pinned(t, n2, ref), []ring.NodeID{"n1", "n2"})
+	installed, _, err := n2.pullObject(ctx, pinned(t, n2, ref), []ring.NodeID{"n1", "n2"})
 	if installed {
 		t.Fatal("pull adopted a snapshot with ops still in flight")
 	}
-	if !busy {
-		t.Fatal("pull did not report the peer's copy as busy")
+	if !errors.Is(err, core.ErrRebalancing) || !strings.Contains(err.Error(), "busy") {
+		t.Fatalf("pull from a busy peer: err = %v, want it to report the copy busy", err)
 	}
 
 	e.settle()
-	installed, busy = n2.pullObject(ctx, pinned(t, n2, ref), []ring.NodeID{"n1", "n2"})
-	if !installed || busy {
-		t.Fatalf("pull after settle: installed=%v busy=%v, want true/false", installed, busy)
+	installed, _, err = n2.pullObject(ctx, pinned(t, n2, ref), []ring.NodeID{"n1", "n2"})
+	if !installed || err != nil {
+		t.Fatalf("pull after settle: installed=%v err=%v, want true/nil", installed, err)
 	}
 }
 

@@ -24,18 +24,19 @@ import (
 // group in one order, every member applies them in that order on its local
 // copy, and the primary returns the result to the caller. The paper orders
 // them with a Skeen-style total-order multicast across all objects; here
-// the primary orders each object alone (DESIGN.md §5c). It gives every
-// round of a ref a seq under the fence of the view its group came from,
-// applies it, and sends one ACCEPT frame to each other member, which
-// applies the ref's rounds strictly in seq order (its lane, see
-// awaitTurn) and answers with that apply's outcome. Two rules make the
+// the primary orders each object alone (DESIGN.md §5c). It opens the ref
+// once per view epoch (open: its copy becomes the highest of its group's),
+// gives every round a position (epoch, seq) right after its copy's,
+// applies it, and sends one ACCEPT frame naming both positions to each
+// other member, which applies the round only at exactly its predecessor
+// (its lane, see awaitTurn) and acks once it has. Two rules make the
 // primary's order the ref's only one: a member refuses a round fenced on
 // another view than its own, and a node admits one coordinator's rounds
 // per ref at a time (entry.admit). Different refs apply concurrently.
 //
 // There is one way to do that, the round (runRound): 1..N invocations on
-// one object share one MsgID, lease fence, seq, ACCEPT per member, monitor
-// acquisition at every replica, WAL record and fork check. A write is a
+// one object share one MsgID, lease fence, position, ACCEPT per member,
+// monitor acquisition at every replica and WAL record. A write is a
 // round of one on its caller's goroutine unless its ref's lane is full:
 // then it rides a later round with the writes queued beside it (lane.go).
 // An rf=1 object's round has a group of one and sends nothing; only
@@ -50,54 +51,44 @@ type opResult struct {
 // roundOutcome is what one replica's in-order apply of a round produced,
 // besides the per-invocation outcomes (applyOrdered's res).
 type roundOutcome struct {
-	// version is the copy's apply version right after the round's last
-	// invocation, and replays how many of its invocations were answered
-	// from the at-most-once window instead of executing; both are captured
-	// under the object monitor (see applyOrdered) and compared against the
-	// members' finalResp before acking (see checkRound).
-	version uint64
-	replays int
 	// commit is the round's WAL durability ticket (nil with the tier off
 	// and for read-only rounds); the coordinator's ack waits on it.
 	commit *durability.Commit
 	// err is a round-level failure (undecodable payload, missing base
-	// copy, fence, copy mid-transfer, a gap in the ref's order): no
-	// invocation executed.
+	// copy, fence, copy mid-transfer, a predecessor this copy does not
+	// stand at): no invocation executed.
 	err error
 }
 
-// position is where a copy stands in its ref's order: the fence of the
-// view whose primary sequenced the last round it applied, and that round's
-// seq. Every primary numbers a ref's rounds from 1 under each new fence.
+// position is where a copy stands in its ref's order: the view epoch
+// (membership.View.ID) of the last round it applied and that round's seq
+// under it. Positions order copies: every copy of a ref that stands at one
+// position ran the same rounds, and transfers install, and WAL replay
+// applies, only what is strictly higher.
 type position struct {
-	Fence, Seq uint64
+	Epoch, Seq uint64
 }
 
-// finalResp is a member's reply to an ACCEPT, sent once it has applied the
-// round: the member copy's apply version immediately after that apply, and
-// how many of the round's invocations it answered from its at-most-once
-// window. Replicas of one object apply the same sequence, so for any given
-// round every member's pair must agree with the coordinator's — a mismatch
-// means one side ran the round on a copy with a different history and the
-// round must not be acked (see checkRound).
-type finalResp struct {
-	Version uint64
-	Replays int
+// less reports whether p comes before q in a ref's order.
+func (p position) less(q position) bool {
+	return p.Epoch < q.Epoch || p.Epoch == q.Epoch && p.Seq < q.Seq
 }
 
 // acceptMsg is the replication frame (KindAccept). ID names the round for
-// dedup, the WAL record and admission; Ref is the object every
-// invocation of Payload targets; At is the round's place in Ref's order:
-// the fence of the view its group came from (membership.View.Fence) and
-// its seq under it. A receiver whose installed view has another fence
-// refuses the round: without the fence, an old and a new primary could
-// both commit rounds for one object to overlapping groups and fork its
-// lineage (two clients acknowledged the same counter value).
+// dedup, the WAL record and admission; Ref is the object every invocation
+// of Payload targets. Fence is the digest of the view the round's group
+// came from (membership.View.Fence): a receiver whose installed view has
+// another fence refuses the round, or an old and a new primary could both
+// commit rounds for one object to overlapping groups. At is the round's
+// position and Prev the position of the copy the coordinator applied it
+// to: a member applies it only on a copy at exactly Prev, so every member
+// that acks ran it on the history the coordinator did.
 type acceptMsg struct {
-	ID      totalorder.MsgID
-	Ref     core.Ref
-	At      position
-	Payload []byte
+	ID       totalorder.MsgID
+	Ref      core.Ref
+	Fence    uint64
+	Prev, At position
+	Payload  []byte
 }
 
 // Control frames (DESIGN.md §5b). Each per-operation frame — ACCEPT here,
@@ -113,8 +104,8 @@ type acceptMsg struct {
 // that creates the copy reads, within the handler; handleAccept copies
 // the payload itself only when the WAL keeps it.
 const (
-	frameAccept      byte = 'A' // MsgID, Ref, At.Fence, At.Seq, Payload
-	frameAcceptReply byte = 'a' // finalResp: Version, Replays
+	frameAccept      byte = 'A' // MsgID, Ref, Fence, Prev, At, Payload
+	frameAcceptReply byte = 'a' // the ack: the member applied the round
 )
 
 // appendMsgID appends id's Origin and Seq; readMsgID reads them back.
@@ -135,10 +126,10 @@ func (m acceptMsg) encode() []byte {
 }
 
 // acceptRoom bounds what an ACCEPT of round id on ref puts ahead of its
-// payload: the tag, the strings, and seven uvarints (three string lengths,
-// the MsgID's seq, the position, the payload's length).
+// payload: the tag, the strings, and ten uvarints (three string lengths,
+// the MsgID's seq, the fence, two positions, the payload's length).
 func acceptRoom(id totalorder.MsgID, ref core.Ref) int {
-	return 1 + len(id.Origin) + len(ref.Type) + len(ref.Key) + 7*binary.MaxVarintLen64
+	return 1 + len(id.Origin) + len(ref.Type) + len(ref.Key) + 10*binary.MaxVarintLen64
 }
 
 // frameAround writes m's fields, ahead of the payload that buf holds past
@@ -147,7 +138,7 @@ func acceptRoom(id totalorder.MsgID, ref core.Ref) int {
 // encoded behind that room (encodeRound) so becomes its ACCEPT in place.
 func (m acceptMsg) frameAround(buf []byte, room int) []byte {
 	h := appendRef(appendMsgID(append(buf[:0], frameAccept), m.ID), m.Ref)
-	h = binary.AppendUvarint(binary.AppendUvarint(h, m.At.Fence), m.At.Seq)
+	h = appendPosition(appendPosition(binary.AppendUvarint(h, m.Fence), m.Prev), m.At)
 	h = binary.AppendUvarint(h, uint64(len(buf)-room))
 	start := room - len(h)
 	copy(buf[start:room], h)
@@ -162,10 +153,13 @@ func decodeAccept(data []byte, known func(string, []byte) core.Ref) (acceptMsg, 
 			m.Ref, err = readRefOn(r, known)
 		}
 		if err == nil {
-			m.At.Fence, err = r.Uvarint()
+			m.Fence, err = r.Uvarint()
 		}
 		if err == nil {
-			m.At.Seq, err = r.Uvarint()
+			m.Prev, err = readPosition(r)
+		}
+		if err == nil {
+			m.At, err = readPosition(r)
 		}
 		if err == nil {
 			m.Payload, err = r.BytesView()
@@ -178,28 +172,32 @@ func decodeAccept(data []byte, known func(string, []byte) core.Ref) (acceptMsg, 
 	return m, nil
 }
 
-func (f finalResp) encode() []byte { return f.append(make([]byte, 0, 1+2*binary.MaxVarintLen64)) }
-
-// append appends f's frame to dst.
-func (f finalResp) append(dst []byte) []byte {
-	dst = binary.AppendUvarint(append(dst, frameAcceptReply), f.Version)
-	return binary.AppendUvarint(dst, uint64(f.Replays))
+// appendPosition appends p's epoch and seq; readPosition reads them back.
+func appendPosition(dst []byte, p position) []byte {
+	return binary.AppendUvarint(binary.AppendUvarint(dst, p.Epoch), p.Seq)
 }
 
-func decodeFinalResp(data []byte) (finalResp, error) {
-	f, err := core.DecodeFrame(data, frameAcceptReply, func(r *core.Reader) (f finalResp, err error) {
-		f.Version, err = r.Uvarint()
-		var replays uint64
-		if err == nil {
-			replays, err = r.Uvarint()
-		}
-		f.Replays = int(replays)
-		return f, err
-	})
-	if err != nil {
-		return finalResp{}, fmt.Errorf("server: decode ACCEPT reply: %w", err)
+func readPosition(r *core.Reader) (p position, err error) {
+	if p.Epoch, err = r.Uvarint(); err == nil {
+		p.Seq, err = r.Uvarint()
 	}
-	return f, nil
+	return p, err
+}
+
+// acceptAck is a member's reply to an ACCEPT, sent once it has applied the
+// round at the position the ACCEPT named: the frame's tag alone.
+type acceptAck struct{}
+
+func (acceptAck) encode() []byte { return acceptAck{}.append(nil) }
+
+func (acceptAck) append(dst []byte) []byte { return append(dst, frameAcceptReply) }
+
+func decodeAcceptAck(data []byte) (acceptAck, error) {
+	_, err := core.DecodeFrame(data, frameAcceptReply, func(*core.Reader) (acceptAck, error) { return acceptAck{}, nil })
+	if err != nil {
+		return acceptAck{}, fmt.Errorf("server: decode ACCEPT reply: %w", err)
+	}
+	return acceptAck{}, nil
 }
 
 // A round's payload — on the wire and in the WAL — is one flag byte ahead
@@ -370,16 +368,15 @@ func (n *Node) invoke(ctx context.Context, inv core.Invocation) ([]any, error) {
 
 // runRound coordinates one ordering round for invs, which all target e's
 // object, among group as view places it (see replicaGroup): primacy check,
-// lease fence, residency, the local apply that sequences it (sequence),
-// one ACCEPT to each other member with the fork check on its reply, and
-// the WAL wait, in that order and each exactly once however many
-// invocations the round carries. A nil error means the round is applied at
-// every group member and durable; the per-invocation outcomes (method
-// errors included, which every replica reproduces) are then in res,
-// index-aligned with invs. ordered reports whether the round was ordered —
-// applied here under its seq, the point from which it counts in
-// smr_rounds, even if a member then refuses it or the fork check or the
-// WAL wait fails it.
+// lease fence, the ref's open in the view's epoch (open), the local apply
+// that sequences it (sequence), one ACCEPT to each other member, and the
+// WAL wait, in that order and each exactly once however many invocations
+// the round carries. A nil error means the round is applied at every group
+// member and durable; the per-invocation outcomes (method errors included,
+// which every replica reproduces) are then in res, index-aligned with
+// invs. ordered reports whether the round was ordered — applied here at
+// its position, the point from which it counts in smr_rounds, even if a
+// member then refuses it or the WAL wait fails it.
 func (n *Node) runRound(ctx context.Context, e *entry, group []ring.NodeID, view membership.View, invs []core.Invocation, res []opResult) (ordered bool, err error) {
 	defer func() {
 		if err != nil && n.closed.Load() {
@@ -402,18 +399,19 @@ func (n *Node) runRound(ctx context.Context, e *entry, group []ring.NodeID, view
 		}
 		defer e.endWrite()
 	}
-	genesis, err := n.ensureCoordinatorCopy(ctx, e, group)
+	genesis, err := n.open(ctx, e, group, view.ID)
 	if err != nil {
 		return false, err
 	}
-	id := totalorder.MsgID{Origin: string(n.cfg.ID), Seq: n.seq.Add(1)}
+	m := acceptMsg{ID: totalorder.MsgID{Origin: string(n.cfg.ID), Seq: n.seq.Add(1)}, Ref: ref,
+		Fence: view.Fence(), At: position{Epoch: view.ID}}
 	// A failure here is a codec bug, and nothing has been ordered yet. A
 	// group of one encodes only for a persistent object's WAL record, and
 	// needs no room for an ACCEPT's fields ahead of it.
 	var buf, payload []byte
 	room := 0
 	if len(group) > 1 {
-		room = acceptRoom(id, ref)
+		room = acceptRoom(m.ID, ref)
 	}
 	if len(group) > 1 || (n.walEnabled() && invs[0].Persist) {
 		if buf, err = encodeRound(room, genesis, invs); err != nil {
@@ -428,16 +426,14 @@ func (n *Node) runRound(ctx context.Context, e *entry, group []ring.NodeID, view
 	if n.instrumented {
 		orderStart = time.Now()
 	}
-	fence := view.Fence()
-	out, at, err := n.sequence(ctx, e, id, fence, genesis, invs, res, payload)
-	if err != nil {
-		return false, err
+	out := n.sequence(ctx, e, &m, genesis, invs, res, payload)
+	if out.err != nil {
+		return false, out.err
 	}
 	n.smrOps.Add(uint64(len(invs)))
 	n.cSMRRounds.Inc()
 	if len(group) > 1 {
-		body := acceptMsg{ID: id, Ref: ref, At: at}.frameAround(buf, room)
-		err = n.replicate(ctx, id, ref, group, body, finalResp{Version: out.version, Replays: out.replays})
+		err = n.replicate(ctx, m.ID, group, m.frameAround(buf, room))
 	}
 	if n.instrumented {
 		telemetry.SpanFromContext(ctx).AddTiming(telemetry.TimingSMR, time.Since(orderStart))
@@ -452,29 +448,75 @@ func (n *Node) runRound(ctx context.Context, e *entry, group []ring.NodeID, view
 		return true, err
 	}
 	if n.log.Enabled(ctx, slog.LevelDebug) {
-		n.log.Debug("smr round complete", "ref", ref.String(), "id", id.String(),
-			"seq", at.Seq, "ops", len(invs), "group", group, "genesis", genesis)
+		n.log.Debug("smr round complete", "ref", ref.String(), "id", m.ID.String(),
+			"epoch", m.At.Epoch, "seq", m.At.Seq, "ops", len(invs), "group", group, "genesis", genesis)
 	}
 	return true, nil
+}
+
+// open makes e's copy the ref's highest in group before this node
+// sequences under the view epoch, and reports whether the round must be
+// flagged genesis: no copy anywhere in the group. A primary applies a
+// round before it sends it, so one that sequenced on a copy behind a
+// member's would stamp a round above history the group acked; the open
+// polls every member's position through the fetch path and adopts a copy
+// strictly ahead of this one (pullObject). It runs once per epoch and ref:
+// a view that leaves the ref's group as it was carries the open over
+// (rebalance), a restored or pulled record starts unopened, and a poll
+// that any member answers busy or not at all fails the round retryably.
+// One open or pull runs per record at a time; a round that finds one
+// running waits for it.
+func (n *Node) open(ctx context.Context, e *entry, group []ring.NodeID, epoch uint64) (genesis bool, err error) {
+	for {
+		e.rmu.Lock()
+		resident, opened := e.obj != nil, e.opened == epoch
+		e.rmu.Unlock()
+		if opened {
+			return !resident, nil
+		}
+		running := e.claimPull()
+		if running == nil {
+			break
+		}
+		select {
+		case <-running:
+		case <-ctx.Done():
+			return false, ctx.Err()
+		}
+	}
+	defer e.endPull()
+	_, found, err := n.pullObject(ctx, e, group)
+	e.rmu.Lock()
+	defer e.rmu.Unlock()
+	resident := e.obj != nil
+	if err == nil && found && !resident {
+		err = fmt.Errorf("%w: %s held at a peer but not adopted on %s", core.ErrRebalancing, e.ref, n.cfg.ID)
+	}
+	if err == nil {
+		e.opened = epoch
+	}
+	return !resident, err
 }
 
 // sequence is the coordinator's half of a round: single-coordinator
 // admission, the fences — the view the round's group came from must still
 // be installed and no migration may hold the ref — the copy (created, for
-// genesis), then the apply that gives the round its seq (applyOrdered),
-// which checks the fences again under the monitor. The first check keeps a
-// stale round from creating anything; the second makes a hand-off either
-// push the copy after the round or bounce it (DESIGN.md §5e). A group of
-// one's round ends here. res receives the per-invocation outcomes.
-func (n *Node) sequence(ctx context.Context, e *entry, id totalorder.MsgID, fence uint64, genesis bool, invs []core.Invocation, res []opResult, payload []byte) (roundOutcome, position, error) {
+// genesis), then the apply that gives the round its position
+// (applyOrdered), which checks the fences again under the monitor. The
+// first check keeps a stale round from creating anything; the second makes
+// a hand-off either push the copy after the round or bounce it (DESIGN.md
+// §5e). A group of one's round ends here. m carries the round's ID, fence
+// and epoch in, and its positions out; res receives the per-invocation
+// outcomes.
+func (n *Node) sequence(ctx context.Context, e *entry, m *acceptMsg, genesis bool, invs []core.Invocation, res []opResult, payload []byte) roundOutcome {
 	ref := e.ref
-	if !e.admit(id.Origin) {
-		return roundOutcome{}, position{}, fmt.Errorf("%w: %s has a round in flight from another coordinator",
-			core.ErrRebalancing, ref)
+	if !e.admit(m.ID.Origin) {
+		return roundOutcome{err: fmt.Errorf("%w: %s has a round in flight from another coordinator",
+			core.ErrRebalancing, ref)}
 	}
 	defer e.settle()
 	var err error
-	if n.epoch.Load().fence != fence || e.fenced() {
+	if n.epoch.Load().fence != m.Fence || e.fenced() {
 		err = fmt.Errorf("%w: round for %s fenced on %s (view changed or migrating)", core.ErrRebalancing, ref, n.cfg.ID)
 	} else if genesis {
 		_, err = n.createCopy(e, invs[0])
@@ -482,27 +524,24 @@ func (n *Node) sequence(ctx context.Context, e *entry, id totalorder.MsgID, fenc
 		err = fmt.Errorf("%w: %s dropped on %s", core.ErrRebalancing, ref, n.cfg.ID)
 	}
 	if err != nil {
-		return roundOutcome{}, position{}, err
+		return roundOutcome{err: err}
 	}
-	at := position{Fence: fence}
-	out := n.applyOrdered(ctx, id, e, &at, genesis, invs, res, payload)
-	return out, at, out.err
+	return n.applyOrdered(ctx, e, m, genesis, invs, res, payload)
 }
 
 // replicate sends a round's ACCEPT to every member of group but this node
-// (group[0]) and checks each reply against the coordinator's own outcome
-// (checkRound). The last member is called inline and the others on the
+// (group[0]). The last member is called inline and the others on the
 // node's pooled accept workers, so a round starts no goroutine.
-func (n *Node) replicate(ctx context.Context, id totalorder.MsgID, ref core.Ref, group []ring.NodeID, body []byte, local finalResp) error {
+func (n *Node) replicate(ctx context.Context, id totalorder.MsgID, group []ring.NodeID, body []byte) error {
 	var fan *acceptFan
 	if len(group) > 2 {
 		fan = fanPool.Get().(*acceptFan)
 		fan.wg.Add(len(group) - 2)
 		for _, m := range group[1 : len(group)-1] {
-			n.acceptWorkers.Go(acceptTask{ctx: ctx, id: id, ref: ref, member: m, body: body, local: local, fan: fan})
+			n.acceptWorkers.Go(acceptTask{ctx: ctx, id: id, member: m, body: body, fan: fan})
 		}
 	}
-	err := n.acceptAt(ctx, id, ref, group[len(group)-1], body, local)
+	err := n.acceptAt(ctx, id, group[len(group)-1], body)
 	if fan != nil {
 		fan.wg.Wait()
 		if err == nil {
@@ -519,10 +558,8 @@ func (n *Node) replicate(ctx context.Context, id totalorder.MsgID, ref core.Ref,
 type acceptTask struct {
 	ctx    context.Context
 	id     totalorder.MsgID
-	ref    core.Ref
 	member ring.NodeID
 	body   []byte
-	local  finalResp
 	fan    *acceptFan
 }
 
@@ -540,7 +577,7 @@ var fanPool = sync.Pool{New: func() any { return new(acceptFan) }}
 // runAccept is the accept workers' task: one acceptAt, its verdict
 // recorded on the round's fan.
 func (n *Node) runAccept(t acceptTask) {
-	err := n.acceptAt(t.ctx, t.id, t.ref, t.member, t.body, t.local)
+	err := n.acceptAt(t.ctx, t.id, t.member, t.body)
 	if err != nil {
 		t.fan.mu.Lock()
 		if t.fan.err == nil {
@@ -551,15 +588,14 @@ func (n *Node) runAccept(t acceptTask) {
 	t.fan.wg.Done()
 }
 
-// acceptAt sends one member a round's ACCEPT and checks its reply.
-func (n *Node) acceptAt(ctx context.Context, id totalorder.MsgID, ref core.Ref, member ring.NodeID, body []byte, local finalResp) error {
-	var resp finalResp
-	err := n.peerCall(ctx, member, KindAccept, body, func(out []byte) (err error) {
-		resp, err = decodeFinalResp(out)
+// acceptAt sends one member a round's ACCEPT and reads its ack.
+func (n *Node) acceptAt(ctx context.Context, id totalorder.MsgID, member ring.NodeID, body []byte) error {
+	err := n.peerCall(ctx, member, KindAccept, body, func(out []byte) error {
+		_, err := decodeAcceptAck(out)
 		return err
 	})
 	if err == nil {
-		return n.checkRound(id, ref, member, resp, local)
+		return nil
 	}
 	// The member is unreachable, refused the round, or the view is
 	// changing: the client re-routes on the rebalancing sentinel, and dedup
@@ -567,104 +603,29 @@ func (n *Node) acceptAt(ctx context.Context, id totalorder.MsgID, ref core.Ref, 
 	return fmt.Errorf("%w: round %s on %s: %v", core.ErrRebalancing, id, member, err)
 }
 
-// ensureCoordinatorCopy makes sure this node may safely coordinate a
-// round for e's ref, and reports whether the round must be flagged
-// genesis. A primary with no copy, or a stale-marked one, asks the other
-// replicas first: a miss may mean the hand-off never reached it, and a
-// fresh object would discard all prior state, a stale copy ack results
-// missing acknowledged ops. Only a unanimous miss is creation.
-func (n *Node) ensureCoordinatorCopy(ctx context.Context, e *entry, group []ring.NodeID) (genesis bool, err error) {
-	ref := e.ref
-	resident, _, _ := e.kind()
-	if len(group) == 1 {
-		// No peer to ask about a miss. A stale mark polls the rf-sized set,
-		// the likeliest holders of a better copy (at RF 1 it just clears).
-		if !e.isStale() {
-			return !resident, nil
-		}
-		group, _ = n.replicaGroup(ref, true)
-	}
-	if !resident || e.isStale() {
-		installed, busy := n.pullObject(ctx, e, group)
-		if !installed && !resident {
-			// A concurrent first write may have created the copy here
-			// meanwhile: its genesis round applies here before its ACCEPT
-			// leaves, and that ACCEPT is what a busy peer is holding.
-			resident, _, _ = e.kind()
-		}
-		if !installed && !resident && busy {
-			// A peer holds a copy with admitted rounds; retry once they
-			// settle.
-			return false, fmt.Errorf("%w: %s busy at a peer", core.ErrRebalancing, ref)
-		}
-		if e.isStale() {
-			// The pull could not prove the copy current: do not ack a write
-			// computed on a possibly-behind copy.
-			return false, fmt.Errorf("%w: %s stale on %s", core.ErrRebalancing, ref, n.cfg.ID)
-		}
-		resident = resident || installed
-	}
-	return !resident, nil
-}
-
-// checkRound is the coordinator's fork check on one member's reply: its
-// post-apply version and replay count (finalResp) must equal the
-// coordinator's own, since both applied the same rounds in one order.
-// Versions catch a resurrected older copy; replay counts catch two
-// diverged copies that counted their way back to one version, which can
-// only happen through a replay-vs-execute asymmetry (DESIGN.md §5c has the
-// worked interleaving). On a mismatch nothing is acked (the retry is
-// dedup-safe), server.fork_refusals counts it, and a coordinator behind
-// the member marks itself stale and pulls; otherwise it pushes its copy to
-// the member as a repair, which wins a version tie there (transferMsg).
-func (n *Node) checkRound(id totalorder.MsgID, ref core.Ref, member ring.NodeID, m, local finalResp) error {
-	if m == local {
-		return nil
-	}
-	n.cForkRefusals.Inc()
-	n.log.Warn("replica diverged from coordinator, refusing ack",
-		"ref", ref.String(), "id", id.String(), "member", string(member),
-		"member_version", m.Version, "local_version", local.Version,
-		"member_replays", m.Replays, "local_replays", local.Replays)
-	if m.Version > local.Version {
-		n.markStale(ref)
-		go n.selfHeal(ref)
-	} else if e := n.pin(ref, false); e != nil {
-		go func() {
-			defer n.release(e)
-			if err := n.pushObject(e, member, true); err != nil {
-				n.log.Debug("repair push failed", "ref", ref.String(),
-					"target", string(member), "err", err)
-			}
-		}()
-	}
-	return fmt.Errorf("%w: replica %s of %s at version %d (%d replayed), coordinator at %d (%d replayed)",
-		core.ErrRebalancing, member, ref, m.Version, m.Replays, local.Version, local.Replays)
-}
-
 // handleAccept services a peer's ACCEPT: the view fence, single-coordinator
-// admission on the ref's record, then the apply at the round's place in
-// its ref's order (applyOrdered), answered with that apply's outcome. A
-// round fenced on the directory's latest view, which this node has not
-// installed yet, comes from a coordinator ahead of it and waits up to
-// waitTimeout for that install; any other mismatch is refused at once. A
-// refused round has already applied at its coordinator, so this member
-// would miss it and hold the ref's next rounds: a round refused by
-// admission therefore pulls a copy at once (selfHeal).
+// admission on the ref's record, then the apply at the round's position
+// (applyOrdered), acked once applied. A round fenced on the directory's
+// latest view, which this node has not installed yet, comes from a
+// coordinator ahead of it and waits up to waitTimeout for that install;
+// any other mismatch is refused at once. A refused round has already
+// applied at its coordinator, so this member would miss it and hold the
+// ref's next rounds: a round refused by admission therefore pulls a copy
+// at once (selfHeal).
 //
 // The payload is read in place (readRound) and aliases body, which the rpc
 // server recycles once this handler returns: it is copied only for the
-// WAL, which keeps it until a flush. The reply goes out in a pooled
-// buffer that the rpc server recycles.
+// WAL, which keeps it until a flush. The ack goes out in a pooled buffer
+// that the rpc server recycles.
 func (n *Node) handleAccept(ctx context.Context, body []byte) ([]byte, error) {
 	msg, err := decodeAccept(body, n.knownRef)
 	if err != nil {
 		return nil, err
 	}
-	if ep := n.epoch.Load(); msg.At.Fence != ep.fence && msg.At.Fence == n.cfg.Directory.View().Fence() {
+	if ep := n.epoch.Load(); msg.Fence != ep.fence && msg.Fence == n.cfg.Directory.View().Fence() {
 		n.awaitView(ctx, ep)
 	}
-	if msg.At.Fence != n.epoch.Load().fence {
+	if msg.Fence != n.epoch.Load().fence {
 		return nil, fmt.Errorf("%w: round %s fenced on %s (view mismatch)",
 			core.ErrRebalancing, msg.ID, n.cfg.ID)
 	}
@@ -684,11 +645,10 @@ func (n *Node) handleAccept(ctx context.Context, body []byte) ([]byte, error) {
 			core.ErrRebalancing, msg.Ref)
 	}
 	defer e.settle()
-	out := n.applyOrdered(ctx, msg.ID, e, &msg.At, genesis, invs, nil, msg.Payload)
-	if out.err != nil {
+	if out := n.applyOrdered(ctx, e, &msg, genesis, invs, nil, msg.Payload); out.err != nil {
 		return nil, out.err
 	}
-	return finalResp{Version: out.version, Replays: out.replays}.append(rpc.GetBuffer(0)), nil
+	return acceptAck{}.append(rpc.GetBuffer(0)), nil
 }
 
 // awaitView waits, up to waitTimeout, for the view after ep to install.
@@ -704,12 +664,13 @@ func (n *Node) awaitView(ctx context.Context, ep *viewEpoch) {
 
 // applyOrdered runs every invocation of a round, in payload order, on e's
 // copy under a single member write fence and a single monitor
-// acquisition, at the round's place in its ref's order. The coordinator
-// passes a zero at.Seq: the round takes the next seq under at.Fence in the
-// critical section that applies it. A member's round waits its turn
-// (awaitTurn). Each invocation is dedup-checked and recorded (applyLocked),
-// so a retry that lands in a later round replays. Rebalancing-class
-// failures (no base copy, a fence, a hand-off, a gap) void the round before
+// acquisition, at the round's position. The coordinator passes a zero
+// m.At.Seq: the round takes the position after its copy's in the
+// critical section that applies it, and m.Prev and m.At record both. A
+// member's round waits until its copy stands at m.Prev (awaitTurn). Each
+// invocation is dedup-checked and recorded (applyLocked), so a retry that
+// lands in a later round replays. Rebalancing-class failures (no base
+// copy, a fence, a hand-off, another predecessor) void the round before
 // any invocation runs and leave the position where it was; method errors
 // are per-invocation outcomes and count as applied.
 //
@@ -717,44 +678,38 @@ func (n *Node) awaitView(ctx context.Context, ep *viewEpoch) {
 // coordinator flagged it genesis. Otherwise the round overtook the genesis
 // round that creates the copy here, or the hand-off has not arrived: it
 // waits for the copy (awaitCopy). Past that bound, applying to a fresh
-// object would fork the lineage, so the round is refused, the ref marked
-// stale and a pull started.
+// object would fork the lineage, so the round is refused and a pull
+// started.
 //
 // res receives the per-invocation outcomes; a member passes nil. A
 // coordinator's round comes from sequence, which made sure of the copy,
 // and bounces when its view is no longer installed or a migration fences
 // the ref: every hand-off follows a view change, so a round that finds
 // its view under the monitor applies to a copy not handed off since.
-func (n *Node) applyOrdered(ctx context.Context, id totalorder.MsgID, e *entry, at *position, genesis bool, invs []core.Invocation, res []opResult, payload []byte) (out roundOutcome) {
+func (n *Node) applyOrdered(ctx context.Context, e *entry, m *acceptMsg, genesis bool, invs []core.Invocation, res []opResult, payload []byte) (out roundOutcome) {
 	ref := e.ref
 	if n.beforeApply != nil {
 		n.beforeApply(ref)
 	}
-	if at.Seq != 0 && genesis {
+	member := m.At.Seq != 0
+	if member && genesis {
 		if _, out.err = n.createCopy(e, invs[0]); out.err != nil {
 			return out
 		}
-	} else if at.Seq != 0 && !n.awaitCopy(ctx, e, at.Fence) {
+	} else if member && !n.awaitCopy(ctx, e, m.Fence) {
 		n.log.Debug("refusing round without base copy",
-			"ref", ref.String(), "origin", id.Origin, "ops", len(invs))
-		out.err = fmt.Errorf("%w: %s has no base copy on %s",
-			core.ErrRebalancing, ref, n.cfg.ID)
-		// The copy this node eventually installs may be a snapshot taken
-		// before this round; mark the ref so the write, grant, and
-		// local-read paths refuse it until a barrier-protected pull proves
-		// the copy current (see markStale).
-		n.markStale(ref)
+			"ref", ref.String(), "origin", m.ID.Origin, "ops", len(invs))
 		go n.selfHeal(ref)
+		out.err = fmt.Errorf("%w: %s has no base copy on %s", core.ErrRebalancing, ref, n.cfg.ID)
 		return out
 	}
 	readOnly := readOnlyRound(invs)
-	if !readOnly && n.leases != nil && id.Origin != string(n.cfg.ID) {
+	if !readOnly && n.leases != nil && member {
 		// One revocation covers every write of the round; the
 		// coordinator's own apply is covered by its prepareWrite.
 		if err := n.leases.memberWriteFence(e); err != nil {
 			// No ack (the retries are dedup-safe), and heal: the
 			// coordinator applied, so our copy is now behind.
-			n.markStale(ref)
 			go n.selfHeal(ref)
 			out.err = err
 			return out
@@ -762,76 +717,82 @@ func (n *Node) applyOrdered(ctx context.Context, id totalorder.MsgID, e *entry, 
 		defer e.endWrite()
 	}
 	n.lockEntry(ctx, e)
-	var dup *finalResp
+	dup := false
 	switch {
-	case at.Seq != 0:
-		dup, out.err = n.awaitTurn(ctx, e, id, *at)
-	case at.Fence != n.epoch.Load().fence || e.fencedLocked():
+	case member:
+		dup, out.err = n.awaitTurn(ctx, e, m)
+	case m.Fence != n.epoch.Load().fence || e.fencedLocked():
 		out.err = fmt.Errorf("%w: round for %s fenced on %s (view changed or migrating)", core.ErrRebalancing, ref, n.cfg.ID)
+	case m.At.Epoch < e.pos.Epoch:
+		out.err = fmt.Errorf("%w: %s's copy on %s is from a later view than the round", core.ErrRebalancing, ref, n.cfg.ID)
 	default:
-		*at = e.nextSeq(at.Fence)
+		m.Prev, m.At = e.pos, e.pos.next(m.At.Epoch)
 	}
-	if dup == nil && out.err == nil && e.obj == nil {
+	if !dup && out.err == nil && e.obj == nil {
 		out.err = core.ErrRebalancing // handed off
 	}
-	if dup != nil || out.err != nil {
+	if dup || out.err != nil {
 		e.mu.Unlock()
-		if dup != nil { // a duplicate: answer what the original did
-			out.version, out.replays = dup.Version, dup.Replays
-		}
 		return out
 	}
-	// Read under the monitor: a later read could include a later round.
-	out.replays = n.applyLocked(ctx, e, invs, res)
-	out.version = e.version
-	e.advance(id, *at, finalResp{Version: out.version, Replays: out.replays})
+	n.applyLocked(ctx, e, invs, res)
+	e.advance(m.ID, m.At)
 	if !readOnly && e.persist {
 		// One record carries the whole round; replay re-applies its
 		// invocations through the same dedup window. Every replica logs
 		// its own WAL; only the coordinator's ticket gates the ack. Under
-		// the monitor: replay's version gate needs apply-version order.
-		out.commit = n.appendWAL(id.Origin, id.Seq, out.version, payload)
+		// the monitor: records of one ref are logged in position order.
+		out.commit = n.appendWAL(m.ID, m.At, payload)
 	}
 	e.mu.Unlock()
 	k := telemetry.ObjectKey{Type: ref.Type, Key: ref.Key}
 	n.objTrack.ObserveApply(k, len(invs))
 	n.bundleTrack.ObserveApply(k, len(invs))
 	if n.log.Enabled(ctx, slog.LevelDebug) {
-		n.log.Debug("smr round applied", "ref", ref.String(), "id", id.String(), "seq", at.Seq,
-			"ops", len(invs), "version", out.version, "replays", out.replays)
+		n.log.Debug("smr round applied", "ref", ref.String(), "id", m.ID.String(),
+			"epoch", m.At.Epoch, "seq", m.At.Seq, "ops", len(invs))
 	}
 	return out
 }
 
-// awaitTurn holds a member's round at position at until it is the next
-// round e applies, and returns with e.mu held as it was called. It returns
-// the recorded reply of a round e already applied (a duplicate ACCEPT),
-// and an error when the round may not apply: its fence is no longer the
-// installed view's (a view change wakes every parked round), it is behind
-// the copy, or a predecessor never came. A round parked past waitTimeout
-// pulls a copy (pullObject), which resumes the lane after that copy's
-// position (installTransfer), and then applies or gives up.
-func (n *Node) awaitTurn(ctx context.Context, e *entry, id totalorder.MsgID, at position) (*finalResp, error) {
+// awaitTurn holds a member's round until e's copy stands at its
+// predecessor m.Prev, and returns with e.mu held as it was called. It
+// reports a round e already applied (a duplicate ACCEPT, acked again), and
+// an error when the round may not apply: its fence is no longer the
+// installed view's (a view change wakes every parked round), the copy is
+// at or past it, the copy is past its predecessor on another history, or
+// the predecessor never came. A round parked past waitTimeout pulls a copy
+// (pullObject), which moves the copy to the pulled one's position, and
+// then applies or gives up.
+func (n *Node) awaitTurn(ctx context.Context, e *entry, m *acceptMsg) (dup bool, err error) {
 	ref := e.ref
 	var timer *time.Timer
 	for pulled := false; ; {
 		ep := n.epoch.Load()
-		if at.Fence != ep.fence {
-			return nil, fmt.Errorf("%w: round %s fenced on %s (view changed)", core.ErrRebalancing, id, n.cfg.ID)
+		if m.Fence != ep.fence {
+			return false, fmt.Errorf("%w: round %s fenced on %s (view changed)", core.ErrRebalancing, m.ID, n.cfg.ID)
 		}
-		switch verdict, rec := e.laneTurn(id, at); verdict {
+		switch e.laneTurn(m.ID, m.Prev, m.At) {
 		case laneApply:
-			return nil, nil
+			return false, nil
 		case laneDone:
-			dup := rec // escapes: only a duplicate pays for it
-			return &dup, nil
+			return true, nil
 		case laneStale:
-			return nil, fmt.Errorf("%w: round %s (seq %d) is behind %s's copy of %s (seq %d)",
-				core.ErrRebalancing, id, at.Seq, n.cfg.ID, ref, e.pos.Seq)
+			return false, fmt.Errorf("%w: round %s at %v is behind %s's copy of %s at %v",
+				core.ErrRebalancing, m.ID, m.At, n.cfg.ID, ref, e.pos)
+		case laneFork:
+			// This copy ran other rounds past the coordinator's: applying
+			// here would ack a result two histories computed. Pull the
+			// coordinator's copy, which is strictly ahead (it applied the
+			// round).
+			n.cForkRefusals.Inc()
+			go n.selfHeal(ref)
+			return false, fmt.Errorf("%w: round %s follows %v, %s's copy of %s is at %v",
+				core.ErrRebalancing, m.ID, m.Prev, n.cfg.ID, ref, e.pos)
 		}
 		if pulled {
-			return nil, fmt.Errorf("%w: %s is missing rounds of %s before seq %d",
-				core.ErrRebalancing, n.cfg.ID, ref, at.Seq)
+			return false, fmt.Errorf("%w: %s is missing rounds of %s before %v",
+				core.ErrRebalancing, n.cfg.ID, ref, m.At)
 		}
 		if e.turn == nil {
 			e.turn = make(chan struct{})
@@ -847,11 +808,11 @@ func (n *Node) awaitTurn(ctx context.Context, e *entry, id totalorder.MsgID, at 
 		case <-ep.next:
 		case <-ctx.Done():
 			e.mu.Lock()
-			return nil, ctx.Err()
+			return false, ctx.Err()
 		case <-timer.C:
 			group, _ := n.replicaGroup(ref, true)
 			pctx, cancel := context.WithTimeout(ctx, 2*n.waitTimeout())
-			n.pullObject(pctx, e, group)
+			_, _, _ = n.pullObject(pctx, e, group)
 			cancel()
 			pulled = true
 		}
@@ -859,82 +820,63 @@ func (n *Node) awaitTurn(ctx context.Context, e *entry, id totalorder.MsgID, at 
 	}
 }
 
-// laneMemory is how many applied rounds a copy remembers the replies of,
-// so that a duplicate ACCEPT (a redialed or duplicated frame) answers what
-// its original did. Two covers every write round, inline or cut: a primary
+// laneMemory is how many applied rounds a copy remembers, so that a
+// duplicate ACCEPT (a redialed or duplicated frame) is acked again rather
+// than refused. Two covers every write round, inline or cut: a primary
 // keeps at most pipelineDepth of a ref's in flight (lane.go). A duplicate
 // of an older round is refused, which costs its client a retry, not a fork.
 const laneMemory = pipelineDepth
 
 // laneRecord is one remembered round.
 type laneRecord struct {
-	seq  uint64
-	id   totalorder.MsgID
-	resp finalResp
+	at position
+	id totalorder.MsgID
 }
 
 type laneVerdict uint8
 
 const (
-	laneApply laneVerdict = iota // the round is next
-	laneWait                     // a predecessor has not applied yet
-	laneDone                     // applied already: answer its record
-	laneStale                    // behind the copy, and no known duplicate
+	laneApply laneVerdict = iota // the copy stands at the round's predecessor
+	laneWait                     // the copy is behind the predecessor
+	laneDone                     // applied already: ack it again
+	laneStale                    // the copy is at or past the round, not by it
+	laneFork                     // the copy is past the predecessor but not at the round
 )
 
-// laneTurn says what a member's round at position at does next (e.mu
-// held). A round opening a new fence's order (seq 1) is next whatever the
-// copy's position; so is seq 1 of a restarted primary under an unchanged
-// fence, known by a MsgID later than the one that opened the order here.
-// A copy installed from a transfer does not know that round, so there
-// seq 1 reads as behind: a round the copy already covers must not apply
-// twice.
-func (e *entry) laneTurn(id totalorder.MsgID, at position) (laneVerdict, finalResp) {
-	if at.Fence != e.pos.Fence {
-		if at.Seq == 1 {
-			return laneApply, finalResp{}
-		}
-		return laneWait, finalResp{}
-	}
+// laneTurn says what a member's round from prev to at does next (e.mu
+// held). Only a copy at exactly prev applies it.
+func (e *entry) laneTurn(id totalorder.MsgID, prev, at position) laneVerdict {
 	switch {
-	case at.Seq == e.pos.Seq+1:
-		return laneApply, finalResp{}
-	case at.Seq > e.pos.Seq:
-		return laneWait, finalResp{}
+	case e.pos == prev:
+		return laneApply
+	case e.pos.less(prev):
+		return laneWait
+	case e.pos.less(at):
+		return laneFork
 	}
-	if r := e.recent[at.Seq%laneMemory]; r.seq == at.Seq && r.id == id {
-		return laneDone, r.resp
+	if r := e.recent[at.Seq%laneMemory]; r.at == at && r.id == id {
+		return laneDone
 	}
-	if at.Seq == 1 && id.Origin == e.first.Origin && id.Seq > e.first.Seq {
-		return laneApply, finalResp{}
-	}
-	return laneStale, finalResp{}
+	return laneStale
 }
 
-// nextSeq is the position of the next round this node sequences under
-// fence (e.mu held).
-func (e *entry) nextSeq(fence uint64) position {
-	if e.pos.Fence != fence {
-		return position{Fence: fence, Seq: 1}
+// next is the position of the round after p sequenced under epoch.
+func (p position) next(epoch uint64) position {
+	if p.Epoch != epoch {
+		return position{Epoch: epoch, Seq: 1}
 	}
-	return position{Fence: fence, Seq: e.pos.Seq + 1}
+	return position{Epoch: epoch, Seq: p.Seq + 1}
 }
 
 // advance records the round id applied at position at (e.mu held).
-func (e *entry) advance(id totalorder.MsgID, at position, resp finalResp) {
+func (e *entry) advance(id totalorder.MsgID, at position) {
 	e.setPos(at)
-	if at.Seq == 1 {
-		e.first = id
-	}
-	e.recent[at.Seq%laneMemory] = laneRecord{seq: at.Seq, id: id, resp: resp}
+	e.recent[at.Seq%laneMemory] = laneRecord{at: at, id: id}
 }
 
 // setPos moves the copy to position p and wakes the rounds parked on it
 // (e.mu held).
 func (e *entry) setPos(p position) {
-	if p.Fence != e.pos.Fence {
-		e.first = totalorder.MsgID{}
-	}
 	e.pos = p
 	if e.turn != nil {
 		close(e.turn)

@@ -93,13 +93,14 @@ const (
 	// evictions.
 	MetServerDedupHits      = "server.dedup_hits"
 	MetServerDedupEvictions = "server.dedup_evictions"
-	// State-transfer safety: snapshots refused because the local copy had
-	// already applied more operations, and base copies adopted from peers
-	// (pull-on-miss) instead of being created fresh.
+	// State-transfer safety: snapshots refused because they were not
+	// strictly higher in their object's order than the local copy, and
+	// copies adopted from peers by a pull or a primary's open instead of
+	// being created fresh.
 	MetServerTransfersStale = "server.transfers_stale"
 	MetServerPulls          = "server.object_pulls"
-	// Rounds the coordinator's fork check refused because a member's
-	// post-apply version or replay count differed from its own. A
+	// Rounds a member refused because its copy had moved past the round's
+	// predecessor on another history (a predecessor mismatch). A
 	// fault-free run refuses none.
 	MetServerForkRefusals = "server.fork_refusals"
 
